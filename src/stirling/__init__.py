@@ -8,7 +8,7 @@ inequality corpus around the normalized factorial remainder.
 
 from .bernoulli import BernoulliTable, bernoulli, series_coeff_a
 from .bounds import (BoundReport, SequencePoint, aissen_ratio, check_bound,
-                     impens_sandwich, sequence_point)
+                     impens_grid, impens_sandwich, sequence_point)
 from .constants import (ConstantSequence, best_constant_estimate, c_sequence,
                         duplication_constant)
 from .errors import (ConvergenceError, DomainError, InconclusiveError,
@@ -41,7 +41,7 @@ __all__ = [
     "check_duplication", "check_multiplication", "default_ctx",
     "duplication_constant", "elementary", "euler_gamma", "f_term",
     "feller_constant", "feller_identity_residual", "feller_term",
-    "gamma_half_integer", "half_ln_2pi", "impens_sandwich",
+    "gamma_half_integer", "half_ln_2pi", "impens_grid", "impens_sandwich",
     "ln_factorial_exact", "ln_factorial_stirling", "lngamma_binet2",
     "lngamma_euler_limit", "lngamma_stirling", "main_term_P",
     "marsaglia_coeffs", "marsaglia_factorial", "mermin_partial_product",

@@ -46,6 +46,7 @@ __all__ = [
     "check_bound",
     "bound_sweep",
     "impens_sandwich",
+    "impens_grid",
     "aissen_ratio",
 ]
 
@@ -183,7 +184,9 @@ def _evaluate_family(family: str, n: int, lnfact, wp: int, ctx: PrecisionCtx) ->
     if libmp.mpf_le(libmp.mpf_abs(margin), threshold):
         raise InconclusiveError(
             f"{family} at n={n}: margin within the arithmetic envelope at "
-            f"{ctx.bits} bits"
+            f"{ctx.bits} bits",
+            family=family, n=n, margin=BigFloat.from_raw(margin, ctx),
+            envelope=BigFloat.from_raw(threshold, ctx),
         )
     holds = libmp.mpf_gt(margin, libmp.fzero)
     return BoundReport(
@@ -236,14 +239,18 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
                 yield exc
 
 
-def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
-    """Strict sandwich R_{2n}(x) < ln Gamma(x) - P(x) < R_{2m+1}(x), with
-    the middle term from the integral oracle.
+@dataclass(frozen=True)
+class _SandwichPoint:
+    """Per-x quantities shared by every (n, m) cell of the sandwich."""
 
-    Holds is asserted only when both gaps exceed the oracle error bound.
-    """
-    if n < 0 or m < 0:
-        raise DomainError("orders n, m must be >= 0")
+    x: object
+    x_raw: tuple
+    mid_raw: tuple         # ln Gamma(x) - P(x) from the integral oracle
+    threshold: tuple       # oracle error bound plus the rounding envelope
+    wp: int
+
+
+def _sandwich_point(x, ctx: PrecisionCtx) -> _SandwichPoint:
     # the verdict is computed with 64 extra bits so that rounding the
     # oracle value to ctx.bits cannot swallow a tight-but-real margin
     work = PrecisionCtx(ctx.bits + 64)
@@ -253,17 +260,24 @@ def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
         raise DomainError("x must be positive")
     ov = lngamma_binet2(BigFloat(x_raw, work.bits), work)
     mid_raw = libmp.mpf_sub(ov.value.raw, _main_term_raw(x_raw, wp), wp, _RND)
-    lhs_raw = _remainder_raw(x_raw, 2 * n, wp)
-    rhs_raw = _remainder_raw(x_raw, 2 * m + 1, wp)
+    threshold = libmp.mpf_add(ov.error_bound.raw, _scale_threshold(int(abs(float(x))) + 2, wp),
+                              wp, _RND)
+    return _SandwichPoint(x, x_raw, mid_raw, threshold, wp)
+
+
+def _sandwich_cell(point: _SandwichPoint, n: int, m: int, lhs_raw, rhs_raw,
+                   ctx: PrecisionCtx) -> BoundReport:
+    """Verdict for one cell from R_{2n}(x) = lhs_raw and R_{2m+1}(x) = rhs_raw."""
+    wp, mid_raw = point.wp, point.mid_raw
     lo = libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND)
     hi = libmp.mpf_sub(rhs_raw, mid_raw, wp, _RND)
     margin = lo if libmp.mpf_lt(lo, hi) else hi
-    threshold = libmp.mpf_add(ov.error_bound.raw, _scale_threshold(int(abs(float(x))) + 2, wp),
-                              wp, _RND)
-    if libmp.mpf_le(libmp.mpf_abs(margin), threshold):
+    if libmp.mpf_le(libmp.mpf_abs(margin), point.threshold):
         raise InconclusiveError(
-            f"sandwich at x={x}, n={n}, m={m}: margin within the oracle "
-            f"error bound at {ctx.bits} bits"
+            f"sandwich at x={point.x}, n={n}, m={m}: margin within the oracle "
+            f"error bound at {ctx.bits} bits",
+            family="impens", n=n, margin=BigFloat.from_raw(margin, ctx),
+            envelope=BigFloat.from_raw(point.threshold, ctx),
         )
     return BoundReport(
         family="impens",
@@ -274,6 +288,45 @@ def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
         holds=libmp.mpf_gt(margin, libmp.fzero),
         margin=BigFloat.from_raw(margin, ctx),
     )
+
+
+def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
+    """Strict sandwich R_{2n}(x) < ln Gamma(x) - P(x) < R_{2m+1}(x), with
+    the middle term from the integral oracle.
+
+    Holds is asserted only when both gaps exceed the oracle error bound.
+    """
+    if n < 0 or m < 0:
+        raise DomainError("orders n, m must be >= 0")
+    point = _sandwich_point(x, ctx)
+    return _sandwich_cell(point, n, m,
+                          _remainder_raw(point.x_raw, 2 * n, point.wp),
+                          _remainder_raw(point.x_raw, 2 * m + 1, point.wp), ctx)
+
+
+def impens_grid(xs, orders, ctx: PrecisionCtx,
+                ) -> Iterator[BoundReport | InconclusiveError]:
+    """impens_sandwich over every x in xs and every n, m in orders, x major,
+    then n, then m.
+
+    The oracle value, main term and error threshold are computed once per
+    x, and each remainder once per (x, order).  Inconclusive cells are
+    yielded as the error object instead of a report, so the grid keeps
+    going; every cell is identical to the corresponding impens_sandwich.
+    """
+    orders = list(orders)
+    if any(k < 0 for k in orders):
+        raise DomainError("orders n, m must be >= 0")
+    for x in xs:
+        point = _sandwich_point(x, ctx)
+        lower = {n: _remainder_raw(point.x_raw, 2 * n, point.wp) for n in orders}
+        upper = {m: _remainder_raw(point.x_raw, 2 * m + 1, point.wp) for m in orders}
+        for n in orders:
+            for m in orders:
+                try:
+                    yield _sandwich_cell(point, n, m, lower[n], upper[m], ctx)
+                except InconclusiveError as exc:
+                    yield exc
 
 
 def aissen_ratio(n: int, ctx: PrecisionCtx) -> BigFloat:

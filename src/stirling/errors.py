@@ -22,7 +22,20 @@ class ValidityError(StirlingError):
 
 
 class InconclusiveError(StirlingError):
-    """Margin smaller than the arithmetic error envelope; no verdict."""
+    """Margin smaller than the arithmetic error envelope; no verdict.
+
+    ``family`` and ``n`` name the inequality instance, ``margin`` is its
+    signed margin and ``envelope`` the error envelope the margin failed to
+    clear (both BigFloat).  Fields not supplied by the raiser are None.
+    """
+
+    def __init__(self, message: str = "", *, family: str | None = None,
+                 n: int | None = None, margin=None, envelope=None):
+        super().__init__(message)
+        self.family = family
+        self.n = n
+        self.margin = margin
+        self.envelope = envelope
 
 
 class ConvergenceError(StirlingError):

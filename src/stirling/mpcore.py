@@ -482,8 +482,9 @@ def compute_twice(fn: Callable[[PrecisionCtx], BigFloat], ctx: PrecisionCtx,
 
 
 def published_decimal(fn: Callable[[PrecisionCtx], BigFloat], ctx: PrecisionCtx,
-                      digits: int) -> str:
-    """Decimal rendering limited to the compute-twice agreed prefix."""
+                      digits: int) -> tuple[BigFloat, str]:
+    """Value at ctx plus its decimal rendering, limited to ``digits`` and to
+    the compute-twice agreed prefix."""
     value, agreed = compute_twice(fn, ctx)
     agreed_digits = max(1, int(agreed * 0.30102999566398119))
-    return value.to_decimal(min(digits, agreed_digits))
+    return value, value.to_decimal(min(digits, agreed_digits))

@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from mpmath import libmp
 
+import stirling.bounds
 from stirling.bounds import (FAMILY_MIN_N, aissen_ratio, bound_sweep,
-                             check_bound, impens_sandwich, sequence_point)
+                             check_bound, impens_grid, impens_sandwich,
+                             sequence_point)
+from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
                              ValidityError)
 from stirling.mpcore import PrecisionCtx, elementary, pi
@@ -149,6 +153,82 @@ def test_impens_consistent_with_remainder_values():
     rep = impens_sandwich(2, 1, 2, CTX)
     assert abs(rep.lhs - remainder_R(2, 2, CTX)) < Fraction(1, 1 << 230)
     assert abs(rep.rhs - remainder_R(2, 5, CTX)) < Fraction(1, 1 << 230)
+
+
+def _sandwich_outcome(item):
+    """Comparable form of one cell: exact hex values, or the inconclusive message."""
+    if isinstance(item, InconclusiveError):
+        return ("inconclusive", str(item))
+    return (item.family, item.n, item.lhs.to_hex(), item.mid.to_hex(),
+            item.rhs.to_hex(), item.margin.to_hex(), item.holds)
+
+
+def _per_cell_outcomes(xs, orders, ctx):
+    out = []
+    for x in xs:
+        for n in orders:
+            for m in orders:
+                try:
+                    out.append(_sandwich_outcome(impens_sandwich(x, n, m, ctx)))
+                except InconclusiveError as exc:
+                    out.append(_sandwich_outcome(exc))
+    return out
+
+
+def test_impens_grid_matches_per_cell_sandwich():
+    xs = [Fraction(1, 2), Fraction(10), Fraction(50)]
+    grid = [_sandwich_outcome(item) for item in impens_grid(xs, range(4), CTX128)]
+    assert len(grid) == 3 * 4 * 4
+    assert grid == _per_cell_outcomes(xs, range(4), CTX128)
+
+
+def test_impens_grid_inconclusive_at_same_cells_as_per_cell():
+    xs = [Fraction(10), Fraction(50)]
+    ctx = PrecisionCtx(64)
+    grid = [_sandwich_outcome(item) for item in impens_grid(xs, range(7), ctx)]
+    assert grid == _per_cell_outcomes(xs, range(7), ctx)
+    assert any(cell[0] == "inconclusive" for cell in grid)
+
+
+def test_impens_grid_evaluates_oracle_once_per_x(monkeypatch):
+    calls = []
+    real = stirling.bounds.lngamma_binet2
+
+    def counting(z, ctx):
+        calls.append(z)
+        return real(z, ctx)
+
+    monkeypatch.setattr(stirling.bounds, "lngamma_binet2", counting)
+    cells = list(impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, CTX))
+    assert len(cells) == 7 * 7 * 7
+    assert len(calls) == len(IMPENS_GRID_X) == 7
+
+
+def test_impens_grid_rejects_negative_orders():
+    with pytest.raises(DomainError):
+        list(impens_grid([1], [0, -1], CTX128))
+
+
+def test_inconclusive_error_fields_sandwich():
+    with pytest.raises(InconclusiveError) as info:
+        impens_sandwich(50, 6, 5, PrecisionCtx(64))
+    exc = info.value
+    assert exc.family == "impens" and exc.n == 6
+    assert abs(exc.margin) <= exc.envelope
+    assert exc.envelope > 0
+
+
+def test_inconclusive_error_fields_family(monkeypatch):
+    # an envelope of 1 swallows every robbins margin
+    monkeypatch.setattr(stirling.bounds, "_scale_threshold",
+                        lambda n, wp: libmp.fone)
+    with pytest.raises(InconclusiveError) as info:
+        check_bound("robbins", 5, CTX)
+    exc = info.value
+    assert str(exc) == "robbins at n=5: margin within the arithmetic envelope at 256 bits"
+    assert (exc.family, exc.n) == ("robbins", 5)
+    assert exc.envelope == 1
+    assert 0 < exc.margin < Fraction(1, 1000)
 
 
 def test_aissen_ratio_decays_like_inverse_n():
