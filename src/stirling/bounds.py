@@ -34,8 +34,9 @@ from typing import Iterator
 from mpmath import libmp
 
 from .errors import DomainError, InconclusiveError, ResourceError, ValidityError
-from .mpcore import BigFloat, PrecisionCtx, raw_expm1, to_raw
-from .oracle import FACTORIAL_CAP, ln_factorial_range, lngamma_binet2
+from .mpcore import _RND, BigFloat, PrecisionCtx, raw_expm1, to_raw
+from .oracle import (FACTORIAL_CAP, _ln_factorial_raw, ln_factorial_range,
+                     lngamma_binet2)
 from .series import _half_ln_2pi_raw, _main_term_raw, _remainder_raw
 
 __all__ = [
@@ -49,8 +50,6 @@ __all__ = [
     "impens_grid",
     "aissen_ratio",
 ]
-
-_RND = "n"
 
 FAMILY_MIN_N = {
     "robbins": 1,
@@ -90,12 +89,6 @@ class BoundReport:
     margin: BigFloat
 
 
-def _lnfact_raw(n: int, wp: int):
-    if n <= 1:
-        return libmp.fzero
-    return libmp.mpf_log(libmp.from_int(math.factorial(n), wp, _RND), wp, _RND)
-
-
 def _r_raw(n: int, lnfact, wp: int):
     n_raw = libmp.from_int(n)
     lnn = libmp.mpf_log(n_raw, wp, _RND)
@@ -118,7 +111,7 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
     wp = ctx.bits + GUARD
-    lnfact = _lnfact_raw(n, wp)
+    lnfact = _ln_factorial_raw(n, wp)
     n_raw = libmp.from_int(n)
     lnn = libmp.mpf_log(n_raw, wp, _RND)
     r = _r_raw(n, lnfact, wp)
@@ -213,7 +206,7 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
     wp = ctx.bits + GUARD
-    return _evaluate_family(family, n, _lnfact_raw(n, wp), wp, ctx)
+    return _evaluate_family(family, n, _ln_factorial_raw(n, wp), wp, ctx)
 
 
 def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
@@ -339,7 +332,7 @@ def aissen_ratio(n: int, ctx: PrecisionCtx) -> BigFloat:
     wp = ctx.bits + GUARD
 
     def ln_y(k: int):
-        lnfact = _lnfact_raw(k, wp)
+        lnfact = _ln_factorial_raw(k, wp)
         k_raw = libmp.from_int(k)
         lnk = libmp.mpf_log(k_raw, wp, _RND)
         acc = libmp.mpf_shift(lnk, -1)

@@ -83,7 +83,8 @@ def _cmd_eval(args, ctx: PrecisionCtx) -> tuple[str, int]:
         def compute(c):
             return ser.optimal_truncation(z, c)
     approx = compute(ctx)
-    _, value_dec = mpc.published_decimal(lambda c: compute(c).value, ctx, args.digits)
+    value_dec = mpc.published_decimal(approx.value, lambda c: compute(c).value,
+                                      args.digits)
     fields = {
         "value_hex": approx.value.to_hex(),
         "value_dec": value_dec,
@@ -165,9 +166,9 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
     if which == "feller":
         k_max = args.k_max or 1000
         doc["k_max"] = k_max
-        value, dec = mpc.published_decimal(
-            lambda c: expn.feller_constant(k_max, c), ctx, digits)
-        doc["constant_partial_sum"] = dec
+        value = expn.feller_constant(k_max, ctx)
+        doc["constant_partial_sum"] = mpc.published_decimal(
+            value, lambda c: expn.feller_constant(k_max, c), digits)
         gap = abs(value - ser.half_ln_2pi(ctx))
         doc["gap_to_half_ln_2pi"] = _dec(gap, digits)
         if args.n is not None:
@@ -222,7 +223,8 @@ def _cmd_oracle(args, ctx: PrecisionCtx) -> tuple[str, int]:
         def compute(c):
             return orc.weierstrass_inv_gamma(z, k, c)
     ov = compute(ctx)
-    _, value_dec = mpc.published_decimal(lambda c: compute(c).value, ctx, args.digits)
+    value_dec = mpc.published_decimal(ov.value, lambda c: compute(c).value,
+                                      args.digits)
     doc = {
         "z": str(args.z),
         "method": ov.method,

@@ -26,7 +26,8 @@ from mpmath import libmp
 
 from .bernoulli import table
 from .errors import DomainError, ResourceError, ValidityError
-from .mpcore import BigFloat, PrecisionCtx, default_ctx, rational_to_float, to_raw
+from .mpcore import (_RND, BigFloat, PrecisionCtx, default_ctx, rational_to_float,
+                     to_raw)
 from .series import _half_ln_2pi_raw, term_coefficient
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "duplication_constant",
     "best_constant_estimate",
 ]
-
-_RND = "n"
 
 
 @dataclass(frozen=True)

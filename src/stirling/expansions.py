@@ -37,8 +37,9 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import DomainError, ResourceError
-from .mpcore import BigFloat, PrecisionCtx, raw_log1p, to_raw
-from .oracle import FACTORIAL_CAP, gamma_half_integer, lngamma_binet2
+from .mpcore import _RND, BigFloat, PrecisionCtx, raw_log1p, to_raw
+from .oracle import (FACTORIAL_CAP, _ln_factorial_raw, gamma_half_integer,
+                     ln_factorial_range, lngamma_binet2)
 from .series import main_term_P
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "mermin_partial_product",
 ]
 
-_RND = "n"
 GUARD = 48
 MARSAGLIA_CAP = 200
 
@@ -104,6 +104,28 @@ def _i_half_raw(wp: int):
     return libmp.mpf_neg(libmp.mpf_add(libmp.mpf_shift(ln2, -1), libmp.fhalf, wp, _RND))
 
 
+def _feller_sum_raw(K: int, wp: int):
+    """sum_{k=1..K} (a_k - b_k) at wp bits."""
+    s = libmp.fzero
+    for k in range(1, K + 1):
+        a, b = _feller_ab_raw(k, wp)
+        s = libmp.mpf_add(s, libmp.mpf_sub(a, b, wp, _RND), wp, _RND)
+    return s
+
+
+def _feller_residual_raw(n: int, s, a_n, lnfact, i_half, wp: int):
+    """|ln(n!) - (1/2) ln n - [I(n) - I(1/2) + s + a_n]|, where s is
+    sum_{k<n} (a_k - b_k) and lnfact is ln(n!)."""
+    n_raw = libmp.from_int(n)
+    lnn = libmp.mpf_log(n_raw, wp, _RND)
+    i_n = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
+    rhs = libmp.mpf_sub(i_n, i_half, wp, _RND)
+    rhs = libmp.mpf_add(rhs, s, wp, _RND)
+    rhs = libmp.mpf_add(rhs, a_n, wp, _RND)
+    lhs = libmp.mpf_sub(lnfact, libmp.mpf_shift(lnn, -1), wp, _RND)
+    return libmp.mpf_abs(libmp.mpf_sub(lhs, rhs, wp, _RND))
+
+
 def feller_identity_residual(n: int, ctx: PrecisionCtx) -> BigFloat:
     """|ln(n!) - (1/2) ln n - [I(n) - I(1/2) + sum_{k<n}(a_k - b_k) + a_n]|,
     with ln(n!) exact; only roundoff should remain."""
@@ -112,50 +134,24 @@ def feller_identity_residual(n: int, ctx: PrecisionCtx) -> BigFloat:
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
     wp = ctx.bits + GUARD
-    s = libmp.fzero
-    for k in range(1, n):
-        a, b = _feller_ab_raw(k, wp)
-        s = libmp.mpf_add(s, libmp.mpf_sub(a, b, wp, _RND), wp, _RND)
     a_n, _ = _feller_ab_raw(n, wp)
-    n_raw = libmp.from_int(n)
-    lnn = libmp.mpf_log(n_raw, wp, _RND)
-    i_n = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
-    rhs = libmp.mpf_sub(i_n, _i_half_raw(wp), wp, _RND)
-    rhs = libmp.mpf_add(rhs, s, wp, _RND)
-    rhs = libmp.mpf_add(rhs, a_n, wp, _RND)
-    lnfact = libmp.fzero if n == 1 else libmp.mpf_log(
-        libmp.from_int(math.factorial(n), wp, _RND), wp, _RND)
-    lhs = libmp.mpf_sub(lnfact, libmp.mpf_shift(lnn, -1), wp, _RND)
-    return BigFloat.from_raw(libmp.mpf_abs(libmp.mpf_sub(lhs, rhs, wp, _RND)), ctx)
+    resid = _feller_residual_raw(n, _feller_sum_raw(n - 1, wp), a_n,
+                                 _ln_factorial_raw(n, wp), _i_half_raw(wp), wp)
+    return BigFloat.from_raw(resid, ctx)
 
 
 def feller_residual_sweep(n_max: int, ctx: PrecisionCtx) -> list[BigFloat]:
-    """Residuals for n = 1..n_max, sharing one pass over the a/b terms."""
-    if n_max > FACTORIAL_CAP:
-        raise ResourceError(f"n_max={n_max} exceeds the cap {FACTORIAL_CAP}")
+    """Residuals for n = 1..n_max, sharing one pass over the a/b terms
+    and one running exact factorial."""
     wp = ctx.bits + GUARD
     i_half = _i_half_raw(wp)
     out = []
     s = libmp.fzero  # sum_{k<n} (a_k - b_k)
-    prev_ab = None
-    product = 1
-    for n in range(1, n_max + 1):
-        if prev_ab is not None:
-            s = libmp.mpf_add(s, libmp.mpf_sub(prev_ab[0], prev_ab[1], wp, _RND), wp, _RND)
+    for n, lnfact in ln_factorial_range(n_max, wp):
         a_n, b_n = _feller_ab_raw(n, wp)
-        prev_ab = (a_n, b_n)
-        product *= n
-        lnfact = libmp.fzero if n == 1 else libmp.mpf_log(
-            libmp.from_int(product, wp, _RND), wp, _RND)
-        n_raw = libmp.from_int(n)
-        lnn = libmp.mpf_log(n_raw, wp, _RND)
-        i_n = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
-        rhs = libmp.mpf_sub(i_n, i_half, wp, _RND)
-        rhs = libmp.mpf_add(rhs, s, wp, _RND)
-        rhs = libmp.mpf_add(rhs, a_n, wp, _RND)
-        lhs = libmp.mpf_sub(lnfact, libmp.mpf_shift(lnn, -1), wp, _RND)
         out.append(BigFloat.from_raw(
-            libmp.mpf_abs(libmp.mpf_sub(lhs, rhs, wp, _RND)), ctx))
+            _feller_residual_raw(n, s, a_n, lnfact, i_half, wp), ctx))
+        s = libmp.mpf_add(s, libmp.mpf_sub(a_n, b_n, wp, _RND), wp, _RND)
     return out
 
 
@@ -164,11 +160,8 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
     wp = ctx.bits + GUARD
-    s = libmp.fzero
-    for k in range(1, K + 1):
-        a, b = _feller_ab_raw(k, wp)
-        s = libmp.mpf_add(s, libmp.mpf_sub(a, b, wp, _RND), wp, _RND)
-    return BigFloat.from_raw(libmp.mpf_sub(s, _i_half_raw(wp), wp, _RND), ctx)
+    return BigFloat.from_raw(
+        libmp.mpf_sub(_feller_sum_raw(K, wp), _i_half_raw(wp), wp, _RND), ctx)
 
 
 # -- Marsaglia-Marsaglia ----------------------------------------------------

@@ -10,9 +10,9 @@ results for identical inputs.
 
 Internal computations round at a guarded working precision and the final
 result is rounded once to the context's bits, so every published value is
-within 2 ulp of the true one.  Results published by higher layers can be
-re-validated with :func:`compute_twice`, which recomputes at ``bits + 64``
-and reports the agreed leading bits.
+within 2 ulp of the true one.  Decimals published by higher layers go
+through :func:`published_decimal`, which recomputes at ``bits + 64`` and
+prints only the leading digits on which the two runs agree.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "rational_to_str",
     "rational_from_str",
     "agreement_bits",
-    "compute_twice",
     "published_decimal",
 ]
 
@@ -286,6 +285,11 @@ def to_raw(x, wprec: int):
     raise TypeError(f"cannot convert {type(x).__name__} to a raw float")
 
 
+def _require_positive(z_raw, what: str = "z"):
+    if libmp.mpf_le(z_raw, libmp.fzero):
+        raise DomainError(f"{what} must be positive")
+
+
 # -- elementary functions ---------------------------------------------
 
 _UNARY = {
@@ -469,22 +473,15 @@ def agreement_bits(a: BigFloat, b: BigFloat) -> int:
     return max(0, mag_scale - mag_diff)
 
 
-def compute_twice(fn: Callable[[PrecisionCtx], BigFloat], ctx: PrecisionCtx,
-                  extra: int = 64) -> tuple[BigFloat, int]:
-    """Run at ``ctx`` and at ``ctx.bits + extra``; report agreed bits.
+def published_decimal(value: BigFloat, fn: Callable[[PrecisionCtx], BigFloat],
+                      digits: int) -> str:
+    """Decimal rendering of ``value``, which ``fn`` computed at its own
+    precision, limited to ``digits`` and to the leading bits on which it
+    agrees with ``fn`` rerun at ``value.ctx_bits + 64``.
 
     The cheap alternative to interval arithmetic used before publishing a
-    value: the agreed prefix of the two runs is what may be displayed.
+    value: only the agreed prefix of the two runs is displayed.
     """
-    lo = fn(ctx)
-    hi = fn(PrecisionCtx(ctx.bits + extra))
-    return lo, agreement_bits(lo, hi)
-
-
-def published_decimal(fn: Callable[[PrecisionCtx], BigFloat], ctx: PrecisionCtx,
-                      digits: int) -> tuple[BigFloat, str]:
-    """Value at ctx plus its decimal rendering, limited to ``digits`` and to
-    the compute-twice agreed prefix."""
-    value, agreed = compute_twice(fn, ctx)
-    agreed_digits = max(1, int(agreed * 0.30102999566398119))
-    return value, value.to_decimal(min(digits, agreed_digits))
+    hi = fn(PrecisionCtx(value.ctx_bits + 64))
+    agreed_digits = max(1, int(agreement_bits(value, hi) * 0.30102999566398119))
+    return value.to_decimal(min(digits, agreed_digits))

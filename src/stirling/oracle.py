@@ -32,7 +32,8 @@ from mpmath import libmp
 
 from .errors import (ConvergenceError, DomainError, PrecisionError,
                      ResourceError)
-from .mpcore import BigFloat, PrecisionCtx, raw_expm1, raw_log1p, to_raw
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_positive, raw_expm1,
+                     raw_log1p, to_raw)
 from .quadrature import ts_nodes
 
 __all__ = [
@@ -48,8 +49,6 @@ __all__ = [
     "check_multiplication",
     "gamma_half_integer",
 ]
-
-_RND = "n"
 
 FACTORIAL_CAP = 10**5
 HALF_INTEGER_CAP = 2 * 10**4
@@ -124,11 +123,6 @@ def euler_gamma(ctx: PrecisionCtx) -> BigFloat:
 # -- shared raw pieces ---------------------------------------------------
 
 
-def _require_positive(z_raw, what: str = "z"):
-    if libmp.mpf_le(z_raw, libmp.fzero):
-        raise DomainError(f"{what} must be positive")
-
-
 def _oracle_main_term(z_raw, wp: int):
     # deliberately written out here: the oracle keeps its own code path
     lnz = libmp.mpf_log(z_raw, wp, _RND)
@@ -149,6 +143,13 @@ def _ulp_raw(value_raw, bits: int, count: int = 8):
 # -- exact factorials ----------------------------------------------------
 
 
+def _ln_factorial_raw(n: int, wp: int):
+    """ln(n!) at wp bits from the exact integer: one rounding."""
+    if n <= 1:
+        return libmp.fzero
+    return libmp.mpf_log(libmp.from_int(math.factorial(n), wp, _RND), wp, _RND)
+
+
 def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
     """ln(n!) via the exact big integer and one logarithm (<= 2 ulp)."""
     if not isinstance(n, int) or n < 0:
@@ -158,9 +159,7 @@ def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
     if n <= 1:
         zero = BigFloat.from_raw(libmp.fzero, ctx)
         return OracleValue(value=zero, method="exact_factorial", error_bound=zero)
-    wp = ctx.wprec()
-    f_raw = libmp.from_int(math.factorial(n), wp, _RND)
-    val = libmp.mpf_log(f_raw, wp, _RND)
+    val = _ln_factorial_raw(n, ctx.wprec())
     value = BigFloat.from_raw(val, ctx)
     bound = BigFloat.from_raw(_ulp_raw(val, ctx.bits, 2), ctx)
     return OracleValue(value=value, method="exact_factorial", error_bound=bound)
@@ -285,7 +284,7 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
 
 
 def _euler_limit_raw(z_raw, n: int, wp: int):
-    lnfact = libmp.mpf_log(libmp.from_int(math.factorial(n), wp, _RND), wp, _RND)
+    lnfact = _ln_factorial_raw(n, wp)
     lnn = libmp.mpf_log(libmp.from_int(n), wp, _RND)
     prod = libmp.fone
     for k in range(0, n + 1):

@@ -1,20 +1,19 @@
-"""Doubling-node tanh-sinh quadrature on (0, 1).
+"""Tanh-sinh nodes and weights on (0, 1), by doubling level.
 
 Nodes x(u) = (1 + tanh((pi/2) sinh u)) / 2 on the step grid u = k h with
 h = 2^-level.  Each halving of the step reuses all previous nodes and adds
-the odd multiples, so successive estimates converge double-exponentially
-for integrands analytic on the open interval; iteration stops when two
-consecutive estimates agree to the requested absolute target.
+the odd multiples, so a caller that sums level by level refines its
+estimate without recomputing earlier nodes.  This module only builds and
+caches the nodes; the one convergence loop over them is
+``oracle._binet_integral``.
 
 Node/weight tables depend only on (working precision, level) and are
-cached for the life of the process; results are pure functions of the
+cached for the life of the process; they are pure functions of those
 inputs, so repeated runs are bit-identical.
 
 Nodes are emitted until the weight underflows the working precision,
 which presumes an integrand bounded near the endpoints (true for the
-smooth decaying integrands this package evaluates).  Integrable endpoint
-singularities still converge, but only down to roughly the square root
-of the cutoff scale, so ask for a correspondingly looser target.
+smooth decaying Binet integrand).
 """
 
 from __future__ import annotations
@@ -23,13 +22,9 @@ import threading
 
 from mpmath import libmp
 
-from .errors import ConvergenceError
+from .mpcore import _RND
 
-__all__ = ["ts_nodes", "integrate_01", "MAX_LEVEL"]
-
-_RND = "n"
-
-MAX_LEVEL = 13
+__all__ = ["ts_nodes"]
 
 _CACHE: dict[tuple[int, int], list] = {}
 _CACHE_LOCK = threading.Lock()
@@ -91,28 +86,3 @@ def ts_nodes(wp: int, level: int) -> list:
             out.append((x_plus, w))
         _CACHE[key] = out
         return out
-
-
-def integrate_01(f, wp: int, target_raw, max_level: int = MAX_LEVEL,
-                 min_level: int = 4):
-    """Integrate ``f`` (raw -> raw) over (0,1) to an absolute target.
-
-    Returns (integral, last_difference, level).  Raises ConvergenceError
-    if the doubling budget runs out before two estimates agree.
-    """
-    total = libmp.fzero
-    prev = None
-    for level in range(0, max_level + 1):
-        new = libmp.fzero
-        for x, w in ts_nodes(wp, level):
-            new = libmp.mpf_add(new, libmp.mpf_mul(w, f(x), wp, _RND), wp, _RND)
-        total = libmp.mpf_add(total, new, wp, _RND)
-        estimate = libmp.mpf_shift(total, -level)
-        if prev is not None and level >= min_level:
-            diff = libmp.mpf_abs(libmp.mpf_sub(estimate, prev, wp, _RND))
-            if libmp.mpf_le(diff, target_raw):
-                return estimate, diff, level
-        prev = estimate
-    raise ConvergenceError(
-        f"tanh-sinh did not converge to target within level {max_level}"
-    )

@@ -28,7 +28,7 @@ from mpmath import libmp
 
 from .bernoulli import bernoulli, table
 from .errors import DomainError, ResourceError
-from .mpcore import BigFloat, PrecisionCtx, to_raw
+from .mpcore import _RND, BigFloat, PrecisionCtx, _require_positive, to_raw
 
 __all__ = [
     "Approximation",
@@ -42,8 +42,6 @@ __all__ = [
     "ln_factorial_stirling",
     "term_coefficient",
 ]
-
-_RND = "n"
 
 
 @dataclass(frozen=True)
@@ -73,11 +71,6 @@ def term_coefficient(N: int) -> Fraction:
 def _half_ln_2pi_raw(wp: int):
     two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
     return libmp.mpf_shift(libmp.mpf_log(two_pi, wp, _RND), -1)
-
-
-def _require_positive(z_raw, what: str = "z"):
-    if libmp.mpf_le(z_raw, libmp.fzero):
-        raise DomainError(f"{what} must be positive")
 
 
 def _main_term_raw(z_raw, wp: int):

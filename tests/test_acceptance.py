@@ -7,6 +7,7 @@ clock around exactly the mandated work.
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from stirling.bernoulli import bernoulli, series_coeff_a
-from stirling.bounds import bound_sweep, impens_sandwich, sequence_point
+from stirling.bounds import bound_sweep, impens_grid, sequence_point
 from stirling.cli import run
 from stirling.constants import best_constant_estimate, c_sequence
 from stirling.errors import InconclusiveError
@@ -104,13 +105,16 @@ def test_05_truncation_sandwich_grid():
     with criterion("05 sandwich-grid"):
         xs = [Fraction(3, 10), Fraction(1, 2), Fraction(1), Fraction(2),
               Fraction(5), Fraction(10), Fraction(50)]
-        for x in xs:
-            for n in range(7):
-                for m in range(7):
-                    rep = impens_sandwich(x, n, m, CTX256)
-                    # holds certifies both margins exceed the oracle bound
-                    assert rep.holds, (x, n, m)
-                    assert rep.margin > 0, (x, n, m)
+        orders = range(7)
+        # one cell per (x, n, m), x major; each equals impens_sandwich(x, n,
+        # m) (tests/test_bounds.py), with the oracle evaluated once per x
+        cells = list(impens_grid(xs, orders, CTX256))
+        assert len(cells) == 343
+        for key, rep in zip(itertools.product(xs, orders, orders), cells):
+            assert not isinstance(rep, InconclusiveError), (key, rep)
+            # holds certifies both margins exceed the oracle bound
+            assert rep.holds, key
+            assert rep.margin > 0, key
 
 
 def test_06_oracle_consistency():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import stirling.oracle
 from stirling.cli import run
 
 PRINTED = ["0.91667", "0.91944", "0.91865", "0.91925", "0.91840",
@@ -86,6 +87,23 @@ def test_oracle_json_fields(capsys):
     assert doc["method"] == "binet2"
     assert "error_bound_dec" in doc
     assert doc["value_dec"].startswith("0.572364942924700")
+
+
+def test_oracle_evaluates_once_per_precision(capsys, monkeypatch):
+    # one evaluation at the requested precision and one 64 bits above it
+    # for the agreed-digits check
+    real = stirling.oracle.lngamma_binet2
+    bits = []
+
+    def counting(z, ctx):
+        bits.append(ctx.bits)
+        return real(z, ctx)
+
+    monkeypatch.setattr(stirling.oracle, "lngamma_binet2", counting)
+    code, _, _ = run_capture(["oracle", "--z", "3/2", "--method", "binet2"],
+                             capsys)
+    assert code == 0
+    assert len(bits) == 2 and bits[1] == bits[0] + 64
 
 
 def test_expansions_mermin_document(capsys):

@@ -60,6 +60,13 @@ def test_feller_residual_sweep_envelope():
         assert r <= n * Fraction(1, 1 << (CTX.bits - 8))
 
 
+def test_feller_single_residual_equals_sweep():
+    # the single-n residual and the sweep share one identity body
+    sweep = feller_residual_sweep(300, CTX)
+    for n in (1, 2, 3, 77, 300):
+        assert feller_identity_residual(n, CTX).to_hex() == sweep[n - 1].to_hex(), n
+
+
 def test_feller_constant_k1_direct():
     ft = feller_term(1, CTX)
     expected = ft.a_k - ft.b_k + LN_2 / 2 + Fraction(1, 2)

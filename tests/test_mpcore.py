@@ -8,7 +8,7 @@ from hypothesis import strategies as st_
 
 from stirling.errors import DomainError, PrecisionError
 from stirling.mpcore import (BigFloat, PrecisionCtx, agreement_bits, bigfloat,
-                             compute_twice, elementary, rational_from_str,
+                             elementary, published_decimal, rational_from_str,
                              rational_to_float, rational_to_str)
 
 CTX64 = PrecisionCtx(64)
@@ -150,6 +150,20 @@ def test_arithmetic_and_comparisons():
         a / bigfloat(0, CTX128)
 
 
-def test_compute_twice_reports_agreement():
-    value, agreed = compute_twice(lambda c: elementary("ln", 2, c), CTX128)
-    assert agreed >= 126
+def test_published_decimal_reports_agreement():
+    value = elementary("ln", 2, CTX128)
+    seen = []
+
+    def fn(c):
+        seen.append(c.bits)
+        return elementary("ln", 2, c)
+
+    # one rerun, at 64 more bits; it agrees on >= 126 bits, so the
+    # requested 30 digits are all printed
+    assert published_decimal(value, fn, 30) == value.to_decimal(30)
+    assert seen == [192]
+    assert agreement_bits(value, fn(PrecisionCtx(192))) >= 126
+    # a rerun agreeing on only 39 bits caps the decimal at 11 digits
+    off = value + Fraction(1, 2**40)
+    assert agreement_bits(value, off) == 39
+    assert published_decimal(value, lambda c: off, 30) == value.to_decimal(11)

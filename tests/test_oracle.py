@@ -100,6 +100,25 @@ def test_binet2_error_bound_is_honest_at_small_z():
         assert abs(ov.value - ref) <= ov.error_bound + Fraction(1, 10**55)
 
 
+# published bits of value and error bound: a change to the quadrature loop,
+# its node tables or its rounding that moves any of them is a visible change
+BINET2_PINNED = [
+    (Fraction(1), 64, "-0x1.26ca67a8p-101", "0x1.1859fc9e8cf4bb7cp-98"),
+    (Fraction(50), 128, "0x1.2121a930c6ec2ad0647f0cf9d3d873f8p+7",
+     "0x1.0000000000006aa4f0c250c50dca41p-117"),
+    (Fraction(1, 1000), 256,
+     "0x1.ba0f3807161ac560fa2d37ed267206c9497701c876f9327cb9b37b27c51d6172p+2",
+     "0x1.0000000012f37b10571aa5145561114a00e4c8f3584e90c3fbc2dfc26cd6d30ap-250"),
+]
+
+
+@pytest.mark.parametrize("z, bits, value_hex, bound_hex", BINET2_PINNED)
+def test_binet2_pinned_bits(z, bits, value_hex, bound_hex):
+    ov = lngamma_binet2(z, PrecisionCtx(bits))
+    assert ov.value.to_hex() == value_hex
+    assert ov.error_bound.to_hex() == bound_hex
+
+
 def test_binet2_domain():
     with pytest.raises(DomainError):
         lngamma_binet2(0, CTX)

@@ -1,49 +1,22 @@
-"""The doubling-node integrator on its own, against closed forms."""
-
-from fractions import Fraction
+"""The tanh-sinh node tables, and the budget of the one loop over them."""
 
 import pytest
 from mpmath import libmp
 
+import stirling.oracle
 from stirling.errors import ConvergenceError
-from stirling.mpcore import PrecisionCtx, BigFloat
-from stirling.quadrature import integrate_01, ts_nodes
+from stirling.mpcore import PrecisionCtx
+from stirling.oracle import lngamma_binet2
+from stirling.quadrature import ts_nodes
 
 WP = 192
-TARGET = libmp.from_man_exp(1, -(WP - 16))
 
 
-def as_fraction(raw) -> Fraction:
-    return Fraction(libmp.to_str(raw, 50))
-
-
-def test_polynomial():
-    f = lambda x: libmp.mpf_mul(x, x, WP, "n")
-    value, err, level = integrate_01(f, WP, TARGET)
-    assert abs(as_fraction(value) - Fraction(1, 3)) < Fraction(1, 10**40)
-
-
-def test_exponential():
-    f = lambda x: libmp.mpf_exp(x, WP, "n")
-    value, _, _ = integrate_01(f, WP, TARGET)
-    e = libmp.mpf_exp(libmp.fone, WP, "n")
-    expected = as_fraction(libmp.mpf_sub(e, libmp.fone, WP, "n"))
-    assert abs(as_fraction(value) - expected) < Fraction(1, 10**40)
-
-
-def test_endpoint_singularity():
-    # integral of 1/sqrt(x) over (0,1) = 2; nodes never touch the endpoint.
-    # The node cutoff caps the reachable accuracy for unbounded integrands
-    # near sqrt of the cutoff scale, so ask for a looser target here.
-    f = lambda x: libmp.mpf_div(libmp.fone, libmp.mpf_sqrt(x, WP, "n"), WP, "n")
-    value, _, _ = integrate_01(f, WP, libmp.from_man_exp(1, -80))
-    assert abs(as_fraction(value) - 2) < Fraction(1, 10**20)
-
-
-def test_budget_exhaustion():
-    f = lambda x: libmp.mpf_mul(x, x, WP, "n")
+def test_binet_budget_exhaustion(monkeypatch):
+    # at 256 bits the Binet loop needs level 8, so a budget of 4 runs out
+    monkeypatch.setattr(stirling.oracle, "BINET_MAX_LEVEL", 4)
     with pytest.raises(ConvergenceError):
-        integrate_01(f, WP, libmp.from_man_exp(1, -10**6), max_level=5)
+        lngamma_binet2(5, PrecisionCtx(256))
 
 
 def test_nodes_cached_and_inside_interval():
