@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Exact Bernoulli numbers and the expansion coefficients they generate.
 
-Two recurrences run side by side: the binomial one for B_k and the
-factorial-weighted one for a_k.  They are independent computations, yet
-k! a_k reproduces B_k exactly, which is the package's first sanity anchor.
+B_k comes from the integer tangent numbers (Brent & Harvey,
+arXiv:1108.0286) and a_k from its own factorial-weighted recurrence, run up
+to k = 128.  There they are independent computations, yet k! a_k
+reproduces B_k exactly, which is the package's first sanity anchor.
 """
 
 import math

@@ -1,13 +1,21 @@
 """Exact Bernoulli numbers B_k and the series coefficients a_k.
 
-Two independent recurrences are implemented on purpose:
+B_k comes from the integer tangent numbers T_1, T_2, ... (Brent & Harvey,
+"Fast computation of Bernoulli, Tangent and Secant numbers",
+arXiv:1108.0286), built by an in-place integer recurrence, and
 
-    B_0 = 1,   sum_{j=0..k} C(k+1, j) B_j = 0          (k >= 1)
-    a_0 = 1,   sum_{j=0..k} a_j / (k+1-j)! = 0         (k >= 1)
+    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)),   B_1 = -1/2,
+    B_k = 0 for odd k >= 3.
 
-so the identity k! * a_k == B_k is a genuine cross-check between two
-computations rather than a restatement of one of them.  Everything is an
-exact ``fractions.Fraction``; no floating point enters this module.
+a_k comes from its own factorial-form recurrence
+
+    a_0 = 1,   sum_{j=0..k} a_j / (k+1-j)! = 0          (k >= 1)
+
+run up to k = 128, the verification depth.  Up to there the identity
+k! * a_k == B_k is a genuine cross-check between two computations rather
+than a restatement of one of them; past it a_k is derived as B_k / k!.
+Everything is exact integer or ``fractions.Fraction`` arithmetic; no
+floating point enters this module.
 """
 
 from __future__ import annotations
@@ -22,13 +30,31 @@ __all__ = ["BernoulliTable", "bernoulli", "series_coeff_a", "table", "DEFAULT_CA
 
 DEFAULT_CAP = 512
 
+# a_k runs its own recurrence up to this index, the deepest one at which
+# k! * a_k == B_k is checked; beyond it a_k is B_k / k!.
+_A_DEPTH = 128
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[T_1, ..., T_n], the tangent numbers, in O(n^2) integer operations."""
+    t = [0] * (n + 1)
+    if n >= 1:
+        t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
 
 class BernoulliTable:
-    """Memoized table of exact B_0..B_K and a_0..a_K.
+    """Memoized table of exact B_0..B_K and a_0..a_min(K, 128).
 
-    The table only grows (geometrically), never mutates existing entries,
-    and extension is serialized by a lock so concurrent readers always see
-    fully written rows.
+    The table only grows (geometrically) and never mutates existing
+    entries.  Extension is serialized by a lock and builds new lists that
+    replace the old ones only when complete, so concurrent readers always
+    see fully written rows.
     """
 
     def __init__(self, cap: int = DEFAULT_CAP):
@@ -50,20 +76,29 @@ class BernoulliTable:
             if k <= self.max_index:
                 return
             target = min(self.cap, max(k, 2 * len(self._b)))
-            b, a = self._b, self._a
+            tangent = _tangent_numbers(target // 2)
+            b = list(self._b)
             for m in range(len(b), target + 1):
-                # binomial recurrence: B_m = -(sum_{j<m} C(m+1,j) B_j)/(m+1)
-                s = Fraction(0)
-                for j in range(m):
-                    if b[j]:
-                        s += math.comb(m + 1, j) * b[j]
-                b.append(-s / (m + 1))
+                if m == 1:
+                    b.append(Fraction(-1, 2))
+                elif m % 2:
+                    b.append(Fraction(0))
+                else:
+                    i = m // 2
+                    four_i = 4 ** i
+                    b.append(Fraction((-1) ** (i - 1) * m * tangent[i - 1],
+                                      four_i * (four_i - 1)))
+            a = list(self._a)
+            for m in range(len(a), min(target, _A_DEPTH) + 1):
                 # factorial recurrence: a_m = -sum_{j<m} a_j/(m+1-j)!
                 t = Fraction(0)
                 for j in range(m):
                     if a[j]:
                         t += a[j] / math.factorial(m + 1 - j)
                 a.append(-t)
+            # a first: a reader that sees the longer _b finds _a ready too
+            self._a = a
+            self._b = b
 
     def b(self, k: int) -> Fraction:
         if k < 0:
@@ -75,6 +110,8 @@ class BernoulliTable:
     def a(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("series coefficient index must be >= 0")
+        if k > _A_DEPTH:
+            return self.b(k) / math.factorial(k)
         if k > self.max_index:
             self._extend_to(k)
         return self._a[k]
@@ -89,10 +126,11 @@ def table() -> BernoulliTable:
 
 
 def bernoulli(k: int) -> Fraction:
-    """Exact B_k from the binomial recurrence (B_1 = -1/2 convention)."""
+    """Exact B_k from the tangent numbers (B_1 = -1/2 convention)."""
     return _TABLE.b(k)
 
 
 def series_coeff_a(k: int) -> Fraction:
-    """Exact a_k from its own factorial-form recurrence (not via B_k/k!)."""
+    """Exact a_k.  For k <= 128 from its own factorial-form recurrence,
+    independent of B_k; for k > 128 derived as B_k / k!."""
     return _TABLE.a(k)

@@ -1,8 +1,11 @@
 """Bernoulli numbers and series coefficients, exact rationals throughout."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from stirling.bernoulli import BernoulliTable, bernoulli, series_coeff_a, table
@@ -58,9 +61,27 @@ def test_against_akiyama_tanigawa_oracle():
         assert bernoulli(k) == oracle[k]
 
 
+# Tests that read up to the cap use a fresh table: filling the shared one
+# to the cap would leave test_shared_table_monotone_growth no room to grow.
+
+
+def test_against_mpmath_bernfrac_to_cap():
+    # mpmath's own B_k, independent of the tangent numbers and both recurrences
+    t = BernoulliTable()
+    for k in range(t.cap + 1):
+        p, q = mpmath.bernfrac(k)
+        assert t.b(k) == Fraction(int(p), int(q))
+
+
 def test_identity_a_equals_b_over_factorial():
     for k in range(129):
         assert series_coeff_a(k) * math.factorial(k) == bernoulli(k)
+
+
+def test_a_past_verification_depth_is_b_over_factorial():
+    t = BernoulliTable()
+    for k in (129, 200, 512):
+        assert t.a(k) * math.factorial(k) == t.b(k)
 
 
 def test_odd_indices_vanish():
@@ -94,6 +115,11 @@ def test_cap_enforced():
         t.b(17)
 
 
+def test_cap_enforced_for_a():
+    with pytest.raises(ResourceError):
+        BernoulliTable(cap=16).a(17)
+
+
 def test_extension_preserves_entries():
     t = BernoulliTable(cap=128)
     first = t.b(10)
@@ -106,3 +132,43 @@ def test_shared_table_monotone_growth():
     before = table().max_index
     bernoulli(max(before, 40) + 2)
     assert table().max_index >= before
+
+
+def test_stepwise_growth_equals_fresh_table():
+    stepped = BernoulliTable()
+    for k in (10, 100, 300):
+        stepped.b(k)
+    fresh = BernoulliTable()
+    fresh.b(300)
+    assert stepped.max_index == fresh.max_index
+    for k in range(301):
+        assert stepped.b(k) == fresh.b(k)
+        assert stepped.a(k) == fresh.a(k)
+
+
+def test_concurrent_growth_matches_single_thread():
+    reference = BernoulliTable()
+    expected = {k: (reference.b(k), reference.a(k)) for k in range(513)}
+    shared = BernoulliTable()
+    start = threading.Barrier(4)
+    results: list[dict] = [{} for _ in range(4)]
+
+    def reader(i: int) -> None:
+        start.wait()
+        # thread i reads k = i, i+4, i+8, ... so the four interleave
+        for k in range(i, 513, 4):
+            results[i][k] = (shared.b(k), shared.a(k))
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    got = {k: v for r in results for k, v in r.items()}
+    assert got == expected

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism, env override."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -50,6 +51,16 @@ def test_bernoulli_csv_columns(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["B_k"] for r in rows] == ["1/1", "-1/2", "1/6", "0/1", "-1/30"]
     assert rows[4]["a_k"] == "-1/720"
+
+
+def test_bernoulli_full_table_csv_bytes_pinned(capsys):
+    # the bytes the binomial and factorial recurrences produced; the faster
+    # table algorithms must reproduce every entry exactly
+    code, out, _ = run_capture(["bernoulli", "--max", "512", "--format", "csv"],
+                               capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "54141bfeeec5590a7f91822796356fa0f5d489691b15111dd4d542a15841daaf")
 
 
 def test_michel_below_validity_exits_3(capsys):

@@ -216,3 +216,9 @@ def test_domain_and_resource_errors():
         remainder_R(2, 400, CTX)
     with pytest.raises(DomainError):
         ln_factorial_stirling(0, 1, CTX)
+
+
+def test_optimal_truncation_past_table_cap_raises():
+    # the smallest term at z = 1000 sits near order pi z, far past B_512
+    with pytest.raises(ResourceError):
+        optimal_truncation(1000, CTX)
