@@ -21,9 +21,9 @@ from .expansions import (FellerTerm, MarsagliaSeries, feller_constant,
 from .mpcore import (BigFloat, PrecisionCtx, bigfloat, default_ctx,
                      elementary, rational_from_str, rational_to_float,
                      rational_to_str)
-from .oracle import (EulerGamma, OracleValue, check_duplication,
-                     check_multiplication, euler_gamma, gamma_half_integer,
-                     ln_factorial_exact, lngamma_binet2, lngamma_euler_limit,
+from .oracle import (OracleValue, check_duplication, check_multiplication,
+                     euler_gamma, gamma_half_integer, ln_factorial_exact,
+                     lngamma_binet2, lngamma_euler_limit,
                      weierstrass_inv_gamma)
 from .series import (Approximation, f_term, half_ln_2pi, ln_factorial_stirling,
                      lngamma_stirling, main_term_P, optimal_truncation,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Approximation", "BernoulliTable", "BigFloat", "BoundReport",
-    "ConstantSequence", "ConvergenceError", "DomainError", "EulerGamma",
+    "ConstantSequence", "ConvergenceError", "DomainError",
     "FellerTerm", "InconclusiveError", "MarsagliaSeries", "OracleValue",
     "PrecisionCtx", "PrecisionError", "ResourceError", "SequencePoint",
     "StirlingError", "ValidityError", "aissen_ratio", "bernoulli",

@@ -10,7 +10,7 @@ class DomainError(StirlingError):
 
 
 class PrecisionError(StirlingError):
-    """Precision context unusable (too few bits, corrupted trust root)."""
+    """Precision context unusable (too few bits, malformed setting)."""
 
 
 class ResourceError(StirlingError):

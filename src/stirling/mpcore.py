@@ -100,7 +100,7 @@ class BigFloat:
     Arithmetic between BigFloats rounds at the larger of the two contexts;
     int/float/Fraction operands are lifted exactly (Fractions are rounded
     once, at the operation precision).  Equality and ordering compare exact
-    numeric values.
+    numeric values, and the hash is that of the exact value.
     """
 
     __slots__ = ("_raw", "ctx_bits")
@@ -155,7 +155,11 @@ class BigFloat:
         return f"BigFloat({self.to_decimal(20)!r}, bits={self.ctx_bits})"
 
     def __hash__(self):
-        return hash(libmp.to_float(self._raw))
+        # hash of the exact value, so it agrees with the exact equality below
+        return hash(self._fraction())
+
+    def _fraction(self) -> Fraction:
+        return Fraction(*libmp.to_rational(self._raw))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -221,6 +225,9 @@ class BigFloat:
     # -- comparisons (exact, no rounding) ------------------------------
 
     def _cmp_raw(self, other):
+        if isinstance(other, Fraction):
+            mine = self._fraction()
+            return (mine > other) - (mine < other)
         co = self._coerce(other)
         if co is None:
             return None

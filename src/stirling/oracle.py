@@ -14,8 +14,11 @@ and the infinite product
 
     1/Gamma(z) = z e^(gamma z) prod_{n>=1} (1 + z/n) e^(-z/n)
 
-serve as slower cross-checks with empirical error estimates.  Exact
-integer factorials anchor everything at integer arguments.
+serve as slower cross-checks with empirical error estimates.  Euler's
+gamma in the product comes from mpmath's Brent-McMillan kernel
+(``libmp.mpf_euler``) at whatever working precision is asked, so no
+precision is capped.  Exact integer factorials anchor everything at
+integer arguments.
 
 Every result carries an explicit ``error_bound`` so downstream inequality
 checks can refuse to conclude when a margin falls inside the bound.
@@ -30,17 +33,14 @@ from fractions import Fraction
 
 from mpmath import libmp
 
-from .errors import (ConvergenceError, DomainError, PrecisionError,
-                     ResourceError)
+from .errors import ConvergenceError, DomainError, ResourceError
 from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_positive, raw_expm1,
                      raw_log1p, to_raw)
 from .quadrature import ts_nodes
 
 __all__ = [
     "OracleValue",
-    "EulerGamma",
     "euler_gamma",
-    "euler_gamma_info",
     "ln_factorial_exact",
     "lngamma_binet2",
     "lngamma_euler_limit",
@@ -64,60 +64,11 @@ class OracleValue:
 
 # -- Euler's constant ---------------------------------------------------
 
-# 205 decimal digits; good to ~680 bits.  Verified at import of first use
-# against the harmonic-sum asymptotics H_n - ln n - 1/(2n) -> gamma.
-_GAMMA_LITERAL = (
-    "0.5772156649015328606065120900824024310421593359399235988057672348848677"
-    "2677766467093694706329174674951463144724980708248096050401448654283622417399"
-    "7644923536253500333742937337737673942792595258247094916008"
-)
-_GAMMA_LITERAL_BITS = 670
-
-_gamma_state: dict = {}
-_gamma_lock = threading.Lock()
-
-
-def _gamma_self_check() -> float:
-    """Residual of |H_n - ln n - 1/(2n) - gamma| at n = 10^6 (must be tiny)."""
-    if "residual" in _gamma_state:
-        return _gamma_state["residual"]
-    with _gamma_lock:
-        if "residual" in _gamma_state:
-            return _gamma_state["residual"]
-        n = 10**6
-        harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
-        residual = harmonic - math.log(n) - 0.5 / n - float(_GAMMA_LITERAL[:20])
-        if abs(residual) >= 1e-11:
-            raise PrecisionError(
-                f"Euler-gamma literal failed its harmonic self-check: {residual!r}"
-            )
-        _gamma_state["residual"] = residual
-        return residual
-
-
-@dataclass(frozen=True)
-class EulerGamma:
-    decimal_literal: str
-    self_check_residual: float
-
-
-def euler_gamma_info() -> EulerGamma:
-    resid = _gamma_self_check()
-    return EulerGamma(decimal_literal=_GAMMA_LITERAL, self_check_residual=resid)
-
-
-def _gamma_raw(wp: int):
-    if wp > _GAMMA_LITERAL_BITS:
-        raise PrecisionError(
-            f"gamma literal supports at most {_GAMMA_LITERAL_BITS} working bits"
-        )
-    _gamma_self_check()
-    return libmp.from_str(_GAMMA_LITERAL, wp, _RND)
-
 
 def euler_gamma(ctx: PrecisionCtx) -> BigFloat:
-    """Euler's constant from the checked literal."""
-    return BigFloat.from_raw(_gamma_raw(min(ctx.bits + 16, _GAMMA_LITERAL_BITS)), ctx)
+    """Euler's constant at any precision: mpmath's Brent-McMillan
+    Bessel-function sum in integer arithmetic, one rounding."""
+    return BigFloat.from_raw(libmp.mpf_euler(ctx.wprec(), _RND), ctx)
 
 
 # -- shared raw pieces ---------------------------------------------------
@@ -330,16 +281,17 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     """
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
-    wp = min(ctx.bits + 48, _GAMMA_LITERAL_BITS)
+    wp = ctx.bits + 48
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     s = libmp.fzero
     for n in range(1, K + 1):
         x = libmp.mpf_div(z_raw, libmp.from_int(n), wp, _RND)
         s = libmp.mpf_add(s, libmp.mpf_sub(raw_log1p(x, wp), x, wp, _RND), wp, _RND)
-    exponent = libmp.mpf_add(libmp.mpf_mul(_gamma_raw(wp), z_raw, wp, _RND), s, wp, _RND)
+    gamma_z = libmp.mpf_mul(libmp.mpf_euler(wp, _RND), z_raw, wp, _RND)
+    exponent = libmp.mpf_add(gamma_z, s, wp, _RND)
     val = libmp.mpf_mul(z_raw, libmp.mpf_exp(exponent, wp, _RND), wp, _RND)
-    # |relative tail| <= z^2/(2K); add literal and roundoff allowances
+    # |relative tail| <= z^2/(2K); add a roundoff allowance
     z2 = libmp.mpf_mul(z_raw, z_raw, wp, _RND)
     tau = libmp.mpf_div(z2, libmp.from_int(2 * K), wp, _RND)
     rel = libmp.mpf_add(tau, libmp.from_man_exp(1, -(ctx.bits + 2)), wp, _RND)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from mpmath import libmp
 
 from stirling.errors import DomainError, PrecisionError
 from stirling.mpcore import (BigFloat, PrecisionCtx, agreement_bits, bigfloat,
@@ -146,8 +147,30 @@ def test_arithmetic_and_comparisons():
     assert a / b == 3
     assert -a < 0 < a
     assert abs(-a) == a
+    # a Fraction operand is rounded once, at the operation precision
+    third = bigfloat(0, CTX128) + Fraction(1, 3)
+    assert third.to_hex() == bigfloat(Fraction(1, 3), CTX128).to_hex()
     with pytest.raises(DomainError):
         a / bigfloat(0, CTX128)
+
+
+def test_fraction_comparison_is_exact():
+    # 1/3 rounded at 80 bits is not 1/3, although it is at 64 + 16 bits
+    w = BigFloat(libmp.from_rational(1, 3, 80, "n"), 64)
+    third = Fraction(1, 3)
+    assert w != third
+    assert (w < third) != (w > third)
+    assert w == Fraction(*libmp.to_rational(w.raw))
+
+
+def test_hash_agrees_with_equality():
+    w = BigFloat(libmp.from_man_exp(2**70 + 1, -70), 64)
+    q = Fraction(2**70 + 1, 2**70)
+    assert w == q
+    assert hash(w) == hash(q)
+    half = bigfloat(Fraction(1, 2), CTX128)
+    assert hash(half) == hash(0.5) == hash(Fraction(1, 2))
+    assert hash(bigfloat(3, CTX128)) == hash(3)
 
 
 def test_published_decimal_reports_agreement():

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
+from stirling.bernoulli import bernoulli
 from stirling.errors import DomainError, ResourceError
 from stirling.mpcore import PrecisionCtx
 from stirling.oracle import (check_duplication, check_multiplication,
-                             euler_gamma, euler_gamma_info, gamma_half_integer,
+                             euler_gamma, gamma_half_integer,
                              ln_factorial_exact, lngamma_binet2,
                              lngamma_euler_limit, weierstrass_inv_gamma)
 
@@ -25,6 +27,10 @@ def mp_loggamma(q, dps=90) -> Fraction:
     with mpmath.workdps(dps):
         z = mpmath.mpf(q.numerator) / q.denominator
         return Fraction(mpmath.nstr(mpmath.loggamma(z), 70, strip_zeros=False))
+
+
+def _exact(value) -> Fraction:
+    return Fraction(*libmp.to_rational(value.raw))
 
 
 # -- exact factorials -------------------------------------------------------
@@ -195,6 +201,33 @@ def test_weierstrass_tail_halves_when_K_doubles():
     assert Fraction(2, 5) < ratio < Fraction(3, 5)
 
 
+def test_weierstrass_hex_pinned():
+    pinned = {
+        256: ("0x1.20de61a3e5fba404edf6b87b10e26af3843027bf6f8dbc38dfd4f4d1612f7298p-1",
+              "0x1.f0f251f4d90f0752f217d981621aeee072af159a4489557f40587af9ef870e5p-18"),
+        622: ("0x1.20de61a3e5fba404edf6b87b10e26af3843027bf6f8dbc38dfd4f4d1612f7297"
+              "201d7c22779385b7c94b6d9744f1949f706a23863f638bbe03d63bc7cbc905b59a95"
+              "313762f52474e36687e0fbbp-1",
+              "0x1.f0f251f4d90f0752f217d981621aeee072af159a4489557f40587af9ef8676a7"
+              "163c0ff5d386978ee913e7ddf998630c3966e26d8b1d1e9ab0d493140c151780ab8f"
+              "5cf119a660f5a654cc99cf9p-18"),
+    }
+    for bits, (value, bound) in pinned.items():
+        ov = weierstrass_inv_gamma(Fraction(1, 2), 10**4, PrecisionCtx(bits))
+        assert (ov.value.to_hex(), ov.error_bound.to_hex()) == (value, bound)
+
+
+def test_weierstrass_product_exact_to_1024_bits():
+    # with K = 3 the value is the finite product z e^(gamma z) prod (1 + z/n)
+    # e^(-z/n) itself; computed here at 1200 bits, it must agree to the
+    # last few ulp of a 1024-bit result (no 670-bit cap on the working bits)
+    ov = weierstrass_inv_gamma(1, 3, PrecisionCtx(1024))
+    with mpmath.workprec(1200):
+        ref = mpmath.exp(mpmath.euler - mpmath.mpf(11) / 6) * 4
+        ref = Fraction(*libmp.to_rational(ref._mpf_))
+    assert abs(_exact(ov.value) - ref) <= Fraction(4, 2**1023)
+
+
 # -- functional equations -------------------------------------------------------
 
 
@@ -247,17 +280,39 @@ def test_gamma_half_integer_guard():
 # -- Euler's constant ----------------------------------------------------------
 
 
-def test_euler_gamma_self_check_residual():
-    info = euler_gamma_info()
-    assert abs(info.self_check_residual) < 1e-11
-    assert len(info.decimal_literal.split(".")[1]) >= 128
+# Euler-Maclaurin for the harmonic numbers, independent of the
+# Brent-McMillan kernel: gamma = H_n - ln n - 1/(2n) + sum B_2k/(2k n^2k).
+# The remainder after k = K is smaller than the first omitted term.
+EM_N, EM_K, EM_BITS = 1000, 128, 1088
 
 
-def test_euler_gamma_literal_cross_check():
-    with mpmath.workdps(220):
-        ref = mpmath.nstr(mpmath.euler, 200, strip_zeros=False)
-    got = euler_gamma_info().decimal_literal
-    assert got[:150] == ref[:150]
+def em_gamma_reference() -> Fraction:
+    n = EM_N
+    s = sum(Fraction(1, k) for k in range(1, n + 1)) - Fraction(1, 2 * n)
+    s += sum(bernoulli(2 * k) / (2 * k * n ** (2 * k)) for k in range(1, EM_K + 1))
+    ln_n = libmp.mpf_log(libmp.from_int(n), EM_BITS, "n")
+    return s - Fraction(*libmp.to_rational(ln_n))
+
+
+def test_euler_gamma_past_670_bits_matches_euler_maclaurin():
+    k = EM_K + 1
+    assert abs(bernoulli(2 * k)) / (2 * k * EM_N ** (2 * k)) < Fraction(1, 2**1500)
+    g = euler_gamma(PrecisionCtx(1024))
+    assert g.ctx_bits == 1024
+    # gamma lies in [1/2, 1), where one ulp at 1024 bits is 2^-1024
+    assert abs(_exact(g) - em_gamma_reference()) <= Fraction(2, 2**1024)
+
+
+def test_euler_gamma_hex_pinned():
+    pinned = {
+        64: "0x1.2788cfc6fb618f4ap-1",
+        256: "0x1.2788cfc6fb618f49a37c7f0202a596ad439d9875ecb980321807be68e135ff7cp-1",
+        654: "0x1.2788cfc6fb618f49a37c7f0202a596ad439d9875ecb980321807be68e135ff7"
+             "b1c96b3f40753e1dda0c93996c420afa220ad5d226426b411c8768ce7ae975fd4b1"
+             "bd70f1990dae67b7cf7e702a966d9f153p-1",
+    }
+    for bits, hex_ in pinned.items():
+        assert euler_gamma(PrecisionCtx(bits)).to_hex() == hex_
 
 
 def test_euler_gamma_value():
