@@ -1,6 +1,8 @@
 """Inequality corpus: sequence values, family checks, sandwich, margins."""
 
+import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,14 @@ from hypothesis import strategies as st_
 from mpmath import libmp
 
 import stirling.bounds
-from stirling.bounds import (FAMILY_MIN_N, aissen_ratio, bound_sweep,
-                             check_bound, impens_grid, impens_sandwich,
-                             sequence_point)
+from stirling.bounds import (FAMILY_MIN_N, _scale_threshold, aissen_ratio,
+                             bound_sweep, check_bound, impens_grid,
+                             impens_sandwich, sequence_point)
 from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
                              ValidityError)
-from stirling.mpcore import PrecisionCtx, elementary, pi
+from stirling.mpcore import BigFloat, PrecisionCtx, elementary, pi
+from stirling.oracle import FACTORIAL_CAP
 from stirling.series import remainder_R
 
 CTX = PrecisionCtx(256)
@@ -268,3 +271,56 @@ def test_domain_guards():
         sequence_point(10**5 + 1, CTX)
     with pytest.raises(DomainError):
         impens_sandwich(-1, 0, 0, CTX)
+
+
+def _row_fields(item):
+    def hx(v):
+        return None if v is None else v.to_hex()
+    if isinstance(item, InconclusiveError):
+        return ("inconclusive", item.family, item.n, hx(item.margin), hx(item.envelope))
+    return (item.family, item.n, hx(item.lhs), hx(item.mid), hx(item.rhs),
+            item.holds, hx(item.margin))
+
+
+# sha256 over repr(_row_fields(row)) + "\n" for every row of the five-family
+# sweep to n = 400, as evaluated with r_n recomputed for each family
+SWEEP_DIGESTS = {
+    64: "ceedeb29e11e7a2655bba2afefdc9ca4d5a19d6f902b8726abc81a54759ab48b",
+    256: "ee0f82cf9d7aa13ab99f8bf4b9f30d6169de272a95f92492eb00b4c353aecfb9",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(SWEEP_DIGESTS))
+def test_bound_sweep_rows_pinned(bits):
+    h = hashlib.sha256()
+    for item in bound_sweep(list(FAMILY_MIN_N), 400, PrecisionCtx(bits)):
+        h.update(repr(_row_fields(item)).encode() + b"\n")
+    assert h.hexdigest() == SWEEP_DIGESTS[bits]
+
+
+# first n at which floor(log2((n + 2)(ln(n + 2) + 1))) reaches each magnitude
+SCALE_MAG_STARTS = {2: 1, 3: 2, 4: 4, 5: 8, 6: 15, 7: 28, 8: 50, 9: 91,
+                    10: 166, 11: 303, 12: 558, 13: 1030, 14: 1913, 15: 3568,
+                    16: 6681, 17: 12556, 18: 23674, 19: 44773, 20: 84908}
+
+
+def test_scale_threshold_magnitudes_pinned():
+    wp = 100
+    expected = 1
+    for n in range(1, FACTORIAL_CAP + 1):
+        if SCALE_MAG_STARTS.get(expected + 1) == n:
+            expected += 1
+        assert _scale_threshold(n, wp) == libmp.from_man_exp(1, expected - wp + 10), n
+    assert expected == max(SCALE_MAG_STARTS)
+
+
+def test_sandwich_threshold_on_grid_pinned(monkeypatch):
+    # with a zero-error stub oracle the threshold is the rounding envelope
+    # alone, whose magnitude follows the integer part of x
+    zero = BigFloat.from_raw(libmp.fzero, CTX128)
+    monkeypatch.setattr(stirling.bounds, "lngamma_binet2",
+                        lambda x, ctx: SimpleNamespace(value=zero, error_bound=zero))
+    mags = [3, 3, 3, 4, 4, 5, 8]
+    for x, mag in zip(IMPENS_GRID_X, mags):
+        point = stirling.bounds._sandwich_point(x, CTX128)
+        assert point.threshold == libmp.from_man_exp(1, mag - point.wp + 10), x

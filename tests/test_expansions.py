@@ -1,8 +1,10 @@
 """Feller, Marsaglia, Namias and Mermin routes to the factorial."""
 
+import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from stirling.bounds import sequence_point
@@ -172,3 +174,88 @@ def test_mermin_domain():
         mermin_partial_product(5, 4, CTX)
     with pytest.raises(DomainError):
         mermin_partial_product(0, 5, CTX)
+
+
+# -- pinned Mermin values ------------------------------------------------------
+#
+# Hex of mermin_partial_product(n, K) as the term-by-term log1p loop produced
+# it; any faster summation must reproduce every value exactly.
+
+MERMIN_PINS = {
+    (64, 1, 1): "0x1.45647e7756e6d036p-5",
+    (64, 1, 1000): "0x1.4bafd087a89e93cap-4",
+    (64, 1, 10000): "0x1.4bfe5f109503da94p-4",
+    (64, 2, 2): "0x1.bfb39fbdf97bbd9p-7",
+    (64, 2, 1000): "0x1.51fb2297fa56576p-5",
+    (64, 2, 10000): "0x1.52983fa9d320e4fp-5",
+    (64, 10, 10): "0x1.8cd3c7c7392b263cp-11",
+    (64, 10, 1000): "0x1.0e3f7a90b401ace8p-7",
+    (64, 10, 10000): "0x1.10b3eed8172be32cp-7",
+    (64, 64, 64): "0x1.5012efdf5cb9f0c2p-16",
+    (64, 64, 1000): "0x1.3f81cdcf32e6134p-10",
+    (64, 64, 10000): "0x1.5325700a4c37c558p-10",
+    (256, 1, 1):
+        "0x1.45647e7756e6d035dab1ac80bd8e40dc2d9c97357ca22889e274612a300ee83cp-5",
+    (256, 1, 1000):
+        "0x1.4bafd087a89e93cad70c2237491f4f05df857a3ac9213009b688ea42f87f2d66p-4",
+    (256, 1, 10000):
+        "0x1.4bfe5f109503da93384dc3f5eabcc5a87c464f2f95685c52c75bc7ae643d0262p-4",
+    (256, 2, 2):
+        "0x1.bfb39fbdf97bbd90c3502c419aa7881c693fa01699cdb3606d8d727705ca38f4p-7",
+    (256, 2, 1000):
+        "0x1.51fb2297fa56575fd36697edd4b05d2f916e5d4015a037898a9d735bc0ef729p-5",
+    (256, 2, 10000):
+        "0x1.52983fa9d320e4f095e9db6b17eb4a74caf00729ae2e901bac432e32986b1c88p-5",
+    (256, 10, 10):
+        "0x1.8cd3c7c7392b263be4cbc78576db8c3ddf20ede55f39b2a32e75e28b217eec6ep-11",
+    (256, 10, 1000):
+        "0x1.0e3f7a90b401ace81ca907b3a31b5d888aa59344e4ddeffe1609f5f5dfaf8962p-7",
+    (256, 10, 10000):
+        "0x1.10b3eed8172be32b26b615a8b007129d70ac3aeb471752469ca0e1513d9e3142p-7",
+    (256, 64, 64):
+        "0x1.5012efdf5cb9f0c14de90d968c68b67183579602f70f38e000608014f8a0539ap-16",
+    (256, 64, 1000):
+        "0x1.3f81cdcf32e6133f87c8315ecd8ff37d50864cd27a7d56ebad4ccdc7aab188cep-10",
+    (256, 64, 10000):
+        "0x1.5325700a4c37c557d830a10734ed9c2480bb8a058c48692fe20428a29a26c7c4p-10",
+    (256, 2, 10**5):
+        "0x1.52a7f9c09984da7800911d76a96a5f9f62760e9383ced72a50078350e28b33fap-5",
+}
+
+# sha256 over the lines "n,K,hex\n" at 1024 bits, for the same (n, K) grid
+MERMIN_1024_DIGEST = "e0dc14036e63c5b90a83bbcaaea42f7e24e4023d3fd36825bbdf2c5a5879052b"
+
+
+@pytest.mark.parametrize("bits,n,K", sorted(MERMIN_PINS))
+def test_mermin_hex_pinned(bits, n, K):
+    got = mermin_partial_product(n, K, PrecisionCtx(bits)).to_hex()
+    assert got == MERMIN_PINS[bits, n, K]
+
+
+def test_mermin_hex_pinned_1024():
+    h = hashlib.sha256()
+    for n in (1, 2, 10, 64):
+        for K in (n, 10**3, 10**4):
+            got = mermin_partial_product(n, K, PrecisionCtx(1024)).to_hex()
+            h.update(f"{n},{K},{got}\n".encode())
+    assert h.hexdigest() == MERMIN_1024_DIGEST
+
+
+def _mermin_reference(n, K, bits):
+    """sum_{k=n..K} (k + 1/2) log1p(1/k) - 1 by mpmath at bits + 64."""
+    with mpmath.workprec(bits + 64):
+        half = mpmath.mpf(1) / 2
+        return mpmath.fsum((k + half) * mpmath.log1p(mpmath.mpf(1) / k) - 1
+                           for k in range(n, K + 1))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("n,K", [(1, 1), (1, 2000), (2, 1000), (37, 2000),
+                                 (2000, 2000)])
+def test_mermin_within_one_ulp_of_mpmath(bits, n, K):
+    got = mermin_partial_product(n, K, PrecisionCtx(bits))
+    ref = _mermin_reference(n, K, bits)
+    _, man, exp, bc = got.raw
+    ulp = Fraction(2) ** (exp + bc - bits)
+    ref_man, ref_exp = ref.man_exp
+    assert abs(got - ref_man * Fraction(2) ** ref_exp) <= ulp
