@@ -99,8 +99,13 @@ def _r_raw(n: int, lnfact, wp: int):
 
 
 def _scale_threshold(n: int, wp: int):
-    """Absolute error envelope for values derived from ln n! at wp bits."""
-    scale_mag = max(1, int(math.log2(max(2.0, (n + 2) * (math.log(n + 2) + 1)))))
+    """Absolute error envelope for values derived from ln n! at wp bits.
+
+    Its magnitude is floor(log2((n + 2)(ln(n + 2) + 1))), taken exactly from
+    the binary fraction of the float ln(n + 2) + 1 so that no n overflows.
+    """
+    num, den = (math.log(n + 2) + 1).as_integer_ratio()
+    scale_mag = ((n + 2) * num).bit_length() - den.bit_length()
     return libmp.from_man_exp(1, scale_mag - wp + 10)
 
 
@@ -133,8 +138,8 @@ def _rational_raw(q: Fraction, wp: int):
     return libmp.from_rational(q.numerator, q.denominator, wp, _RND)
 
 
-def _evaluate_family(family: str, n: int, lnfact, wp: int, ctx: PrecisionCtx) -> BoundReport:
-    r = _r_raw(n, lnfact, wp)
+def _evaluate_family(family: str, n: int, r, wp: int, ctx: PrecisionCtx) -> BoundReport:
+    """Verdict for one family at n, given r = r_n at wp bits."""
     lhs_raw = rhs_raw = None
     if family == "robbins":
         lhs_raw = _rational_raw(Fraction(1, 12 * n + 1), wp)
@@ -206,13 +211,13 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
     wp = ctx.bits + GUARD
-    return _evaluate_family(family, n, _ln_factorial_raw(n, wp), wp, ctx)
+    return _evaluate_family(family, n, _r_raw(n, _ln_factorial_raw(n, wp), wp), wp, ctx)
 
 
 def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
                 ) -> Iterator[BoundReport | InconclusiveError]:
     """All requested families over n = 1..n_max, sharing one running
-    exact-factorial pass.  Inconclusive rows are yielded as the error
+    exact-factorial pass and one r_n per n.  Inconclusive rows are yielded as the error
     object instead of a report, so sweeps keep going."""
     for family in families:
         if family not in FAMILY_MIN_N:
@@ -223,11 +228,12 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
         )
     wp = ctx.bits + GUARD
     for n, lnfact in ln_factorial_range(n_max, wp):
+        r = _r_raw(n, lnfact, wp)
         for family in families:
             if n < FAMILY_MIN_N[family]:
                 continue
             try:
-                yield _evaluate_family(family, n, lnfact, wp, ctx)
+                yield _evaluate_family(family, n, r, wp, ctx)
             except InconclusiveError as exc:
                 yield exc
 
@@ -253,8 +259,8 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> _SandwichPoint:
         raise DomainError("x must be positive")
     ov = lngamma_binet2(BigFloat(x_raw, work.bits), work)
     mid_raw = libmp.mpf_sub(ov.value.raw, _main_term_raw(x_raw, wp), wp, _RND)
-    threshold = libmp.mpf_add(ov.error_bound.raw, _scale_threshold(int(abs(float(x))) + 2, wp),
-                              wp, _RND)
+    x_int = libmp.to_int(x_raw)  # integer part of x > 0, exact at any size
+    threshold = libmp.mpf_add(ov.error_bound.raw, _scale_threshold(x_int + 2, wp), wp, _RND)
     return _SandwichPoint(x, x_raw, mid_raw, threshold, wp)
 
 

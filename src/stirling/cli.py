@@ -164,7 +164,7 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
     digits = args.digits
     doc: dict = {"which": which, "precision_bits": ctx.bits}
     if which == "feller":
-        k_max = args.k_max or 1000
+        k_max = 1000 if args.k_max is None else args.k_max
         doc["k_max"] = k_max
         value = expn.feller_constant(k_max, ctx)
         doc["constant_partial_sum"] = mpc.published_decimal(
@@ -176,7 +176,7 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
             doc["identity_residual"] = _dec(
                 expn.feller_identity_residual(args.n, ctx), digits)
     elif which == "marsaglia":
-        k_max = args.k_max or 8
+        k_max = 8 if args.k_max is None else args.k_max
         doc["k_max"] = k_max
         series = expn.marsaglia_coeffs(k_max)
         doc["coeffs"] = [rational_to_str(c) for c in series.coeffs]
@@ -194,9 +194,7 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
     elif which == "mermin":
         if args.n is None:
             raise DomainError("mermin requires --n")
-        k_max = args.k_max or 10**4
-        if k_max < args.n:
-            raise DomainError("--k-max must be >= --n")
+        k_max = 10**4 if args.k_max is None else args.k_max
         doc["n"] = args.n
         doc["k_max"] = k_max
         log_prod = expn.mermin_partial_product(args.n, k_max, ctx)

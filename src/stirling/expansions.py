@@ -25,7 +25,10 @@ Four independent routes are implemented:
 
 * Mermin's product  e^(r_n) = prod_{k>=n} e^(-1) (1 + 1/k)^(k + 1/2),
   evaluated in log space; each factor contributes about 1/(12 k^2), so the
-  partial product from n to K sits within 1/(12K) of r_n.
+  partial product from n to K sits within 1/(12K) of r_n.  With m = 2k + 1
+  the log of one factor is m atanh(1/m) - 1 = sum_{j>=1} 1/((2j+1) m^(2j)),
+  a series of positive terms: the partial product is summed term by term
+  in integer fixed point, where nothing cancels, and rounded once.
 """
 
 from __future__ import annotations
@@ -331,17 +334,34 @@ def namias_residual(n, ctx: PrecisionCtx) -> BigFloat:
 
 def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     """Log of prod_{k=n..K} e^(-1) (1 + 1/k)^(k+1/2): the sum of
-    (k + 1/2) ln(1 + 1/k) - 1.  Converges upward to r_n with tail < 1/(12K)."""
+    (k + 1/2) ln(1 + 1/k) - 1.  Converges upward to r_n with tail < 1/(12K).
+
+    With m = 2k + 1 each summand is m atanh(1/m) - 1, the positive series
+    sum_{j>=1} 1/((2j+1) m^(2j)).  Every term is summed as an integer s with
+    W fractional bits: p starts at floor(2^W / m^2), each step adds
+    floor(p / (2j+1)) and sets p = floor(p / m^2), until p is 0.  Each floor
+    division and the dropped tail of each series lose less than one unit
+    per division, so the sum lies in [s, s + D] 2^-W for D floor divisions.
+    The sum is at least its first term 1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2),
+    so W = bits + GUARD + bitlen(D) + 2 bitlen(2n+1) + 2 keeps that error
+    below 2^-(bits + GUARD) relative to the result, which is rounded once.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be an integer >= 1")
     if not isinstance(K, int) or K < n:
         raise DomainError("K must be an integer >= n")
-    wp = ctx.bits + GUARD
-    s = libmp.fzero
+    wp = ctx.bits + GUARD + 2 * (2 * n + 1).bit_length() + 2
+    # each k takes at most wp floor divisions: its series has fewer than
+    # W / (2 log2 3) + 1 < wp / 2 terms of two divisions each, plus one
+    W = wp + ((K - n + 1) * wp).bit_length()
+    one = 1 << W
+    s = 0
     for k in range(n, K + 1):
-        x = libmp.from_rational(1, k, wp, _RND)
-        k_half = libmp.mpf_add(libmp.from_int(k), libmp.fhalf, wp, _RND)
-        term = libmp.mpf_sub(libmp.mpf_mul(k_half, raw_log1p(x, wp), wp, _RND),
-                             libmp.fone, wp, _RND)
-        s = libmp.mpf_add(s, term, wp, _RND)
-    return BigFloat.from_raw(s, ctx)
+        m2 = (2 * k + 1) ** 2
+        p = one // m2
+        d = 3
+        while p:
+            s += p // d
+            p //= m2
+            d += 2
+    return BigFloat.from_raw(libmp.from_man_exp(s, -W), ctx)

@@ -324,3 +324,19 @@ def test_sandwich_threshold_on_grid_pinned(monkeypatch):
     for x, mag in zip(IMPENS_GRID_X, mags):
         point = stirling.bounds._sandwich_point(x, CTX128)
         assert point.threshold == libmp.from_man_exp(1, mag - point.wp + 10), x
+
+
+def test_sandwich_at_huge_x_is_typed():
+    # x = 10^400 is past the double range; the verdict must still be a
+    # report or an inconclusive cell, never an untyped overflow
+    x = Fraction(10) ** 400
+    try:
+        rep = impens_sandwich(x, 0, 0, PrecisionCtx(64))
+    except InconclusiveError as exc:
+        assert exc.family == "impens"
+    else:
+        assert isinstance(rep, stirling.bounds.BoundReport)
+    cells = list(impens_grid([x], [0, 1], PrecisionCtx(64)))
+    assert len(cells) == 4
+    assert all(isinstance(c, (stirling.bounds.BoundReport, InconclusiveError))
+               for c in cells)

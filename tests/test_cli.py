@@ -126,6 +126,32 @@ def test_expansions_mermin_document(capsys):
     assert Fraction(doc["gap"]) <= Fraction(1, 12 * 2000)
 
 
+def test_expansions_feller_k_max_zero_exits_3(capsys):
+    # --k-max 0 reaches the library instead of falling back to the default
+    code, out, err = run_capture(["expansions", "--which", "feller",
+                                  "--k-max", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "K must be an integer >= 1" in err
+
+
+def test_expansions_mermin_k_max_zero_exits_3(capsys):
+    code, out, err = run_capture(["expansions", "--which", "mermin", "--n", "3",
+                                  "--k-max", "0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "K must be an integer >= n" in err
+
+
+def test_expansions_marsaglia_k_max_zero_is_order_zero(capsys):
+    code, out, _ = run_capture(["expansions", "--which", "marsaglia",
+                                "--k-max", "0"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k_max"] == 0
+    assert doc["coeffs"] == ["1/1"]
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, out, err = run_capture(["constants", "--max-n", "5", "--bogus"],
                                  capsys)
