@@ -217,8 +217,8 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
 def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
                 ) -> Iterator[BoundReport | InconclusiveError]:
     """All requested families over n = 1..n_max, sharing one running
-    exact-factorial pass and one r_n per n.  Inconclusive rows are yielded as the error
-    object instead of a report, so sweeps keep going."""
+    exact-factorial pass and one r_n per n.  Inconclusive rows are yielded
+    as the error object instead of a report, so sweeps keep going."""
     for family in families:
         if family not in FAMILY_MIN_N:
             raise DomainError(f"unknown family {family!r}")

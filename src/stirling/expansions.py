@@ -337,22 +337,24 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     (k + 1/2) ln(1 + 1/k) - 1.  Converges upward to r_n with tail < 1/(12K).
 
     With m = 2k + 1 each summand is m atanh(1/m) - 1, the positive series
-    sum_{j>=1} 1/((2j+1) m^(2j)).  Every term is summed as an integer s with
-    W fractional bits: p starts at floor(2^W / m^2), each step adds
-    floor(p / (2j+1)) and sets p = floor(p / m^2), until p is 0.  Each floor
-    division and the dropped tail of each series lose less than one unit
-    per division, so the sum lies in [s, s + D] 2^-W for D floor divisions.
-    The sum is at least its first term 1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2),
-    so W = bits + GUARD + bitlen(D) + 2 bitlen(2n+1) + 2 keeps that error
-    below 2^-(bits + GUARD) relative to the result, which is rounded once.
+    sum_{j>=1} 1/((2j+1) m^(2j)), summed as an integer s with W fractional
+    bits: p starts at floor(2^W / m^2), each step adds floor(p / (2j+1)) and
+    sets p = floor(p / m^2), until p is 0.  p stays less than 9/8 of a unit
+    below 2^W / m^(2j) (m >= 3), so the added terms and the dropped tail lose
+    less than one unit per floor division: the sum lies in [s, s + D] 2^-W
+    for D floor divisions.  It is at least its first term
+    1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
+    W = bits + GUARD + 2 bitlen(2n+1) + 2 + bitlen(D) puts that error below
+    2^-(bits + GUARD) relative to the result, which is rounded once.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be an integer >= 1")
     if not isinstance(K, int) or K < n:
         raise DomainError("K must be an integer >= n")
     wp = ctx.bits + GUARD + 2 * (2 * n + 1).bit_length() + 2
-    # each k takes at most wp floor divisions: its series has fewer than
-    # W / (2 log2 3) + 1 < wp / 2 terms of two divisions each, plus one
+    # D <= (K - n + 1) wp for K < 2^50: each series has fewer than
+    # W / (2 log2 3) + 1 < wp / 2 terms of two floor divisions each, plus
+    # the first division
     W = wp + ((K - n + 1) * wp).bit_length()
     one = 1 << W
     s = 0

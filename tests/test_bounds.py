@@ -283,7 +283,8 @@ def _row_fields(item):
 
 
 # sha256 over repr(_row_fields(row)) + "\n" for every row of the five-family
-# sweep to n = 400, as evaluated with r_n recomputed for each family
+# sweep to n = 400; sharing one r_n across the families leaves every row as
+# it was when each family computed its own
 SWEEP_DIGESTS = {
     64: "ceedeb29e11e7a2655bba2afefdc9ca4d5a19d6f902b8726abc81a54759ab48b",
     256: "ee0f82cf9d7aa13ab99f8bf4b9f30d6169de272a95f92492eb00b4c353aecfb9",
