@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from mpmath import libmp
 
 from stirling.bernoulli import bernoulli
@@ -123,6 +125,29 @@ def test_binet2_pinned_bits(z, bits, value_hex, bound_hex):
     ov = lngamma_binet2(z, PrecisionCtx(bits))
     assert ov.value.to_hex() == value_hex
     assert ov.error_bound.to_hex() == bound_hex
+
+
+def assert_binet2_within_bound(z: Fraction, bits: int):
+    """|value - loggamma(z)| <= error_bound, loggamma at bits + 64."""
+    ov = lngamma_binet2(z, PrecisionCtx(bits))
+    with mpmath.workprec(bits + 64):
+        ref = mpmath.loggamma(mpmath.mpf(z.numerator) / z.denominator)
+    ref = Fraction(*libmp.to_rational(ref._mpf_))
+    assert abs(_exact(ov.value) - ref) <= _exact(ov.error_bound), (z, bits)
+
+
+# z log-uniform over [1e-6, 1e30]: every float is an exact Fraction
+@settings(max_examples=30, deadline=None)
+@given(log10_z=st_.floats(min_value=-6, max_value=30),
+       bits=st_.sampled_from([64, 80, 128, 192, 256]))
+def test_binet2_error_bound_is_an_upper_bound(log10_z, bits):
+    assert_binet2_within_bound(Fraction(10.0 ** log10_z), bits)
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+@pytest.mark.parametrize("z", [Fraction(1, 10**6), Fraction(1), Fraction(10**30)])
+def test_binet2_error_bound_is_an_upper_bound_at_high_precision(z, bits):
+    assert_binet2_within_bound(z, bits)
 
 
 def test_binet2_domain():
