@@ -134,27 +134,30 @@ def ln_factorial_range(n_max: int, wp: int):
 
 _BINET_CACHE: dict = {}
 _BINET_LOCK = threading.Lock()
+_ONE_EIGHTH = libmp.from_man_exp(1, -3)
 
 
-def _binet_T(bits: int, z_low: float) -> int:
+def _binet_T(bits: int) -> int:
     """Upper integration limit making the analytic tail negligible.
 
     Tail of the integrand past T is below
         (1/z) e^(-2 pi T) (T/(2 pi) + 1/(4 pi^2)) / (1 - e^(-2 pi T)),
-    using arctan(x) <= x; choose the smallest integer T pushing that under
-    2^-(bits+24).
+    using arctan(x) <= x.  The quadrature only sees z >= 1/8 (smaller z are
+    shifted to z + 1 by ``lngamma_binet2``), so choose the smallest integer
+    T pushing that under 2^-(bits+24) at z = 1/8.
     """
-    z_low = max(min(z_low, 0.125), 1e-300)
     t = 4.0
     for _ in range(6):
         t = ((bits + 24) * math.log(2.0)
-             + math.log(1.01 * (t / (2 * math.pi) + 0.0254) / z_low)) / (2 * math.pi)
+             + math.log(1.01 * (t / (2 * math.pi) + 0.0254) / 0.125)) / (2 * math.pi)
     return max(2, int(math.ceil(t)))
 
 
-def _binet_level_nodes(wp: int, T: int, level: int):
-    """(t, g) pairs with t = T x and g = w / (e^(2 pi t) - 1), cached."""
-    key = (wp, T, level)
+def _binet_level_nodes(bits: int, level: int):
+    """(t, g) pairs with t = T x and g = w / (e^(2 pi t) - 1), cached by
+    (working precision, level); T depends only on the precision."""
+    wp = bits + 64
+    key = (wp, level)
     got = _BINET_CACHE.get(key)
     if got is not None:
         return got
@@ -162,6 +165,7 @@ def _binet_level_nodes(wp: int, T: int, level: int):
         got = _BINET_CACHE.get(key)
         if got is not None:
             return got
+        T = _binet_T(bits)
         two_pi = libmp.mpf_shift(libmp.mpf_pi(wp + 16, _RND), 1)
         out = []
         for x, w in ts_nodes(wp, level):
@@ -176,15 +180,14 @@ def _binet_level_nodes(wp: int, T: int, level: int):
 def _binet_integral(z_raw, bits: int):
     """(2 * integral, quadrature diff, tail bound), all raw at wp."""
     wp = bits + 64
-    z_float = libmp.to_float(z_raw)
-    T = _binet_T(bits, z_float)
+    T = _binet_T(bits)
     target = libmp.from_man_exp(1, -(bits + 16))
     total = libmp.fzero
     prev = None
     diff = None
     for level in range(0, BINET_MAX_LEVEL + 1):
         new = libmp.fzero
-        for t, g in _binet_level_nodes(wp, T, level):
+        for t, g in _binet_level_nodes(bits, level):
             a = libmp.mpf_atan(libmp.mpf_div(t, z_raw, wp, _RND), wp, _RND)
             new = libmp.mpf_add(new, libmp.mpf_mul(g, a, wp, _RND), wp, _RND)
         total = libmp.mpf_add(total, new, wp, _RND)
@@ -215,14 +218,28 @@ def _binet_integral(z_raw, bits: int):
 
 
 def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
-    """ln Gamma(z) from the arctan integral; error bound from the last
-    quadrature difference plus the analytic tail."""
+    """ln Gamma(z) from the arctan integral.
+
+    For z < 1/8 the integral is taken at z + 1, formed exactly, and
+    ln Gamma(z) = ln Gamma(z + 1) - ln z: near the branch points of
+    arctan(t/z) at t = +-iz the quadrature would need more levels, and
+    below about 1e-30 none suffice.  The error bound adds the last
+    quadrature difference, the analytic tail past T, one ulp at the
+    working precision for the rounding of ln z when z was shifted, and
+    8 ulp of the result for the remaining roundings.
+    """
     wp = ctx.bits + 64
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    integral, qdiff, tail = _binet_integral(z_raw, ctx.bits)
-    val = libmp.mpf_add(_oracle_main_term(z_raw, wp), integral, wp, _RND)
+    shifted = libmp.mpf_lt(z_raw, _ONE_EIGHTH)
+    zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
+    integral, qdiff, tail = _binet_integral(zq, ctx.bits)
+    val = libmp.mpf_add(_oracle_main_term(zq, wp), integral, wp, _RND)
     bound = libmp.mpf_add(qdiff, tail, wp, _RND)
+    if shifted:
+        lnz = libmp.mpf_log(z_raw, wp, _RND)
+        val = libmp.mpf_sub(val, lnz, wp, _RND)
+        bound = libmp.mpf_add(bound, _ulp_raw(lnz, wp, 1), wp, _RND)
     bound = libmp.mpf_add(bound, _ulp_raw(val, ctx.bits, 8), wp, _RND)
     return OracleValue(
         value=BigFloat.from_raw(val, ctx),

@@ -116,7 +116,7 @@ BINET2_PINNED = [
      "0x1.0000000000006aa4f0c250c50dca41p-117"),
     (Fraction(1, 1000), 256,
      "0x1.ba0f3807161ac560fa2d37ed267206c9497701c876f9327cb9b37b27c51d6172p+2",
-     "0x1.0000000012f37b10571aa5145561114a00e4c8f3584e90c3fbc2dfc26cd6d30ap-250"),
+     "0x1.0000000009d5102b8c6a28f37c46bcd4530146f2ee74a5002dd5c519d52ea456p-250"),
 ]
 
 
@@ -148,6 +148,29 @@ def test_binet2_error_bound_is_an_upper_bound(log10_z, bits):
 @pytest.mark.parametrize("z", [Fraction(1, 10**6), Fraction(1), Fraction(10**30)])
 def test_binet2_error_bound_is_an_upper_bound_at_high_precision(z, bits):
     assert_binet2_within_bound(z, bits)
+
+
+# below 1/8 the integral is taken at z + 1; on the unshifted integral
+# 1e-30 and smaller raised ConvergenceError at every level
+@pytest.mark.parametrize("z, bits", [
+    (Fraction(1, 10**30), 64), (Fraction(1, 10**400), 64),
+    (Fraction(1, 10**30), 256),
+    (Fraction(1, 8), 64), (Fraction(1, 8) - Fraction(1, 2**60), 64),
+])
+def test_binet2_small_z_within_bound(z, bits):
+    assert_binet2_within_bound(z, bits)
+
+
+def test_binet2_shift_is_consistent_at_small_z():
+    # ln Gamma(z + 1) - ln Gamma(z) - ln z = 0 within both bounds
+    z = Fraction(1, 1000)
+    small, big = lngamma_binet2(z, CTX), lngamma_binet2(z + 1, CTX)
+    with mpmath.workprec(CTX.bits + 64):
+        ln_z = Fraction(*libmp.to_rational(mpmath.log(mpmath.mpf(z.numerator)
+                                                      / z.denominator)._mpf_))
+    resid = _exact(big.value) - _exact(small.value) - ln_z
+    assert abs(resid) <= (_exact(small.error_bound) + _exact(big.error_bound)
+                          + Fraction(1, 2**300))
 
 
 def test_binet2_domain():

@@ -1,5 +1,7 @@
 """The tanh-sinh node tables, and the budget of the one loop over them."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import libmp
 
@@ -26,3 +28,23 @@ def test_nodes_cached_and_inside_interval():
         assert libmp.mpf_gt(x, libmp.fzero)
         assert libmp.mpf_lt(x, libmp.fone)
         assert libmp.mpf_gt(w, libmp.fzero)
+
+
+def test_small_z_reuses_the_unit_tables(monkeypatch):
+    # z = 1/1000 is shifted to 1.001: no new node table, no extra level
+    ctx = PrecisionCtx(256)
+    lngamma_binet2(1, ctx)
+    keys = set(stirling.oracle._BINET_CACHE)
+    real_atan = libmp.mpf_atan
+    calls = []
+
+    def counting_atan(*args):
+        calls.append(1)
+        return real_atan(*args)
+
+    monkeypatch.setattr(libmp, "mpf_atan", counting_atan)
+    lngamma_binet2(1, ctx)
+    at_one = len(calls)
+    lngamma_binet2(Fraction(1, 1000), ctx)
+    assert set(stirling.oracle._BINET_CACHE) == keys
+    assert 0 < len(calls) - at_one <= at_one
