@@ -6,7 +6,10 @@ module: the integral representation
     ln Gamma(z) = P(z) + 2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt
 
 (Binet's second formula) is evaluated by doubling-node tanh-sinh
-quadrature with a closed-form tail bound; the limit definition
+quadrature on [0, T], with closed-form bounds for the tail past T and for
+the right-end nodes it never builds; z < 1/8 is taken through
+ln Gamma(z) = ln Gamma(z + 1) - ln z, so every precision has one node
+table per level whatever z is.  The limit definition
 
     Gamma(z) = lim n! n^z / (z (z+1) ... (z+n))
 
@@ -26,6 +29,7 @@ checks can refuse to conclude when a margin falls inside the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -52,6 +56,7 @@ __all__ = [
 
 FACTORIAL_CAP = 10**5
 HALF_INTEGER_CAP = 2 * 10**4
+BINET_MIN_LEVEL = 4
 BINET_MAX_LEVEL = 14
 
 
@@ -153,9 +158,58 @@ def _binet_T(bits: int) -> int:
     return max(2, int(math.ceil(t)))
 
 
+def _binet_drop_bound(T: int, k: int, level: int):
+    """Upper bound on what omitting the right nodes x > 1 - d, d = 2^-k,
+    removes from 2 * integral when the loop stops at ``level`` (step
+    h = 2^-level):
+
+        pi T d (1 + h (pi + k ln 2)) / (e^(2 pi T (1 - d)) - 1).
+
+    The estimate of 2 * integral is 2 T h sum_j w(jh) arctan(T x_j / z)
+    / (e^(2 pi T x_j) - 1).  On an omitted node arctan < pi/2 and
+    x_j > 1 - d, so its term is under (pi/2) w(jh) / (e^(2 pi T (1 - d)) - 1).
+    For u > 0, w(u) = (pi/4) cosh u / cosh^2 q with q = (pi/2) sinh u
+    decreases (d ln w / du = tanh u - pi cosh u tanh q < 0, as q >= u), so
+    with u_c the point where x(u_c) = 1 - d,
+
+        h sum_{jh > u_c} w(jh) <= h w(u_c) + int_{u_c}^inf w du
+                                = h w(u_c) + d.
+
+    As 1 - x(u) = 1 / (e^(2q) + 1), w(u) <= pi cosh u (1 - x(u)); and
+    cosh u_c <= 1 + sinh u_c = 1 + ln(1/d - 1) / pi < 1 + k ln 2 / pi, so
+    h w(u_c) < h (pi + k ln 2) d.  The bound is evaluated at 64 bits and
+    doubled, which covers its own roundings and the distance, under
+    2^-(wp+60), of each computed abscissa from x(u).
+    """
+    p = 64
+    pi = libmp.mpf_pi(p, _RND)
+    x_c = libmp.from_man_exp((1 << k) - 1, -k)
+    spread = libmp.mpf_mul_int(libmp.mpf_ln2(p, _RND), k, p, _RND)
+    spread = libmp.mpf_shift(libmp.mpf_add(pi, spread, p, _RND), -level)
+    spread = libmp.mpf_add(libmp.fone, spread, p, _RND)
+    num = libmp.mpf_mul(libmp.mpf_mul_int(pi, T, p, _RND), spread, p, _RND)
+    exponent = libmp.mpf_mul(libmp.mpf_shift(pi, 1), libmp.mpf_mul_int(x_c, T, p, _RND),
+                             p, _RND)
+    bound = libmp.mpf_div(libmp.mpf_shift(num, -k), raw_expm1(exponent, p), p, _RND)
+    return libmp.mpf_shift(bound, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _binet_cutoff(bits: int) -> int:
+    """Smallest k for which the right nodes x > 1 - 2^-k can be omitted at
+    a cost under 2^-(bits+40), at the coarsest step the loop stops on."""
+    T = _binet_T(bits)
+    target = libmp.from_man_exp(1, -(bits + 40))
+    k = 1
+    while libmp.mpf_gt(_binet_drop_bound(T, k, BINET_MIN_LEVEL), target):
+        k += 1
+    return k
+
+
 def _binet_level_nodes(bits: int, level: int):
     """(t, g) pairs with t = T x and g = w / (e^(2 pi t) - 1), cached by
-    (working precision, level); T depends only on the precision."""
+    (working precision, level); T and the cutoff depend only on the
+    precision.  Right nodes past the cutoff are never built."""
     wp = bits + 64
     key = (wp, level)
     got = _BINET_CACHE.get(key)
@@ -166,9 +220,13 @@ def _binet_level_nodes(bits: int, level: int):
         if got is not None:
             return got
         T = _binet_T(bits)
+        k = _binet_cutoff(bits)
+        x_c = libmp.from_man_exp((1 << k) - 1, -k)
         two_pi = libmp.mpf_shift(libmp.mpf_pi(wp + 16, _RND), 1)
         out = []
         for x, w in ts_nodes(wp, level):
+            if libmp.mpf_gt(x, x_c):
+                continue
             t = libmp.mpf_mul_int(x, T, wp, _RND)
             denom = raw_expm1(libmp.mpf_mul(two_pi, t, wp + 16, _RND), wp)
             g = libmp.mpf_div(w, denom, wp, _RND)
@@ -178,7 +236,8 @@ def _binet_level_nodes(bits: int, level: int):
 
 
 def _binet_integral(z_raw, bits: int):
-    """(2 * integral, quadrature diff, tail bound), all raw at wp."""
+    """(2 * integral, quadrature diff, tail bound, omitted-node bound),
+    all raw at wp."""
     wp = bits + 64
     T = _binet_T(bits)
     target = libmp.from_man_exp(1, -(bits + 16))
@@ -192,7 +251,7 @@ def _binet_integral(z_raw, bits: int):
             new = libmp.mpf_add(new, libmp.mpf_mul(g, a, wp, _RND), wp, _RND)
         total = libmp.mpf_add(total, new, wp, _RND)
         estimate = libmp.mpf_mul_int(libmp.mpf_shift(total, -level), T, wp, _RND)
-        if prev is not None and level >= 4:
+        if prev is not None and level >= BINET_MIN_LEVEL:
             diff = libmp.mpf_abs(libmp.mpf_sub(estimate, prev, wp, _RND))
             if libmp.mpf_le(diff, target):
                 prev = estimate
@@ -213,8 +272,9 @@ def _binet_integral(z_raw, bits: int):
         wp, _RND)
     tail = libmp.mpf_div(libmp.mpf_mul(decay, poly, wp, _RND), z_raw, wp, _RND)
     tail = libmp.mpf_mul(tail, libmp.from_str("1.01", wp, _RND), wp, _RND)
+    drop = _binet_drop_bound(T, _binet_cutoff(bits), level)
     return (libmp.mpf_shift(prev, 1), libmp.mpf_shift(diff, 1),
-            libmp.mpf_shift(tail, 1))
+            libmp.mpf_shift(tail, 1), drop)
 
 
 def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
@@ -223,19 +283,22 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     For z < 1/8 the integral is taken at z + 1, formed exactly, and
     ln Gamma(z) = ln Gamma(z + 1) - ln z: near the branch points of
     arctan(t/z) at t = +-iz the quadrature would need more levels, and
-    below about 1e-30 none suffice.  The error bound adds the last
-    quadrature difference, the analytic tail past T, one ulp at the
-    working precision for the rounding of ln z when z was shifted, and
-    8 ulp of the result for the remaining roundings.
+    below about 1e-30 none suffice.  The error bound is the sum of
+      - the difference between the last two quadrature levels,
+      - the analytic tail past T (see ``_binet_T``),
+      - the right-end nodes left out (see ``_binet_drop_bound``),
+      - one ulp at the working precision for ln z, when z was shifted,
+      - 8 ulp of the result for the remaining roundings.
     """
     wp = ctx.bits + 64
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     shifted = libmp.mpf_lt(z_raw, _ONE_EIGHTH)
     zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
-    integral, qdiff, tail = _binet_integral(zq, ctx.bits)
+    integral, qdiff, tail, drop = _binet_integral(zq, ctx.bits)
     val = libmp.mpf_add(_oracle_main_term(zq, wp), integral, wp, _RND)
     bound = libmp.mpf_add(qdiff, tail, wp, _RND)
+    bound = libmp.mpf_add(bound, drop, wp, _RND)
     if shifted:
         lnz = libmp.mpf_log(z_raw, wp, _RND)
         val = libmp.mpf_sub(val, lnz, wp, _RND)

@@ -13,7 +13,10 @@ inputs, so repeated runs are bit-identical.
 
 Nodes are emitted until the weight underflows the working precision,
 which presumes an integrand bounded near the endpoints (true for the
-smooth decaying Binet integrand).
+smooth decaying Binet integrand).  The Binet oracle then omits the right
+nodes x > 1 - 2^-k, where its factor 1/(e^(2 pi T x) - 1) has made them
+negligible, and adds a closed-form bound on what they would contribute
+(``oracle._binet_drop_bound``).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import libmp
 
@@ -48,3 +49,23 @@ def test_small_z_reuses_the_unit_tables(monkeypatch):
     lngamma_binet2(Fraction(1, 1000), ctx)
     assert set(stirling.oracle._BINET_CACHE) == keys
     assert 0 < len(calls) - at_one <= at_one
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_omitted_right_nodes_within_their_bound(bits):
+    # the nodes x > 1 - 2^-k that _binet_level_nodes never builds, summed
+    # here with mpmath at z = 1/8, where arctan(t/z) is nearest pi/2
+    wp = bits + 64
+    T, k = stirling.oracle._binet_T(bits), stirling.oracle._binet_cutoff(bits)
+    with mpmath.workprec(wp + 32):
+        x_c, z = 1 - mpmath.mpf(2) ** -k, mpmath.mpf(1) / 8
+        dropped = 0
+        for level in range(7):
+            for x_raw, w_raw in ts_nodes(wp, level):
+                x, w = mpmath.mpf(x_raw), mpmath.mpf(w_raw)
+                if x > x_c:
+                    dropped += w * mpmath.atan(T * x / z) / mpmath.expm1(2 * mpmath.pi * T * x)
+            bound = stirling.oracle._binet_drop_bound(T, k, level)
+            if level >= stirling.oracle.BINET_MIN_LEVEL:
+                assert 0 < 2 * T * dropped / 2**level <= mpmath.mpf(bound)
+                assert libmp.mpf_le(bound, libmp.from_man_exp(1, -(bits + 40)))
