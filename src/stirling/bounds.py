@@ -89,13 +89,15 @@ class BoundReport:
     margin: BigFloat
 
 
-def _r_raw(n: int, lnfact, wp: int):
+def _r_raw(n: int, lnfact, half_l2p, wp: int):
+    """r_n = ln n! - (n + 1/2) ln n + n - (1/2) ln(2 pi), given ln n! and
+    (1/2) ln(2 pi) at wp bits."""
     n_raw = libmp.from_int(n)
     lnn = libmp.mpf_log(n_raw, wp, _RND)
     acc = libmp.mpf_add(lnfact, n_raw, wp, _RND)
     acc = libmp.mpf_sub(acc, libmp.mpf_mul(n_raw, lnn, wp, _RND), wp, _RND)
     acc = libmp.mpf_sub(acc, libmp.mpf_shift(lnn, -1), wp, _RND)
-    return libmp.mpf_sub(acc, _half_ln_2pi_raw(wp), wp, _RND)
+    return libmp.mpf_sub(acc, half_l2p, wp, _RND)
 
 
 def _scale_threshold(n: int, wp: int):
@@ -119,7 +121,7 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     lnfact = _ln_factorial_raw(n, wp)
     n_raw = libmp.from_int(n)
     lnn = libmp.mpf_log(n_raw, wp, _RND)
-    r = _r_raw(n, lnfact, wp)
+    r = _r_raw(n, lnfact, _half_ln_2pi_raw(wp), wp)
     c = libmp.mpf_mul(libmp.mpf_add(n_raw, libmp.fhalf, wp, _RND), lnn, wp, _RND)
     c = libmp.mpf_sub(c, n_raw, wp, _RND)
     c = libmp.mpf_add(c, libmp.mpf_sub(libmp.fone, lnfact, wp, _RND), wp, _RND)
@@ -138,8 +140,10 @@ def _rational_raw(q: Fraction, wp: int):
     return libmp.from_rational(q.numerator, q.denominator, wp, _RND)
 
 
-def _evaluate_family(family: str, n: int, r, wp: int, ctx: PrecisionCtx) -> BoundReport:
-    """Verdict for one family at n, given r = r_n at wp bits."""
+def _evaluate_family(family: str, n: int, r, half_l2p, wp: int,
+                     ctx: PrecisionCtx) -> BoundReport:
+    """Verdict for one family at n, given r = r_n and (1/2) ln(2 pi) at
+    wp bits."""
     lhs_raw = rhs_raw = None
     if family == "robbins":
         lhs_raw = _rational_raw(Fraction(1, 12 * n + 1), wp)
@@ -152,7 +156,7 @@ def _evaluate_family(family: str, n: int, r, wp: int, ctx: PrecisionCtx) -> Boun
     elif family == "hummel":
         lhs_raw = _rational_raw(Fraction(11, 12), wp)
         rhs_raw = libmp.fone
-        mid_raw = libmp.mpf_add(r, _half_ln_2pi_raw(wp), wp, _RND)
+        mid_raw = libmp.mpf_add(r, half_l2p, wp, _RND)
     elif family == "nanjundiah":
         n_raw = libmp.from_int(n)
         lhs_raw = _remainder_raw(n_raw, 2, wp)
@@ -211,14 +215,17 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
     wp = ctx.bits + GUARD
-    return _evaluate_family(family, n, _r_raw(n, _ln_factorial_raw(n, wp), wp), wp, ctx)
+    half_l2p = _half_ln_2pi_raw(wp)
+    r = _r_raw(n, _ln_factorial_raw(n, wp), half_l2p, wp)
+    return _evaluate_family(family, n, r, half_l2p, wp, ctx)
 
 
 def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
                 ) -> Iterator[BoundReport | InconclusiveError]:
     """All requested families over n = 1..n_max, sharing one running
-    exact-factorial pass and one r_n per n.  Inconclusive rows are yielded
-    as the error object instead of a report, so sweeps keep going."""
+    exact-factorial pass, one (1/2) ln(2 pi) and one r_n per n.
+    Inconclusive rows are yielded as the error object instead of a report,
+    so sweeps keep going."""
     for family in families:
         if family not in FAMILY_MIN_N:
             raise DomainError(f"unknown family {family!r}")
@@ -227,13 +234,14 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
             f"n_max={n_max} is below the validity start of {families}"
         )
     wp = ctx.bits + GUARD
+    half_l2p = _half_ln_2pi_raw(wp)
     for n, lnfact in ln_factorial_range(n_max, wp):
-        r = _r_raw(n, lnfact, wp)
+        r = _r_raw(n, lnfact, half_l2p, wp)
         for family in families:
             if n < FAMILY_MIN_N[family]:
                 continue
             try:
-                yield _evaluate_family(family, n, r, wp, ctx)
+                yield _evaluate_family(family, n, r, half_l2p, wp, ctx)
             except InconclusiveError as exc:
                 yield exc
 
