@@ -281,9 +281,10 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     """ln Gamma(z) from the arctan integral.
 
     For z < 1/8 the integral is taken at z + 1, formed exactly, and
-    ln Gamma(z) = ln Gamma(z + 1) - ln z: near the branch points of
-    arctan(t/z) at t = +-iz the quadrature would need more levels, and
-    below about 1e-30 none suffice.  The error bound is the sum of
+    ln Gamma(z) = ln Gamma(z + 1) - ln z: the branch points of
+    arctan(t/z) at t = +-iz near the real axis cost the quadrature more
+    levels as z shrinks, and at z = 1e-30 more than BINET_MAX_LEVEL.
+    The error bound is the sum of
       - the difference between the last two quadrature levels,
       - the analytic tail past T (see ``_binet_T``),
       - the right-end nodes left out (see ``_binet_drop_bound``),
