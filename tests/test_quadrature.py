@@ -31,6 +31,30 @@ def test_nodes_cached_and_inside_interval():
         assert libmp.mpf_gt(w, libmp.fzero)
 
 
+@pytest.mark.parametrize("wp", [128, 320])
+def test_nodes_match_mpmath(wp):
+    # x(u) = (1 + tanh((pi/2) sinh u)) / 2 and w(u) = (pi/4) cosh u /
+    # cosh^2((pi/2) sinh u), at wp + 128; _binet_drop_bound relies on each
+    # abscissa lying within 2^-(wp+60) of x(u).  Level 0 holds the center
+    # and then the pairs u = -k, k; level L the pairs u = -+k 2^-L, k odd.
+    with mpmath.workprec(wp + 128):
+        for level in range(9):
+            nodes = ts_nodes(wp, level)
+            expected = [(mpmath.mpf(0), nodes[0])] if level == 0 else []
+            pairs = iter(nodes[len(expected):])
+            ks = range(1, 10**6) if level == 0 else range(1, 10**6, 2)
+            for k, x_minus, x_plus in zip(ks, pairs, pairs):
+                u = mpmath.ldexp(k, -level)
+                expected += [(-u, x_minus), (u, x_plus)]
+            assert len(expected) == len(nodes)
+            for u, (x_raw, w_raw) in expected:
+                q = mpmath.pi / 2 * mpmath.sinh(u)
+                x = (1 + mpmath.tanh(q)) / 2
+                w = mpmath.pi / 4 * mpmath.cosh(u) / mpmath.cosh(q) ** 2
+                assert abs(mpmath.mpf(x_raw) - x) <= mpmath.ldexp(1, -(wp + 60)), (level, u)
+                assert abs(mpmath.mpf(w_raw) / w - 1) <= mpmath.ldexp(1, -(wp + 50)), (level, u)
+
+
 def test_small_z_reuses_the_unit_tables(monkeypatch):
     # z = 1/1000 is shifted to 1.001: no new node table, no extra level
     ctx = PrecisionCtx(256)
