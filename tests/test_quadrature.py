@@ -7,6 +7,7 @@ import pytest
 from mpmath import libmp
 
 import stirling.oracle
+import stirling.quadrature
 from stirling.errors import ConvergenceError
 from stirling.mpcore import PrecisionCtx
 from stirling.oracle import lngamma_binet2
@@ -53,6 +54,33 @@ def test_nodes_match_mpmath(wp):
                 w = mpmath.pi / 4 * mpmath.cosh(u) / mpmath.cosh(q) ** 2
                 assert abs(mpmath.mpf(x_raw) - x) <= mpmath.ldexp(1, -(wp + 60)), (level, u)
                 assert abs(mpmath.mpf(w_raw) / w - 1) <= mpmath.ldexp(1, -(wp + 50)), (level, u)
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls to the named libmp primitives; returns name -> [count]."""
+    counts = {}
+    for name in names:
+        real, tally = getattr(libmp, name), counts.setdefault(name, [0])
+
+        def counting(*args, real=real, tally=tally):
+            tally[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(libmp, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("level", [0, 5])
+def test_cold_nodes_take_one_exponential_per_pair(monkeypatch, level):
+    # a and b = (pi/4) e^+-u step by one product each; per pair only
+    # e^2q = exp(2 (a - b)) and d = 1 / (e^2q + 1) remain
+    monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
+    counts = count_calls(monkeypatch, "mpf_exp", "mpf_div", "mpf_cosh_sinh")
+    pairs = len(ts_nodes(WP, level)) // 2
+    assert pairs >= 4
+    assert counts["mpf_exp"][0] <= pairs + 5
+    assert counts["mpf_div"][0] <= pairs + 1
+    assert counts["mpf_cosh_sinh"][0] == 0
 
 
 def test_small_z_reuses_the_unit_tables(monkeypatch):
