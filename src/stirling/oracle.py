@@ -140,6 +140,7 @@ def ln_factorial_range(n_max: int, wp: int):
 _BINET_CACHE: dict = {}
 _BINET_LOCK = threading.Lock()
 _ONE_EIGHTH = libmp.from_man_exp(1, -3)
+_ATAN_GUARD = 8  # bits of each node's arctan beyond what its weight needs
 
 
 def _binet_T(bits: int) -> int:
@@ -158,6 +159,7 @@ def _binet_T(bits: int) -> int:
     return max(2, int(math.ceil(t)))
 
 
+@functools.lru_cache(maxsize=None)
 def _binet_drop_bound(T: int, k: int, level: int):
     """Upper bound on what omitting the right nodes x > 1 - d, d = 2^-k,
     removes from 2 * integral when the loop stops at ``level`` (step
@@ -179,7 +181,8 @@ def _binet_drop_bound(T: int, k: int, level: int):
     cosh u_c <= 1 + sinh u_c = 1 + ln(1/d - 1) / pi < 1 + k ln 2 / pi, so
     h w(u_c) < h (pi + k ln 2) d.  The bound is evaluated at 64 bits and
     doubled, which covers its own roundings and the distance, under
-    2^-(wp+60), of each computed abscissa from x(u).
+    2^-(wp+60), of each computed abscissa from x(u).  It depends only on
+    its arguments, so it is computed once for each.
     """
     p = 64
     pi = libmp.mpf_pi(p, _RND)
@@ -206,10 +209,29 @@ def _binet_cutoff(bits: int) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=None)
+def _binet_tail_factors(bits: int):
+    """e^(-2 pi T) (T/(2 pi) + 1/(4 pi^2)) and 1.01, both at the working
+    precision: the tail bound of ``_binet_T`` is the first over z, times
+    the second."""
+    wp = bits + 64
+    t_raw = libmp.from_int(_binet_T(bits))
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
+    decay = libmp.mpf_exp(libmp.mpf_neg(libmp.mpf_mul(two_pi, t_raw, wp, _RND)), wp, _RND)
+    poly = libmp.mpf_add(
+        libmp.mpf_div(t_raw, two_pi, wp, _RND),
+        libmp.mpf_div(libmp.fone, libmp.mpf_mul(two_pi, two_pi, wp, _RND), wp, _RND),
+        wp, _RND)
+    return libmp.mpf_mul(decay, poly, wp, _RND), libmp.from_str("1.01", wp, _RND)
+
+
 def _binet_level_nodes(bits: int, level: int):
-    """(t, g) pairs with t = T x and g = w / (e^(2 pi t) - 1), cached by
-    (working precision, level); T and the cutoff depend only on the
-    precision.  Right nodes past the cutoff are never built."""
+    """(t, G, p) triples with t = T x, G = floor(g 2^F) for the weight
+    g = w / (e^(2 pi t) - 1) at the working precision wp and F = wp + 32,
+    and p = max(64, wp + mag g + _ATAN_GUARD) the precision of the node's
+    arctan (2^(mag g - 1) <= g < 2^(mag g)).  Cached by (working precision,
+    level); T and the cutoff depend only on the precision.  Right nodes
+    past the cutoff are never built."""
     wp = bits + 64
     key = (wp, level)
     got = _BINET_CACHE.get(key)
@@ -230,51 +252,79 @@ def _binet_level_nodes(bits: int, level: int):
             t = libmp.mpf_mul_int(x, T, wp, _RND)
             denom = raw_expm1(libmp.mpf_mul(two_pi, t, wp + 16, _RND), wp)
             g = libmp.mpf_div(w, denom, wp, _RND)
-            out.append((t, g))
+            mag = g[2] + g[3]
+            out.append((t, libmp.to_fixed(g, wp + 32), max(64, wp + mag + _ATAN_GUARD)))
         _BINET_CACHE[key] = out
         return out
 
 
 def _binet_integral(z_raw, bits: int):
-    """(2 * integral, quadrature diff, tail bound, omitted-node bound),
-    all raw at wp."""
+    """(2 * integral, quadrature diff, tail bound, omitted-node bound,
+    rounding bound), all raw.
+
+    Each node adds G A to one integer, with A = floor(a~ 2^F) for its
+    arctan a~ = atan(r~) at p bits, where r~ is t (1/z) rounded to p bits
+    and 1/z is taken once at F bits.  The level-L estimate of the integral
+    is T 2^-L sum G A 2^-2F, an exact dyadic rational, and so is the
+    difference between two levels.  It is rounded to wp once.
+
+    Rounding bound, per node.  Let a = arctan(t/z).  Then
+    r~ = (t/z)(1 + eta) with |eta| <= 2^-p + 2^-F + 2^-(p+F) < 1.01 2^-p,
+    since p <= F - 22 (below: g < 4, so mag g <= 2).  As
+    r / (1 + c^2 r^2) <= 1 / (2c), |arctan r~ - a| <= |eta| / (2 (1 - |eta|))
+    < 0.51 2^-p.  libmp's arctan works at p + 30 bits or more and rounds
+    once; taking it to within one ulp of arctan r~, it is off by at most
+    (pi/2) 2^(1-p) = pi 2^-p.  And 0 <= a~ - A 2^-F < 2^-F <= 2^-(p+22).
+    So |A 2^-F - a| < 3.7 2^-p.  With 0 <= g - G 2^-F < 2^-F and
+    0 <= a < pi/2,
+
+        |G A 2^-2F - g a| <= g |A 2^-F - a| + a |G 2^-F - g|
+                           < 3.7 2^(mag g - p) + 1.6 2^-F
+                           < 4 2^-(wp+8) = 2^-(wp+6) = eps,
+
+    as p >= wp + mag g + 8 (_ATAN_GUARD = 8).  Over the N nodes of levels
+    0..L, 2 * estimate is off by at most 2 T 2^-L N eps, and rounding it
+    to wp adds less than one ulp of 2 * integral at wp.
+
+    Why g < 4: g <= w / (2 pi T x) < cosh u / (2 T), since
+    w / x = pi cosh u e^2q / (e^2q + 1) on a left node x = d, and
+    w <= (pi/4) cosh u on a right node x >= 1/2.  A kept node has
+    w >= 2^-(wp+32), while w < pi c e^(pi (1 - c)) with c = cosh u (as
+    sinh u >= c - 1), which decreases in c >= 1; T >= (bits + 24) ln 2
+    / (2 pi) and bits >= 64 put that under 2^-(wp+32) at c = 8T, by a
+    factor of more than 2^100.  So cosh u < 8T, with room to spare for the
+    roundings of x, w, t and g.
+    """
     wp = bits + 64
+    fix = wp + 32
     T = _binet_T(bits)
+    inv_z = libmp.mpf_div(libmp.fone, z_raw, fix, _RND)
     target = libmp.from_man_exp(1, -(bits + 16))
-    total = libmp.fzero
-    prev = None
-    diff = None
+    acc = prev = nodes = 0
     for level in range(0, BINET_MAX_LEVEL + 1):
-        new = libmp.fzero
-        for t, g in _binet_level_nodes(bits, level):
-            a = libmp.mpf_atan(libmp.mpf_div(t, z_raw, wp, _RND), wp, _RND)
-            new = libmp.mpf_add(new, libmp.mpf_mul(g, a, wp, _RND), wp, _RND)
-        total = libmp.mpf_add(total, new, wp, _RND)
-        estimate = libmp.mpf_mul_int(libmp.mpf_shift(total, -level), T, wp, _RND)
-        if prev is not None and level >= BINET_MIN_LEVEL:
-            diff = libmp.mpf_abs(libmp.mpf_sub(estimate, prev, wp, _RND))
+        table = _binet_level_nodes(bits, level)
+        for t, G, p in table:
+            a = libmp.mpf_atan(libmp.mpf_mul(t, inv_z, p, _RND), p, _RND)
+            acc += G * libmp.to_fixed(a, fix)
+        nodes += len(table)
+        if level >= BINET_MIN_LEVEL:
+            diff = libmp.from_man_exp(T * abs(acc - 2 * prev), -(2 * fix + level))
             if libmp.mpf_le(diff, target):
-                prev = estimate
                 break
-        prev = estimate
+        prev = acc
     else:
         raise ConvergenceError(
             f"Binet quadrature missed its target at level {BINET_MAX_LEVEL} "
             f"(bits={bits})"
         )
+    integral = libmp.from_man_exp(T * acc, 1 - (2 * fix + level), wp, _RND)
+    rounding = libmp.from_man_exp(T * nodes, -(wp + 5 + level))
+    rounding = libmp.mpf_add(rounding, _ulp_raw(integral, wp, 1), wp, _RND)
     # closed-form tail bound (see _binet_T)
-    t_raw = libmp.from_int(T)
-    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
-    decay = libmp.mpf_exp(libmp.mpf_neg(libmp.mpf_mul(two_pi, t_raw, wp, _RND)), wp, _RND)
-    poly = libmp.mpf_add(
-        libmp.mpf_div(t_raw, two_pi, wp, _RND),
-        libmp.mpf_div(libmp.fone, libmp.mpf_mul(two_pi, two_pi, wp, _RND), wp, _RND),
-        wp, _RND)
-    tail = libmp.mpf_div(libmp.mpf_mul(decay, poly, wp, _RND), z_raw, wp, _RND)
-    tail = libmp.mpf_mul(tail, libmp.from_str("1.01", wp, _RND), wp, _RND)
+    scale, slack = _binet_tail_factors(bits)
+    tail = libmp.mpf_mul(libmp.mpf_div(scale, z_raw, wp, _RND), slack, wp, _RND)
     drop = _binet_drop_bound(T, _binet_cutoff(bits), level)
-    return (libmp.mpf_shift(prev, 1), libmp.mpf_shift(diff, 1),
-            libmp.mpf_shift(tail, 1), drop)
+    return integral, libmp.mpf_shift(diff, 1), libmp.mpf_shift(tail, 1), drop, rounding
 
 
 def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
@@ -288,6 +338,9 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
       - the difference between the last two quadrature levels,
       - the analytic tail past T (see ``_binet_T``),
       - the right-end nodes left out (see ``_binet_drop_bound``),
+      - the rounding of the quadrature sum: 2 T h N 2^-(wp+6) for N nodes
+        summed at step h, plus one ulp of the integral at the working
+        precision (see ``_binet_integral``),
       - one ulp at the working precision for ln z, when z was shifted,
       - 8 ulp of the result for the remaining roundings.
     """
@@ -296,10 +349,11 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     _require_positive(z_raw)
     shifted = libmp.mpf_lt(z_raw, _ONE_EIGHTH)
     zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
-    integral, qdiff, tail, drop = _binet_integral(zq, ctx.bits)
+    integral, qdiff, tail, drop, rounding = _binet_integral(zq, ctx.bits)
     val = libmp.mpf_add(_oracle_main_term(zq, wp), integral, wp, _RND)
     bound = libmp.mpf_add(qdiff, tail, wp, _RND)
     bound = libmp.mpf_add(bound, drop, wp, _RND)
+    bound = libmp.mpf_add(bound, rounding, wp, _RND)
     if shifted:
         lnz = libmp.mpf_log(z_raw, wp, _RND)
         val = libmp.mpf_sub(val, lnz, wp, _RND)

@@ -9,7 +9,7 @@ from mpmath import libmp
 import stirling.oracle
 import stirling.quadrature
 from stirling.errors import ConvergenceError
-from stirling.mpcore import PrecisionCtx
+from stirling.mpcore import PrecisionCtx, raw_expm1, to_raw
 from stirling.oracle import lngamma_binet2
 from stirling.quadrature import ts_nodes
 
@@ -101,6 +101,48 @@ def test_small_z_reuses_the_unit_tables(monkeypatch):
     lngamma_binet2(Fraction(1, 1000), ctx)
     assert set(stirling.oracle._BINET_CACHE) == keys
     assert 0 < len(calls) - at_one <= at_one
+
+
+def test_binet_loop_divides_once_per_evaluation(monkeypatch):
+    # 1/z is taken once; each node multiplies by it
+    ctx = PrecisionCtx(256)
+    lngamma_binet2(3, ctx)
+    counts = count_calls(monkeypatch, "mpf_div", "mpf_atan")
+    lngamma_binet2(Fraction(22, 7), ctx)
+    assert counts["mpf_atan"][0] > 1000
+    assert counts["mpf_div"][0] <= 2
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("z", [Fraction(1, 8), Fraction(1), Fraction(10**6)])
+def test_tapered_sum_within_its_rounding_bound(monkeypatch, z, bits):
+    # the same (t, g) nodes summed with mpmath at wp + 64, each arctan at
+    # full precision: the integer sum of tapered arctans may differ from
+    # that by no more than the rounding part of the bound
+    wp = bits + 64
+    monkeypatch.setattr(stirling.oracle, "_BINET_CACHE", {})
+    z_raw = to_raw(z, wp)
+    integral, _, _, _, rounding = stirling.oracle._binet_integral(z_raw, bits)
+    top = max(level for _, level in stirling.oracle._BINET_CACHE)
+    T, k = stirling.oracle._binet_T(bits), stirling.oracle._binet_cutoff(bits)
+    x_c = libmp.from_man_exp((1 << k) - 1, -k)
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp + 16, libmp.round_nearest), 1)
+    total = 0
+    with mpmath.workprec(wp + 64):
+        for level in range(top + 1):
+            table = iter(stirling.oracle._binet_level_nodes(bits, level))
+            for x, w in ts_nodes(wp, level):
+                if libmp.mpf_gt(x, x_c):
+                    continue
+                t = libmp.mpf_mul_int(x, T, wp, libmp.round_nearest)
+                g = libmp.mpf_div(w, raw_expm1(libmp.mpf_mul(
+                    two_pi, t, wp + 16, libmp.round_nearest), wp), wp, libmp.round_nearest)
+                assert next(table)[:2] == (t, libmp.to_fixed(g, wp + 32))
+                total += mpmath.mpf(g) * mpmath.atan(mpmath.mpf(t) / mpmath.mpf(z_raw))
+            assert next(table, None) is None
+        reference = 2 * T * total / 2**top
+        assert abs(mpmath.mpf(integral) - reference) <= mpmath.mpf(rounding)
+    assert libmp.mpf_le(rounding, libmp.from_man_exp(1, -(bits + 40)))
 
 
 @pytest.mark.parametrize("bits", [64, 128])
