@@ -296,19 +296,20 @@ def _binet_integral(z_raw, bits: int):
     roundings of x, w, t and g.
     """
     wp = bits + 64
-    fix = wp + 32
+    F = wp + 32
     T = _binet_T(bits)
-    inv_z = libmp.mpf_div(libmp.fone, z_raw, fix, _RND)
+    inv_z = libmp.mpf_div(libmp.fone, z_raw, F, _RND)
     target = libmp.from_man_exp(1, -(bits + 16))
     acc = prev = nodes = 0
     for level in range(0, BINET_MAX_LEVEL + 1):
         table = _binet_level_nodes(bits, level)
         for t, G, p in table:
             a = libmp.mpf_atan(libmp.mpf_mul(t, inv_z, p, _RND), p, _RND)
-            acc += G * libmp.to_fixed(a, fix)
+            acc += G * libmp.to_fixed(a, F)
         nodes += len(table)
         if level >= BINET_MIN_LEVEL:
-            diff = libmp.from_man_exp(T * abs(acc - 2 * prev), -(2 * fix + level))
+            # estimates T acc 2^-(2F+level) and T prev 2^-(2F+level-1), exactly
+            diff = libmp.from_man_exp(T * abs(acc - 2 * prev), -(2 * F + level))
             if libmp.mpf_le(diff, target):
                 break
         prev = acc
@@ -317,7 +318,8 @@ def _binet_integral(z_raw, bits: int):
             f"Binet quadrature missed its target at level {BINET_MAX_LEVEL} "
             f"(bits={bits})"
         )
-    integral = libmp.from_man_exp(T * acc, 1 - (2 * fix + level), wp, _RND)
+    integral = libmp.from_man_exp(T * acc, 1 - (2 * F + level), wp, _RND)
+    # 2 T 2^-level nodes 2^-(wp+6), plus the rounding of the integral to wp
     rounding = libmp.from_man_exp(T * nodes, -(wp + 5 + level))
     rounding = libmp.mpf_add(rounding, _ulp_raw(integral, wp, 1), wp, _RND)
     # closed-form tail bound (see _binet_T)

@@ -71,7 +71,7 @@ def ts_nodes(wp: int, level: int) -> list:
         out = []
         if level == 0:
             out.append((libmp.fhalf, libmp.mpf_shift(libmp.mpf_pi(np, _RND), -2)))
-        # a = (pi/4) e^u and b = (pi/4) e^-u at u = h, 2h (or 3h), ...
+        # a = (pi/4) e^u and b = (pi/4) e^-u, from u = h on in steps of `step`
         a = libmp.mpf_mul(quarter_pi, libmp.mpf_exp(h, cp, _RND), cp, _RND)
         b = libmp.mpf_mul(quarter_pi, libmp.mpf_exp(libmp.mpf_neg(h), cp, _RND), cp, _RND)
         up = libmp.mpf_exp(step, cp, _RND)
