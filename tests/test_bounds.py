@@ -282,21 +282,28 @@ def _row_fields(item):
             item.holds, hx(item.margin))
 
 
-# sha256 over repr(_row_fields(row)) + "\n" for every row of the five-family
-# sweep to n = 400; sharing one r_n across the families leaves every row as
-# it was when each family computed its own
+# bits -> (n_max, sha256 over repr(_row_fields(row)) + "\n" for every row of
+# the five-family sweep to n_max); sharing one r_n across the families leaves
+# every row as it was when each family computed its own.  The 128-bit sweep
+# covers the benchmark's range, n <= 5000.
 SWEEP_DIGESTS = {
-    64: "ceedeb29e11e7a2655bba2afefdc9ca4d5a19d6f902b8726abc81a54759ab48b",
-    256: "ee0f82cf9d7aa13ab99f8bf4b9f30d6169de272a95f92492eb00b4c353aecfb9",
+    64: (400, "ceedeb29e11e7a2655bba2afefdc9ca4d5a19d6f902b8726abc81a54759ab48b"),
+    128: (5000, "22b802bf70554eb0e8f1f24af95c13b417fde5e165a17e2ccd404105750c527e"),
+    256: (400, "ee0f82cf9d7aa13ab99f8bf4b9f30d6169de272a95f92492eb00b4c353aecfb9"),
 }
+
+
+def _sweep_digest(n_max, bits):
+    h = hashlib.sha256()
+    for item in bound_sweep(list(FAMILY_MIN_N), n_max, PrecisionCtx(bits)):
+        h.update(repr(_row_fields(item)).encode() + b"\n")
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("bits", sorted(SWEEP_DIGESTS))
 def test_bound_sweep_rows_pinned(bits):
-    h = hashlib.sha256()
-    for item in bound_sweep(list(FAMILY_MIN_N), 400, PrecisionCtx(bits)):
-        h.update(repr(_row_fields(item)).encode() + b"\n")
-    assert h.hexdigest() == SWEEP_DIGESTS[bits]
+    n_max, digest = SWEEP_DIGESTS[bits]
+    assert _sweep_digest(n_max, bits) == digest
 
 
 # first n at which floor(log2((n + 2)(ln(n + 2) + 1))) reaches each magnitude

@@ -259,3 +259,92 @@ def test_mermin_within_one_ulp_of_mpmath(bits, n, K):
     ulp = Fraction(2) ** (exp + bc - bits)
     ref_man, ref_exp = ref.man_exp
     assert abs(got - ref_man * Fraction(2) ** ref_exp) <= ulp
+
+
+# -- pinned Feller and Marsaglia values -----------------------------------------
+#
+# Hex of feller_constant(K) as the closed-form sum of a_k - b_k produced it;
+# any faster summation must reproduce every value exactly.
+
+FELLER_PINS = {
+    (64, 1): "0x1.c89a50e704dc70ap-1",
+    (64, 2): "0x1.ce0a0a4c808c4244p-1",
+    (64, 3): "0x1.d06dfad5f9266506p-1",
+    (64, 10): "0x1.d47742445889214ap-1",
+    (64, 100): "0x1.d648c5261d54b67p-1",
+    (64, 1000): "0x1.d679a71f3e5d32a4p-1",
+    (64, 2000): "0x1.d67c61a60e7ac51p-1",
+    (64, 10000): "0x1.d67e90b8b1221cf6p-1",
+    (64, 20000): "0x1.d67ed69f0c0013e4p-1",
+    (128, 1): "0x1.c89a50e704dc709f715e72c8fc266decp-1",
+    (128, 2): "0x1.ce0a0a4c808c424327e3afb9f6e6c506p-1",
+    (128, 3): "0x1.d06dfad5f9266506a3244b58233e83a8p-1",
+    (128, 10): "0x1.d47742445889214909742a9f976b74b4p-1",
+    (128, 100): "0x1.d648c5261d54b66f5c6c092bee0a6f38p-1",
+    (128, 1000): "0x1.d679a71f3e5d32a4f3697a0f01f4424ap-1",
+    (128, 2000): "0x1.d67c61a60e7ac50fe4e58f35d6aa8732p-1",
+    (128, 10000): "0x1.d67e90b8b1221cf68bee3ea97234d90cp-1",
+    (128, 20000): "0x1.d67ed69f0c0013e4a1b64b2416478982p-1",
+    (256, 1):
+        "0x1.c89a50e704dc709f715e72c8fc266dec889d00e6302878b7e55f7953af254ddep-1",
+    (256, 2):
+        "0x1.ce0a0a4c808c424327e3afb9f6e6c5055828a2484fd115002d22b62265402d1cp-1",
+    (256, 3):
+        "0x1.d06dfad5f9266506a3244b58233e83a8af3d3d4f50d9c39f90e0a4de66d5e70cp-1",
+    (256, 10):
+        "0x1.d47742445889214909742a9f976b74b33954c1123f8f17f8f5d63cf77704f45cp-1",
+    (256, 100):
+        "0x1.d648c5261d54b66f5c6c092bee0a6f38c62eb2007fa7eb44ebf827249f51e0dap-1",
+    (256, 1000):
+        "0x1.d679a71f3e5d32a4f3697a0f01f442493f433679d229411523d7ff93bfd8d538p-1",
+    (256, 2000):
+        "0x1.d67c61a60e7ac50fe4e58f35d6aa8731cfcb1f729b283125eca6e3ab9adb32c4p-1",
+    (256, 10000):
+        "0x1.d67e90b8b1221cf68bee3ea97234d90babe82c7cb7558fa257f8f2a0c56dbb28p-1",
+    (256, 20000):
+        "0x1.d67ed69f0c0013e4a1b64b2416478982bd06154642e3aacfbd1589d741c86a3ap-1",
+    (512, 1):
+        "0x1.c89a50e704dc709f715e72c8fc266dec889d00e6302878b7e55f7953af254dd"
+        "db762d9eb236f3cd80f6a1358d61ea4b2a077cb8be7b12de7085e26a803ced542p-1",
+    (512, 2):
+        "0x1.ce0a0a4c808c424327e3afb9f6e6c5055828a2484fd115002d22b62265402d1"
+        "b20f950ab45eacfe40a2ff8c40c4c38a7a685589ff9b3d61630e15b9c970ed8fep-1",
+    (512, 3):
+        "0x1.d06dfad5f9266506a3244b58233e83a8af3d3d4f50d9c39f90e0a4de66d5e70"
+        "cc980bf164484f737a7abe9e5799cd25f3298a6e76be30c43adf0a53caae5d598p-1",
+    (512, 10):
+        "0x1.d47742445889214909742a9f976b74b33954c1123f8f17f8f5d63cf77704f45"
+        "b004974ae97390790ea61e978996c43955066a166543d8ec089d8ef0efc38012ep-1",
+    (512, 100):
+        "0x1.d648c5261d54b66f5c6c092bee0a6f38c62eb2007fa7eb44ebf827249f51e0d"
+        "99beda2d82da4966c44185fa3eb4768f03acbd35740ac5fad26bdb1af92397ccep-1",
+    (512, 1000):
+        "0x1.d679a71f3e5d32a4f3697a0f01f442493f433679d229411523d7ff93bfd8d53"
+        "82e4fea70ba24f226b753258c8c4de47b87fb0b59828c2893ef61dad124d8ff64p-1",
+    (512, 2000):
+        "0x1.d67c61a60e7ac50fe4e58f35d6aa8731cfcb1f729b283125eca6e3ab9adb32c"
+        "3cc60b11a21483ff94dac037252e92db1ede18f1c21e8f91d7fd007f74b98f486p-1",
+    (512, 10000):
+        "0x1.d67e90b8b1221cf68bee3ea97234d90babe82c7cb7558fa257f8f2a0c56dbb2"
+        "8864c87f6b782d63b6c9afa962ad371821af6a9cb7925c333e23e715ebffd677cp-1",
+    (512, 20000):
+        "0x1.d67ed69f0c0013e4a1b64b2416478982bd06154642e3aacfbd1589d741c86a3"
+        "9493bf86546835e05172dec3d0f39470f669325d08a05cb695ccece9cd25fc43cp-1",
+}
+
+
+@pytest.mark.parametrize("bits,K", sorted(FELLER_PINS))
+def test_feller_constant_hex_pinned(bits, K):
+    assert feller_constant(K, PrecisionCtx(bits)).to_hex() == FELLER_PINS[bits, K]
+
+
+# sha256 over the lines "str(b_k)\n" of marsaglia_coeffs(200).coeffs, as the
+# Newton reversion produced them
+MARSAGLIA_200_DIGEST = "b1c0dfe6a94564906df3440a5094113507bfce6bf1cb7aef7e1f5bb822eae6e4"
+
+
+def test_marsaglia_coeffs_to_cap_pinned():
+    h = hashlib.sha256()
+    for c in marsaglia_coeffs(200).coeffs:
+        h.update(f"{c}\n".encode())
+    assert h.hexdigest() == MARSAGLIA_200_DIGEST
