@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from mpmath import libmp
@@ -37,7 +36,8 @@ from .errors import DomainError, InconclusiveError, ResourceError, ValidityError
 from .mpcore import _RND, BigFloat, PrecisionCtx, raw_expm1, to_raw
 from .oracle import (FACTORIAL_CAP, _ln_factorial_raw, ln_factorial_range,
                      lngamma_binet2)
-from .series import _half_ln_2pi_raw, _main_term_raw, _remainder_raw
+from .series import (_half_ln_2pi_raw, _main_term_raw, _remainder_raw,
+                     _remainder_sums_raw, _term_coefficients_raw)
 
 __all__ = [
     "FAMILY_MIN_N",
@@ -136,53 +136,64 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     )
 
 
-def _rational_raw(q: Fraction, wp: int):
-    return libmp.from_rational(q.numerator, q.denominator, wp, _RND)
+@dataclass(frozen=True)
+class _RowConstants:
+    """Values at wp bits that every row of a sweep shares."""
+
+    wp: int
+    half_l2p: tuple        # (1/2) ln(2 pi)
+    eleven_twelfths: tuple
+    remainder_coeffs: list  # B_2/2 and B_4/12, the terms of R_1 and R_2
 
 
-def _evaluate_family(family: str, n: int, r, half_l2p, wp: int,
-                     ctx: PrecisionCtx) -> BoundReport:
-    """Verdict for one family at n, given r = r_n and (1/2) ln(2 pi) at
-    wp bits."""
+def _row_constants(wp: int) -> _RowConstants:
+    return _RowConstants(wp, _half_ln_2pi_raw(wp),
+                         libmp.from_rational(11, 12, wp, _RND),
+                         _term_coefficients_raw(2, wp))
+
+
+def _evaluate_family(family: str, n: int, r, consts: _RowConstants,
+                     threshold, ctx: PrecisionCtx) -> BoundReport:
+    """Verdict for one family at n, given r = r_n at wp bits and the
+    envelope _scale_threshold(n, wp)."""
+    wp = consts.wp
     lhs_raw = rhs_raw = None
     if family == "robbins":
-        lhs_raw = _rational_raw(Fraction(1, 12 * n + 1), wp)
-        rhs_raw = _rational_raw(Fraction(1, 12 * n), wp)
+        lhs_raw = libmp.from_rational(1, 12 * n + 1, wp, _RND)
+        rhs_raw = libmp.from_rational(1, 12 * n, wp, _RND)
         mid_raw = r
     elif family == "maria":
         # [12n + 3/(2(2n+1))]^(-1) = (4n+2) / (48 n^2 + 24 n + 3)
-        lhs_raw = _rational_raw(Fraction(4 * n + 2, 48 * n * n + 24 * n + 3), wp)
+        lhs_raw = libmp.from_rational(4 * n + 2, 48 * n * n + 24 * n + 3, wp, _RND)
         mid_raw = r
     elif family == "hummel":
-        lhs_raw = _rational_raw(Fraction(11, 12), wp)
+        lhs_raw = consts.eleven_twelfths
         rhs_raw = libmp.fone
-        mid_raw = libmp.mpf_add(r, half_l2p, wp, _RND)
+        mid_raw = libmp.mpf_add(r, consts.half_l2p, wp, _RND)
     elif family == "nanjundiah":
-        n_raw = libmp.from_int(n)
-        lhs_raw = _remainder_raw(n_raw, 2, wp)
-        rhs_raw = _remainder_raw(n_raw, 1, wp)
+        # R_1(n) is the first running sum of R_2(n)
+        rhs_raw, lhs_raw = _remainder_sums_raw(libmp.from_int(n),
+                                               consts.remainder_coeffs, wp)
         mid_raw = r
     elif family == "michel":
         e_r = libmp.mpf_exp(r, wp, _RND)
         probe = libmp.mpf_sub(e_r, libmp.fone, wp, _RND)
-        probe = libmp.mpf_sub(probe, _rational_raw(Fraction(1, 12 * n), wp), wp, _RND)
-        probe = libmp.mpf_sub(probe, _rational_raw(Fraction(1, 288 * n * n), wp), wp, _RND)
+        probe = libmp.mpf_sub(probe, libmp.from_rational(1, 12 * n, wp, _RND), wp, _RND)
+        probe = libmp.mpf_sub(probe, libmp.from_rational(1, 288 * n * n, wp, _RND),
+                              wp, _RND)
         mid_raw = libmp.mpf_abs(probe)
-        rhs_raw = _rational_raw(
-            Fraction(1, 360 * n**3) + Fraction(1, 108 * n**4), wp)
+        # 1/(360 n^3) + 1/(108 n^4)
+        rhs_raw = libmp.from_rational(3 * n + 10, 1080 * n**4, wp, _RND)
     else:
         raise DomainError(f"unknown family {family!r}")
 
-    margins = []
+    margin = None
     if lhs_raw is not None:
-        margins.append(libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND))
+        margin = libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND)
     if rhs_raw is not None:
-        margins.append(libmp.mpf_sub(rhs_raw, mid_raw, wp, _RND))
-    margin = margins[0]
-    for m in margins[1:]:
-        if libmp.mpf_lt(m, margin):
-            margin = m
-    threshold = _scale_threshold(n, wp)
+        upper = libmp.mpf_sub(rhs_raw, mid_raw, wp, _RND)
+        if margin is None or libmp.mpf_lt(upper, margin):
+            margin = upper
     if libmp.mpf_le(libmp.mpf_abs(margin), threshold):
         raise InconclusiveError(
             f"{family} at n={n}: margin within the arithmetic envelope at "
@@ -214,18 +225,22 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
         )
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
-    wp = ctx.bits + GUARD
-    half_l2p = _half_ln_2pi_raw(wp)
-    r = _r_raw(n, _ln_factorial_raw(n, wp), half_l2p, wp)
-    return _evaluate_family(family, n, r, half_l2p, wp, ctx)
+    consts = _row_constants(ctx.bits + GUARD)
+    r = _r_raw(n, _ln_factorial_raw(n, consts.wp), consts.half_l2p, consts.wp)
+    return _evaluate_family(family, n, r, consts,
+                            _scale_threshold(n, consts.wp), ctx)
 
 
 def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
                 ) -> Iterator[BoundReport | InconclusiveError]:
     """All requested families over n = 1..n_max, sharing one running
-    exact-factorial pass, one (1/2) ln(2 pi) and one r_n per n.
-    Inconclusive rows are yielded as the error object instead of a report,
-    so sweeps keep going."""
+    exact-factorial pass, one r_n and one error envelope per n, and the
+    constants (1/2) ln(2 pi), 11/12 and the remainder coefficients per
+    sweep.  Every bound is one exact rational rounded once, so each row is
+    bit-identical to check_bound's.  Inconclusive rows are yielded as the
+    error object instead of a report, so sweeps keep going."""
+    if not families:
+        raise DomainError("bound_sweep needs at least one family")
     for family in families:
         if family not in FAMILY_MIN_N:
             raise DomainError(f"unknown family {family!r}")
@@ -233,15 +248,16 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
         raise ValidityError(
             f"n_max={n_max} is below the validity start of {families}"
         )
-    wp = ctx.bits + GUARD
-    half_l2p = _half_ln_2pi_raw(wp)
+    consts = _row_constants(ctx.bits + GUARD)
+    wp = consts.wp
     for n, lnfact in ln_factorial_range(n_max, wp):
-        r = _r_raw(n, lnfact, half_l2p, wp)
+        r = _r_raw(n, lnfact, consts.half_l2p, wp)
+        threshold = _scale_threshold(n, wp)
         for family in families:
             if n < FAMILY_MIN_N[family]:
                 continue
             try:
-                yield _evaluate_family(family, n, r, half_l2p, wp, ctx)
+                yield _evaluate_family(family, n, r, consts, threshold, ctx)
             except InconclusiveError as exc:
                 yield exc
 

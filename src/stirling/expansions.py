@@ -8,10 +8,13 @@ Four independent routes are implemented:
   midpoint step; the series sum_{k>=1}(a_k - b_k) - I(1/2) converges to
   (1/2) ln(2 pi) at rate O(1/K).  The integrals collapse to closed forms
   through the antiderivative t ln t - t, so the identity check is exact up
-  to roundoff.
+  to roundoff.  The constant itself sums a_k - b_k as the positive series
+  sum_{j>=1} 1/(2j (2j+1) (2k)^(2j)) in integer fixed point, where nothing
+  cancels, and rounds once.
 
 * The Marsaglia-Marsaglia series: reversion of w - ln(1+w) = z^2/2 gives
-  G(z) = 1 + sum b_k z^k with exact rational b_k, and
+  G(z) = 1 + sum b_k z^k with exact rational b_k, one at a time from the
+  recurrence that w w' = z (1 + w) imposes on them, and
 
       n! ~ n^(n+1) e^(-n) sum_k k b_k (2/n)^(k/2) Gamma(k/2),
 
@@ -33,7 +36,6 @@ Four independent routes are implemented:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,6 +148,8 @@ def feller_identity_residual(n: int, ctx: PrecisionCtx) -> BigFloat:
 def feller_residual_sweep(n_max: int, ctx: PrecisionCtx) -> list[BigFloat]:
     """Residuals for n = 1..n_max, sharing one pass over the a/b terms
     and one running exact factorial."""
+    if not isinstance(n_max, int) or n_max < 1:
+        raise DomainError("n_max must be an integer >= 1")
     wp = ctx.bits + GUARD
     i_half = _i_half_raw(wp)
     out = []
@@ -159,12 +163,54 @@ def feller_residual_sweep(n_max: int, ctx: PrecisionCtx) -> list[BigFloat]:
 
 
 def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
-    """Partial sum sum_{k=1..K} (a_k - b_k) - I(1/2) -> (1/2) ln(2 pi)."""
+    """Partial sum sum_{k=1..K} (a_k - b_k) - I(1/2) -> (1/2) ln(2 pi).
+
+    With x = 1/(2k) the closed forms collapse to
+        a_k - b_k = 1 - [(k + 1/2) ln(1 + x) - (k - 1/2) ln(1 - x)]
+                  = sum_{j>=1} x^(2j) / (2j (2j + 1)),
+    a series of positive terms with ratio 1/(4k^2), so nothing cancels.  It
+    is summed over k = 1..K as one integer s with W fractional bits: p
+    starts at floor(2^W / (4k^2)), each step adds floor(p / (2j (2j + 1)))
+    and sets p = floor(p / (4k^2)), until p is 0.
+
+    Bound, in units of 2^-W.  p_j falls short of P_j = 2^W / (4k^2)^j by
+    less than 1 + 1/4 + 1/16 + ... = 4/3, since each floor loses less than
+    one unit and a division by 4k^2 >= 4 shrinks the inherited deficit.  So
+    each added term is short by less than (4/3)/6 + 1 < 2 units.  The loop
+    stops at the first p_J = 0, where P_J < 4/3, and the dropped tail is at
+    most (4/3)(1/6)(4/3) < 1 unit.  A k that adds J - 1 terms makes
+    2(J - 1) + 1 floor divisions and loses less than that many units: the
+    sum lies in [s, s + D] 2^-W for D floor divisions in all.  p_j is 0
+    once 4^j > 2^W, so D <= K (W + 1) <= K (wp + 64) whenever
+    K (wp + 64) < 2^58.  The sum is at least a_1 - b_1 > 1/24 > 2^-5, so
+    W = wp + 5 + bitlen(K (wp + 64)) keeps its error below 2^-wp relative.
+    I(1/2) is then subtracted at wp, and the result rounded once to ctx.
+    """
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
     wp = ctx.bits + GUARD
-    return BigFloat.from_raw(
-        libmp.mpf_sub(_feller_sum_raw(K, wp), _i_half_raw(wp), wp, _RND), ctx)
+    s, W = _feller_fixed_sum(K, wp)
+    total = libmp.from_man_exp(s, -W)
+    return BigFloat.from_raw(libmp.mpf_sub(total, _i_half_raw(wp), wp, _RND), ctx)
+
+
+def _feller_fixed_sum(K: int, wp: int) -> tuple[int, int]:
+    """(s, W) with sum_{k=1..K} (a_k - b_k) in [s, s + K (wp + 64)] 2^-W,
+    as feller_constant's docstring proves."""
+    W = wp + 5 + (K * (wp + 64)).bit_length()
+    one = 1 << W
+    # 2j (2j + 1) for every j a k can reach: p_j is 0 once 4^j > 2^W
+    divisors = [2 * j * (2 * j + 1) for j in range(1, W // 2 + 2)]
+    s = 0
+    for k in range(1, K + 1):
+        q = 4 * k * k
+        p = one // q
+        for d in divisors:
+            if not p:
+                break
+            s += p // d
+            p //= q
+    return s, W
 
 
 # -- Marsaglia-Marsaglia ----------------------------------------------------
@@ -219,55 +265,47 @@ def _ps_log1p(W: list[Fraction], K: int) -> list[Fraction]:
     return out
 
 
-def _reversion_defect(W: list[Fraction], K: int) -> list[Fraction]:
-    """Coefficients of w - ln(1+w) - z^2/2 through order K."""
-    lg = _ps_log1p(W, K)
-    out = [Fraction(0)] * (K + 1)
-    for i in range(K + 1):
-        wi = W[i] if i < len(W) else Fraction(0)
-        out[i] = wi - lg[i]
-    if K >= 2:
-        out[2] -= Fraction(1, 2)
-    return out
-
-
 def marsaglia_coeffs(K: int) -> MarsagliaSeries:
-    """Exact b_0..b_K by Newton reversion of w - ln(1+w) = z^2/2,
-    on the branch with G'(0) = 1 (so w ~ +z)."""
+    """Exact b_0..b_K of G(z) = 1 + w(z), with w - ln(1+w) = z^2/2 on the
+    branch with G'(0) = 1 (so w ~ +z).
+
+    Differentiating gives w' - w'/(1+w) = z, that is w w' = z (1 + w).
+    With w = sum_{k>=1} c_k z^k and c_1 = 1, the coefficient of z^n for
+    n >= 2 reads sum_{i+j=n+1} j c_i c_j = c_{n-1}.  The two terms with
+    i = 1 or j = 1 give (n + 1) c_n, so
+
+        (n + 1) c_n = c_{n-1} - sum_{i=2..n-1} (n + 1 - i) c_i c_{n+1-i}.
+
+    Pairing i with n + 1 - i turns the weights into (n + 1)/2 each:
+    c_n = c_{n-1}/(n + 1) - S_n/2 with S_n = sum_{i=2..n-1} c_i c_{n+1-i},
+    of which only half the products need computing.
+    """
     if not isinstance(K, int) or K < 0:
         raise DomainError("K must be an integer >= 0")
     if K > MARSAGLIA_CAP:
         raise ResourceError(f"K={K} exceeds the series cap {MARSAGLIA_CAP}")
-    if K == 0:
-        return MarsagliaSeries(coeffs=(Fraction(1),))
-    # correcting w through z^K needs the defect through z^(K+1), so the
-    # working truncation carries one guard order beyond that
-    order = K + 2
-    w = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
-    steps = max(1, math.ceil(math.log2(order + 1)) + 2)
-    for _ in range(steps):
-        defect = _reversion_defect(w, order)
-        if not any(defect[:K + 2]):
-            break
-        # Newton: w <- w - defect * (1+w)/w ; w = z * unit
-        unit = [w[1 + i] if 1 + i < len(w) else Fraction(0) for i in range(order)]
-        shifted = defect[1:] + [Fraction(0)]
-        corr_low = _ps_mul(shifted, _ps_recip_unit(unit, order - 1), order - 1)
-        one_plus = [Fraction(1)] + w[1:order + 1]
-        corr = _ps_mul(corr_low, one_plus, order)
-        for i in range(min(len(corr), order + 1)):
-            w[i] -= corr[i]
-        w[0] = Fraction(0)
-    coeffs = [Fraction(1)] + [w[i] for i in range(1, K + 1)]
-    return MarsagliaSeries(coeffs=tuple(coeffs))
+    c = [Fraction(1), Fraction(1)]  # b_0 = 1, then c_1 = 1
+    for n in range(2, K + 1):
+        # S_n / 2: the products with i < n + 1 - i, plus half the middle one
+        half_s = sum((c[i] * c[n + 1 - i] for i in range(2, (n + 2) // 2)),
+                     Fraction(0))
+        if n % 2:
+            half_s += c[(n + 1) // 2] ** 2 / 2
+        c.append(c[n - 1] / (n + 1) - half_s)
+    return MarsagliaSeries(coeffs=tuple(c[:K + 1]))
 
 
 def reversion_residual(series: MarsagliaSeries) -> list[Fraction]:
     """Exact coefficients of w - ln(1+w) - z^2/2 through order K+1;
-    all must vanish for a correct reversion."""
-    K = series.order
-    w = [Fraction(0)] + list(series.coeffs[1:])
-    return _reversion_defect(w, K + 1)
+    all must vanish for a correct reversion.  The logarithm is taken as a
+    power series of its own, independent of the recurrence that built the
+    coefficients."""
+    K = series.order + 1
+    w = [Fraction(0)] + list(series.coeffs[1:]) + [Fraction(0)]
+    out = [wi - li for wi, li in zip(w, _ps_log1p(w, K))]
+    if K >= 2:
+        out[2] -= Fraction(1, 2)
+    return out
 
 
 def marsaglia_factorial(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:

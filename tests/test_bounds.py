@@ -273,6 +273,11 @@ def test_domain_guards():
         impens_sandwich(-1, 0, 0, CTX)
 
 
+def test_bound_sweep_without_families_is_typed():
+    with pytest.raises(DomainError):
+        list(bound_sweep([], 10, CTX))
+
+
 def _row_fields(item):
     def hx(v):
         return None if v is None else v.to_hex()

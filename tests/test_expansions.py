@@ -7,11 +7,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import stirling.expansions
 from stirling.bounds import sequence_point
 from stirling.errors import DomainError, ResourceError
 from stirling.expansions import (feller_constant, feller_identity_residual,
                                  feller_residual_sweep, feller_term,
-                                 marsaglia_coeffs, marsaglia_factorial,
+                                 MarsagliaSeries, marsaglia_coeffs,
+                                 marsaglia_factorial,
                                  mermin_partial_product, namias_residual,
                                  reversion_residual)
 from stirling.mpcore import PrecisionCtx, elementary
@@ -81,6 +83,49 @@ def test_feller_constant_converges_and_halves():
     g2 = abs(feller_constant(2 * 10**4, CTX) - HALF_LN_2PI)
     ratio = g2 / g1
     assert Fraction(2, 5) <= ratio <= Fraction(3, 5)
+
+
+def test_feller_residual_sweep_rejects_empty_range():
+    for n_max in (0, -3):
+        with pytest.raises(DomainError):
+            feller_residual_sweep(n_max, CTX)
+
+
+def test_feller_constant_takes_no_log_per_term(count_calls):
+    # the terms are summed in integers; only I(1/2) takes a logarithm
+    logs = count_calls("mpf_log")["mpf_log"]
+    feller_constant(10**4, CTX)
+    assert logs[0] <= 2
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("K", [1, 7, 1000])
+def test_feller_fixed_sum_within_its_bound(K, bits):
+    # sum_{k<=K} (a_k - b_k) = ln K! + (1/2) ln(1/2) - (K + 1/2) ln(K + 1/2) + K;
+    # the integer sum s 2^-W never exceeds it and falls short by at most
+    # K (wp + 64) units of 2^-W, which is below 2^-(wp+5).  The closed form
+    # cancels about 13 bits at K = 1000, so mpmath works 64 bits past W.
+    wp = bits + stirling.expansions.GUARD
+    s, W = stirling.expansions._feller_fixed_sum(K, wp)
+    assert K * (wp + 64) < 2 ** (W - wp - 5)
+    with mpmath.workprec(W + 64):
+        half = mpmath.mpf(1) / 2
+        exact = (mpmath.log(mpmath.factorial(K)) + half * mpmath.log(half)
+                 - (K + half) * mpmath.log(K + half) + K)
+        short = (exact - mpmath.ldexp(s, -W)) * mpmath.ldexp(1, W)
+    assert -mpmath.ldexp(1, -32) <= short <= K * (wp + 64)
+
+
+def test_marsaglia_recurrence_passes_the_power_series_check():
+    # the coefficients come from the recurrence that w w' = z (1 + w) gives;
+    # reversion_residual expands ln(1 + w) as a power series of its own
+    series = marsaglia_coeffs(120)
+    defect = reversion_residual(series)
+    assert len(defect) == 122
+    assert not any(defect)
+    coeffs = list(series.coeffs)
+    coeffs[60] += Fraction(1, 10**9)
+    assert any(reversion_residual(MarsagliaSeries(tuple(coeffs))))
 
 
 def test_marsaglia_low_coefficients_exact():

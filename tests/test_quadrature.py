@@ -57,26 +57,12 @@ def test_nodes_match_mpmath(wp):
                 assert abs(mpmath.mpf(w_raw) / w - 1) <= mpmath.ldexp(1, -(wp + 50)), (level, u)
 
 
-def count_calls(monkeypatch, *names):
-    """Count calls to the named libmp primitives; returns name -> [count]."""
-    counts = {}
-    for name in names:
-        real, tally = getattr(libmp, name), counts.setdefault(name, [0])
-
-        def counting(*args, real=real, tally=tally):
-            tally[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(libmp, name, counting)
-    return counts
-
-
 @pytest.mark.parametrize("level", [0, 5])
-def test_cold_nodes_take_one_exponential_per_pair(monkeypatch, level):
+def test_cold_nodes_take_one_exponential_per_pair(monkeypatch, count_calls, level):
     # a and b = (pi/4) e^+-u step by one product each; per pair only
     # e^2q = exp(2 (a - b)) and d = 1 / (e^2q + 1) remain
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
-    counts = count_calls(monkeypatch, "mpf_exp", "mpf_div", "mpf_cosh_sinh")
+    counts = count_calls("mpf_exp", "mpf_div", "mpf_cosh_sinh")
     pairs = len(ts_nodes(WP, level)) // 2
     assert pairs >= 4
     assert counts["mpf_exp"][0] <= pairs + 5
@@ -84,12 +70,12 @@ def test_cold_nodes_take_one_exponential_per_pair(monkeypatch, level):
     assert counts["mpf_cosh_sinh"][0] == 0
 
 
-def test_small_z_reuses_the_unit_tables(monkeypatch):
+def test_small_z_reuses_the_unit_tables(count_calls):
     # z = 1/1000 is shifted to 1.001: no new node table, no extra level
     ctx = PrecisionCtx(256)
     lngamma_binet2(1, ctx)
     keys = set(stirling.oracle._BINET_CACHE)
-    atan = count_calls(monkeypatch, "mpf_atan")["mpf_atan"]
+    atan = count_calls("mpf_atan")["mpf_atan"]
     lngamma_binet2(1, ctx)
     at_one = atan[0]
     lngamma_binet2(Fraction(1, 1000), ctx)
@@ -97,11 +83,11 @@ def test_small_z_reuses_the_unit_tables(monkeypatch):
     assert 0 < atan[0] - at_one <= at_one
 
 
-def test_binet_loop_divides_once_per_evaluation(monkeypatch):
+def test_binet_loop_divides_once_per_evaluation(count_calls):
     # 1/z is taken once; each node multiplies by it
     ctx = PrecisionCtx(256)
     lngamma_binet2(3, ctx)
-    counts = count_calls(monkeypatch, "mpf_div", "mpf_atan")
+    counts = count_calls("mpf_div", "mpf_atan")
     lngamma_binet2(Fraction(22, 7), ctx)
     assert counts["mpf_atan"][0] > 1000
     assert counts["mpf_div"][0] <= 2
