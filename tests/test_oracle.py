@@ -161,6 +161,18 @@ def test_binet2_small_z_within_bound(z, bits):
     assert_binet2_within_bound(z, bits)
 
 
+# both sides of the shift threshold z = 1 (and of the former 1/8), at
+# 768 bits too, the precision of the oracle benchmark
+SHIFT_EDGE = [Fraction(1, 8), Fraction(1, 2), 1 - Fraction(1, 2**60),
+              Fraction(1), 1 + Fraction(1, 2**60), Fraction(2)]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 768])
+@pytest.mark.parametrize("z", SHIFT_EDGE, ids=str)
+def test_binet2_within_bound_around_the_shift(z, bits):
+    assert_binet2_within_bound(z, bits)
+
+
 def test_binet2_shift_is_consistent_at_small_z():
     # ln Gamma(z + 1) - ln Gamma(z) - ln z = 0 within both bounds
     z = Fraction(1, 1000)
