@@ -5,11 +5,12 @@ module: the integral representation
 
     ln Gamma(z) = P(z) + 2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt
 
-(Binet's second formula) is evaluated by doubling-node tanh-sinh
-quadrature on [0, T], with closed-form bounds for the tail past T and for
-the right-end nodes it never builds; z < 1/8 is taken through
-ln Gamma(z) = ln Gamma(z + 1) - ln z, so every precision has one node
-table per level whatever z is.  The limit definition
+(Binet's second formula) is evaluated by nested tanh-sinh quadrature on
+[0, T]; z < 1 is taken through ln Gamma(z) = ln Gamma(z + 1) - ln z, so
+the quadrature only sees z >= 1.  One proven bound on the trapezoidal
+discretisation error, uniform in z >= 1, picks the quadrature level once
+per precision, and closed-form bounds cover the tail past T and the nodes
+at either end that are never built.  The limit definition
 
     Gamma(z) = lim n! n^z / (z (z+1) ... (z+n))
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import libmp
@@ -65,6 +66,8 @@ class OracleValue:
     value: BigFloat
     method: str  # exact_factorial | binet2 | euler_limit | weierstrass
     error_bound: BigFloat
+    # binet2 only: how the value and its bound came out (see lngamma_binet2)
+    diagnostics: dict | None = field(default=None, compare=False)
 
 
 # -- Euler's constant ---------------------------------------------------
@@ -139,8 +142,8 @@ def ln_factorial_range(n_max: int, wp: int):
 
 _BINET_CACHE: dict = {}
 _BINET_LOCK = threading.Lock()
-_ONE_EIGHTH = libmp.from_man_exp(1, -3)
 _ATAN_GUARD = 8  # bits of each node's arctan beyond what its weight needs
+_UP = libmp.round_ceiling  # the parts of an error bound are summed upwards
 
 
 def _binet_T(bits: int) -> int:
@@ -148,9 +151,11 @@ def _binet_T(bits: int) -> int:
 
     Tail of the integrand past T is below
         (1/z) e^(-2 pi T) (T/(2 pi) + 1/(4 pi^2)) / (1 - e^(-2 pi T)),
-    using arctan(x) <= x.  The quadrature only sees z >= 1/8 (smaller z are
-    shifted to z + 1 by ``lngamma_binet2``), so choose the smallest integer
-    T pushing that under 2^-(bits+24) at z = 1/8.
+    using arctan(x) <= x.  Choose the smallest integer T pushing that under
+    2^-(bits+24) at z = 1/8.  The quadrature only sees z >= 1 (smaller z
+    are shifted to z + 1 by ``lngamma_binet2``); 1/8, the former shift
+    threshold, is kept because it is conservative and leaves T, and with it
+    every node table, as it was.
     """
     t = 4.0
     for _ in range(6):
@@ -200,7 +205,8 @@ def _binet_drop_bound(T: int, k: int, level: int):
 @functools.lru_cache(maxsize=None)
 def _binet_cutoff(bits: int) -> int:
     """Smallest k for which the right nodes x > 1 - 2^-k can be omitted at
-    a cost under 2^-(bits+40), at the coarsest step the loop stops on."""
+    a cost under 2^-(bits+40), at the coarsest step the quadrature may stop
+    on."""
     T = _binet_T(bits)
     target = libmp.from_man_exp(1, -(bits + 40))
     k = 1
@@ -223,6 +229,126 @@ def _binet_tail_factors(bits: int):
         libmp.mpf_div(libmp.fone, libmp.mpf_mul(two_pi, two_pi, wp, _RND), wp, _RND),
         wp, _RND)
     return libmp.mpf_mul(decay, poly, wp, _RND), libmp.from_str("1.01", wp, _RND)
+
+
+@functools.lru_cache(maxsize=None)
+def _binet_strip(bits: int):
+    """Half-width a = j/64 of the strip |Im u| < a on which
+    ``_binet_discretisation_bound`` bounds the integrand: the largest
+    j <= 32 with e^(pi X1) >= 2T + 2, where
+
+        X1 = cos a (1 / (4 sin^2 a) - 1)^(1/2).
+
+    The test runs at 64 bits; its few roundings are far below its margin
+    of 1/(2T + 1), so e^(pi X1) >= 2T + 1 holds exactly.  j = 32 gives
+    a = 1/2 < pi/6, and j = 1 serves any T below e^100.
+    """
+    p = 64
+    need = libmp.from_int(2 * _binet_T(bits) + 2)
+    pi = libmp.mpf_pi(p, _RND)
+    for j in range(32, 0, -1):
+        a = libmp.from_man_exp(j, -6)
+        cos_a, sin_a = libmp.mpf_cos_sin(a, p, _RND)
+        inv = libmp.mpf_div(libmp.fone, libmp.mpf_shift(libmp.mpf_mul(sin_a, sin_a, p, _RND), 2),
+                            p, _RND)
+        x1 = libmp.mpf_mul(cos_a, libmp.mpf_sqrt(libmp.mpf_sub(inv, libmp.fone, p, _RND), p, _RND),
+                           p, _RND)
+        if libmp.mpf_ge(libmp.mpf_exp(libmp.mpf_mul(pi, x1, p, _RND), p, _RND), need):
+            return a
+    raise ConvergenceError(f"no Binet strip for T = {_binet_T(bits)}")
+
+
+@functools.lru_cache(maxsize=None)
+def _binet_discretisation_bound(bits: int, level: int):
+    """Upper bound, for every z >= 1, on |2 Q_h - 2 I_T|, where
+    I_T = integral_0^T g(t) dt with g(t) = arctan(t/z) / (e^(2 pi t) - 1),
+    and Q_h = h sum_{k in Z} F(kh) is the trapezoidal sum at step
+    h = 2^-level of F(u) = T g(T x(u)) x'(u), x(u) = (1 + tanh((pi/2)
+    sinh u)) / 2, whose integral over the real line is I_T:
+
+        D = 2 (2T + 1)^2 (1 + ln(6T)/pi) / (cos a (e^(2 pi a / h) - 1)),
+
+    with a = ``_binet_strip(bits)``.  Trefethen & Weideman (SIAM Rev. 56,
+    2014, Thm 5.1): if F is analytic in the strip |Im u| < a, tends to 0
+    uniformly there as |Re u| grows, and integral |F(s + ib)| ds <= M for
+    every |b| < a, then |Q_h - I_T| <= 2M / (e^(2 pi a / h) - 1).  So it
+    suffices to show that M = (2T + 1)^2 (1 + ln(6T)/pi) / (2 cos a)
+    serves.
+
+    The image of the strip.  Let u = s + ib with |b| < a, sinh u = X + iY
+    (X = sinh s cos b, Y = cosh s sin b) and zeta = e^(-pi sinh u), so
+    x = 1 / (1 + zeta), |zeta| = e^(-pi X) and x' = pi cosh u zeta /
+    (1 + zeta)^2.  1 + zeta = 0 would need X = 0, so s = 0 and Y = sin b
+    an odd integer: x is analytic in the strip.  Let X1 and 2T + 1 <=
+    e^(pi X1) = 1/r be as in ``_binet_strip``; T >= 2, so r <= 1/5.
+      (I)  |Y| <= 1/2.  Re zeta >= 0, so Re(1 + zeta) >= 1: |x| <= 1 and
+           Re x = Re(1 + zeta) / |1 + zeta|^2 >= |x|^2.
+      (II) |Y| > 1/2.  Then cosh s > 1 / (2 sin |b|), so |X| = sinh|s|
+           cos b > X1, as cos b (1 / (4 sin^2 b) - 1)^(1/2) decreases in
+           |b| < pi/6.  If s < 0, |zeta| > 2T + 1 and |x| <= 1 / (|zeta|
+           - 1) < 1/(2T).  If s > 0, |zeta| < r, so Re x > (1 - r) /
+           (1 + r)^2 > 1/2 and |x| < 1 / (1 - r) <= 5/4.
+    So t = T x has |t| < 1/2, or Re t >= |t|^2 / T with 1/2 <= |t| <= T,
+    or Re t > T/2 with |t| < 5T/4.  The disc |t| < 1 and the half-plane
+    Re t > 0 avoid the poles t = +-ik (k >= 1) and the branch cuts
+    t in +-i[z, inf) of arctan(t/z), as z >= 1; so F is analytic in the
+    strip.
+
+    Bounds on g.  For |t| <= 1/2, with v = t/z, |v| <= 1/2:
+    |arctan(v) / v| <= sum |v|^2k <= 4/3, and, from the Bernoulli series
+    of y / (e^y - 1) at y = 2 pi t, |y| <= pi < 2 pi,
+    |y / (e^y - 1)| <= 1 + |y|/2 + sum_k |B_2k| |y|^2k / (2k)!
+    = 2 + |y|/2 - (|y|/2) cot(|y|/2) <= 2 + pi/2.  So
+    |g| <= (4/3) (2 + pi/2) / (2 pi) < 1.  For Re t > 0:
+    |e^(2 pi t) - 1| >= e^(2 pi Re t) - 1, |Re arctan v| < pi/2 and
+    Im arctan v = (1/2) ln(|v + i| / |v - i|), where |v -+ i| <= 1 + |t|
+    and |v -+ i| >= max(Re v, 1 - |v|) >= Re t / (2 |t|) (the second
+    term is >= 1/2 when z >= 2|t|, and the first exceeds Re t / (2|t|)
+    otherwise).  So
+
+        |g(t)| <= (pi/2 + (1/2) ln(2 |t| (1 + |t|) / Re t))
+                  / (e^(2 pi Re t) - 1).
+
+    In case (I) with |t| >= 1/2, the log's argument is at most
+    2T (1 + 1/|t|) <= 6T and the denominator at least 2 pi |t|^2 / T
+    >= pi / (2T), so |g| <= T (1 + ln(6T)/pi) = G.  In the last case the
+    argument is below 5 + 7T and Re t > T/2 >= 1, so |g| < (pi/2 +
+    ln(5 + 7T)/2) / (e^(pi T) - 1) < 1.  Hence |g(T x(u))| <= G (>= 2)
+    on the whole strip.
+
+    The weight.  |cosh u| <= cosh s.  For s >= 0, |zeta| <= 1 and
+    |1 + zeta| >= 1 - r (case (I): >= 1; case (II): >= 1 - |zeta|), so
+    |x'(u)| <= pi cosh s e^(-pi sinh s cos b) / (1 - r)^2, whose integral
+    over s > 0 is 1 / (cos b (1 - r)^2).  As x(-u) = 1 - x(u) and x(conj
+    u) = conj x(u), |x'(-s + ib)| = |x'(s + ib)|, so integral |x'(s + ib)|
+    ds <= 2 / (cos a (1 - r)^2) <= 2 (2T + 1)^2 / (4 T^2 cos a).  This
+    bound also sends F to 0 uniformly, and M = T G 2 (2T + 1)^2 /
+    (4 T^2 cos a) is the M above.
+
+    D is evaluated at 64 bits and doubled, which covers its roundings.  It
+    depends only on its arguments, so it is computed once for each.
+    """
+    p = 64
+    T = _binet_T(bits)
+    a = _binet_strip(bits)
+    pi = libmp.mpf_pi(p, _RND)
+    num = libmp.mpf_div(libmp.mpf_log(libmp.from_int(6 * T), p, _RND), pi, p, _RND)
+    num = libmp.mpf_mul_int(libmp.mpf_add(libmp.fone, num, p, _RND), 2 * (2 * T + 1) ** 2,
+                            p, _RND)
+    decay = raw_expm1(libmp.mpf_shift(libmp.mpf_mul(pi, a, p, _RND), level + 1), p)
+    den = libmp.mpf_mul(libmp.mpf_cos(a, p, _RND), decay, p, _RND)
+    return libmp.mpf_shift(libmp.mpf_div(num, den, p, _RND), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _binet_level(bits: int) -> int:
+    """The quadrature level at ``bits``: the smallest level >=
+    BINET_MIN_LEVEL whose discretisation bound is at most 2^-(bits+16)."""
+    target = libmp.from_man_exp(1, -(bits + 16))
+    level = BINET_MIN_LEVEL
+    while libmp.mpf_gt(_binet_discretisation_bound(bits, level), target):
+        level += 1
+    return level
 
 
 def _binet_level_nodes(bits: int, level: int):
@@ -259,34 +385,73 @@ def _binet_level_nodes(bits: int, level: int):
 
 
 def _binet_integral(z_raw, bits: int):
-    """(2 * integral, quadrature diff, tail bound, omitted-node bound,
-    rounding bound), all raw.
+    """(2 * integral_0^T arctan(t/z) / (e^(2 pi t) - 1) dt, nodes summed,
+    parts of its error bound) for z >= 1, the value and parts raw.
 
-    Each node adds G A to one integer, with A = floor(a~ 2^F) for its
-    arctan a~ = atan(r~) at p bits, where r~ is t (1/z) rounded to p bits
-    and 1/z is taken once at F bits.  The level-L estimate of the integral
-    is T 2^-L sum G A 2^-2F, an exact dyadic rational, and so is the
-    difference between two levels.  It is rounded to wp once.
+    The level L = ``_binet_level(bits)`` is fixed before any node is built,
+    so a budget BINET_MAX_LEVEL below it fails at once.  The nodes of
+    levels 0..L make the trapezoidal sum at step h = 2^-L, and these parts
+    bound its distance from 2 * integral_0^inf:
+      - discretisation: the sum over all of Z against integral_0^T
+        (``_binet_discretisation_bound``),
+      - tail: integral_T^inf (``_binet_T``),
+      - omitted: the right nodes x > 1 - 2^-k, never summed
+        (``_binet_drop_bound``),
+      - left_truncation: the left nodes ``ts_nodes`` never emits,
+        T 2^-(wp+34),
+      - node_error: the computed nodes against exact ones, 4 T^2 2^-wp,
+      - rounding: the fixed-point sum of the computed nodes.
+    The last three are proven below, for h <= 1/8.
 
-    Rounding bound, per node.  Let a = arctan(t/z).  Then
-    r~ = (t/z)(1 + eta) with |eta| <= 2^-p + 2^-F + 2^-(p+F) < 1.01 2^-p,
-    since p <= F - 22 (below: g < 4, so mag g <= 2).  As
-    r / (1 + c^2 r^2) <= 1 / (2c), |arctan r~ - a| <= |eta| / (2 (1 - |eta|))
-    < 0.51 2^-p.  libmp's arctan works at p + 30 bits or more and rounds
-    once; taking it to within one ulp of arctan r~, it is off by at most
-    (pi/2) 2^(1-p) = pi 2^-p.  And 0 <= a~ - A 2^-F < 2^-F <= 2^-(p+22).
-    So |A 2^-F - a| < 3.7 2^-p.  With 0 <= g - G 2^-F < 2^-F and
+    Left truncation.  ``ts_nodes`` stops each level at the first pair whose
+    computed weight is under 2^-(wp+32), so every left node never built
+    lies at u = -v with v >= U, where w(U) < 2^-(wp+32) (1 + 2^-(wp+50))
+    and w decreases in v > 0.  On the real line 0 < g <= 1/(2 pi z) <=
+    1/(2 pi) for g(t) = arctan(t/z) / (e^(2 pi t) - 1), and
+    h sum_{v >= U} w(v) <= h w(U) + integral_U^inf w = h w(U) + 1 - x(U),
+    while w(U) = pi cosh U x(U) (1 - x(U)) >= (pi/2) (1 - x(U)).  So those
+    nodes would add at most 2 T (1/(2 pi)) (h + 2/pi) w(U) < T 2^-(wp+34).
+
+    Node error.  A kept node holds t~ and g~ where the exact term is
+    w g(T x) at x = x(u), w = w(u).  ``ts_nodes`` gives x~ within
+    2^-(wp+60) of x, and within a relative 2^-(wp+50) when x < 1/2, and w~
+    within a relative 2^-(wp+50) (the tests check all three against
+    mpmath).  So t~, x~ T rounded to wp, is T x (1 + eta) with
+    |eta| < 1.01 2^-wp.  2 pi t~ is formed at wp + 16 (relative error
+    under 2^-(wp+14)); taking raw_expm1 to within one ulp at wp, and as
+    y / (1 - e^-y) <= 1 + y, g~ = w~ / (e^(2 pi t~) - 1) rounded to wp is
+    within a relative 3.01 2^-wp + T 2^-(wp+11) of w / (e^(2 pi t~) - 1).
+    Along t, d ln g / d ln t lies in [-(1 + 2 pi t), 0] (the arctan gives
+    (0, 1], the other factor [-(1 + 2 pi t), -1]).  So g~ arctan(t~/z) is
+    within a relative 3.01 2^-wp + T 2^-(wp+11) + 1.02 (1 + 2 pi T) 2^-wp
+    < 10 T 2^-wp of w g(T x), as T >= 2.  The exact terms of
+    2 T h sum w g add to at most (T/pi) (1 + pi h/4) < 0.35 T, since w is
+    at most pi/4, decreases in |u| and integrates to 1.  So the node error
+    of 2 * estimate is under 3.5 T^2 2^-wp.
+
+    Rounding.  Each node adds G A to one integer, with A = floor(a~ 2^F)
+    for its arctan a~ = atan(r~) at p bits, where r~ is t~ (1/z) rounded
+    to p bits and 1/z is taken once at F bits.  The level-L estimate of the
+    integral is T 2^-L sum G A 2^-2F, an exact dyadic rational, rounded to
+    wp once.  Let a = arctan(t~/z).  Then r~ = (t~/z)(1 + eta) with
+    |eta| <= 2^-p + 2^-F + 2^-(p+F) < 1.01 2^-p, since p <= F - 22 (below:
+    g~ < 4, so mag g~ <= 2).  As r / (1 + c^2 r^2) <= 1 / (2c),
+    |arctan r~ - a| <= |eta| / (2 (1 - |eta|)) < 0.51 2^-p.  libmp's
+    arctan works at p + 30 bits or more and rounds once; taking it to
+    within one ulp of arctan r~, it is off by at most (pi/2) 2^(1-p) =
+    pi 2^-p.  And 0 <= a~ - A 2^-F < 2^-F <= 2^-(p+22).  So
+    |A 2^-F - a| < 3.7 2^-p.  With 0 <= g~ - G 2^-F < 2^-F and
     0 <= a < pi/2,
 
-        |G A 2^-2F - g a| <= g |A 2^-F - a| + a |G 2^-F - g|
-                           < 3.7 2^(mag g - p) + 1.6 2^-F
-                           < 4 2^-(wp+8) = 2^-(wp+6) = eps,
+        |G A 2^-2F - g~ a| <= g~ |A 2^-F - a| + a |G 2^-F - g~|
+                            < 3.7 2^(mag g~ - p) + 1.6 2^-F
+                            < 4 2^-(wp+8) = 2^-(wp+6) = eps,
 
-    as p >= wp + mag g + 8 (_ATAN_GUARD = 8).  Over the N nodes of levels
+    as p >= wp + mag g~ + 8 (_ATAN_GUARD = 8).  Over the N nodes of levels
     0..L, 2 * estimate is off by at most 2 T 2^-L N eps, and rounding it
     to wp adds less than one ulp of 2 * integral at wp.
 
-    Why g < 4: g <= w / (2 pi T x) < cosh u / (2 T), since
+    Why g~ < 4: g~ <= w / (2 pi T x) < cosh u / (2 T), since
     w / x = pi cosh u e^2q / (e^2q + 1) on a left node x = d, and
     w <= (pi/4) cosh u on a right node x >= 1/2.  A kept node has
     w >= 2^-(wp+32), while w < pi c e^(pi (1 - c)) with c = cosh u (as
@@ -295,76 +460,90 @@ def _binet_integral(z_raw, bits: int):
     factor of more than 2^100.  So cosh u < 8T, with room to spare for the
     roundings of x, w, t and g.
     """
+    level = _binet_level(bits)
+    if level > BINET_MAX_LEVEL:
+        raise ConvergenceError(
+            f"Binet quadrature needs level {level}, past BINET_MAX_LEVEL = "
+            f"{BINET_MAX_LEVEL} (bits={bits})"
+        )
     wp = bits + 64
     F = wp + 32
     T = _binet_T(bits)
     inv_z = libmp.mpf_div(libmp.fone, z_raw, F, _RND)
-    target = libmp.from_man_exp(1, -(bits + 16))
-    acc = prev = nodes = 0
-    for level in range(0, BINET_MAX_LEVEL + 1):
-        table = _binet_level_nodes(bits, level)
+    acc = nodes = 0
+    for lev in range(level + 1):
+        table = _binet_level_nodes(bits, lev)
         for t, G, p in table:
             a = libmp.mpf_atan(libmp.mpf_mul(t, inv_z, p, _RND), p, _RND)
             acc += G * libmp.to_fixed(a, F)
         nodes += len(table)
-        if level >= BINET_MIN_LEVEL:
-            # estimates T acc 2^-(2F+level) and T prev 2^-(2F+level-1), exactly
-            diff = libmp.from_man_exp(T * abs(acc - 2 * prev), -(2 * F + level))
-            if libmp.mpf_le(diff, target):
-                break
-        prev = acc
-    else:
-        raise ConvergenceError(
-            f"Binet quadrature missed its target at level {BINET_MAX_LEVEL} "
-            f"(bits={bits})"
-        )
+    # the estimate T acc 2^-(2F+level), doubled, exactly; then rounded once
     integral = libmp.from_man_exp(T * acc, 1 - (2 * F + level), wp, _RND)
     # 2 T 2^-level nodes 2^-(wp+6), plus the rounding of the integral to wp
-    rounding = libmp.from_man_exp(T * nodes, -(wp + 5 + level))
-    rounding = libmp.mpf_add(rounding, _ulp_raw(integral, wp, 1), wp, _RND)
-    # closed-form tail bound (see _binet_T)
+    rounding = libmp.mpf_add(libmp.from_man_exp(T * nodes, -(wp + 5 + level)),
+                             _ulp_raw(integral, wp, 1), wp, _UP)
     scale, slack = _binet_tail_factors(bits)
     tail = libmp.mpf_mul(libmp.mpf_div(scale, z_raw, wp, _RND), slack, wp, _RND)
-    drop = _binet_drop_bound(T, _binet_cutoff(bits), level)
-    return integral, libmp.mpf_shift(diff, 1), libmp.mpf_shift(tail, 1), drop, rounding
+    parts = {
+        "discretisation": _binet_discretisation_bound(bits, level),
+        "tail": libmp.mpf_shift(tail, 1),
+        "omitted": _binet_drop_bound(T, _binet_cutoff(bits), level),
+        "left_truncation": libmp.from_man_exp(T, -(wp + 34)),
+        "node_error": libmp.from_man_exp(T * T, 2 - wp),
+        "rounding": rounding,
+    }
+    return integral, nodes, parts
 
 
 def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     """ln Gamma(z) from the arctan integral.
 
-    For z < 1/8 the integral is taken at z + 1, formed exactly, and
-    ln Gamma(z) = ln Gamma(z + 1) - ln z: the branch points of
-    arctan(t/z) at t = +-iz near the real axis cost the quadrature more
-    levels as z shrinks, and at z = 1e-30 more than BINET_MAX_LEVEL.
-    The error bound is the sum of
-      - the difference between the last two quadrature levels,
+    For z < 1 the integral is taken at z + 1, formed exactly, and
+    ln Gamma(z) = ln Gamma(z + 1) - ln z.  So the quadrature sees only
+    z >= 1, where every singularity of its integrand lies at distance
+    >= 1 from the real axis, and one level per precision serves every z;
+    the branch points of arctan(t/z) at t = +-iz would otherwise cost ever
+    more levels as z shrinks.  The error bound is the sum, rounded up, of
+      - the trapezoidal discretisation error at the chosen level (see
+        ``_binet_discretisation_bound``),
       - the analytic tail past T (see ``_binet_T``),
       - the right-end nodes left out (see ``_binet_drop_bound``),
+      - the left-end nodes never built, T 2^-(wp+34), and the error of the
+        computed nodes, 4 T^2 2^-wp (see ``_binet_integral``),
       - the rounding of the quadrature sum: 2 T h N 2^-(wp+6) for N nodes
         summed at step h, plus one ulp of the integral at the working
         precision (see ``_binet_integral``),
-      - one ulp at the working precision for ln z, when z was shifted,
-      - 8 ulp of the result for the remaining roundings.
+      - one ulp at the working precision for ln z, when z was shifted, and
+        8 ulp of the result for the remaining roundings.
+    ``diagnostics`` records the level, the nodes summed, T, the cutoff k of
+    the right nodes, and each part as a BigFloat at the working precision
+    wp: discretisation, tail, omitted, left_truncation, node_error,
+    rounding and final_rounding (the last item).
     """
     wp = ctx.bits + 64
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    shifted = libmp.mpf_lt(z_raw, _ONE_EIGHTH)
+    shifted = libmp.mpf_lt(z_raw, libmp.fone)
     zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
-    integral, qdiff, tail, drop, rounding = _binet_integral(zq, ctx.bits)
+    integral, nodes, parts = _binet_integral(zq, ctx.bits)
     val = libmp.mpf_add(_oracle_main_term(zq, wp), integral, wp, _RND)
-    bound = libmp.mpf_add(qdiff, tail, wp, _RND)
-    bound = libmp.mpf_add(bound, drop, wp, _RND)
-    bound = libmp.mpf_add(bound, rounding, wp, _RND)
+    final = libmp.fzero
     if shifted:
         lnz = libmp.mpf_log(z_raw, wp, _RND)
         val = libmp.mpf_sub(val, lnz, wp, _RND)
-        bound = libmp.mpf_add(bound, _ulp_raw(lnz, wp, 1), wp, _RND)
-    bound = libmp.mpf_add(bound, _ulp_raw(val, ctx.bits, 8), wp, _RND)
+        final = _ulp_raw(lnz, wp, 1)
+    parts["final_rounding"] = libmp.mpf_add(final, _ulp_raw(val, ctx.bits, 8), wp, _UP)
+    bound = libmp.fzero
+    for part in parts.values():
+        bound = libmp.mpf_add(bound, part, wp, _UP)
+    diagnostics = {"level": _binet_level(ctx.bits), "nodes": nodes,
+                   "T": _binet_T(ctx.bits), "cutoff": _binet_cutoff(ctx.bits)}
+    diagnostics.update((name, BigFloat(part, wp)) for name, part in parts.items())
     return OracleValue(
         value=BigFloat.from_raw(val, ctx),
         method="binet2",
-        error_bound=BigFloat.from_raw(bound, ctx),
+        error_bound=BigFloat.from_raw(libmp.mpf_pos(bound, ctx.bits, _UP), ctx),
+        diagnostics=diagnostics,
     )
 
 
