@@ -2,8 +2,9 @@
 """The independent references everything else is judged against.
 
 The workhorse is the arctan-integral representation of ln Gamma evaluated
-by doubling-node tanh-sinh quadrature with a closed-form tail bound; the
-limit definition and the infinite product provide slower cross-checks.
+by one trapezoidal sum on the half-line map t = exp(u - e^-u), at a step
+1/m fixed by a proven bound on its error; the limit definition and the
+infinite product provide slower cross-checks.
 None of them shares code with the truncated series, which is the point.
 """
 

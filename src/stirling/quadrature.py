@@ -1,57 +1,85 @@
-"""Tanh-sinh nodes and weights on (0, 1), by doubling level.
+"""Nodes of the Binet integrand on the half-line map t = exp(u - e^-u).
 
-Nodes x(u) = (1 + tanh((pi/2) sinh u)) / 2 on the step grid u = k h with
-h = 2^-level.  Each halving of the step reuses all previous nodes and adds
-the odd multiples, so a caller that sums level by level refines its
-estimate without recomputing earlier nodes.  This module only builds and
-caches the nodes; the one convergence loop over them is
-``oracle._binet_integral``.
+The map phi(u) = exp(u - e^-u) (Takahasi & Mori 1974; Mori & Sugihara,
+J. Comput. Appl. Math. 127, 2001) takes the real line onto (0, inf), with
+phi'(u) = (1 + e^-u) phi(u).  Times phi', an integrand on [0, inf) that is
+bounded near 0 and decays exponentially decays double exponentially at both
+ends in u.  The Binet oracle sums arctan(t/z) / (e^(2 pi t) - 1) over t > 0
+by the trapezoidal rule at the step h = 1/m in u; ``oracle._binet_plan``
+fixes m and the ends J_L, J_R from its proven bounds, and this module
+builds the one table of that sum per precision: for u = j/m,
+j = -J_L..J_R, the triple
 
-A pair of nodes +-u costs one exponential.  a = (pi/4) e^u and
-b = (pi/4) e^-u walk the grid by one product each with e^(+-step), carried
-at cp = np + 32 bits, where np = wp + 64 is the precision of the nodes.
-Then 2q = 2 (a - b) = pi sinh u, e^2q is the pair's one exponential,
-d = 1 / (e^2q + 1) and 1 - d are the two abscissas, and
-w = 2 (a + b) e^2q d^2 = (pi/4) cosh u / cosh^2 q is their common weight.
-After n steps the carried products put an error of about 2 n (2q) 2^-cp on
-2q, below 2^-np while n (2q) < 2^31.  The tests check every abscissa to
-within 2^-(wp+60) of x(u), and every weight to a relative 2^-(wp+50),
-against mpmath at wp + 128.
+    t = phi(u),  G = floor(g 2^F),  p = max(64, wp + mag g + 8),
 
-Node/weight tables depend only on (working precision, level) and are
-cached for the life of the process; they are pure functions of those
-inputs, so repeated runs are bit-identical.
+with g = phi'(u) / (e^(2 pi t) - 1) the node's weight, F = wp + 32,
+2^(mag g - 1) <= g < 2^(mag g), and p the precision of the node's arctan.
 
-Nodes are emitted until the weight falls below 2^-(wp+32), which presumes
-an integrand bounded near the endpoints (true for the smooth decaying
-Binet integrand).  The Binet oracle then omits the right nodes
-x > 1 - 2^-k, where its factor 1/(e^(2 pi T x) - 1) has made them
-negligible, and adds a closed-form bound on what they would contribute
-(``oracle._binet_drop_bound``).
+A node costs two exponentials and one division.  e^-u walks the grid by
+one product per node at cp = wp + 96 bits, t = exp(u - e^-u) is taken at
+wp, and g only at prec = F + mag g + 8 bits: the bits G keeps, and a guard.
+mag g is estimated in floating point first and checked after.  Near t = 0,
+``raw_expm1`` takes e^(2 pi t) - 1 from its cubic series, which costs one
+division in place of the exponential.
+
+Accuracy, which the node-error and rounding parts of
+``oracle._binet_integral`` rest on and the tests check against mpmath at
+wp + 128: t is within a relative 3 2^-wp of phi(j/m), and g within a
+relative 6 2^-prec, so within 2^-(F+4), of (1 + e^-u) t / (e^(2 pi t) - 1)
+at the computed t.  The walk stays accurate to a relative 2^-(wp+78) over
+up to 2^16 steps from u = 0; ``oracle.BINET_MAX_NODES`` keeps tables
+shorter.
+
+Tables depend only on their arguments and are cached for the life of the
+process, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 from mpmath import libmp
 
-from .mpcore import _RND
+from .mpcore import _RND, raw_expm1
 
-__all__ = ["ts_nodes"]
+__all__ = ["half_line_nodes"]
 
-_CACHE: dict[tuple[int, int], list] = {}
+_CACHE: dict[tuple[int, int, int, int], list] = {}
 _CACHE_LOCK = threading.Lock()
+_ATAN_GUARD = 8  # bits of each node's arctan beyond what its weight needs
+_WEIGHT_GUARD = 8  # bits of each weight beyond those G keeps
+_LN_2PI = math.log(2 * math.pi)
 
 
-def ts_nodes(wp: int, level: int) -> list:
-    """New (x, w) pairs introduced at ``level`` (step 2^-level).
+def _mag_estimate(b, y) -> int:
+    """mag g for g = (1 + b) t / (e^x - 1), x = 2 pi t, t = e^y, in floating
+    point: ln g = ln(1 + b) - ln(2 pi) - ln((e^x - 1) / x)."""
+    x = 2 * math.pi * math.exp(min(libmp.to_float(y), 700.0))
+    excess = 0.0 if x == 0 else x - math.log(x) if x > 700 else math.log(math.expm1(x) / x)
+    return math.floor((math.log1p(libmp.to_float(b)) - _LN_2PI - excess) / math.log(2)) + 1
 
-    Level 0 holds all integer abscissas including the center; higher levels
-    hold the odd multiples of their step.  Nodes are emitted until the
-    weight underflows the working precision.
-    """
-    key = (wp, level)
+
+def _node(j: int, m: int, b, wp: int, F: int, cp: int, two_pi):
+    """(t, G, p) at u = j/m, given b ~ e^-u carried at cp bits."""
+    y = libmp.mpf_sub(libmp.from_rational(j, m, cp, _RND), b, cp, _RND)
+    t = libmp.mpf_exp(y, wp, _RND)
+    prec = max(64, F + _WEIGHT_GUARD + 1 + _mag_estimate(b, y))
+    while True:
+        # 2 pi t to within 2^-(prec+4), relative and absolute (2 pi t < 2^(mag t + 3))
+        x = libmp.mpf_mul(two_pi, t, prec + 5 + max(0, t[2] + t[3] + 3), _RND)
+        phi_prime = libmp.mpf_mul(libmp.mpf_add(libmp.fone, b, prec, _RND), t, prec, _RND)
+        g = libmp.mpf_div(phi_prime, raw_expm1(x, prec), prec, _RND)
+        mag = g[2] + g[3]
+        if prec >= F + _WEIGHT_GUARD + mag:
+            return t, libmp.to_fixed(g, F), max(64, wp + mag + _ATAN_GUARD)
+        prec = F + _WEIGHT_GUARD + mag
+
+
+def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> list:
+    """The (t, G, p) triples at u = j/m for j = -j_left..j_right, for the
+    working precision wp (see the module docstring); cached."""
+    key = (wp, m, j_left, j_right)
     got = _CACHE.get(key)
     if got is not None:
         return got
@@ -59,33 +87,15 @@ def ts_nodes(wp: int, level: int) -> list:
         got = _CACHE.get(key)
         if got is not None:
             return got
-        # included nodes satisfy w >= 2^-(wp+32), hence sit at least
-        # ~2^-(wp+50) away from the endpoints; 64 extra bits keep 1 - d
-        # strictly below 1, so no node ever collapses onto an endpoint
-        np = wp + 64
-        cp = np + 32
-        tiny = libmp.from_man_exp(1, -(wp + 32))
-        quarter_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), -2)
-        h = libmp.from_man_exp(1, -level)
-        step = h if level == 0 else libmp.mpf_shift(h, 1)
+        F, cp = wp + 32, wp + 96
+        two_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), 1)
         out = []
-        if level == 0:
-            out.append((libmp.fhalf, libmp.mpf_shift(libmp.mpf_pi(np, _RND), -2)))
-        # a = (pi/4) e^u and b = (pi/4) e^-u, from u = h on in steps of `step`
-        a = libmp.mpf_mul(quarter_pi, libmp.mpf_exp(h, cp, _RND), cp, _RND)
-        b = libmp.mpf_mul(quarter_pi, libmp.mpf_exp(libmp.mpf_neg(h), cp, _RND), cp, _RND)
-        up = libmp.mpf_exp(step, cp, _RND)
-        down = libmp.mpf_exp(libmp.mpf_neg(step), cp, _RND)
-        while True:
-            e2 = libmp.mpf_exp(libmp.mpf_shift(libmp.mpf_sub(a, b, cp, _RND), 1), np, _RND)
-            d = libmp.mpf_div(libmp.fone, libmp.mpf_add(e2, libmp.fone, np, _RND), np, _RND)
-            w = libmp.mpf_mul(libmp.mpf_mul(e2, d, np, _RND), d, np, _RND)
-            w = libmp.mpf_mul(libmp.mpf_shift(libmp.mpf_add(a, b, np, _RND), 1), w, np, _RND)
-            if libmp.mpf_lt(w, tiny):
-                break
-            out.append((d, w))
-            out.append((libmp.mpf_sub(libmp.fone, d, np, _RND), w))
-            a = libmp.mpf_mul(a, up, cp, _RND)
-            b = libmp.mpf_mul(b, down, cp, _RND)
+        # right from u = 0 (e^-u = 1 exactly), then left from u = -1/m
+        for sign, first, last in ((1, 0, j_right), (-1, 1, j_left)):
+            step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp, _RND), cp, _RND)
+            b = libmp.fone if first == 0 else step
+            for k in range(first, last + 1):
+                out.append(_node(sign * k, m, b, wp, F, cp, two_pi))
+                b = libmp.mpf_mul(b, step, cp, _RND)
         _CACHE[key] = out
         return out

@@ -1,6 +1,6 @@
-"""The tanh-sinh node tables, and the one loop over them: its budget, its
-work per node, and the discretisation and rounding parts of its error
-bound."""
+"""The node table of the half-line map t = exp(u - e^-u), and the one sum
+over it: its work cap, its work per node, and the discretisation,
+truncation and rounding parts of its error bound."""
 
 from fractions import Fraction
 
@@ -11,85 +11,88 @@ from mpmath import libmp
 import stirling.oracle
 import stirling.quadrature
 from stirling.errors import ConvergenceError
-from stirling.mpcore import PrecisionCtx, raw_expm1, to_raw
+from stirling.mpcore import PrecisionCtx, to_raw
 from stirling.oracle import lngamma_binet2
-from stirling.quadrature import ts_nodes
+from stirling.quadrature import half_line_nodes
 
-WP = 192
+
+def table(bits):
+    m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
+    return m, j_left, j_right, half_line_nodes(bits + 64, m, j_left, j_right)
+
+
+def grid(m, j_left, j_right):
+    """The j of each table row, in the order half_line_nodes builds them."""
+    return list(range(j_right + 1)) + [-k for k in range(1, j_left + 1)]
 
 
 def test_binet_budget_exhaustion(monkeypatch, count_calls):
-    # at 256 bits the a-priori bound picks level 7, so a budget of 4 fails
-    # before any node table is built or any arctan taken
-    monkeypatch.setattr(stirling.oracle, "BINET_MAX_LEVEL", 4)
-    keys = set(stirling.oracle._BINET_CACHE)
+    # at 256 bits the plan needs 352 nodes, so a cap of 100 fails before any
+    # node table is built or any arctan taken
+    monkeypatch.setattr(stirling.oracle, "BINET_MAX_NODES", 100)
+    monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     atan = count_calls("mpf_atan")["mpf_atan"]
     with pytest.raises(ConvergenceError):
         lngamma_binet2(5, PrecisionCtx(256))
-    assert set(stirling.oracle._BINET_CACHE) == keys
+    assert stirling.quadrature._CACHE == {}
     assert atan[0] == 0
 
 
 def test_nodes_cached_and_inside_interval():
-    nodes = ts_nodes(WP, 3)
-    assert nodes is ts_nodes(WP, 3)
-    for x, w in nodes:
-        assert libmp.mpf_gt(x, libmp.fzero)
-        assert libmp.mpf_lt(x, libmp.fone)
-        assert libmp.mpf_gt(w, libmp.fzero)
+    m, j_left, j_right, nodes = table(128)
+    assert nodes is table(128)[3]
+    assert len(nodes) == j_left + j_right + 1
+    for t, G, p in nodes:
+        assert libmp.mpf_gt(t, libmp.fzero)
+        assert G > 0 and p >= 64
 
 
 @pytest.mark.parametrize("wp", [128, 320])
 def test_nodes_match_mpmath(wp):
-    # x(u) = (1 + tanh((pi/2) sinh u)) / 2 and w(u) = (pi/4) cosh u /
-    # cosh^2((pi/2) sinh u), at wp + 128; _binet_drop_bound relies on each
-    # abscissa lying within 2^-(wp+60) of x(u), and the node-error part of
-    # _binet_integral on each left one lying within a relative 2^-(wp+50).  Level 0 holds the center
-    # and then the pairs u = -k, k; level L the pairs u = -+k 2^-L, k odd.
+    # t = exp(u - e^-u) at u = j/m, and the weight (1 + e^-u) t / (e^(2 pi t)
+    # - 1) at the computed t, at wp + 128: the node-error part of
+    # _binet_integral rests on t lying within a relative 3 2^-wp, and its
+    # rounding part on the weight lying within 2^-(F+4) before the floor
+    F = wp + 32
+    m, j_left, j_right, nodes = table(wp - 64)
     with mpmath.workprec(wp + 128):
-        for level in range(9):
-            nodes = ts_nodes(wp, level)
-            expected = [(mpmath.mpf(0), nodes[0])] if level == 0 else []
-            pairs = iter(nodes[len(expected):])
-            ks = range(1, 10**6) if level == 0 else range(1, 10**6, 2)
-            for k, x_minus, x_plus in zip(ks, pairs, pairs):
-                u = mpmath.ldexp(k, -level)
-                expected += [(-u, x_minus), (u, x_plus)]
-            assert len(expected) == len(nodes)
-            for u, (x_raw, w_raw) in expected:
-                q = mpmath.pi / 2 * mpmath.sinh(u)
-                x = 1 / (1 + mpmath.exp(-2 * q))  # (1 + tanh q) / 2 without cancellation
-                w = mpmath.pi / 4 * mpmath.cosh(u) / mpmath.cosh(q) ** 2
-                assert abs(mpmath.mpf(x_raw) - x) <= mpmath.ldexp(1, -(wp + 60)), (level, u)
-                if u < 0:
-                    assert abs(mpmath.mpf(x_raw) / x - 1) <= mpmath.ldexp(1, -(wp + 50)), u
-                assert abs(mpmath.mpf(w_raw) / w - 1) <= mpmath.ldexp(1, -(wp + 50)), (level, u)
+        for j, (t_raw, G, p) in zip(grid(m, j_left, j_right), nodes):
+            u = mpmath.mpf(j) / m
+            t = mpmath.mpf(t_raw)
+            assert abs(t / mpmath.exp(u - mpmath.exp(-u)) - 1) <= 3 * mpmath.ldexp(1, -wp), j
+            g = (1 + mpmath.exp(-u)) * t / mpmath.expm1(2 * mpmath.pi * t)
+            gap = g - mpmath.ldexp(G, -F)
+            assert -mpmath.ldexp(1, -(F + 4)) <= gap < mpmath.ldexp(17, -(F + 4)), j
+            assert p == max(64, wp + G.bit_length() - F + 8), j
 
 
-@pytest.mark.parametrize("level", [0, 5])
-def test_cold_nodes_take_one_exponential_per_pair(monkeypatch, count_calls, level):
-    # a and b = (pi/4) e^+-u step by one product each; per pair only
-    # e^2q = exp(2 (a - b)) and d = 1 / (e^2q + 1) remain
+@pytest.mark.parametrize("bits", [64, 768])
+def test_cold_table_takes_two_exponentials_and_one_division_per_node(
+        monkeypatch, count_calls, bits):
+    # e^-u walks the grid by products; per node only t = exp(u - e^-u) and
+    # e^(2 pi t) - 1 remain, and one division for the weight (near t = 0,
+    # raw_expm1 takes its cubic series: a division in place of the exponential)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
-    counts = count_calls("mpf_exp", "mpf_div", "mpf_cosh_sinh")
-    pairs = len(ts_nodes(WP, level)) // 2
-    assert pairs >= 4
-    assert counts["mpf_exp"][0] <= pairs + 5
-    assert counts["mpf_div"][0] <= pairs + 1
-    assert counts["mpf_cosh_sinh"][0] == 0
+    stirling.oracle._binet_plan(bits)
+    counts = count_calls("mpf_exp", "mpf_div", "mpf_atan")
+    n = len(table(bits)[3])
+    assert counts["mpf_exp"][0] <= 2 * n + 2
+    assert counts["mpf_exp"][0] + counts["mpf_div"][0] <= 3 * n + 2
+    assert counts["mpf_div"][0] <= n + n // 10
+    assert counts["mpf_atan"][0] == 0
 
 
 def test_small_z_reuses_the_unit_tables(count_calls):
-    # z = 1/1000 is shifted to 1.001: no new node table, no extra level
+    # z = 1/1000 is shifted to 1.001: no new node table, no extra node
     ctx = PrecisionCtx(256)
     lngamma_binet2(1, ctx)
-    keys = set(stirling.oracle._BINET_CACHE)
+    keys = set(stirling.quadrature._CACHE)
     atan = count_calls("mpf_atan")["mpf_atan"]
     lngamma_binet2(1, ctx)
     at_one = atan[0]
     lngamma_binet2(Fraction(1, 1000), ctx)
-    assert set(stirling.oracle._BINET_CACHE) == keys
-    assert 0 < atan[0] - at_one <= at_one
+    assert set(stirling.quadrature._CACHE) == keys
+    assert atan[0] - at_one == at_one > 0
 
 
 def test_binet_loop_divides_once_per_evaluation(count_calls):
@@ -98,115 +101,140 @@ def test_binet_loop_divides_once_per_evaluation(count_calls):
     lngamma_binet2(3, ctx)
     counts = count_calls("mpf_div", "mpf_atan")
     lngamma_binet2(Fraction(22, 7), ctx)
-    assert counts["mpf_atan"][0] > 800
+    assert counts["mpf_atan"][0] > 300
     assert counts["mpf_div"][0] <= 2
+
+
+@pytest.mark.parametrize("bits, most", [(256, 450), (768, 1500)])
+def test_one_evaluation_takes_one_arctan_per_node(count_calls, bits, most):
+    ctx = PrecisionCtx(bits)
+    lngamma_binet2(3, ctx)
+    atan = count_calls("mpf_atan")["mpf_atan"]
+    ov = lngamma_binet2(Fraction(22, 7), ctx)
+    assert atan[0] == ov.diagnostics["nodes"] == len(table(bits)[3]) <= most
+    assert ov.diagnostics["step_m"] == table(bits)[0]
 
 
 @pytest.mark.parametrize("bits", [64, 256])
 @pytest.mark.parametrize("z", [Fraction(1, 8), Fraction(1), Fraction(10**6)])
-def test_tapered_sum_within_its_rounding_bound(monkeypatch, z, bits):
-    # the same (t, g) nodes summed with mpmath at wp + 64, each arctan at
-    # full precision: the integer sum of tapered arctans may differ from
-    # that by no more than the rounding part of the bound
+def test_tapered_sum_within_its_rounding_bound(z, bits):
+    # the same nodes t summed with mpmath at wp + 64, with each weight and
+    # arctan at full precision: the integer sum of floored weights times
+    # tapered arctans may differ from that by no more than the rounding part
     wp = bits + 64
-    monkeypatch.setattr(stirling.oracle, "_BINET_CACHE", {})
     z_raw = to_raw(z, wp)
     integral, _, parts = stirling.oracle._binet_integral(z_raw, bits)
     rounding = parts["rounding"]
-    top = max(level for _, level in stirling.oracle._BINET_CACHE)
-    T, k = stirling.oracle._binet_T(bits), stirling.oracle._binet_cutoff(bits)
-    x_c = libmp.from_man_exp((1 << k) - 1, -k)
-    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp + 16, libmp.round_nearest), 1)
-    total = 0
+    m, j_left, j_right, nodes = table(bits)
     with mpmath.workprec(wp + 64):
-        for level in range(top + 1):
-            table = iter(stirling.oracle._binet_level_nodes(bits, level))
-            for x, w in ts_nodes(wp, level):
-                if libmp.mpf_gt(x, x_c):
-                    continue
-                t = libmp.mpf_mul_int(x, T, wp, libmp.round_nearest)
-                g = libmp.mpf_div(w, raw_expm1(libmp.mpf_mul(
-                    two_pi, t, wp + 16, libmp.round_nearest), wp), wp, libmp.round_nearest)
-                assert next(table)[:2] == (t, libmp.to_fixed(g, wp + 32))
-                total += mpmath.mpf(g) * mpmath.atan(mpmath.mpf(t) / mpmath.mpf(z_raw))
-            assert next(table, None) is None
-        reference = 2 * T * total / 2**top
-        assert abs(mpmath.mpf(integral) - reference) <= mpmath.mpf(rounding)
+        total = 0
+        for j, (t_raw, _, _) in zip(grid(m, j_left, j_right), nodes):
+            t = mpmath.mpf(t_raw)
+            g = (1 + mpmath.exp(-mpmath.mpf(j) / m)) * t / mpmath.expm1(2 * mpmath.pi * t)
+            total += g * mpmath.atan(t / mpmath.mpf(z_raw))
+        assert abs(mpmath.mpf(integral) - 2 * total / m) <= mpmath.mpf(rounding)
     assert libmp.mpf_le(rounding, libmp.from_man_exp(1, -(bits + 40)))
+
+
+def phi(u):
+    return mpmath.exp(u - mpmath.exp(-u))
+
+
+def dropped(m, j, sign):
+    """2 h sum of the terms at u = sign k/m, k > j, at z = 1, where
+    arctan(t/z) is largest, summed until they stop mattering."""
+    total = 0
+    while True:
+        j += 1
+        u = mpmath.mpf(sign * j) / m
+        t = phi(u)
+        term = (1 + mpmath.exp(-u)) * t * mpmath.atan(t) / mpmath.expm1(2 * mpmath.pi * t)
+        if term < mpmath.ldexp(total, -64):
+            return 2 * total / m
+        total += term
 
 
 @pytest.mark.parametrize("bits", [64, 128])
 def test_omitted_right_nodes_within_their_bound(bits):
-    # the nodes x > 1 - 2^-k that _binet_level_nodes never builds, summed
-    # here with mpmath at z = 1/8, where arctan(t/z) is nearest pi/2
-    wp = bits + 64
-    T, k = stirling.oracle._binet_T(bits), stirling.oracle._binet_cutoff(bits)
-    with mpmath.workprec(wp + 32):
-        x_c, z = 1 - mpmath.mpf(2) ** -k, mpmath.mpf(1) / 8
-        dropped = 0
-        for level in range(7):
-            for x_raw, w_raw in ts_nodes(wp, level):
-                x, w = mpmath.mpf(x_raw), mpmath.mpf(w_raw)
-                if x > x_c:
-                    dropped += w * mpmath.atan(T * x / z) / mpmath.expm1(2 * mpmath.pi * T * x)
-            bound = stirling.oracle._binet_drop_bound(T, k, level)
-            if level >= stirling.oracle.BINET_MIN_LEVEL:
-                assert 0 < 2 * T * dropped / 2**level <= mpmath.mpf(bound)
-                assert libmp.mpf_le(bound, libmp.from_man_exp(1, -(bits + 40)))
+    # the terms past J_R against the right-end part of the truncation bound
+    m, _, j_right, _, truncation, t_max = stirling.oracle._binet_plan(bits)
+    with mpmath.workprec(bits + 96):
+        end = phi(mpmath.mpf(j_right) / m)
+        tail = 1 / (2 * mpmath.expm1(2 * mpmath.pi * end))
+        assert 0 < dropped(m, j_right, 1) <= tail <= mpmath.mpf(truncation)
+        assert end < t_max
+    assert libmp.mpf_le(truncation, libmp.from_man_exp(1, -(bits + 31)))
 
 
-def test_one_evaluation_sums_levels_0_to_L_only(monkeypatch, count_calls):
-    # the a-priori bound picks level 7 at 256 bits: one arctan per kept node
-    # of levels 0..7, and no level-8 table is ever built
-    monkeypatch.setattr(stirling.oracle, "_BINET_CACHE", {})
-    monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
-    assert stirling.oracle._binet_level(256) == 7
-    atan = count_calls("mpf_atan")["mpf_atan"]
-    ov = lngamma_binet2(3, PrecisionCtx(256))
-    assert atan[0] == ov.diagnostics["nodes"]
-    assert atan[0] <= sum(len(ts_nodes(320, level)) for level in range(8))
-    assert max(level for _, level in stirling.oracle._BINET_CACHE) == 7
-    assert max(level for _, level in stirling.quadrature._CACHE) == 7
+@pytest.mark.parametrize("bits", [64, 128])
+def test_omitted_left_nodes_within_their_bound(bits):
+    # the terms before -J_L against the left-end part of the truncation bound
+    m, j_left, _, _, truncation, _ = stirling.oracle._binet_plan(bits)
+    with mpmath.workprec(bits + 96):
+        head = phi(-mpmath.mpf(j_left) / m) / mpmath.pi
+        assert 0 < dropped(m, j_left, -1) <= head <= mpmath.mpf(truncation)
 
 
-TRUTH_Z = [Fraction(1), Fraction(9, 8), Fraction(3, 2), Fraction(10), Fraction(10**6),
-           Fraction(10**30)]
+def trapezoid_checks(steps, zs):
+    """For each step 1/s: the trapezoidal sum of 2 * integral on the map at
+    every z, summed in mpmath until the closed-form bounds on the terms
+    left out fall under 2^-20 of the discretisation bound D(s), against
+    ln Gamma(z) - P(z); asserts the error is within D(s) plus those
+    bounds."""
+    for s in steps:
+        bound = mpmath.mpf(stirling.oracle._binet_discretisation_bound(s))
+        with mpmath.workprec(40 - int(mpmath.log(bound, 2))):
+            cut = mpmath.ldexp(bound, -20)
+            sums, ends = [0] * len(zs), 0
+            for sign, j in ((1, 0), (-1, 1)):
+                while True:
+                    u = mpmath.mpf(sign * j) / s
+                    t = phi(u)
+                    g = (1 + mpmath.exp(-u)) * t / mpmath.expm1(2 * mpmath.pi * t)
+                    sums = [acc + g * mpmath.atan(t / z) for acc, z in zip(sums, zs)]
+                    # the bounds of _binet_plan on the terms past this one
+                    end = 1 / (2 * mpmath.expm1(2 * mpmath.pi * t)) if sign > 0 \
+                        else t / mpmath.pi
+                    if end <= cut:
+                        ends += end
+                        break
+                    j += 1
+            for z, acc in zip(zs, sums):
+                z = mpmath.mpf(z)
+                truth = (mpmath.loggamma(z) - (z - 0.5) * mpmath.log(z) + z
+                         - mpmath.log(2 * mpmath.pi) / 2)
+                assert abs(2 * acc / s - truth) <= bound + ends + cut, (s, z)
+
+
+STEPS_256 = 40
 
 
 @pytest.mark.parametrize("bits", [64, 256, 768])
-def test_discretisation_bound_holds_at_every_level(bits):
-    # the kept nodes of levels 0..level summed in mpmath at wp + 64, at
-    # every level from 3 to the chosen one, against 2 * integral_0^inf =
-    # ln Gamma(z) - P(z): off by no more than that level's discretisation
-    # bound plus the tail, omitted-node, left-truncation, node-error and
-    # rounding parts (the last covers G 2^-F in place of the weight)
-    oracle = stirling.oracle
-    wp, F = bits + 64, bits + 96
-    top = oracle._binet_level(bits)
-    T, k = oracle._binet_T(bits), oracle._binet_cutoff(bits)
-    assert libmp.mpf_le(oracle._binet_discretisation_bound(bits, top),
-                        libmp.from_man_exp(1, -(bits + 16)))
-    assert libmp.mpf_gt(oracle._binet_discretisation_bound(bits, top - 1),
-                        libmp.from_man_exp(1, -(bits + 16)))
-    tables = [oracle._binet_level_nodes(bits, level) for level in range(top + 1)]
-    for z in TRUTH_Z:
-        z_raw = to_raw(z, wp)
-        _, _, parts = oracle._binet_integral(z_raw, bits)
-        with mpmath.workprec(wp + 64 + 2 * int(z).bit_length()):
-            zm = mpmath.mpf(z.numerator) / z.denominator
-            truth = (mpmath.loggamma(zm) - (zm - 0.5) * mpmath.log(zm) + zm
-                     - mpmath.log(2 * mpmath.pi) / 2)
-        with mpmath.workprec(wp + 64):
-            fixed = sum(mpmath.mpf(parts[name]) for name in
-                        ("tail", "left_truncation", "node_error"))
-            total, nodes = mpmath.mpf(0), 0
-            for level, table in enumerate(tables):
-                total += sum(G * mpmath.atan(mpmath.mpf(t) / zm) for t, G, _ in table)
-                nodes += len(table)
-                if level < 3:
-                    continue
-                estimate = 2 * T * total / mpmath.mpf(2) ** (level + F)
-                allowed = (fixed + mpmath.mpf(oracle._binet_discretisation_bound(bits, level))
-                           + mpmath.mpf(oracle._binet_drop_bound(T, k, level))
-                           + T * nodes * mpmath.mpf(2) ** -(wp + 5 + level))
-                assert abs(estimate - truth) <= allowed, (z, level)
+def test_discretisation_bound_holds_at_every_coarser_step(bits):
+    # the plan takes the least m whose bound is at most 2^-(bits+24); that
+    # bound, which depends on the step alone, must cover the true error of
+    # the full trapezoidal sum at z in {1, 2, 10^6} at the chosen step and
+    # every coarser one.  At 768 bits the steps up to 40 are those of the
+    # 256-bit case, and the rest are sampled (a full sweep takes ~30 s).
+    m = stirling.oracle._binet_plan(bits)[0]
+    disc = stirling.oracle._binet_discretisation_bound
+    assert libmp.mpf_le(disc(m), libmp.from_man_exp(1, -(bits + 24)))
+    assert libmp.mpf_gt(disc(m - 1), libmp.from_man_exp(1, -(bits + 24)))
+    steps = range(1, m + 1)
+    if bits == 768:
+        assert stirling.oracle._binet_plan(256)[0] == STEPS_256
+        steps = [*range(STEPS_256 + 1, m - 1, 14), m - 1, m]
+    trapezoid_checks(steps, [1, 2, 10**6])
+
+
+def test_strip_constants():
+    # the image of |Im u| < d = 4/5 under phi: |phi| >= 1/2 forces
+    # e^-Re u <= 1, and |phi| >= 1 forces e^-Re u <= 2/3, which keeps
+    # arg phi below pi/2; M as proven, about 14.2
+    with mpmath.workprec(128):
+        d = mpmath.mpf(4) / 5
+        assert mpmath.exp(mpmath.cos(d)) >= 2
+        assert 2 * mpmath.exp(2 * mpmath.cos(d) / 3) / 3 >= 1
+        assert d + mpmath.sin(d) < mpmath.pi / 2
+    mass = mpmath.mpf(stirling.oracle._binet_strip_mass())
+    assert 14 < mass < 14.5
