@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import bounds as bnd
@@ -59,19 +60,20 @@ def _json_doc(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _table(header: list[str], rows: list, fmt: str) -> str:
+    """One table as CSV or as the JSON document {"rows": [{column: value}]}."""
+    if fmt == "json":
+        return _json_doc({"rows": [dict(zip(header, row)) for row in rows]})
+    return _csv_table(header, rows)
+
+
 # -- subcommand implementations -------------------------------------------
 
 
 def _cmd_bernoulli(args, ctx: PrecisionCtx) -> tuple[str, int]:
-    rows = []
-    for k in range(0, args.max_k + 1):
-        rows.append((k, rational_to_str(bernoulli_number(k)),
-                     rational_to_str(series_coeff_a(k))))
-    if args.format == "json":
-        doc = {"rows": [{"k": k, "B_k": b, "a_k": a} for k, b, a in rows]}
-        return _json_doc(doc), 0
-    return _csv_table(["k", "B_k", "a_k"],
-                      [[str(k), b, a] for k, b, a in rows]), 0
+    rows = [(k, rational_to_str(bernoulli_number(k)), rational_to_str(series_coeff_a(k)))
+            for k in range(0, args.max_k + 1)]
+    return _table(["k", "B_k", "a_k"], rows, args.format), 0
 
 
 def _cmd_eval(args, ctx: PrecisionCtx) -> tuple[str, int]:
@@ -105,10 +107,7 @@ def _cmd_constants(args, ctx: PrecisionCtx) -> tuple[str, int]:
         rows.append([str(n), rational_to_str(c_exact),
                      _dec(c_dec, args.digits), _dec(gap, args.digits)])
     header = ["N", "C_N_exact", "C_N_decimal", "abs_gap_to_half_ln_2pi"]
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows]}
-        return _json_doc(doc), 0
-    return _csv_table(header, rows), 0
+    return _table(header, rows, args.format), 0
 
 
 def _bounds_rows(families: list[str], n_max: int, ctx: PrecisionCtx,
@@ -146,17 +145,10 @@ def _bounds_rows(families: list[str], n_max: int, ctx: PrecisionCtx,
 
 
 def _cmd_bounds(args, ctx: PrecisionCtx) -> tuple[str, int]:
-    if args.family == "all":
-        families = ["robbins", "maria", "hummel", "nanjundiah", "michel", "impens"]
-    else:
-        families = [args.family]
+    families = [*bnd.FAMILY_MIN_N, "impens"] if args.family == "all" else [args.family]
     rows, saw_inconclusive = _bounds_rows(families, args.n_max, ctx, args.digits)
     header = ["family", "n", "lhs", "mid", "rhs", "margin", "holds"]
-    code = 4 if saw_inconclusive else 0
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows]}
-        return _json_doc(doc), code
-    return _csv_table(header, rows), code
+    return _table(header, rows, args.format), 4 if saw_inconclusive else 0
 
 
 def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
@@ -242,234 +234,162 @@ def _cmd_report(args, ctx: PrecisionCtx) -> tuple[str, int]:
 # -- the aggregated verification report ------------------------------------
 
 
-def _check(name: str, status: str, detail: str) -> dict:
-    return {"name": name, "status": status, "detail": detail}
+def _status(failed, inconclusive=0) -> str:
+    """The verdict of one check: any failure fails it, else any
+    inconclusive verdict leaves it inconclusive, else it passes."""
+    return "fail" if failed else ("inconclusive" if inconclusive else "pass")
+
+
+def _outcome(item) -> str:
+    """held, failed or inconclusive, for one item of a bound sweep or grid"""
+    if isinstance(item, InconclusiveError):
+        return "inconclusive"
+    return "held" if item.holds else "failed"
+
+
+def _unimodal(mags: list) -> bool:
+    """True when ``mags`` strictly falls for zero or more steps, then
+    strictly rises to its end, at least once."""
+    rises = [b > a for a, b in zip(mags, mags[1:])]
+    if True not in rises:
+        return False
+    first = rises.index(True)
+    return all(b < a for a, b in zip(mags[:first], mags[1:first + 1])) \
+        and all(rises[first:])
 
 
 def report_all(n_max: int, ctx: PrecisionCtx) -> dict:
     """Run the whole verification suite and aggregate one document.
 
     Inconclusive verdicts are recorded per check, never fatal.  Ordering
-    and formatting are deterministic.
+    and formatting are deterministic.  The checks run inside one
+    ``oracle._shared_values`` block, so every ln Gamma value they take from
+    the Binet oracle, directly or through an identity check, is evaluated
+    once per exact argument and precision.
     """
     if n_max < 10:
         raise ValidityError("report needs n_max >= 10")
-    checks: list[dict] = []
+    with orc._shared_values():
+        checks = [{"name": name, "status": status, "detail": detail}
+                  for name, status, detail in _report_checks(n_max, ctx)]
+    statuses = Counter(c["status"] for c in checks)
+    return {
+        "n_max": n_max,
+        "precision_bits": ctx.bits,
+        "checks": checks,
+        "summary": {"total": len(checks), "pass": statuses["pass"],
+                    "inconclusive": statuses["inconclusive"], "fail": statuses["fail"]},
+    }
 
-    # the report's own oracle values, one evaluation per exact argument;
-    # the identity checks (duplication, multiplication, Namias residual)
-    # still evaluate independently
-    binet2_values: dict[Fraction, orc.OracleValue] = {}
 
-    def binet2(z) -> orc.OracleValue:
-        key = Fraction(z)
-        if key not in binet2_values:
-            binet2_values[key] = orc.lngamma_binet2(key, ctx)
-        return binet2_values[key]
-
+def _report_checks(n_max: int, ctx: PrecisionCtx):
+    """Yield (name, status, detail) for each check of the report, in order."""
     # Bernoulli cross-identities
     k_cap = 64
     ok = all(series_coeff_a(k) * math.factorial(k) == bernoulli_number(k)
              for k in range(k_cap + 1))
     ok = ok and all(bernoulli_number(2 * j + 1) == 0 for j in range(1, k_cap // 2))
-    checks.append(_check("bernoulli.identity_a_times_factorial",
-                         "pass" if ok else "fail", f"k<={k_cap}"))
+    yield "bernoulli.identity_a_times_factorial", _status(not ok), f"k<={k_cap}"
 
     # constant sequence: telescoping + recovery
     seq = cst.c_sequence(min(40, bernoulli_table().cap // 2), ctx)
-    tel_ok = True
-    for (n_prev, c_prev, _), (n_cur, c_cur, _) in zip(seq.entries, seq.entries[1:]):
-        if c_cur - c_prev != -ser.term_coefficient(n_cur):
-            tel_ok = False
-            break
-    checks.append(_check("constants.telescoping_exact",
-                         "pass" if tel_ok else "fail",
-                         f"N<={seq.entries[-1][0]}"))
+    ok = all(c_cur - c_prev == -ser.term_coefficient(n_cur)
+             for (_, c_prev, _), (n_cur, c_cur, _) in zip(seq.entries, seq.entries[1:]))
+    yield "constants.telescoping_exact", _status(not ok), f"N<={seq.entries[-1][0]}"
     ref = seq.reference
-    gaps = [abs(dec - ref) for (_, _, dec) in seq.entries[:10]]
-    min_gap = min(gaps)
-    n_best, estimate = cst.best_constant_estimate(
-        cst.c_sequence(10, ctx))
+    min_gap = min(abs(dec - ref) for (_, _, dec) in seq.entries[:10])
+    n_best, estimate = cst.best_constant_estimate(cst.c_sequence(10, ctx))
     est_gap = abs(estimate - ref)
-    rec_ok = (min_gap < Fraction(6, 10**4)) and (est_gap < Fraction(2, 10**3))
-    checks.append(_check("constants.recovery",
-                         "pass" if rec_ok else "fail",
-                         f"min_gap={min_gap.to_decimal(6)} "
-                         f"N_best={n_best} est_gap={est_gap.to_decimal(6)}"))
+    ok = min_gap < Fraction(6, 10**4) and est_gap < Fraction(2, 10**3)
+    yield ("constants.recovery", _status(not ok), f"min_gap={min_gap.to_decimal(6)} "
+           f"N_best={n_best} est_gap={est_gap.to_decimal(6)}")
 
-    # inequality families
-    fams = ["robbins", "maria", "hummel", "nanjundiah", "michel"]
-    counts = {f: 0 for f in fams}
-    fails = {f: 0 for f in fams}
-    inconclusive = {f: 0 for f in fams}
-    for item in bnd.bound_sweep(fams, n_max, ctx):
-        if isinstance(item, InconclusiveError):
-            inconclusive[item.family] += 1
-            continue
-        counts[item.family] += 1
-        if not item.holds:
-            fails[item.family] += 1
+    # inequality families, then the truncation sandwich grid
+    fams = list(bnd.FAMILY_MIN_N)
+    tally = Counter((item.family, _outcome(item))
+                    for item in bnd.bound_sweep(fams, n_max, ctx))
     for f in fams:
-        if fails[f]:
-            status = "fail"
-        elif inconclusive[f]:
-            status = "inconclusive"
-        else:
-            status = "pass"
-        checks.append(_check(f"bounds.{f}", status,
-                             f"n<={n_max} rows={counts[f]} fails={fails[f]} "
-                             f"inconclusive={inconclusive[f]}"))
-
-    # truncation sandwich grid
-    cells = held = inc = failed = 0
-    for item in bnd.impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, ctx):
-        cells += 1
-        if isinstance(item, InconclusiveError):
-            inc += 1
-        elif item.holds:
-            held += 1
-        else:
-            failed += 1
-    status = "fail" if failed else ("inconclusive" if inc else "pass")
-    checks.append(_check("bounds.impens_grid", status,
-                         f"cells={cells} held={held} inconclusive={inc} "
-                         f"failed={failed}"))
+        held, failed, inc = (tally[f, o] for o in ("held", "failed", "inconclusive"))
+        yield (f"bounds.{f}", _status(failed, inc),
+               f"n<={n_max} rows={held + failed} fails={failed} inconclusive={inc}")
+    grid = Counter(map(_outcome, bnd.impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, ctx)))
+    yield ("bounds.impens_grid", _status(grid["failed"], grid["inconclusive"]),
+           f"cells={grid.total()} held={grid['held']} "
+           f"inconclusive={grid['inconclusive']} failed={grid['failed']}")
 
     # oracle cross-checks
-    worst = None
-    ok = True
+    gaps = []
     for n in range(2, 31):
-        ov = binet2(n)
-        exact = orc.ln_factorial_exact(n - 1, ctx)
-        gap = abs(ov.value - exact.value)
-        allowed = ov.error_bound + exact.error_bound
-        if gap > allowed:
-            ok = False
-        if worst is None or gap > worst:
-            worst = gap
-    checks.append(_check("oracle.binet2_vs_exact_factorial",
-                         "pass" if ok else "fail",
-                         f"n=2..30 worst_gap={worst.to_decimal(4)}"))
-
+        ov, exact = orc.lngamma_binet2(n, ctx), orc.ln_factorial_exact(n - 1, ctx)
+        gaps.append((abs(ov.value - exact.value), ov.error_bound + exact.error_bound))
+    worst = max(gap for gap, _ in gaps)
+    yield ("oracle.binet2_vs_exact_factorial", _status(any(g > a for g, a in gaps)),
+           f"n=2..30 worst_gap={worst.to_decimal(4)}")
     thr = Fraction(1, 1 << max(44, ctx.bits - 20))
-    worst = None
-    ok = True
-    for z in (Fraction(1, 2), Fraction(1), Fraction(23, 10), Fraction(15, 2)):
-        resid = orc.check_duplication(z, ctx)
-        if worst is None or resid > worst:
-            worst = resid
-        if resid > thr:
-            ok = False
-    checks.append(_check("oracle.duplication", "pass" if ok else "fail",
-                         f"worst_residual={worst.to_decimal(4)}"))
-    worst = None
-    ok = True
-    for z in (Fraction(1, 3), Fraction(2)):
-        resid = orc.check_multiplication(3, z, ctx)
-        if worst is None or resid > worst:
-            worst = resid
-        if resid > thr:
-            ok = False
-    checks.append(_check("oracle.multiplication_m3", "pass" if ok else "fail",
-                         f"worst_residual={worst.to_decimal(4)}"))
+    for name, residual, zs in (
+            ("oracle.duplication", orc.check_duplication,
+             (Fraction(1, 2), Fraction(1), Fraction(23, 10), Fraction(15, 2))),
+            ("oracle.multiplication_m3", lambda z, c: orc.check_multiplication(3, z, c),
+             (Fraction(1, 3), Fraction(2)))):
+        worst = max(residual(z, ctx) for z in zs)
+        yield name, _status(worst > thr), f"worst_residual={worst.to_decimal(4)}"
 
     # unimodal term profile
-    ok = True
-    for z in (1, 5, 10):
-        mags = [abs(ser.f_term(2 * k, z, ctx)) for k in range(1, 61)]
-        rises = [i for i in range(len(mags) - 1) if mags[i + 1] > mags[i]]
-        if not rises:
-            ok = False
-            continue
-        first_rise = rises[0]
-        if any(mags[i + 1] >= mags[i] for i in range(first_rise)):
-            ok = False
-        if any(mags[i + 1] <= mags[i] for i in range(first_rise, len(mags) - 1)):
-            ok = False
-    checks.append(_check("series.term_profile_unimodal",
-                         "pass" if ok else "fail", "z in {1,5,10}, N<=60"))
+    ok = all(_unimodal([abs(ser.f_term(2 * k, z, ctx)) for k in range(1, 61)])
+             for z in (1, 5, 10))
+    yield "series.term_profile_unimodal", _status(not ok), "z in {1,5,10}, N<=60"
 
     # optimal truncation against the oracle
-    ok = True
-    inc_count = 0
+    failed = inc = 0
     for z in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(10)):
         approx = ser.optimal_truncation(z, ctx)
-        ov = binet2(z)
+        ov = orc.lngamma_binet2(z, ctx)
         gap = abs(approx.value - ov.value)
         envelope = ov.error_bound + abs(approx.value) * ctx.eps() * 64
-        if gap <= approx.omitted_term:
-            continue
-        if gap <= approx.omitted_term + envelope:
-            inc_count += 1
-        else:
-            ok = False
-    status = "fail" if not ok else ("inconclusive" if inc_count else "pass")
-    checks.append(_check("series.optimal_truncation_vs_oracle", status,
-                         f"z in {{0.5,1,2,5,10}} inconclusive={inc_count}"))
+        if gap > approx.omitted_term + envelope:
+            failed += 1
+        elif gap > approx.omitted_term:
+            inc += 1
+    yield ("series.optimal_truncation_vs_oracle", _status(failed, inc),
+           f"z in {{0.5,1,2,5,10}} inconclusive={inc}")
 
     # Feller
     resids = expn.feller_residual_sweep(min(n_max, 200), ctx)
-    allow = [n * Fraction(1, 1 << (ctx.bits - 8)) for n in range(1, len(resids) + 1)]
-    ok = all(r <= a for r, a in zip(resids, allow))
-    checks.append(_check("expansions.feller_identity",
-                         "pass" if ok else "fail", f"n<={len(resids)}"))
-    fc = expn.feller_constant(2000, ctx)
-    gap = abs(fc - ser.half_ln_2pi(ctx))
-    ok = gap < Fraction(5, 10**5)
-    checks.append(_check("expansions.feller_constant", "pass" if ok else "fail",
-                         f"K=2000 gap={gap.to_decimal(4)}"))
+    ok = all(r <= n * Fraction(1, 1 << (ctx.bits - 8)) for n, r in enumerate(resids, 1))
+    yield "expansions.feller_identity", _status(not ok), f"n<={len(resids)}"
+    gap = abs(expn.feller_constant(2000, ctx) - ser.half_ln_2pi(ctx))
+    yield ("expansions.feller_constant", _status(gap >= Fraction(5, 10**5)),
+           f"K=2000 gap={gap.to_decimal(4)}")
 
     # Marsaglia
     series20 = expn.marsaglia_coeffs(20)
-    defect = expn.reversion_residual(series20)
-    ok = (not any(defect)) and series20.coeffs[0] == 1 \
-        and series20.coeffs[1] == 1 and series20.coeffs[2] == Fraction(1, 3)
-    checks.append(_check("expansions.marsaglia_reversion",
-                         "pass" if ok else "fail", "K=20 exact defect zero"))
+    ok = not any(expn.reversion_residual(series20)) \
+        and series20.coeffs[:3] == (1, 1, Fraction(1, 3))
+    yield "expansions.marsaglia_reversion", _status(not ok), "K=20 exact defect zero"
     exact20 = orc.ln_factorial_exact(20, ctx).value
-    errs = []
-    for K in range(1, 7):
-        approx = expn.marsaglia_factorial(20, K, ctx)
-        ratio = mpc.exp(mpc.ln(approx, ctx) - exact20, ctx)
-        errs.append(abs(ratio - 1))
-    ok = all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
-    checks.append(_check("expansions.marsaglia_monotone",
-                         "pass" if ok else "fail",
-                         f"n=20 K=1..6 final={errs[-1].to_decimal(4)}"))
+    ratios = [mpc.exp(mpc.ln(expn.marsaglia_factorial(20, K, ctx), ctx) - exact20, ctx)
+              for K in range(1, 7)]
+    errs = [abs(ratio - 1) for ratio in ratios]
+    ok = all(b <= a for a, b in zip(errs, errs[1:]))
+    yield ("expansions.marsaglia_monotone", _status(not ok),
+           f"n=20 K=1..6 final={errs[-1].to_decimal(4)}")
 
     # Mermin
-    ok = True
     K = 10**4
-    for n in (1, 2, 10):
-        log_prod = expn.mermin_partial_product(n, K, ctx)
-        r_n = bnd.sequence_point(n, ctx).r_n
-        gap = r_n - log_prod
-        if not (gap >= 0 and gap <= Fraction(1, 12 * K)):
-            ok = False
-    checks.append(_check("expansions.mermin_tail", "pass" if ok else "fail",
-                         f"K={K} n in {{1,2,10}}"))
+    gaps = [bnd.sequence_point(n, ctx).r_n - expn.mermin_partial_product(n, K, ctx)
+            for n in (1, 2, 10)]
+    ok = all(gap >= 0 and gap <= Fraction(1, 12 * K) for gap in gaps)
+    yield "expansions.mermin_tail", _status(not ok), f"K={K} n in {{1,2,10}}"
 
     # Namias
-    ok = True
+    failed = False
     for n in (1, 2, 10):
         resid = expn.namias_residual(n, ctx)
-        bound = binet2(2 * n).error_bound + binet2(n).error_bound \
-            + binet2(Fraction(2 * n - 1, 2)).error_bound
-        if resid > 10 * bound + Fraction(1, 1 << (ctx.bits - 16)):
-            ok = False
-    checks.append(_check("expansions.namias_identity", "pass" if ok else "fail",
-                         "n in {1,2,10}"))
-
-    passed = sum(1 for c in checks if c["status"] == "pass")
-    inconcl = sum(1 for c in checks if c["status"] == "inconclusive")
-    failed = sum(1 for c in checks if c["status"] == "fail")
-    return {
-        "n_max": n_max,
-        "precision_bits": ctx.bits,
-        "checks": checks,
-        "summary": {"total": len(checks), "pass": passed,
-                    "inconclusive": inconcl, "fail": failed},
-    }
+        bound = orc.lngamma_binet2(2 * n, ctx).error_bound \
+            + orc.lngamma_binet2(n, ctx).error_bound \
+            + orc.lngamma_binet2(Fraction(2 * n - 1, 2), ctx).error_bound
+        failed |= resid > 10 * bound + Fraction(1, 1 << (ctx.bits - 16))
+    yield "expansions.namias_identity", _status(failed), "n in {1,2,10}"
 
 
 # -- parser -----------------------------------------------------------------
@@ -528,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common],
                        help="classical inequality families with margins")
     p.add_argument("--family", required=True,
-                   choices=["all", "robbins", "maria", "hummel", "nanjundiah",
-                            "michel", "impens"])
+                   choices=["all", *bnd.FAMILY_MIN_N, "impens"])
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 

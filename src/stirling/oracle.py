@@ -31,6 +31,8 @@ checks can refuse to conclude when a margin falls inside the bound.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -393,6 +395,24 @@ def _binet_integral(z_raw, bits: int):
     return integral, len(table), parts
 
 
+# the store of ``_shared_values``; None outside that block
+_SHARED = contextvars.ContextVar("binet2_shared_values", default=None)
+
+
+@contextlib.contextmanager
+def _shared_values():
+    """Within this block ``lngamma_binet2`` evaluates each exact argument at
+    each precision once and returns the stored value after; outside it,
+    and in other threads, every call evaluates.  The verification report
+    runs in one, so the identity checks share the values of its direct
+    checks."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     """ln Gamma(z) from the arctan integral.
 
@@ -415,10 +435,17 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     ``diagnostics`` records the step m, the strip half-width d, the nodes
     summed, and each part as a BigFloat at wp: discretisation, truncation,
     node_error, rounding and final_rounding (the last item).
+
+    Inside ``_shared_values`` a repeated (raw argument at wp, bits) pair
+    returns the value stored by its first evaluation.
     """
     wp = ctx.bits + 64
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
+    shared = _SHARED.get()
+    key = (z_raw, ctx.bits)
+    if shared is not None and key in shared:
+        return shared[key]
     shifted = libmp.mpf_lt(z_raw, libmp.fone)
     zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
     integral, nodes, parts = _binet_integral(zq, ctx.bits)
@@ -434,12 +461,15 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         bound = libmp.mpf_add(bound, part, wp, _UP)
     diagnostics = {"step_m": _binet_plan(ctx.bits)[0], "strip_d": _STRIP_D, "nodes": nodes}
     diagnostics.update((name, BigFloat(part, wp)) for name, part in parts.items())
-    return OracleValue(
+    result = OracleValue(
         value=BigFloat.from_raw(val, ctx),
         method="binet2",
         error_bound=BigFloat.from_raw(libmp.mpf_pos(bound, ctx.bits, _UP), ctx),
         diagnostics=diagnostics,
     )
+    if shared is not None:
+        shared[key] = result
+    return result
 
 
 # -- Euler's limit definition ---------------------------------------------

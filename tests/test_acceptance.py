@@ -6,6 +6,7 @@ clock around exactly the mandated work.
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -209,5 +210,9 @@ def test_12_report_determinism(capsys):
         second = capsys.readouterr().out
         assert code1 == code2 == 0
         assert first == second
+        # the report's bytes at 256 bits, pinned: a change to any check's
+        # detail or verdict must re-pin this digest and say why
+        assert hashlib.sha256(first.encode()).hexdigest() == (
+            "70152c453392a296682276e160d0a1364736b23b159007c92e71f412f0fadf68")
         doc = json.loads(first)
         assert doc["summary"]["fail"] == 0

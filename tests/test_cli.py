@@ -243,6 +243,28 @@ def test_report_low_precision_goes_inconclusive_not_fail(capsys):
     assert doc["summary"]["inconclusive"] >= 1
 
 
+def test_report_evaluates_each_oracle_argument_once(capsys, monkeypatch):
+    # one Binet integral for each of the 48 distinct (argument, precision)
+    # pairs; the identity checks share the report's values instead of
+    # evaluating again
+    real = stirling.oracle._binet_integral
+    calls = []
+
+    def counting(z_raw, bits):
+        calls.append(bits)
+        return real(z_raw, bits)
+
+    monkeypatch.setattr(stirling.oracle, "_binet_integral", counting)
+    code, _, _ = run_capture(["report", "--n-max", "100"], capsys)
+    assert code == 0
+    assert len(calls) == 48
+    # no stored value outlives the report: direct calls evaluate every time
+    ctx = stirling.oracle.PrecisionCtx(256)
+    stirling.oracle.lngamma_binet2(1, ctx)
+    stirling.oracle.lngamma_binet2(1, ctx)
+    assert len(calls) == 50
+
+
 def test_report_needs_n_max_ten(capsys):
     code, _, _ = run_capture(["report", "--n-max", "9"], capsys)
     assert code == 3

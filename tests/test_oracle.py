@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 from mpmath import libmp
 
+import stirling.oracle
 from stirling.bernoulli import bernoulli
 from stirling.errors import DomainError, ResourceError
 from stirling.mpcore import BigFloat, PrecisionCtx
@@ -223,6 +224,29 @@ def test_binet2_error_bound_at_one_no_looser_at_64_bits():
     # former tanh-sinh rule published 0x1.9084e27905ae4088p-88 here
     bound = lngamma_binet2(1, PrecisionCtx(64)).error_bound
     assert _exact(bound) <= _exact(BigFloat.from_hex("0x1.9084e27905ae4088p-88"))
+
+
+def test_binet2_shared_values_once_per_exact_argument_and_precision(monkeypatch):
+    # inside the block a Fraction and a BigFloat of the same value
+    # share one evaluation per precision; outside it every call evaluates
+    real = stirling.oracle._binet_integral
+    calls = []
+
+    def counting(z_raw, bits):
+        calls.append(bits)
+        return real(z_raw, bits)
+
+    monkeypatch.setattr(stirling.oracle, "_binet_integral", counting)
+    ctx = PrecisionCtx(64)
+    with stirling.oracle._shared_values():
+        first = lngamma_binet2(Fraction(5, 2), ctx)
+        assert lngamma_binet2(BigFloat(libmp.from_rational(5, 2, 64), 64), ctx) is first
+        assert lngamma_binet2(Fraction(5, 3), ctx) is not first
+        assert lngamma_binet2(Fraction(5, 2), PrecisionCtx(80)) is not first
+        assert calls == [64, 64, 80]
+    again = lngamma_binet2(Fraction(5, 2), ctx)
+    assert calls == [64, 64, 80, 64]
+    assert again == first and again is not first
 
 
 def test_binet2_domain():
