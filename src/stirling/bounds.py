@@ -59,8 +59,6 @@ FAMILY_MIN_N = {
     "michel": 3,
 }
 
-GUARD = 32
-
 
 @dataclass(frozen=True)
 class SequencePoint:
@@ -117,7 +115,7 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
         raise DomainError("n must be an integer >= 1")
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
     lnfact = _ln_factorial_raw(n, wp)
     n_raw = libmp.from_int(n)
     lnn = libmp.mpf_log(n_raw, wp, _RND)
@@ -186,7 +184,16 @@ def _evaluate_family(family: str, n: int, r, consts: _RowConstants,
         rhs_raw = libmp.from_rational(3 * n + 10, 1080 * n**4, wp, _RND)
     else:
         raise DomainError(f"unknown family {family!r}")
+    return _verdict(family, n, lhs_raw, mid_raw, rhs_raw, threshold, wp, ctx,
+                    lambda: f"{family} at n={n}: margin within the arithmetic "
+                            f"envelope at {ctx.bits} bits")
 
+
+def _verdict(family: str, n: int, lhs_raw, mid_raw, rhs_raw, envelope, wp: int,
+             ctx: PrecisionCtx, message) -> BoundReport:
+    """The one verdict rule: the margin is the smaller of mid - lhs and
+    rhs - mid (a None bound has no gap), and a margin within ``envelope``
+    raises InconclusiveError with ``message()`` instead of a verdict."""
     margin = None
     if lhs_raw is not None:
         margin = libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND)
@@ -194,21 +201,18 @@ def _evaluate_family(family: str, n: int, r, consts: _RowConstants,
         upper = libmp.mpf_sub(rhs_raw, mid_raw, wp, _RND)
         if margin is None or libmp.mpf_lt(upper, margin):
             margin = upper
-    if libmp.mpf_le(libmp.mpf_abs(margin), threshold):
+    if libmp.mpf_le(libmp.mpf_abs(margin), envelope):
         raise InconclusiveError(
-            f"{family} at n={n}: margin within the arithmetic envelope at "
-            f"{ctx.bits} bits",
-            family=family, n=n, margin=BigFloat.from_raw(margin, ctx),
-            envelope=BigFloat.from_raw(threshold, ctx),
+            message(), family=family, n=n, margin=BigFloat.from_raw(margin, ctx),
+            envelope=BigFloat.from_raw(envelope, ctx),
         )
-    holds = libmp.mpf_gt(margin, libmp.fzero)
     return BoundReport(
         family=family,
         n=n,
         lhs=None if lhs_raw is None else BigFloat.from_raw(lhs_raw, ctx),
         mid=BigFloat.from_raw(mid_raw, ctx),
         rhs=None if rhs_raw is None else BigFloat.from_raw(rhs_raw, ctx),
-        holds=holds,
+        holds=libmp.mpf_gt(margin, libmp.fzero),
         margin=BigFloat.from_raw(margin, ctx),
     )
 
@@ -225,7 +229,7 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
         )
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
-    consts = _row_constants(ctx.bits + GUARD)
+    consts = _row_constants(ctx.wprec())
     r = _r_raw(n, _ln_factorial_raw(n, consts.wp), consts.half_l2p, consts.wp)
     return _evaluate_family(family, n, r, consts,
                             _scale_threshold(n, consts.wp), ctx)
@@ -248,7 +252,7 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
         raise ValidityError(
             f"n_max={n_max} is below the validity start of {families}"
         )
-    consts = _row_constants(ctx.bits + GUARD)
+    consts = _row_constants(ctx.wprec())
     wp = consts.wp
     for n, lnfact in ln_factorial_range(n_max, wp):
         r = _r_raw(n, lnfact, consts.half_l2p, wp)
@@ -277,7 +281,7 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> _SandwichPoint:
     # the verdict is computed with 64 extra bits so that rounding the
     # oracle value to ctx.bits cannot swallow a tight-but-real margin
     work = PrecisionCtx(ctx.bits + 64)
-    wp = work.bits + GUARD
+    wp = work.wprec()
     x_raw = to_raw(x, wp)
     if libmp.mpf_le(x_raw, libmp.fzero):
         raise DomainError("x must be positive")
@@ -291,26 +295,10 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> _SandwichPoint:
 def _sandwich_cell(point: _SandwichPoint, n: int, m: int, lhs_raw, rhs_raw,
                    ctx: PrecisionCtx) -> BoundReport:
     """Verdict for one cell from R_{2n}(x) = lhs_raw and R_{2m+1}(x) = rhs_raw."""
-    wp, mid_raw = point.wp, point.mid_raw
-    lo = libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND)
-    hi = libmp.mpf_sub(rhs_raw, mid_raw, wp, _RND)
-    margin = lo if libmp.mpf_lt(lo, hi) else hi
-    if libmp.mpf_le(libmp.mpf_abs(margin), point.threshold):
-        raise InconclusiveError(
-            f"sandwich at x={point.x}, n={n}, m={m}: margin within the oracle "
-            f"error bound at {ctx.bits} bits",
-            family="impens", n=n, margin=BigFloat.from_raw(margin, ctx),
-            envelope=BigFloat.from_raw(point.threshold, ctx),
-        )
-    return BoundReport(
-        family="impens",
-        n=n,
-        lhs=BigFloat.from_raw(lhs_raw, ctx),
-        mid=BigFloat.from_raw(mid_raw, ctx),
-        rhs=BigFloat.from_raw(rhs_raw, ctx),
-        holds=libmp.mpf_gt(margin, libmp.fzero),
-        margin=BigFloat.from_raw(margin, ctx),
-    )
+    return _verdict("impens", n, lhs_raw, point.mid_raw, rhs_raw, point.threshold,
+                    point.wp, ctx,
+                    lambda: f"sandwich at x={point.x}, n={n}, m={m}: margin within "
+                            f"the oracle error bound at {ctx.bits} bits")
 
 
 def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
@@ -359,7 +347,7 @@ def aissen_ratio(n: int, ctx: PrecisionCtx) -> BigFloat:
         raise DomainError("n must be an integer >= 1")
     if n + 1 > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
 
     def ln_y(k: int):
         lnfact = _ln_factorial_raw(k, wp)

@@ -43,8 +43,8 @@ from mpmath import libmp
 
 from .errors import DomainError, ResourceError
 from .mpcore import _RND, BigFloat, PrecisionCtx, raw_log1p, to_raw
-from .oracle import (FACTORIAL_CAP, _ln_factorial_raw, gamma_half_integer,
-                     ln_factorial_range, lngamma_binet2)
+from .oracle import (FACTORIAL_CAP, gamma_half_integer, ln_factorial_range,
+                     lngamma_binet2)
 from .series import main_term_P
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "mermin_partial_product",
 ]
 
-GUARD = 48
 MARSAGLIA_CAP = 200
 
 
@@ -98,7 +97,7 @@ def _feller_ab_raw(k: int, wp: int):
 def feller_term(k: int, ctx: PrecisionCtx) -> FellerTerm:
     if not isinstance(k, int) or k < 1:
         raise DomainError("k must be an integer >= 1")
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
     a, b = _feller_ab_raw(k, wp)
     return FellerTerm(k=k, a_k=BigFloat.from_raw(a, ctx), b_k=BigFloat.from_raw(b, ctx))
 
@@ -109,55 +108,37 @@ def _i_half_raw(wp: int):
     return libmp.mpf_neg(libmp.mpf_add(libmp.mpf_shift(ln2, -1), libmp.fhalf, wp, _RND))
 
 
-def _feller_sum_raw(K: int, wp: int):
-    """sum_{k=1..K} (a_k - b_k) at wp bits."""
-    s = libmp.fzero
-    for k in range(1, K + 1):
-        a, b = _feller_ab_raw(k, wp)
-        s = libmp.mpf_add(s, libmp.mpf_sub(a, b, wp, _RND), wp, _RND)
-    return s
-
-
-def _feller_residual_raw(n: int, s, a_n, lnfact, i_half, wp: int):
-    """|ln(n!) - (1/2) ln n - [I(n) - I(1/2) + s + a_n]|, where s is
-    sum_{k<n} (a_k - b_k) and lnfact is ln(n!)."""
-    n_raw = libmp.from_int(n)
-    lnn = libmp.mpf_log(n_raw, wp, _RND)
-    i_n = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
-    rhs = libmp.mpf_sub(i_n, i_half, wp, _RND)
-    rhs = libmp.mpf_add(rhs, s, wp, _RND)
-    rhs = libmp.mpf_add(rhs, a_n, wp, _RND)
-    lhs = libmp.mpf_sub(lnfact, libmp.mpf_shift(lnn, -1), wp, _RND)
-    return libmp.mpf_abs(libmp.mpf_sub(lhs, rhs, wp, _RND))
-
-
 def feller_identity_residual(n: int, ctx: PrecisionCtx) -> BigFloat:
     """|ln(n!) - (1/2) ln n - [I(n) - I(1/2) + sum_{k<n}(a_k - b_k) + a_n]|,
-    with ln(n!) exact; only roundoff should remain."""
+    with ln(n!) exact; only roundoff should remain.  It is the last entry of
+    feller_residual_sweep(n), so the two never disagree."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be an integer >= 1")
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
-    wp = ctx.bits + GUARD
-    a_n, _ = _feller_ab_raw(n, wp)
-    resid = _feller_residual_raw(n, _feller_sum_raw(n - 1, wp), a_n,
-                                 _ln_factorial_raw(n, wp), _i_half_raw(wp), wp)
-    return BigFloat.from_raw(resid, ctx)
+    return feller_residual_sweep(n, ctx)[-1]
 
 
 def feller_residual_sweep(n_max: int, ctx: PrecisionCtx) -> list[BigFloat]:
-    """Residuals for n = 1..n_max, sharing one pass over the a/b terms
-    and one running exact factorial."""
+    """feller_identity_residual for n = 1..n_max, sharing one pass over the
+    a/b terms and one running exact factorial."""
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
     i_half = _i_half_raw(wp)
     out = []
     s = libmp.fzero  # sum_{k<n} (a_k - b_k)
     for n, lnfact in ln_factorial_range(n_max, wp):
         a_n, b_n = _feller_ab_raw(n, wp)
-        out.append(BigFloat.from_raw(
-            _feller_residual_raw(n, s, a_n, lnfact, i_half, wp), ctx))
+        n_raw = libmp.from_int(n)
+        lnn = libmp.mpf_log(n_raw, wp, _RND)
+        i_n = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
+        rhs = libmp.mpf_sub(i_n, i_half, wp, _RND)
+        rhs = libmp.mpf_add(rhs, s, wp, _RND)
+        rhs = libmp.mpf_add(rhs, a_n, wp, _RND)
+        lhs = libmp.mpf_sub(lnfact, libmp.mpf_shift(lnn, -1), wp, _RND)
+        resid = libmp.mpf_abs(libmp.mpf_sub(lhs, rhs, wp, _RND))
+        out.append(BigFloat.from_raw(resid, ctx))
         s = libmp.mpf_add(s, libmp.mpf_sub(a_n, b_n, wp, _RND), wp, _RND)
     return out
 
@@ -183,12 +164,13 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     sum lies in [s, s + D] 2^-W for D floor divisions in all.  p_j is 0
     once 4^j > 2^W, so D <= K (W + 1) <= K (wp + 64) whenever
     K (wp + 64) < 2^58.  The sum is at least a_1 - b_1 > 1/24 > 2^-5, so
-    W = wp + 5 + bitlen(K (wp + 64)) keeps its error below 2^-wp relative.
-    I(1/2) is then subtracted at wp, and the result rounded once to ctx.
+    W = wp + 5 + bitlen(K (wp + 64)) keeps its error below 2^-wp relative,
+    for the working precision wp = ctx.wprec() = bits + 32.  I(1/2) is then
+    subtracted at wp, and the result rounded once to ctx.
     """
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
     s, W = _feller_fixed_sum(K, wp)
     total = libmp.from_man_exp(s, -W)
     return BigFloat.from_raw(libmp.mpf_sub(total, _i_half_raw(wp), wp, _RND), ctx)
@@ -319,7 +301,7 @@ def marsaglia_factorial(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
     series = marsaglia_coeffs(K)
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
     n_raw = libmp.from_int(n)
     root = libmp.mpf_sqrt(libmp.from_rational(2, n, wp, _RND), wp, _RND)
     s = libmp.fzero
@@ -344,7 +326,7 @@ def marsaglia_factorial(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
 def namias_residual(n, ctx: PrecisionCtx) -> BigFloat:
     """|F(2n)/(F(n) F(n-1/2)) - sqrt(e) (1 - 1/(2n))^n| with
     F(x) = Gamma(x)/exp(P(x)), Gamma from the integral oracle."""
-    wp = ctx.bits + GUARD
+    wp = ctx.wprec()
     n_raw = to_raw(n, wp)
     if libmp.mpf_le(n_raw, libmp.fhalf):
         raise DomainError("needs n > 1/2")
@@ -382,14 +364,15 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     less than one unit per floor division: the sum lies in [s, s + D] 2^-W
     for D floor divisions.  It is at least its first term
     1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
-    W = bits + GUARD + 2 bitlen(2n+1) + 2 + bitlen(D) puts that error below
-    2^-(bits + GUARD) relative to the result, which is rounded once.
+    W = ctx.wprec() + 2 bitlen(2n+1) + 2 + bitlen(D) puts that error below
+    2^-ctx.wprec() = 2^-(bits + 32) relative to the result, which is rounded
+    once.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be an integer >= 1")
     if not isinstance(K, int) or K < n:
         raise DomainError("K must be an integer >= n")
-    wp = ctx.bits + GUARD + 2 * (2 * n + 1).bit_length() + 2
+    wp = ctx.wprec() + 2 * (2 * n + 1).bit_length() + 2
     # D <= (K - n + 1) wp for K < 2^50: each series has fewer than
     # W / (2 log2 3) + 1 < wp / 2 terms of two floor divisions each, plus
     # the first division

@@ -8,11 +8,15 @@ delegated to mpmath's ``libmp`` layer, whose primitives are pure functions
 of ``(operands, precision, rounding)`` and therefore give bit-identical
 results for identical inputs.
 
-Internal computations round at a guarded working precision and the final
-result is rounded once to the context's bits, so every published value is
-within 2 ulp of the true one.  Decimals published by higher layers go
-through :func:`published_decimal`, which recomputes at ``bits + 64`` and
-prints only the leading digits on which the two runs agree.
+Internal computations round at one working precision, ``PrecisionCtx.wprec()``
+= bits + ``GUARD`` (32), and the final result is rounded once to the
+context's bits, so every published value is within 2 ulp of the true one.
+Only three places work at bits + 64 instead: ``lngamma_binet2``, whose bounds
+are proven at that precision; ``bounds._sandwich_point``, so that rounding
+the oracle value cannot swallow a tight but real sandwich margin; and
+:func:`published_decimal`, which recomputes a value at ``bits + 64`` and
+prints only the leading digits on which the two runs agree.  Every
+conversion to a libmp value goes through :func:`to_raw`.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ MIN_BITS = 64
 DEFAULT_BITS = 256
 PRECISION_ENV_VAR = "STIRLING_PRECISION_BITS"
 
-# Guard bits used by internal raw computations before the final rounding.
-GUARD = 16
+# Guard bits of every working precision: PrecisionCtx.wprec() = bits + GUARD.
+GUARD = 32
 
 _RND = "n"  # round to nearest even, everywhere
 
@@ -66,9 +70,9 @@ class PrecisionCtx:
                 f"precision must be an integer >= {MIN_BITS} bits, got {self.bits!r}"
             )
 
-    def wprec(self, extra: int = GUARD) -> int:
-        """Internal working precision with guard bits."""
-        return self.bits + extra
+    def wprec(self) -> int:
+        """Internal working precision: bits + GUARD."""
+        return self.bits + GUARD
 
     def eps(self) -> Fraction:
         """2**(1-bits), one ulp at unit scale."""
@@ -97,10 +101,11 @@ def _check_finite(raw) -> None:
 class BigFloat:
     """Immutable radix-2 float carrying the precision it was created at.
 
-    Arithmetic between BigFloats rounds at the larger of the two contexts;
-    int/float/Fraction operands are lifted exactly (Fractions are rounded
-    once, at the operation precision).  Equality and ordering compare exact
-    numeric values, and the hash is that of the exact value.
+    Arithmetic between BigFloats rounds at the larger of the two contexts.
+    int and float operands are lifted exactly.  A Fraction operand is first
+    rounded at ``ctx_bits + GUARD``, and the operation then rounds the result
+    to the operation precision.  Equality and ordering compare exact numeric
+    values, and the hash is that of the exact value.
     """
 
     __slots__ = ("_raw", "ctx_bits")
@@ -167,13 +172,8 @@ class BigFloat:
         """Return (raw, bits) for the other operand, or None."""
         if isinstance(other, BigFloat):
             return other._raw, other.ctx_bits
-        if isinstance(other, int):
-            return libmp.from_int(other), self.ctx_bits
-        if isinstance(other, float):
-            return libmp.from_float(other), self.ctx_bits
-        if isinstance(other, Fraction):
-            prec = max(self.ctx_bits, MIN_BITS) + GUARD
-            return libmp.from_rational(other.numerator, other.denominator, prec, _RND), self.ctx_bits
+        if isinstance(other, (int, float, Fraction)):
+            return to_raw(other, self.ctx_bits + GUARD), self.ctx_bits
         return None
 
     def _binop(self, other, fn, reverse=False):
@@ -258,37 +258,27 @@ class BigFloat:
 def bigfloat(x, ctx: PrecisionCtx) -> BigFloat:
     """Coerce ``x`` (BigFloat, int, float, Fraction, decimal str) to a BigFloat.
 
-    ints and floats convert exactly; Fractions and decimal strings are
-    correctly rounded to ``ctx.bits``.
+    The value is correctly rounded to ``ctx.bits`` (once: :func:`to_raw`
+    lifts ints and floats exactly and rounds the rest at ``ctx.bits``).
     """
-    if isinstance(x, BigFloat):
-        if x.ctx_bits == ctx.bits:
-            return x
-        return BigFloat.from_raw(x._raw, ctx)
-    if isinstance(x, int):
-        return BigFloat(libmp.from_int(x, ctx.bits, _RND), ctx.bits)
-    if isinstance(x, float):
-        return BigFloat(libmp.from_float(x, ctx.bits, _RND), ctx.bits)
-    if isinstance(x, Fraction):
-        return rational_to_float(x, ctx)
-    if isinstance(x, str):
-        return rational_to_float(Fraction(x), ctx)
-    raise TypeError(f"cannot convert {type(x).__name__} to BigFloat")
+    if isinstance(x, BigFloat) and x.ctx_bits == ctx.bits:
+        return x
+    return BigFloat.from_raw(to_raw(x, ctx.bits), ctx)
 
 
 def to_raw(x, wprec: int):
-    """Raw libmp value of ``x`` at working precision (module-internal)."""
+    """Raw libmp value of ``x``: BigFloats, ints and floats exactly,
+    Fractions and decimal strings correctly rounded to ``wprec`` bits."""
     if isinstance(x, BigFloat):
         return x._raw
     if isinstance(x, int):
         return libmp.from_int(x)
     if isinstance(x, float):
         return libmp.from_float(x)
+    if isinstance(x, str):
+        x = Fraction(x)
     if isinstance(x, Fraction):
         return libmp.from_rational(x.numerator, x.denominator, wprec, _RND)
-    if isinstance(x, str):
-        q = Fraction(x)
-        return libmp.from_rational(q.numerator, q.denominator, wprec, _RND)
     raise TypeError(f"cannot convert {type(x).__name__} to a raw float")
 
 
@@ -343,27 +333,13 @@ def exp(x, ctx: PrecisionCtx) -> BigFloat:
     return elementary("exp", x, ctx)
 
 
-def sqrt(x, ctx: PrecisionCtx) -> BigFloat:
-    return elementary("sqrt", x, ctx)
-
-
-def arctan(x, ctx: PrecisionCtx) -> BigFloat:
-    return elementary("arctan", x, ctx)
-
-
-def power(x, y, ctx: PrecisionCtx) -> BigFloat:
-    return elementary("pow", x, ctx, y)
-
-
 def pi(ctx: PrecisionCtx) -> BigFloat:
     return BigFloat(libmp.mpf_pi(ctx.bits, _RND), ctx.bits)
 
 
 def rational_to_float(q: Fraction, ctx: PrecisionCtx) -> BigFloat:
     """Correctly rounded conversion of an exact rational."""
-    q = Fraction(q)
-    raw = libmp.from_rational(q.numerator, q.denominator, ctx.bits, _RND)
-    return BigFloat(raw, ctx.bits)
+    return BigFloat.from_raw(to_raw(Fraction(q), ctx.bits), ctx)
 
 
 # -- raw helpers shared by the numeric modules ------------------------

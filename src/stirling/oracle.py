@@ -475,13 +475,11 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
 # -- Euler's limit definition ---------------------------------------------
 
 
-def _euler_limit_raw(z_raw, n: int, wp: int):
-    lnfact = _ln_factorial_raw(n, wp)
+def _euler_limit_raw(z_raw, n: int, prod, wp: int):
+    """ln n! + z ln n - ln prod, where prod = z (z+1) ... (z+n) at wp bits."""
     lnn = libmp.mpf_log(libmp.from_int(n), wp, _RND)
-    prod = libmp.fone
-    for k in range(0, n + 1):
-        prod = libmp.mpf_mul(prod, libmp.mpf_add(z_raw, libmp.from_int(k), wp, _RND), wp, _RND)
-    acc = libmp.mpf_add(lnfact, libmp.mpf_mul(z_raw, lnn, wp, _RND), wp, _RND)
+    acc = libmp.mpf_add(_ln_factorial_raw(n, wp), libmp.mpf_mul(z_raw, lnn, wp, _RND),
+                        wp, _RND)
     return libmp.mpf_sub(acc, libmp.mpf_log(prod, wp, _RND), wp, _RND)
 
 
@@ -490,17 +488,22 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
 
     The error bound is empirical: the O(1/n) rate means the distance to the
     limit is about twice the observed step to the doubled index, so the
-    bound is 3 |L(n) - L(2n)| plus roundoff.
+    bound is 3 |L(n) - L(2n)| plus roundoff.  One running product up to
+    z + 2n serves both: L(n) reads it at k = n.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("n must be an integer >= 2")
     if n > FACTORIAL_CAP:
         raise ResourceError(f"n={n} exceeds the cap {FACTORIAL_CAP}")
-    wp = ctx.bits + 48
+    wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    val = _euler_limit_raw(z_raw, n, wp)
-    val2 = _euler_limit_raw(z_raw, 2 * n, wp)
+    prod = libmp.fone
+    for k in range(0, 2 * n + 1):
+        prod = libmp.mpf_mul(prod, libmp.mpf_add(z_raw, libmp.from_int(k), wp, _RND), wp, _RND)
+        if k == n:
+            val = _euler_limit_raw(z_raw, n, prod, wp)
+    val2 = _euler_limit_raw(z_raw, 2 * n, prod, wp)
     gap = libmp.mpf_abs(libmp.mpf_sub(val, val2, wp, _RND))
     bound = libmp.mpf_mul_int(gap, 3, wp, _RND)
     bound = libmp.mpf_add(bound, _ulp_raw(val, ctx.bits, 8), wp, _RND)
@@ -522,7 +525,7 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     """
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
-    wp = ctx.bits + 48
+    wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     s = libmp.fzero

@@ -66,9 +66,12 @@ def test_feller_residual_sweep_envelope():
 
 def test_feller_single_residual_equals_sweep():
     # the single-n residual and the sweep share one identity body
-    sweep = feller_residual_sweep(300, CTX)
-    for n in (1, 2, 3, 77, 300):
-        assert feller_identity_residual(n, CTX).to_hex() == sweep[n - 1].to_hex(), n
+    for bits in (64, 256, 768):
+        ctx = PrecisionCtx(bits)
+        sweep = feller_residual_sweep(300, ctx)
+        for n in (1, 2, 3, 77, 300):
+            assert feller_identity_residual(n, ctx).to_hex() == sweep[n - 1].to_hex(), \
+                (bits, n)
 
 
 def test_feller_constant_k1_direct():
@@ -105,7 +108,7 @@ def test_feller_fixed_sum_within_its_bound(K, bits):
     # the integer sum s 2^-W never exceeds it and falls short by at most
     # K (wp + 64) units of 2^-W, which is below 2^-(wp+5).  The closed form
     # cancels about 13 bits at K = 1000, so mpmath works 64 bits past W.
-    wp = bits + stirling.expansions.GUARD
+    wp = PrecisionCtx(bits).wprec()
     s, W = stirling.expansions._feller_fixed_sum(K, wp)
     assert K * (wp + 64) < 2 ** (W - wp - 5)
     with mpmath.workprec(W + 64):

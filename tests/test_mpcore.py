@@ -8,9 +8,9 @@ from hypothesis import strategies as st_
 from mpmath import libmp
 
 from stirling.errors import DomainError, PrecisionError
-from stirling.mpcore import (BigFloat, PrecisionCtx, agreement_bits, bigfloat,
-                             elementary, published_decimal, rational_from_str,
-                             rational_to_float, rational_to_str)
+from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, agreement_bits,
+                             bigfloat, elementary, published_decimal,
+                             rational_from_str, rational_to_float, rational_to_str)
 
 CTX64 = PrecisionCtx(64)
 CTX128 = PrecisionCtx(128)
@@ -147,7 +147,7 @@ def test_arithmetic_and_comparisons():
     assert a / b == 3
     assert -a < 0 < a
     assert abs(-a) == a
-    # a Fraction operand is rounded once, at the operation precision
+    # a Fraction operand is rounded at bits + GUARD, then the sum at bits
     third = bigfloat(0, CTX128) + Fraction(1, 3)
     assert third.to_hex() == bigfloat(Fraction(1, 3), CTX128).to_hex()
     with pytest.raises(DomainError):
@@ -155,12 +155,15 @@ def test_arithmetic_and_comparisons():
 
 
 def test_fraction_comparison_is_exact():
-    # 1/3 rounded at 80 bits is not 1/3, although it is at 64 + 16 bits
-    w = BigFloat(libmp.from_rational(1, 3, 80, "n"), 64)
+    # a comparison must not lift a Fraction the way arithmetic does: next to
+    # a 64-bit value, arithmetic rounds 1/3 at 64 + GUARD bits, and neither
+    # that value nor 1/3 rounded at 80 bits is 1/3
     third = Fraction(1, 3)
-    assert w != third
-    assert (w < third) != (w > third)
-    assert w == Fraction(*libmp.to_rational(w.raw))
+    for prec in (80, 64 + GUARD):
+        w = BigFloat(libmp.from_rational(1, 3, prec, "n"), 64)
+        assert w != third
+        assert (w < third) != (w > third)
+        assert w == Fraction(*libmp.to_rational(w.raw))
 
 
 def test_hash_agrees_with_equality():

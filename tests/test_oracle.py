@@ -289,6 +289,15 @@ def test_euler_limit_error_bound_honest():
     assert abs(ov.value - ref) <= ov.error_bound
 
 
+def test_euler_limit_takes_one_product_pass(count_calls):
+    # one running product to z + 2n serves L(n) and L(2n): 2n + 1 factors
+    # and one product z ln m for each of the two indices
+    muls = count_calls("mpf_mul")["mpf_mul"]
+    n = 100
+    lngamma_euler_limit(Fraction(22, 7), n, CTX)
+    assert muls[0] <= 2 * n + 3
+
+
 @pytest.mark.parametrize("z", [Fraction(1, 2), 1, Fraction(5, 2), 10])
 def test_cross_oracle_binet_vs_euler_limit(z):
     b = lngamma_binet2(z, CTX)
