@@ -318,9 +318,27 @@ def _binet_plan(bits: int):
             libmp.to_int(t_end) + 2)
 
 
+def _moment_series(moments, z_raw, F: int) -> int:
+    """sum_k (-1)^k floor(S_k Z_k / (2k+1)) over the table's moments S_k,
+    with Z_k ~ z^-(2k+1) 2^F, until a term is 0: the sum of the nodes with
+    t < 1/4 in units of 2^-2F, for z >= 1 (see ``_binet_integral``)."""
+    _, man, exp, _ = z_raw
+    X = (1 << (F - exp)) // man if exp <= F else 0  # floor(2^F / z)
+    X2 = (X * X) >> F
+    acc, Z = 0, X
+    for k, S in enumerate(moments):
+        term = S * Z // (2 * k + 1)
+        if not term:
+            break
+        acc += -term if k & 1 else term
+        Z = (Z * X2) >> F
+    return acc
+
+
 def _binet_integral(z_raw, bits: int):
-    """(2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt, nodes summed,
-    parts of its error bound) for z >= 1, the value and parts raw.
+    """(2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt, counts, parts
+    of its error bound) for z >= 1, the value and parts raw; counts holds
+    the table's nodes and the arctans taken.
 
     The plan (``_binet_plan``) is fixed before any node is built, so a
     table longer than BINET_MAX_NODES fails at once.  The estimate is
@@ -333,7 +351,10 @@ def _binet_integral(z_raw, bits: int):
       - node_error: exact terms at the computed nodes t~ against those at
         t = phi(jh), (1 + 7 t_max) 2^-(wp+2),
       - rounding: the fixed-point sum of the computed weights and arctans.
-    The last two are proven below.
+    The last two are proven below.  For z >= 1 the N_s nodes with t~ < 1/4
+    take no arctan of their own: their terms are summed as one series over
+    the table's moments, which the rounding proof covers as well.  A
+    direct call with z < 1 takes every node's arctan.
 
     Node error.  Let k(t) = t arctan(t/z) / (e^(2 pi t) - 1), so that the
     exact term is F(jh) = (1 + e^-u) k(t) at u = jh.  d ln k / d ln t lies
@@ -345,7 +366,8 @@ def _binet_integral(z_raw, bits: int):
     = 1 - ln(2 pi)/2.  So the node error of 2 * estimate is under
     0.247 (1 + 2 pi t_max) 2^-wp.
 
-    Rounding.  Each node adds G A to one integer, with A = floor(a~ 2^F)
+    Rounding.  Each node with its own arctan adds G A to one integer, the
+    series below adds the rest, and A = floor(a~ 2^F)
     for its arctan a~ = atan(r~) at p bits, where r~ is t~ (1/z) rounded
     to p bits and 1/z is taken once at F bits.  The estimate is the exact
     dyadic rational 2 acc 2^-2F / m, rounded to wp once.  Let a =
@@ -367,6 +389,33 @@ def _binet_integral(z_raw, bits: int):
     BINET_MAX_NODES keeps bits below 2^17.  Over the N nodes, 2 * estimate
     is off by at most 2 h N eps, and rounding it to wp adds less than one
     ulp of 2 * integral at wp.
+
+    The series.  For x = 1/z <= 1, gamma = G 2^-F < 2^18 and t~ < 1/4,
+    sum gamma arctan(t~ x) over the N_s nodes is the alternating series
+    E = sum_k (-1)^k s_k x^(2k+1) / (2k+1), s_k = sum gamma t~^(2k+1),
+    and s_(k+1) <= s_k / 16.  It adds c_k = floor(S_k Z_k / (2k+1)) 2^-2F
+    with signs for k < K, the first k whose term is 0, where S_k 2^-F =
+    sigma_k are the moments of ``quadrature`` and Z_k 2^-F = w_k, Z_0 = X
+    = floor(2^F x), Z_(k+1) = floor(Z_k X2 2^-F), X2 = floor(X^2 2^-F).
+    Each floor loses less than 2^-F (2^-2F in c_k), each step of a moment
+    less than 2 2^-F, and all of them round down, so:
+      - per node, 0 <= gamma t~^(2k+1) - p_k < (gamma + 3) 2^-F for its
+        share p_k of sigma_k.  It holds at k = 0, and each step carries
+        the error times t~^2 < 1/16, adds p_k (t~^2 - T2 2^-F) < (gamma/4)
+        (3/2) 2^-F and its own loss.  Summed, 0 <= s_k - sigma_k < Delta =
+        N_s (2^18 + 3) 2^-F.
+      - likewise 0 <= x^(2k+1) - w_k < (4k + 1) 2^-F, as x^2 - X2 2^-F <
+        3 2^-F, so 0 <= s_k x^(2k+1) - sigma_k w_k < Delta + 2 (2k + 1)
+        s_k 2^-F.
+      - a term is non-zero only if sigma_k >= 2^-F, while s_k < N_s 2^18
+        4^-(2k+1) and N_s < 2^16, so K < (F + 36)/4 < 2^16 and
+        sum_(k<K) 1/(2k+1) < 1 + ln(2K)/2 < 7.
+      - the terms of E fall, so E past K is at most s_K x^(2K+1) / (2K+1)
+        < 2^-2F + Delta + 2 s_K 2^-F, as term K is 0.
+    With sum_k s_k <= (16/15) N_s 2^18 / 4, E is off by less than
+    8 Delta + 2^-F (2 sum_k s_k + 1) < N_s 2^22 2^-F.  Per node that and
+    a |G 2^-F - g^| < 1.7 2^-F stay below 2^-(F-26) = eps: the series
+    nodes keep within the rounding part above.
     """
     m, j_left, j_right, discretisation, truncation, t_max = _binet_plan(bits)
     if j_left + j_right + 1 > BINET_MAX_NODES:
@@ -376,15 +425,17 @@ def _binet_integral(z_raw, bits: int):
         )
     wp = bits + 64
     F = wp + 32
-    table = half_line_nodes(wp, m, j_left, j_right)
+    nodes, split, moments = half_line_nodes(wp, m, j_left, j_right)
+    acc, arctan_nodes = 0, nodes
+    if libmp.mpf_ge(z_raw, libmp.fone):
+        acc, arctan_nodes = _moment_series(moments, z_raw, F), nodes[:split]
     inv_z = libmp.mpf_div(libmp.fone, z_raw, F, _RND)
-    acc = 0
-    for t, G, p in table:
+    for t, G, p in arctan_nodes:
         a = libmp.mpf_atan(libmp.mpf_mul(t, inv_z, p, _RND), p, _RND)
         acc += G * libmp.to_fixed(a, F)
     integral = libmp.from_rational(acc, m << (2 * F - 1), wp, _RND)
     # 2 h N 2^-(wp+6), plus the rounding of the integral to wp
-    rounding = libmp.mpf_add(libmp.from_rational(len(table), m << (wp + 5), 64, _UP),
+    rounding = libmp.mpf_add(libmp.from_rational(len(nodes), m << (wp + 5), 64, _UP),
                              _ulp_raw(integral, wp, 1), wp, _UP)
     parts = {
         "discretisation": discretisation,
@@ -392,7 +443,7 @@ def _binet_integral(z_raw, bits: int):
         "node_error": libmp.from_man_exp(1 + 7 * t_max, -(wp + 2)),
         "rounding": rounding,
     }
-    return integral, len(table), parts
+    return integral, {"nodes": len(nodes), "arctans": len(arctan_nodes)}, parts
 
 
 # the store of ``_shared_values``; None outside that block
@@ -433,7 +484,8 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
       - one ulp at wp for ln z, when z was shifted, and 8 ulp of the result
         for the remaining roundings.
     ``diagnostics`` records the step m, the strip half-width d, the nodes
-    summed, and each part as a BigFloat at wp: discretisation, truncation,
+    summed, the arctans taken (the nodes with t >= 1/4; the rest are summed
+    as one series over moments kept with the table), and each part as a BigFloat at wp: discretisation, truncation,
     node_error, rounding and final_rounding (the last item).
 
     Inside ``_shared_values`` a repeated (raw argument at wp, bits) pair
@@ -448,7 +500,7 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         return shared[key]
     shifted = libmp.mpf_lt(z_raw, libmp.fone)
     zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
-    integral, nodes, parts = _binet_integral(zq, ctx.bits)
+    integral, counts, parts = _binet_integral(zq, ctx.bits)
     val = libmp.mpf_add(_oracle_main_term(zq, wp), integral, wp, _RND)
     final = libmp.fzero
     if shifted:
@@ -459,7 +511,7 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     bound = libmp.fzero
     for part in parts.values():
         bound = libmp.mpf_add(bound, part, wp, _UP)
-    diagnostics = {"step_m": _binet_plan(ctx.bits)[0], "strip_d": _STRIP_D, "nodes": nodes}
+    diagnostics = {"step_m": _binet_plan(ctx.bits)[0], "strip_d": _STRIP_D, **counts}
     diagnostics.update((name, BigFloat(part, wp)) for name, part in parts.items())
     result = OracleValue(
         value=BigFloat.from_raw(val, ctx),

@@ -22,6 +22,23 @@ mag g is estimated in floating point first and checked after.  Near t = 0,
 ``raw_expm1`` takes e^(2 pi t) - 1 from its cubic series, which costs one
 division in place of the exponential.
 
+With the nodes, each table keeps the moments of its left end.  The nodes
+with t < 1/4 (mag t <= -2), the table's tail and about 60% of it, are
+summed for z >= 1 as one arctan series in 1/z, whose moments
+S_k ~ sum G t^(2k+1), in units of 2^-F, do not depend on z.  They are
+built once, in integer fixed point at F bits, from T = floor(t 2^F) and
+T2 = floor(T^2 2^-F): a node's P starts at floor(G T 2^-F) and becomes
+floor(P C 2^-L) until it is 0, and S_k adds up the P of step k.  Here
+C = floor(T2 2^(L-F)) keeps the top bits of T2 for P < 2^L (L <= F):
+the bits it drops move P T2 2^-F by less than one unit, so each step
+loses under two units of 2^-F.  L and C are renewed every 4 steps, and
+runs of 64 nodes are built side by side.  P falls at least 16-fold per
+step, so a node at t = 2^-a takes about F / (2a) products, each about as
+long as P.  Near t = 1/4 that is more work than the node's arctan: the
+build costs about what one evaluation saves in arctans, and it grows
+faster with F than the rest of the table, while every later evaluation
+at that precision gains.
+
 Accuracy, which the node-error and rounding parts of
 ``oracle._binet_integral`` rest on and the tests check against mpmath at
 wp + 128: t is within a relative 3 2^-wp of phi(j/m), and g within a
@@ -45,10 +62,11 @@ from .mpcore import _RND, raw_expm1
 
 __all__ = ["half_line_nodes"]
 
-_CACHE: dict[tuple[int, int, int, int], list] = {}
+_CACHE: dict[tuple[int, int, int, int], tuple] = {}
 _CACHE_LOCK = threading.Lock()
 _ATAN_GUARD = 8  # bits of each node's arctan beyond what its weight needs
 _WEIGHT_GUARD = 8  # bits of each weight beyond those G keeps
+_MOMENT_RUN = 64  # nodes whose moments are built side by side
 _LN_2PI = math.log(2 * math.pi)
 
 
@@ -76,9 +94,41 @@ def _node(j: int, m: int, b, wp: int, F: int, cp: int, two_pi):
         prec = F + _WEIGHT_GUARD + mag
 
 
-def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> list:
-    """The (t, G, p) triples at u = j/m for j = -j_left..j_right, for the
-    working precision wp (see the module docstring); cached."""
+def _moments(nodes, F: int) -> list:
+    """[S_0, S_1, ...] of the nodes, each with t < 1/4 (see the module
+    docstring), built over runs of _MOMENT_RUN nodes to keep the lists
+    short."""
+    moments = []
+    for start in range(0, len(nodes), _MOMENT_RUN):
+        Ps, cut, keep = [], [], []
+        for t, G, _ in nodes[start:start + _MOMENT_RUN]:
+            T = libmp.to_fixed(t, F)
+            Ps.append((G * T) >> F)
+            cut.append((T * T) >> F)
+            keep.append(F)
+        k = 0
+        while Ps:
+            # C is cut again every 4 steps as P shrinks: a cut made for
+            # P < 2^L holds on, since P only falls, and two cuts are one floor
+            if k % 4 == 0:
+                fresh = [min(P.bit_length(), F) for P in Ps]
+                cut = [C >> (L - M) for C, L, M in zip(cut, keep, fresh)]
+                keep = fresh
+            if k == len(moments):
+                moments.append(0)
+            moments[k] += sum(Ps)
+            Ps = [(P * C) >> L for P, C, L in zip(Ps, cut, keep)]
+            while Ps and not Ps[-1]:  # in falling t, the last chains end first
+                Ps.pop()
+            k += 1
+    return moments
+
+
+def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
+    """(nodes, split, moments) for the working precision wp (see the module
+    docstring); cached.  nodes holds the (t, G, p) triples at u = j/m for
+    j = 0..j_right, then j = -1..-j_left; nodes[split:] is the longest tail
+    with t < 1/4, and moments[k] is its S_k in units of 2^-F."""
     key = (wp, m, j_left, j_right)
     got = _CACHE.get(key)
     if got is not None:
@@ -97,5 +147,8 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> list:
             for k in range(first, last + 1):
                 out.append(_node(sign * k, m, b, wp, F, cp, two_pi))
                 b = libmp.mpf_mul(b, step, cp, _RND)
-        _CACHE[key] = out
-        return out
+        split = len(out)
+        while split and out[split - 1][0][2] + out[split - 1][0][3] <= -2:
+            split -= 1
+        got = _CACHE[key] = (out, split, _moments(out[split:], F))
+        return got

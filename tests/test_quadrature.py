@@ -1,6 +1,6 @@
-"""The node table of the half-line map t = exp(u - e^-u), and the one sum
-over it: its work cap, its work per node, and the discretisation,
-truncation and rounding parts of its error bound."""
+"""The node table of the half-line map t = exp(u - e^-u) and its moments,
+and the one sum over it: its work cap, its work per node, and the
+discretisation, truncation and rounding parts of its error bound."""
 
 from fractions import Fraction
 
@@ -18,7 +18,12 @@ from stirling.quadrature import half_line_nodes
 
 def table(bits):
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
-    return m, j_left, j_right, half_line_nodes(bits + 64, m, j_left, j_right)
+    return m, j_left, j_right, half_line_nodes(bits + 64, m, j_left, j_right)[0]
+
+
+def arctan_nodes(bits):
+    """The nodes with t >= 1/4, counted from the table itself."""
+    return sum(1 for t, _, _ in table(bits)[3] if mpmath.mpf(t) >= 0.25)
 
 
 def grid(m, j_left, j_right):
@@ -82,6 +87,65 @@ def test_cold_table_takes_two_exponentials_and_one_division_per_node(
     assert counts["mpf_atan"][0] == 0
 
 
+def test_nodes_split_at_a_quarter_with_their_moments():
+    # the nodes with t < 1/4 are the table's tail; S_k sums G t^(2k+1) over
+    # them in units of 2^-F, each step at least 16-fold smaller
+    bits = 256
+    wp, F = bits + 64, bits + 96
+    m, j_left, j_right, nodes = table(bits)
+    got, split, moments = half_line_nodes(wp, m, j_left, j_right)
+    assert got is nodes and split == arctan_nodes(bits) == 148
+    assert all(mpmath.mpf(t) < 0.25 for t, _, _ in nodes[split:])
+    assert all(16 * later <= earlier for earlier, later in zip(moments, moments[1:]))
+    assert moments[-1] > 0
+    # the floors of the build only lower each node's share, by under
+    # G 2^-F + 3 units (see _binet_integral)
+    slack = (sum(G for _, G, _ in nodes[split:]) >> F) + 3 * (len(nodes) - split + 1)
+    with mpmath.workprec(2 * F):
+        for k in (0, 1, 5, len(moments) - 1):
+            exact = sum(G * mpmath.mpf(t) ** (2 * k + 1) for t, G, _ in nodes[split:])
+            assert 0 <= exact - moments[k] < slack, k
+
+
+@pytest.mark.parametrize("bits", [64, 256, 768])
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(22, 7), Fraction(10**6), Fraction(2)**400])
+def test_moment_series_within_its_proven_bound(z, bits):
+    # the series over the moments against sum G 2^-F arctan(t/z) over the
+    # nodes with t < 1/4, at 2F bits: off by less than N_s 2^22 2^-F (see
+    # _binet_integral); z = 2^400 is past 2^F, where every term is 0
+    wp = bits + 64
+    F = wp + 32
+    z_raw = to_raw(z, wp)
+    m, j_left, j_right, _ = table(bits)
+    nodes, split, moments = half_line_nodes(wp, m, j_left, j_right)
+    series = stirling.oracle._moment_series(moments, z_raw, F)
+    with mpmath.workprec(2 * F + 64):
+        zm = mpmath.mpf(z_raw)
+        exact = sum(G * mpmath.atan(mpmath.mpf(t) / zm) for t, G, _ in nodes[split:])
+        err = abs(mpmath.ldexp(series, -F) - exact)
+        assert err < (len(nodes) - split) * mpmath.ldexp(1, 22), err
+
+
+def test_warm_and_shifted_calls_build_no_table_and_no_moments(monkeypatch):
+    # the moments live with their table: a second call at the same
+    # precision and a z < 1 (taken at z + 1) reuse both
+    ctx = PrecisionCtx(256)
+    lngamma_binet2(Fraction(22, 7), ctx)
+    before = dict(stirling.quadrature._CACHE)
+    built = []
+    real_node, real_moments = stirling.quadrature._node, stirling.quadrature._moments
+    monkeypatch.setattr(stirling.quadrature, "_node",
+                        lambda *a: built.append("node") or real_node(*a))
+    monkeypatch.setattr(stirling.quadrature, "_moments",
+                        lambda *a: built.append("moments") or real_moments(*a))
+    second = lngamma_binet2(Fraction(23, 7), ctx)
+    shifted = lngamma_binet2(Fraction(1, 1000), ctx)
+    assert built == []
+    assert stirling.quadrature._CACHE.keys() == before.keys()
+    assert all(stirling.quadrature._CACHE[key] is value for key, value in before.items())
+    assert second.diagnostics["arctans"] == shifted.diagnostics["arctans"] == 148
+
+
 def test_small_z_reuses_the_unit_tables(count_calls):
     # z = 1/1000 is shifted to 1.001: no new node table, no extra node
     ctx = PrecisionCtx(256)
@@ -96,31 +160,42 @@ def test_small_z_reuses_the_unit_tables(count_calls):
 
 
 def test_binet_loop_divides_once_per_evaluation(count_calls):
-    # 1/z is taken once; each node multiplies by it
+    # 1/z is taken once and each node with t >= 1/4 multiplies by it; the
+    # series over the rest divides only integers
     ctx = PrecisionCtx(256)
     lngamma_binet2(3, ctx)
     counts = count_calls("mpf_div", "mpf_atan")
     lngamma_binet2(Fraction(22, 7), ctx)
-    assert counts["mpf_atan"][0] > 300
+    assert counts["mpf_atan"][0] == 148
     assert counts["mpf_div"][0] <= 2
+
+
+ARCTANS = {256: 148, 768: 520}
 
 
 @pytest.mark.parametrize("bits, most", [(256, 450), (768, 1500)])
 def test_one_evaluation_takes_one_arctan_per_node(count_calls, bits, most):
+    # one arctan per node with t >= 1/4, at every z > 0; the nodes with
+    # t < 1/4 go into the series over the table's moments
     ctx = PrecisionCtx(bits)
     lngamma_binet2(3, ctx)
     atan = count_calls("mpf_atan")["mpf_atan"]
-    ov = lngamma_binet2(Fraction(22, 7), ctx)
-    assert atan[0] == ov.diagnostics["nodes"] == len(table(bits)[3]) <= most
+    for z in (Fraction(22, 7), Fraction(1, 1000), Fraction(10**20)):
+        before = atan[0]
+        ov = lngamma_binet2(z, ctx)
+        assert atan[0] - before == ov.diagnostics["arctans"] == arctan_nodes(bits) == ARCTANS[bits]
+        assert ov.diagnostics["nodes"] == len(table(bits)[3]) <= most
     assert ov.diagnostics["step_m"] == table(bits)[0]
 
 
-@pytest.mark.parametrize("bits", [64, 256])
-@pytest.mark.parametrize("z", [Fraction(1, 8), Fraction(1), Fraction(10**6)])
+@pytest.mark.parametrize("bits", [64, 256, 768])
+@pytest.mark.parametrize("z", [Fraction(1, 8), Fraction(1), Fraction(10**6), Fraction(22, 7)])
 def test_tapered_sum_within_its_rounding_bound(z, bits):
     # the same nodes t summed with mpmath at wp + 64, with each weight and
     # arctan at full precision: the integer sum of floored weights times
-    # tapered arctans may differ from that by no more than the rounding part
+    # tapered arctans, with the series over the moments for t < 1/4 when
+    # z >= 1 (z = 1/8 takes every arctan), may differ from that by no more
+    # than the rounding part
     wp = bits + 64
     z_raw = to_raw(z, wp)
     integral, _, parts = stirling.oracle._binet_integral(z_raw, bits)
