@@ -33,7 +33,7 @@ from .bernoulli import series_coeff_a
 from .bernoulli import table as bernoulli_table
 from .errors import (DomainError, InconclusiveError, StirlingError,
                      ValidityError)
-from .mpcore import BigFloat, PrecisionCtx, default_ctx, rational_to_str
+from .mpcore import PrecisionCtx, default_ctx, elementary, rational_to_str
 
 __all__ = ["run", "main", "report_all", "build_parser"]
 
@@ -42,10 +42,6 @@ IMPENS_GRID_ORDERS = range(0, 7)
 
 
 # -- rendering helpers ---------------------------------------------------
-
-
-def _dec(x: BigFloat, digits: int) -> str:
-    return x.to_decimal(digits)
 
 
 def _csv_table(header: list[str], rows: list[list[str]]) -> str:
@@ -91,7 +87,7 @@ def _cmd_eval(args, ctx: PrecisionCtx) -> tuple[str, int]:
         "value_hex": approx.value.to_hex(),
         "value_dec": value_dec,
         "order_used": approx.order_used,
-        "omitted_term_dec": _dec(approx.omitted_term, args.digits),
+        "omitted_term_dec": approx.omitted_term.to_decimal(args.digits),
         "precision_bits": ctx.bits,
     }
     if args.format == "json":
@@ -105,7 +101,7 @@ def _cmd_constants(args, ctx: PrecisionCtx) -> tuple[str, int]:
     for (n, c_exact, c_dec) in seq.entries:
         gap = abs(c_dec - seq.reference)
         rows.append([str(n), rational_to_str(c_exact),
-                     _dec(c_dec, args.digits), _dec(gap, args.digits)])
+                     c_dec.to_decimal(args.digits), gap.to_decimal(args.digits)])
     header = ["N", "C_N_exact", "C_N_decimal", "abs_gap_to_half_ln_2pi"]
     return _table(header, rows, args.format), 0
 
@@ -116,7 +112,7 @@ def _bounds_rows(families: list[str], n_max: int, ctx: PrecisionCtx,
     saw_inconclusive = False
 
     def fmt(x):
-        return "" if x is None else _dec(x, digits)
+        return "" if x is None else x.to_decimal(digits)
 
     numeric = [f for f in families if f != "impens"]
     if numeric:
@@ -162,11 +158,11 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
         doc["constant_partial_sum"] = mpc.published_decimal(
             value, lambda c: expn.feller_constant(k_max, c), digits)
         gap = abs(value - ser.half_ln_2pi(ctx))
-        doc["gap_to_half_ln_2pi"] = _dec(gap, digits)
+        doc["gap_to_half_ln_2pi"] = gap.to_decimal(digits)
         if args.n is not None:
             doc["identity_residual_n"] = args.n
-            doc["identity_residual"] = _dec(
-                expn.feller_identity_residual(args.n, ctx), digits)
+            residual = expn.feller_identity_residual(args.n, ctx)
+            doc["identity_residual"] = residual.to_decimal(digits)
     elif which == "marsaglia":
         k_max = 8 if args.k_max is None else args.k_max
         doc["k_max"] = k_max
@@ -175,14 +171,14 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
         if args.n is not None:
             approx = expn.marsaglia_factorial(args.n, k_max, ctx)
             exact = orc.ln_factorial_exact(args.n, ctx).value
-            ratio = mpc.exp(mpc.ln(approx, ctx) - exact, ctx)
+            ratio = elementary("exp", elementary("ln", approx, ctx) - exact, ctx)
             doc["n"] = args.n
-            doc["ratio_to_exact"] = _dec(ratio, digits)
+            doc["ratio_to_exact"] = ratio.to_decimal(digits)
     elif which == "namias":
         if args.n is None:
             raise DomainError("namias requires --n")
         doc["n"] = args.n
-        doc["residual"] = _dec(expn.namias_residual(args.n, ctx), digits)
+        doc["residual"] = expn.namias_residual(args.n, ctx).to_decimal(digits)
     elif which == "mermin":
         if args.n is None:
             raise DomainError("mermin requires --n")
@@ -191,9 +187,9 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
         doc["k_max"] = k_max
         log_prod = expn.mermin_partial_product(args.n, k_max, ctx)
         r_n = bnd.sequence_point(args.n, ctx).r_n
-        doc["log_partial_product"] = _dec(log_prod, digits)
-        doc["r_n"] = _dec(r_n, digits)
-        doc["gap"] = _dec(abs(r_n - log_prod), digits)
+        doc["log_partial_product"] = log_prod.to_decimal(digits)
+        doc["r_n"] = r_n.to_decimal(digits)
+        doc["gap"] = abs(r_n - log_prod).to_decimal(digits)
         doc["tail_bound"] = rational_to_str(Fraction(1, 12 * k_max))
     return _json_doc(doc), 0
 
@@ -205,11 +201,11 @@ def _cmd_oracle(args, ctx: PrecisionCtx) -> tuple[str, int]:
         def compute(c):
             return orc.lngamma_binet2(z, c)
     elif method == "euler":
-        n = args.n or 10**4
+        n = 10**4 if args.n is None else args.n
         def compute(c):
             return orc.lngamma_euler_limit(z, n, c)
     else:
-        k = args.k or 10**4
+        k = 10**4 if args.k is None else args.k
         def compute(c):
             return orc.weierstrass_inv_gamma(z, k, c)
     ov = compute(ctx)
@@ -220,7 +216,7 @@ def _cmd_oracle(args, ctx: PrecisionCtx) -> tuple[str, int]:
         "method": ov.method,
         "value_dec": value_dec,
         "value_hex": ov.value.to_hex(),
-        "error_bound_dec": _dec(ov.error_bound, max(args.digits, 3)),
+        "error_bound_dec": ov.error_bound.to_decimal(max(args.digits, 3)),
         "precision_bits": ctx.bits,
     }
     return _json_doc(doc), 0
@@ -367,8 +363,8 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
         and series20.coeffs[:3] == (1, 1, Fraction(1, 3))
     yield "expansions.marsaglia_reversion", _status(not ok), "K=20 exact defect zero"
     exact20 = orc.ln_factorial_exact(20, ctx).value
-    ratios = [mpc.exp(mpc.ln(expn.marsaglia_factorial(20, K, ctx), ctx) - exact20, ctx)
-              for K in range(1, 7)]
+    ratios = [elementary("exp", elementary("ln", expn.marsaglia_factorial(20, K, ctx), ctx)
+                         - exact20, ctx) for K in range(1, 7)]
     errs = [abs(ratio - 1) for ratio in ratios]
     ok = all(b <= a for a, b in zip(errs, errs[1:]))
     yield ("expansions.marsaglia_monotone", _status(not ok),
@@ -402,6 +398,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rational_text(text: str) -> str:
+    """``text`` unchanged, once it reads as an exact rational."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common],
                        help="truncated series for ln Gamma(z)")
-    p.add_argument("--z", required=True)
+    p.add_argument("--z", type=_rational_text, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--terms", type=int, default=None,
                        help="fixed truncation order N")
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common],
                        help="independent ln Gamma evaluations with error bounds")
-    p.add_argument("--z", required=True)
+    p.add_argument("--z", type=_rational_text, required=True)
     p.add_argument("--method", required=True,
                    choices=["binet2", "euler", "weierstrass"])
     p.add_argument("--n", type=int, default=None, help="euler limit index")
@@ -504,8 +509,12 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)

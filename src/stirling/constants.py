@@ -89,15 +89,8 @@ def best_constant_estimate(sequence: ConstantSequence) -> tuple[int, BigFloat]:
     entries = sequence.entries
     if len(entries) < 2:
         raise ValidityError("need at least 2 entries to compare increments")
-    incs = []
-    for (n_prev, c_prev, _), (n_cur, c_cur, _) in zip(entries, entries[1:]):
-        incs.append((n_cur, abs(c_cur - c_prev)))
-    best_n = incs[-1][0]
-    for i in range(len(incs) - 1):
-        if incs[i + 1][1] > incs[i][1]:
-            best_n = incs[i][0]
-            break
-    for n, c_exact, c_dec in entries:
-        if n == best_n:
-            return best_n, c_dec
-    raise AssertionError("unreachable: best index not in entries")
+    incs = [abs(c_cur - c_prev) for (_, c_prev, _), (_, c_cur, _) in zip(entries, entries[1:])]
+    # incs[i] is the increment into entries[i + 1]
+    best = next((i for i in range(len(incs) - 1) if incs[i + 1] > incs[i]), len(incs) - 1)
+    best_n, _, c_dec = entries[best + 1]
+    return best_n, c_dec

@@ -209,42 +209,16 @@ class MarsagliaSeries:
         return len(self.coeffs) - 1
 
 
-def _ps_mul(A: list[Fraction], B: list[Fraction], K: int) -> list[Fraction]:
-    out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(A):
-        if i > K or ai == 0:
-            continue
-        for j, bj in enumerate(B):
-            if i + j > K:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _ps_recip_unit(B: list[Fraction], K: int) -> list[Fraction]:
-    """Reciprocal of a series with B[0] == 1."""
-    out = [Fraction(0)] * (K + 1)
-    out[0] = Fraction(1)
-    for i in range(1, K + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            if j < len(B) and B[j]:
-                acc += B[j] * out[i - j]
-        out[i] = -acc
-    return out
-
-
 def _ps_log1p(W: list[Fraction], K: int) -> list[Fraction]:
-    """ln(1 + w) for a series with W[0] == 0, via integrating w'/(1+w)."""
-    one_plus = [Fraction(1)] + W[1:K + 1]
-    deriv = [Fraction(i) * W[i] for i in range(1, min(len(W), K + 1))]
-    # deriv is the series of w' shifted down one degree
-    q = _ps_mul(deriv, _ps_recip_unit(one_plus, K), K)
-    out = [Fraction(0)] * (K + 1)
-    for i in range(1, K + 1):
-        out[i] = q[i - 1] / i
-    return out
+    """ln(1 + w) through degree K for a series with W[0] == 0: the integral
+    of q = w'/(1 + w), whose coefficients solve (1 + w) q = w' term by
+    term, q_i = (i + 1) W_(i+1) - sum_(j=1..i) W_j q_(i-j)."""
+    W = list(W[:K + 1]) + [Fraction(0)] * (K + 1 - len(W))
+    q: list[Fraction] = []
+    for i in range(K):
+        q.append((i + 1) * W[i + 1] - sum((W[j] * q[i - j] for j in range(1, i + 1) if W[j]),
+                                          Fraction(0)))
+    return [Fraction(0)] + [q[i - 1] / i for i in range(1, K + 1)]
 
 
 def marsaglia_coeffs(K: int) -> MarsagliaSeries:

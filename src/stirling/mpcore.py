@@ -325,14 +325,6 @@ def elementary(fn: str, x, ctx: PrecisionCtx, y=None) -> BigFloat:
     return BigFloat(libmp.mpf_pos(res, ctx.bits, _RND), ctx.bits)
 
 
-def ln(x, ctx: PrecisionCtx) -> BigFloat:
-    return elementary("ln", x, ctx)
-
-
-def exp(x, ctx: PrecisionCtx) -> BigFloat:
-    return elementary("exp", x, ctx)
-
-
 def pi(ctx: PrecisionCtx) -> BigFloat:
     return BigFloat(libmp.mpf_pi(ctx.bits, _RND), ctx.bits)
 
@@ -369,12 +361,8 @@ def raw_expm1(x_raw, prec: int):
             return libmp.fzero
         raise DomainError("expm1 of non-finite value")
     mag = exp + bc
-    if mag >= 0:
-        # |x| >= 1/2: no destructive cancellation
-        e = libmp.mpf_exp(x_raw, prec + 8, _RND)
-        return libmp.mpf_pos(libmp.mpf_sub(e, libmp.fone, prec + 8, _RND), prec, _RND)
-    bump = -mag + 8
-    if bump > prec // 2:
+    bump = max(0, -mag) + 8
+    if mag < 0 and bump > prec // 2:
         # x very small: x + x^2/2 + x^3/6, relative error O(x^3)
         wp = prec + 8
         x2 = libmp.mpf_mul(x_raw, x_raw, wp, _RND)

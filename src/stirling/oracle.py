@@ -8,10 +8,11 @@ module: the integral representation
 (Binet's second formula) is evaluated by one trapezoidal sum at the step
 h = 1/m on the half-line map t = exp(u - e^-u) (``quadrature``); z < 1 is
 taken through ln Gamma(z) = ln Gamma(z + 1) - ln z, so the quadrature only
-sees z >= 1.  A bound on the discretisation error proven on the strip
-|Im u| < d = 4/5, uniform in z >= 1, picks m once per precision, and
-closed-form bounds, also uniform in z, pick the two ends of the sum and
-cover the terms past them.  The limit definition
+sees z >= 1 and sums its nodes with t < 1/4 as one arctan series in 1/z
+over moments kept with the node table.  A bound on the discretisation
+error proven on the strip |Im u| < d = 4/5, uniform in z >= 1, picks m once
+per precision, and closed-form bounds, also uniform in z, pick the two ends
+of the sum and cover the terms past them.  The limit definition
 
     Gamma(z) = lim n! n^z / (z (z+1) ... (z+n))
 
@@ -106,8 +107,6 @@ def _ulp_raw(value_raw, bits: int, count: int = 8):
 
 def _ln_factorial_raw(n: int, wp: int):
     """ln(n!) at wp bits from the exact integer: one rounding."""
-    if n <= 1:
-        return libmp.fzero
     return libmp.mpf_log(libmp.from_int(math.factorial(n), wp, _RND), wp, _RND)
 
 
@@ -134,10 +133,7 @@ def ln_factorial_range(n_max: int, wp: int):
     product = 1
     for n in range(1, n_max + 1):
         product *= n
-        if n == 1:
-            yield n, libmp.fzero
-        else:
-            yield n, libmp.mpf_log(libmp.from_int(product, wp, _RND), wp, _RND)
+        yield n, libmp.mpf_log(libmp.from_int(product, wp, _RND), wp, _RND)
 
 
 # -- Binet's second formula ----------------------------------------------
@@ -337,8 +333,9 @@ def _moment_series(moments, z_raw, F: int) -> int:
 
 def _binet_integral(z_raw, bits: int):
     """(2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt, counts, parts
-    of its error bound) for z >= 1, the value and parts raw; counts holds
-    the table's nodes and the arctans taken.
+    of its error bound), the value and parts raw; counts holds the table's
+    nodes and the arctans taken.  z >= 1 is a precondition: its one caller,
+    ``lngamma_binet2``, shifts z < 1 to z + 1 first.
 
     The plan (``_binet_plan``) is fixed before any node is built, so a
     table longer than BINET_MAX_NODES fails at once.  The estimate is
@@ -351,10 +348,9 @@ def _binet_integral(z_raw, bits: int):
       - node_error: exact terms at the computed nodes t~ against those at
         t = phi(jh), (1 + 7 t_max) 2^-(wp+2),
       - rounding: the fixed-point sum of the computed weights and arctans.
-    The last two are proven below.  For z >= 1 the N_s nodes with t~ < 1/4
-    take no arctan of their own: their terms are summed as one series over
-    the table's moments, which the rounding proof covers as well.  A
-    direct call with z < 1 takes every node's arctan.
+    The last two are proven below.  The N_s nodes with t~ < 1/4 take no
+    arctan of their own: their terms are summed as one series over
+    the table's moments, which the rounding proof covers as well.
 
     Node error.  Let k(t) = t arctan(t/z) / (e^(2 pi t) - 1), so that the
     exact term is F(jh) = (1 + e^-u) k(t) at u = jh.  d ln k / d ln t lies
@@ -426,11 +422,9 @@ def _binet_integral(z_raw, bits: int):
     wp = bits + 64
     F = wp + 32
     nodes, split, moments = half_line_nodes(wp, m, j_left, j_right)
-    acc, arctan_nodes = 0, nodes
-    if libmp.mpf_ge(z_raw, libmp.fone):
-        acc, arctan_nodes = _moment_series(moments, z_raw, F), nodes[:split]
+    acc = _moment_series(moments, z_raw, F)
     inv_z = libmp.mpf_div(libmp.fone, z_raw, F, _RND)
-    for t, G, p in arctan_nodes:
+    for t, G, p in nodes[:split]:
         a = libmp.mpf_atan(libmp.mpf_mul(t, inv_z, p, _RND), p, _RND)
         acc += G * libmp.to_fixed(a, F)
     integral = libmp.from_rational(acc, m << (2 * F - 1), wp, _RND)
@@ -443,7 +437,7 @@ def _binet_integral(z_raw, bits: int):
         "node_error": libmp.from_man_exp(1 + 7 * t_max, -(wp + 2)),
         "rounding": rounding,
     }
-    return integral, {"nodes": len(nodes), "arctans": len(arctan_nodes)}, parts
+    return integral, {"nodes": len(nodes), "arctans": split}, parts
 
 
 # the store of ``_shared_values``; None outside that block
@@ -485,8 +479,9 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         for the remaining roundings.
     ``diagnostics`` records the step m, the strip half-width d, the nodes
     summed, the arctans taken (the nodes with t >= 1/4; the rest are summed
-    as one series over moments kept with the table), and each part as a BigFloat at wp: discretisation, truncation,
-    node_error, rounding and final_rounding (the last item).
+    as one series over moments kept with the table), and each part as a
+    BigFloat at wp: discretisation, truncation, node_error, rounding and
+    final_rounding (the last item).
 
     Inside ``_shared_values`` a repeated (raw argument at wp, bits) pair
     returns the value stored by its first evaluation.
@@ -663,10 +658,7 @@ def gamma_half_integer(k: int, ctx: PrecisionCtx) -> BigFloat:
     if k % 2 == 0:
         val = libmp.from_int(math.factorial(k // 2 - 1), wp, _RND)
         return BigFloat.from_raw(val, ctx)
-    dfact = 1
-    for j in range(k - 2, 1, -2):
-        dfact *= j
-    q = Fraction(dfact, 1 << ((k - 1) // 2))
-    q_raw = libmp.from_rational(q.numerator, q.denominator, wp, _RND)
+    # (k-2)!! is odd, so the quotient is already in lowest terms
+    q_raw = libmp.from_rational(math.prod(range(k - 2, 1, -2)), 1 << ((k - 1) // 2), wp, _RND)
     sqrt_pi = libmp.mpf_sqrt(libmp.mpf_pi(wp, _RND), wp, _RND)
     return BigFloat.from_raw(libmp.mpf_mul(q_raw, sqrt_pi, wp, _RND), ctx)

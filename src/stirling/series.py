@@ -111,9 +111,9 @@ def _remainder_raw(z_raw, N: int, wp: int):
     return _remainder_sums_raw(z_raw, _term_coefficients_raw(N, wp), wp)[-1]
 
 
-def _abs_term_raw(z_raw, N: int, wp: int):
-    """|B_{2N}| / (2N (2N-1) z^(2N-1)) as a raw value."""
-    c = abs(term_coefficient(N))
+def _term_raw(z_raw, N: int, wp: int):
+    """B_{2N} / (2N (2N-1) z^(2N-1)) as a raw value."""
+    c = term_coefficient(N)
     c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
     zp = libmp.mpf_pow_int(z_raw, 2 * N - 1, wp, _RND)
     return libmp.mpf_div(c_raw, zp, wp, _RND)
@@ -164,13 +164,9 @@ def f_term(k: int, z, ctx: PrecisionCtx) -> BigFloat:
         return BigFloat.from_raw(libmp.mpf_neg(libmp.mpf_shift(lnz, -1)), ctx)
     if k % 2:
         return BigFloat.from_raw(libmp.fzero, ctx)
-    m = k // 2
     if k > table().cap:
         raise ResourceError(f"term {k} needs B_{k}, beyond the table cap")
-    c = term_coefficient(m)
-    c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
-    zp = libmp.mpf_pow_int(z_raw, k - 1, wp, _RND)
-    return BigFloat.from_raw(libmp.mpf_div(c_raw, zp, wp, _RND), ctx)
+    return BigFloat.from_raw(_term_raw(z_raw, k // 2, wp), ctx)
 
 
 def lngamma_stirling(z, N: int, ctx: PrecisionCtx) -> Approximation:
@@ -183,7 +179,7 @@ def lngamma_stirling(z, N: int, ctx: PrecisionCtx) -> Approximation:
     if 2 * N + 2 > table().cap:
         raise ResourceError(f"order {N} needs B_{2*N+2}, beyond the table cap")
     val = libmp.mpf_add(_main_term_raw(z_raw, wp), _remainder_raw(z_raw, N, wp), wp, _RND)
-    omitted = _abs_term_raw(z_raw, N + 1, wp)
+    omitted = libmp.mpf_abs(_term_raw(z_raw, N + 1, wp))
     return Approximation(
         value=BigFloat.from_raw(val, ctx),
         order_used=N,
@@ -203,9 +199,9 @@ def optimal_truncation(z, ctx: PrecisionCtx) -> Approximation:
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     cap = table().cap // 2 - 1
-    prev = _abs_term_raw(z_raw, 1, wp)
+    prev = libmp.mpf_abs(_term_raw(z_raw, 1, wp))
     for N in range(1, cap + 1):
-        cur = _abs_term_raw(z_raw, N + 1, wp)
+        cur = libmp.mpf_abs(_term_raw(z_raw, N + 1, wp))
         if libmp.mpf_gt(cur, prev):
             return lngamma_stirling(z, N - 1, ctx)
         prev = cur

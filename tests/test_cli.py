@@ -5,9 +5,13 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import stirling.oracle
 from stirling.cli import run
@@ -182,6 +186,49 @@ def test_flag_overrides_env(capsys, monkeypatch):
                                 "--precision-bits", "192"], capsys)
     assert code == 0
     assert json.loads(out)["precision_bits"] == 192
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--z", "abc"],
+    ["oracle", "--z", "1/0", "--method", "binet2"],
+])
+def test_bad_z_is_usage_error(argv, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 2 and out == ""
+    assert "argument --z: not a rational number" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_capture(["bernoulli", "--max", "3", "--output", str(target)],
+                                 capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--z", "2", "--method", "euler", "--n", "0"],
+    ["oracle", "--z", "2", "--method", "weierstrass", "--k", "0"],
+])
+def test_oracle_zero_index_reaches_the_oracle(argv, capsys):
+    # 0 is the value given, not a request for the default 10^4
+    code, out, err = run_capture(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "must be an integer" in err
+
+
+def _readme_commands():
+    """The ``stirling ...`` lines of README's command-line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("stirling ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_examples_run(argv, capsys):
+    code, out, _ = run_capture(argv, capsys)
+    assert code == 0 and out
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -250,6 +250,23 @@ def test_binet2_shared_values_once_per_exact_argument_and_precision(monkeypatch)
     assert again == first and again is not first
 
 
+@pytest.mark.parametrize("z", [Fraction(1, 10**6), Fraction(1, 8),
+                               1 - Fraction(1, 2**60), Fraction(1)], ids=str)
+def test_binet_integral_sees_only_z_at_least_one(z, monkeypatch):
+    # the moment series that replaces the arctans of the nodes with t < 1/4
+    # holds for z >= 1 only; lngamma_binet2 shifts every smaller z first
+    real = stirling.oracle._binet_integral
+    seen = []
+
+    def spy(z_raw, bits):
+        seen.append(z_raw)
+        return real(z_raw, bits)
+
+    monkeypatch.setattr(stirling.oracle, "_binet_integral", spy)
+    lngamma_binet2(z, CTX)
+    assert len(seen) == 1 and libmp.mpf_ge(seen[0], libmp.fone)
+
+
 def test_binet2_domain():
     with pytest.raises(DomainError):
         lngamma_binet2(0, CTX)

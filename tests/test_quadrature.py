@@ -189,13 +189,14 @@ def test_one_evaluation_takes_one_arctan_per_node(count_calls, bits, most):
 
 
 @pytest.mark.parametrize("bits", [64, 256, 768])
-@pytest.mark.parametrize("z", [Fraction(1, 8), Fraction(1), Fraction(10**6), Fraction(22, 7)])
+@pytest.mark.parametrize("z", [Fraction(1), Fraction(10**6), Fraction(22, 7)],
+                         ids=["z1", "z2", "z3"])
 def test_tapered_sum_within_its_rounding_bound(z, bits):
     # the same nodes t summed with mpmath at wp + 64, with each weight and
     # arctan at full precision: the integer sum of floored weights times
-    # tapered arctans, with the series over the moments for t < 1/4 when
-    # z >= 1 (z = 1/8 takes every arctan), may differ from that by no more
-    # than the rounding part
+    # tapered arctans, with the series over the moments for t < 1/4 (the
+    # integral sees only z >= 1), may differ from that by no more than the
+    # rounding part
     wp = bits + 64
     z_raw = to_raw(z, wp)
     integral, _, parts = stirling.oracle._binet_integral(z_raw, bits)

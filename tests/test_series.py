@@ -120,6 +120,14 @@ def test_omitted_term_formula():
     assert abs(approx.omitted_term - expected) < expected * Fraction(1, 1 << 240)
 
 
+@pytest.mark.parametrize("N", [0, 3, 10])
+@pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(22, 7), Fraction(50)], ids=str)
+def test_omitted_term_is_the_next_term_bit_for_bit(z, N):
+    # one kernel serves f_term and the omitted term: equal to the last bit
+    omitted = lngamma_stirling(z, N, CTX).omitted_term
+    assert abs(f_term(2 * N + 2, z, CTX)).to_hex() == omitted.to_hex()
+
+
 def test_optimal_truncation_at_one():
     approx = optimal_truncation(1, CTX)
     # magnitudes 1/12, 1/360, 1/1260, 1/1680, then growth: stop before the
