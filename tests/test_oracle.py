@@ -1,6 +1,8 @@
 """Independent log-gamma references: integral, limit, product, exact."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -127,6 +129,35 @@ def test_binet2_pinned_bits(z, bits, value_hex, bound_hex):
     ov = lngamma_binet2(z, PrecisionCtx(bits))
     assert ov.value.to_hex() == value_hex
     assert ov.error_bound.to_hex() == bound_hex
+
+
+def _binet2_digest_sample():
+    """(bits, z) pairs: seeded z with log10 z spread over [-6, 12) at 64,
+    256 and 768 bits, plus z = 1, 3/4 and 1 + 2^-60 (the shift and its edge)
+    and z = 10^30 at 64 and 256 bits."""
+    rng = random.Random(20061)
+    sample = []
+    for bits, count in ((64, 40), (256, 40), (768, 4)):
+        for _ in range(count):
+            mantissa = Fraction(rng.randrange(10**9, 10**10), 10**9)
+            sample.append((bits, mantissa * Fraction(10) ** rng.randrange(-6, 12)))
+    for bits in (64, 256):
+        for z in (Fraction(1), Fraction(3, 4), 1 + Fraction(1, 2**60), Fraction(10**30)):
+            sample.append((bits, z))
+    return sample
+
+
+# sha256 over the lines "bits,z,value_hex,bound_hex,arctans\n" of that sample
+BINET2_SAMPLE_DIGEST = "8ae79301cc7e6ee507f56b8b4a281d9d92505111f660823ca777bf40f2306b2b"
+
+
+def test_binet2_sample_digest():
+    h = hashlib.sha256()
+    for bits, z in _binet2_digest_sample():
+        ov = lngamma_binet2(z, PrecisionCtx(bits))
+        h.update(f"{bits},{z},{ov.value.to_hex()},{ov.error_bound.to_hex()},"
+                 f"{ov.diagnostics['arctans']}\n".encode())
+    assert h.hexdigest() == BINET2_SAMPLE_DIGEST
 
 
 def assert_binet2_within_bound(z: Fraction, bits: int):
