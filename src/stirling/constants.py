@@ -46,10 +46,6 @@ class ConstantSequence:
     entries: tuple[tuple[int, Fraction, BigFloat], ...]
     reference: BigFloat
 
-    def printed_table(self) -> list[str]:
-        """5-significant-digit decimal renderings, one per entry."""
-        return [libmp.to_str(c_dec.raw, 5) for (_, _, c_dec) in self.entries]
-
 
 def c_sequence(n_max: int, ctx: PrecisionCtx | None = None) -> ConstantSequence:
     """Exact C_N = 1 - sum_{k<=N} B_{2k}/(2k(2k-1)) for N = 1..n_max."""

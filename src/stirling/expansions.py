@@ -30,8 +30,8 @@ Four independent routes are implemented:
   evaluated in log space; each factor contributes about 1/(12 k^2), so the
   partial product from n to K sits within 1/(12K) of r_n.  With m = 2k + 1
   the log of one factor is m atanh(1/m) - 1 = sum_{j>=1} 1/((2j+1) m^(2j)),
-  a series of positive terms: the partial product is summed term by term
-  in integer fixed point, where nothing cancels, and rounded once.
+  a series of positive terms: the partial product is summed by the same
+  integer fixed-point kernel as Feller's constant, and rounded once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from mpmath import libmp
 
 from .errors import DomainError, ResourceError
 from .mpcore import _RND, BigFloat, PrecisionCtx, raw_log1p, to_raw
-from .oracle import (FACTORIAL_CAP, gamma_half_integer, ln_factorial_range,
-                     lngamma_binet2)
+from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
+                     ln_factorial_range, lngamma_binet2)
 from .series import main_term_P
 
 __all__ = [
@@ -149,50 +149,58 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     With x = 1/(2k) the closed forms collapse to
         a_k - b_k = 1 - [(k + 1/2) ln(1 + x) - (k - 1/2) ln(1 - x)]
                   = sum_{j>=1} x^(2j) / (2j (2j + 1)),
-    a series of positive terms with ratio 1/(4k^2), so nothing cancels.  It
-    is summed over k = 1..K as one integer s with W fractional bits: p
-    starts at floor(2^W / (4k^2)), each step adds floor(p / (2j (2j + 1)))
-    and sets p = floor(p / (4k^2)), until p is 0.
-
-    Bound, in units of 2^-W.  p_j falls short of P_j = 2^W / (4k^2)^j by
-    less than 1 + 1/4 + 1/16 + ... = 4/3, since each floor loses less than
-    one unit and a division by 4k^2 >= 4 shrinks the inherited deficit.  So
-    each added term is short by less than (4/3)/6 + 1 < 2 units.  The loop
-    stops at the first p_J = 0, where P_J < 4/3, and the dropped tail is at
-    most (4/3)(1/6)(4/3) < 1 unit.  A k that adds J - 1 terms makes
-    2(J - 1) + 1 floor divisions and loses less than that many units: the
-    sum lies in [s, s + D] 2^-W for D floor divisions in all.  p_j is 0
-    once 4^j > 2^W, so D <= K (W + 1) <= K (wp + 64) whenever
-    K (wp + 64) < 2^58.  The sum is at least a_1 - b_1 > 1/24 > 2^-5, so
-    W = wp + 5 + bitlen(K (wp + 64)) keeps its error below 2^-wp relative,
-    for the working precision wp = ctx.wprec() = bits + 32.  I(1/2) is then
+    a series of positive terms, so nothing cancels.  It is summed over
+    k = 1..K by ``_floor_series`` with q = 4k^2 and d_j = 2j (2j + 1), so
+    the sum lies in [s, s + D) 2^-W.  A k adds at most W/2 terms, as
+    4^j > 2^W past that, so D <= K (W + 1) <= K (wp + 64) whenever
+    K (wp + 64) < 2^58, which K <= TERMS_CAP keeps for any wp < 2^37.  The
+    sum is at least a_1 - b_1 > 1/24 > 2^-5, so W = wp + 5 +
+    bitlen(K (wp + 64)) keeps its error below 2^-wp relative, for the
+    working precision wp = ctx.wprec() = bits + 32.  I(1/2) is then
     subtracted at wp, and the result rounded once to ctx.
     """
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
+    if K > TERMS_CAP:
+        raise ResourceError(f"K={K} exceeds the term cap {TERMS_CAP}")
     wp = ctx.wprec()
-    s, W = _feller_fixed_sum(K, wp)
+    W = wp + 5 + (K * (wp + 64)).bit_length()
+    divisors = [2 * j * (2 * j + 1) for j in range(1, W // 2 + 2)]
+    s = _floor_series((4 * k * k for k in range(1, K + 1)), divisors, W)
     total = libmp.from_man_exp(s, -W)
     return BigFloat.from_raw(libmp.mpf_sub(total, _i_half_raw(wp), wp, _RND), ctx)
 
 
-def _feller_fixed_sum(K: int, wp: int) -> tuple[int, int]:
-    """(s, W) with sum_{k=1..K} (a_k - b_k) in [s, s + K (wp + 64)] 2^-W,
-    as feller_constant's docstring proves."""
-    W = wp + 5 + (K * (wp + 64)).bit_length()
+def _floor_series(qs, divisors, W: int) -> int:
+    """s = sum over q in qs of sum_j floor(p_j / d_j), with p_1 =
+    floor(2^W / q), p_(j+1) = floor(p_j / q) and d_j the j-th divisor, each
+    q stopping at its first p_J = 0.  qs may be lazy: it is read once, and
+    no list of it is built.
+
+    Lemma.  Let every q >= 4 and every d_j >= 3, with so many divisors
+    listed that q^len > 2^W.  Then the exact sum over q of
+    sum_j 2^W / (q^j d_j), over the list or over any longer sequence of
+    divisors >= 3 that starts with it, lies in [s, s + D) for D the floor
+    divisions made, 2J - 1 for a q that stops at p_J.
+
+    Proof, in units of 2^-W.  P_j = 2^W / q^j exceeds p_j by delta_j, with
+    delta_1 < 1 and delta_(j+1) < delta_j / q + 1, so delta_j < q/(q - 1)
+    <= 4/3.  Term j < J then loses delta_j / d_j plus its floor, less than
+    4/9 + 1 < 2.  P_J = delta_J < 4/3, and the dropped tail is at most
+    (P_J / 3) q/(q - 1) < 16/27 < 1.  So a q loses less than
+    2(J - 1) + 1 = 2J - 1, and nothing is ever added in excess.  P_len < 1,
+    so J <= len and no q runs out of divisors.
+    """
     one = 1 << W
-    # 2j (2j + 1) for every j a k can reach: p_j is 0 once 4^j > 2^W
-    divisors = [2 * j * (2 * j + 1) for j in range(1, W // 2 + 2)]
     s = 0
-    for k in range(1, K + 1):
-        q = 4 * k * k
+    for q in qs:
         p = one // q
         for d in divisors:
             if not p:
                 break
             s += p // d
             p //= q
-    return s, W
+    return s
 
 
 # -- Marsaglia-Marsaglia ----------------------------------------------------
@@ -331,34 +339,23 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     (k + 1/2) ln(1 + 1/k) - 1.  Converges upward to r_n with tail < 1/(12K).
 
     With m = 2k + 1 each summand is m atanh(1/m) - 1, the positive series
-    sum_{j>=1} 1/((2j+1) m^(2j)), summed as an integer s with W fractional
-    bits: p starts at floor(2^W / m^2), each step adds floor(p / (2j+1)) and
-    sets p = floor(p / m^2), until p is 0.  p stays less than 9/8 of a unit
-    below 2^W / m^(2j) (m >= 3), so the added terms and the dropped tail lose
-    less than one unit per floor division: the sum lies in [s, s + D] 2^-W
-    for D floor divisions.  It is at least its first term
-    1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
-    W = ctx.wprec() + 2 bitlen(2n+1) + 2 + bitlen(D) puts that error below
-    2^-ctx.wprec() = 2^-(bits + 32) relative to the result, which is rounded
-    once.
+    sum_{j>=1} 1/((2j+1) m^(2j)), summed over k = n..K by ``_floor_series``
+    with q = m^2 and d_j = 2j + 1, so the sum lies in [s, s + D) 2^-W.  It
+    is at least its first term 1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
+    W = wp + bitlen(D) with wp = ctx.wprec() + 2 bitlen(2n+1) + 2 puts that
+    error below 2^-ctx.wprec() = 2^-(bits + 32) relative to the result,
+    which is rounded once.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be an integer >= 1")
     if not isinstance(K, int) or K < n:
         raise DomainError("K must be an integer >= n")
+    if K > TERMS_CAP:
+        raise ResourceError(f"K={K} exceeds the term cap {TERMS_CAP}")
     wp = ctx.wprec() + 2 * (2 * n + 1).bit_length() + 2
-    # D <= (K - n + 1) wp for K < 2^50: each series has fewer than
-    # W / (2 log2 3) + 1 < wp / 2 terms of two floor divisions each, plus
-    # the first division
+    # D <= (K - n + 1) wp: as m^2 >= 9, a k adds at most W / (2 log2 3)
+    # terms, and 2 W / (2 log2 3) + 1 <= wp as K <= TERMS_CAP and wp >= 102
     W = wp + ((K - n + 1) * wp).bit_length()
-    one = 1 << W
-    s = 0
-    for k in range(n, K + 1):
-        m2 = (2 * k + 1) ** 2
-        p = one // m2
-        d = 3
-        while p:
-            s += p // d
-            p //= m2
-            d += 2
+    s = _floor_series(((2 * k + 1) ** 2 for k in range(n, K + 1)),
+                      range(3, W + 4, 2), W)
     return BigFloat.from_raw(libmp.from_man_exp(s, -W), ctx)

@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 FACTORIAL_CAP = 10**5
+# terms of a truncated sum or product (Feller, Mermin, Weierstrass)
+TERMS_CAP = 10**6
 HALF_INTEGER_CAP = 2 * 10**4
 # nodes in one Binet table; precisions past about 23,000 bits fail fast
 BINET_MAX_NODES = 60_000
@@ -393,8 +395,8 @@ def _binet_integral(z_raw, bits: int):
     with signs for k < K, the first k whose term is 0, where S_k 2^-F =
     sigma_k are the moments of ``quadrature`` and Z_k 2^-F = w_k, Z_0 = X
     = floor(2^F x), Z_(k+1) = floor(Z_k X2 2^-F), X2 = floor(X^2 2^-F).
-    Each floor loses less than 2^-F (2^-2F in c_k), each step of a moment
-    less than 2 2^-F, and all of them round down, so:
+    Each floor, a step of a moment among them, loses less than 2^-F
+    (2^-2F in c_k), and all of them round down, so:
       - per node, 0 <= gamma t~^(2k+1) - p_k < (gamma + 3) 2^-F for its
         share p_k of sigma_k.  It holds at k = 0, and each step carries
         the error times t~^2 < 1/16, adds p_k (t~^2 - T2 2^-F) < (gamma/4)
@@ -572,6 +574,8 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     """
     if not isinstance(K, int) or K < 1:
         raise DomainError("K must be an integer >= 1")
+    if K > TERMS_CAP:
+        raise ResourceError(f"K={K} exceeds the term cap {TERMS_CAP}")
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)

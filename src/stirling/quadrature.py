@@ -28,16 +28,13 @@ summed for z >= 1 as one arctan series in 1/z, whose moments
 S_k ~ sum G t^(2k+1), in units of 2^-F, do not depend on z.  They are
 built once, in integer fixed point at F bits, from T = floor(t 2^F) and
 T2 = floor(T^2 2^-F): a node's P starts at floor(G T 2^-F) and becomes
-floor(P C 2^-L) until it is 0, and S_k adds up the P of step k.  Here
-C = floor(T2 2^(L-F)) keeps the top bits of T2 for P < 2^L (L <= F):
-the bits it drops move P T2 2^-F by less than one unit, so each step
-loses under two units of 2^-F.  L and C are renewed every 4 steps, and
-runs of 64 nodes are built side by side.  P falls at least 16-fold per
-step, so a node at t = 2^-a takes about F / (2a) products, each about as
-long as P.  Near t = 1/4 that is more work than the node's arctan: the
-build costs about what one evaluation saves in arctans, and it grows
-faster with F than the rest of the table, while every later evaluation
-at that precision gains.
+floor(P T2 2^-F) until it is 0, and S_k adds up the P of step k, so each
+step loses under one unit of 2^-F.  P falls at least 16-fold per step, so
+a node at t = 2^-a takes about F / (2a) products of P by the F bits of
+T2.  Near t = 1/4 that is more work than the node's arctan: the build
+costs about what one evaluation saves in arctans, and it grows faster
+with F than the rest of the table, while every later evaluation at that
+precision gains.
 
 Accuracy, which the node-error and rounding parts of
 ``oracle._binet_integral`` rest on and the tests check against mpmath at
@@ -66,7 +63,6 @@ _CACHE: dict[tuple[int, int, int, int], tuple] = {}
 _CACHE_LOCK = threading.Lock()
 _ATAN_GUARD = 8  # bits of each node's arctan beyond what its weight needs
 _WEIGHT_GUARD = 8  # bits of each weight beyond those G keeps
-_MOMENT_RUN = 64  # nodes whose moments are built side by side
 _LN_2PI = math.log(2 * math.pi)
 
 
@@ -96,30 +92,16 @@ def _node(j: int, m: int, b, wp: int, F: int, cp: int, two_pi):
 
 def _moments(nodes, F: int) -> list:
     """[S_0, S_1, ...] of the nodes, each with t < 1/4 (see the module
-    docstring), built over runs of _MOMENT_RUN nodes to keep the lists
-    short."""
+    docstring)."""
     moments = []
-    for start in range(0, len(nodes), _MOMENT_RUN):
-        Ps, cut, keep = [], [], []
-        for t, G, _ in nodes[start:start + _MOMENT_RUN]:
-            T = libmp.to_fixed(t, F)
-            Ps.append((G * T) >> F)
-            cut.append((T * T) >> F)
-            keep.append(F)
-        k = 0
-        while Ps:
-            # C is cut again every 4 steps as P shrinks: a cut made for
-            # P < 2^L holds on, since P only falls, and two cuts are one floor
-            if k % 4 == 0:
-                fresh = [min(P.bit_length(), F) for P in Ps]
-                cut = [C >> (L - M) for C, L, M in zip(cut, keep, fresh)]
-                keep = fresh
+    for t, G, _ in nodes:
+        T = libmp.to_fixed(t, F)
+        T2, P, k = (T * T) >> F, (G * T) >> F, 0
+        while P:
             if k == len(moments):
                 moments.append(0)
-            moments[k] += sum(Ps)
-            Ps = [(P * C) >> L for P, C, L in zip(Ps, cut, keep)]
-            while Ps and not Ps[-1]:  # in falling t, the last chains end first
-                Ps.pop()
+            moments[k] += P
+            P = (P * T2) >> F
             k += 1
     return moments
 

@@ -217,6 +217,17 @@ def test_oracle_zero_index_reaches_the_oracle(argv, capsys):
     assert err.startswith("error: ") and "must be an integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expansions", "--which", "mermin", "--n", "1", "--k-max", "1000001"],
+    ["expansions", "--which", "feller", "--k-max", "1000001"],
+    ["oracle", "--z", "2", "--method", "weierstrass", "--k", "1000001"],
+])
+def test_term_count_past_the_cap_exits_3(argv, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "term cap 1000000" in err
+
+
 def _readme_commands():
     """The ``stirling ...`` lines of README's command-line block."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

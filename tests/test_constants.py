@@ -111,9 +111,3 @@ def test_duplication_constant_domain():
         duplication_constant(Fraction(1, 2), CTX)
     with pytest.raises(DomainError):
         duplication_constant(0, CTX)
-
-
-def test_printed_table_render_is_five_significant_digits():
-    rendered = c_sequence(4, CTX).printed_table()
-    assert rendered[0] == "0.91667"
-    assert rendered[1] == "0.91944"

@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import stirling.expansions
 from stirling.bounds import sequence_point
@@ -17,7 +20,7 @@ from stirling.expansions import (feller_constant, feller_identity_residual,
                                  mermin_partial_product, namias_residual,
                                  reversion_residual)
 from stirling.mpcore import PrecisionCtx, elementary
-from stirling.oracle import lngamma_binet2
+from stirling.oracle import TERMS_CAP, lngamma_binet2
 from stirling.series import remainder_R
 
 CTX = PrecisionCtx(256)
@@ -103,13 +106,23 @@ def test_feller_constant_takes_no_log_per_term(count_calls):
 
 @pytest.mark.parametrize("bits", [64, 256])
 @pytest.mark.parametrize("K", [1, 7, 1000])
-def test_feller_fixed_sum_within_its_bound(K, bits):
+def test_feller_fixed_sum_within_its_bound(K, bits, monkeypatch):
     # sum_{k<=K} (a_k - b_k) = ln K! + (1/2) ln(1/2) - (K + 1/2) ln(K + 1/2) + K;
     # the integer sum s 2^-W never exceeds it and falls short by at most
     # K (wp + 64) units of 2^-W, which is below 2^-(wp+5).  The closed form
     # cancels about 13 bits at K = 1000, so mpmath works 64 bits past W.
+    # s and W are read off feller_constant's own call of the kernel.
+    kernel, seen = stirling.expansions._floor_series, []
+
+    def spy(qs, divisors, W):
+        s = kernel(qs, divisors, W)
+        seen.append((s, W))
+        return s
+
+    monkeypatch.setattr(stirling.expansions, "_floor_series", spy)
+    feller_constant(K, PrecisionCtx(bits))
     wp = PrecisionCtx(bits).wprec()
-    s, W = stirling.expansions._feller_fixed_sum(K, wp)
+    [(s, W)] = seen
     assert K * (wp + 64) < 2 ** (W - wp - 5)
     with mpmath.workprec(W + 64):
         half = mpmath.mpf(1) / 2
@@ -117,6 +130,49 @@ def test_feller_fixed_sum_within_its_bound(K, bits):
                  - (K + half) * mpmath.log(K + half) + K)
         short = (exact - mpmath.ldexp(s, -W)) * mpmath.ldexp(1, W)
     assert -mpmath.ldexp(1, -32) <= short <= K * (wp + 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st_.data(), W=st_.integers(0, 300),
+       qs=st_.lists(st_.integers(4, 10**6), min_size=1, max_size=5))
+def test_floor_series_lemma(data, W, qs):
+    # the exact sum of 2^W / (q^j d_j) over the listed divisors lies in
+    # [s, s + D), where a q makes one floor division for p_1 and two for
+    # each j with p_j = floor(2^W / q^j) > 0
+    length = 1
+    while min(qs) ** length <= 2**W:
+        length += 1
+    divisors = data.draw(st_.lists(st_.integers(3, 64), min_size=length,
+                                   max_size=length + 3))
+    s = stirling.expansions._floor_series(iter(qs), divisors, W)
+    exact = sum(Fraction(2**W, q**j * d) for q in qs for j, d in enumerate(divisors, 1))
+    D = sum(1 + 2 * sum(1 for j in range(1, length) if q**j <= 2**W) for q in qs)
+    assert s <= exact < s + D
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mermin_partial_product(1, 2 * 10**4, PrecisionCtx(64)),
+    lambda: feller_constant(2 * 10**4, PrecisionCtx(64)),
+], ids=["mermin", "feller"])
+def test_term_sums_hold_no_list_of_their_terms(call):
+    # the kernel reads its q values lazily: a list of 2 * 10^4 of them
+    # would take about 0.8 MB
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mermin_partial_product(1, TERMS_CAP + 1, CTX),
+    lambda: feller_constant(TERMS_CAP + 1, CTX),
+], ids=["mermin", "feller"])
+def test_term_sums_past_the_cap_fail_fast(call):
+    with pytest.raises(ResourceError, match="term cap"):
+        call()
 
 
 def test_marsaglia_recurrence_passes_the_power_series_check():

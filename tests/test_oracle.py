@@ -372,6 +372,11 @@ def test_weierstrass_at_half_vs_inverse_sqrt_pi():
     assert abs(ov.value - ref) <= ov.error_bound
 
 
+def test_weierstrass_past_the_term_cap_fails_fast():
+    with pytest.raises(ResourceError, match="term cap"):
+        weierstrass_inv_gamma(2, stirling.oracle.TERMS_CAP + 1, CTX)
+
+
 def test_weierstrass_tail_halves_when_K_doubles():
     g1 = weierstrass_inv_gamma(2, 2000, CTX)
     g2 = weierstrass_inv_gamma(2, 4000, CTX)
