@@ -271,6 +271,22 @@ def test_bounds_impens_inconclusive_cells_exit_4(capsys):
     assert "inconclusive" in err
 
 
+def test_bounds_numeric_inconclusive_rows_are_printed(capsys):
+    # every n gets its row; one that cannot clear its envelope reads
+    # holds=inconclusive with empty values and is also named on stderr
+    code, out, err = run_capture(["bounds", "--family", "nanjundiah",
+                                  "--n-max", "4600", "--precision-bits", "64"],
+                                 capsys)
+    assert code == 4
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["n"]) for r in rows] == list(range(1, 4601))
+    inconclusive = [r for r in rows if r["holds"] == "inconclusive"]
+    assert inconclusive
+    assert all(r["lhs"] == r["mid"] == r["rhs"] == r["margin"] == ""
+               for r in inconclusive)
+    assert err.count("inconclusive: ") == len(inconclusive)
+
+
 def test_report_round_trips_and_counts(capsys):
     code, out, _ = run_capture(["report", "--n-max", "10"], capsys)
     assert code == 0
