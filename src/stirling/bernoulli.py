@@ -24,7 +24,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .errors import ResourceError
+from .mpcore import _require_index
 
 __all__ = ["BernoulliTable", "bernoulli", "series_coeff_a", "table", "DEFAULT_CAP"]
 
@@ -68,10 +68,6 @@ class BernoulliTable:
         return len(self._b) - 1
 
     def _extend_to(self, k: int) -> None:
-        if k > self.cap:
-            raise ResourceError(
-                f"index {k} exceeds the Bernoulli table cap {self.cap}"
-            )
         with self._lock:
             if k <= self.max_index:
                 return
@@ -101,15 +97,13 @@ class BernoulliTable:
             self._b = b
 
     def b(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("Bernoulli index must be >= 0")
+        _require_index(k, "k", 0, self.cap, "Bernoulli table cap")
         if k > self.max_index:
             self._extend_to(k)
         return self._b[k]
 
     def a(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("series coefficient index must be >= 0")
+        _require_index(k, "k", 0, self.cap, "Bernoulli table cap")
         if k > _A_DEPTH:
             return self.b(k) / math.factorial(k)
         if k > self.max_index:

@@ -32,8 +32,8 @@ from typing import Iterator
 
 from mpmath import libmp
 
-from .errors import DomainError, InconclusiveError, ResourceError, ValidityError
-from .mpcore import _RND, BigFloat, PrecisionCtx, raw_expm1, to_raw
+from .errors import DomainError, InconclusiveError, ValidityError
+from .mpcore import _RND, BigFloat, PrecisionCtx, _require_index, raw_expm1, to_raw
 from .oracle import (FACTORIAL_CAP, _ln_factorial_raw, ln_factorial_range,
                      lngamma_binet2)
 from .series import (_half_ln_2pi_raw, _main_term_raw, _remainder_raw,
@@ -111,10 +111,7 @@ def _scale_threshold(n: int, wp: int):
 
 def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     """r_n, c_n, v_n at ctx precision, all from the exact factorial."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be an integer >= 1")
-    if n > FACTORIAL_CAP:
-        raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
+    _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec()
     lnfact = _ln_factorial_raw(n, wp)
     n_raw = libmp.from_int(n)
@@ -221,14 +218,11 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
     """Evaluate one family at one index; ValidityError below its range."""
     if family not in FAMILY_MIN_N:
         raise DomainError(f"unknown family {family!r}")
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be an integer >= 1")
+    _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
     if n < FAMILY_MIN_N[family]:
         raise ValidityError(
             f"{family} is stated for n >= {FAMILY_MIN_N[family]}, got n={n}"
         )
-    if n > FACTORIAL_CAP:
-        raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
     consts = _row_constants(ctx.wprec())
     r = _r_raw(n, _ln_factorial_raw(n, consts.wp), consts.half_l2p, consts.wp)
     return _evaluate_family(family, n, r, consts,
@@ -248,6 +242,7 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
     for family in families:
         if family not in FAMILY_MIN_N:
             raise DomainError(f"unknown family {family!r}")
+    _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
     if n_max < min(FAMILY_MIN_N[f] for f in families):
         raise ValidityError(
             f"n_max={n_max} is below the validity start of {families}"
@@ -307,8 +302,8 @@ def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
 
     Holds is asserted only when both gaps exceed the oracle error bound.
     """
-    if n < 0 or m < 0:
-        raise DomainError("orders n, m must be >= 0")
+    _require_index(n, "n", 0)
+    _require_index(m, "m", 0)
     point = _sandwich_point(x, ctx)
     return _sandwich_cell(point, n, m,
                           _remainder_raw(point.x_raw, 2 * n, point.wp),
@@ -325,9 +320,7 @@ def impens_grid(xs, orders, ctx: PrecisionCtx,
     yielded as the error object instead of a report, so the grid keeps
     going; every cell is identical to the corresponding impens_sandwich.
     """
-    orders = list(orders)
-    if any(k < 0 for k in orders):
-        raise DomainError("orders n, m must be >= 0")
+    orders = [_require_index(k, "order", 0) for k in orders]
     for x in xs:
         point = _sandwich_point(x, ctx)
         lower = {n: _remainder_raw(point.x_raw, 2 * n, point.wp) for n in orders}
@@ -343,10 +336,7 @@ def impens_grid(xs, orders, ctx: PrecisionCtx,
 def aissen_ratio(n: int, ctx: PrecisionCtx) -> BigFloat:
     """n (y_{n+1}/y_n - 1) with y_n = sqrt(n) v_n; tends to 0 like O(1/n),
     certifying v_n ~ C n^(-1/2)."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be an integer >= 1")
-    if n + 1 > FACTORIAL_CAP:
-        raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
+    _require_index(n, "n", 1, FACTORIAL_CAP - 1)  # y_(n+1) needs (n + 1)!
     wp = ctx.wprec()
 
     def ln_y(k: int):

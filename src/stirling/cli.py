@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -108,33 +109,29 @@ def _cmd_constants(args, ctx: PrecisionCtx) -> tuple[str, int]:
 
 def _bounds_rows(families: list[str], n_max: int, ctx: PrecisionCtx,
                  digits: int) -> tuple[list[list[str]], bool]:
+    """One row per item, an inconclusive one as family,n,,,,,inconclusive
+    and named on stderr too."""
     rows: list[list[str]] = []
     saw_inconclusive = False
 
     def fmt(x):
         return "" if x is None else x.to_decimal(digits)
 
+    sweeps = []
     numeric = [f for f in families if f != "impens"]
     if numeric:
-        for item in bnd.bound_sweep(numeric, n_max, ctx):
-            if isinstance(item, InconclusiveError):
-                saw_inconclusive = True
-                print(f"inconclusive: {item}", file=sys.stderr)
-                continue
-            rows.append([item.family, str(item.n), fmt(item.lhs), fmt(item.mid),
-                         fmt(item.rhs), fmt(item.margin),
-                         "true" if item.holds else "false"])
+        sweeps.append((item.n, item) for item in bnd.bound_sweep(numeric, n_max, ctx))
     if "impens" in families:
         # fixed verification grid; rows keyed by a running index
         # (x major, then lower order n, then upper order m)
-        grid = bnd.impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, ctx)
-        for idx, item in enumerate(grid):
-            if isinstance(item, InconclusiveError):
-                saw_inconclusive = True
-                print(f"inconclusive: {item}", file=sys.stderr)
-                rows.append(["impens", str(idx), "", "", "", "", "inconclusive"])
-                continue
-            rows.append(["impens", str(idx), fmt(item.lhs), fmt(item.mid),
+        sweeps.append(enumerate(bnd.impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, ctx)))
+    for n, item in itertools.chain.from_iterable(sweeps):
+        if isinstance(item, InconclusiveError):
+            saw_inconclusive = True
+            print(f"inconclusive: {item}", file=sys.stderr)
+            rows.append([item.family, str(n), "", "", "", "", "inconclusive"])
+        else:
+            rows.append([item.family, str(n), fmt(item.lhs), fmt(item.mid),
                          fmt(item.rhs), fmt(item.margin),
                          "true" if item.holds else "false"])
     return rows, saw_inconclusive

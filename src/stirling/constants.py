@@ -24,10 +24,9 @@ from fractions import Fraction
 
 from mpmath import libmp
 
-from .bernoulli import table
-from .errors import DomainError, ResourceError, ValidityError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, default_ctx, rational_to_float,
-                     to_raw)
+from .errors import DomainError, ValidityError
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, default_ctx,
+                     rational_to_float, to_raw)
 from .series import _half_ln_2pi_raw, term_coefficient
 
 __all__ = [
@@ -50,10 +49,7 @@ class ConstantSequence:
 def c_sequence(n_max: int, ctx: PrecisionCtx | None = None) -> ConstantSequence:
     """Exact C_N = 1 - sum_{k<=N} B_{2k}/(2k(2k-1)) for N = 1..n_max."""
     ctx = ctx or default_ctx()
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    if 2 * n_max > table().cap:
-        raise ResourceError(f"n_max {n_max} needs B_{2*n_max}, beyond the table cap")
+    _require_index(n_max, "n_max", 1)
     entries = []
     acc = Fraction(1)
     for N in range(1, n_max + 1):

@@ -41,8 +41,8 @@ from fractions import Fraction
 
 from mpmath import libmp
 
-from .errors import DomainError, ResourceError
-from .mpcore import _RND, BigFloat, PrecisionCtx, raw_log1p, to_raw
+from .errors import DomainError
+from .mpcore import _RND, BigFloat, PrecisionCtx, _require_index, raw_log1p, to_raw
 from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
                      ln_factorial_range, lngamma_binet2)
 from .series import main_term_P
@@ -95,8 +95,7 @@ def _feller_ab_raw(k: int, wp: int):
 
 
 def feller_term(k: int, ctx: PrecisionCtx) -> FellerTerm:
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must be an integer >= 1")
+    _require_index(k, "k", 1)
     wp = ctx.wprec()
     a, b = _feller_ab_raw(k, wp)
     return FellerTerm(k=k, a_k=BigFloat.from_raw(a, ctx), b_k=BigFloat.from_raw(b, ctx))
@@ -112,18 +111,14 @@ def feller_identity_residual(n: int, ctx: PrecisionCtx) -> BigFloat:
     """|ln(n!) - (1/2) ln n - [I(n) - I(1/2) + sum_{k<n}(a_k - b_k) + a_n]|,
     with ln(n!) exact; only roundoff should remain.  It is the last entry of
     feller_residual_sweep(n), so the two never disagree."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be an integer >= 1")
-    if n > FACTORIAL_CAP:
-        raise ResourceError(f"n={n} exceeds the factorial cap {FACTORIAL_CAP}")
+    _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
     return feller_residual_sweep(n, ctx)[-1]
 
 
 def feller_residual_sweep(n_max: int, ctx: PrecisionCtx) -> list[BigFloat]:
     """feller_identity_residual for n = 1..n_max, sharing one pass over the
     a/b terms and one running exact factorial."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise DomainError("n_max must be an integer >= 1")
+    _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec()
     i_half = _i_half_raw(wp)
     out = []
@@ -159,10 +154,7 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     working precision wp = ctx.wprec() = bits + 32.  I(1/2) is then
     subtracted at wp, and the result rounded once to ctx.
     """
-    if not isinstance(K, int) or K < 1:
-        raise DomainError("K must be an integer >= 1")
-    if K > TERMS_CAP:
-        raise ResourceError(f"K={K} exceeds the term cap {TERMS_CAP}")
+    _require_index(K, "K", 1, TERMS_CAP, "term cap")
     wp = ctx.wprec()
     W = wp + 5 + (K * (wp + 64)).bit_length()
     divisors = [2 * j * (2 * j + 1) for j in range(1, W // 2 + 2)]
@@ -244,10 +236,7 @@ def marsaglia_coeffs(K: int) -> MarsagliaSeries:
     c_n = c_{n-1}/(n + 1) - S_n/2 with S_n = sum_{i=2..n-1} c_i c_{n+1-i},
     of which only half the products need computing.
     """
-    if not isinstance(K, int) or K < 0:
-        raise DomainError("K must be an integer >= 0")
-    if K > MARSAGLIA_CAP:
-        raise ResourceError(f"K={K} exceeds the series cap {MARSAGLIA_CAP}")
+    _require_index(K, "K", 0, MARSAGLIA_CAP, "series cap")
     c = [Fraction(1), Fraction(1)]  # b_0 = 1, then c_1 = 1
     for n in range(2, K + 1):
         # S_n / 2: the products with i < n + 1 - i, plus half the middle one
@@ -278,10 +267,8 @@ def marsaglia_factorial(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     Terms with even k multiply a vanishing odd Gaussian moment and
     contribute nothing, so the sum effectively runs over odd k.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("n must be an integer >= 2")
-    if not isinstance(K, int) or K < 1:
-        raise DomainError("K must be an integer >= 1")
+    _require_index(n, "n", 2)
+    _require_index(K, "K", 1)
     series = marsaglia_coeffs(K)
     wp = ctx.wprec()
     n_raw = libmp.from_int(n)
@@ -346,12 +333,8 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     error below 2^-ctx.wprec() = 2^-(bits + 32) relative to the result,
     which is rounded once.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be an integer >= 1")
-    if not isinstance(K, int) or K < n:
-        raise DomainError("K must be an integer >= n")
-    if K > TERMS_CAP:
-        raise ResourceError(f"K={K} exceeds the term cap {TERMS_CAP}")
+    _require_index(n, "n", 1)
+    _require_index(K, "K", n, TERMS_CAP, "term cap", low_name="n")
     wp = ctx.wprec() + 2 * (2 * n + 1).bit_length() + 2
     # D <= (K - n + 1) wp: as m^2 >= 9, a k adds at most W / (2 log2 3)
     # terms, and 2 W / (2 log2 3) + 1 <= wp as K <= TERMS_CAP and wp >= 102

@@ -17,10 +17,19 @@ the oracle value cannot swallow a tight but real sandwich margin; and
 :func:`published_decimal`, which recomputes a value at ``bits + 64`` and
 prints only the leading digits on which the two runs agree.  Every
 conversion to a libmp value goes through :func:`to_raw`.
+
+The argument rules of the package live here too.  A real argument is
+converted by :func:`to_raw`, which refuses a non-finite float and a string
+that is not a rational with ``DomainError``.  Every count, order and index
+(the N of a truncated series, the n of n!, the K of a partial sum or
+product, the k of B_k) is checked by :func:`_require_index`: one that is
+not an ``int``, is a ``bool`` or is below its minimum raises
+``DomainError``, and one past its cap raises ``ResourceError``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -29,7 +38,7 @@ from typing import Callable
 
 from mpmath import libmp
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, ResourceError
 
 __all__ = [
     "PrecisionCtx",
@@ -267,16 +276,23 @@ def bigfloat(x, ctx: PrecisionCtx) -> BigFloat:
 
 
 def to_raw(x, wprec: int):
-    """Raw libmp value of ``x``: BigFloats, ints and floats exactly,
-    Fractions and decimal strings correctly rounded to ``wprec`` bits."""
+    """Raw libmp value of ``x``: BigFloats, ints and finite floats exactly,
+    Fractions and rational strings correctly rounded to ``wprec`` bits.
+    A non-finite float or a string that is not a rational raises
+    DomainError."""
     if isinstance(x, BigFloat):
         return x._raw
     if isinstance(x, int):
         return libmp.from_int(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"argument must be finite, got {x!r}")
         return libmp.from_float(x)
     if isinstance(x, str):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not a rational number: {x!r}") from None
     if isinstance(x, Fraction):
         return libmp.from_rational(x.numerator, x.denominator, wprec, _RND)
     raise TypeError(f"cannot convert {type(x).__name__} to a raw float")
@@ -285,6 +301,18 @@ def to_raw(x, wprec: int):
 def _require_positive(z_raw, what: str = "z"):
     if libmp.mpf_le(z_raw, libmp.fzero):
         raise DomainError(f"{what} must be positive")
+
+
+def _require_index(value, name: str, low: int, cap: int | None = None,
+                   cap_name: str = "cap", low_name: str | None = None) -> int:
+    """``value`` as a count, order or index: an int, not a bool, at least
+    ``low`` (else DomainError, naming the minimum as ``low_name`` if given)
+    and at most ``cap`` (else ResourceError, naming it ``cap_name``)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low_name or low}")
+    if cap is not None and value > cap:
+        raise ResourceError(f"{name}={value} exceeds the {cap_name} {cap}")
+    return value
 
 
 # -- elementary functions ---------------------------------------------
@@ -402,7 +430,7 @@ def _raw_from_hex(text: str):
         return libmp.fzero
     m = _HEX_RE.match(text.strip())
     if m is None:
-        raise ValueError(f"not a hex float: {text!r}")
+        raise DomainError(f"not a hex float: {text!r}")
     neg, lead, frac, e = m.group(1), m.group(2), m.group(3) or "", int(m.group(4))
     man = int(lead + frac, 16)
     if man == 0:
@@ -420,10 +448,13 @@ def rational_to_str(q: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
+    """The Fraction written 'num/den' or 'num' in integers, den != 0, as
+    :func:`rational_to_str` writes it; anything else raises DomainError."""
     num, _, den = text.partition("/")
-    if den == "":
-        den = "1"
-    return Fraction(int(num), int(den))
+    try:
+        return Fraction(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"not a rational 'num/den': {text!r}") from None
 
 
 # -- compute-twice validation ------------------------------------------

@@ -41,9 +41,9 @@ from fractions import Fraction
 
 from mpmath import libmp
 
-from .errors import ConvergenceError, DomainError, ResourceError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_positive, raw_expm1,
-                     raw_log1p, to_raw)
+from .errors import ConvergenceError, DomainError
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
+                     raw_expm1, raw_log1p, to_raw)
 from .quadrature import half_line_nodes
 
 __all__ = [
@@ -114,10 +114,7 @@ def _ln_factorial_raw(n: int, wp: int):
 
 def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
     """ln(n!) via the exact big integer and one logarithm (<= 2 ulp)."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be a non-negative integer")
-    if n > FACTORIAL_CAP:
-        raise ResourceError(f"n={n} exceeds the exact-factorial cap {FACTORIAL_CAP}")
+    _require_index(n, "n", 0, FACTORIAL_CAP, "exact-factorial cap")
     if n <= 1:
         zero = BigFloat.from_raw(libmp.fzero, ctx)
         return OracleValue(value=zero, method="exact_factorial", error_bound=zero)
@@ -129,9 +126,8 @@ def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
 
 def ln_factorial_range(n_max: int, wp: int):
     """Yield (n, ln n! at wp bits) for n = 1..n_max, from a running exact
-    product: each value's error is one rounding, never accumulated."""
-    if n_max > FACTORIAL_CAP:
-        raise ResourceError(f"n_max={n_max} exceeds the cap {FACTORIAL_CAP}")
+    product: each value's error is one rounding, never accumulated.  The
+    callers hold n_max to FACTORIAL_CAP."""
     product = 1
     for n in range(1, n_max + 1):
         product *= n
@@ -540,10 +536,7 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
     bound is 3 |L(n) - L(2n)| plus roundoff.  One running product up to
     z + 2n serves both: L(n) reads it at k = n.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("n must be an integer >= 2")
-    if n > FACTORIAL_CAP:
-        raise ResourceError(f"n={n} exceeds the cap {FACTORIAL_CAP}")
+    _require_index(n, "n", 2, FACTORIAL_CAP)
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
@@ -572,10 +565,7 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     The omitted tail multiplies the result by exp(tau) with
     0 < tau <= z^2/(2K), which dominates the error bound.
     """
-    if not isinstance(K, int) or K < 1:
-        raise DomainError("K must be an integer >= 1")
-    if K > TERMS_CAP:
-        raise ResourceError(f"K={K} exceeds the term cap {TERMS_CAP}")
+    _require_index(K, "K", 1, TERMS_CAP, "term cap")
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
@@ -627,7 +617,7 @@ def check_multiplication(m: int, z, ctx: PrecisionCtx) -> BigFloat:
     """Residual of the order-m multiplication formula
     ln Gamma(mz) = (1-m) ln sqrt(2 pi) + (mz - 1/2) ln m
     + sum_{k=0..m-1} ln Gamma(z + k/m)."""
-    if m not in (2, 3, 4, 5):
+    if _require_index(m, "m", 2) > 5:
         raise DomainError("m must be one of 2, 3, 4, 5")
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
@@ -654,10 +644,7 @@ def check_multiplication(m: int, z, ctx: PrecisionCtx) -> BigFloat:
 def gamma_half_integer(k: int, ctx: PrecisionCtx) -> BigFloat:
     """Gamma(k/2) in exact form: (k/2 - 1)! for even k,
     (k-2)!! / 2^((k-1)/2) * sqrt(pi) for odd k."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("k must be an integer >= 1")
-    if k > HALF_INTEGER_CAP:
-        raise ResourceError(f"k={k} exceeds the half-integer cap {HALF_INTEGER_CAP}")
+    _require_index(k, "k", 1, HALF_INTEGER_CAP, "half-integer cap")
     wp = ctx.wprec()
     if k % 2 == 0:
         val = libmp.from_int(math.factorial(k // 2 - 1), wp, _RND)

@@ -28,7 +28,8 @@ from mpmath import libmp
 
 from .bernoulli import bernoulli, table
 from .errors import DomainError, ResourceError
-from .mpcore import _RND, BigFloat, PrecisionCtx, _require_positive, to_raw
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
+                     to_raw)
 
 __all__ = [
     "Approximation",
@@ -60,8 +61,7 @@ class Approximation:
 
 def term_coefficient(N: int) -> Fraction:
     """Exact coefficient B_{2N} / (2N (2N-1)) of the N-th correction term."""
-    if N < 1:
-        raise ValueError("term index must be >= 1")
+    _require_index(N, "N", 1)
     return bernoulli(2 * N) / (2 * N * (2 * N - 1))
 
 
@@ -137,21 +137,17 @@ def main_term_P(z, ctx: PrecisionCtx) -> BigFloat:
 
 def remainder_R(z, N: int, ctx: PrecisionCtx) -> BigFloat:
     """R_N(z) = sum_{k=1..N} B_{2k}/(2k(2k-1) z^(2k-1)); R_0 = 0."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    _require_index(N, "N", 0)
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    if 2 * N > table().cap:
-        raise ResourceError(f"order {N} needs B_{2*N}, beyond the table cap")
     return BigFloat.from_raw(_remainder_raw(z_raw, N, wp), ctx)
 
 
 def f_term(k: int, z, ctx: PrecisionCtx) -> BigFloat:
     """Individual expansion term: f_0 = z ln z - z, f_1 = -(1/2) ln z,
     f_{2m} = B_{2m}/(2m(2m-1) z^(2m-1)), and 0 for odd k >= 3."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    _require_index(k, "k", 0)
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
@@ -164,20 +160,15 @@ def f_term(k: int, z, ctx: PrecisionCtx) -> BigFloat:
         return BigFloat.from_raw(libmp.mpf_neg(libmp.mpf_shift(lnz, -1)), ctx)
     if k % 2:
         return BigFloat.from_raw(libmp.fzero, ctx)
-    if k > table().cap:
-        raise ResourceError(f"term {k} needs B_{k}, beyond the table cap")
     return BigFloat.from_raw(_term_raw(z_raw, k // 2, wp), ctx)
 
 
 def lngamma_stirling(z, N: int, ctx: PrecisionCtx) -> Approximation:
     """P(z) + R_N(z) with the first omitted term as the error certificate."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    _require_index(N, "N", 0)
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    if 2 * N + 2 > table().cap:
-        raise ResourceError(f"order {N} needs B_{2*N+2}, beyond the table cap")
     val = libmp.mpf_add(_main_term_raw(z_raw, wp), _remainder_raw(z_raw, N, wp), wp, _RND)
     omitted = libmp.mpf_abs(_term_raw(z_raw, N + 1, wp))
     return Approximation(
@@ -223,7 +214,7 @@ def stirling_original_log10(n, terms: int, ctx: PrecisionCtx) -> BigFloat:
     and ``terms`` in {1, 2, 3} selects how many are summed.  Coefficients
     past the third displayed group are not defined here.
     """
-    if terms not in (1, 2, 3):
+    if _require_index(terms, "terms", 1) > 3:
         raise DomainError("terms must be 1, 2 or 3")
     wp = ctx.wprec()
     n_raw = to_raw(n, wp)
@@ -250,6 +241,5 @@ def stirling_original_log10(n, terms: int, ctx: PrecisionCtx) -> BigFloat:
 
 def ln_factorial_stirling(n: int, N: int, ctx: PrecisionCtx) -> Approximation:
     """Series approximation of ln((n-1)!) = ln Gamma(n) for integer n >= 1."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be an integer >= 1")
+    _require_index(n, "n", 1)
     return lngamma_stirling(n, N, ctx)
