@@ -1,14 +1,23 @@
 """Classical inequality corpus around the normalized factorial remainder.
 
-Everything is phrased through three sequences computed from *exact*
-integer factorials (never from the truncated series, which would make the
-checks circular):
+Three sequences are studied:
 
     r_n = ln( n! e^n / (sqrt(2 pi n) n^n) )
     c_n = (n + 1/2) ln n - n + 1 - ln(n!)
     v_n = n^n e^(-n) / n!
 
-The families checked, each on its stated validity range:
+``sequence_point`` and ``aissen_ratio`` compute them from *exact* integer
+factorials (never from the truncated series, which would make the checks
+circular).  The inequality families take r_n from its difference equation
+instead,
+
+    r_n - r_(n+1) = d_n = (n + 1/2) ln(1 + 1/n) - 1,   r_1 = 1 - (1/2) ln(2 pi),
+
+as Robbins does to prove his bounds: each d_k is a series of positive terms,
+summed in integer fixed point with a proven error, so every r_n is an exact
+interval of integers, as is (1/2) ln(2 pi), bracketed once per sweep.
+Hummel's middle value r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no
+constant at all.  The families checked, each on its stated validity range:
 
     robbins      1/(12n+1) < r_n < 1/(12n)                      n >= 1
     maria        [12n + 3/(2(2n+1))]^(-1) < r_n                 n >= 1
@@ -17,27 +26,33 @@ The families checked, each on its stated validity range:
     michel       |e^(r_n) - 1 - 1/(12n) - 1/(288 n^2)|
                      <= 1/(360 n^3) + 1/(108 n^4)               n >= 3
 
-plus the truncation sandwich R_{2n}(x) < ln Gamma(x) - P(x) < R_{2m+1}(x)
-for all x > 0 and n, m >= 0, checked against the integral oracle.
+with R_1(n) = 1/(12n) and R_2(n) = (30 n^2 - 1)/(360 n^3).  Every bound is
+an exact rational, so a verdict compares integers: the margin, the smaller
+of mid - lhs and rhs - mid, is an exact interval, and a row holds when the
+whole interval lies above 0, fails when it lies below, and is inconclusive
+(InconclusiveError) when it touches or straddles 0.
 
-A verdict is issued only when the margin clears the arithmetic error
-envelope; anything tighter raises InconclusiveError instead of guessing.
+The truncation sandwich R_{2n}(x) < ln Gamma(x) - P(x) < R_{2m+1}(x), for
+all x > 0 and n, m >= 0, is checked against the integral oracle; it gives
+a verdict only when the margin clears the oracle's error bound and the
+rounding envelope, and raises InconclusiveError otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from mpmath import libmp
 
 from .errors import DomainError, InconclusiveError, ValidityError
 from .mpcore import _RND, BigFloat, PrecisionCtx, _require_index, raw_expm1, to_raw
-from .oracle import (FACTORIAL_CAP, _ln_factorial_raw, ln_factorial_range,
-                     lngamma_binet2)
-from .series import (_half_ln_2pi_raw, _main_term_raw, _remainder_raw,
-                     _remainder_sums_raw, _term_coefficients_raw)
+from .expansions import _floor_series
+from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
+from .series import _half_ln_2pi_raw, _main_term_raw, _remainder_raw
 
 __all__ = [
     "FAMILY_MIN_N",
@@ -74,8 +89,9 @@ class BoundReport:
 
     ``lhs``/``rhs`` are None for one-sided families.  ``margin`` is the
     signed distance of ``mid`` to the nearest bound (negative would mean a
-    violation); ``holds`` is only ever set after the margin cleared the
-    arithmetic error envelope.
+    violation); ``holds`` is only ever set once the margin is known to lie
+    on one side of 0.  The rows of ``bound_sweep`` and ``check_bound``
+    (``_SweepRow``) take their margin from an exact interval.
     """
 
     family: str
@@ -131,66 +147,255 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     )
 
 
-@dataclass(frozen=True)
-class _RowConstants:
-    """Values at wp bits that every row of a sweep shares."""
-
-    wp: int
-    half_l2p: tuple        # (1/2) ln(2 pi)
-    eleven_twelfths: tuple
-    remainder_coeffs: list  # B_2/2 and B_4/12, the terms of R_1 and R_2
+# -- r_n from the difference equation ------------------------------------
 
 
-def _row_constants(wp: int) -> _RowConstants:
-    return _RowConstants(wp, _half_ln_2pi_raw(wp),
-                         libmp.from_rational(11, 12, wp, _RND),
-                         _term_coefficients_raw(2, wp))
+def _sweep_width(ctx: PrecisionCtx) -> int:
+    """W, the fixed point 2^-W of every sweep row at ctx.
+
+    W = wp + bitlen(12 CAP) + bitlen(CAP wp) + 4, for wp = ctx.wprec() and
+    CAP = FACTORIAL_CAP.  It depends on the precision alone, so row n is the
+    same in every sweep that reaches it.  Row n's r_n interval is at most
+    CAP wp + 3 < 2^(bitlen(CAP wp) + 1) units wide (``_difference_sums``,
+    ``_half_ln_2pi_bracket``), and r_n > 1/(12 CAP + 1) > 2^-bitlen(12 CAP),
+    so the width stays below 2^-(wp+3) r_n.
+    """
+    wp = ctx.wprec()
+    return wp + (12 * FACTORIAL_CAP).bit_length() + (FACTORIAL_CAP * wp).bit_length() + 4
 
 
-def _evaluate_family(family: str, n: int, r, consts: _RowConstants,
-                     threshold, ctx: PrecisionCtx) -> BoundReport:
-    """Verdict for one family at n, given r = r_n at wp bits and the
-    envelope _scale_threshold(n, wp)."""
-    wp = consts.wp
-    lhs_raw = rhs_raw = None
-    if family == "robbins":
-        lhs_raw = libmp.from_rational(1, 12 * n + 1, wp, _RND)
-        rhs_raw = libmp.from_rational(1, 12 * n, wp, _RND)
-        mid_raw = r
-    elif family == "maria":
-        # [12n + 3/(2(2n+1))]^(-1) = (4n+2) / (48 n^2 + 24 n + 3)
-        lhs_raw = libmp.from_rational(4 * n + 2, 48 * n * n + 24 * n + 3, wp, _RND)
-        mid_raw = r
-    elif family == "hummel":
-        lhs_raw = consts.eleven_twelfths
-        rhs_raw = libmp.fone
-        mid_raw = libmp.mpf_add(r, consts.half_l2p, wp, _RND)
-    elif family == "nanjundiah":
-        # R_1(n) is the first running sum of R_2(n)
-        rhs_raw, lhs_raw = _remainder_sums_raw(libmp.from_int(n),
-                                               consts.remainder_coeffs, wp)
-        mid_raw = r
-    elif family == "michel":
-        e_r = libmp.mpf_exp(r, wp, _RND)
-        probe = libmp.mpf_sub(e_r, libmp.fone, wp, _RND)
-        probe = libmp.mpf_sub(probe, libmp.from_rational(1, 12 * n, wp, _RND), wp, _RND)
-        probe = libmp.mpf_sub(probe, libmp.from_rational(1, 288 * n * n, wp, _RND),
-                              wp, _RND)
-        mid_raw = libmp.mpf_abs(probe)
-        # 1/(360 n^3) + 1/(108 n^4)
-        rhs_raw = libmp.from_rational(3 * n + 10, 1080 * n**4, wp, _RND)
+def _half_ln_2pi_bracket(W: int) -> tuple[int, int]:
+    """(lo, hi) with lo < 2^W (1/2) ln(2 pi) < hi.
+
+    libmp's pi and log at p = W + 4 bits are each taken to within one ulp,
+    the allowance ``oracle`` takes for libmp's arctan.  pi~ in [2, 4) is
+    then within 2^(2-p) of pi, so ln(2 pi~) is within 2^(2-p)/3 of
+    ln(2 pi), and L = log(2 pi~) in [1, 2) is within 2^(1-p) more:
+    |L/2 - (1/2) ln(2 pi)| < 2^(1-p) = 2^-(W+3).  With t = floor(2^W L/2),
+    2^W (1/2) ln(2 pi) lies in (t - 1/8, t + 9/8).
+    """
+    p = W + 4
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(p, _RND), 1)
+    t = libmp.to_fixed(libmp.mpf_log(two_pi, p, _RND), W - 1)
+    return t - 1, t + 2
+
+
+def _difference_sums(n_max: int, W: int):
+    """Yield (n, S, D) for n = 1..n_max, with sum_(k<n) d_k in [S, S + D) 2^-W.
+
+    d_k = r_k - r_(k+1) = (k + 1/2) ln(1 + 1/k) - 1 is, with m = 2k + 1, the
+    positive series sum_(j>=1) 1/((2j+1) m^(2j)).  ``_floor_series`` sums it
+    with q = m^2 and d_j = 2j + 1, and its lemma puts d_k in
+    [s_k, s_k + 2J_k - 1) 2^-W.  p_j = floor(2^W / q^j) is non-zero only
+    while q^j <= 2^W, and q >= 4^(b-1) for b = bitlen(m), so J_k - 1 <=
+    W // (2b - 2) and D adds 2 (W // (2b - 2)) + 1.  That is at most W + 1
+    for k = 1 and W/2 + 1 past it, both at most 2 wp and wp for W of
+    ``_sweep_width``, so D <= n wp <= CAP wp.
+    """
+    divisors = range(3, W + 4, 2)  # q >= 9, and 9^((W + 2)/2) > 2^W
+    S = D = 0
+    for n in range(1, n_max + 1):
+        if n > 1:
+            m = 2 * n - 1  # k = n - 1
+            S += _floor_series((m * m,), divisors, W)
+            D += 2 * (W // (2 * m.bit_length() - 2)) + 1
+        yield n, S, D
+
+
+def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
+    """(e_lo, e_hi) with e_lo <= 2^W e^x <= e_hi for x in [lo, hi] 2^-W,
+    0 <= lo <= hi < 2^W / 12.
+
+    The fixed-point Taylor series t_0 = 2^W, t_j = floor(t_(j-1) lo 2^-W / j)
+    (two floors, as floor(floor(a)/j) = floor(a/j)), summed to the first
+    t_J = 0, gives s.  With x = lo 2^-W and T_j = 2^W x^j / j!, t_j <= T_j,
+    and delta_j = T_j - t_j < delta_(j-1) x / j + 1 < delta_(j-1) / 12 + 1,
+    so delta_j < 12/11.  T_J = delta_J, and the tail past it is below
+    (12/11)^2 < 1.2 as x < 1/12.  So 2^W e^x lies in [s, s + 12(J - 1)/11
+    + 1.2) within [s, s + 2J), and as e^y <= 1 + 2y for 0 <= y <= 1,
+    e^(hi 2^-W) <= (s + 2J) (1 + 2 (hi - lo) 2^-W).
+    """
+    s = t = 1 << W
+    j = 0
+    while t:
+        j += 1
+        t = (t * lo >> W) // j
+        s += t
+    top = s + 2 * j
+    return s, -(-top * ((1 << W) + 2 * (hi - lo)) >> W)
+
+
+def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
+         bits: int):
+    """The row of ``family`` at n, given sum_(k<n) d_k in [S, S + D) 2^-W
+    and half, the bracket of (1/2) ln(2 pi): a _SweepRow, or an
+    InconclusiveError when the margin interval does not lie on one side
+    of 0.
+
+    The middle value is kept as [lo, hi] / den and every bound as an exact
+    rational p/q, so each gap, mid - lhs and rhs - mid, is an exact interval
+    of integers over q den.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k, and
+    Hummel's r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.
+    Michel's e^(r_n) is bracketed by ``_exp_bracket``, as r_n < r_1 < 1/12.
+    """
+    one = 1 << W
+    lhs = rhs = None
+    if family == "hummel":
+        mid = (one - S - D, one - S, one)
+        lhs, rhs = (11, 12), (1, 1)
     else:
-        raise DomainError(f"unknown family {family!r}")
-    return _verdict(family, n, lhs_raw, mid_raw, rhs_raw, threshold, wp, ctx,
-                    lambda: f"{family} at n={n}: margin within the arithmetic "
-                            f"envelope at {ctx.bits} bits")
+        r_lo, r_hi = one - half[1] - S - D, one - half[0] - S
+        if family == "michel":
+            # 288 n^2 2^W (e^(r_n) - 1 - 1/(12n) - 1/(288 n^2)), then its modulus
+            e_lo, e_hi = _exp_bracket(r_lo, r_hi, W)
+            c = 288 * n * n
+            base = (c + 24 * n + 1) << W
+            a, b = e_lo * c - base, e_hi * c - base
+            if a >= 0:
+                mid = (a, b, c << W)
+            elif b <= 0:
+                mid = (-b, -a, c << W)
+            else:
+                mid = (0, max(-a, b), c << W)
+            rhs = (3 * n + 10, 1080 * n**4)  # 1/(360 n^3) + 1/(108 n^4)
+        else:
+            mid = (r_lo, r_hi, one)
+            if family == "robbins":
+                lhs, rhs = (1, 12 * n + 1), (1, 12 * n)
+            elif family == "maria":
+                # [12n + 3/(2(2n+1))]^(-1) = (4n+2) / (48 n^2 + 24 n + 3)
+                lhs = (4 * n + 2, 48 * n * n + 24 * n + 3)
+            else:  # nanjundiah: R_2(n) < r_n < R_1(n)
+                lhs, rhs = (30 * n * n - 1, 360 * n**3), (1, 12 * n)
+    lo, hi, den = mid
+    gaps = []
+    if lhs is not None:
+        p, q = lhs
+        gaps.append((lo * q - p * den, hi * q - p * den, q * den))
+    if rhs is not None:
+        p, q = rhs
+        gaps.append((p * den - hi * q, p * den - lo * q, q * den))
+    if all(g[0] > 0 for g in gaps):
+        return _SweepRow(family, n, True, mid, lhs, rhs, gaps, bits)
+    if any(g[1] < 0 for g in gaps):
+        return _SweepRow(family, n, False, mid, lhs, rhs, gaps, bits)
+    lower, upper = _margin_ends(gaps)
+    width = upper - lower
+    return InconclusiveError(
+        f"{family} at n={n}: margin within the arithmetic envelope at {bits} bits",
+        family=family, n=n, margin=_toward_zero(min(lower, upper, key=abs), bits),
+        envelope=BigFloat(libmp.from_rational(width.numerator, width.denominator,
+                                              bits, libmp.round_ceiling), bits),
+    )
+
+
+def _margin_ends(gaps) -> tuple[Fraction, Fraction]:
+    """The exact ends of min(mid - lhs, rhs - mid) over the gap intervals."""
+    return (min(Fraction(g[0], g[2]) for g in gaps),
+            min(Fraction(g[1], g[2]) for g in gaps))
+
+
+def _toward_zero(q: Fraction, bits: int) -> BigFloat:
+    return BigFloat(libmp.from_rational(q.numerator, q.denominator, bits,
+                                        libmp.round_down), bits)
+
+
+def _nearest(p: int, q: int, bits: int) -> BigFloat:
+    return BigFloat(libmp.from_rational(p, q, bits, _RND), bits)
+
+
+class _SweepRow(BoundReport):
+    """A BoundReport of ``bound_sweep`` that keeps its exact integers and
+    builds lhs, mid, rhs and margin as BigFloats on their first read.
+
+    lhs and rhs are the exact bounds and mid the midpoint of the middle
+    value's interval, each rounded to nearest.  margin is the end of the
+    margin interval nearest 0, rounded toward 0: its lower end when the
+    row holds and its upper end when it fails.
+    """
+
+    def __init__(self, family: str, n: int, holds: bool, mid: tuple,
+                 lhs: tuple | None, rhs: tuple | None, gaps: list, bits: int):
+        self.__dict__.update(family=family, n=n, holds=holds, _mid=mid, _lhs=lhs,
+                             _rhs=rhs, _gaps=gaps, _bits=bits)
+
+    @functools.cached_property
+    def lhs(self) -> BigFloat | None:
+        return None if self._lhs is None else _nearest(*self._lhs, self._bits)
+
+    @functools.cached_property
+    def rhs(self) -> BigFloat | None:
+        return None if self._rhs is None else _nearest(*self._rhs, self._bits)
+
+    @functools.cached_property
+    def mid(self) -> BigFloat:
+        lo, hi, den = self._mid
+        return _nearest(lo + hi, 2 * den, self._bits)
+
+    @functools.cached_property
+    def margin(self) -> BigFloat:
+        lower, upper = _margin_ends(self._gaps)
+        return _toward_zero(lower if self.holds else upper, self._bits)
+
+
+def _check_families(families: list[str]) -> None:
+    for family in families:
+        if family not in FAMILY_MIN_N:
+            raise DomainError(f"unknown family {family!r}")
+
+
+def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
+    """Evaluate one family at one index; ValidityError below its range.
+    The report is row n of ``bound_sweep``, bit for bit: it runs the same
+    sums over k < n at the same fixed point."""
+    _check_families([family])
+    _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
+    if n < FAMILY_MIN_N[family]:
+        raise ValidityError(
+            f"{family} is stated for n >= {FAMILY_MIN_N[family]}, got n={n}"
+        )
+    W = _sweep_width(ctx)
+    for _, S, D in _difference_sums(n, W):
+        pass
+    row = _row(family, n, S, D, W, _half_ln_2pi_bracket(W), ctx.bits)
+    if isinstance(row, InconclusiveError):
+        raise row
+    return row
+
+
+def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
+                ) -> Iterator[BoundReport | InconclusiveError]:
+    """All requested families over n = 1..n_max, from one running pass over
+    the difference equation (``_difference_sums``) and one bracket of
+    (1/2) ln(2 pi) per sweep, at a fixed point set by the precision alone,
+    so each row is bit-identical to check_bound's.  Inconclusive rows are
+    yielded as the error object instead of a report, so sweeps keep going.
+    The sweep keeps no state that grows with n."""
+    if not families:
+        raise DomainError("bound_sweep needs at least one family")
+    _check_families(families)
+    _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
+    if n_max < min(FAMILY_MIN_N[f] for f in families):
+        raise ValidityError(
+            f"n_max={n_max} is below the validity start of {families}"
+        )
+    W = _sweep_width(ctx)
+    half = _half_ln_2pi_bracket(W)
+    for n, S, D in _difference_sums(n_max, W):
+        for family in families:
+            if n >= FAMILY_MIN_N[family]:
+                yield _row(family, n, S, D, W, half, ctx.bits)
+
+
+# -- the truncation sandwich ------------------------------------------------
 
 
 def _verdict(family: str, n: int, lhs_raw, mid_raw, rhs_raw, envelope, wp: int,
              ctx: PrecisionCtx, message) -> BoundReport:
-    """The one verdict rule: the margin is the smaller of mid - lhs and
-    rhs - mid (a None bound has no gap), and a margin within ``envelope``
-    raises InconclusiveError with ``message()`` instead of a verdict."""
+    """The sandwich's verdict rule: the margin is the smaller of mid - lhs
+    and rhs - mid (a None bound has no gap), and a margin within
+    ``envelope`` raises InconclusiveError with ``message()`` instead of a
+    verdict."""
     margin = None
     if lhs_raw is not None:
         margin = libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND)
@@ -212,53 +417,6 @@ def _verdict(family: str, n: int, lhs_raw, mid_raw, rhs_raw, envelope, wp: int,
         holds=libmp.mpf_gt(margin, libmp.fzero),
         margin=BigFloat.from_raw(margin, ctx),
     )
-
-
-def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
-    """Evaluate one family at one index; ValidityError below its range."""
-    if family not in FAMILY_MIN_N:
-        raise DomainError(f"unknown family {family!r}")
-    _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
-    if n < FAMILY_MIN_N[family]:
-        raise ValidityError(
-            f"{family} is stated for n >= {FAMILY_MIN_N[family]}, got n={n}"
-        )
-    consts = _row_constants(ctx.wprec())
-    r = _r_raw(n, _ln_factorial_raw(n, consts.wp), consts.half_l2p, consts.wp)
-    return _evaluate_family(family, n, r, consts,
-                            _scale_threshold(n, consts.wp), ctx)
-
-
-def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
-                ) -> Iterator[BoundReport | InconclusiveError]:
-    """All requested families over n = 1..n_max, sharing one running
-    exact-factorial pass, one r_n and one error envelope per n, and the
-    constants (1/2) ln(2 pi), 11/12 and the remainder coefficients per
-    sweep.  Every bound is one exact rational rounded once, so each row is
-    bit-identical to check_bound's.  Inconclusive rows are yielded as the
-    error object instead of a report, so sweeps keep going."""
-    if not families:
-        raise DomainError("bound_sweep needs at least one family")
-    for family in families:
-        if family not in FAMILY_MIN_N:
-            raise DomainError(f"unknown family {family!r}")
-    _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
-    if n_max < min(FAMILY_MIN_N[f] for f in families):
-        raise ValidityError(
-            f"n_max={n_max} is below the validity start of {families}"
-        )
-    consts = _row_constants(ctx.wprec())
-    wp = consts.wp
-    for n, lnfact in ln_factorial_range(n_max, wp):
-        r = _r_raw(n, lnfact, consts.half_l2p, wp)
-        threshold = _scale_threshold(n, wp)
-        for family in families:
-            if n < FAMILY_MIN_N[family]:
-                continue
-            try:
-                yield _evaluate_family(family, n, r, consts, threshold, ctx)
-            except InconclusiveError as exc:
-                yield exc
 
 
 @dataclass(frozen=True)

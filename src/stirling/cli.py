@@ -258,8 +258,10 @@ def report_all(n_max: int, ctx: PrecisionCtx) -> dict:
     and formatting are deterministic.  The checks run inside one
     ``oracle._shared_values`` block, so every ln Gamma value they take from
     the Binet oracle, directly or through an identity check, is evaluated
-    once per exact argument and precision.
+    once per exact argument and precision.  n_max is checked as a count
+    before any check runs; an integer below 10 raises ValidityError.
     """
+    mpc._require_index(n_max, "n_max", 1, orc.FACTORIAL_CAP, "factorial cap")
     if n_max < 10:
         raise ValidityError("report needs n_max >= 10")
     with orc._shared_values():
@@ -396,11 +398,12 @@ def _positive_int(text: str) -> int:
 
 
 def _rational_text(text: str) -> str:
-    """``text`` unchanged, once it reads as an exact rational."""
+    """``text`` unchanged, once ``mpcore.to_raw`` reads it as an exact
+    rational."""
     try:
-        Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        mpc.to_raw(text, mpc.MIN_BITS)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

@@ -81,34 +81,21 @@ def _main_term_raw(z_raw, wp: int):
     return libmp.mpf_add(acc, _half_ln_2pi_raw(wp), wp, _RND)
 
 
-def _term_coefficients_raw(N: int, wp: int) -> list:
-    """B_{2k} / (2k (2k-1)) for k = 1..N, each rounded to wp bits."""
-    out = []
-    for k in range(1, N + 1):
-        c = term_coefficient(k)
-        out.append(libmp.from_rational(c.numerator, c.denominator, wp, _RND))
-    return out
-
-
-def _remainder_sums_raw(z_raw, coeffs: list, wp: int) -> list:
-    """R_1(z), ..., R_N(z) for the raw coefficients c_1..c_N: the running
-    sums of one pass, so R_k is rounded the same whatever N is."""
+def _remainder_raw(z_raw, N: int, wp: int):
+    """R_N(z) = sum_(k=1..N) B_(2k) / (2k (2k-1) z^(2k-1)), each
+    coefficient rounded to wp bits and the terms summed in order."""
+    if N == 0:
+        return libmp.fzero
     inv = libmp.mpf_div(libmp.fone, z_raw, wp, _RND)
     inv2 = libmp.mpf_mul(inv, inv, wp, _RND)
     zpow = inv  # z^-(2k-1), starting at k=1
     acc = libmp.fzero
-    sums = []
-    for c_raw in coeffs:
+    for k in range(1, N + 1):
+        c = term_coefficient(k)
+        c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
         acc = libmp.mpf_add(acc, libmp.mpf_mul(c_raw, zpow, wp, _RND), wp, _RND)
-        sums.append(acc)
         zpow = libmp.mpf_mul(zpow, inv2, wp, _RND)
-    return sums
-
-
-def _remainder_raw(z_raw, N: int, wp: int):
-    if N == 0:
-        return libmp.fzero
-    return _remainder_sums_raw(z_raw, _term_coefficients_raw(N, wp), wp)[-1]
+    return acc
 
 
 def _term_raw(z_raw, N: int, wp: int):

@@ -4,14 +4,17 @@ import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 from mpmath import libmp
 
 import stirling.bounds
-from stirling.bounds import (FAMILY_MIN_N, _scale_threshold, aissen_ratio,
-                             bound_sweep, check_bound, impens_grid,
+import stirling.oracle
+from stirling.bounds import (FAMILY_MIN_N, _difference_sums, _exp_bracket,
+                             _half_ln_2pi_bracket, _scale_threshold, _sweep_width,
+                             aissen_ratio, bound_sweep, check_bound, impens_grid,
                              impens_sandwich, sequence_point)
 from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
@@ -222,16 +225,22 @@ def test_inconclusive_error_fields_sandwich():
 
 
 def test_inconclusive_error_fields_family(monkeypatch):
-    # an envelope of 1 swallows every robbins margin
-    monkeypatch.setattr(stirling.bounds, "_scale_threshold",
-                        lambda n, wp: libmp.fone)
+    # widening the bracket of (1/2) ln(2 pi) by 1/1000 each way widens r_5
+    # as much, so robbins' margin interval at n=5 straddles 0
+    real = stirling.bounds._half_ln_2pi_bracket
+
+    def wide(W):
+        lo, hi = real(W)
+        return lo - (1 << W) // 1000, hi + (1 << W) // 1000
+
+    monkeypatch.setattr(stirling.bounds, "_half_ln_2pi_bracket", wide)
     with pytest.raises(InconclusiveError) as info:
         check_bound("robbins", 5, CTX)
     exc = info.value
     assert str(exc) == "robbins at n=5: margin within the arithmetic envelope at 256 bits"
     assert (exc.family, exc.n) == ("robbins", 5)
-    assert exc.envelope == 1
-    assert 0 < exc.margin < Fraction(1, 1000)
+    assert abs(exc.margin) <= exc.envelope
+    assert 0 < exc.envelope < Fraction(1, 100)
 
 
 def test_aissen_ratio_decays_like_inverse_n():
@@ -288,13 +297,14 @@ def _row_fields(item):
 
 
 # bits -> (n_max, sha256 over repr(_row_fields(row)) + "\n" for every row of
-# the five-family sweep to n_max); sharing one r_n across the families leaves
-# every row as it was when each family computed its own.  The 128-bit sweep
-# covers the benchmark's range, n <= 5000.
+# the five-family sweep to n_max).  r_n comes from the difference equation
+# as an exact interval: mid is its midpoint, and margin the end of the
+# margin interval nearest 0, rounded toward 0.  The 128-bit sweep covers
+# the benchmark's range, n <= 5000.
 SWEEP_DIGESTS = {
-    64: (400, "ceedeb29e11e7a2655bba2afefdc9ca4d5a19d6f902b8726abc81a54759ab48b"),
-    128: (5000, "22b802bf70554eb0e8f1f24af95c13b417fde5e165a17e2ccd404105750c527e"),
-    256: (400, "ee0f82cf9d7aa13ab99f8bf4b9f30d6169de272a95f92492eb00b4c353aecfb9"),
+    64: (400, "7152750e7a9d4e9ac267ce8d3d3cca525da3f58674e24ed94aae375cf2448e04"),
+    128: (5000, "fbeae7bc9184ad53687b85d378cfc372151260e1b5afeb9447797d42a7180c6e"),
+    256: (400, "dadec489598f36d4b74cee647c4cec2e029d7ee2dc9eec7f6ea08edd5f924c23"),
 }
 
 
@@ -309,6 +319,62 @@ def _sweep_digest(n_max, bits):
 def test_bound_sweep_rows_pinned(bits):
     n_max, digest = SWEEP_DIGESTS[bits]
     assert _sweep_digest(n_max, bits) == digest
+
+
+@pytest.mark.parametrize("n_max", [40, 300])
+def test_check_bound_is_the_sweep_row_in_hex(n_max):
+    rows = {(r.family, r.n): _row_fields(r)
+            for r in bound_sweep(list(FAMILY_MIN_N), n_max, CTX128)}
+    for family in FAMILY_MIN_N:
+        for n in (3, 17, 40):
+            assert _row_fields(check_bound(family, n, CTX128)) == rows[family, n]
+
+
+def test_sweep_and_check_bound_leave_the_factorial_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the factorial path was taken")
+
+    for name in ("_scale_threshold", "_ln_factorial_raw"):
+        monkeypatch.setattr(stirling.bounds, name, refuse)
+    monkeypatch.setattr(stirling.oracle, "ln_factorial_range", refuse)
+    assert len(list(bound_sweep(list(FAMILY_MIN_N), 30, CTX128))) == 30 * 5 - 3
+    assert check_bound("michel", 30, CTX128).holds
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 768])
+@settings(max_examples=4, deadline=None)
+@given(n=st_.integers(min_value=1, max_value=FACTORIAL_CAP))
+@example(n=1)
+@example(n=FACTORIAL_CAP)
+def test_difference_equation_brackets_hold(bits, n):
+    # every bracket of a sweep row against mpmath at 2W bits
+    W = _sweep_width(PrecisionCtx(bits))
+    for _, S, D in _difference_sums(n, W):
+        pass
+    h_lo, h_hi = _half_ln_2pi_bracket(W)
+    one = 1 << W
+    r_lo, r_hi = one - h_hi - S - D, one - h_lo - S
+    e_lo, e_hi = _exp_bracket(r_lo, r_hi, W)
+    with mpmath.workprec(2 * W):
+        half = mpmath.log(2 * mpmath.pi) / 2
+        r = mpmath.loggamma(n + 1) - (n + mpmath.mpf(1) / 2) * mpmath.log(n) + n - half
+        assert h_lo < mpmath.ldexp(half, W) < h_hi
+        assert S <= mpmath.ldexp(1 - half - r, W) < S + D or (n == 1 and S == D == 0)
+        assert one - S - D <= mpmath.ldexp(r + half, W) <= one - S  # Hummel's
+        assert r_lo <= mpmath.ldexp(r, W) <= r_hi
+        assert e_lo <= mpmath.ldexp(mpmath.exp(r), W) <= e_hi
+
+
+@settings(max_examples=50, deadline=None)
+@given(bits=st_.sampled_from([64, 128, 256, 768]), data=st_.data())
+def test_exp_bracket_holds_on_any_interval(bits, data):
+    W = _sweep_width(PrecisionCtx(bits))
+    lo = data.draw(st_.integers(min_value=0, max_value=((1 << W) - 1) // 12))
+    hi = data.draw(st_.integers(min_value=lo, max_value=((1 << W) - 1) // 12))
+    e_lo, e_hi = _exp_bracket(lo, hi, W)
+    with mpmath.workprec(2 * W):
+        assert e_lo <= mpmath.ldexp(mpmath.exp(mpmath.ldexp(lo, -W)), W)
+        assert mpmath.ldexp(mpmath.exp(mpmath.ldexp(hi, -W)), W) <= e_hi
 
 
 # first n at which floor(log2((n + 2)(ln(n + 2) + 1))) reaches each magnitude

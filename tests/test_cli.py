@@ -13,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import stirling.bounds
+import stirling.cli
 import stirling.oracle
-from stirling.cli import run
+from stirling.cli import build_parser, report_all, run
+from stirling.errors import DomainError, InconclusiveError, ValidityError
+from stirling.mpcore import PrecisionCtx, to_raw
 
 PRINTED = ["0.91667", "0.91944", "0.91865", "0.91925", "0.91840",
            "0.92032", "0.91391", "0.94346", "0.76382", "2.1562"]
@@ -271,20 +275,35 @@ def test_bounds_impens_inconclusive_cells_exit_4(capsys):
     assert "inconclusive" in err
 
 
-def test_bounds_numeric_inconclusive_rows_are_printed(capsys):
+def test_bounds_numeric_inconclusive_rows_are_printed(capsys, monkeypatch):
     # every n gets its row; one that cannot clear its envelope reads
     # holds=inconclusive with empty values and is also named on stderr
+    ctx = PrecisionCtx(64)
+
+    def stub(families, n_max, ctx_):
+        yield stirling.bounds.check_bound("nanjundiah", 1, ctx)
+        yield InconclusiveError("nanjundiah at n=2: stub", family="nanjundiah", n=2)
+        yield stirling.bounds.check_bound("nanjundiah", 3, ctx)
+
+    monkeypatch.setattr(stirling.bounds, "bound_sweep", stub)
     code, out, err = run_capture(["bounds", "--family", "nanjundiah",
-                                  "--n-max", "4600", "--precision-bits", "64"],
-                                 capsys)
+                                  "--n-max", "3", "--precision-bits", "64"], capsys)
     assert code == 4
+    lines = out.splitlines()
+    assert len(lines) == 4 and lines[2] == "nanjundiah,2,,,,,inconclusive"
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "inconclusive", "true"]
+    assert err == "inconclusive: nanjundiah at n=2: stub\n"
+
+
+def test_bounds_nanjundiah_at_64_bits_all_hold(capsys):
+    # the r_n intervals of the difference equation decide every row to
+    # n = 6000 even at 64 bits
+    code, out, err = run_capture(["bounds", "--family", "nanjundiah",
+                                  "--n-max", "6000", "--precision-bits", "64"], capsys)
+    assert code == 0 and err == ""
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert [int(r["n"]) for r in rows] == list(range(1, 4601))
-    inconclusive = [r for r in rows if r["holds"] == "inconclusive"]
-    assert inconclusive
-    assert all(r["lhs"] == r["mid"] == r["rhs"] == r["margin"] == ""
-               for r in inconclusive)
-    assert err.count("inconclusive: ") == len(inconclusive)
+    assert [int(r["n"]) for r in rows] == list(range(1, 6001))
+    assert all(r["holds"] == "true" for r in rows)
 
 
 def test_report_round_trips_and_counts(capsys):
@@ -342,6 +361,40 @@ def test_report_evaluates_each_oracle_argument_once(capsys, monkeypatch):
 def test_report_needs_n_max_ten(capsys):
     code, _, _ = run_capture(["report", "--n-max", "9"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("n_max, error", [(10.5, DomainError), (True, DomainError),
+                                          (9, ValidityError), (1, ValidityError)])
+def test_report_all_checks_n_max_before_any_check(n_max, error, monkeypatch):
+    started = []
+    monkeypatch.setattr(stirling.cli, "_report_checks",
+                        lambda n, ctx: started.append(n) or iter(()))
+    with pytest.raises(error):
+        report_all(n_max, PrecisionCtx(64))
+    assert started == []
+    report_all(10, PrecisionCtx(64))
+    assert started == [10]
+
+
+def test_report_at_64_bits_inconclusive_only_on_the_sandwich(capsys):
+    code, out, _ = run_capture(["report", "--n-max", "10",
+                                "--precision-bits", "64"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if c["status"] != "pass"] == ["bounds.impens_grid"]
+
+
+@pytest.mark.parametrize("text", ["1/3", "-7", "2.5", "1e-3", " 4/6 ", "abc", "1/0",
+                                  "", "1/2/3", "nan", "inf", "0x10", "1_000"])
+def test_rational_argument_follows_to_raw(text):
+    parser = build_parser()
+    try:
+        to_raw(text, 64)
+    except DomainError:
+        with pytest.raises(SystemExit):
+            parser.parse_args(["eval", "--z", text])
+    else:
+        assert parser.parse_args(["eval", "--z", text]).z == text
 
 
 def test_console_entry_point_subprocess():
