@@ -16,7 +16,7 @@ from stirling.bounds import (FAMILY_MIN_N, _difference_sums, _exp_bracket,
                              _half_ln_2pi_bracket, _scale_threshold, _sweep_width,
                              aissen_ratio, bound_sweep, check_bound, impens_grid,
                              impens_sandwich, sequence_point)
-from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X
+from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X, _outcome
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
                              ValidityError)
 from stirling.mpcore import BigFloat, PrecisionCtx, elementary, pi
@@ -208,6 +208,28 @@ def test_impens_grid_evaluates_oracle_once_per_x(monkeypatch):
     cells = list(impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, CTX))
     assert len(cells) == 7 * 7 * 7
     assert len(calls) == len(IMPENS_GRID_X) == 7
+
+
+# bits -> the (x, n, m) cells of the report's grid that are inconclusive;
+# every other cell holds, and none fails.  At 64 bits the oracle's bound at
+# x = 50 is too wide for the deepest orders.
+GRID_INCONCLUSIVE = {
+    64: {("50", n, m) for n in range(6) for m in (5, 6)} | {("50", 6, m) for m in range(7)},
+    128: set(),
+    256: set(),
+    768: set(),
+}
+
+
+@pytest.mark.parametrize("bits", sorted(GRID_INCONCLUSIVE))
+def test_impens_grid_outcomes_pinned(bits):
+    keys = [(str(x), n, m) for x in IMPENS_GRID_X
+            for n in IMPENS_GRID_ORDERS for m in IMPENS_GRID_ORDERS]
+    expected = {key: "inconclusive" if key in GRID_INCONCLUSIVE[bits] else "held"
+                for key in keys}
+    cells = impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, PrecisionCtx(bits))
+    assert {key: _outcome(cell) for key, cell in zip(keys, cells, strict=True)} == expected
+    assert len(GRID_INCONCLUSIVE[64]) == 19
 
 
 def test_impens_grid_rejects_negative_orders():
