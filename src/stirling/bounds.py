@@ -26,22 +26,25 @@ constant at all.  The families checked, each on its stated validity range:
     michel       |e^(r_n) - 1 - 1/(12n) - 1/(288 n^2)|
                      <= 1/(360 n^3) + 1/(108 n^4)               n >= 3
 
-with R_1(n) = 1/(12n) and R_2(n) = (30 n^2 - 1)/(360 n^3).  Every bound is
-an exact rational, so a verdict compares integers: the margin, the smaller
-of mid - lhs and rhs - mid, is an exact interval, and a row holds when the
-whole interval lies above 0, fails when it lies below, and is inconclusive
-(InconclusiveError) when it touches or straddles 0.
+with R_1(n) = 1/(12n) and R_2(n) = (30 n^2 - 1)/(360 n^3).
 
 The truncation sandwich R_{2n}(x) < ln Gamma(x) - P(x) < R_{2m+1}(x), for
-all x > 0 and n, m >= 0, is checked against the integral oracle; it gives
-a verdict only when the margin clears the oracle's error bound and the
-rounding envelope, and raises InconclusiveError otherwise.
+all x > 0 and n, m >= 0, is checked at the point x~ where the integral
+oracle is evaluated: its middle value is the exact interval that the
+oracle's value and proven error bound give, with P(x~) bracketed, and
+R_{2n}(x~) and R_{2m+1}(x~) are exact rationals.
+
+Every check has one verdict rule (``_verdict_row``).  Every bound is an
+exact rational and every middle value an exact interval, so a verdict
+compares integers: the margin, the smaller of mid - lhs and rhs - mid, is
+an exact interval, and a row holds when the whole interval lies above 0,
+fails when it lies below, and is inconclusive (InconclusiveError) when it
+touches or straddles 0.  No envelope is assumed.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -49,10 +52,11 @@ from typing import Iterator
 from mpmath import libmp
 
 from .errors import DomainError, InconclusiveError, ValidityError
-from .mpcore import _RND, BigFloat, PrecisionCtx, _require_index, raw_expm1, to_raw
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
+                     raw_expm1, to_raw)
 from .expansions import _floor_series
 from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
-from .series import _half_ln_2pi_raw, _main_term_raw, _remainder_raw
+from .series import _half_ln_2pi_raw, term_coefficient
 
 __all__ = [
     "FAMILY_MIN_N",
@@ -90,8 +94,10 @@ class BoundReport:
     ``lhs``/``rhs`` are None for one-sided families.  ``margin`` is the
     signed distance of ``mid`` to the nearest bound (negative would mean a
     violation); ``holds`` is only ever set once the margin is known to lie
-    on one side of 0.  The rows of ``bound_sweep`` and ``check_bound``
-    (``_SweepRow``) take their margin from an exact interval.
+    on one side of 0.  Every report of this module is a ``_SweepRow``,
+    whose margin is the end of an exact interval nearest 0, rounded toward
+    0, and whose mid is that interval's midpoint.  The sandwich's n is
+    its lower order.
     """
 
     family: str
@@ -112,17 +118,6 @@ def _r_raw(n: int, lnfact, half_l2p, wp: int):
     acc = libmp.mpf_sub(acc, libmp.mpf_mul(n_raw, lnn, wp, _RND), wp, _RND)
     acc = libmp.mpf_sub(acc, libmp.mpf_shift(lnn, -1), wp, _RND)
     return libmp.mpf_sub(acc, half_l2p, wp, _RND)
-
-
-def _scale_threshold(n: int, wp: int):
-    """Absolute error envelope for values derived from ln n! at wp bits.
-
-    Its magnitude is floor(log2((n + 2)(ln(n + 2) + 1))), taken exactly from
-    the binary fraction of the float ln(n + 2) + 1 so that no n overflows.
-    """
-    num, den = (math.log(n + 2) + 1).as_integer_ratio()
-    scale_mag = ((n + 2) * num).bit_length() - den.bit_length()
-    return libmp.from_man_exp(1, scale_mag - wp + 10)
 
 
 def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
@@ -228,15 +223,12 @@ def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
 def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
          bits: int):
     """The row of ``family`` at n, given sum_(k<n) d_k in [S, S + D) 2^-W
-    and half, the bracket of (1/2) ln(2 pi): a _SweepRow, or an
-    InconclusiveError when the margin interval does not lie on one side
-    of 0.
+    and half, the bracket of (1/2) ln(2 pi), as ``_verdict_row`` judges it.
 
     The middle value is kept as [lo, hi] / den and every bound as an exact
-    rational p/q, so each gap, mid - lhs and rhs - mid, is an exact interval
-    of integers over q den.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k, and
-    Hummel's r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.
-    Michel's e^(r_n) is bracketed by ``_exp_bracket``, as r_n < r_1 < 1/12.
+    rational p/q.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k, and Hummel's
+    r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.  Michel's
+    e^(r_n) is bracketed by ``_exp_bracket``, as r_n < r_1 < 1/12.
     """
     one = 1 << W
     lhs = rhs = None
@@ -267,6 +259,17 @@ def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
                 lhs = (4 * n + 2, 48 * n * n + 24 * n + 3)
             else:  # nanjundiah: R_2(n) < r_n < R_1(n)
                 lhs, rhs = (30 * n * n - 1, 360 * n**3), (1, 12 * n)
+    return _verdict_row(family, n, mid, lhs, rhs, bits)
+
+
+def _verdict_row(family: str, n: int, mid: tuple, lhs: tuple | None,
+                 rhs: tuple | None, bits: int, where: str | None = None):
+    """The verdict on a middle value in [lo, hi] / den (mid = (lo, hi, den))
+    between exact bounds p/q (lhs, rhs; None for no bound), by the module's
+    one rule: a _SweepRow, or an InconclusiveError named by ``where``
+    (default "family at n=n") whose margin is the margin interval's end
+    nearest 0, rounded toward 0, and whose envelope is the interval's
+    width, rounded up.  Each gap is an interval of integers over q den."""
     lo, hi, den = mid
     gaps = []
     if lhs is not None:
@@ -281,8 +284,9 @@ def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
         return _SweepRow(family, n, False, mid, lhs, rhs, gaps, bits)
     lower, upper = _margin_ends(gaps)
     width = upper - lower
+    where = where or f"{family} at n={n}"
     return InconclusiveError(
-        f"{family} at n={n}: margin within the arithmetic envelope at {bits} bits",
+        f"{where}: margin within the arithmetic envelope at {bits} bits",
         family=family, n=n, margin=_toward_zero(min(lower, upper, key=abs), bits),
         envelope=BigFloat(libmp.from_rational(width.numerator, width.denominator,
                                               bits, libmp.round_ceiling), bits),
@@ -305,8 +309,9 @@ def _nearest(p: int, q: int, bits: int) -> BigFloat:
 
 
 class _SweepRow(BoundReport):
-    """A BoundReport of ``bound_sweep`` that keeps its exact integers and
-    builds lhs, mid, rhs and margin as BigFloats on their first read.
+    """A BoundReport of ``_verdict_row`` (every row and sandwich cell) that
+    keeps its exact integers and builds lhs, mid, rhs and margin as
+    BigFloats on their first read.
 
     lhs and rhs are the exact bounds and mid the midpoint of the middle
     value's interval, each rounded to nearest.  margin is the end of the
@@ -390,82 +395,67 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
 # -- the truncation sandwich ------------------------------------------------
 
 
-def _verdict(family: str, n: int, lhs_raw, mid_raw, rhs_raw, envelope, wp: int,
-             ctx: PrecisionCtx, message) -> BoundReport:
-    """The sandwich's verdict rule: the margin is the smaller of mid - lhs
-    and rhs - mid (a None bound has no gap), and a margin within
-    ``envelope`` raises InconclusiveError with ``message()`` instead of a
-    verdict."""
-    margin = None
-    if lhs_raw is not None:
-        margin = libmp.mpf_sub(mid_raw, lhs_raw, wp, _RND)
-    if rhs_raw is not None:
-        upper = libmp.mpf_sub(rhs_raw, mid_raw, wp, _RND)
-        if margin is None or libmp.mpf_lt(upper, margin):
-            margin = upper
-    if libmp.mpf_le(libmp.mpf_abs(margin), envelope):
-        raise InconclusiveError(
-            message(), family=family, n=n, margin=BigFloat.from_raw(margin, ctx),
-            envelope=BigFloat.from_raw(envelope, ctx),
-        )
-    return BoundReport(
-        family=family,
-        n=n,
-        lhs=None if lhs_raw is None else BigFloat.from_raw(lhs_raw, ctx),
-        mid=BigFloat.from_raw(mid_raw, ctx),
-        rhs=None if rhs_raw is None else BigFloat.from_raw(rhs_raw, ctx),
-        holds=libmp.mpf_gt(margin, libmp.fzero),
-        margin=BigFloat.from_raw(margin, ctx),
-    )
+def _sandwich_point(x, ctx: PrecisionCtx) -> tuple[Fraction, tuple]:
+    """(x~, mid): the point x~ = to_raw(x, wp) where the oracle is evaluated,
+    exactly, for wp = (ctx.bits + 64) + GUARD, and ln Gamma(x~) - P(x~) in
+    [lo, hi] / den (mid = (lo, hi, den)).
 
-
-@dataclass(frozen=True)
-class _SandwichPoint:
-    """Per-x quantities shared by every (n, m) cell of the sandwich."""
-
-    x: object
-    x_raw: tuple
-    mid_raw: tuple         # ln Gamma(x) - P(x) from the integral oracle
-    threshold: tuple       # oracle error bound plus the rounding envelope
-    wp: int
-
-
-def _sandwich_point(x, ctx: PrecisionCtx) -> _SandwichPoint:
-    # the verdict is computed with 64 extra bits so that rounding the
-    # oracle value to ctx.bits cannot swallow a tight-but-real margin
+    The interval is [v - e - P_hi, v + e - P_lo], with v and its proven
+    error bound e from ``lngamma_binet2`` at ctx.bits + 64, a precision
+    that keeps e far below the margins the grid asks about.
+    P(x~) = (x~ - 1/2) ln x~ - x~ + (1/2) ln(2 pi) lies in [P_lo, P_hi]:
+    ln x~ is libmp's log at wp, taken to within one ulp (the allowance of
+    ``_half_ln_2pi_bracket``), and (1/2) ln(2 pi) is that bracket at
+    2^-(wp + 64), far below e.
+    """
     work = PrecisionCtx(ctx.bits + 64)
     wp = work.wprec()
     x_raw = to_raw(x, wp)
-    if libmp.mpf_le(x_raw, libmp.fzero):
-        raise DomainError("x must be positive")
+    _require_positive(x_raw, "x")
     ov = lngamma_binet2(BigFloat(x_raw, work.bits), work)
-    mid_raw = libmp.mpf_sub(ov.value.raw, _main_term_raw(x_raw, wp), wp, _RND)
-    x_int = libmp.to_int(x_raw)  # integer part of x > 0, exact at any size
-    threshold = libmp.mpf_add(ov.error_bound.raw, _scale_threshold(x_int + 2, wp), wp, _RND)
-    return _SandwichPoint(x, x_raw, mid_raw, threshold, wp)
+    ln_x = libmp.mpf_log(x_raw, wp, _RND)
+    _, _, exp, bc = ln_x
+    v, e, X, L = (Fraction(*libmp.to_rational(raw))
+                  for raw in (ov.value.raw, ov.error_bound.raw, x_raw, ln_x))
+    a = X - Fraction(1, 2)
+    spread = abs(a) * Fraction(2) ** (exp + bc - wp)  # |x~ - 1/2| times one ulp of ln x~
+    W = wp + 64
+    h_lo, h_hi = _half_ln_2pi_bracket(W)
+    p = a * L - X
+    lo = v - e - (p + spread + Fraction(h_hi, 1 << W))
+    hi = v + e - (p - spread + Fraction(h_lo, 1 << W))
+    den = max(lo.denominator, hi.denominator)  # both powers of 2
+    return X, (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator),
+               den)
 
 
-def _sandwich_cell(point: _SandwichPoint, n: int, m: int, lhs_raw, rhs_raw,
-                   ctx: PrecisionCtx) -> BoundReport:
-    """Verdict for one cell from R_{2n}(x) = lhs_raw and R_{2m+1}(x) = rhs_raw."""
-    return _verdict("impens", n, lhs_raw, point.mid_raw, rhs_raw, point.threshold,
-                    point.wp, ctx,
-                    lambda: f"sandwich at x={point.x}, n={n}, m={m}: margin within "
-                            f"the oracle error bound at {ctx.bits} bits")
+def _sandwich_cells(x, pairs: list, ctx: PrecisionCtx):
+    """The cells (n, m) in ``pairs`` at x, from one oracle evaluation, each
+    as ``_verdict_row`` judges it.  R_k(x~) = sum_(j<=k) B_(2j) / (2j (2j-1)
+    x~^(2j-1)) is summed exactly from ``term_coefficient``."""
+    X, mid = _sandwich_point(x, ctx)
+    top = max((max(2 * n, 2 * m + 1) for n, m in pairs), default=0)
+    R, acc, power = [(0, 1)], Fraction(0), 1 / X  # power = x~^-(2j-1)
+    for j in range(1, top + 1):
+        acc += term_coefficient(j) * power
+        R.append((acc.numerator, acc.denominator))
+        power /= X * X
+    for n, m in pairs:
+        yield _verdict_row("impens", n, mid, R[2 * n], R[2 * m + 1], ctx.bits,
+                           f"sandwich at x={x}, n={n}, m={m}")
 
 
 def impens_sandwich(x, n: int, m: int, ctx: PrecisionCtx) -> BoundReport:
     """Strict sandwich R_{2n}(x) < ln Gamma(x) - P(x) < R_{2m+1}(x), with
-    the middle term from the integral oracle.
-
-    Holds is asserted only when both gaps exceed the oracle error bound.
-    """
+    the middle term an exact interval from the integral oracle
+    (``_sandwich_point``), judged by ``check_bound``'s rule: InconclusiveError
+    when the margin interval does not lie on one side of 0."""
     _require_index(n, "n", 0)
     _require_index(m, "m", 0)
-    point = _sandwich_point(x, ctx)
-    return _sandwich_cell(point, n, m,
-                          _remainder_raw(point.x_raw, 2 * n, point.wp),
-                          _remainder_raw(point.x_raw, 2 * m + 1, point.wp), ctx)
+    cell, = _sandwich_cells(x, [(n, m)], ctx)
+    if isinstance(cell, InconclusiveError):
+        raise cell
+    return cell
 
 
 def impens_grid(xs, orders, ctx: PrecisionCtx,
@@ -473,22 +463,15 @@ def impens_grid(xs, orders, ctx: PrecisionCtx,
     """impens_sandwich over every x in xs and every n, m in orders, x major,
     then n, then m.
 
-    The oracle value, main term and error threshold are computed once per
-    x, and each remainder once per (x, order).  Inconclusive cells are
-    yielded as the error object instead of a report, so the grid keeps
-    going; every cell is identical to the corresponding impens_sandwich.
+    The oracle value, the middle interval and the remainders are computed
+    once per x.  Inconclusive cells are yielded as the error object instead
+    of a report, so the grid keeps going; every cell is identical to the
+    corresponding impens_sandwich.
     """
     orders = [_require_index(k, "order", 0) for k in orders]
+    pairs = [(n, m) for n in orders for m in orders]
     for x in xs:
-        point = _sandwich_point(x, ctx)
-        lower = {n: _remainder_raw(point.x_raw, 2 * n, point.wp) for n in orders}
-        upper = {m: _remainder_raw(point.x_raw, 2 * m + 1, point.wp) for m in orders}
-        for n in orders:
-            for m in orders:
-                try:
-                    yield _sandwich_cell(point, n, m, lower[n], upper[m], ctx)
-                except InconclusiveError as exc:
-                    yield exc
+        yield from _sandwich_cells(x, pairs, ctx)
 
 
 def aissen_ratio(n: int, ctx: PrecisionCtx) -> BigFloat:

@@ -88,7 +88,7 @@ def _cmd_eval(args, ctx: PrecisionCtx) -> tuple[str, int]:
         "value_hex": approx.value.to_hex(),
         "value_dec": value_dec,
         "order_used": approx.order_used,
-        "omitted_term_dec": approx.omitted_term.to_decimal(args.digits),
+        "omitted_term_dec": mpc.decimal_up(approx.omitted_term, args.digits),
         "precision_bits": ctx.bits,
     }
     if args.format == "json":
@@ -213,7 +213,7 @@ def _cmd_oracle(args, ctx: PrecisionCtx) -> tuple[str, int]:
         "method": ov.method,
         "value_dec": value_dec,
         "value_hex": ov.value.to_hex(),
-        "error_bound_dec": ov.error_bound.to_decimal(max(args.digits, 3)),
+        "error_bound_dec": mpc.decimal_up(ov.error_bound, max(args.digits, 3)),
         "precision_bits": ctx.bits,
     }
     return _json_doc(doc), 0

@@ -12,10 +12,12 @@ Internal computations round at one working precision, ``PrecisionCtx.wprec()``
 = bits + ``GUARD`` (32), and the final result is rounded once to the
 context's bits, so every published value is within 2 ulp of the true one.
 Only three places work at bits + 64 instead: ``lngamma_binet2``, whose bounds
-are proven at that precision; ``bounds._sandwich_point``, so that rounding
-the oracle value cannot swallow a tight but real sandwich margin; and
+are proven at that precision; ``bounds._sandwich_point``, which asks the
+oracle for bits + 64 only to keep the oracle's error bound small against
+the sandwich's margins, as its verdict is exact at any precision; and
 :func:`published_decimal`, which recomputes a value at ``bits + 64`` and
-prints only the leading digits on which the two runs agree.  Every
+prints only the leading digits on which the two runs agree.  A published
+bound is printed rounded up by :func:`decimal_up`.  Every
 conversion to a libmp value goes through :func:`to_raw`.
 
 The argument rules of the package live here too.  A real argument is
@@ -51,6 +53,7 @@ __all__ = [
     "rational_from_str",
     "agreement_bits",
     "published_decimal",
+    "decimal_up",
 ]
 
 MIN_BITS = 64
@@ -128,6 +131,10 @@ class BigFloat:
 
     def __setattr__(self, name, value):
         raise AttributeError("BigFloat is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, not __setattr__
+        return BigFloat, (self._raw, self.ctx_bits)
 
     # -- construction -------------------------------------------------
 
@@ -487,3 +494,29 @@ def published_decimal(value: BigFloat, fn: Callable[[PrecisionCtx], BigFloat],
     hi = fn(PrecisionCtx(value.ctx_bits + 64))
     agreed_digits = max(1, int(agreement_bits(value, hi) * 0.30102999566398119))
     return value.to_decimal(min(digits, agreed_digits))
+
+
+def decimal_up(value: BigFloat, digits: int) -> str:
+    """``value`` at ``digits`` significant decimal digits, rounded up, so
+    that a printed bound is never below the bound itself.
+
+    D, the least decimal of ``digits`` digits at or above the exact value,
+    is rounded up to a binary w of 4 * digits + 20 bits, so D <= w <
+    D + 10^-(digits+3) |D|, and ``BigFloat.to_decimal``'s formatting
+    (``libmp.to_str``, which keeps digits + 3 digits and rounds the rest
+    half up) prints w as D.
+    """
+    q = value._fraction()
+    if q == 0:
+        return value.to_decimal(digits)
+    ten = Fraction(10)
+    e = int((abs(q.numerator).bit_length() - q.denominator.bit_length()) * 0.30103)
+    while ten ** e > abs(q):
+        e -= 1
+    while ten ** (e + 1) <= abs(q):
+        e += 1
+    unit = ten ** (e - digits + 1)  # 10^e <= |q| < 10^(e+1)
+    up = math.ceil(q / unit) * unit
+    w = libmp.from_rational(up.numerator, up.denominator, 4 * digits + 20,
+                            libmp.round_ceiling)
+    return libmp.to_str(w, digits)

@@ -1,8 +1,10 @@
 """Inequality corpus: sequence values, family checks, sandwich, margins."""
 
+import ast
 import hashlib
+import math
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,13 +15,13 @@ from mpmath import libmp
 import stirling.bounds
 import stirling.oracle
 from stirling.bounds import (FAMILY_MIN_N, _difference_sums, _exp_bracket,
-                             _half_ln_2pi_bracket, _scale_threshold, _sweep_width,
+                             _half_ln_2pi_bracket, _sweep_width,
                              aissen_ratio, bound_sweep, check_bound, impens_grid,
                              impens_sandwich, sequence_point)
 from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X, _outcome
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
                              ValidityError)
-from stirling.mpcore import BigFloat, PrecisionCtx, elementary, pi
+from stirling.mpcore import PrecisionCtx, elementary, pi
 from stirling.oracle import FACTORIAL_CAP
 from stirling.series import remainder_R
 
@@ -227,9 +229,53 @@ def test_impens_grid_outcomes_pinned(bits):
             for n in IMPENS_GRID_ORDERS for m in IMPENS_GRID_ORDERS]
     expected = {key: "inconclusive" if key in GRID_INCONCLUSIVE[bits] else "held"
                 for key in keys}
-    cells = impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, PrecisionCtx(bits))
+    cells = list(impens_grid(IMPENS_GRID_X, IMPENS_GRID_ORDERS, PrecisionCtx(bits)))
     assert {key: _outcome(cell) for key, cell in zip(keys, cells, strict=True)} == expected
     assert len(GRID_INCONCLUSIVE[64]) == 19
+    # a margin's sign is its verdict, and an inconclusive margin lies within
+    # a non-empty envelope
+    for cell in cells:
+        if isinstance(cell, InconclusiveError):
+            assert abs(cell.margin) <= cell.envelope and cell.envelope > 0
+        else:
+            assert (cell.margin > 0) == cell.holds
+
+
+# x log-uniform over [1e-6, 1e30]: every float is an exact Fraction
+@settings(max_examples=30, deadline=None)
+@given(log10_x=st_.floats(min_value=-6, max_value=30),
+       bits=st_.sampled_from([64, 96, 128, 256, 512, 768]))
+@example(log10_x=0.0, bits=64)  # x = 1, where ln x = 0
+@example(log10_x=math.log10(0.5), bits=64)  # x = 1/2, where x - 1/2 = 0
+def test_sandwich_middle_interval_contains_loggamma(log10_x, bits):
+    x, (lo, hi, den) = stirling.bounds._sandwich_point(10.0 ** log10_x, PrecisionCtx(bits))
+    with mpmath.workprec(bits + 128):
+        xm = mpmath.mpf(x.numerator) / x.denominator
+        main = (xm - 0.5) * mpmath.log(xm) - xm + mpmath.log(2 * mpmath.pi) / 2
+        ref = Fraction(*libmp.to_rational((mpmath.loggamma(xm) - main)._mpf_))
+    assert Fraction(lo, den) <= ref <= Fraction(hi, den)
+
+
+def test_only_the_verdict_helper_judges_a_margin():
+    # one verdict rule in bounds: only _verdict_row builds an
+    # InconclusiveError or compares a gap with 0; the one other test
+    # against 0 is _row taking the modulus of Michel's middle value
+    judging = {"InconclusiveError", *(f"libmp.mpf_{op}" for op in
+                                      ("lt", "le", "gt", "ge", "cmp", "eq"))}
+    tree = ast.parse(Path(stirling.bounds.__file__).read_text())
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in judging:
+                found.add((fn.name, ast.unparse(node.func)))
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value == 0
+                    for c in (node.left, *node.comparators)):
+                found.add((fn.name, ast.unparse(node)))
+    assert found == {("_verdict_row", "InconclusiveError"), ("_verdict_row", "g[0] > 0"),
+                     ("_verdict_row", "g[1] < 0"), ("_row", "a >= 0"), ("_row", "b <= 0")}
 
 
 def test_impens_grid_rejects_negative_orders():
@@ -356,8 +402,7 @@ def test_sweep_and_check_bound_leave_the_factorial_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the factorial path was taken")
 
-    for name in ("_scale_threshold", "_ln_factorial_raw"):
-        monkeypatch.setattr(stirling.bounds, name, refuse)
+    monkeypatch.setattr(stirling.bounds, "_ln_factorial_raw", refuse)
     monkeypatch.setattr(stirling.oracle, "ln_factorial_range", refuse)
     assert len(list(bound_sweep(list(FAMILY_MIN_N), 30, CTX128))) == 30 * 5 - 3
     assert check_bound("michel", 30, CTX128).holds
@@ -397,34 +442,6 @@ def test_exp_bracket_holds_on_any_interval(bits, data):
     with mpmath.workprec(2 * W):
         assert e_lo <= mpmath.ldexp(mpmath.exp(mpmath.ldexp(lo, -W)), W)
         assert mpmath.ldexp(mpmath.exp(mpmath.ldexp(hi, -W)), W) <= e_hi
-
-
-# first n at which floor(log2((n + 2)(ln(n + 2) + 1))) reaches each magnitude
-SCALE_MAG_STARTS = {2: 1, 3: 2, 4: 4, 5: 8, 6: 15, 7: 28, 8: 50, 9: 91,
-                    10: 166, 11: 303, 12: 558, 13: 1030, 14: 1913, 15: 3568,
-                    16: 6681, 17: 12556, 18: 23674, 19: 44773, 20: 84908}
-
-
-def test_scale_threshold_magnitudes_pinned():
-    wp = 100
-    expected = 1
-    for n in range(1, FACTORIAL_CAP + 1):
-        if SCALE_MAG_STARTS.get(expected + 1) == n:
-            expected += 1
-        assert _scale_threshold(n, wp) == libmp.from_man_exp(1, expected - wp + 10), n
-    assert expected == max(SCALE_MAG_STARTS)
-
-
-def test_sandwich_threshold_on_grid_pinned(monkeypatch):
-    # with a zero-error stub oracle the threshold is the rounding envelope
-    # alone, whose magnitude follows the integer part of x
-    zero = BigFloat.from_raw(libmp.fzero, CTX128)
-    monkeypatch.setattr(stirling.bounds, "lngamma_binet2",
-                        lambda x, ctx: SimpleNamespace(value=zero, error_bound=zero))
-    mags = [3, 3, 3, 4, 4, 5, 8]
-    for x, mag in zip(IMPENS_GRID_X, mags):
-        point = stirling.bounds._sandwich_point(x, CTX128)
-        assert point.threshold == libmp.from_man_exp(1, mag - point.wp + 10), x
 
 
 def test_sandwich_at_huge_x_is_typed():

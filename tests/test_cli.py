@@ -12,10 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import libmp
 
 import stirling.bounds
 import stirling.cli
 import stirling.oracle
+import stirling.series
 from stirling.cli import build_parser, report_all, run
 from stirling.errors import DomainError, InconclusiveError, ValidityError
 from stirling.mpcore import PrecisionCtx, to_raw
@@ -96,6 +98,27 @@ def test_eval_fixed_order(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["order_used"] == "3"
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("digits", [1, 5, 20])
+@pytest.mark.parametrize("z", ["22/7", "0.5", "1000"])
+def test_published_bounds_are_rounded_up(z, digits, bits, capsys):
+    ctx = PrecisionCtx(bits)
+    code, out, _ = run_capture(["oracle", "--z", z, "--method", "binet2", "--digits",
+                                str(digits), "--precision-bits", str(bits)], capsys)
+    bound = stirling.oracle.lngamma_binet2(Fraction(z), ctx).error_bound
+    assert code == 0
+    assert Fraction(json.loads(out)["error_bound_dec"]) >= _exact(bound)
+    code, out, _ = run_capture(["eval", "--z", z, "--terms", "3", "--digits", str(digits),
+                                "--precision-bits", str(bits)], capsys)
+    omitted = stirling.series.lngamma_stirling(Fraction(z), 3, ctx).omitted_term
+    assert code == 0
+    assert Fraction(json.loads(out)["omitted_term_dec"]) >= _exact(omitted)
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*libmp.to_rational(x.raw))
 
 
 def test_oracle_json_fields(capsys):

@@ -1,5 +1,8 @@
 """Precision substrate: elementary functions, rationals, serialization."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import strategies as st_
 from mpmath import libmp
 
 from stirling.errors import DomainError, PrecisionError
+from stirling.oracle import lngamma_binet2
+from stirling.bounds import check_bound, impens_sandwich
 from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, agreement_bits,
-                             bigfloat, elementary, published_decimal,
+                             bigfloat, decimal_up, elementary, published_decimal,
                              rational_from_str, rational_to_float, rational_to_str)
 
 CTX64 = PrecisionCtx(64)
@@ -193,3 +198,47 @@ def test_published_decimal_reports_agreement():
     off = value + Fraction(1, 2**40)
     assert agreement_bits(value, off) == 39
     assert published_decimal(value, lambda c: off, 30) == value.to_decimal(11)
+
+
+def test_bigfloat_copies_and_pickles():
+    x = elementary("ln", 3, CTX128)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert isinstance(twin, BigFloat)
+        assert (twin.to_hex(), twin.ctx_bits) == (x.to_hex(), 128)
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(x)).ctx_bits = 64
+
+
+def test_reports_convert_to_dicts():
+    row = dataclasses.asdict(check_bound("nanjundiah", 7, CTX128))
+    assert row["family"] == "nanjundiah" and row["holds"]
+    assert row["margin"] > 0 and row["margin"].ctx_bits == 128
+    cell = dataclasses.asdict(impens_sandwich(2, 1, 1, CTX128))
+    assert cell["lhs"] < cell["mid"] < cell["rhs"]
+    oracle = dataclasses.asdict(lngamma_binet2(Fraction(22, 7), CTX128))
+    assert oracle["error_bound"] > 0
+    assert oracle["diagnostics"]["rounding"] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st_.fractions(min_value=Fraction(1, 10**80), max_value=Fraction(10**20)),
+       negative=st_.booleans(),
+       bits=st_.sampled_from([64, 128, 256]),
+       digits=st_.integers(min_value=1, max_value=30))
+def test_decimal_up_never_prints_below_the_value(value, negative, bits, digits):
+    x = rational_to_float(-value if negative else value, PrecisionCtx(bits))
+    printed = decimal_up(x, digits)
+    exact = Fraction(*libmp.to_rational(x.raw))
+    # the least decimal of that many digits at or above the value
+    e = 0
+    while Fraction(10) ** e > abs(exact):
+        e -= 1
+    while Fraction(10) ** (e + 1) <= abs(exact):
+        e += 1
+    assert Fraction(printed) - Fraction(10) ** (e - digits + 1) < exact <= Fraction(printed)
+
+
+def test_decimal_up_keeps_an_exact_decimal():
+    assert decimal_up(rational_to_float(Fraction(3, 4), CTX64), 5) == "0.75"
+    assert decimal_up(rational_to_float(Fraction(-3, 4), CTX64), 1) == "-0.7"
+    assert decimal_up(rational_to_float(Fraction(0), CTX64), 3) == "0.0"
