@@ -6,10 +6,10 @@ Three sequences are studied:
     c_n = (n + 1/2) ln n - n + 1 - ln(n!)
     v_n = n^n e^(-n) / n!
 
-``sequence_point`` and ``aissen_ratio`` compute them from *exact* integer
-factorials (never from the truncated series, which would make the checks
-circular).  The inequality families take r_n from its difference equation
-instead,
+``sequence_point`` computes them from the *exact* integer factorial (never
+from the truncated series, which would make the checks circular).  Aissen's
+ratio is taken from d_n and the inequality families take r_n from the
+difference equation
 
     r_n - r_(n+1) = d_n = (n + 1/2) ln(1 + 1/n) - 1,   r_1 = 1 - (1/2) ln(2 pi),
 
@@ -54,7 +54,7 @@ from mpmath import libmp
 from .errors import DomainError, InconclusiveError, ValidityError
 from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
                      raw_expm1, to_raw)
-from .expansions import _floor_series
+from .expansions import _floor_series, mermin_partial_product
 from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
 from .series import _half_ln_2pi_raw, term_coefficient
 
@@ -109,28 +109,22 @@ class BoundReport:
     margin: BigFloat
 
 
-def _r_raw(n: int, lnfact, half_l2p, wp: int):
-    """r_n = ln n! - (n + 1/2) ln n + n - (1/2) ln(2 pi), given ln n! and
-    (1/2) ln(2 pi) at wp bits."""
-    n_raw = libmp.from_int(n)
-    lnn = libmp.mpf_log(n_raw, wp, _RND)
-    acc = libmp.mpf_add(lnfact, n_raw, wp, _RND)
-    acc = libmp.mpf_sub(acc, libmp.mpf_mul(n_raw, lnn, wp, _RND), wp, _RND)
-    acc = libmp.mpf_sub(acc, libmp.mpf_shift(lnn, -1), wp, _RND)
-    return libmp.mpf_sub(acc, half_l2p, wp, _RND)
-
-
 def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
-    """r_n, c_n, v_n at ctx precision, all from the exact factorial."""
+    """r_n, c_n, v_n at ctx precision, all from the exact factorial.
+
+    r_n = 1 - c_n - (1/2) ln(2 pi) ~ 1/(12n) is what is left of terms near
+    n ln n, so the working precision grows by 2 bitlen(n) + 8 bits: the few
+    roundings of those terms then cost r_n a relative error below
+    2^-(bits + 30) for n <= FACTORIAL_CAP."""
     _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
-    wp = ctx.wprec()
+    wp = ctx.wprec() + 2 * n.bit_length() + 8
     lnfact = _ln_factorial_raw(n, wp)
     n_raw = libmp.from_int(n)
     lnn = libmp.mpf_log(n_raw, wp, _RND)
-    r = _r_raw(n, lnfact, _half_ln_2pi_raw(wp), wp)
     c = libmp.mpf_mul(libmp.mpf_add(n_raw, libmp.fhalf, wp, _RND), lnn, wp, _RND)
     c = libmp.mpf_sub(c, n_raw, wp, _RND)
     c = libmp.mpf_add(c, libmp.mpf_sub(libmp.fone, lnfact, wp, _RND), wp, _RND)
+    r = libmp.mpf_sub(libmp.mpf_sub(libmp.fone, c, wp, _RND), _half_ln_2pi_raw(wp), wp, _RND)
     v_log = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
     v_log = libmp.mpf_sub(v_log, lnfact, wp, _RND)
     v = libmp.mpf_exp(v_log, wp, _RND)
@@ -476,19 +470,9 @@ def impens_grid(xs, orders, ctx: PrecisionCtx,
 
 def aissen_ratio(n: int, ctx: PrecisionCtx) -> BigFloat:
     """n (y_{n+1}/y_n - 1) with y_n = sqrt(n) v_n; tends to 0 like O(1/n),
-    certifying v_n ~ C n^(-1/2)."""
-    _require_index(n, "n", 1, FACTORIAL_CAP - 1)  # y_(n+1) needs (n + 1)!
+    certifying v_n ~ C n^(-1/2).  As ln y_(n+1) - ln y_n = d_n, it is
+    n expm1(d_n), with d_n summed by ``mermin_partial_product``."""
+    _require_index(n, "n", 1, FACTORIAL_CAP - 1)  # y_(n+1) is defined through (n + 1)!
     wp = ctx.wprec()
-
-    def ln_y(k: int):
-        lnfact = _ln_factorial_raw(k, wp)
-        k_raw = libmp.from_int(k)
-        lnk = libmp.mpf_log(k_raw, wp, _RND)
-        acc = libmp.mpf_shift(lnk, -1)
-        acc = libmp.mpf_add(acc, libmp.mpf_mul(k_raw, lnk, wp, _RND), wp, _RND)
-        acc = libmp.mpf_sub(acc, k_raw, wp, _RND)
-        return libmp.mpf_sub(acc, lnfact, wp, _RND)
-
-    diff = libmp.mpf_sub(ln_y(n + 1), ln_y(n), wp, _RND)
-    ratio_m1 = raw_expm1(diff, wp)
-    return BigFloat.from_raw(libmp.mpf_mul_int(ratio_m1, n, wp, _RND), ctx)
+    d = mermin_partial_product(n, n, PrecisionCtx(wp)).raw
+    return BigFloat.from_raw(libmp.mpf_mul_int(raw_expm1(d, wp), n, wp, _RND), ctx)

@@ -11,14 +11,18 @@ results for identical inputs.
 Internal computations round at one working precision, ``PrecisionCtx.wprec()``
 = bits + ``GUARD`` (32), and the final result is rounded once to the
 context's bits, so every published value is within 2 ulp of the true one.
-Only three places work at bits + 64 instead: ``lngamma_binet2``, whose bounds
-are proven at that precision; ``bounds._sandwich_point``, which asks the
-oracle for bits + 64 only to keep the oracle's error bound small against
-the sandwich's margins, as its verdict is exact at any precision; and
-:func:`published_decimal`, which recomputes a value at ``bits + 64`` and
-prints only the leading digits on which the two runs agree.  A published
-bound is printed rounded up by :func:`decimal_up`.  Every
-conversion to a libmp value goes through :func:`to_raw`.
+Two places add the bits a cancellation costs: ``bounds.sequence_point``,
+whose r_n ~ 1/(12n) is what is left of terms near n ln n, and Mermin's
+``expansions.mermin_partial_product``, whose sum is small against the
+error of its fixed point.  Only three places work at bits + 64 instead:
+``lngamma_binet2``, whose bounds are proven at that precision;
+``bounds._sandwich_point``, which asks the oracle for bits + 64 only to
+keep the oracle's error bound small against the sandwich's margins, as its
+verdict is exact at any precision; and :func:`published_decimal`, which
+recomputes a value at ``bits + 64`` and prints only the leading digits on
+which the two runs agree.  A published bound is printed rounded up by
+:func:`decimal_up`.  Every conversion to a libmp value goes through
+:func:`to_raw`.
 
 The argument rules of the package live here too.  A real argument is
 converted by :func:`to_raw`, which refuses a non-finite float and a string
@@ -349,7 +353,7 @@ def elementary(fn: str, x, ctx: PrecisionCtx, y=None) -> BigFloat:
             raise DomainError(f"pow: {exc}") from exc
         except ZeroDivisionError as exc:
             raise DomainError("pow: zero base with negative exponent") from exc
-        return BigFloat(libmp.mpf_pos(res, ctx.bits, _RND), ctx.bits)
+        return BigFloat.from_raw(res, ctx)
     try:
         op = _UNARY[fn]
     except KeyError:
@@ -357,7 +361,7 @@ def elementary(fn: str, x, ctx: PrecisionCtx, y=None) -> BigFloat:
     if fn in ("ln", "sqrt") and libmp.mpf_le(xr, libmp.fzero):
         raise DomainError(f"{fn} requires a positive argument")
     res = op(xr, wp, _RND)
-    return BigFloat(libmp.mpf_pos(res, ctx.bits, _RND), ctx.bits)
+    return BigFloat.from_raw(res, ctx)
 
 
 def pi(ctx: PrecisionCtx) -> BigFloat:
@@ -366,7 +370,7 @@ def pi(ctx: PrecisionCtx) -> BigFloat:
 
 def rational_to_float(q: Fraction, ctx: PrecisionCtx) -> BigFloat:
     """Correctly rounded conversion of an exact rational."""
-    return BigFloat.from_raw(to_raw(Fraction(q), ctx.bits), ctx)
+    return bigfloat(Fraction(q), ctx)
 
 
 # -- raw helpers shared by the numeric modules ------------------------

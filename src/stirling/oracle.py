@@ -594,23 +594,8 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
 
 def check_duplication(z, ctx: PrecisionCtx) -> BigFloat:
     """Residual of ln Gamma(2z) = (2z-1) ln 2 - (1/2) ln pi
-    + ln Gamma(z) + ln Gamma(z + 1/2), all sides from the integral oracle."""
-    wp = ctx.wprec()
-    z_raw = to_raw(z, wp)
-    _require_positive(z_raw)
-    two_z = libmp.mpf_shift(z_raw, 1)
-    g2z = lngamma_binet2(BigFloat(two_z, ctx.bits), ctx).value
-    gz = lngamma_binet2(BigFloat(z_raw, ctx.bits), ctx).value
-    gz_half = lngamma_binet2(
-        BigFloat(libmp.mpf_add(z_raw, libmp.fhalf, wp, _RND), ctx.bits), ctx).value
-    ln2 = libmp.mpf_log(libmp.from_int(2), wp, _RND)
-    lnpi = libmp.mpf_log(libmp.mpf_pi(wp, _RND), wp, _RND)
-    rhs = libmp.mpf_mul(libmp.mpf_sub(two_z, libmp.fone, wp, _RND), ln2, wp, _RND)
-    rhs = libmp.mpf_sub(rhs, libmp.mpf_shift(lnpi, -1), wp, _RND)
-    rhs = libmp.mpf_add(rhs, gz.raw, wp, _RND)
-    rhs = libmp.mpf_add(rhs, gz_half.raw, wp, _RND)
-    resid = libmp.mpf_abs(libmp.mpf_sub(g2z.raw, rhs, wp, _RND))
-    return BigFloat.from_raw(resid, ctx)
+    + ln Gamma(z) + ln Gamma(z + 1/2): the order-2 multiplication formula."""
+    return check_multiplication(2, z, ctx)
 
 
 def check_multiplication(m: int, z, ctx: PrecisionCtx) -> BigFloat:

@@ -16,11 +16,14 @@ the (1/2) ln(2 pi) constant, exactly as the remainder form requires.
 
 The series diverges for every fixed z; `optimal_truncation` stops just
 before the smallest term, which by the even/odd sandwich property bounds
-the error by the first omitted term.
+the error by the first omitted term.  The sum is evaluated at the point
+z~, z rounded to the working precision, and ``omitted_term`` is an upper
+bound on the omitted term at z~: each of its roundings is directed outward.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,8 +52,9 @@ __all__ = [
 class Approximation:
     """A truncated-series value with its own error certificate.
 
-    ``omitted_term`` is the magnitude of the first term left out, which on
-    the positive real axis bounds the truncation error.
+    ``omitted_term`` is the magnitude of the first term left out at the
+    point z~ the sum is evaluated at, rounded outward; on the positive real
+    axis it bounds the truncation error.
     """
 
     value: BigFloat
@@ -81,29 +85,53 @@ def _main_term_raw(z_raw, wp: int):
     return libmp.mpf_add(acc, _half_ln_2pi_raw(wp), wp, _RND)
 
 
-def _remainder_raw(z_raw, N: int, wp: int):
-    """R_N(z) = sum_(k=1..N) B_(2k) / (2k (2k-1) z^(2k-1)), each
-    coefficient rounded to wp bits and the terms summed in order."""
-    if N == 0:
-        return libmp.fzero
+def _terms_raw(z_raw, wp: int):
+    """Yield B_(2k) / (2k (2k-1) z^(2k-1)) for k = 1, 2, ..., each
+    coefficient rounded to wp bits times z^-(2k-1), a running product."""
     inv = libmp.mpf_div(libmp.fone, z_raw, wp, _RND)
     inv2 = libmp.mpf_mul(inv, inv, wp, _RND)
     zpow = inv  # z^-(2k-1), starting at k=1
-    acc = libmp.fzero
-    for k in range(1, N + 1):
+    for k in itertools.count(1):
         c = term_coefficient(k)
         c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
-        acc = libmp.mpf_add(acc, libmp.mpf_mul(c_raw, zpow, wp, _RND), wp, _RND)
+        yield libmp.mpf_mul(c_raw, zpow, wp, _RND)
         zpow = libmp.mpf_mul(zpow, inv2, wp, _RND)
+
+
+def _remainder_raw(z_raw, N: int, wp: int):
+    """R_N(z), the first N of ``_terms_raw`` summed in order."""
+    acc = libmp.fzero
+    for t in itertools.islice(_terms_raw(z_raw, wp), N):
+        acc = libmp.mpf_add(acc, t, wp, _RND)
     return acc
 
 
-def _term_raw(z_raw, N: int, wp: int):
-    """B_{2N} / (2N (2N-1) z^(2N-1)) as a raw value."""
+def _term_raw(z_raw, N: int, wp: int, up_bits: int | None = None):
+    """B_{2N} / (2N (2N-1) z^(2N-1)) rounded to nearest at wp bits; or, given
+    ``up_bits``, its magnitude rounded up to that many bits: the coefficient
+    rounded up and z^(2N-1) down at wp (``mpf_pow_int`` keeps a directed
+    rounding through every step), and their quotient rounded up."""
     c = term_coefficient(N)
-    c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
-    zp = libmp.mpf_pow_int(z_raw, 2 * N - 1, wp, _RND)
-    return libmp.mpf_div(c_raw, zp, wp, _RND)
+    if up_bits is None:
+        c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
+        zp = libmp.mpf_pow_int(z_raw, 2 * N - 1, wp, _RND)
+        return libmp.mpf_div(c_raw, zp, wp, _RND)
+    c_raw = libmp.from_rational(abs(c.numerator), c.denominator, wp, "u")
+    zp = libmp.mpf_pow_int(z_raw, 2 * N - 1, wp, "d")
+    return libmp.mpf_div(c_raw, zp, up_bits, "u")
+
+
+def _approximation(z_raw, N: int, remainder, ctx: PrecisionCtx) -> Approximation:
+    """P(z) + R_N(z), given R_N(z) at ctx.wprec(), with the omitted term
+    rounded up as its certificate."""
+    wp = ctx.wprec()
+    val = libmp.mpf_add(_main_term_raw(z_raw, wp), remainder, wp, _RND)
+    return Approximation(
+        value=BigFloat.from_raw(val, ctx),
+        order_used=N,
+        omitted_term=BigFloat.from_raw(_term_raw(z_raw, N + 1, wp, ctx.bits), ctx),
+        ctx_bits=ctx.bits,
+    )
 
 
 # -- public operations --------------------------------------------------
@@ -156,32 +184,27 @@ def lngamma_stirling(z, N: int, ctx: PrecisionCtx) -> Approximation:
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    val = libmp.mpf_add(_main_term_raw(z_raw, wp), _remainder_raw(z_raw, N, wp), wp, _RND)
-    omitted = libmp.mpf_abs(_term_raw(z_raw, N + 1, wp))
-    return Approximation(
-        value=BigFloat.from_raw(val, ctx),
-        order_used=N,
-        omitted_term=BigFloat.from_raw(omitted, ctx),
-        ctx_bits=ctx.bits,
-    )
+    return _approximation(z_raw, N, _remainder_raw(z_raw, N, wp), ctx)
 
 
 def optimal_truncation(z, ctx: PrecisionCtx) -> Approximation:
     """Truncate just before the smallest correction term.
 
-    Scans |term_1|, |term_2|, ... for the first local minimum at index m;
-    the returned order is m-1, so the omitted term is that minimal one and
-    (by the sandwich property) bounds the actual error.
+    Sums term_1, term_2, ... while it scans their magnitudes for the first
+    local minimum at index m; the returned order is m-1, so the omitted term
+    is that minimal one and (by the sandwich property) bounds the actual
+    error.
     """
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    cap = table().cap // 2 - 1
-    prev = libmp.mpf_abs(_term_raw(z_raw, 1, wp))
-    for N in range(1, cap + 1):
-        cur = libmp.mpf_abs(_term_raw(z_raw, N + 1, wp))
-        if libmp.mpf_gt(cur, prev):
-            return lngamma_stirling(z, N - 1, ctx)
+    terms = _terms_raw(z_raw, wp)
+    acc, prev = libmp.fzero, next(terms)  # R_(N-1) and term N
+    for N in range(1, table().cap // 2):
+        cur = next(terms)
+        if libmp.mpf_gt(libmp.mpf_abs(cur), libmp.mpf_abs(prev)):
+            return _approximation(z_raw, N - 1, acc, ctx)
+        acc = libmp.mpf_add(acc, prev, wp, _RND)
         prev = cur
     raise ResourceError(
         "term magnitudes still decreasing at the table cap; "

@@ -328,6 +328,50 @@ def test_aissen_limit_value():
     assert abs(root_n * sp.v_n - target) <= Fraction(1, 10**4)
 
 
+def _ulps(x, ref, bits: int) -> float:
+    """|x - ref| in ulps of ref at ``bits`` (0 when both are 0)."""
+    if ref == 0:
+        return 0.0 if x.is_zero() else math.inf
+    ulp = mpmath.mpf(2) ** (mpmath.floor(mpmath.log(abs(ref), 2)) + 1 - bits)
+    return float(abs(mpmath.mpf(x.raw) - ref) / ulp)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 768])
+def test_aissen_ratio_within_2_ulp_of_mpmath(bits):
+    ctx = PrecisionCtx(bits)
+    with mpmath.workprec(bits + 128):
+        for n in (1, 2, 10, 10**3, 10**4, FACTORIAL_CAP - 1):
+            ref = n * mpmath.expm1((n + mpmath.mpf(1) / 2) * mpmath.log1p(mpmath.mpf(1) / n) - 1)
+            assert _ulps(aissen_ratio(n, ctx), ref, bits) <= 2, n
+
+
+def test_aissen_ratio_takes_no_factorial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("aissen_ratio took a factorial")
+
+    monkeypatch.setattr(stirling.bounds, "_ln_factorial_raw", refuse)
+    monkeypatch.setattr(stirling.oracle, "_ln_factorial_raw", refuse)
+    monkeypatch.setattr(math, "factorial", refuse)
+    for n in (1, 10**4, FACTORIAL_CAP - 1):
+        assert 0 < aissen_ratio(n, CTX) < Fraction(1, 12 * n)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 768])
+def test_sequence_point_within_2_ulp_of_mpmath(bits):
+    # r_n ~ 1/(12n) is what is left of terms near n ln n
+    ctx = PrecisionCtx(bits)
+    with mpmath.workprec(bits + 128):
+        for n in (1, 10**4, FACTORIAL_CAP):
+            ln_fact = mpmath.loggamma(n + 1)
+            lnn = mpmath.log(n)
+            r = ln_fact - (n + mpmath.mpf(1) / 2) * lnn + n - mpmath.log(2 * mpmath.pi) / 2
+            c = (n + mpmath.mpf(1) / 2) * lnn - n + 1 - ln_fact
+            v = mpmath.exp(n * lnn - n - ln_fact)
+            sp = sequence_point(n, ctx)
+            for got, ref in ((sp.r_n, r), (sp.c_n, c), (sp.v_n, v)):
+                assert _ulps(got, ref, bits) <= 2, n
+
+
 @settings(max_examples=25, deadline=None)
 @given(x=st_.fractions(min_value=Fraction(1, 5), max_value=Fraction(60),
                        max_denominator=20),

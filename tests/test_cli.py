@@ -121,6 +121,33 @@ def _exact(x) -> Fraction:
     return Fraction(*libmp.to_rational(x.raw))
 
 
+def test_printed_omitted_term_is_not_below_the_exact_term(capsys):
+    # 40 digits at 64 bits print past the certificate's precision, so only a
+    # certificate at or above the exact term at z~ keeps the print above it
+    code, out, _ = run_capture(["eval", "--z", "22/7", "--terms", "3", "--digits", "40",
+                                "--precision-bits", "64"], capsys)
+    assert code == 0
+    z_t = Fraction(*libmp.to_rational(to_raw(Fraction(22, 7), PrecisionCtx(64).wprec())))
+    exact = abs(stirling.series.term_coefficient(4)) / z_t ** 7
+    assert Fraction(json.loads(out)["omitted_term_dec"]) >= exact
+
+
+# bits -> sha256 of `report --n-max 100` stdout, beside the 256-bit pin of the
+# acceptance suite: the precisions where a residual's last bits show
+REPORT_SHA256 = {
+    64: "84a3870c378f01be8a75a92f6a8dd97b8b1c1945bafa0e125c78a7750322a77d",
+    128: "3a4efe3f036f3b46299e9717892666088ba7c93a86b70742384909e97b36c2f9",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(REPORT_SHA256))
+def test_report_bytes_pinned_at_low_precision(bits, capsys):
+    code, out, _ = run_capture(["report", "--n-max", "100", "--precision-bits", str(bits)],
+                               capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[bits]
+
+
 def test_oracle_json_fields(capsys):
     code, out, _ = run_capture(["oracle", "--z", "0.5", "--method", "binet2"],
                                capsys)

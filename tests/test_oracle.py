@@ -432,6 +432,22 @@ def test_multiplication_m2_matches_duplication():
         assert abs(r_dup - r_mul) <= Fraction(1, 10**60)
 
 
+def test_duplication_is_the_order_2_formula(monkeypatch):
+    # one code path: the order-2 residual, from the Binet values at 2z, z, z + 1/2
+    args = []
+
+    def spy(x, ctx):
+        args.append(_exact(x))
+        return lngamma_binet2(x, ctx)
+
+    monkeypatch.setattr(stirling.oracle, "lngamma_binet2", spy)
+    for z in (Fraction(1, 2), Fraction(15, 2)):
+        args.clear()
+        resid = check_duplication(z, CTX)
+        assert args == [2 * z, z, z + Fraction(1, 2)]
+        assert resid.to_hex() == check_multiplication(2, z, CTX).to_hex()
+
+
 @pytest.mark.parametrize("z", [2, Fraction(1, 3)])
 def test_multiplication_m3_residual_tiny(z):
     resid = check_multiplication(3, z, CTX)

@@ -7,7 +7,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from mpmath import libmp
 
+import stirling.series
 from stirling.errors import DomainError, ResourceError
 from stirling.mpcore import PrecisionCtx, bigfloat, elementary
 from stirling.series import (f_term, half_ln_2pi, ln_factorial_stirling,
@@ -120,12 +122,34 @@ def test_omitted_term_formula():
     assert abs(approx.omitted_term - expected) < expected * Fraction(1, 1 << 240)
 
 
+def _exact(x) -> Fraction:
+    return Fraction(*libmp.to_rational(x.raw))
+
+
 @pytest.mark.parametrize("N", [0, 3, 10])
 @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(22, 7), Fraction(50)], ids=str)
-def test_omitted_term_is_the_next_term_bit_for_bit(z, N):
-    # one kernel serves f_term and the omitted term: equal to the last bit
-    omitted = lngamma_stirling(z, N, CTX).omitted_term
-    assert abs(f_term(2 * N + 2, z, CTX)).to_hex() == omitted.to_hex()
+def test_omitted_term_bounds_the_exact_next_term(z, N):
+    # the certificate is the exact omitted term at z~ rounded outward: at or
+    # above it, and less than 2 ulp above
+    for bits in (64, 128, 256):
+        ctx = PrecisionCtx(bits)
+        z_t = _exact(bigfloat(z, PrecisionCtx(ctx.wprec())))
+        exact = abs(term_coefficient(N + 1)) / z_t ** (2 * N + 1)
+        omitted = _exact(lngamma_stirling(z, N, ctx).omitted_term)
+        assert exact <= omitted < exact * (1 + Fraction(2, 1 << (bits - 1))), bits
+
+
+def test_optimal_truncation_sums_the_terms_it_scans(monkeypatch, count_calls):
+    # one pass: no second evaluation, and the only power is the certificate's
+    def refuse(*args):
+        raise AssertionError("optimal_truncation evaluated the series twice")
+
+    monkeypatch.setattr(stirling.series, "lngamma_stirling", refuse)
+    pows = count_calls("mpf_pow_int")["mpf_pow_int"]
+    for z, order in ((1, 3), (10, 31), (Fraction(22, 7), 10)):
+        pows[0] = 0
+        assert optimal_truncation(z, CTX).order_used == order
+        assert pows[0] == 1, z
 
 
 def test_optimal_truncation_at_one():
@@ -230,3 +254,9 @@ def test_optimal_truncation_past_table_cap_raises():
     # the smallest term at z = 1000 sits near order pi z, far past B_512
     with pytest.raises(ResourceError):
         optimal_truncation(1000, CTX)
+    # the first argument past the cap, at every precision
+    for bits in (64, 256):
+        with pytest.raises(ResourceError) as info:
+            optimal_truncation(82, PrecisionCtx(bits))
+        assert str(info.value) == ("term magnitudes still decreasing at the table cap; "
+                                   "argument too large for optimal truncation at this cap")
