@@ -425,14 +425,7 @@ def test_duplication_residual_tiny(z):
     assert resid <= 3 * bound + Fraction(1, 10**60)
 
 
-def test_multiplication_m2_matches_duplication():
-    for z in (1, Fraction(5, 2)):
-        r_dup = check_duplication(z, CTX)
-        r_mul = check_multiplication(2, z, CTX)
-        assert abs(r_dup - r_mul) <= Fraction(1, 10**60)
-
-
-def test_duplication_is_the_order_2_formula(monkeypatch):
+def test_multiplication_m2_matches_duplication(monkeypatch):
     # one code path: the order-2 residual, from the Binet values at 2z, z, z + 1/2
     args = []
 
@@ -441,11 +434,11 @@ def test_duplication_is_the_order_2_formula(monkeypatch):
         return lngamma_binet2(x, ctx)
 
     monkeypatch.setattr(stirling.oracle, "lngamma_binet2", spy)
-    for z in (Fraction(1, 2), Fraction(15, 2)):
+    for z in (1, Fraction(5, 2)):
         args.clear()
-        resid = check_duplication(z, CTX)
+        r_dup = check_duplication(z, CTX)
         assert args == [2 * z, z, z + Fraction(1, 2)]
-        assert resid.to_hex() == check_multiplication(2, z, CTX).to_hex()
+        assert r_dup.to_hex() == check_multiplication(2, z, CTX).to_hex()
 
 
 @pytest.mark.parametrize("z", [2, Fraction(1, 3)])
