@@ -5,10 +5,12 @@ diagnostics on stderr.  Exit codes: 0 success, 2 usage error, 3 domain or
 validity error, 4 inconclusive verdict.  Identical argv and environment
 produce byte-identical output.
 
-Decimal values printed by the scalar subcommands follow the compute-twice
-rule: the value is recomputed with 64 extra bits and only the agreed
-decimal prefix is shown (capped at --digits).  Sweep tables print at
---digits directly; their verdicts already carry the error envelope.
+Decimal values printed by the scalar subcommands follow the bound rule:
+each value is computed once, with a proven error bound, and only the
+digits on which value - bound and value + bound agree are shown (capped
+at --digits; "" when none is proven, ``mpcore.certified_decimal``).  Sweep
+tables print at --digits directly; their verdicts already carry the error
+envelope.
 """
 
 from __future__ import annotations
@@ -76,17 +78,12 @@ def _cmd_bernoulli(args, ctx: PrecisionCtx) -> tuple[str, int]:
 def _cmd_eval(args, ctx: PrecisionCtx) -> tuple[str, int]:
     z = Fraction(args.z)
     if args.terms is not None:
-        def compute(c):
-            return ser.lngamma_stirling(z, args.terms, c)
+        approx = ser.lngamma_stirling(z, args.terms, ctx)
     else:
-        def compute(c):
-            return ser.optimal_truncation(z, c)
-    approx = compute(ctx)
-    value_dec = mpc.published_decimal(approx.value, lambda c: compute(c).value,
-                                      args.digits)
+        approx = ser.optimal_truncation(z, ctx)
     fields = {
         "value_hex": approx.value.to_hex(),
-        "value_dec": value_dec,
+        "value_dec": mpc.certified_decimal(approx.value, approx.error_bound, args.digits),
         "order_used": approx.order_used,
         "omitted_term_dec": mpc.decimal_up(approx.omitted_term, args.digits),
         "precision_bits": ctx.bits,
@@ -152,8 +149,8 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
         k_max = 1000 if args.k_max is None else args.k_max
         doc["k_max"] = k_max
         value = expn.feller_constant(k_max, ctx)
-        doc["constant_partial_sum"] = mpc.published_decimal(
-            value, lambda c: expn.feller_constant(k_max, c), digits)
+        ulp = mpc.BigFloat(mpc._ulp_raw(value.raw, ctx.bits), ctx.bits)
+        doc["constant_partial_sum"] = mpc.certified_decimal(value, ulp, digits)
         gap = abs(value - ser.half_ln_2pi(ctx))
         doc["gap_to_half_ln_2pi"] = gap.to_decimal(digits)
         if args.n is not None:
@@ -195,23 +192,15 @@ def _cmd_oracle(args, ctx: PrecisionCtx) -> tuple[str, int]:
     z = Fraction(args.z)
     method = args.method
     if method == "binet2":
-        def compute(c):
-            return orc.lngamma_binet2(z, c)
+        ov = orc.lngamma_binet2(z, ctx)
     elif method == "euler":
-        n = 10**4 if args.n is None else args.n
-        def compute(c):
-            return orc.lngamma_euler_limit(z, n, c)
+        ov = orc.lngamma_euler_limit(z, 10**4 if args.n is None else args.n, ctx)
     else:
-        k = 10**4 if args.k is None else args.k
-        def compute(c):
-            return orc.weierstrass_inv_gamma(z, k, c)
-    ov = compute(ctx)
-    value_dec = mpc.published_decimal(ov.value, lambda c: compute(c).value,
-                                      args.digits)
+        ov = orc.weierstrass_inv_gamma(z, 10**4 if args.k is None else args.k, ctx)
     doc = {
         "z": str(args.z),
         "method": ov.method,
-        "value_dec": value_dec,
+        "value_dec": mpc.certified_decimal(ov.value, ov.error_bound, args.digits),
         "value_hex": ov.value.to_hex(),
         "error_bound_dec": mpc.decimal_up(ov.error_bound, max(args.digits, 3)),
         "precision_bits": ctx.bits,

@@ -153,6 +153,15 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     bitlen(K (wp + 64)) keeps its error below 2^-wp relative, for the
     working precision wp = ctx.wprec() = bits + 32.  I(1/2) is then
     subtracted at wp, and the result rounded once to ctx.
+
+    The result is within one ulp at ctx.bits of the partial sum, 2^-bits:
+    the partial sum lies in [0.89, 0.92], so each step of the last one at
+    wp is within 2^-wp of its exact result (the addition correctly
+    rounded, ln 2 to within one ulp, as everywhere in the package).  The
+    series is off by less than 2^-(wp+5), (ln 2)/2 by 2^-(wp+1), and the
+    two roundings of -I(1/2) = (ln 2)/2 + 1/2 and of the difference add
+    2^-wp each: under 2.6 2^-wp = 2.6 2^-(bits+32) at wp.  Rounding to
+    ctx.bits adds at most 2^-(bits+1).
     """
     _require_index(K, "K", 1, TERMS_CAP, "term cap")
     wp = ctx.wprec()

@@ -14,15 +14,14 @@ context's bits, so every published value is within 2 ulp of the true one.
 Two places add the bits a cancellation costs: ``bounds.sequence_point``,
 whose r_n ~ 1/(12n) is what is left of terms near n ln n, and Mermin's
 ``expansions.mermin_partial_product``, whose sum is small against the
-error of its fixed point.  Only three places work at bits + 64 instead:
-``lngamma_binet2``, whose bounds are proven at that precision;
+error of its fixed point.  Only two places work at bits + 64 instead:
+``lngamma_binet2``, whose bounds are proven at that precision, and
 ``bounds._sandwich_point``, which asks the oracle for bits + 64 only to
 keep the oracle's error bound small against the sandwich's margins, as its
-verdict is exact at any precision; and :func:`published_decimal`, which
-recomputes a value at ``bits + 64`` and prints only the leading digits on
-which the two runs agree.  A published bound is printed rounded up by
-:func:`decimal_up`.  Every conversion to a libmp value goes through
-:func:`to_raw`.
+verdict is exact at any precision.  A published value prints only the
+digits its own error bound proves (:func:`certified_decimal`), and a
+published bound is printed rounded up (:func:`decimal_up`).  Every
+conversion to a libmp value goes through :func:`to_raw`.
 
 The argument rules of the package live here too.  A real argument is
 converted by :func:`to_raw`, which refuses a non-finite float and a string
@@ -40,7 +39,6 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from mpmath import libmp
 
@@ -55,8 +53,7 @@ __all__ = [
     "rational_to_float",
     "rational_to_str",
     "rational_from_str",
-    "agreement_bits",
-    "published_decimal",
+    "certified_decimal",
     "decimal_up",
 ]
 
@@ -68,6 +65,7 @@ PRECISION_ENV_VAR = "STIRLING_PRECISION_BITS"
 GUARD = 32
 
 _RND = "n"  # round to nearest even, everywhere
+_UP = libmp.round_ceiling  # the parts of an error bound are summed upwards
 
 
 @dataclass(frozen=True)
@@ -414,6 +412,38 @@ def raw_expm1(x_raw, prec: int):
     return libmp.mpf_pos(libmp.mpf_sub(e, libmp.fone, wp, _RND), prec, _RND)
 
 
+def _ulp_raw(value_raw, bits: int, count: int = 1):
+    """count 2^(mag - bits), for mag the exponent with 2^(mag-1) <= |x| <
+    2^mag (1 for x = 0): count units in the last place of x at bits."""
+    sign, man, exp, bc = value_raw
+    mag = (exp + bc) if man else 1
+    return libmp.from_man_exp(count, mag - bits)
+
+
+def _sum_up(parts, prec: int = 64):
+    """The sum of the raw values ``parts``, each addition rounded up."""
+    total = libmp.fzero
+    for part in parts:
+        total = libmp.mpf_add(total, part, prec, _UP)
+    return total
+
+
+def _argument_error(z_raw, wp: int):
+    """An upper bound on |ln Gamma(z) - ln Gamma(z~)| for every z > 0 that
+    :func:`to_raw` turns into z~ = ``z_raw`` at ``wp`` bits.
+
+    Let 2^(m-1) <= z~ < 2^m.  To nearest, z moves by at most 2^(m-wp-1)
+    <= z~ 2^-wp (an exact z not at all), so every x between z and z~ has
+    |ln x| < (|m| + 1) ln 2 + 2^(1-wp) < |m| + 1 and 1/x < 2^(2-m).  As
+    ln x - 1/x < psi(x) < ln x (proven in ``oracle.lngamma_euler_limit``),
+    |psi(x)| < |ln x| + 1/x, and the mean value theorem bounds the change
+    by 2^(m-wp-1) (|m| + 1 + 2^(2-m)) = (|m| + 1) 2^(m-wp-1) + 2^(1-wp).
+    """
+    m = z_raw[2] + z_raw[3]
+    return libmp.mpf_add(libmp.from_man_exp(abs(m) + 1, m - wp - 1),
+                         libmp.from_man_exp(1, 1 - wp), 64, _UP)
+
+
 # -- serialization ----------------------------------------------------
 
 _HEX_RE = re.compile(r"^(-?)0x([01])(?:\.([0-9a-fA-F]+))?p([+-]?\d+)$")
@@ -468,59 +498,72 @@ def rational_from_str(text: str) -> Fraction:
         raise DomainError(f"not a rational 'num/den': {text!r}") from None
 
 
-# -- compute-twice validation ------------------------------------------
+# -- published decimals --------------------------------------------------
 
 
-def agreement_bits(a: BigFloat, b: BigFloat) -> int:
-    """Leading bits on which two values agree (large constant if equal)."""
-    ar, br = a._raw, b._raw
-    if libmp.mpf_eq(ar, br):
-        return 1 << 24
-    prec = max(a.ctx_bits, b.ctx_bits) + 8
-    diff = libmp.mpf_abs(libmp.mpf_sub(ar, br, prec, _RND))
-    scale = libmp.mpf_abs(ar) if libmp.mpf_ge(libmp.mpf_abs(ar), libmp.mpf_abs(br)) else libmp.mpf_abs(br)
-    if scale[1] == 0:
-        return 0
-    mag_diff = diff[2] + diff[3]
-    mag_scale = scale[2] + scale[3]
-    return max(0, mag_scale - mag_diff)
+def _decimal_scale(q: Fraction, digits: int) -> tuple[Fraction, int]:
+    """(m, p) with |q| = m 10^p and 10^(digits-1) <= m < 10^digits, for
+    q != 0: |q| in units of its last of ``digits`` significant digits."""
+    p = int((abs(q.numerator).bit_length() - q.denominator.bit_length()) * 0.30103) - digits + 1
+    m = abs(q) / Fraction(10) ** p
+    while m >= 10 ** digits:
+        m, p = m / 10, p + 1
+    while m < 10 ** (digits - 1):
+        m, p = m * 10, p - 1
+    return m, p
 
 
-def published_decimal(value: BigFloat, fn: Callable[[PrecisionCtx], BigFloat],
-                      digits: int) -> str:
-    """Decimal rendering of ``value``, which ``fn`` computed at its own
-    precision, limited to ``digits`` and to the leading bits on which it
-    agrees with ``fn`` rerun at ``value.ctx_bits + 64``.
+def _print_decimal(d: Fraction, digits: int) -> str:
+    """The decimal d, of at most ``digits`` significant digits, as
+    ``BigFloat.to_decimal`` prints it.
 
-    The cheap alternative to interval arithmetic used before publishing a
-    value: only the agreed prefix of the two runs is displayed.
+    d is rounded up to a binary w of 4 * digits + 20 bits, so d <= w <
+    d + 10^-(digits+3) |d|, and ``libmp.to_str``, which keeps digits + 3
+    digits and rounds the rest half up, prints w as d.
     """
-    hi = fn(PrecisionCtx(value.ctx_bits + 64))
-    agreed_digits = max(1, int(agreement_bits(value, hi) * 0.30102999566398119))
-    return value.to_decimal(min(digits, agreed_digits))
+    w = libmp.from_rational(d.numerator, d.denominator, 4 * digits + 20, _UP)
+    return libmp.to_str(w, digits)
+
+
+def certified_decimal(value: BigFloat, bound: BigFloat, digits: int) -> str:
+    """``value`` at the most significant digits, at most ``digits``, that
+    ``bound`` proves, or "" when it proves none.
+
+    Every x with |x - value| <= |bound| lies between the exact ends
+    value -+ |bound|, and rounding to d significant digits (half away from
+    zero, as ``libmp.to_str`` rounds) is monotone, so when both ends round
+    to the same decimal of d digits, x rounds to it too.  Ends of opposite
+    signs round apart.  d is searched downwards from ``digits``, as
+    agreement at d does not imply agreement at d - 1 (0.85 -+ 0.004 gives
+    0.85 at two digits, but 0.8 and 0.9 at one).  The decimal is printed as
+    ``BigFloat.to_decimal`` prints, so a value whose every digit is proven
+    prints as ``value.to_decimal(digits)``.
+    """
+    v, e = value._fraction(), abs(bound._fraction())
+    if e == 0 == v:
+        return _print_decimal(v, digits)
+    if v - e <= 0 <= v + e:
+        return ""
+    ends = [_decimal_scale(q, digits) for q in (v - e, v + e)]
+    for d in range(digits, 0, -1):
+        rounded = set()
+        for m, p in ends:
+            n, k = math.floor(m / 10 ** (digits - d) + Fraction(1, 2)), p + digits - d
+            while n % 10 == 0:
+                n, k = n // 10, k + 1
+            rounded.add((n, k))
+        if len(rounded) == 1:
+            n, k = rounded.pop()
+            return _print_decimal((1 if v > 0 else -1) * n * Fraction(10) ** k, d)
+    return ""
 
 
 def decimal_up(value: BigFloat, digits: int) -> str:
     """``value`` at ``digits`` significant decimal digits, rounded up, so
-    that a printed bound is never below the bound itself.
-
-    D, the least decimal of ``digits`` digits at or above the exact value,
-    is rounded up to a binary w of 4 * digits + 20 bits, so D <= w <
-    D + 10^-(digits+3) |D|, and ``BigFloat.to_decimal``'s formatting
-    (``libmp.to_str``, which keeps digits + 3 digits and rounds the rest
-    half up) prints w as D.
-    """
+    that a printed bound is never below the bound itself: the least
+    decimal of ``digits`` digits at or above the exact value."""
     q = value._fraction()
-    if q == 0:
-        return value.to_decimal(digits)
-    ten = Fraction(10)
-    e = int((abs(q.numerator).bit_length() - q.denominator.bit_length()) * 0.30103)
-    while ten ** e > abs(q):
-        e -= 1
-    while ten ** (e + 1) <= abs(q):
-        e += 1
-    unit = ten ** (e - digits + 1)  # 10^e <= |q| < 10^(e+1)
-    up = math.ceil(q / unit) * unit
-    w = libmp.from_rational(up.numerator, up.denominator, 4 * digits + 20,
-                            libmp.round_ceiling)
-    return libmp.to_str(w, digits)
+    if q != 0:
+        m, p = _decimal_scale(q, digits)
+        q = (math.ceil(m) if q > 0 else -math.floor(m)) * Fraction(10) ** p
+    return _print_decimal(q, digits)

@@ -20,7 +20,9 @@ and the infinite product
 
     1/Gamma(z) = z e^(gamma z) prod_{n>=1} (1 + z/n) e^(-z/n)
 
-serve as slower cross-checks with empirical error estimates.  Euler's
+serve as slower cross-checks, each with a proven error bound: Euler's
+limit from the bracket that the digamma inequalities put on its distance
+to ln Gamma, the product from its tail and a running rounding bound.  Euler's
 gamma in the product comes from mpmath's Brent-McMillan kernel
 (``libmp.mpf_euler``) at whatever working precision is asked, so no
 precision is capped.  Exact integer factorials anchor everything at
@@ -36,14 +38,15 @@ import contextlib
 import contextvars
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import libmp
 
 from .errors import ConvergenceError, DomainError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
-                     raw_expm1, raw_log1p, to_raw)
+from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
+                     _require_positive, _sum_up, _ulp_raw, raw_expm1, raw_log1p, to_raw)
 from .quadrature import half_line_nodes
 
 __all__ = [
@@ -71,7 +74,7 @@ class OracleValue:
     value: BigFloat
     method: str  # exact_factorial | binet2 | euler_limit | weierstrass
     error_bound: BigFloat
-    # binet2 only: how the value and its bound came out (see lngamma_binet2)
+    # how the value and its bound came out (see each oracle's docstring)
     diagnostics: dict | None = field(default=None, compare=False)
 
 
@@ -96,12 +99,6 @@ def _oracle_main_term(z_raw, wp: int):
     acc = libmp.mpf_sub(acc, z_raw, wp, _RND)
     acc = libmp.mpf_sub(acc, libmp.mpf_shift(lnz, -1), wp, _RND)
     return libmp.mpf_add(acc, half_l2p, wp, _RND)
-
-
-def _ulp_raw(value_raw, bits: int, count: int = 8):
-    sign, man, exp, bc = value_raw
-    mag = (exp + bc) if man else 1
-    return libmp.from_man_exp(count, mag - bits)
 
 
 # -- exact factorials ----------------------------------------------------
@@ -136,7 +133,6 @@ def ln_factorial_range(n_max: int, wp: int):
 
 # -- Binet's second formula ----------------------------------------------
 
-_UP = libmp.round_ceiling  # the parts of an error bound are summed upwards
 _STRIP_D = Fraction(4, 5)  # the half-width d of the strip |Im u| < d; the proof fixes it
 
 
@@ -501,9 +497,7 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         val = libmp.mpf_sub(val, lnz, wp, _RND)
         final = _ulp_raw(lnz, wp, 1)
     parts["final_rounding"] = libmp.mpf_add(final, _ulp_raw(val, ctx.bits, 8), wp, _UP)
-    bound = libmp.fzero
-    for part in parts.values():
-        bound = libmp.mpf_add(bound, part, wp, _UP)
+    bound = _sum_up(parts.values(), wp)
     diagnostics = {"step_m": _binet_plan(ctx.bits)[0], "strip_d": _STRIP_D, **counts}
     diagnostics.update((name, BigFloat(part, wp)) for name, part in parts.items())
     result = OracleValue(
@@ -520,72 +514,180 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
 # -- Euler's limit definition ---------------------------------------------
 
 
-def _euler_limit_raw(z_raw, n: int, prod, wp: int):
-    """ln n! + z ln n - ln prod, where prod = z (z+1) ... (z+n) at wp bits."""
-    lnn = libmp.mpf_log(libmp.from_int(n), wp, _RND)
-    acc = libmp.mpf_add(_ln_factorial_raw(n, wp), libmp.mpf_mul(z_raw, lnn, wp, _RND),
-                        wp, _RND)
-    return libmp.mpf_sub(acc, libmp.mpf_log(prod, wp, _RND), wp, _RND)
-
-
 def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
-    """ln of n! n^z / (z (z+1) ... (z+n)); converges to ln Gamma(z) at O(1/n).
+    """L(n) = ln of n! n^z / (z (z+1) ... (z+n)), Euler's limit for
+    ln Gamma(z), with a proven bound on |L(n) - ln Gamma(z)|.
 
-    The error bound is empirical: the O(1/n) rate means the distance to the
-    limit is about twice the observed step to the doubled index, so the
-    bound is 3 |L(n) - L(2n)| plus roundoff.  One running product up to
-    z + 2n serves both: L(n) reads it at k = n.
+    The bracket.  As Gamma(z + n + 1) = Gamma(z) z (z+1) ... (z+n) and
+    Gamma(n + 1) = n!, the distance E = ln Gamma(z) - L(n) is
+    ln Gamma(b) - ln Gamma(a) - z ln n = integral_a^b psi(x) dx - z ln n,
+    with a = n + 1 and b = n + 1 + z.  For x > 0
+
+        ln x - 1/x < psi(x) < ln x - 1/(2x)
+
+    (Alzer, Math. Comp. 66 (1997) 373-389): psi(x) = ln x + integral_0^inf
+    (1/t - 1/(1 - e^-t)) e^(-xt) dt (Abramowitz & Stegun 6.3.21), and
+    -1 < 1/t - 1/(1 - e^-t) < -1/2 for t > 0, the left side as e^t - 1 > t
+    and the right, with 1/(1 - e^-t) = (1 + coth(t/2))/2, as tanh(t/2) <
+    t/2; integral_0^inf e^(-xt) dt = 1/x gives the two sides.  Integrated
+    over [a, b], where ln x integrates to b ln b - a ln a - z, they give
+
+        E in [G - ln(b/a), G - ln(b/a)/2],
+        G = b ln b - a ln a - z - z ln n = b ln(b/a) - z + z ln(a/n),
+
+    so |E| <= max(|lo|, |hi|) for the ends of the bracket.  This needs L(n)
+    alone: one running product to z + n.
+
+    Evaluation.  Let U(c) = 2^(mag c - wp), one ulp of a wp-bit c, wp =
+    ctx.wprec().  Every libmp operation at wp returns a c within U(c) of the
+    exact result on its computed operands (see ``series._approximation``),
+    so c = x (1 + delta), |delta| <= u = 2^(2-wp).  All is evaluated at z~,
+    z rounded to wp, and b = z~ + a is exact.
+      - The bracket, rounded outward.  q = b/a and r = a/n are rounded once
+        and l = ln q and m = ln r taken; as q, r and the exact ratios are
+        at least 1, l and m are within e_l = U(l) + U(q) and e_m = U(m) +
+        U(r) of ln(b/a) and ln(a/n).  G~ = (b l - z~) + z~ m is within
+        e_G = U(b l) + b e_l + U(z~ m) + z~ e_m + U(b l - z~) + U(G~) of G,
+        so each of G~ - l and G~ - l/2 is within e_G + e_l plus its own U
+        of its end, and is moved out by that much, rounding outward.
+      - The rounding of L(n).  The n + 1 rounded factors z~ + k, the n + 1
+        products of the running product and the rounding of n! put 2n + 3
+        factors (1 + delta)^(+-1) into n! / prod, whose log is then off by
+        |ln(1 + theta)| <= 2 (2n + 3) u, as (2n + 3) u <= 1/4 (Higham,
+        Accuracy and Stability of Numerical Algorithms, Lemma 3.1).  The
+        logs of n!, of prod and of n, the product z~ ln n and the two sums
+        add U(ln n!) + U(ln prod) + z~ U(ln n) + U(z~ ln n) + U(acc) +
+        U(L~), half an ulp at ctx.bits covers the final rounding, and
+        ``mpcore._argument_error`` the rounding of z to z~.
+    The bound is max(|lo|, |hi|) plus the rounding part, rounded up.
+    ``diagnostics`` records n, the outward ends bracket_lo and bracket_hi,
+    and the rounding part, each end and part a BigFloat at wp.
     """
     _require_index(n, "n", 2, FACTORIAL_CAP)
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     prod = libmp.fone
-    for k in range(0, 2 * n + 1):
+    for k in range(0, n + 1):
         prod = libmp.mpf_mul(prod, libmp.mpf_add(z_raw, libmp.from_int(k), wp, _RND), wp, _RND)
-        if k == n:
-            val = _euler_limit_raw(z_raw, n, prod, wp)
-    val2 = _euler_limit_raw(z_raw, 2 * n, prod, wp)
-    gap = libmp.mpf_abs(libmp.mpf_sub(val, val2, wp, _RND))
-    bound = libmp.mpf_mul_int(gap, 3, wp, _RND)
-    bound = libmp.mpf_add(bound, _ulp_raw(val, ctx.bits, 8), wp, _RND)
+    ln_n = libmp.mpf_log(libmp.from_int(n), wp, _RND)
+    ln_fact = _ln_factorial_raw(n, wp)
+    z_ln_n = libmp.mpf_mul(z_raw, ln_n, wp, _RND)
+    acc = libmp.mpf_add(ln_fact, z_ln_n, wp, _RND)
+    ln_prod = libmp.mpf_log(prod, wp, _RND)
+    val = libmp.mpf_sub(acc, ln_prod, wp, _RND)
+    value = BigFloat.from_raw(val, ctx)
+
+    a = libmp.from_int(n + 1)
+    b = libmp.mpf_add(z_raw, a, 0)
+    q, r = libmp.mpf_div(b, a, wp, _RND), libmp.from_rational(n + 1, n, wp, _RND)
+    ell, m = libmp.mpf_log(q, wp, _RND), libmp.mpf_log(r, wp, _RND)
+    e_ell = _sum_up([_ulp_raw(ell, wp), _ulp_raw(q, wp)])
+    e_m = _sum_up([_ulp_raw(m, wp), _ulp_raw(r, wp)])
+    b_ell, z_m = libmp.mpf_mul(b, ell, wp, _RND), libmp.mpf_mul(z_raw, m, wp, _RND)
+    g0 = libmp.mpf_sub(b_ell, z_raw, wp, _RND)
+    g = libmp.mpf_add(g0, z_m, wp, _RND)
+    e_end = _sum_up([e_ell, libmp.mpf_mul(b, e_ell, 64, _UP), libmp.mpf_mul(z_raw, e_m, 64, _UP),
+                     *(_ulp_raw(c, wp) for c in (b_ell, z_m, g0, g))])
+    lo = libmp.mpf_sub(g, ell, wp, _RND)
+    hi = libmp.mpf_sub(g, libmp.mpf_shift(ell, -1), wp, _RND)
+    lo = libmp.mpf_sub(lo, _sum_up([e_end, _ulp_raw(lo, wp)]), wp, libmp.round_floor)
+    hi = libmp.mpf_add(hi, _sum_up([e_end, _ulp_raw(hi, wp)]), wp, _UP)
+
+    rounding = _sum_up([libmp.mpf_mul(z_raw, _ulp_raw(ln_n, wp), 64, _UP),
+                        libmp.from_man_exp(2 * n + 3, 3 - wp),
+                        *(_ulp_raw(c, wp) for c in (ln_fact, ln_prod, z_ln_n, acc, val)),
+                        _ulp_raw(value.raw, ctx.bits + 1), _argument_error(z_raw, wp)])
+    reach = max(libmp.mpf_abs(lo), libmp.mpf_abs(hi), key=functools.cmp_to_key(libmp.mpf_cmp))
+    diagnostics = {"n": n, "bracket_lo": BigFloat(lo, wp), "bracket_hi": BigFloat(hi, wp),
+                   "rounding": BigFloat(rounding, wp)}
     return OracleValue(
-        value=BigFloat.from_raw(val, ctx),
+        value=value,
         method="euler_limit",
-        error_bound=BigFloat.from_raw(bound, ctx),
+        error_bound=BigFloat(libmp.mpf_add(reach, rounding, ctx.bits, _UP), ctx.bits),
+        diagnostics=diagnostics,
     )
 
 
 # -- Weierstrass product ---------------------------------------------------
 
 
-def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
-    """1/Gamma(z) ~ z e^(gamma z) prod_{n=1..K} (1 + z/n) e^(-z/n).
+def _expm1_up(y):
+    """An upper bound on e^y - 1 for a raw y >= 0: 2y while y <= 1/2, as
+    e^y - 1 <= y e^y, and else e^y within one ulp, rounded up."""
+    if libmp.mpf_le(y, libmp.fhalf):
+        return libmp.mpf_shift(y, 1)
+    e = libmp.mpf_exp(y, 64, _RND)
+    return libmp.mpf_add(e, _ulp_raw(e, 64), 64, _UP)
 
-    The omitted tail multiplies the result by exp(tau) with
-    0 < tau <= z^2/(2K), which dominates the error bound.
+
+def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
+    """1/Gamma(z) ~ z e^(gamma z) prod_{n=1..K} (1 + z/n) e^(-z/n), with a
+    proven bound on the distance from 1/Gamma(z).
+
+    The value is W~ = z~ exp(X~), the sum X~ = gamma~ z~ + s~ standing for
+    X = gamma z~ + S, S = sum_{n<=K} (ln(1 + z~/n) - z~/n), at z~, z rounded
+    to wp = ctx.wprec().  Let U(c) = 2^(mag c - wp), one ulp of a wp-bit c;
+    every libmp operation at wp returns a c within U(c) of the exact result
+    on its computed operands (see ``series._approximation``).
+
+    The sum.  Term n takes x~ = z~/n, within U(x~) of x = z~/n, l =
+    ``raw_log1p``(x~), d = l - x~ and s~ += d.  ``raw_log1p`` forms 1 + x~
+    and its log at w' = wp + 8 + max(0, -mag x~) bits; 1 + x~ is at least 1
+    and below 2^(max(mag x~, 0) + 1), so the rounding of 1 + x~ moves the
+    log by at most 2^(mag x~ - wp - 6) = U(x~)/64, the log at w' adds at
+    most U(l)/256 and the rounding to wp U(l)/2.  As |t / (1 + t)| < 1 for
+    t > 0, ln(1 + x~) - x~ is within U(x~) of ln(1 + x) - x.  So d is
+    within U(d) + U(l) + (65/64) U(x~) of its exact term, and the sum adds
+    U(s~); all four are at most 2^(t - wp) for the largest mag t among x~,
+    l, d and s~, skipping an exact 0, which has no error.  So |s~ - S| <=
+    e_s = sum over the terms of 5 2^(t - wp), and |X~ - X| <= e_X = e_s +
+    z~ U(gamma~) + U(gamma~ z~) + U(X~).
+
+    The bound.  exp(X~) and its product with z~ are within U of their exact
+    results, so W~ = W e^eta (1 + theta), W = z~ e^X, |eta| <= e_X and
+    |ln(1 + theta)| <= 2^(4-wp).  The omitted factors give 1/Gamma(z~) =
+    W e^-tau with 0 < tau <= z~^2/(2K): each ln(1 + x) - x lies in
+    [-x^2/2, 0], and sum_{n>K} z^2/(2n^2) <= z^2/(2K).  And
+    |ln Gamma(z) - ln Gamma(z~)| <= E_arg (``mpcore._argument_error``).
+    So 1/Gamma(z) = W~ e^(omega - tau) with |omega| <= y = e_X + E_arg +
+    2^(4-wp), and |e^(omega - tau) - 1| <= (e^y - 1) + tau gives
+
+        |W~ - 1/Gamma(z)| <= W~ z~^2/(2K) + W~ (e^y - 1):
+
+    the tail part and, with half an ulp at ctx.bits for the final rounding,
+    the rounding part.  The bound is their sum, rounded up; ``diagnostics``
+    records K and the two parts, tail and rounding, as BigFloats at wp.
     """
     _require_index(K, "K", 1, TERMS_CAP, "term cap")
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    s = libmp.fzero
+    s, mags = libmp.fzero, Counter()
     for n in range(1, K + 1):
         x = libmp.mpf_div(z_raw, libmp.from_int(n), wp, _RND)
-        s = libmp.mpf_add(s, libmp.mpf_sub(raw_log1p(x, wp), x, wp, _RND), wp, _RND)
-    gamma_z = libmp.mpf_mul(libmp.mpf_euler(wp, _RND), z_raw, wp, _RND)
+        ell = raw_log1p(x, wp)
+        d = libmp.mpf_sub(ell, x, wp, _RND)
+        s = libmp.mpf_add(s, d, wp, _RND)
+        mags[max(c[2] + c[3] for c in (x, ell, d, s) if c[1])] += 1
+    euler = libmp.mpf_euler(wp, _RND)
+    gamma_z = libmp.mpf_mul(euler, z_raw, wp, _RND)
     exponent = libmp.mpf_add(gamma_z, s, wp, _RND)
     val = libmp.mpf_mul(z_raw, libmp.mpf_exp(exponent, wp, _RND), wp, _RND)
-    # |relative tail| <= z^2/(2K); add a roundoff allowance
-    z2 = libmp.mpf_mul(z_raw, z_raw, wp, _RND)
-    tau = libmp.mpf_div(z2, libmp.from_int(2 * K), wp, _RND)
-    rel = libmp.mpf_add(tau, libmp.from_man_exp(1, -(ctx.bits + 2)), wp, _RND)
-    bound = libmp.mpf_mul(libmp.mpf_abs(val), rel, wp, _RND)
-    bound = libmp.mpf_mul(bound, libmp.from_str("1.05", wp, _RND), wp, _RND)
+    value = BigFloat.from_raw(val, ctx)
+    e_x = _sum_up([*(libmp.from_man_exp(5 * count, t - wp) for t, count in mags.items()),
+                   libmp.mpf_mul(z_raw, _ulp_raw(euler, wp), 64, _UP),
+                   _ulp_raw(gamma_z, wp), _ulp_raw(exponent, wp)])
+    y = _sum_up([e_x, _argument_error(z_raw, wp), libmp.from_man_exp(1, 4 - wp)])
+    z2 = libmp.mpf_mul(z_raw, z_raw, 64, _UP)
+    tail = libmp.mpf_mul(val, libmp.mpf_div(z2, libmp.from_int(2 * K), 64, _UP), 64, _UP)
+    rounding = _sum_up([libmp.mpf_mul(val, _expm1_up(y), 64, _UP),
+                        _ulp_raw(value.raw, ctx.bits + 1)])
     return OracleValue(
-        value=BigFloat.from_raw(val, ctx),
+        value=value,
         method="weierstrass",
-        error_bound=BigFloat.from_raw(bound, ctx),
+        error_bound=BigFloat(libmp.mpf_add(tail, rounding, ctx.bits, _UP), ctx.bits),
+        diagnostics={"K": K, "tail": BigFloat(tail, wp), "rounding": BigFloat(rounding, wp)},
     )
 
 

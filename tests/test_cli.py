@@ -11,11 +11,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import libmp
 
 import stirling.bounds
 import stirling.cli
+import stirling.expansions
 import stirling.oracle
 import stirling.series
 from stirling.cli import build_parser, report_all, run
@@ -158,21 +160,89 @@ def test_oracle_json_fields(capsys):
     assert doc["value_dec"].startswith("0.572364942924700")
 
 
+def _spy(monkeypatch, module, name):
+    """Record the precision of every call of module.name; returns the list."""
+    real, bits = getattr(module, name), []
+
+    def counting(*args):
+        bits.append(args[-1].bits)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return bits
+
+
 def test_oracle_evaluates_once_per_precision(capsys, monkeypatch):
-    # one evaluation at the requested precision and one 64 bits above it
-    # for the agreed-digits check
-    real = stirling.oracle.lngamma_binet2
-    bits = []
-
-    def counting(z, ctx):
-        bits.append(ctx.bits)
-        return real(z, ctx)
-
-    monkeypatch.setattr(stirling.oracle, "lngamma_binet2", counting)
+    # one evaluation: the printed digits come from the value's own bound
+    bits = _spy(monkeypatch, stirling.oracle, "lngamma_binet2")
     code, _, _ = run_capture(["oracle", "--z", "3/2", "--method", "binet2"],
                              capsys)
     assert code == 0
-    assert len(bits) == 2 and bits[1] == bits[0] + 64
+    assert bits == [256]
+
+
+@pytest.mark.parametrize("argv", [["eval", "--z", "22/7"],
+                                  ["eval", "--z", "22/7", "--terms", "4"]])
+def test_eval_evaluates_once(argv, capsys, monkeypatch):
+    bits = _spy(monkeypatch, stirling.series, "_approximation")
+    code, _, _ = run_capture(argv, capsys)
+    assert code == 0
+    assert bits == [256]
+
+
+def test_expansions_feller_evaluates_once(capsys, monkeypatch):
+    bits = _spy(monkeypatch, stirling.expansions, "feller_constant")
+    code, _, _ = run_capture(["expansions", "--which", "feller", "--k-max", "50"], capsys)
+    assert code == 0
+    assert bits == [256]
+
+
+def test_euler_limit_far_from_its_limit_prints_no_digit(capsys):
+    # ln Gamma(100) = 359.13 and L(10) = 194.17: the error is 164.96, and
+    # the interval [29.2, 359.1] proves no digit of the value
+    code, out, _ = run_capture(["oracle", "--z", "100", "--method", "euler", "--n", "10",
+                                "--precision-bits", "64"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert Fraction(doc["error_bound_dec"]) >= Fraction("164.96")
+    assert doc["value_dec"] == ""
+
+
+def _mp_value(method: str, z: Fraction, bits: int) -> Fraction:
+    with mpmath.workprec(bits + 64):
+        x = mpmath.mpf(z.numerator) / z.denominator
+        ref = mpmath.rgamma(x) if method == "weierstrass" else mpmath.loggamma(x)
+    return Fraction(*libmp.to_rational(ref._mpf_))
+
+
+def _significant_digits(text: str) -> int:
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+    return max(len(mantissa.rstrip("0")), 1)
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --z 22/7", "eval --z 1/2", "eval --z 1/1000000", "eval --z 10 --precision-bits 64",
+    "eval --z 7/3 --terms 2", "eval --z 50",
+    "oracle --z 22/7 --method binet2", "oracle --z 1/1000 --method binet2 --precision-bits 64",
+    "oracle --z 22/7 --method euler --n 1000", "oracle --z 1/3 --method euler --n 50",
+    "oracle --z 100 --method euler --n 10 --precision-bits 64",
+    "oracle --z 22/7 --method weierstrass --k 1000", "oracle --z 3 --method weierstrass --k 10",
+])
+def test_printed_value_digits_are_proven(argv, capsys):
+    # the reference rounds to the printed decimal at the printed length
+    args = argv.split()
+    code, out, _ = run_capture(args, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    printed = doc["value_dec"]
+    if not printed:
+        return
+    method = args[args.index("--method") + 1] if "--method" in args else "eval"
+    ref = _mp_value(method, Fraction(args[args.index("--z") + 1]), doc["precision_bits"])
+    with mpmath.workprec(doc["precision_bits"] + 128):
+        rounded = mpmath.nstr(mpmath.mpf(ref.numerator) / ref.denominator,
+                              _significant_digits(printed), strip_zeros=True)
+    assert Fraction(rounded) == Fraction(printed), (argv, printed, rounded)
 
 
 def test_expansions_mermin_document(capsys):

@@ -4,22 +4,32 @@ import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from mpmath import libmp
 
+import stirling
 from stirling.errors import DomainError, PrecisionError
 from stirling.oracle import lngamma_binet2
 from stirling.bounds import check_bound, impens_sandwich
-from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, agreement_bits,
-                             bigfloat, decimal_up, elementary, published_decimal,
-                             rational_from_str, rational_to_float, rational_to_str)
+from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, bigfloat, certified_decimal,
+                             decimal_up, elementary, rational_from_str, rational_to_float,
+                             rational_to_str)
 
 CTX64 = PrecisionCtx(64)
 CTX128 = PrecisionCtx(128)
 CTX256 = PrecisionCtx(256)
+
+
+def agree(a: BigFloat, b: BigFloat, bits: int) -> bool:
+    """a and b differ by less than 2^(m - bits), exactly, for 2^(m-1) <=
+    max(|a|, |b|) < 2^m: they agree on their leading ``bits`` bits."""
+    diff = Fraction(*libmp.to_rational(a.raw)) - Fraction(*libmp.to_rational(b.raw))
+    mag = max(x.raw[2] + x.raw[3] for x in (a, b))
+    return abs(diff) < Fraction(2) ** (mag - bits)
 
 
 def ln2_series_oracle(bits: int) -> Fraction:
@@ -42,7 +52,7 @@ def test_sqrt_exact_square():
 def test_ln2_against_series_oracle():
     oracle = rational_to_float(ln2_series_oracle(128), CTX256)
     got = elementary("ln", 2, CTX128)
-    assert agreement_bits(got, oracle) >= 126
+    assert agree(got, oracle, 126)
 
 
 def test_arctan_one_is_quarter_pi():
@@ -63,7 +73,7 @@ def test_rational_to_float_examples():
     assert rational_to_float(Fraction(0, 1), CTX64).is_zero()
     lo = rational_to_float(Fraction(-1, 30), CTX128)
     hi = rational_to_float(Fraction(-1, 30), CTX256)
-    assert agreement_bits(lo, hi) >= 126
+    assert agree(lo, hi, 126)
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,7 +85,7 @@ def test_rational_rounding_consistent_across_precisions(p, q, b):
     hi = rational_to_float(Fraction(p, q), PrecisionCtx(b + 64))
     if lo.is_zero() and hi.is_zero():
         return
-    assert agreement_bits(lo, hi) >= b - 2
+    assert agree(lo, hi, b - 2)
 
 
 @pytest.mark.parametrize("k", range(-20, 21))
@@ -181,23 +191,42 @@ def test_hash_agrees_with_equality():
     assert hash(bigfloat(3, CTX128)) == hash(3)
 
 
-def test_published_decimal_reports_agreement():
+def test_certified_decimal_prints_every_digit_a_tight_bound_proves():
+    # one ulp proves all 30 digits asked for: the print is to_decimal's,
+    # byte for byte
     value = elementary("ln", 2, CTX128)
-    seen = []
+    ulp = BigFloat(libmp.from_man_exp(1, -128), 128)
+    assert certified_decimal(value, ulp, 30) == value.to_decimal(30)
+    assert certified_decimal(value, BigFloat(libmp.fzero, 128), 30) == value.to_decimal(30)
 
-    def fn(c):
-        seen.append(c.bits)
-        return elementary("ln", 2, c)
 
-    # one rerun, at 64 more bits; it agrees on >= 126 bits, so the
-    # requested 30 digits are all printed
-    assert published_decimal(value, fn, 30) == value.to_decimal(30)
-    assert seen == [192]
-    assert agreement_bits(value, fn(PrecisionCtx(192))) >= 126
-    # a rerun agreeing on only 39 bits caps the decimal at 11 digits
-    off = value + Fraction(1, 2**40)
-    assert agreement_bits(value, off) == 39
-    assert published_decimal(value, lambda c: off, 30) == value.to_decimal(11)
+def _near(text: str) -> BigFloat:
+    return rational_to_float(Fraction(text), CTX128)
+
+
+@pytest.mark.parametrize("value, bound, digits, printed", [
+    # 0.846..0.854: agreement at two digits, not at one (0.8 and 0.9)
+    ("0.85", "0.004", 2, "0.85"),
+    ("0.85", "0.004", 3, "0.85"),
+    ("0.85", "0.004", 1, ""),
+    # 0.8194..0.8214: no agreement at three digits, agreement at two
+    ("0.8204", "0.001", 3, "0.82"),
+    ("-0.8204", "0.001", 20, "-0.82"),
+    # nothing proven: 0.2..0.8, and an interval about 0
+    ("0.5", "0.3", 20, ""),
+    ("0.001", "0.01", 20, ""),
+    ("123456.7", "0.02", 20, "123456.7"),
+])
+def test_certified_decimal_searches_down_from_digits(value, bound, digits, printed):
+    assert certified_decimal(_near(value), _near(bound), digits) == printed
+
+
+def test_only_mpcore_prints_a_decimal():
+    # every printed decimal goes through BigFloat.to_decimal, decimal_up or
+    # certified_decimal, so the digits a value prints are decided in one place
+    found = {path.name for path in Path(stirling.__file__).parent.glob("*.py")
+             if path.name != "mpcore.py" and "libmp.to_str" in path.read_text()}
+    assert found == set()
 
 
 def test_bigfloat_copies_and_pickles():

@@ -339,12 +339,53 @@ def test_euler_limit_error_bound_honest():
 
 
 def test_euler_limit_takes_one_product_pass(count_calls):
-    # one running product to z + 2n serves L(n) and L(2n): 2n + 1 factors
-    # and one product z ln m for each of the two indices
+    # one running product to z + n: n + 1 factors, z ln n, and a handful of
+    # products for the bracket and its rounding; no L(2n)
     muls = count_calls("mpf_mul")["mpf_mul"]
     n = 100
     lngamma_euler_limit(Fraction(22, 7), n, CTX)
-    assert muls[0] <= 2 * n + 3
+    assert muls[0] <= n + 8
+
+
+def _mp_reference(fn, z: Fraction, bits: int) -> Fraction:
+    with mpmath.workprec(bits + 64):
+        ref = fn(mpmath.mpf(z.numerator) / z.denominator)
+    return Fraction(*libmp.to_rational(ref._mpf_))
+
+
+# z = 10n and 100n included: there the former 3 |L(n) - L(2n)| fell short
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("z, n", [
+    (Fraction(1, 10**6), 2), (Fraction(1, 3), 10), (Fraction(22, 7), 1000),
+    (Fraction(100), 10), (Fraction(1000), 10), (Fraction(10**4), 100), (Fraction(10**5), 1000),
+    (Fraction(10**8), 1000), (Fraction(355, 113), 2),
+], ids=str)
+def test_euler_limit_error_bound_is_an_upper_bound(z, n, bits):
+    ov = lngamma_euler_limit(z, n, PrecisionCtx(bits))
+    ref = _mp_reference(mpmath.loggamma, z, bits)
+    assert abs(_exact(ov.value) - ref) <= _exact(ov.error_bound)
+    diag = ov.diagnostics
+    assert set(diag) == {"n", "bracket_lo", "bracket_hi", "rounding"} and diag["n"] == n
+    # the outward bracket holds ln Gamma(z) - L(n), its rounding aside
+    gap = ref - _exact(ov.value)
+    slack = _exact(diag["rounding"])
+    assert _exact(diag["bracket_lo"]) - slack <= gap <= _exact(diag["bracket_hi"]) + slack
+    reach = max(abs(_exact(diag["bracket_lo"])), abs(_exact(diag["bracket_hi"])))
+    assert _exact(ov.error_bound) <= (reach + slack) * (1 + Fraction(2, 2**bits))
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("z, K", [
+    (Fraction(1, 10**6), 1), (Fraction(1, 2), 1000), (Fraction(22, 7), 10),
+    (Fraction(10), 1000), (Fraction(1000), 100), (1 + Fraction(1, 10**30), 3),
+], ids=str)
+def test_weierstrass_error_bound_is_an_upper_bound(z, K, bits):
+    ov = weierstrass_inv_gamma(z, K, PrecisionCtx(bits))
+    ref = _mp_reference(mpmath.rgamma, z, bits)
+    assert abs(_exact(ov.value) - ref) <= _exact(ov.error_bound)
+    diag = ov.diagnostics
+    assert set(diag) == {"K", "tail", "rounding"} and diag["K"] == K
+    assert _exact(diag["tail"]) + _exact(diag["rounding"]) <= _exact(ov.error_bound)
 
 
 @pytest.mark.parametrize("z", [Fraction(1, 2), 1, Fraction(5, 2), 10])
@@ -391,13 +432,13 @@ def test_weierstrass_tail_halves_when_K_doubles():
 def test_weierstrass_hex_pinned():
     pinned = {
         256: ("0x1.20de61a3e5fba404edf6b87b10e26af3843027bf6f8dbc38dfd4f4d1612f7298p-1",
-              "0x1.f0f251f4d90f0752f217d981621aeee072af159a4489557f40587af9ef870e5p-18"),
+              "0x1.d9484e0dc28837be000000000000000000000000000000000000000000020002p-18"),
         622: ("0x1.20de61a3e5fba404edf6b87b10e26af3843027bf6f8dbc38dfd4f4d1612f7297"
               "201d7c22779385b7c94b6d9744f1949f706a23863f638bbe03d63bc7cbc905b59a95"
               "313762f52474e36687e0fbbp-1",
-              "0x1.f0f251f4d90f0752f217d981621aeee072af159a4489557f40587af9ef8676a7"
-              "163c0ff5d386978ee913e7ddf998630c3966e26d8b1d1e9ab0d493140c151780ab8f"
-              "5cf119a660f5a654cc99cf9p-18"),
+              "0x1.d9484e0dc28837be000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000000000000000000000000000000000000000000000"
+              "00000000000000000080008p-18"),
     }
     for bits, (value, bound) in pinned.items():
         ov = weierstrass_inv_gamma(Fraction(1, 2), 10**4, PrecisionCtx(bits))

@@ -179,6 +179,31 @@ def test_optimal_truncation_bounded_by_omitted_random_z(z):
     assert abs(approx.value - oracle.value) <= approx.omitted_term
 
 
+# the sum, its rounding and the rounding of z to z~ all inside error_bound
+@settings(max_examples=25, deadline=None)
+@given(z=st_.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(60),
+                       max_denominator=10**6),
+       bits=st_.sampled_from([64, 128, 256]),
+       fixed=st_.one_of(st_.none(), st_.integers(min_value=0, max_value=12)))
+def test_error_bound_is_an_upper_bound(z, bits, fixed):
+    ctx = PrecisionCtx(bits)
+    approx = optimal_truncation(z, ctx) if fixed is None else lngamma_stirling(z, fixed, ctx)
+    with mpmath.workprec(bits + 64):
+        ref = mpmath.loggamma(mpmath.mpf(z.numerator) / z.denominator)
+    ref = Fraction(*libmp.to_rational(ref._mpf_))
+    assert _exact(approx.omitted_term) < _exact(approx.error_bound)
+    assert abs(_exact(approx.value) - ref) <= _exact(approx.error_bound)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_error_bound_adds_little_to_the_omitted_term(bits):
+    # at z = 30 the omitted term is far below an ulp of the value, so the
+    # bound is the rounding part: within 2 ulp of ln Gamma(30) ~ 71.26
+    approx = optimal_truncation(30, PrecisionCtx(bits))
+    assert _exact(approx.omitted_term) < Fraction(1, 2 ** (bits + 8))
+    assert _exact(approx.error_bound) <= Fraction(2) ** (7 - bits) * 2
+
+
 @pytest.mark.parametrize("z", [1, 5, 10])
 def test_term_magnitudes_unimodal(z):
     mags = [abs(f_term(2 * k, z, CTX)) for k in range(1, 61)]
