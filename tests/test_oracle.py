@@ -233,7 +233,7 @@ def test_binet2_diagnostics_parts_add_up_to_at_most_the_bound(z, bits, step_m):
     assert diag["nodes"] > 5 * step_m
     assert all(diag[name] > 0 for name in BINET2_PARTS)
     assert sum(_exact(diag[name]) for name in BINET2_PARTS) <= _exact(ov.error_bound)
-    # the record takes no part in comparisons, and other oracles leave it out
+    # the record takes no part in comparisons, and the exact factorial has none
     assert ov == OracleValue(ov.value, ov.method, ov.error_bound)
     assert ln_factorial_exact(5, CTX).diagnostics is None
 
