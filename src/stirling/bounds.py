@@ -45,6 +45,7 @@ touches or straddles 0.  No envelope is assumed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -113,9 +114,27 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     """r_n, c_n, v_n at ctx precision, all from the exact factorial.
 
     r_n = 1 - c_n - (1/2) ln(2 pi) ~ 1/(12n) is what is left of terms near
-    n ln n, so the working precision grows by 2 bitlen(n) + 8 bits: the few
-    roundings of those terms then cost r_n a relative error below
-    2^-(bits + 30) for n <= FACTORIAL_CAP."""
+    n ln n, so the working precision grows by 2 bitlen(n) + 8 bits, to w =
+    bits + 40 + 2 bitlen(n): the few roundings of those terms then cost
+    r_n, before its rounding to ctx.bits, a relative error below
+    2^-(bits + 28) for n <= FACTORIAL_CAP.
+
+    Proof.  Let U(c) = 2^(mag c - w) <= 2^(1-w) |c|, one ulp of a w-bit c;
+    every libmp operation at w returns a c within U(c) of the exact result
+    on its computed operands (see ``series._approximation``), and
+    (1/2) ln(2 pi) is taken within 2^(1-w).  For n = 1 the logs are 0 and
+    c_1 = 0 exactly, so only (1/2) ln(2 pi) and the two last differences
+    err, by less than 2^(3-w) against r_1 > 1/13.  For n >= 2 let X =
+    (n + 1/2) ln n >= 1.7.  ln n! is the log of n! rounded to w, a
+    relative 2^-w off, so it is within 2^(1-w) + U(ln n!); ln n is within
+    U(ln n), which X carries n + 1/2 times; and the product X, X - n,
+    1 - ln n!, their sum c_n, 1 - c_n and r_n each add U of itself.  As
+    ln n! < X, |X - n| < X and |1 - ln n!| < X, while c_n, 1 - c_n and
+    r_n lie in (0, 1), the error is below 2^(1-w) (5 X + 5) (1 + 2^-60)
+    < 2^(4-w) X.  With r_n > 1/(12n + 1) (Robbins) and (n + 1/2)(12n + 1)
+    <= 16 n^2 < 16 4^bitlen(n), the relative error is below
+    2^(4-w) 16 4^bitlen(n) ln n = 2^-(bits+32) ln n < 2^-(bits+28), as
+    ln n < 12."""
     _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec() + 2 * n.bit_length() + 8
     lnfact = _ln_factorial_raw(n, wp)
@@ -416,11 +435,15 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> tuple[Fraction, tuple]:
     W = wp + 64
     h_lo, h_hi = _half_ln_2pi_bracket(W)
     p = a * L - X
-    lo = v - e - (p + spread + Fraction(h_hi, 1 << W))
-    hi = v + e - (p - spread + Fraction(h_lo, 1 << W))
-    den = max(lo.denominator, hi.denominator)  # both powers of 2
-    return X, (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator),
-               den)
+    return X, _interval(v - e - (p + spread + Fraction(h_hi, 1 << W)),
+                        v + e - (p - spread + Fraction(h_lo, 1 << W)))
+
+
+def _interval(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """The exact interval [lo, hi] as ``_verdict_row`` takes a middle value:
+    (lo, hi, den), both ends over one denominator."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
 def _sandwich_cells(x, pairs: list, ctx: PrecisionCtx):

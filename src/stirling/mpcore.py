@@ -88,10 +88,6 @@ class PrecisionCtx:
         """Internal working precision: bits + GUARD."""
         return self.bits + GUARD
 
-    def eps(self) -> Fraction:
-        """2**(1-bits), one ulp at unit scale."""
-        return Fraction(1, 1 << (self.bits - 1))
-
 
 def default_ctx() -> PrecisionCtx:
     """Context from the STIRLING_PRECISION_BITS env var (default 256)."""

@@ -470,12 +470,47 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         rounding of the sum: 2 h N 2^-(wp+6) for N nodes, plus one ulp of
         the integral at the working precision wp (see ``_binet_integral``),
       - one ulp at wp for ln z, when z was shifted, and 8 ulp of the result
-        for the remaining roundings.
+        for the remaining roundings (proven below).
     ``diagnostics`` records the step m, the strip half-width d, the nodes
     summed, the arctans taken (the nodes with t >= 1/4; the rest are summed
     as one series over moments kept with the table), and each part as a
     BigFloat at wp: discretisation, truncation, node_error, rounding and
     final_rounding (the last item).
+
+    The remaining roundings.  Let U(c) = 2^(mag c - wp) <= 2^(1-wp) |c|,
+    one ulp of a wp-bit c; every libmp operation at wp returns a c within
+    U(c) of the exact result on its computed operands, a correctly rounded
+    one within U(c)/2 (see ``series._approximation``).  For x = z + 1 when
+    shifted and x = z~ (z rounded to wp) else, ``_oracle_main_term`` takes
+    L = ln x, A = x L - x, B = A - L/2 and P~ = B + H, H half the log of
+    2 pi~, in five roundings; as in ``series._approximation``, P~ is within
+    (x + 1/2) U(L) + U(x L) + U(A) + U(B) + U(P~) + 2^(1-wp) of P(x).  The
+    sum with the integral adds U(val), the subtraction of ln z U(val) once
+    more (ln z's own error is its part above), and the final rounding half
+    an ulp of val at ctx.bits.  The rounding of z to z~ moves ln Gamma by
+    E_arg (``mpcore._argument_error``), below 2^-wp (x (log2 x + 2) + 3).
+      - The sum.  For x >= 1, L <= x - 1, so |A|, |B|, |P~| and the
+        unshifted |val| are at most x L + x + L/2 + 1.1 (|ln Gamma(x) -
+        P(x)| < 1/(12x)), and the parts above add up to at most 2^(2-wp)
+        (4 x L + 2 x + 2) (1 + 2^-60) < 2^(8-wp) 1.01 max(1, |ln Gamma(x)|):
+        4 x L + 2 x + 2 <= 64 max(1, ln Gamma(x)), as the left side is at
+        most 33 on [1, 4], 85 on [4, 8] against ln Gamma >= ln 6, and on
+        x >= 8 grows slower than 64 ((x - 1/2) L - x) < 64 ln Gamma(x).
+        With E_arg, below 2^(7-wp) max(1, |ln Gamma(x)|) by the same
+        count, the parts are at most 2^-(bits+54) max(1, |ln Gamma(x)|),
+        and a shifted x < 2 has |ln Gamma(x)| < 1.
+      - Where |ln Gamma(z)| >= 2^-40, |val| >= |ln Gamma(z)| / 2 (the whole
+        error is far below 2^-41), and the U(val) of the shift, at most
+        2^(1-wp) |val|, the half ulp and that sum stay below 8 ulp of val at
+        ctx.bits, which is at least 8 2^-bits |val|.
+      - Where |ln Gamma(z)| < 2^-40, the sum is at most 2^-(bits+53), which
+        the discretisation part covers beside its own error: it is twice the
+        bound of ``_binet_discretisation_bound`` evaluated at 64 bits, so
+        half of it is headroom, and as m is the least step count with
+        D(m) <= 2^-(bits+24), while D(m) / D(m - 1) >= e^(-2 pi d) (1 -
+        e^(-2 pi d (m-1))) > 1/154 and D(1) > 2^-(bits+24), D(m) exceeds
+        2^-(bits+32).
+    Every identity check of the report trusts this bound as it stands.
 
     Inside ``_shared_values`` a repeated (raw argument at wp, bits) pair
     returns the value stored by its first evaluation.
@@ -704,28 +739,62 @@ def check_multiplication(m: int, z, ctx: PrecisionCtx) -> BigFloat:
     """Residual of the order-m multiplication formula
     ln Gamma(mz) = (1-m) ln sqrt(2 pi) + (mz - 1/2) ln m
     + sum_{k=0..m-1} ln Gamma(z + k/m)."""
+    return abs(_multiplication_residual(m, z, ctx)[0])
+
+
+def _multiplication_residual(m: int, z, ctx: PrecisionCtx) -> tuple[BigFloat, BigFloat]:
+    """(r, B): the signed residual r of ``check_multiplication``, rounded to
+    ctx.bits, and a proven bound B >= |r|.
+
+    The formula holds exactly at z~, z rounded to wp = ctx.wprec(), so r
+    is made of the errors of its computed parts.  Let U(c) = 2^(mag c -
+    wp), one ulp of a wp-bit c; every libmp operation at wp returns a c
+    within U(c) of the exact result on its computed operands, a correctly
+    rounded one within U(c)/2 (see ``series._approximation``).
+      - ln Gamma(m z~): the oracle at mz, m z~ rounded, is within its
+        error_bound of ln Gamma(mz), which is within E_arg(mz)
+        (``mpcore._argument_error``) of ln Gamma(m z~).
+      - ln Gamma(z~ + k/m): zk, z~ plus k/m rounded, rounded, lies within
+        U(zk)/2 + U(k/m)/2 <= U(zk) of z~ + k/m, as zk >= k/m; so the
+        oracle at zk is within its error_bound plus E_arg(zk) at wp - 1.
+      - (1 - m) ln sqrt(2 pi): H, half the log of 2 pi~, is within
+        2^(1-wp) of ln sqrt(2 pi) (``series._approximation``), and the
+        product by 1 - m adds U(h), so (m - 1) 2^(1-wp) + U(h).
+      - (m z~ - 1/2) ln m: t = mz - 1/2 is within U(t) + U(mz) of
+        m z~ - 1/2 and l = ln m within U(l) of it, so t l, rounded to p,
+        is within |t| U(l) + 2 (U(t) + U(mz)) + U(p), as ln m < 2.
+      - Each of the m + 1 sums adds U of its result, and the residual's
+        rounding to ctx.bits half an ulp there.
+    The parts are summed upwards at 64 bits and rounded up to ctx.bits.
+    """
     if _require_index(m, "m", 2) > 5:
         raise DomainError("m must be one of 2, 3, 4, 5")
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     mz = libmp.mpf_mul_int(z_raw, m, wp, _RND)
-    g_mz = lngamma_binet2(BigFloat(mz, ctx.bits), ctx).value
+    g_mz = lngamma_binet2(BigFloat(mz, ctx.bits), ctx)
     two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
     ln_sqrt_2pi = libmp.mpf_shift(libmp.mpf_log(two_pi, wp, _RND), -1)
     ln_m = libmp.mpf_log(libmp.from_int(m), wp, _RND)
-    rhs = libmp.mpf_mul_int(ln_sqrt_2pi, 1 - m, wp, _RND)
-    rhs = libmp.mpf_add(
-        rhs,
-        libmp.mpf_mul(libmp.mpf_sub(mz, libmp.fhalf, wp, _RND), ln_m, wp, _RND),
-        wp, _RND)
+    h = libmp.mpf_mul_int(ln_sqrt_2pi, 1 - m, wp, _RND)
+    t = libmp.mpf_sub(mz, libmp.fhalf, wp, _RND)
+    p = libmp.mpf_mul(t, ln_m, wp, _RND)
+    rhs = libmp.mpf_add(h, p, wp, _RND)
+    parts = [g_mz.error_bound.raw, _argument_error(mz, wp),
+             libmp.from_man_exp(m - 1, 1 - wp), _ulp_raw(h, wp),
+             libmp.mpf_mul(libmp.mpf_abs(t), _ulp_raw(ln_m, wp), 64, _UP),
+             _ulp_raw(t, wp, 2), _ulp_raw(mz, wp, 2), _ulp_raw(p, wp), _ulp_raw(rhs, wp)]
     for k in range(m):
         shift = libmp.from_rational(k, m, wp, _RND)
         zk = libmp.mpf_add(z_raw, shift, wp, _RND)
-        rhs = libmp.mpf_add(rhs, lngamma_binet2(BigFloat(zk, ctx.bits), ctx).value.raw,
-                            wp, _RND)
-    resid = libmp.mpf_abs(libmp.mpf_sub(g_mz.raw, rhs, wp, _RND))
-    return BigFloat.from_raw(resid, ctx)
+        ov = lngamma_binet2(BigFloat(zk, ctx.bits), ctx)
+        rhs = libmp.mpf_add(rhs, ov.value.raw, wp, _RND)
+        parts += [ov.error_bound.raw, _argument_error(zk, wp - 1), _ulp_raw(rhs, wp)]
+    resid = libmp.mpf_sub(g_mz.value.raw, rhs, wp, _RND)
+    parts += [_ulp_raw(resid, wp), _ulp_raw(resid, ctx.bits + 1)]
+    bound = libmp.mpf_pos(_sum_up(parts), ctx.bits, _UP)
+    return BigFloat.from_raw(resid, ctx), BigFloat(bound, ctx.bits)
 
 
 def gamma_half_integer(k: int, ctx: PrecisionCtx) -> BigFloat:

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism, env override."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ import stirling.oracle
 import stirling.series
 from stirling.cli import build_parser, report_all, run
 from stirling.errors import DomainError, InconclusiveError, ValidityError
-from stirling.mpcore import PrecisionCtx, to_raw
+from stirling.mpcore import BigFloat, PrecisionCtx, to_raw
 
 PRINTED = ["0.91667", "0.91944", "0.91865", "0.91925", "0.91840",
            "0.92032", "0.91391", "0.94346", "0.76382", "2.1562"]
@@ -525,3 +526,98 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N,C_N_exact,C_N_decimal,abs_gap_to_half_ln_2pi"
+
+
+# -- each converted check, perturbed past its proven bound ----------------------
+#
+# Every perturbation is far above the bound the check now proves and below
+# the slack it used to allow, so the report passed each of these at 256 bits.
+
+
+def _shift_binet(monkeypatch, at, delta):
+    """Add delta to every 256-bit Binet value at the argument nearest ``at``."""
+    real = stirling.oracle.lngamma_binet2
+
+    def shifted(z, ctx):
+        ov = real(z, ctx)
+        if ctx.bits == 256 and abs(float(z) - at) < 1e-9:
+            ov = dataclasses.replace(ov, value=ov.value + delta)
+        return ov
+
+    for module in (stirling.oracle, stirling.expansions):
+        monkeypatch.setattr(module, "lngamma_binet2", shifted)
+
+
+def _binet_gap_past_bound(monkeypatch):
+    """ln Gamma(5) moved to exactly ln 4! + both bounds + 2^-600: rounded to
+    256 bits, the gap and the sum of the bounds agree."""
+    real = stirling.oracle.lngamma_binet2
+
+    def shifted(z, ctx):
+        ov = real(z, ctx)
+        if ctx.bits == 256 and z == 5:
+            exact = stirling.oracle.ln_factorial_exact(4, ctx)
+            q = sum((x._fraction() for x in (exact.value, exact.error_bound, ov.error_bound)),
+                    Fraction(1, 2**600))
+            raw = libmp.from_man_exp(q.numerator, 1 - q.denominator.bit_length())
+            ov = dataclasses.replace(ov, value=BigFloat(raw, ctx.bits))
+        return ov
+
+    monkeypatch.setattr(stirling.oracle, "lngamma_binet2", shifted)
+
+
+def _shift_ln_factorial(monkeypatch):
+    real = stirling.expansions.ln_factorial_range
+
+    def shifted(n_max, wp):
+        for n, value in real(n_max, wp):
+            yield n, (libmp.mpf_add(value, libmp.from_man_exp(1, -250), wp) if n == 10
+                      else value)
+
+    monkeypatch.setattr(stirling.expansions, "ln_factorial_range", shifted)
+
+
+def _feller_constant_past_its_tail(monkeypatch):
+    def shifted(K, ctx):
+        return stirling.series.half_ln_2pi(ctx) - Fraction(1, 24 * K) - Fraction(1, 10**9)
+
+    monkeypatch.setattr(stirling.expansions, "feller_constant", shifted)
+
+
+def _mermin_tail_at_its_bound(monkeypatch):
+    """M_K such that r_1 - M_K is 1/(12K) - 2^-262, inside the errors of r_1
+    and M_K, but below 1/(12K) once rounded."""
+    real = stirling.expansions.mermin_partial_product
+
+    def shifted(n, K, ctx):
+        if n != 1:
+            return real(n, K, ctx)
+        q = (stirling.bounds.sequence_point(1, ctx).r_n._fraction()
+             - Fraction(1, 12 * K) + Fraction(1, 2**262))
+        return BigFloat(libmp.from_rational(q.numerator, q.denominator, 400, "n"), ctx.bits)
+
+    monkeypatch.setattr(stirling.expansions, "mermin_partial_product", shifted)
+
+
+PERTURBED_CHECKS = [
+    ("oracle.binet2_vs_exact_factorial", _binet_gap_past_bound, "fail"),
+    ("oracle.duplication",
+     lambda mp: _shift_binet(mp, 4.6, Fraction(1, 2**240)), "fail"),
+    ("oracle.multiplication_m3",
+     lambda mp: _shift_binet(mp, 7 / 3, Fraction(1, 2**240)), "fail"),
+    ("expansions.feller_identity", _shift_ln_factorial, "fail"),
+    ("expansions.feller_constant", _feller_constant_past_its_tail, "fail"),
+    ("expansions.mermin_tail", _mermin_tail_at_its_bound, "inconclusive"),
+    ("expansions.namias_identity",
+     lambda mp: _shift_binet(mp, 9.5, Fraction(1, 2**243)), "fail"),
+]
+
+
+@pytest.mark.parametrize("name, perturb, status", PERTURBED_CHECKS,
+                         ids=[name for name, _, _ in PERTURBED_CHECKS])
+def test_report_check_refuses_an_error_past_its_proven_bound(name, perturb, status,
+                                                             monkeypatch):
+    perturb(monkeypatch)
+    doc = report_all(10, PrecisionCtx(256))
+    assert [(c["name"], c["status"]) for c in doc["checks"] if c["status"] != "pass"] \
+        == [(name, status)]

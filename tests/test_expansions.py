@@ -13,7 +13,8 @@ from hypothesis import strategies as st_
 import stirling.expansions
 from stirling.bounds import sequence_point
 from stirling.errors import DomainError, ResourceError
-from stirling.expansions import (feller_constant, feller_identity_residual,
+from stirling.expansions import (_feller_residuals, _namias_residual,
+                                 feller_constant, feller_identity_residual,
                                  feller_residual_sweep, feller_term,
                                  MarsagliaSeries, marsaglia_coeffs,
                                  marsaglia_factorial,
@@ -63,8 +64,9 @@ def test_feller_identity_exact_to_roundoff(n):
 
 def test_feller_residual_sweep_envelope():
     resids = feller_residual_sweep(300, CTX)
-    for n, r in enumerate(resids, start=1):
-        assert r <= n * Fraction(1, 1 << (CTX.bits - 8))
+    checked = list(_feller_residuals(300, CTX))
+    for n, (r, (signed, proven)) in enumerate(zip(resids, checked), start=1):
+        assert r == abs(signed) <= proven <= n * Fraction(1, 1 << (CTX.bits - 8))
 
 
 def test_feller_single_residual_equals_sweep():
@@ -236,11 +238,22 @@ def test_marsaglia_factorial_accuracy_improves():
 @pytest.mark.parametrize("n", [1, 10, Fraction(3, 4)])
 def test_namias_functional_equation(n):
     resid = namias_residual(n, CTX)
+    signed, proven = _namias_residual(n, CTX)
     z = Fraction(n)
     combined = (lngamma_binet2(2 * z, CTX).error_bound
                 + lngamma_binet2(z, CTX).error_bound
                 + lngamma_binet2(z - Fraction(1, 2), CTX).error_bound)
-    assert resid <= 10 * combined + Fraction(1, 10**55)
+    assert resid == abs(signed) <= proven <= 10 * combined + Fraction(1, 10**55)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st_.fractions(min_value=Fraction(1, 2), max_value=10**4, max_denominator=10**6)
+       .filter(lambda n: n > Fraction(1, 2)),
+       bits=st_.sampled_from([64, 128, 192, 256]))
+def test_namias_residual_within_its_proven_bound(n, bits):
+    ctx = PrecisionCtx(bits)
+    signed, proven = _namias_residual(n, ctx)
+    assert abs(signed) == namias_residual(n, ctx) <= proven
 
 
 def test_namias_domain():

@@ -15,7 +15,8 @@ import stirling.oracle
 from stirling.bernoulli import bernoulli
 from stirling.errors import DomainError, ResourceError
 from stirling.mpcore import BigFloat, PrecisionCtx
-from stirling.oracle import (OracleValue, check_duplication, check_multiplication,
+from stirling.oracle import (OracleValue, _multiplication_residual, check_duplication,
+                             check_multiplication,
                              euler_gamma, gamma_half_integer,
                              ln_factorial_exact, lngamma_binet2,
                              lngamma_euler_limit, weierstrass_inv_gamma)
@@ -462,8 +463,9 @@ def test_weierstrass_product_exact_to_1024_bits():
 @pytest.mark.parametrize("z", [1, Fraction(73, 10), Fraction(1, 2)])
 def test_duplication_residual_tiny(z):
     resid = check_duplication(z, CTX)
-    bound = lngamma_binet2(z, CTX).error_bound
-    assert resid <= 3 * bound + Fraction(1, 10**60)
+    signed, proven = _multiplication_residual(2, z, CTX)
+    assert resid == abs(signed) <= proven
+    assert proven <= 3 * lngamma_binet2(z, CTX).error_bound + Fraction(1, 10**60)
 
 
 def test_multiplication_m2_matches_duplication(monkeypatch):
@@ -485,8 +487,19 @@ def test_multiplication_m2_matches_duplication(monkeypatch):
 @pytest.mark.parametrize("z", [2, Fraction(1, 3)])
 def test_multiplication_m3_residual_tiny(z):
     resid = check_multiplication(3, z, CTX)
-    bound = lngamma_binet2(z, CTX).error_bound
-    assert resid <= 4 * bound + Fraction(1, 10**55)
+    signed, proven = _multiplication_residual(3, z, CTX)
+    assert resid == abs(signed) <= proven
+    assert proven <= 4 * lngamma_binet2(z, CTX).error_bound + Fraction(1, 10**55)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st_.sampled_from([2, 3, 5]), log10_z=st_.floats(min_value=-3, max_value=6),
+       bits=st_.sampled_from([64, 128, 192, 256]))
+def test_multiplication_residual_within_its_proven_bound(m, log10_z, bits):
+    z = Fraction(10 ** log10_z)
+    ctx = PrecisionCtx(bits)
+    signed, proven = _multiplication_residual(m, z, ctx)
+    assert abs(signed) == check_multiplication(m, z, ctx) <= proven
 
 
 def test_multiplication_rejects_bad_order():
