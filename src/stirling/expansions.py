@@ -36,7 +36,6 @@ Four independent routes are implemented:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -427,7 +426,7 @@ def _namias_residual(n, ctx: PrecisionCtx) -> tuple[BigFloat, BigFloat]:
     errs += [libmp.mpf_shift(_argument_error(n_half, wp), 1), _ulp_raw(lhs_log1, wp),
              _ulp_raw(lhs_log, wp), libmp.mpf_mul(n_raw, e_ell, 64, _UP),
              _ulp_raw(n_ell, wp), _ulp_raw(rhs_log, wp)]
-    top = max(lhs, rhs, key=functools.cmp_to_key(libmp.mpf_cmp))
+    top = lhs if libmp.mpf_ge(lhs, rhs) else rhs
     slope = _sum_up([top, _ulp_raw(top, wp)])
     bound = _sum_up([libmp.mpf_mul(slope, _sum_up(errs), 64, _UP),
                      *(_ulp_raw(c, wp) for c in (lhs, rhs, resid)),
