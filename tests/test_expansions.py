@@ -337,6 +337,22 @@ MERMIN_PINS = {
         "0x1.5325700a4c37c557d830a10734ed9c2480bb8a058c48692fe20428a29a26c7c4p-10",
     (256, 2, 10**5):
         "0x1.52a7f9c09984da7800911d76a96a5f9f62760e9383ced72a50078350e28b33fap-5",
+    # pinned from the sum over one m at a time, before blocks of m: large K
+    # at three precisions, and K just below and just above the first block
+    # (K = 129 at 64 bits and K = 313 at 256 bits, for n = 1)
+    (64, 1, 10**5): "0x1.4c063c1bf835d556p-4",
+    (64, 1, 128): "0x1.4961bc3bb73b9a64p-4",
+    (64, 1, 129): "0x1.4966f221e2cb49dap-4",
+    (256, 37, 10**5):
+        "0x1.27173e5b286d7cc1b916b9f0ecf3abd8d567cff09310e586e2351abb78932176p-9",
+    (256, 1, 312):
+        "0x1.4aefef63876190b445dba0a5ac126c61cb6cb3d65684ab1f759d0a7d12252916p-4",
+    (256, 1, 313):
+        "0x1.4af0d2febb5248e379d3ff08e0bc9ad1b2a8151740ebaeb12a91db59ff61366ap-4",
+    (768, 1, 10**5):
+        "0x1.4c063c1bf835d556eda164fbb37c503dc80952e480387fda193df23d894d0e1ae21c90a6"
+        "5b65a707e2a327623716793ba6ce0b9a11271f9f59da8d6ded0e2e64b5724fc53f73909099"
+        "ab072565a9bdd4a68b3b3bee273fe9912ff111ef0a4668p-4",
 }
 
 # sha256 over the lines "n,K,hex\n" at 1024 bits, for the same (n, K) grid
@@ -447,6 +463,18 @@ FELLER_PINS = {
     (512, 20000):
         "0x1.d67ed69f0c0013e4a1b64b2416478982bd06154642e3aacfbd1589d741c86a3"
         "9493bf86546835e05172dec3d0f39470f669325d08a05cb695ccece9cd25fc43cp-1",
+    # pinned from the sum over one m at a time, before blocks of m: 768 bits,
+    # and K just below and just above the first block at 64 and 256 bits
+    (64, 128): "0x1.d6549c65a2b134b4p-1",
+    (64, 129): "0x1.d654f069b0f1bdeep-1",
+    (256, 311):
+        "0x1.d66d943d920cbd72dcc8f8f755231195b6b13ee8a34e40fb562cf739ff1d0742p-1",
+    (256, 312):
+        "0x1.d66da29a5e517934b30704b62a33fd73ca259b2062a7c3c503ecf57de09c77bep-1",
+    (768, 10000):
+        "0x1.d67e90b8b1221cf68bee3ea97234d90babe82c7cb7558fa257f8f2a0c56dbb28864c87f6"
+        "b782d63b6c9afa962ad371821af6a9cb7925c333e23e715ebffd677ba99b4ccaa1bb39a32d"
+        "1f435adb72e862428d055a915d188d3f0a8b030ceeece6p-1",
 }
 
 
