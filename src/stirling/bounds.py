@@ -193,7 +193,7 @@ def _difference_sums(n_max: int, W: int):
 
     d_k = r_k - r_(k+1) = (k + 1/2) ln(1 + 1/k) - 1 is, with m = 2k + 1, the
     positive series sum_(j>=1) 1/((2j+1) m^(2j)).  ``_floor_series`` sums it
-    with q = m^2 and d_j = 2j + 1, and its lemma puts d_k in
+    for the one m, q = m^2, with d_j = 2j + 1, and its lemma puts d_k in
     [s_k, s_k + 2J_k - 1) 2^-W.  p_j = floor(2^W / q^j) is non-zero only
     while q^j <= 2^W, and q >= 4^(b-1) for b = bitlen(m), so J_k - 1 <=
     W // (2b - 2) and D adds 2 (W // (2b - 2)) + 1.  That is at most W + 1
@@ -205,7 +205,7 @@ def _difference_sums(n_max: int, W: int):
     for n in range(1, n_max + 1):
         if n > 1:
             m = 2 * n - 1  # k = n - 1
-            S += _floor_series((m * m,), divisors, W)
+            S += _floor_series(range(m, m + 1, 2), divisors, W)
             D += 2 * (W // (2 * m.bit_length() - 2)) + 1
         yield n, S, D
 

@@ -69,6 +69,17 @@ def test_feller_residual_sweep_envelope():
         assert r == abs(signed) <= proven <= n * Fraction(1, 1 << (CTX.bits - 8))
 
 
+@pytest.mark.parametrize("bits", [64, 128, 256, 768])
+def test_feller_zero_residual_is_charged_no_ulp(bits):
+    # at n = 1 every step is exact and the residual is 0; a computed 0 is
+    # exact, so its bound is no larger than the one at n = 10
+    rows = list(_feller_residuals(10, PrecisionCtx(bits)))
+    (r1, b1), (r10, b10) = rows[0], rows[9]
+    assert r1 == 0
+    assert abs(r1) <= b1 <= b10
+    assert abs(r10) <= b10
+
+
 def test_feller_single_residual_equals_sweep():
     # the single-n residual and the sweep share one identity body
     for bits in (64, 256, 768):
@@ -116,8 +127,8 @@ def test_feller_fixed_sum_within_its_bound(K, bits, monkeypatch):
     # s and W are read off feller_constant's own call of the kernel.
     kernel, seen = stirling.expansions._floor_series, []
 
-    def spy(qs, divisors, W):
-        s = kernel(qs, divisors, W)
+    def spy(ms, divisors, W):
+        s = kernel(ms, divisors, W)
         seen.append((s, W))
         return s
 
@@ -134,22 +145,144 @@ def test_feller_fixed_sum_within_its_bound(K, bits, monkeypatch):
     assert -mpmath.ldexp(1, -32) <= short <= K * (wp + 64)
 
 
+def _exact_bracket(ms, divisors, W, G=64):
+    """(lo, hi) with lo <= 2^G E < hi for E the exact sum over m in ms of
+    sum_j 2^W / (m^(2j) d_j) over the listed divisors.  Each m's sum is the
+    Fraction num / (m^(2 len) lcm), num by Horner's rule, and only its floor
+    at 2^-(W+G) is added, so the bracket is exact and len(ms) units wide."""
+    lcm = math.lcm(*divisors)
+    lo = 0
+    for m in ms:
+        q, num = m * m, 0
+        for d in divisors:
+            num = num * q + lcm // d
+        lo += (num << (W + G)) // (q ** len(divisors) * lcm)
+    return lo, lo + len(ms)
+
+
+def _lemma_counts(ms, W):
+    """(D, alone): the floor lemma's D over the blocks that ``_blocks`` cuts
+    ms into, each 1 + 2 #{k >= 1 : (c / Lambda)^(2k) <= 2^W}, and the D of
+    the same m taken one at a time.  Checks that the blocks cover ms."""
+    def terms(num, den):
+        k = 0
+        while num ** (2 * k + 2) <= den ** (2 * k + 2) << W:
+            k += 1
+        return k
+
+    D = alone = 0
+    covered = []
+    for c, h in stirling.expansions._blocks(ms, W):
+        D += 2 * terms(c, 2 * h + 2 if h else 1) + 1
+        block = range(c - 2 * h, c + 2 * h + 1, 2)
+        alone += sum(2 * terms(m, 1) + 1 for m in block)
+        covered.extend(block)
+    assert covered == list(ms)
+    return D, alone
+
+
+def _assert_floor_lemma(ms, divisors, W):
+    # the exact sum lies in [s, s + D), and D is no more than the m would
+    # lose one by one; both compared exactly, at 2^-(W+64)
+    s = stirling.expansions._floor_series(ms, divisors, W)
+    lo, hi = _exact_bracket(ms, divisors, W)
+    D, alone = _lemma_counts(ms, W)
+    assert s << 64 <= lo and hi <= (s + D) << 64
+    assert D <= alone
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st_.data(), W=st_.integers(0, 300),
-       qs=st_.lists(st_.integers(4, 10**6), min_size=1, max_size=5))
-def test_floor_series_lemma(data, W, qs):
-    # the exact sum of 2^W / (q^j d_j) over the listed divisors lies in
-    # [s, s + D), where a q makes one floor division for p_1 and two for
-    # each j with p_j = floor(2^W / q^j) > 0
-    length = 1
-    while min(qs) ** length <= 2**W:
-        length += 1
-    divisors = data.draw(st_.lists(st_.integers(3, 64), min_size=length,
-                                   max_size=length + 3))
-    s = stirling.expansions._floor_series(iter(qs), divisors, W)
-    exact = sum(Fraction(2**W, q**j * d) for q in qs for j, d in enumerate(divisors, 1))
-    D = sum(1 + 2 * sum(1 for j in range(1, length) if q**j <= 2**W) for q in qs)
-    assert s <= exact < s + D
+@given(data=st_.data(), W=st_.integers(0, 300), start=st_.integers(2, 1000),
+       count=st_.integers(1, 5))
+def test_floor_series_lemma(data, W, start, count):
+    # a few m from 2 up, with any divisors >= 3, as many as 4^len > 2^W asks
+    ms = range(start, start + 2 * count, 2)
+    divisors = tuple(data.draw(st_.lists(st_.integers(3, 64), min_size=W // 2 + 1,
+                                         max_size=W // 2 + 4)))
+    _assert_floor_lemma(ms, divisors, W)
+
+
+def _mermin_divisors(W):
+    return range(3, W + 4, 2)
+
+
+def _feller_divisors(W):
+    return tuple(2 * j * (2 * j + 1) for j in range(1, W // 2 + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(W=st_.integers(4, 48), start=st_.integers(127, 1500), count=st_.integers(3, 80),
+       odd=st_.booleans())
+def test_floor_series_block_lemma(W, start, count, odd):
+    # small W, so that blocks begin early: Mermin's odd m with d_j = 2j + 1
+    # and Feller's even m with d_j = 2j (2j + 1); from m = 254 on, every
+    # three m or more form a block
+    start = 2 * start + 1 if odd else 2 * start
+    ms = range(start, start + 2 * count, 2)
+    divisors = _mermin_divisors(W) if odd else _feller_divisors(W)
+    _assert_floor_lemma(ms, divisors, W)
+    assert any(h for _, h in stirling.expansions._blocks(ms, W))
+
+
+@pytest.mark.parametrize("W,ms,blocks", [
+    # partial last blocks: 31 and 63 m, then two blocks of 3 for the 6 left
+    (30, range(4000, 4200, 2), [(4030, 15), (4124, 31), (4190, 1), (4196, 1)]),
+    # blocks from the first m on, and a lone m at the end
+    (40, range(2001, 2201, 2),
+     [(2015, 7), (2061, 15), (2123, 15), (2169, 7), (2191, 3), (2199, 0)]),
+], ids=["partial-last-block", "starts-past-first-block"])
+def test_floor_series_block_lemma_fixed(W, ms, blocks):
+    assert list(stirling.expansions._blocks(ms, W)) == blocks
+    divisors = _feller_divisors(W) if ms.start % 2 == 0 else _mermin_divisors(W)
+    _assert_floor_lemma(ms, divisors, W)
+
+
+def _count_weight_builds(monkeypatch):
+    """Count the power-sum tables and block weights built for h >= 1."""
+    built = []
+    sums, weights = (stirling.expansions._even_power_sums,
+                     stirling.expansions._block_weights)
+
+    def sums_spy(h, R):
+        built.append(("sums", h))
+        return sums(h, R)
+
+    def weights_spy(h, t, divisors, W):
+        if h:
+            built.append(("weights", h))
+        return weights(h, t, divisors, W)
+
+    monkeypatch.setattr(stirling.expansions, "_even_power_sums", sums_spy)
+    monkeypatch.setattr(stirling.expansions, "_block_weights", weights_spy)
+    return built
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_single_term_sums_build_no_power_sums(bits, monkeypatch):
+    # K = n, as bounds.aissen_ratio asks for d_n: one m, no block, no table
+    from stirling.bounds import aissen_ratio
+    built = _count_weight_builds(monkeypatch)
+    ctx = PrecisionCtx(bits)
+    for n in (1, 700, 5000):
+        mermin_partial_product(n, n, ctx)
+        aissen_ratio(n, ctx)
+    assert built == []
+
+
+def test_mermin_sums_few_m_one_at_a_time(monkeypatch):
+    # at 256 bits and K = 10^5, all but a few hundred m are summed in blocks,
+    # where the series over one m at a time took all 10^5 of them
+    real, sizes = stirling.expansions._blocks, []
+
+    def spy(ms, W):
+        for c, h in real(ms, W):
+            sizes.append(2 * h + 1)
+            yield c, h
+
+    monkeypatch.setattr(stirling.expansions, "_blocks", spy)
+    mermin_partial_product(1, 10**5, PrecisionCtx(256))
+    assert sum(sizes) == 10**5
+    assert sizes.count(1) <= 2000
 
 
 @pytest.mark.parametrize("call", [
@@ -384,7 +517,7 @@ def _mermin_reference(n, K, bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 @pytest.mark.parametrize("n,K", [(1, 1), (1, 2000), (2, 1000), (37, 2000),
-                                 (2000, 2000)])
+                                 (2000, 2000), (1000, 1300)])
 def test_mermin_within_one_ulp_of_mpmath(bits, n, K):
     got = mermin_partial_product(n, K, PrecisionCtx(bits))
     ref = _mermin_reference(n, K, bits)
