@@ -311,6 +311,30 @@ def test_inconclusive_error_fields_family(monkeypatch):
     assert 0 < exc.envelope < Fraction(1, 100)
 
 
+def test_inconclusive_error_fields_michel(monkeypatch):
+    # widening the bracket of (1/2) ln(2 pi) by 10^-5 each way widens
+    # e^(r_6) about as much, so Michel's modulus interval at n=6 reaches past
+    # the bound and its margin interval straddles 0 on the negative side
+    real = stirling.bounds._half_ln_2pi_bracket
+
+    def wide(W):
+        lo, hi = real(W)
+        return lo - (1 << W) // 10**5, hi + (1 << W) // 10**5
+
+    monkeypatch.setattr(stirling.bounds, "_half_ln_2pi_bracket", wide)
+    with pytest.raises(InconclusiveError) as info:
+        check_bound("michel", 6, CTX)
+    exc = info.value
+    assert str(exc) == "michel at n=6: margin within the arithmetic envelope at 256 bits"
+    assert (exc.family, exc.n) == ("michel", 6)
+    assert exc.margin.to_hex() == (
+        "-0x1.6062369bd3db60606617c2b5eb17e3c39e16166a1186fa37be87b63e15043574p-19")
+    assert exc.envelope.to_hex() == (
+        "0x1.7bab42de9f42ca6ac5619a7bdea75eb40e8805c7e5bd989965fd1e046b17d434p-16")
+    rows = [r for r in bound_sweep(["michel"], 6, CTX)]
+    assert isinstance(rows[-1], InconclusiveError) and str(rows[-1]) == str(exc)
+
+
 def test_aissen_ratio_decays_like_inverse_n():
     a1 = aissen_ratio(1, CTX)
     assert abs(a1) < 1  # finite, no blowup
@@ -417,6 +441,7 @@ SWEEP_DIGESTS = {
     64: (400, "7152750e7a9d4e9ac267ce8d3d3cca525da3f58674e24ed94aae375cf2448e04"),
     128: (5000, "fbeae7bc9184ad53687b85d378cfc372151260e1b5afeb9447797d42a7180c6e"),
     256: (400, "dadec489598f36d4b74cee647c4cec2e029d7ee2dc9eec7f6ea08edd5f924c23"),
+    768: (300, "bce19b00d5f48a12e60366c46ee6200917cc797d8d332e91064f57ce3a0774ed"),
 }
 
 
