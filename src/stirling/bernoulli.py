@@ -11,11 +11,14 @@ a_k comes from its own factorial-form recurrence
 
     a_0 = 1,   sum_{j=0..k} a_j / (k+1-j)! = 0          (k >= 1)
 
-run up to k = 128, the verification depth.  Up to there the identity
-k! * a_k == B_k is a genuine cross-check between two computations rather
-than a restatement of one of them; past it a_k is derived as B_k / k!.
-Everything is exact integer or ``fractions.Fraction`` arithmetic; no
-floating point enters this module.
+run up to k = 128, the verification depth, over one common denominator:
+the a_j are kept as integer numerators over the lcm L of their
+denominators, multiplied by the falling factorials (k+1)!/(k+1-j)!, and
+reduced once per k (``_a_recurrence``).  It uses no tangent number, so up
+to k = 128 the identity k! * a_k == B_k is a genuine cross-check between
+two computations rather than a restatement of one of them; past it a_k is
+derived as B_k / k!.  Everything is exact integer or
+``fractions.Fraction`` arithmetic; no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -46,6 +49,36 @@ def _tangent_numbers(n: int) -> list[int]:
         for j in range(k, n + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     return t[1:]
+
+
+def _a_recurrence(a: list[Fraction], k: int) -> list[Fraction]:
+    """[a_m for m = len(a)..k] (none when len(a) > k) from a = [a_0, ...]
+    by the factorial recurrence a_m = -sum_(j<m) a_j / (m+1-j)!, over one common
+    denominator.
+
+    With every a_j = N_j / L for L the lcm of their denominators,
+    (m+1)! a_m = -sum_(j<m) a_j (m+1)! / (m+1-j)!, and the falling
+    factorials (m+1)! / (m+1-j)! = (m+1) m ... (m+2-j) are integers, so
+    a_m = -sum_(j<m) N_j (m+1)! / (m+1-j)! / (L (m+1)!): one sum of integer
+    products and one reduction per m.  L then takes in the denominator of
+    a_m, and every N_j is scaled to the new L.
+    """
+    L = math.lcm(*(x.denominator for x in a))
+    N = [x.numerator * (L // x.denominator) for x in a]
+    out = []
+    for m in range(len(a), k + 1):
+        t, falling = 0, 1  # falling = (m+1)! / (m+1-j)!
+        for j in range(m):
+            t -= N[j] * falling
+            falling *= m + 1 - j
+        x = Fraction(t, L * math.factorial(m + 1))
+        out.append(x)
+        grow = x.denominator // math.gcd(L, x.denominator)
+        if grow > 1:
+            L *= grow
+            N = [v * grow for v in N]
+        N.append(x.numerator * (L // x.denominator))
+    return out
 
 
 class BernoulliTable:
@@ -84,14 +117,7 @@ class BernoulliTable:
                     four_i = 4 ** i
                     b.append(Fraction((-1) ** (i - 1) * m * tangent[i - 1],
                                       four_i * (four_i - 1)))
-            a = list(self._a)
-            for m in range(len(a), min(target, _A_DEPTH) + 1):
-                # factorial recurrence: a_m = -sum_{j<m} a_j/(m+1-j)!
-                t = Fraction(0)
-                for j in range(m):
-                    if a[j]:
-                        t += a[j] / math.factorial(m + 1 - j)
-                a.append(-t)
+            a = self._a + _a_recurrence(self._a, min(target, _A_DEPTH))
             # a first: a reader that sees the longer _b finds _a ready too
             self._a = a
             self._b = b

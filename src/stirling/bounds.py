@@ -39,7 +39,14 @@ exact rational and every middle value an exact interval, so a verdict
 compares integers: the margin, the smaller of mid - lhs and rhs - mid, is
 an exact interval, and a row holds when the whole interval lies above 0,
 fails when it lies below, and is inconclusive (InconclusiveError) when it
-touches or straddles 0.  No envelope is assumed.
+touches or straddles 0.  No envelope is assumed.  The verdict compares
+the middle value's ends with the bounds directly; a row that holds or
+fails keeps those integers and builds its gap intervals and published
+BigFloats on their first read.  A Michel row, whose bracket of e^(r_n)
+at the sweep's fixed point is the costliest part of a sweep, is judged
+first on a bracket at 2^-128 that contains it, and at the sweep's fixed
+point only where that one is inconclusive (``_sweep_row``): a verdict on
+a containing interval is the verdict on the interval itself.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from mpmath import libmp
 from .errors import DomainError, InconclusiveError, ValidityError
 from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
                      raw_expm1, to_raw)
-from .expansions import _floor_series, mermin_partial_product
+from .expansions import _floor_terms, mermin_partial_product
 from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
 from .series import _half_ln_2pi_raw, term_coefficient
 
@@ -192,20 +199,22 @@ def _difference_sums(n_max: int, W: int):
     """Yield (n, S, D) for n = 1..n_max, with sum_(k<n) d_k in [S, S + D) 2^-W.
 
     d_k = r_k - r_(k+1) = (k + 1/2) ln(1 + 1/k) - 1 is, with m = 2k + 1, the
-    positive series sum_(j>=1) 1/((2j+1) m^(2j)).  ``_floor_series`` sums it
-    for the one m, q = m^2, with d_j = 2j + 1, and its lemma puts d_k in
-    [s_k, s_k + 2J_k - 1) 2^-W.  p_j = floor(2^W / q^j) is non-zero only
+    positive series sum_(j>=1) 1/((2j+1) m^(2j)).  It is summed by the loop
+    of ``_floor_series`` for a lone m, ``_floor_terms`` with q = m^2 and
+    d_j = 2j + 1, so the kernel's lemma puts d_k in [s_k, s_k + 2J_k - 1)
+    2^-W.  p_j = floor(2^W / q^j) is non-zero only
     while q^j <= 2^W, and q >= 4^(b-1) for b = bitlen(m), so J_k - 1 <=
     W // (2b - 2) and D adds 2 (W // (2b - 2)) + 1.  That is at most W + 1
     for k = 1 and W/2 + 1 past it, both at most 2 wp and wp for W of
     ``_sweep_width``, so D <= n wp <= CAP wp.
     """
     divisors = range(3, W + 4, 2)  # q >= 9, and 9^((W + 2)/2) > 2^W
+    one = 1 << W
     S = D = 0
     for n in range(1, n_max + 1):
         if n > 1:
             m = 2 * n - 1  # k = n - 1
-            S += _floor_series(range(m, m + 1, 2), divisors, W)
+            S += _floor_terms(one, m * m, divisors)
             D += 2 * (W // (2 * m.bit_length() - 2)) + 1
         yield n, S, D
 
@@ -241,7 +250,10 @@ def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
     The middle value is kept as [lo, hi] / den and every bound as an exact
     rational p/q.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k, and Hummel's
     r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.  Michel's
-    e^(r_n) is bracketed by ``_exp_bracket``, as r_n < r_1 < 1/12.
+    e^(r_n) is bracketed by ``_exp_bracket``, as r_n < r_1 < 1/12.  The
+    row keeps these exact integers and builds its published fields on
+    their first read (``_SweepRow``); ``_sweep_row`` judges Michel's row
+    first at a coarser fixed point.
     """
     one = 1 << W
     lhs = rhs = None
@@ -275,6 +287,60 @@ def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
     return _verdict_row(family, n, mid, lhs, rhs, bits)
 
 
+# The fixed point 2^-C at which ``_sweep_row`` judges Michel's rows first.
+_COARSE_W = 128
+
+
+def _sweep_row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
+               bits: int):
+    """Row n of ``family`` as ``bound_sweep`` and ``check_bound`` publish
+    it: ``_row`` at W, bit for bit.
+
+    Michel's row spends most of its time in ``_exp_bracket`` at W bits, so
+    it is first judged by ``_row`` at C = _COARSE_W on the same facts
+    rounded outward by k = W - C bits: sum_(k<n) d_k in [S', S' + D')
+    2^-C with S' = floor(S 2^-k) and S' + D' = ceil((S + D) 2^-k), and
+    (1/2) ln(2 pi) in (h_lo', h_hi') 2^-C with h_lo' = floor(h_lo 2^-k) - 2
+    and h_hi' = ceil(h_hi 2^-k).  If that row holds or fails, so does the
+    row at W, which ``_row`` builds only when its mid or margin is first
+    read (``_CoarseRow``).  If it is inconclusive, the row is judged at W.
+    The proof below takes C >= 24 and k > bitlen(W).  Every W of
+    ``_sweep_width`` is at least 145, so C = 128 meets both; a row at a W
+    that did not would be judged at W alone.
+
+    Containment.  Let x <= y be the ends of r_n's interval at W and
+    x' <= y' those at C, and u = 2^C.  Then x - 2/u < x' <= x and
+    y' >= y + 2/u: r_lo = 2^W - h_hi - S - D loses less than two units of
+    2^-C to the two ceilings, and r_hi = 2^W - h_lo - S gains at least the
+    two taken off h_lo'.  For n >= 3, 2^(3-C) <= 2^-21 < r_n < 1/36 and
+    the width of r_n's interval is far below 2^-C, so 0 <= x' and
+    y' < 1/12, as ``_exp_bracket`` asks.  Let [e, f] 2^-W and [e', f'] 2^-C
+    be its brackets of e^(r_n).
+      - e' 2^k <= e: its Taylor terms have t'_0 2^k = t_0 = 2^W, and
+        t'_j 2^k <= t'_(j-1) 2^k x' / j <= t_(j-1) x / j by induction, an
+        integer at most that, so at most its floor t_j.
+      - f <= f' 2^k: with A = 1 + 2 (y - x) < 7/6 and J <= W the terms at
+        W (t_j < 2^W 12^-j), f < (2^W e^x + 2J) A + 1.  The coarse
+        bracket holds, so f' >= u e^x' (1 + 2 (y' - x')) >= u e^x (1 - 2/u)
+        (A + 4/u), and f' 2^k - f > 2^k e^x (4 - 2A - 8/u) - 2JA - 1 >
+        (3/2) 2^k - 7W/3 - 1 >= 0, as 2^k > 2W.
+    Michel's middle value at C is then an interval that contains the one
+    at W: both are 288 n^2 (e^(r_n) - 1) - 24n - 1 over its bracket's
+    ends, which keeps containment, and then the modulus, the image of
+    the interval, which keeps it too.  A gap interval over a containing
+    interval that lies above (below) 0 does so over any interval in it.
+    """
+    k = W - _COARSE_W
+    if family != "michel" or k <= W.bit_length():
+        return _row(family, n, S, D, W, half, bits)
+    S_c = S >> k
+    coarse = _row(family, n, S_c, -(-(S + D) >> k) - S_c, _COARSE_W,
+                  ((half[0] >> k) - 2, -(-half[1] >> k)), bits)
+    if isinstance(coarse, InconclusiveError):
+        return _row(family, n, S, D, W, half, bits)
+    return _CoarseRow(family, n, coarse.holds, coarse._rhs, bits, (S, D, W, half))
+
+
 def _verdict_row(family: str, n: int, mid: tuple, lhs: tuple | None,
                  rhs: tuple | None, bits: int, where: str | None = None):
     """The verdict on a middle value in [lo, hi] / den (mid = (lo, hi, den))
@@ -282,7 +348,43 @@ def _verdict_row(family: str, n: int, mid: tuple, lhs: tuple | None,
     one rule: a _SweepRow, or an InconclusiveError named by ``where``
     (default "family at n=n") whose margin is the margin interval's end
     nearest 0, rounded toward 0, and whose envelope is the interval's
-    width, rounded up.  Each gap is an interval of integers over q den."""
+    width, rounded up.
+
+    The gaps mid - lhs and rhs - mid are the intervals of integers g over
+    q den of ``_gaps``.  The verdict needs only their signs, so it takes
+    the numerators g alone: each end of mid against p/q, times q, is
+    compared with p den.  A row that holds or fails builds its gaps on
+    first read (``_SweepRow.margin``).
+    """
+    lo, hi, den = mid
+    holds, fails = True, False
+    if lhs is not None:
+        p, q = lhs
+        p *= den
+        g = lo * q - p, hi * q - p
+        holds, fails = g[0] > 0, g[1] < 0
+    if rhs is not None:
+        p, q = rhs
+        p *= den
+        g = p - hi * q, p - lo * q
+        holds, fails = holds and g[0] > 0, fails or g[1] < 0
+    if holds or fails:
+        return _SweepRow(family, n, holds, mid, lhs, rhs, bits)
+    gaps = _gaps(mid, lhs, rhs)
+    lower, upper = (Fraction(*_margin_end(gaps, i)) for i in (0, 1))
+    near, width = min(lower, upper, key=abs), upper - lower
+    where = where or f"{family} at n={n}"
+    return InconclusiveError(
+        f"{where}: margin within the arithmetic envelope at {bits} bits",
+        family=family, n=n, margin=_toward_zero(near.numerator, near.denominator, bits),
+        envelope=BigFloat(libmp.from_rational(width.numerator, width.denominator,
+                                              bits, libmp.round_ceiling), bits),
+    )
+
+
+def _gaps(mid: tuple, lhs: tuple | None, rhs: tuple | None) -> list[tuple]:
+    """The gaps mid - lhs and rhs - mid, each an interval of integers over
+    q den: (lower, upper, q den)."""
     lo, hi, den = mid
     gaps = []
     if lhs is not None:
@@ -291,30 +393,22 @@ def _verdict_row(family: str, n: int, mid: tuple, lhs: tuple | None,
     if rhs is not None:
         p, q = rhs
         gaps.append((p * den - hi * q, p * den - lo * q, q * den))
-    if all(g[0] > 0 for g in gaps):
-        return _SweepRow(family, n, True, mid, lhs, rhs, gaps, bits)
-    if any(g[1] < 0 for g in gaps):
-        return _SweepRow(family, n, False, mid, lhs, rhs, gaps, bits)
-    lower, upper = _margin_ends(gaps)
-    width = upper - lower
-    where = where or f"{family} at n={n}"
-    return InconclusiveError(
-        f"{where}: margin within the arithmetic envelope at {bits} bits",
-        family=family, n=n, margin=_toward_zero(min(lower, upper, key=abs), bits),
-        envelope=BigFloat(libmp.from_rational(width.numerator, width.denominator,
-                                              bits, libmp.round_ceiling), bits),
-    )
+    return gaps
 
 
-def _margin_ends(gaps) -> tuple[Fraction, Fraction]:
-    """The exact ends of min(mid - lhs, rhs - mid) over the gap intervals."""
-    return (min(Fraction(g[0], g[2]) for g in gaps),
-            min(Fraction(g[1], g[2]) for g in gaps))
+def _margin_end(gaps: list[tuple], i: int) -> tuple[int, int]:
+    """(p, q) with p/q the lower (i = 0) or upper (i = 1) end of the margin
+    interval, min(mid - lhs, rhs - mid): the least g[i] / g[2] over the
+    gap intervals, compared across their positive denominators."""
+    p, q = gaps[0][i], gaps[0][2]
+    for g in gaps[1:]:
+        if g[i] * q < p * g[2]:
+            p, q = g[i], g[2]
+    return p, q
 
 
-def _toward_zero(q: Fraction, bits: int) -> BigFloat:
-    return BigFloat(libmp.from_rational(q.numerator, q.denominator, bits,
-                                        libmp.round_down), bits)
+def _toward_zero(p: int, q: int, bits: int) -> BigFloat:
+    return BigFloat(libmp.from_rational(p, q, bits, libmp.round_down), bits)
 
 
 def _nearest(p: int, q: int, bits: int) -> BigFloat:
@@ -323,8 +417,9 @@ def _nearest(p: int, q: int, bits: int) -> BigFloat:
 
 class _SweepRow(BoundReport):
     """A BoundReport of ``_verdict_row`` (every row and sandwich cell) that
-    keeps its exact integers and builds lhs, mid, rhs and margin as
-    BigFloats on their first read.
+    keeps its verdict and its exact integers, the middle value and the
+    bounds, and builds lhs, mid, rhs and margin as BigFloats on their first
+    read, margin from the gap intervals (``_gaps``).
 
     lhs and rhs are the exact bounds and mid the midpoint of the middle
     value's interval, each rounded to nearest.  margin is the end of the
@@ -333,9 +428,10 @@ class _SweepRow(BoundReport):
     """
 
     def __init__(self, family: str, n: int, holds: bool, mid: tuple,
-                 lhs: tuple | None, rhs: tuple | None, gaps: list, bits: int):
-        self.__dict__.update(family=family, n=n, holds=holds, _mid=mid, _lhs=lhs,
-                             _rhs=rhs, _gaps=gaps, _bits=bits)
+                 lhs: tuple | None, rhs: tuple | None, bits: int):
+        d = self.__dict__
+        d["family"], d["n"], d["holds"], d["_bits"] = family, n, holds, bits
+        d["_mid"], d["_lhs"], d["_rhs"] = mid, lhs, rhs
 
     @functools.cached_property
     def lhs(self) -> BigFloat | None:
@@ -352,8 +448,25 @@ class _SweepRow(BoundReport):
 
     @functools.cached_property
     def margin(self) -> BigFloat:
-        lower, upper = _margin_ends(self._gaps)
-        return _toward_zero(lower if self.holds else upper, self._bits)
+        end = _margin_end(_gaps(self._mid, self._lhs, self._rhs), 0 if self.holds else 1)
+        return _toward_zero(*end, self._bits)
+
+
+class _CoarseRow(_SweepRow):
+    """A Michel row that ``_sweep_row`` decided at the coarse fixed point:
+    the verdict is the row's at W, and the middle value at W is built by
+    ``_row`` from the sweep's (S, D, W, half) on the first read of mid or
+    margin."""
+
+    def __init__(self, family: str, n: int, holds: bool, rhs: tuple, bits: int,
+                 sweep: tuple):
+        d = self.__dict__
+        d["family"], d["n"], d["holds"], d["_bits"] = family, n, holds, bits
+        d["_lhs"], d["_rhs"], d["_sweep"] = None, rhs, sweep
+
+    @functools.cached_property
+    def _mid(self) -> tuple:
+        return _row(self.family, self.n, *self._sweep, self._bits)._mid
 
 
 def _check_families(families: list[str]) -> None:
@@ -375,7 +488,7 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
     W = _sweep_width(ctx)
     for _, S, D in _difference_sums(n, W):
         pass
-    row = _row(family, n, S, D, W, _half_ln_2pi_bracket(W), ctx.bits)
+    row = _sweep_row(family, n, S, D, W, _half_ln_2pi_bracket(W), ctx.bits)
     if isinstance(row, InconclusiveError):
         raise row
     return row
@@ -402,7 +515,7 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
     for n, S, D in _difference_sums(n_max, W):
         for family in families:
             if n >= FAMILY_MIN_N[family]:
-                yield _row(family, n, S, D, W, half, ctx.bits)
+                yield _sweep_row(family, n, S, D, W, half, ctx.bits)
 
 
 # -- the truncation sandwich ------------------------------------------------

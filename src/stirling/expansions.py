@@ -356,7 +356,7 @@ def _floor_series(ms: range, divisors, W: int) -> int:
 
     a_k as in ``_block_weights``: the j- and r-sums of the expansion
     become one sum over k, with one tail.  Every block is summed by the
-    same loop: r_0 = 2^(W+G), r_k = floor(r_(k-1) / c^2) =
+    same loop, ``_floor_terms``: r_0 = 2^(W+G), r_k = floor(r_(k-1) / c^2) =
     floor(2^(W+G) / c^(2k)), and floor(r_k / E_k) is added for each k until
     r_k = 0 or the E_k run out.  A lone m (h = 0) has G = 0 and E_k = d_k:
     it is the series floor(p_j / d_j), p_j = floor(2^W / m^(2j)), term for
@@ -413,12 +413,22 @@ def _floor_series(ms: range, divisors, W: int) -> int:
             g = (2 * h).bit_length()  # Lambda = 2^g
             top, weights = _block_weights(h, (c >> g).bit_length() - 1, divisors, W)
             r = 1 << top
-        q = c * c
-        for e in weights:
-            r //= q
-            if not r:
-                break
-            s += r // e
+        s += _floor_terms(r, c * c, weights)
+    return s
+
+
+def _floor_terms(r: int, q: int, weights) -> int:
+    """The loop of ``_floor_series`` for one block: the sum of
+    floor(r_k / E_k), r_k = floor(r_(k-1) / q) from r_0 = r, for the E_k of
+    weights in order until r_k = 0 or the weights run out.  A lone m is
+    (r, q, weights) = (2^W, m^2, divisors), the form in which
+    ``bounds._difference_sums`` sums one m per row."""
+    s = 0
+    for e in weights:
+        r //= q
+        if not r:
+            break
+        s += r // e
     return s
 
 

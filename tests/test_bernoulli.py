@@ -108,6 +108,24 @@ def test_a_recurrence_residual_exactly_zero():
         assert residual == 0
 
 
+def _a_by_fractions(K: int) -> list[Fraction]:
+    """a_0..a_K by the factorial recurrence, one Fraction sum per term."""
+    a = [Fraction(1)]
+    for m in range(1, K + 1):
+        a.append(-sum(a[j] / math.factorial(m + 1 - j) for j in range(m)))
+    return a
+
+
+def test_a_equals_the_fraction_recurrence_fresh_and_stepwise():
+    reference = _a_by_fractions(128)
+    fresh = BernoulliTable()
+    assert fresh.a(128) == reference[128]  # one extension, to k = 128
+    assert [fresh.a(k) for k in range(129)] == reference
+    stepped = BernoulliTable()  # extended at k = 1, 3, 7, ..., 127
+    for k in range(129):
+        assert stepped.a(k) == reference[k]
+
+
 def test_cap_enforced():
     t = BernoulliTable(cap=16)
     assert t.b(16) == KNOWN_B[16]

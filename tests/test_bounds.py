@@ -5,6 +5,7 @@ import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -331,7 +332,7 @@ def test_inconclusive_error_fields_michel(monkeypatch):
         "-0x1.6062369bd3db60606617c2b5eb17e3c39e16166a1186fa37be87b63e15043574p-19")
     assert exc.envelope.to_hex() == (
         "0x1.7bab42de9f42ca6ac5619a7bdea75eb40e8805c7e5bd989965fd1e046b17d434p-16")
-    rows = [r for r in bound_sweep(["michel"], 6, CTX)]
+    rows = list(bound_sweep(["michel"], 6, CTX))
     assert isinstance(rows[-1], InconclusiveError) and str(rows[-1]) == str(exc)
 
 
@@ -456,6 +457,60 @@ def _sweep_digest(n_max, bits):
 def test_bound_sweep_rows_pinned(bits):
     n_max, digest = SWEEP_DIGESTS[bits]
     assert _sweep_digest(n_max, bits) == digest
+
+
+@pytest.mark.parametrize("bits", [64, 128, 768])
+def test_michel_rows_are_decided_at_the_coarse_width(bits):
+    # a Michel row decided on its coarse interval builds its W-bit middle
+    # value on first read; the pinned digests cover those fields
+    rows = list(bound_sweep(["michel"], 300, PrecisionCtx(bits)))
+    assert all(isinstance(r, stirling.bounds._CoarseRow) for r in rows)
+    assert "_mid" not in vars(rows[-1])
+    rows[-1].margin
+    assert "_mid" in vars(rows[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st_.sampled_from([64, 128, 256, 768]),
+       n=st_.integers(min_value=3, max_value=FACTORIAL_CAP), data=st_.data())
+def test_michel_coarse_interval_contains_the_w_bit_one(bits, n, data):
+    # _sweep_row's containment lemma, for r_n's interval near 1/(12n) at any
+    # alignment to 2^-128 and any width up to the sweep's D: the coarse
+    # interval of r_n reaches at least 2 units of 2^-128 above the W-bit
+    # one and less than 2 below it, and Michel's middle value at 2^-128
+    # contains the one at W
+    W = _sweep_width(PrecisionCtx(bits))
+    half = _half_ln_2pi_bracket(W)
+    S = (1 << W) - half[1] - (1 << W) // (12 * n) + data.draw(st_.integers(0, 1 << (W - 100)))
+    D = data.draw(st_.integers(0, FACTORIAL_CAP * (bits + 32)))
+    real, seen = stirling.bounds._row, {}
+
+    def spy(family, n, S, D, W, half, bits):
+        row = real(family, n, S, D, W, half, bits)
+        # r_n's interval and Michel's middle value at 2^-W
+        seen[W] = ((1 << W) - half[1] - S - D, (1 << W) - half[0] - S), row._mid
+        return row
+
+    with mock.patch.object(stirling.bounds, "_row", spy):
+        stirling.bounds._sweep_row("michel", n, S, D, W, half, bits).mid
+    C = stirling.bounds._COARSE_W
+    k = W - C
+    ((x_c, y_c), (a, b, c)), ((x, y), (lo, hi, den)) = seen[C], seen[W]
+    assert x - (2 << k) < x_c << k <= x and y_c << k >= y + (2 << k)
+    assert a * den <= lo * c and hi * c <= b * den
+
+
+def test_michel_rows_fall_back_to_w_bit_for_bit(monkeypatch):
+    # at 2^-24 all but the first 15 Michel rows are inconclusive on their
+    # coarse interval and are judged at W; the sweep is the pinned one
+    monkeypatch.setattr(stirling.bounds, "_COARSE_W", 24)
+    n_max, digest = SWEEP_DIGESTS[128]
+    h, coarse = hashlib.sha256(), 0
+    for item in bound_sweep(list(FAMILY_MIN_N), n_max, CTX128):
+        h.update(repr(_row_fields(item)).encode() + b"\n")
+        coarse += isinstance(item, stirling.bounds._CoarseRow)
+    assert coarse == 15
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("n_max", [40, 300])
