@@ -183,9 +183,10 @@ def _half_ln_2pi_bracket(W: int) -> tuple[int, int]:
     """(lo, hi) with lo < 2^W (1/2) ln(2 pi) < hi.
 
     libmp's pi and log at p = W + 4 bits are each taken to within one ulp,
-    the allowance ``oracle`` takes for libmp's arctan.  pi~ in [2, 4) is
-    then within 2^(2-p) of pi, so ln(2 pi~) is within 2^(2-p)/3 of
-    ln(2 pi), and L = log(2 pi~) in [1, 2) is within 2^(1-p) more:
+    the allowance ``series._approximation`` and the remaining roundings of
+    ``oracle.lngamma_binet2`` take for every libmp operation.  pi~ in
+    [2, 4) is then within 2^(2-p) of pi, so ln(2 pi~) is within 2^(2-p)/3
+    of ln(2 pi), and L = log(2 pi~) in [1, 2) is within 2^(1-p) more:
     |L/2 - (1/2) ln(2 pi)| < 2^(1-p) = 2^-(W+3).  With t = floor(2^W L/2),
     2^W (1/2) ln(2 pi) lies in (t - 1/8, t + 9/8).
     """

@@ -13,7 +13,9 @@ j = -J_L..J_R, the triple
     t = phi(u),  G = floor(g 2^F),  p = max(64, wp + mag g + 8),
 
 with g = phi'(u) / (e^(2 pi t) - 1) the node's weight, F = wp + 32,
-2^(mag g - 1) <= g < 2^(mag g), and p the precision of the node's arctan.
+2^(mag g - 1) <= g < 2^(mag g), and p the precision the node's arctan
+needs; ``oracle._atan_fixed`` takes it in integer fixed point at p plus
+guard bits of its own.
 
 A node costs two exponentials and one division.  e^-u walks the grid by
 one product per node at cp = wp + 96 bits, t = exp(u - e^-u) is taken at
@@ -61,7 +63,7 @@ __all__ = ["half_line_nodes"]
 
 _CACHE: dict[tuple[int, int, int, int], tuple] = {}
 _CACHE_LOCK = threading.Lock()
-_ATAN_GUARD = 8  # bits of each node's arctan beyond what its weight needs
+_ATAN_GUARD = 8  # bits of a node's arctan precision p beyond what its weight needs
 _WEIGHT_GUARD = 8  # bits of each weight beyond those G keeps
 _LN_2PI = math.log(2 * math.pi)
 

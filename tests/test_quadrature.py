@@ -31,12 +31,17 @@ def grid(m, j_left, j_right):
     return list(range(j_right + 1)) + [-k for k in range(1, j_left + 1)]
 
 
+def kernel_calls(count_calls):
+    """The running count of calls to the Binet oracle's arctan kernel."""
+    return count_calls("_atan_fixed", module=stirling.oracle)["_atan_fixed"]
+
+
 def test_binet_budget_exhaustion(monkeypatch, count_calls):
     # at 256 bits the plan needs 352 nodes, so a cap of 100 fails before any
     # node table is built or any arctan taken
     monkeypatch.setattr(stirling.oracle, "BINET_MAX_NODES", 100)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
-    atan = count_calls("mpf_atan")["mpf_atan"]
+    atan = kernel_calls(count_calls)
     with pytest.raises(ConvergenceError):
         lngamma_binet2(5, PrecisionCtx(256))
     assert stirling.quadrature._CACHE == {}
@@ -79,12 +84,13 @@ def test_cold_table_takes_two_exponentials_and_one_division_per_node(
     # raw_expm1 takes its cubic series: a division in place of the exponential)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     stirling.oracle._binet_plan(bits)
-    counts = count_calls("mpf_exp", "mpf_div", "mpf_atan")
+    counts = count_calls("mpf_exp", "mpf_div")
+    atan = kernel_calls(count_calls)
     n = len(table(bits)[3])
     assert counts["mpf_exp"][0] <= 2 * n + 2
     assert counts["mpf_exp"][0] + counts["mpf_div"][0] <= 3 * n + 2
     assert counts["mpf_div"][0] <= n + n // 10
-    assert counts["mpf_atan"][0] == 0
+    assert atan[0] == 0
 
 
 def test_nodes_split_at_a_quarter_with_their_moments():
@@ -118,7 +124,8 @@ def test_moment_series_within_its_proven_bound(z, bits):
     z_raw = to_raw(z, wp)
     m, j_left, j_right, _ = table(bits)
     nodes, split, moments = half_line_nodes(wp, m, j_left, j_right)
-    series = stirling.oracle._moment_series(moments, z_raw, F)
+    num, den = libmp.to_rational(z_raw)
+    series = stirling.oracle._moment_series(moments, (den << F) // num, F)
     with mpmath.workprec(2 * F + 64):
         zm = mpmath.mpf(z_raw)
         exact = sum(G * mpmath.atan(mpmath.mpf(t) / zm) for t, G, _ in nodes[split:])
@@ -151,7 +158,7 @@ def test_small_z_reuses_the_unit_tables(count_calls):
     ctx = PrecisionCtx(256)
     lngamma_binet2(1, ctx)
     keys = set(stirling.quadrature._CACHE)
-    atan = count_calls("mpf_atan")["mpf_atan"]
+    atan = kernel_calls(count_calls)
     lngamma_binet2(1, ctx)
     at_one = atan[0]
     lngamma_binet2(Fraction(1, 1000), ctx)
@@ -160,14 +167,64 @@ def test_small_z_reuses_the_unit_tables(count_calls):
 
 
 def test_binet_loop_divides_once_per_evaluation(count_calls):
-    # 1/z is taken once and each node with t >= 1/4 multiplies by it; the
-    # series over the rest divides only integers
+    # 1/z is taken once, as the integer floor(2^F / z), and each node with
+    # t >= 1/4 takes its arctan from it in integer fixed point; the series
+    # over the rest divides only integers
     ctx = PrecisionCtx(256)
     lngamma_binet2(3, ctx)
-    counts = count_calls("mpf_div", "mpf_atan")
+    counts = count_calls("mpf_div")
+    atan = kernel_calls(count_calls)
     lngamma_binet2(Fraction(22, 7), ctx)
-    assert counts["mpf_atan"][0] == 148
+    assert atan[0] == 148
     assert counts["mpf_div"][0] <= 2
+
+
+def kernel_points(q):
+    """Arguments of the arctan kernel: every anchor n/128, 1 and 1 +- 2^-q
+    about the reflection, x < 2^-7 (n = 0), and x up to 2^20."""
+    points = [Fraction(n, 128) for n in range(129)]
+    points += [1 + Fraction(1, 2**q), 1 - Fraction(1, 2**q), 1 + Fraction(1, 2**(q // 2))]
+    points += [Fraction(1, 2**q), Fraction(3, 2**q), Fraction(1, 129), Fraction(255, 2**15)]
+    points += [Fraction(129, 128), Fraction(22, 7), Fraction(2**20 - 1, 3), Fraction(2**20)]
+    points += [Fraction(2**20, 1 + n) for n in (1, 127, 128, 1000, 2**20 - 1)]
+    return points
+
+
+@pytest.mark.parametrize("p", [64, 256, 768, 1024])
+def test_arctan_kernel_within_its_proven_bound(p):
+    # _atan_fixed against mpmath at q + 64 bits, with F = p + 26, the least
+    # the proof allows.  Against arctan of its own argument x = t X 2^-F it
+    # is within (q/28 + 11) 2^-q < 1.2 2^-p; against arctan(t/z), with X =
+    # floor(2^F / z), within the allowance 3.7 2^-p + 1.6 2^-F of the
+    # rounding part (see _binet_integral)
+    q = p + stirling.oracle._KERNEL_GUARD
+    F = p + 26
+    kernel = (q / 28 + 11) * mpmath.ldexp(1, -q)
+    assert kernel < 1.2 * mpmath.ldexp(1, -p)
+    allowance = 3.7 * mpmath.ldexp(1, -p) + 1.6 * mpmath.ldexp(1, -F)
+    for z in (Fraction(1), Fraction(22, 7), Fraction(10**6)):
+        X = (z.denominator << F) // z.numerator
+        for x in kernel_points(q):
+            t = libmp.from_rational(x.numerator, x.denominator, q + 64, libmp.round_nearest)
+            A = stirling.oracle._atan_fixed(t, X, F, p)
+            with mpmath.workprec(q + 64):
+                got, tm = mpmath.ldexp(A, -F), mpmath.mpf(t)
+                assert abs(got - mpmath.atan(tm * mpmath.ldexp(X, -F))) < kernel, (z, x)
+                assert abs(got - mpmath.atan(tm * z.denominator / z.numerator)) < allowance, (z, x)
+
+
+def test_cold_call_builds_no_libmp_arctan_anchors(monkeypatch):
+    # mpmath's mpf_atan builds its anchors by Newton's method once per
+    # process and power-of-two precision; the oracle's kernel takes its own
+    # ladder instead, so a cold call at a fresh precision adds none
+    cache = {}
+    monkeypatch.setattr(libmp.libelefun, "atan_taylor_cache", cache)
+    monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
+    stirling.oracle._atan_ladder.cache_clear()
+    ov = lngamma_binet2(Fraction(22, 7), PrecisionCtx(200))
+    assert ov.diagnostics["arctans"] > 0
+    assert stirling.oracle._atan_ladder.cache_info().currsize == 1
+    assert cache == {}
 
 
 ARCTANS = {256: 148, 768: 520}
@@ -179,13 +236,15 @@ def test_one_evaluation_takes_one_arctan_per_node(count_calls, bits, most):
     # t < 1/4 go into the series over the table's moments
     ctx = PrecisionCtx(bits)
     lngamma_binet2(3, ctx)
-    atan = count_calls("mpf_atan")["mpf_atan"]
+    atan = kernel_calls(count_calls)
+    libmp_atan = count_calls("mpf_atan")["mpf_atan"]
     for z in (Fraction(22, 7), Fraction(1, 1000), Fraction(10**20)):
         before = atan[0]
         ov = lngamma_binet2(z, ctx)
         assert atan[0] - before == ov.diagnostics["arctans"] == arctan_nodes(bits) == ARCTANS[bits]
         assert ov.diagnostics["nodes"] == len(table(bits)[3]) <= most
     assert ov.diagnostics["step_m"] == table(bits)[0]
+    assert libmp_atan[0] == 0
 
 
 @pytest.mark.parametrize("bits", [64, 256, 768])
