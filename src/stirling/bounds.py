@@ -62,7 +62,8 @@ from mpmath import libmp
 from .errors import DomainError, InconclusiveError, ValidityError
 from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
                      raw_expm1, to_raw)
-from .expansions import _floor_terms, mermin_partial_product
+from .expansions import mermin_partial_product
+from .fixed import _exp_bracket, _floor_terms
 from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
 from .series import _half_ln_2pi_raw, term_coefficient
 
@@ -199,15 +200,12 @@ def _half_ln_2pi_bracket(W: int) -> tuple[int, int]:
 def _difference_sums(n_max: int, W: int):
     """Yield (n, S, D) for n = 1..n_max, with sum_(k<n) d_k in [S, S + D) 2^-W.
 
-    d_k = r_k - r_(k+1) = (k + 1/2) ln(1 + 1/k) - 1 is, with m = 2k + 1, the
-    positive series sum_(j>=1) 1/((2j+1) m^(2j)).  It is summed by the loop
-    of ``_floor_series`` for a lone m, ``_floor_terms`` with q = m^2 and
-    d_j = 2j + 1, so the kernel's lemma puts d_k in [s_k, s_k + 2J_k - 1)
-    2^-W.  p_j = floor(2^W / q^j) is non-zero only
-    while q^j <= 2^W, and q >= 4^(b-1) for b = bitlen(m), so J_k - 1 <=
-    W // (2b - 2) and D adds 2 (W // (2b - 2)) + 1.  That is at most W + 1
-    for k = 1 and W/2 + 1 past it, both at most 2 wp and wp for W of
-    ``_sweep_width``, so D <= n wp <= CAP wp.
+    d_k = r_k - r_(k+1) = (k + 1/2) ln(1 + 1/k) - 1 = sum_(j>=1) 1/((2j+1)
+    m^(2j)), m = 2k + 1, is summed by ``fixed._floor_terms`` as a lone m of
+    ``fixed._floor_series``, whose bound puts it in [s_k, s_k + 2 L(m) + 1)
+    2^-W, L(m) = #{j >= 1 : m^(2j) <= 2^W} <= W // (2 bitlen(m) - 2).  So D
+    adds at most W + 1 for k = 1 and W/2 + 1 past it, at most 2 wp and wp
+    for W of ``_sweep_width``, and D <= n wp <= CAP wp.
     """
     divisors = range(3, W + 4, 2)  # q >= 9, and 9^((W + 2)/2) > 2^W
     one = 1 << W
@@ -220,29 +218,6 @@ def _difference_sums(n_max: int, W: int):
         yield n, S, D
 
 
-def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
-    """(e_lo, e_hi) with e_lo <= 2^W e^x <= e_hi for x in [lo, hi] 2^-W,
-    0 <= lo <= hi < 2^W / 12.
-
-    The fixed-point Taylor series t_0 = 2^W, t_j = floor(t_(j-1) lo 2^-W / j)
-    (two floors, as floor(floor(a)/j) = floor(a/j)), summed to the first
-    t_J = 0, gives s.  With x = lo 2^-W and T_j = 2^W x^j / j!, t_j <= T_j,
-    and delta_j = T_j - t_j < delta_(j-1) x / j + 1 < delta_(j-1) / 12 + 1,
-    so delta_j < 12/11.  T_J = delta_J, and the tail past it is below
-    (12/11)^2 < 1.2 as x < 1/12.  So 2^W e^x lies in [s, s + 12(J - 1)/11
-    + 1.2) within [s, s + 2J), and as e^y <= 1 + 2y for 0 <= y <= 1,
-    e^(hi 2^-W) <= (s + 2J) (1 + 2 (hi - lo) 2^-W).
-    """
-    s = t = 1 << W
-    j = 0
-    while t:
-        j += 1
-        t = (t * lo >> W) // j
-        s += t
-    top = s + 2 * j
-    return s, -(-top * ((1 << W) + 2 * (hi - lo)) >> W)
-
-
 def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
          bits: int):
     """The row of ``family`` at n, given sum_(k<n) d_k in [S, S + D) 2^-W
@@ -251,7 +226,7 @@ def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
     The middle value is kept as [lo, hi] / den and every bound as an exact
     rational p/q.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k, and Hummel's
     r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.  Michel's
-    e^(r_n) is bracketed by ``_exp_bracket``, as r_n < r_1 < 1/12.  The
+    e^(r_n) is bracketed by ``fixed._exp_bracket``, as r_n < r_1 < 1/12.  The
     row keeps these exact integers and builds its published fields on
     their first read (``_SweepRow``); ``_sweep_row`` judges Michel's row
     first at a coarser fixed point.

@@ -31,25 +31,19 @@ Four independent routes are implemented:
   partial product from n to K sits within 1/(12K) of r_n.  With m = 2k + 1
   the log of one factor is m atanh(1/m) - 1 = sum_{j>=1} 1/((2j+1) m^(2j)),
   a series of positive terms: the partial product is summed by the same
-  integer fixed-point kernel as Feller's constant, and rounded once.  From
-  a few hundred m on (a few thousand at 1024 bits) the kernel sums each
-  block of 2h + 1 consecutive m = c + 2i as one positive series in 1/c^2,
-  whose coefficients come from the exact power sums sum_(|i|<=h) i^r and
-  need no Bernoulli number: at 256 bits K = 10^5 costs about 600 series
-  instead of 10^5.
+  integer fixed-point kernel as Feller's constant (``fixed._floor_series``,
+  which sums blocks of consecutive m as one series each), and rounded once.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from mpmath import libmp
 
 from .errors import DomainError
+from .fixed import _floor_series
 from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
                      _sum_up, _ulp_raw, raw_log1p, to_raw)
 from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
@@ -220,17 +214,15 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
         a_k - b_k = 1 - [(k + 1/2) ln(1 + x) - (k - 1/2) ln(1 - x)]
                   = sum_{j>=1} x^(2j) / (2j (2j + 1)),
     a series of positive terms, so nothing cancels.  It is summed over the
-    even m = 2k, k = 1..K, by ``_floor_series`` with d_j = 2j (2j + 1), so
-    the sum lies in [s, s + D) 2^-W.  From m0 = max(2W, W^2/300) on
-    (``_block_plan``) the kernel sums blocks of consecutive m as one
-    positive series each, from exact power sums, and a block's share of D
-    is at most what its m would add one by one.  An m alone adds at most W/2 terms, as 4^j >
-    2^W past that, so D <= K (W + 1) <= K (wp + 64) whenever
-    K (wp + 64) < 2^58, which K <= TERMS_CAP keeps for any wp < 2^37.  The
-    sum is at least a_1 - b_1 > 1/24 > 2^-5, so W = wp + 5 +
-    bitlen(K (wp + 64)) keeps its error below 2^-wp relative, for the
-    working precision wp = ctx.wprec() = bits + 32.  I(1/2) is then
-    subtracted at wp, and the result rounded once to ctx.
+    even m = 2k, k = 1..K, by ``fixed._floor_series`` with d_j = 2j (2j +
+    1), so the sum lies in [s, s + D) 2^-W, D at most what the m would add
+    one by one.  An m alone adds at most W/2 terms, as 4^j > 2^W past that,
+    so D <= K (W + 1) <= K (wp + 64) whenever K (wp + 64) < 2^58, which
+    K <= TERMS_CAP keeps for any wp < 2^37.  The sum is at least a_1 - b_1
+    > 1/24 > 2^-5, so W = wp + 5 + bitlen(K (wp + 64)) keeps its error
+    below 2^-wp relative, for the working precision wp = ctx.wprec() =
+    bits + 32.  I(1/2) is then subtracted at wp, and the result rounded
+    once to ctx.
 
     The result is within one ulp at ctx.bits of the partial sum, 2^-bits:
     the partial sum lies in [0.89, 0.92], so each step of the last one at
@@ -248,188 +240,6 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     s = _floor_series(range(2, 2 * K + 1, 2), divisors, W)
     total = libmp.from_man_exp(s, -W)
     return BigFloat.from_raw(libmp.mpf_sub(total, _i_half_raw(wp), wp, _RND), ctx)
-
-
-@functools.lru_cache(maxsize=None)
-def _block_plan(W: int) -> tuple[int, int, int]:
-    """(m0, rho, K) for ``_floor_series`` at W: blocks of more than one m
-    are formed only from m0 = max(2W, W^2 / 300) on, each keeps c >= 2^rho
-    Lambda with rho = 6, and so none takes more than K = W // (2 rho)
-    weights.
-
-    The weights of a new h pay for themselves only over enough m, and they
-    cost more against the m they replace as W grows, so blocks begin later
-    at high W.  The constants were measured on the pure-Python backend,
-    summing 10^3 to 10^5 values of m at W = 120 to 1100: with m0 = 2W at
-    W = 830, 10^3 values of m took 20-40% longer than one at a time.
-    rho = 5 was faster at W = 120 but up to 25% slower from W = 830 on, and
-    rho = 7 was slower at W <= 330 and no faster above.
-    """
-    rho = 6
-    return max(2 * W, W * W // 300), rho, W // (2 * rho)
-
-
-def _blocks(ms: range, W: int):
-    """Yield (c, h) for ms, a range of step 2, cut in order into blocks of
-    the 2h + 1 values m = c + 2i, |i| <= h: a lone m (h = 0) below the m0
-    of ``_block_plan``, else the widest block with Lambda = 2h + 2 a power
-    of two, at least 4, that fits in what is left of ms and keeps c =
-    m + Lambda - 2 >= 2^rho Lambda, that is Lambda <= (m - 2) // (2^rho - 1)."""
-    m0, rho, _ = _block_plan(W)
-    m, left = ms.start, len(ms)
-    while left:
-        fit = min(left + 1, (m - 2) // ((1 << rho) - 1)) if m >= m0 else 0
-        h = (1 << (fit.bit_length() - 2)) - 1 if fit >= 4 else 0
-        yield m + 2 * h, h
-        m += 4 * h + 2
-        left -= 2 * h + 1
-
-
-def _even_power_sums(h: int, R: int) -> list[int]:
-    """[S_0, S_2, ..., S_R], S_r = sum_(|i|<=h) i^r, exactly, for even R.
-
-    Summing (i + 1)^(r+1) - i^(r+1) over i = -h..h telescopes to
-    (h + 1)^(r+1) + h^(r+1) for even r; by the binomial theorem the same sum
-    is sum_(k<=r) C(r+1, k) S_k, in which the odd S_k vanish by symmetry.
-    So each S_r follows from the even ones before it, with no Bernoulli
-    number.  (S_r = 2 T_r for T_r = sum_(i=1..h) i^r and r >= 2; the
-    one-sided recurrence (h + 1)^(r+1) - 1 = sum_(k<=r) C(r+1, k) T_k needs
-    the odd T_k too, and took twice as long.)
-    """
-    S = [2 * h + 1]
-    for r in range(2, R + 1, 2):
-        t = (h + 1) ** (r + 1) + h ** (r + 1)
-        binom = 1  # C(r + 1, k)
-        for k in range(0, r, 2):
-            t -= binom * S[k >> 1]
-            binom = binom * (r + 1 - k) * (r - k) // ((k + 1) * (k + 2))
-        S.append(t // (r + 1))
-    return S
-
-
-@functools.lru_cache(maxsize=16)
-def _binomial_rows(divisors, K: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(lcm_k, (C(2k - 1, 2i) lcm_k / d_(k-i) for i < k)) for k = 1..K, with
-    lcm_k = lcm(d_1..d_k): the part of ``_block_weights`` that is the same
-    for every h."""
-    rows, lcm = [], 1
-    for k in range(1, K + 1):
-        lcm = math.lcm(lcm, divisors[k - 1])
-        rows.append((lcm, tuple(math.comb(2 * k - 1, 2 * i) * (lcm // divisors[k - i - 1])
-                                for i in range(k))))
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=128)
-def _block_weights(h: int, t: int, divisors, W: int) -> tuple[int, tuple[int, ...]]:
-    """(W + G, (E_1..E_K)) for a block of half-width h >= 1 whose centre
-    has c / Lambda >= 2^t, Lambda = 2h + 2 = 2^g, at W: ``_floor_series``
-    starts it from 2^(W+G) and divides by E_k for term k.
-
-    K = W // (2t), G = W + 2K max(0, g - t) and E_k = ceil(2^G / a_k), with
-
-        a_k = sum_(j=1..k) C(2k - 1, 2k - 2j) 2^(2k-2j) S_(2k-2j) / d_j
-
-    and S_r from ``_even_power_sums``.  They depend on h and t, not on c,
-    so one tuple serves every block of that h and t; divisors is a range
-    or a tuple.
-    """
-    K = W // (2 * t)
-    G = W + 2 * K * max(0, (2 * h).bit_length() - t)
-    scaled = [s << (2 * i) for i, s in enumerate(_even_power_sums(h, 2 * K - 2))]
-    rows = _binomial_rows(divisors, _block_plan(W)[2])[:K]
-    # sum(row * scaled) is lcm_k a_k
-    return W + G, tuple(-(-(lcm << G) // sum(map(mul, row, scaled))) for lcm, row in rows)
-
-
-def _floor_series(ms: range, divisors, W: int) -> int:
-    """s, in units of 2^-W, at most and within D of the sum over m in ms of
-    sum_(j>=1) 2^W / (m^(2j) d_j), for ms a range of step 2 and d_j the
-    j-th of divisors, a range or a tuple.
-
-    ``_blocks`` cuts ms into blocks of the 2h + 1 values m = c + 2i,
-    |i| <= h.  Expanding (c + 2i)^(-2j) = c^(-2j) (1 + 2i/c)^(-2j) as a
-    binomial series, the odd powers of i cancel over the block, and
-    gathering the powers of c gives one series of positive terms,
-
-        sum_(|i|<=h) sum_j (c + 2i)^(-2j) / d_j = sum_(k>=1) a_k c^(-2k),
-
-    a_k as in ``_block_weights``: the j- and r-sums of the expansion
-    become one sum over k, with one tail.  Every block is summed by the
-    same loop, ``_floor_terms``: r_0 = 2^(W+G), r_k = floor(r_(k-1) / c^2) =
-    floor(2^(W+G) / c^(2k)), and floor(r_k / E_k) is added for each k until
-    r_k = 0 or the E_k run out.  A lone m (h = 0) has G = 0 and E_k = d_k:
-    it is the series floor(p_j / d_j), p_j = floor(2^W / m^(2j)), term for
-    term.  A block with h >= 1 takes G and E_k = ceil(2^G / a_k) from
-    ``_block_weights``.  ms may be long: only its blocks are read, and no
-    list of its values is built.
-
-    Lemma.  Let every m >= 2 and every d_j >= 3, with so many divisors
-    listed that 4^len > 2^W, and let every block with h >= 1 keep c >=
-    2^rho Lambda, Lambda = 2h + 2, for a rho >= 5 (``_block_plan``).  Then
-    the exact sum, over the list of divisors or over any longer sequence
-    of divisors >= 3 that starts with it, lies in [s, s + D), D the sum
-    over blocks of 2K - 1, where K - 1 = L(c / Lambda) for a block and
-    L(v) = #{k >= 1 : v^(2k) <= 2^W} (Lambda = 1 for h = 0).  And a block
-    loses no more than its m would one by one: 2K - 1 <= sum over its m of
-    (2 L(m) + 1).
-
-    Proof, in units of 2^-W.  Term k of a block is T_k = 2^W a_k / c^(2k).
-      - a_k <= Lambda^(2k) / 3, as every d_j >= 3 and (2i)^r <= (2h)^r:
-        a_k <= ((2h + 1)/3) sum over even r < 2k of C(2k - 1, r) (2h)^r <=
-        (2h + 1)^(2k) / 3.  So T_k <= 2^W u^k / 3 for u = (Lambda / c)^2,
-        with u = 1/m^2 <= 1/4 for h = 0 and u <= 2^(-2 rho) for h >= 1.
-      - K - 1 = L(v), v = c / Lambda, counts the k with 2^W u^k >= 1.  The
-        terms from k = K on lose at most themselves, as each is added as a
-        floor between 0 and T_k (or not at all): less than (1/3) 2^W u^K /
-        (1 - u) < (1/3)(4/3) < 1 together.
-      - Each k < K is added.  For h = 0, r_k >= 1 while m^(2k) <= 2^W, and
-        4^len > 2^W gives K - 1 <= len.  For h >= 1, let 2^t <= v < 2^(t+1)
-        (t >= rho); then K - 1 <= W / (2t), within the weights, and
-        c^(2k) <= 2^(W + 2gk) <= 2^(W+G) keeps r_k >= 1, as G >= 2gk.
-      - Such a term loses less than 2.  With R_k = 2^(W+G) / c^(2k) and
-        r_k = floor(R_k), T_k = R_k a_k / 2^G, and floor(r_k / E_k) <= r_k
-        a_k / 2^G <= T_k, so nothing is added in excess.  The loss is below
-        (R_k - r_k) a_k / 2^G + r_k (a_k / 2^G - 1 / E_k) + 1.  For h = 0,
-        G = 0 and E_k = 1/a_k = d_k, so that is below 1/3 + 1.  For h >= 1,
-        a_k / 2^G <= Lambda^(2k) / (3 2^G) <= 1/3, and E_k < 2^G / a_k + 1
-        gives a_k / 2^G - 1/E_k < (a_k / 2^G)^2, so the middle part is below
-        T_k a_k / 2^G <= 2^(W - 2tk + 2gk - G) / 9 <= 1/9, as G >= W +
-        2k (g - t).  So a block loses less than 2(K - 1) + 1 = 2K - 1.
-      - Comparison, h >= 1.  v >= 2^rho >= 32, and the lambda = 2h + 1 =
-        Lambda - 1 >= 3 values of m are below c + Lambda <= (33/32) c.  As
-        32^(Lambda - 3) >= (33 Lambda / 32)^2 for Lambda >= 4, (c + 2h)^2 <
-        v^2 32^(Lambda - 3) <= v^lambda.  So B = W / (2 log2(c + 2h)) >
-        2 L(v) / lambda, and with b = floor(B), 2 L(v) < lambda (b + 1).
-        Hence 2K - 1 = 2 L(v) + 1 <= lambda (b + 1) <= lambda (2b + 1), at
-        most the sum of 2 L(m) + 1 over the block, as L(m) >= b for every
-        m <= c + 2h.
-    """
-    one = 1 << W
-    s = 0
-    for c, h in _blocks(ms, W):
-        r, weights = one, divisors
-        if h:
-            g = (2 * h).bit_length()  # Lambda = 2^g
-            top, weights = _block_weights(h, (c >> g).bit_length() - 1, divisors, W)
-            r = 1 << top
-        s += _floor_terms(r, c * c, weights)
-    return s
-
-
-def _floor_terms(r: int, q: int, weights) -> int:
-    """The loop of ``_floor_series`` for one block: the sum of
-    floor(r_k / E_k), r_k = floor(r_(k-1) / q) from r_0 = r, for the E_k of
-    weights in order until r_k = 0 or the weights run out.  A lone m is
-    (r, q, weights) = (2^W, m^2, divisors), the form in which
-    ``bounds._difference_sums`` sums one m per row."""
-    s = 0
-    for e in weights:
-        r //= q
-        if not r:
-            break
-        s += r // e
-    return s
 
 
 # -- Marsaglia-Marsaglia ----------------------------------------------------
@@ -617,12 +427,9 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
 
     With m = 2k + 1 each summand is m atanh(1/m) - 1, the positive series
     sum_{j>=1} 1/((2j+1) m^(2j)), summed over the odd m = 2n+1..2K+1 by
-    ``_floor_series`` with d_j = 2j + 1, so the sum lies in [s, s + D) 2^-W.
-    From m0 = max(2W, W^2/300) on (``_block_plan``) the kernel sums blocks
-    of consecutive m as one positive series each, from exact power sums and
-    no Bernoulli number, and a block's share of D is at most what its m
-    would add one by one.  The sum
-    is at least its first term 1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
+    ``fixed._floor_series`` with d_j = 2j + 1, so the sum lies in [s, s +
+    D) 2^-W, D at most what the m would add one by one.  The sum is at
+    least its first term 1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
     W = wp + bitlen(D) with wp = ctx.wprec() + 2 bitlen(2n+1) + 2 puts that
     error below 2^-ctx.wprec() = 2^-(bits + 32) relative to the result,
     which is rounded once.

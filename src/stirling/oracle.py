@@ -8,14 +8,13 @@ module: the integral representation
 (Binet's second formula) is evaluated by one trapezoidal sum at the step
 h = 1/m on the half-line map t = exp(u - e^-u) (``quadrature``); z < 1 is
 taken through ln Gamma(z) = ln Gamma(z + 1) - ln z, so the quadrature only
-sees z >= 1 and sums its nodes with t < 1/4 as one arctan series in 1/z
-over moments kept with the node table.  The other nodes take their
-arctans in integer fixed point, by a Taylor series about the nearest
-anchor arctan(n/128) of one ladder per precision (Brent & Zimmermann,
-Modern Computer Arithmetic, 2010, ch. 4).  A bound on the discretisation
-error proven on the strip |Im u| < d = 4/5, uniform in z >= 1, picks m once
-per precision, and closed-form bounds, also uniform in z, pick the two ends
-of the sum and cover the terms past them.  The limit definition
+sees z >= 1, and its sum is taken in integer fixed point (``fixed``): the
+nodes with t < 1/4 as one arctan series in 1/z over moments kept with the
+node table, each other node's arctan from a ladder of anchors
+arctan(n/128).  A bound on the discretisation error proven on the strip
+|Im u| < d = 4/5, uniform in z >= 1, picks m once per precision, and
+closed-form bounds, also uniform in z, pick the two ends of the sum and
+cover the terms past them.  The limit definition
 
     Gamma(z) = lim n! n^z / (z (z+1) ... (z+n))
 
@@ -50,6 +49,7 @@ from mpmath import libmp
 from .errors import ConvergenceError, DomainError
 from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
                      _require_positive, _sum_up, _ulp_raw, raw_expm1, raw_log1p, to_raw)
+from .fixed import _atan_fixed, _moment_series
 from .quadrature import half_line_nodes
 
 __all__ = [
@@ -311,74 +311,6 @@ def _binet_plan(bits: int):
             libmp.to_int(t_end) + 2)
 
 
-_KERNEL_GUARD = 12  # bits of the arctan kernel beyond a node's precision p
-
-
-def _atan_series(D: int, q: int) -> int:
-    """arctan(D 2^-q) in units of 2^-q, for 0 <= D 2^-q <= 2^-7, two terms
-    of its Taylor series a product: s0 - floor(s1 D2 2^-q) with s0 = sum_j
-    floor(P_j / (4j+1)), s1 = sum_j floor(P_j / (4j+3)), P_0 = D, P_(j+1) =
-    floor(P_j D4 2^-q), D2 = floor(D^2 2^-q), D4 = floor(D2^2 2^-q), until
-    P_j is 0 (see ``_binet_integral``)."""
-    D2 = (D * D) >> q
-    D4 = (D2 * D2) >> q
-    s0 = s1 = 0
-    P, k = D, 1
-    while P:
-        s0 += P // k
-        s1 += P // (k + 2)
-        P = (P * D4) >> q
-        k += 4
-    return s0 - ((s1 * D2) >> q)
-
-
-@functools.lru_cache(maxsize=None)
-def _atan_ladder(L: int) -> tuple:
-    """(A_0, ..., A_128), A_n ~ arctan(n/128) 2^L, each from the one before
-    by arctan((n+1)/128) = arctan(n/128) + arctan(128 / (128^2 + n^2 + n)),
-    a series in an argument at most 2^-7."""
-    ladder = [0]
-    for n in range(128):
-        ladder.append(ladder[-1] + _atan_series((1 << (L + 7)) // (16384 + n * n + n), L))
-    return tuple(ladder)
-
-
-def _atan_fixed(t, X: int, F: int, p: int) -> int:
-    """arctan(t X 2^-F) in units of 2^-F, for a raw t > 0, worked in
-    integer fixed point at q = p + _KERNEL_GUARD bits from the ladder at
-    F + 16 (see ``_binet_integral``)."""
-    q, L = p + _KERNEL_GUARD, F + 16
-    ladder = _atan_ladder(L)
-    _, man, exp, _ = t
-    shift = exp - F + q
-    y = man * X << shift if shift >= 0 else (man * X) >> -shift
-    flip = y > 1 << q  # arctan x = pi/2 - arctan(1/x)
-    if flip:
-        y = (1 << 2 * q) // y
-    n = y >> (q - 7)
-    r = y - (n << (q - 7))
-    a = (ladder[n] >> (L - q)) + _atan_series((r << (q + 7)) // ((1 << (q + 7)) + y * n), q)
-    if flip:
-        a = (ladder[128] >> (L - q - 1)) - a
-    return a << (F - q)
-
-
-def _moment_series(moments, X: int, F: int) -> int:
-    """sum_k (-1)^k floor(S_k Z_k / (2k+1)) over the table's moments S_k,
-    with Z_0 = X = floor(2^F / z) and Z_k ~ z^-(2k+1) 2^F, until a term is
-    0: the sum of the nodes with t < 1/4 in units of 2^-2F, for z >= 1 (see
-    ``_binet_integral``)."""
-    X2 = (X * X) >> F
-    acc, Z = 0, X
-    for k, S in enumerate(moments):
-        term = S * Z // (2 * k + 1)
-        if not term:
-            break
-        acc += -term if k & 1 else term
-        Z = (Z * X2) >> F
-    return acc
-
-
 def _binet_integral(z_raw, bits: int):
     """(2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt, counts, parts
     of its error bound), the value and parts raw; counts holds the table's
@@ -388,17 +320,10 @@ def _binet_integral(z_raw, bits: int):
     The plan (``_binet_plan``) is fixed before any node is built, so a
     table longer than BINET_MAX_NODES fails at once.  The estimate is
     2 h sum_j G A 2^-2F over the table of ``quadrature.half_line_nodes``,
-    h = 1/m, and these parts bound its distance from 2 * integral:
-      - discretisation: the sum over all of Z against the integral
-        (``_binet_discretisation_bound``),
-      - truncation: the terms past either end of the table
-        (``_binet_plan``),
-      - node_error: exact terms at the computed nodes t~ against those at
-        t = phi(jh), (1 + 7 t_max) 2^-(wp+2),
-      - rounding: the fixed-point sum of the computed weights and arctans.
-    The last two are proven below.  The N_s nodes with t~ < 1/4 take no
-    arctan of their own: their terms are summed as one series over
-    the table's moments, which the rounding proof covers as well.
+    h = 1/m, and the parts that ``lngamma_binet2`` lists bound its distance
+    from 2 * integral.  The node error, of the exact terms at the computed
+    nodes t~ against those at t = phi(jh), and the rounding, of the
+    fixed-point sum, are proven here.
 
     Node error.  Let k(t) = t arctan(t/z) / (e^(2 pi t) - 1), so that the
     exact term is F(jh) = (1 + e^-u) k(t) at u = jh.  d ln k / d ln t lies
@@ -410,21 +335,23 @@ def _binet_integral(z_raw, bits: int):
     = 1 - ln(2 pi)/2.  So the node error of 2 * estimate is under
     0.247 (1 + 2 pi t_max) 2^-wp.
 
-    Rounding.  Each node with its own arctan adds G A to one integer, the
-    series below adds the rest, and A is ``_atan_fixed`` at x = t~ X 2^-F,
-    X = floor(2^F / z) taken once per evaluation for both.  The estimate
-    is the exact dyadic rational 2 acc 2^-2F / m, rounded to wp once.  Let
-    a = arctan(t~/z) and g~ the weight before G = floor(g~ 2^F).  Then 0
-    <= t~/z - x < t~ 2^-F, and as arctan has slope at most 1, |arctan x -
-    a| < t~ 2^-F < 2^-8 2^-p, while |A 2^-F - arctan x| < 1.2 2^-p (the
-    kernel, below).  So |A 2^-F - a| < 3.7 2^-p + 1.6 2^-F.  The middle
-    step needs t~ < 2^18 and p <= F - 26.  Every t~ is at most T = phi(J_R
-    h) (1 + 3 2^-wp): if J_R > 0, the bound of ``_binet_plan`` at J_R - 1
-    exceeds 2^-(bits+32), so T' = phi((J_R - 1) h) < (bits + 34) ln 2 /
-    (2 pi), and T / T' <= e^(2h) <= e^2, so T < bits + 34; if J_R = 0, T =
-    1/e.  A node with t~ >= 1/4 has u > -1/4 (phi(-1/4) < 0.216), so g~ <
-    (1 + e^(1/4)) (1/4) / (e^(pi/2) - 1) < 0.15 and mag g~ <= -2, which
-    puts p = max(64, wp + mag g~ + 8) at most wp + 6 = F - 26.
+    Rounding.  Each node with its own arctan adds G A to one integer, A =
+    ``fixed._atan_fixed`` at x = t~ X 2^-F, X = floor(2^F / z) taken once
+    per evaluation, at the precision p = max(64, wp + bitlen(G) - F + 8) =
+    max(64, wp + mag g~ + 8) it takes from G >= 1 (a node with G = 0 adds
+    0); the series over the moments adds the rest.  The estimate is the
+    exact dyadic rational 2 acc 2^-2F / m, rounded to wp once.  Let a =
+    arctan(t~/z) and g~ the weight before G = floor(g~ 2^F).  Then 0 <=
+    t~/z - x < t~ 2^-F, so |arctan x - a| < t~ 2^-F < 2^-8 2^-p, and the
+    kernel puts A 2^-F within 1.2 2^-p of arctan x (q = p + 12 <= F - 14,
+    q < 2^17 + 82), so |A 2^-F - a| < 3.7 2^-p + 1.6 2^-F.  This needs t~ <
+    2^18 and p <= F - 26.  Every t~ is at most T = phi(J_R h) (1 + 3
+    2^-wp): if J_R > 0, the bound of ``_binet_plan`` at J_R - 1 exceeds
+    2^-(bits+32), so T' = phi((J_R - 1) h) < (bits + 34) ln 2 / (2 pi), and
+    T / T' <= e^(2h) <= e^2, so T < bits + 34; if J_R = 0, T = 1/e.  A node
+    with t~ >= 1/4 has u > -1/4 (phi(-1/4) < 0.216), so g~ < (1 + e^(1/4))
+    (1/4) / (e^(pi/2) - 1) < 0.15 and mag g~ <= -2: p <= wp + 6 = F - 26,
+    as the table's F is wp + 32.
     With 0 <= g~ - G 2^-F < 2^-F, |g~ - g^| < 2^-(F+4) for the weight g^ at
     t~ (``quadrature``) and 0 <= a < pi/2,
 
@@ -438,58 +365,11 @@ def _binet_integral(z_raw, bits: int):
     is off by at most 2 h N eps, and rounding it to wp adds less than one
     ulp of 2 * integral at wp.
 
-    The kernel.  ``_atan_fixed`` works on integers in units of u = 2^-q,
-    q = p + 12, and each floor in it loses less than u; arctan moves by
-    no more than its argument does.
-      - x' = floor(t~ X 2^(q-F)) u is within u of x.
-      - If x' > 1, arctan x' = pi/2 - arctan(1/x'), and y = floor(2^2q u /
-        x') u is within u of 1/x' < 1; else y = x'.  So 0 <= y <= 1.
-      - n = floor(128 y), c = n/128, arctan y = arctan c + arctan d with
-        d = (y - c) / (1 + y c) in [0, 2^-7), and d' = floor(d/u) u is
-        formed from the integers of y and n by one division.
-      - arctan d' comes from ``_atan_series``, within (q/28 + 5) u (next).
-      - arctan c is the ladder's A_n at L = F + 16 bits floored to q, and
-        pi/2 is 2 A_128 floored likewise, each within u + 2 lambda, lambda
-        the ladder's error.
-    That is (q/28 + 10) u + 4 lambda in all.  Its series: every floor
-    rounds down, so with D2 = floor(d'^2/u), D4 = floor(D2^2 u) and P_j u
-    = d'^(4j+1) - e_j, 0 <= e_(j+1) < d'^4 e_j + 2^-7 (1 + 2^-13) u + u,
-    and 0 <= e_j < 1.01 u.  P_j >= 1 needs 2^-7(4j+1) > u, so the loop
-    runs J < q/28 + 1 times.  s0 is off by less than sum_(1<=j<J) (1 +
-    1.01/(4j+1)) u < (J + 1.7) u, the terms from d'^(4J+1) on add less
-    than e_J / 5 < 0.21 u, and floor(s1 D2 u) is off by less than 1.6 u,
-    as its errors (s1 off by less than J + 3) are carried at d'^2 <=
-    2^-14.  The ladder: A_0 = 0, and A_(n+1) = A_n plus the series at L
-    bits of s = floor(2^(L+7) / (128^2 + n^2 + n)) 2^-L, so lambda < 128
-    (L/28 + 6) 2^-L < 2^-9 u, as q <= F - 14 = L - 30 and L < 2^18.  With
-    q < 2^17 + 82 (p <= wp + 6 and bits < 2^17), (q/28 + 11) u < 1.2 2^-p.
-
-    The series.  For x = 1/z <= 1, gamma = G 2^-F < 2^18 and t~ < 1/4,
-    sum gamma arctan(t~ x) over the N_s nodes is the alternating series
-    E = sum_k (-1)^k s_k x^(2k+1) / (2k+1), s_k = sum gamma t~^(2k+1),
-    and s_(k+1) <= s_k / 16.  It adds c_k = floor(S_k Z_k / (2k+1)) 2^-2F
-    with signs for k < K, the first k whose term is 0, where S_k 2^-F =
-    sigma_k are the moments of ``quadrature`` and Z_k 2^-F = w_k, Z_0 = X
-    = floor(2^F x), Z_(k+1) = floor(Z_k X2 2^-F), X2 = floor(X^2 2^-F).
-    Each floor, a step of a moment among them, loses less than 2^-F
-    (2^-2F in c_k), and all of them round down, so:
-      - per node, 0 <= gamma t~^(2k+1) - p_k < (gamma + 3) 2^-F for its
-        share p_k of sigma_k.  It holds at k = 0, and each step carries
-        the error times t~^2 < 1/16, adds p_k (t~^2 - T2 2^-F) < (gamma/4)
-        (3/2) 2^-F and its own loss.  Summed, 0 <= s_k - sigma_k < Delta =
-        N_s (2^18 + 3) 2^-F.
-      - likewise 0 <= x^(2k+1) - w_k < (4k + 1) 2^-F, as x^2 - X2 2^-F <
-        3 2^-F, so 0 <= s_k x^(2k+1) - sigma_k w_k < Delta + 2 (2k + 1)
-        s_k 2^-F.
-      - a term is non-zero only if sigma_k >= 2^-F, while s_k < N_s 2^18
-        4^-(2k+1) and N_s < 2^16, so K < (F + 36)/4 < 2^16 and
-        sum_(k<K) 1/(2k+1) < 1 + ln(2K)/2 < 7.
-      - the terms of E fall, so E past K is at most s_K x^(2K+1) / (2K+1)
-        < 2^-2F + Delta + 2 s_K 2^-F, as term K is 0.
-    With sum_k s_k <= (16/15) N_s 2^18 / 4, E is off by less than
-    8 Delta + 2^-F (2 sum_k s_k + 1) < N_s 2^22 2^-F.  Per node that and
-    a |G 2^-F - g^| < 1.7 2^-F stay below 2^-(F-26) = eps: the series
-    nodes keep within the rounding part above.
+    The series.  ``fixed._moment_series`` puts the sum over the N_s nodes
+    with t~ < 1/4 within N_s 2^22 2^-F of sum gamma arctan(t~/z), gamma =
+    G 2^-F < 2^18, as z >= 1 and N_s < 2^16.  Per node that and a |G 2^-F
+    - g^| < 1.7 2^-F stay below 2^-(F-26) = eps: the series nodes keep
+    within the rounding part above.
     """
     m, j_left, j_right, discretisation, truncation, t_max = _binet_plan(bits)
     if j_left + j_right + 1 > BINET_MAX_NODES:
@@ -498,13 +378,12 @@ def _binet_integral(z_raw, bits: int):
             f"BINET_MAX_NODES = {BINET_MAX_NODES} (bits={bits})"
         )
     wp = bits + 64
-    F = wp + 32
-    nodes, split, moments = half_line_nodes(wp, m, j_left, j_right)
+    nodes, split, moments, F = half_line_nodes(wp, m, j_left, j_right)
     _, man, exp, _ = z_raw
     X = (1 << (F - exp)) // man if exp <= F else 0  # floor(2^F / z)
     acc = _moment_series(moments, X, F)
-    for t, G, p in nodes[:split]:
-        acc += G * _atan_fixed(t, X, F, p)
+    for t, G in nodes[:split]:
+        acc += G * _atan_fixed(t, X, G, F, wp)
     integral = libmp.from_rational(acc, m << (2 * F - 1), wp, _RND)
     # 2 h N 2^-(wp+6), plus the rounding of the integral to wp
     rounding = libmp.mpf_add(libmp.from_rational(len(nodes), m << (wp + 5), 64, _UP),

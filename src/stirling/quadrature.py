@@ -8,14 +8,13 @@ ends in u.  The Binet oracle sums arctan(t/z) / (e^(2 pi t) - 1) over t > 0
 by the trapezoidal rule at the step h = 1/m in u; ``oracle._binet_plan``
 fixes m and the ends J_L, J_R from its proven bounds, and this module
 builds the one table of that sum per precision: for u = j/m,
-j = -J_L..J_R, the triple
+j = -J_L..J_R, the pair
 
-    t = phi(u),  G = floor(g 2^F),  p = max(64, wp + mag g + 8),
+    t = phi(u),  G = floor(g 2^F),
 
-with g = phi'(u) / (e^(2 pi t) - 1) the node's weight, F = wp + 32,
-2^(mag g - 1) <= g < 2^(mag g), and p the precision the node's arctan
-needs; ``oracle._atan_fixed`` takes it in integer fixed point at p plus
-guard bits of its own.
+with g = phi'(u) / (e^(2 pi t) - 1) the node's weight, F = wp + 32 the
+table's fixed point, and 2^(mag g - 1) <= g < 2^(mag g).  The oracle's
+arctan kernel, ``fixed._atan_fixed``, takes each node's precision from G.
 
 A node costs two exponentials and one division.  e^-u walks the grid by
 one product per node at cp = wp + 96 bits, t = exp(u - e^-u) is taken at
@@ -24,19 +23,13 @@ mag g is estimated in floating point first and checked after.  Near t = 0,
 ``raw_expm1`` takes e^(2 pi t) - 1 from its cubic series, which costs one
 division in place of the exponential.
 
-With the nodes, each table keeps the moments of its left end.  The nodes
-with t < 1/4 (mag t <= -2), the table's tail and about 60% of it, are
-summed for z >= 1 as one arctan series in 1/z, whose moments
-S_k ~ sum G t^(2k+1), in units of 2^-F, do not depend on z.  They are
-built once, in integer fixed point at F bits, from T = floor(t 2^F) and
-T2 = floor(T^2 2^-F): a node's P starts at floor(G T 2^-F) and becomes
-floor(P T2 2^-F) until it is 0, and S_k adds up the P of step k, so each
-step loses under one unit of 2^-F.  P falls at least 16-fold per step, so
-a node at t = 2^-a takes about F / (2a) products of P by the F bits of
-T2.  Near t = 1/4 that is more work than the node's arctan: the build
-costs about what one evaluation saves in arctans, and it grows faster
-with F than the rest of the table, while every later evaluation at that
-precision gains.
+Each table also keeps the moments S_k ~ sum G t^(2k+1), in units of 2^-F,
+of its tail of nodes with t < 1/4 (mag t <= -2), about 60% of it, which
+the oracle sums for z >= 1 as one arctan series in 1/z (``fixed._moments``).
+A node at t = 2^-a takes about F / (2a) products, so near t = 1/4 its
+moments cost more than its arctan: the build costs about what one
+evaluation saves in arctans and grows faster with F than the rest of the
+table, while every later evaluation at that precision gains.
 
 Accuracy, which the node-error and rounding parts of
 ``oracle._binet_integral`` rest on and the tests check against mpmath at
@@ -57,13 +50,13 @@ import threading
 
 from mpmath import libmp
 
+from .fixed import _moments
 from .mpcore import _RND, raw_expm1
 
 __all__ = ["half_line_nodes"]
 
 _CACHE: dict[tuple[int, int, int, int], tuple] = {}
 _CACHE_LOCK = threading.Lock()
-_ATAN_GUARD = 8  # bits of a node's arctan precision p beyond what its weight needs
 _WEIGHT_GUARD = 8  # bits of each weight beyond those G keeps
 _LN_2PI = math.log(2 * math.pi)
 
@@ -77,7 +70,7 @@ def _mag_estimate(b, y) -> int:
 
 
 def _node(j: int, m: int, b, wp: int, F: int, cp: int, two_pi):
-    """(t, G, p) at u = j/m, given b ~ e^-u carried at cp bits."""
+    """(t, G) at u = j/m, given b ~ e^-u carried at cp bits."""
     y = libmp.mpf_sub(libmp.from_rational(j, m, cp, _RND), b, cp, _RND)
     t = libmp.mpf_exp(y, wp, _RND)
     prec = max(64, F + _WEIGHT_GUARD + 1 + _mag_estimate(b, y))
@@ -88,29 +81,13 @@ def _node(j: int, m: int, b, wp: int, F: int, cp: int, two_pi):
         g = libmp.mpf_div(phi_prime, raw_expm1(x, prec), prec, _RND)
         mag = g[2] + g[3]
         if prec >= F + _WEIGHT_GUARD + mag:
-            return t, libmp.to_fixed(g, F), max(64, wp + mag + _ATAN_GUARD)
+            return t, libmp.to_fixed(g, F)
         prec = F + _WEIGHT_GUARD + mag
 
 
-def _moments(nodes, F: int) -> list:
-    """[S_0, S_1, ...] of the nodes, each with t < 1/4 (see the module
-    docstring)."""
-    moments = []
-    for t, G, _ in nodes:
-        T = libmp.to_fixed(t, F)
-        T2, P, k = (T * T) >> F, (G * T) >> F, 0
-        while P:
-            if k == len(moments):
-                moments.append(0)
-            moments[k] += P
-            P = (P * T2) >> F
-            k += 1
-    return moments
-
-
 def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
-    """(nodes, split, moments) for the working precision wp (see the module
-    docstring); cached.  nodes holds the (t, G, p) triples at u = j/m for
+    """(nodes, split, moments, F) for the working precision wp (see the
+    module docstring); cached.  nodes holds the (t, G) pairs at u = j/m for
     j = 0..j_right, then j = -1..-j_left; nodes[split:] is the longest tail
     with t < 1/4, and moments[k] is its S_k in units of 2^-F."""
     key = (wp, m, j_left, j_right)
@@ -134,5 +111,5 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
         split = len(out)
         while split and out[split - 1][0][2] + out[split - 1][0][3] <= -2:
             split -= 1
-        got = _CACHE[key] = (out, split, _moments(out[split:], F))
+        got = _CACHE[key] = (out, split, _moments(out[split:], F), F)
         return got

@@ -15,13 +15,13 @@ from mpmath import libmp
 
 import stirling.bounds
 import stirling.oracle
-from stirling.bounds import (FAMILY_MIN_N, _difference_sums, _exp_bracket,
-                             _half_ln_2pi_bracket, _sweep_width,
-                             aissen_ratio, bound_sweep, check_bound, impens_grid,
-                             impens_sandwich, sequence_point)
+from stirling.bounds import (FAMILY_MIN_N, _difference_sums, _half_ln_2pi_bracket,
+                             _sweep_width, aissen_ratio, bound_sweep, check_bound,
+                             impens_grid, impens_sandwich, sequence_point)
 from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X, _outcome
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
                              ValidityError)
+from stirling.fixed import _exp_bracket
 from stirling.mpcore import PrecisionCtx, elementary, pi
 from stirling.oracle import FACTORIAL_CAP
 from stirling.series import remainder_R

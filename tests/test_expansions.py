@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import stirling.expansions
+import stirling.fixed
 from stirling.bounds import sequence_point
 from stirling.errors import DomainError, ResourceError
 from stirling.expansions import (_feller_residuals, _namias_residual,
@@ -172,7 +173,7 @@ def _lemma_counts(ms, W):
 
     D = alone = 0
     covered = []
-    for c, h in stirling.expansions._blocks(ms, W):
+    for c, h in stirling.fixed._blocks(ms, W):
         D += 2 * terms(c, 2 * h + 2 if h else 1) + 1
         block = range(c - 2 * h, c + 2 * h + 1, 2)
         alone += sum(2 * terms(m, 1) + 1 for m in block)
@@ -184,7 +185,7 @@ def _lemma_counts(ms, W):
 def _assert_floor_lemma(ms, divisors, W):
     # the exact sum lies in [s, s + D), and D is no more than the m would
     # lose one by one; both compared exactly, at 2^-(W+64)
-    s = stirling.expansions._floor_series(ms, divisors, W)
+    s = stirling.fixed._floor_series(ms, divisors, W)
     lo, hi = _exact_bracket(ms, divisors, W)
     D, alone = _lemma_counts(ms, W)
     assert s << 64 <= lo and hi <= (s + D) << 64
@@ -221,7 +222,7 @@ def test_floor_series_block_lemma(W, start, count, odd):
     ms = range(start, start + 2 * count, 2)
     divisors = _mermin_divisors(W) if odd else _feller_divisors(W)
     _assert_floor_lemma(ms, divisors, W)
-    assert any(h for _, h in stirling.expansions._blocks(ms, W))
+    assert any(h for _, h in stirling.fixed._blocks(ms, W))
 
 
 @pytest.mark.parametrize("W,ms,blocks", [
@@ -232,7 +233,7 @@ def test_floor_series_block_lemma(W, start, count, odd):
      [(2015, 7), (2061, 15), (2123, 15), (2169, 7), (2191, 3), (2199, 0)]),
 ], ids=["partial-last-block", "starts-past-first-block"])
 def test_floor_series_block_lemma_fixed(W, ms, blocks):
-    assert list(stirling.expansions._blocks(ms, W)) == blocks
+    assert list(stirling.fixed._blocks(ms, W)) == blocks
     divisors = _feller_divisors(W) if ms.start % 2 == 0 else _mermin_divisors(W)
     _assert_floor_lemma(ms, divisors, W)
 
@@ -240,8 +241,7 @@ def test_floor_series_block_lemma_fixed(W, ms, blocks):
 def _count_weight_builds(monkeypatch):
     """Count the power-sum tables and block weights built for h >= 1."""
     built = []
-    sums, weights = (stirling.expansions._even_power_sums,
-                     stirling.expansions._block_weights)
+    sums, weights = stirling.fixed._even_power_sums, stirling.fixed._block_weights
 
     def sums_spy(h, R):
         built.append(("sums", h))
@@ -252,8 +252,8 @@ def _count_weight_builds(monkeypatch):
             built.append(("weights", h))
         return weights(h, t, divisors, W)
 
-    monkeypatch.setattr(stirling.expansions, "_even_power_sums", sums_spy)
-    monkeypatch.setattr(stirling.expansions, "_block_weights", weights_spy)
+    monkeypatch.setattr(stirling.fixed, "_even_power_sums", sums_spy)
+    monkeypatch.setattr(stirling.fixed, "_block_weights", weights_spy)
     return built
 
 
@@ -272,14 +272,14 @@ def test_single_term_sums_build_no_power_sums(bits, monkeypatch):
 def test_mermin_sums_few_m_one_at_a_time(monkeypatch):
     # at 256 bits and K = 10^5, all but a few hundred m are summed in blocks,
     # where the series over one m at a time took all 10^5 of them
-    real, sizes = stirling.expansions._blocks, []
+    real, sizes = stirling.fixed._blocks, []
 
     def spy(ms, W):
         for c, h in real(ms, W):
             sizes.append(2 * h + 1)
             yield c, h
 
-    monkeypatch.setattr(stirling.expansions, "_blocks", spy)
+    monkeypatch.setattr(stirling.fixed, "_blocks", spy)
     mermin_partial_product(1, 10**5, PrecisionCtx(256))
     assert sum(sizes) == 10**5
     assert sizes.count(1) <= 2000

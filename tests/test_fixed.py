@@ -1,0 +1,126 @@
+"""The integer fixed-point kernels: every floor chain lives in
+``stirling.fixed``, and the chain lemma its docstring states holds."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+
+import stirling
+
+
+def _factors(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _floors_running(name, value):
+    """value is floor(name * ... >> s), floor(name * ... // q), or such a
+    floor floored again, as in (x * y >> s) // j."""
+    if not (isinstance(value, ast.BinOp) and isinstance(value.op, (ast.RShift, ast.FloorDiv))):
+        return False
+    while isinstance(value, ast.BinOp) and isinstance(value.op, (ast.RShift, ast.FloorDiv)):
+        value = value.left
+    return any(isinstance(f, ast.Name) and f.id == name for f in _factors(value))
+
+
+class _ChainSites(ast.NodeVisitor):
+    """The functions with a loop that floors a running integer: x = x y >>
+    s, x = (x y >> s) // j, x = x y // q, or x //= q."""
+
+    def __init__(self):
+        self.function, self.sites = "<module>", set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_For(self, node):
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.AugAssign):
+                if isinstance(inner.op, ast.FloorDiv) and isinstance(inner.target, ast.Name):
+                    self.sites.add(self.function)
+            elif isinstance(inner, ast.Assign) and len(inner.targets) == 1:
+                target = inner.targets[0]
+                if isinstance(target, ast.Name) and _floors_running(target.id, inner.value):
+                    self.sites.add(self.function)
+        self.generic_visit(node)
+
+    visit_While = visit_For
+
+
+def chain_sites():
+    found = set()
+    for path in Path(stirling.__file__).parent.glob("*.py"):
+        visitor = _ChainSites()
+        visitor.visit(ast.parse(path.read_text()))
+        found |= {(path.name, function) for function in visitor.sites}
+    return found
+
+
+def test_only_fixed_floors_a_running_integer():
+    # every series summed by a chain of floors is one of the kernels of
+    # stirling.fixed, under its one lemma
+    found = chain_sites()
+    assert {name for name, _ in found} == {"fixed.py"}
+    assert {("fixed.py", kernel) for kernel in (
+        "_atan_series", "_moments", "_moment_series", "_floor_terms", "_exp_bracket",
+        "_even_power_sums")} <= found
+
+
+def _chain(P, mu):
+    """P_0 = P, P_(j+1) = floor(P_j mu), up to and with the first zero."""
+    out = [P]
+    while P:
+        P = int(P * mu)  # mu >= 0, so int() is the floor
+        out.append(P)
+    return out
+
+
+@st_.composite
+def chains(draw):
+    """(rho, mu, delta): a ratio rho <= 1/4 and its computed form, either
+    M 2^-W with M = floor(rho 2^W), or 1/q for an integer q >= 4."""
+    if draw(st_.booleans()):
+        W = draw(st_.integers(1, 200))
+        den = draw(st_.integers(1, 2**64))
+        rho = Fraction(draw(st_.integers(0, den // 4)), den)
+        mu = Fraction(int(rho * 2**W), 2**W)
+        return rho, mu, rho - mu
+    rho = Fraction(1, draw(st_.integers(4, 2**40)))
+    return rho, rho, Fraction(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=chains(), P0=st_.integers(0, 2**300),
+       frac=st_.fractions(0, 1).filter(lambda f: f < 1),
+       divisors=st_.lists(st_.integers(1, 1000), min_size=1, max_size=8))
+def test_floor_chain_lemma(ratio, P0, frac, divisors):
+    # p_0 = P_0 + frac, so e_0 = frac; d_j is the last listed divisor past
+    # the list, which makes the exact sum a finite rational
+    rho, mu, delta = ratio
+    P = _chain(P0, mu)
+    J = len(P) - 1
+    d = [divisors[min(j, len(divisors) - 1)] for j in range(max(J + 1, len(divisors)))]
+    p = [(P0 + frac) * rho**j for j in range(len(d))]
+    e = [frac]
+    for j in range(J):
+        e.append(rho * e[j] + delta * p[j] + 1)
+    # (a): each P_j at most p_j, and short of it by less than e_j
+    assert 0 <= p[0] - P[0] <= e[0]
+    assert all(0 <= p[j] - P[j] < e[j] for j in range(1, J + 1))
+    if delta == 0:
+        assert all(p[j] - P[j] <= 1 / (1 - rho) for j in range(J + 1))
+        if frac == 0 and mu.numerator <= 1:  # nested floors of 1/q
+            assert all(P[j] == int(p[j]) for j in range(J + 1))
+    # (b): the floor sum against the exact sum over all j, whose terms past
+    # the last listed d_j form a geometric tail
+    s = sum(P[j] // d[j] for j in range(J))
+    exact = sum(pj / dj for pj, dj in zip(p[:-1], d)) + p[-1] / (d[-1] * (1 - rho))
+    bound = sum((e[j] + d[j] - 1) / d[j] for j in range(J)) + e[J] / (min(d[J:]) * (1 - rho))
+    assert 0 <= exact - s
+    assert exact - s < bound if J >= 1 else exact - s <= bound

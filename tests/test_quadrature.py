@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import libmp
 
+import stirling.fixed
 import stirling.oracle
 import stirling.quadrature
 from stirling.errors import ConvergenceError
@@ -23,7 +24,7 @@ def table(bits):
 
 def arctan_nodes(bits):
     """The nodes with t >= 1/4, counted from the table itself."""
-    return sum(1 for t, _, _ in table(bits)[3] if mpmath.mpf(t) >= 0.25)
+    return sum(1 for t, _ in table(bits)[3] if mpmath.mpf(t) >= 0.25)
 
 
 def grid(m, j_left, j_right):
@@ -52,9 +53,9 @@ def test_nodes_cached_and_inside_interval():
     m, j_left, j_right, nodes = table(128)
     assert nodes is table(128)[3]
     assert len(nodes) == j_left + j_right + 1
-    for t, G, p in nodes:
+    for t, G in nodes:
         assert libmp.mpf_gt(t, libmp.fzero)
-        assert G > 0 and p >= 64
+        assert G > 0
 
 
 @pytest.mark.parametrize("wp", [128, 320])
@@ -63,17 +64,17 @@ def test_nodes_match_mpmath(wp):
     # - 1) at the computed t, at wp + 128: the node-error part of
     # _binet_integral rests on t lying within a relative 3 2^-wp, and its
     # rounding part on the weight lying within 2^-(F+4) before the floor
-    F = wp + 32
     m, j_left, j_right, nodes = table(wp - 64)
+    F = half_line_nodes(wp, m, j_left, j_right)[3]
+    assert F == wp + 32
     with mpmath.workprec(wp + 128):
-        for j, (t_raw, G, p) in zip(grid(m, j_left, j_right), nodes):
+        for j, (t_raw, G) in zip(grid(m, j_left, j_right), nodes):
             u = mpmath.mpf(j) / m
             t = mpmath.mpf(t_raw)
             assert abs(t / mpmath.exp(u - mpmath.exp(-u)) - 1) <= 3 * mpmath.ldexp(1, -wp), j
             g = (1 + mpmath.exp(-u)) * t / mpmath.expm1(2 * mpmath.pi * t)
             gap = g - mpmath.ldexp(G, -F)
             assert -mpmath.ldexp(1, -(F + 4)) <= gap < mpmath.ldexp(17, -(F + 4)), j
-            assert p == max(64, wp + G.bit_length() - F + 8), j
 
 
 @pytest.mark.parametrize("bits", [64, 768])
@@ -97,19 +98,19 @@ def test_nodes_split_at_a_quarter_with_their_moments():
     # the nodes with t < 1/4 are the table's tail; S_k sums G t^(2k+1) over
     # them in units of 2^-F, each step at least 16-fold smaller
     bits = 256
-    wp, F = bits + 64, bits + 96
+    wp = bits + 64
     m, j_left, j_right, nodes = table(bits)
-    got, split, moments = half_line_nodes(wp, m, j_left, j_right)
+    got, split, moments, F = half_line_nodes(wp, m, j_left, j_right)
     assert got is nodes and split == arctan_nodes(bits) == 148
-    assert all(mpmath.mpf(t) < 0.25 for t, _, _ in nodes[split:])
+    assert all(mpmath.mpf(t) < 0.25 for t, _ in nodes[split:])
     assert all(16 * later <= earlier for earlier, later in zip(moments, moments[1:]))
     assert moments[-1] > 0
     # the floors of the build only lower each node's share, by under
-    # G 2^-F + 3 units (see _binet_integral)
-    slack = (sum(G for _, G, _ in nodes[split:]) >> F) + 3 * (len(nodes) - split + 1)
+    # G 2^-F + 3 units (see fixed._moment_series)
+    slack = (sum(G for _, G in nodes[split:]) >> F) + 3 * (len(nodes) - split + 1)
     with mpmath.workprec(2 * F):
         for k in (0, 1, 5, len(moments) - 1):
-            exact = sum(G * mpmath.mpf(t) ** (2 * k + 1) for t, G, _ in nodes[split:])
+            exact = sum(G * mpmath.mpf(t) ** (2 * k + 1) for t, G in nodes[split:])
             assert 0 <= exact - moments[k] < slack, k
 
 
@@ -118,17 +119,16 @@ def test_nodes_split_at_a_quarter_with_their_moments():
 def test_moment_series_within_its_proven_bound(z, bits):
     # the series over the moments against sum G 2^-F arctan(t/z) over the
     # nodes with t < 1/4, at 2F bits: off by less than N_s 2^22 2^-F (see
-    # _binet_integral); z = 2^400 is past 2^F, where every term is 0
+    # fixed._moment_series); z = 2^400 is past 2^F, where every term is 0
     wp = bits + 64
-    F = wp + 32
     z_raw = to_raw(z, wp)
     m, j_left, j_right, _ = table(bits)
-    nodes, split, moments = half_line_nodes(wp, m, j_left, j_right)
+    nodes, split, moments, F = half_line_nodes(wp, m, j_left, j_right)
     num, den = libmp.to_rational(z_raw)
-    series = stirling.oracle._moment_series(moments, (den << F) // num, F)
+    series = stirling.fixed._moment_series(moments, (den << F) // num, F)
     with mpmath.workprec(2 * F + 64):
         zm = mpmath.mpf(z_raw)
-        exact = sum(G * mpmath.atan(mpmath.mpf(t) / zm) for t, G, _ in nodes[split:])
+        exact = sum(G * mpmath.atan(mpmath.mpf(t) / zm) for t, G in nodes[split:])
         err = abs(mpmath.ldexp(series, -F) - exact)
         assert err < (len(nodes) - split) * mpmath.ldexp(1, 22), err
 
@@ -194,11 +194,13 @@ def kernel_points(q):
 def test_arctan_kernel_within_its_proven_bound(p):
     # _atan_fixed against mpmath at q + 64 bits, with F = p + 26, the least
     # the proof allows.  Against arctan of its own argument x = t X 2^-F it
-    # is within (q/28 + 11) 2^-q < 1.2 2^-p; against arctan(t/z), with X =
-    # floor(2^F / z), within the allowance 3.7 2^-p + 1.6 2^-F of the
-    # rounding part (see _binet_integral)
-    q = p + stirling.oracle._KERNEL_GUARD
+    # is within (q/28 + 11) 2^-q < 1.2 2^-p (see fixed._atan_fixed); against
+    # arctan(t/z), with X = floor(2^F / z), within the allowance 3.7 2^-p +
+    # 1.6 2^-F of the rounding part (see oracle._binet_integral)
+    q = p + stirling.fixed._KERNEL_GUARD
     F = p + 26
+    # the weight G and working precision wp at which the kernel takes p
+    G, wp = 1 << (p + 23), F - 32
     kernel = (q / 28 + 11) * mpmath.ldexp(1, -q)
     assert kernel < 1.2 * mpmath.ldexp(1, -p)
     allowance = 3.7 * mpmath.ldexp(1, -p) + 1.6 * mpmath.ldexp(1, -F)
@@ -206,7 +208,7 @@ def test_arctan_kernel_within_its_proven_bound(p):
         X = (z.denominator << F) // z.numerator
         for x in kernel_points(q):
             t = libmp.from_rational(x.numerator, x.denominator, q + 64, libmp.round_nearest)
-            A = stirling.oracle._atan_fixed(t, X, F, p)
+            A = stirling.fixed._atan_fixed(t, X, G, F, wp)
             with mpmath.workprec(q + 64):
                 got, tm = mpmath.ldexp(A, -F), mpmath.mpf(t)
                 assert abs(got - mpmath.atan(tm * mpmath.ldexp(X, -F))) < kernel, (z, x)
@@ -220,10 +222,10 @@ def test_cold_call_builds_no_libmp_arctan_anchors(monkeypatch):
     cache = {}
     monkeypatch.setattr(libmp.libelefun, "atan_taylor_cache", cache)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
-    stirling.oracle._atan_ladder.cache_clear()
+    stirling.fixed._atan_ladder.cache_clear()
     ov = lngamma_binet2(Fraction(22, 7), PrecisionCtx(200))
     assert ov.diagnostics["arctans"] > 0
-    assert stirling.oracle._atan_ladder.cache_info().currsize == 1
+    assert stirling.fixed._atan_ladder.cache_info().currsize == 1
     assert cache == {}
 
 
@@ -263,7 +265,7 @@ def test_tapered_sum_within_its_rounding_bound(z, bits):
     m, j_left, j_right, nodes = table(bits)
     with mpmath.workprec(wp + 64):
         total = 0
-        for j, (t_raw, _, _) in zip(grid(m, j_left, j_right), nodes):
+        for j, (t_raw, _) in zip(grid(m, j_left, j_right), nodes):
             t = mpmath.mpf(t_raw)
             g = (1 + mpmath.exp(-mpmath.mpf(j) / m)) * t / mpmath.expm1(2 * mpmath.pi * t)
             total += g * mpmath.atan(t / mpmath.mpf(z_raw))
