@@ -211,7 +211,18 @@ def _cmd_oracle(args, ctx: PrecisionCtx) -> tuple[str, int]:
         "error_bound_dec": mpc.decimal_up(ov.error_bound, max(args.digits, 3)),
         "precision_bits": ctx.bits,
     }
+    if args.diagnostics:
+        print(json.dumps({name: _diagnostic(value) for name, value in ov.diagnostics.items()}),
+              file=sys.stderr)
     return _json_doc(doc), 0
+
+
+def _diagnostic(value):
+    """A diagnostics entry for JSON: a BigFloat as its exact hex string, a
+    Fraction as text, an integer as itself."""
+    if isinstance(value, mpc.BigFloat):
+        return value.to_hex()
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _cmd_report(args, ctx: PrecisionCtx) -> tuple[str, int]:
@@ -504,6 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["binet2", "euler", "weierstrass"])
     p.add_argument("--n", type=int, default=None, help="euler limit index")
     p.add_argument("--k", type=int, default=None, help="weierstrass cutoff")
+    p.add_argument("--diagnostics", action="store_true",
+                   help="also print the oracle's diagnostics (step, nodes, bound "
+                        "parts) as one JSON line on stderr")
 
     p = sub.add_parser("report", parents=[common],
                        help="aggregated verification report (JSON)")

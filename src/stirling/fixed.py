@@ -40,8 +40,6 @@ import functools
 import math
 from operator import mul
 
-from mpmath import libmp
-
 
 def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
     """(e_lo, e_hi) with e_lo <= 2^W e^x <= e_hi for x in [lo, hi] 2^-W,
@@ -226,14 +224,34 @@ def _floor_terms(r: int, q: int, weights) -> int:
     return s
 
 
+def _log1m_ratio(Q: int, r: int) -> int:
+    """s, in units of 2^-r, with 0 <= 2^r S(q) - s < r/24 + 3, for
+    S(q) = -ln(1 - q) / q = sum_(n>=1) q^(n-1) / n and any real q with 0 <=
+    q - Q 2^-r < 2^-r and q < 2^-24: the chain P_0 = 2^r, P_(j+1) =
+    floor(P_j Q 2^-r), s = sum_j floor(P_j / (j + 1)).
+
+    Proof, in units of 2^-r.  For q' = Q 2^-r the chain has rho_j = mu_j =
+    q' < 2^-24 and delta = e_0 = 0, so every e_j <= 1/(1 - q') < 1 +
+    2^-23 by the chain lemma.  P_j <= 2^r q'^j < 2^(r - 24j), so J <= r/24
+    + 1, and by (b), with d_j = j + 1, 2^r S(q') - s < sum_(j<J) (j + 1 +
+    2^-23) / (j + 1) + 1 + 2^-22 < J + 1 + 2^-20.  S(q) - S(q') lies in [0,
+    2^-r), as 0 <= S' = sum_(n>=2) (n - 1) q^(n-2) / n < 1.
+    """
+    s, P, n = 0, 1 << r, 1
+    while P:
+        s += P // n
+        P = (P * Q) >> r
+        n += 1
+    return s
+
+
 def _moments(nodes, F: int) -> list:
-    """[S_0, S_1, ...] for nodes (t, G), each t < 1/4: S_k sums over the
-    nodes the chain P_0 = floor(G T 2^-F), P_(k+1) = floor(P_k T2 2^-F),
-    T = floor(t 2^F) and T2 = floor(T^2 2^-F) (see ``_moment_series``)."""
+    """[S_0, S_1, ...] for nodes (T2, W) with t < 1/4: S_k sums over the
+    nodes the chain P_0 = W, P_(k+1) = floor(P_k T2 2^-F), T2 = floor(t^2
+    2^F) (see ``_moment_series``)."""
     moments = []
-    for t, G in nodes:
-        T = libmp.to_fixed(t, F)
-        T2, P, k = (T * T) >> F, (G * T) >> F, 0
+    for T2, P in nodes:
+        k = 0
         while P:
             if k == len(moments):
                 moments.append(0)
@@ -244,118 +262,35 @@ def _moments(nodes, F: int) -> list:
 
 
 def _moment_series(moments, X: int, F: int) -> int:
-    """sum_k (-1)^k floor(S_k Z_k / (2k+1)) over the moments S_k of
-    ``_moments``, with Z_0 = X = floor(2^F x), Z_(k+1) = floor(Z_k X2
-    2^-F) and X2 = floor(X^2 2^-F), until a term is 0.  In units of 2^-2F
-    it is within N_s 2^22 2^-F of E = sum gamma arctan(t x), gamma = G
-    2^-F, over the N_s nodes of the moments, for 0 <= x <= 1, N_s < 2^16
-    and every gamma < 2^18.
+    """sum_k (-1)^k floor(S_k Z_k 2^-F) over the moments S_k of
+    ``_moments``, with Z_0 = X = floor(2^F a), Z_(k+1) = floor(Z_k X2
+    2^-F) and X2 = floor(X^2 2^-F), until a term is 0.  In units of 2^-F
+    it is within N_s (1.05 F + 30) of E = sum W a / (1 + t^2 a^2) over the
+    N_s < 2^16 nodes of the moments, for 0 <= a <= 1 and every W < 2^(F+1).
 
-    Proof.  E = sum_k (-1)^k s_k x^(2k+1) / (2k+1) with s_k = sum gamma
-    t^(2k+1) and s_(k+1) <= s_k / 16.  sigma_k = S_k 2^-F and w_k = Z_k
-    2^-F come from chains of the chain lemma, in units of 2^-F:
-      - per node, p_k = G t^(2k+1), rho = t^2 < 1/16 and e_0 = gamma + 1;
-        T2 2^-F > t^2 - (2t + 1) 2^-F, so delta p_k < (3/2) G t 2^-F <
-        (3/8) gamma, and e_k < gamma + 3 for every k.  Summed, 0 <= s_k -
-        sigma_k < Delta = N_s (2^18 + 3) 2^-F.
-      - for Z, p_k = x^(2k+1) 2^F, rho = x^2 <= 1, e_0 = 1 and delta p_k <
-        3, as x^2 - X2 2^-F < 3 2^-F, so 0 <= x^(2k+1) - w_k < (4k + 1)
-        2^-F, and 0 <= s_k x^(2k+1) - sigma_k w_k < Delta + 2 (2k + 1) s_k
-        2^-F.  The floor of term k takes less than 2^-2F more.
-      - a term is non-zero only if sigma_k >= 2^-F, while s_k < N_s 2^18
-        4^-(2k+1) and N_s < 2^16, so K, the first k whose term is 0, is
-        below (F + 36)/4 < 2^16, and sum_(k<K) 1/(2k+1) < 1 + ln(2K)/2 < 7.
-      - the terms of E fall, so E past K is at most s_K x^(2K+1) / (2K+1)
-        < 2^-2F + Delta + 2 s_K 2^-F, as term K is 0.
-    With sum_k s_k <= (16/15) N_s 2^18 / 4, E is off by less than
-    8 Delta + 2^-F (2 sum_k s_k + 1) < N_s 2^22 2^-F.
+    Proof, in units of 2^-F.  E = sum_k (-1)^k s_k a^(2k+1) with s_k = sum
+    W t^(2k), and s_(k+1) <= s_k / 16.  S_k and Z_k come from chains of the
+    chain lemma:
+      - per node, p_k = W t^(2k), rho = t^2 < 1/16, e_0 = 0, and delta p_k
+        < W 2^-F < 2, as 0 <= t^2 - T2 2^-F < 2^-F; so every e_k < 3.2, and
+        0 <= s_k - S_k < 3.2 N_s.
+      - for Z, p_k = a^(2k+1) 2^F, rho = a^2 <= 1, e_0 = 1 and delta p_k <
+        3, as a^2 - X2 2^-F < 3 2^-F; so 0 <= p_k - Z_k < 4k + 1.
+    So term k is off by less than 3.2 N_s + S_k (4k + 1) 2^-F + 1, the last
+    for its floor, where S_k 2^-F < 2 N_s 16^-k, and these S_k shares add
+    up to less than 2.71 N_s.  A term is non-zero only if S_k Z_k >= 2^F,
+    which needs N_s 2^(F+1) 16^-k > 1, so K, the first k whose term is 0,
+    is at most (F + 20)/4.  The terms of E alternate and fall, so E past K
+    is at most s_K a^(2K+1), below 3.2 N_s + 2 N_s + 1 as term K is 0.  In
+    all, the error is below K (3.2 N_s + 1) + 2.71 N_s + 5.2 N_s + 1 <= N_s
+    (1.05 F + 30).
     """
     X2 = (X * X) >> F
     acc, Z = 0, X
     for k, S in enumerate(moments):
-        term = S * Z // (2 * k + 1)
+        term = (S * Z) >> F
         if not term:
             break
         acc += -term if k & 1 else term
         Z = (Z * X2) >> F
     return acc
-
-
-_KERNEL_GUARD = 12  # bits of the arctan kernel beyond a node's precision p
-
-
-def _atan_series(D: int, q: int) -> int:
-    """arctan(D u) in units of u = 2^-q, for 0 <= d = D u <= 2^-7 and q <
-    2^20, within (q/28 + 5) u: s0 - floor(s1 D2 u) for s0 = sum_j
-    floor(P_j / (4j+1)) and s1 = sum_j floor(P_j / (4j+3)) over the chain
-    P_0 = D, P_(j+1) = floor(P_j D4 u), D2 = floor(D^2 u), D4 = floor(D2^2
-    u): two terms of the Taylor series a product.
-
-    Proof, in units of u.  arctan d = S0 - d^2 S1, S0 = sum_j d^(4j+1) /
-    (4j+1) and S1 = sum_j d^(4j+1) / (4j+3), are chain sums over p_j
-    = d^(4j+1) / u, rho = d^4 <= 2^-28, e_0 = 0 and delta = (2 d^2 + 1) u
-    (D4 u >= (d^2 - u)^2 - u), so delta p_j < 2^-7 (1 + 2^-13) and every
-    e_j < 1.01.  P_j >= 1 needs 2^(-7(4j+1)) >= u, so J < q/28 + 1, and by
-    (b), as each j >= 1 loses less than 1 + 0.01/(4j+1), S0 - s0 < J - 0.76
-    and S1 - s1 < J - 0.15.  With s1 u < 2^-8, d^2 <= 2^-14 and 0 <= d^2 -
-    D2 u < u, floor(s1 D2 u) is within 1 + 2^-8 + 2^-14 J of d^2 S1, and
-    in all the error is below (1 + 2^-14) J + 0.25 < q/28 + 5.
-    """
-    D2 = (D * D) >> q
-    D4 = (D2 * D2) >> q
-    s0 = s1 = 0
-    P, k = D, 1
-    while P:
-        s0 += P // k
-        s1 += P // (k + 2)
-        P = (P * D4) >> q
-        k += 4
-    return s0 - ((s1 * D2) >> q)
-
-
-@functools.lru_cache(maxsize=None)
-def _atan_ladder(L: int) -> tuple:
-    """(A_0, ..., A_128), A_n ~ arctan(n/128) 2^L, each from the one before
-    by arctan((n+1)/128) = arctan(n/128) + arctan(128 / (128^2 + n^2 + n)),
-    the series at L bits of s = floor(2^(L+7) / (128^2 + n^2 + n)) 2^-L:
-    each step is within (L/28 + 6) 2^-L, so every A_n within lambda = 128
-    (L/28 + 6) 2^-L, below 2^-9 2^-q for q <= L - 30 and L < 2^18."""
-    ladder = [0]
-    for n in range(128):
-        ladder.append(ladder[-1] + _atan_series((1 << (L + 7)) // (16384 + n * n + n), L))
-    return tuple(ladder)
-
-
-def _atan_fixed(t, X: int, G: int, F: int, wp: int) -> int:
-    """arctan x in units of 2^-F at x = t X 2^-F, for a raw t > 0, at the
-    precision p = max(64, wp + bitlen(G) - F + 8) that a term of weight
-    G 2^-F needs: within (q/28 + 11) 2^-q < 1.2 2^-p, for q = p +
-    _KERNEL_GUARD <= F - 14 and q < 2^17 + 82.
-
-    Proof, in units of u = 2^-q.  Each floor loses less than u, and arctan
-    moves by no more than its argument does.  x' = floor(t X 2^(q-F)) u is
-    within u of x.  If x' > 1, arctan x' = pi/2 - arctan(1/x'), and y =
-    floor(2^2q u / x') u is within u of 1/x' < 1; else y = x'.  With n =
-    floor(128 y) and c = n/128, arctan y = arctan c + arctan d, d = (y - c)
-    / (1 + y c) in [0, 2^-7), and d' = floor(d/u) u is formed from the
-    integers of y and n by one division.  ``_atan_series`` takes arctan d'
-    within (q/28 + 5) u.  arctan c is the ladder's A_n at L = F + 16 bits
-    floored to q, and pi/2 is 2 A_128 floored likewise, each within u + 2
-    lambda, lambda < 2^-9 u (``_atan_ladder``, as q <= L - 30).  That is
-    (q/28 + 10) u + 4 lambda < (q/28 + 11) u in all, and q/28 + 11 < 4696
-    < 1.2 2^12.
-    """
-    p = wp + G.bit_length() - F + 8
-    q, L = (p if p > 64 else 64) + _KERNEL_GUARD, F + 16  # faster than max() per node
-    ladder = _atan_ladder(L)
-    _, man, exp, _ = t
-    shift = exp - F + q
-    y = man * X << shift if shift >= 0 else (man * X) >> -shift
-    flip = y > 1 << q  # arctan x = pi/2 - arctan(1/x)
-    if flip:
-        y = (1 << 2 * q) // y
-    n, r = divmod(y, 1 << (q - 7))
-    a = (ladder[n] >> (L - q)) + _atan_series((r << (q + 7)) // ((1 << (q + 7)) + y * n), q)
-    if flip:
-        a = (ladder[128] >> (L - q - 1)) - a
-    return a << (F - q)

@@ -1,20 +1,23 @@
 """Independent high-precision references for ln Gamma and factorials.
 
 None of the evaluators here shares a code path with the truncated-series
-module: the integral representation
+module: Binet's second formula integrated by parts,
 
-    ln Gamma(z) = P(z) + 2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt
+    ln Gamma(z) = P(z) + (1/pi) integral_0^inf l(t) z / (z^2 + t^2) dt,
+    l(t) = -ln(1 - e^(-2 pi t))
 
-(Binet's second formula) is evaluated by one trapezoidal sum at the step
-h = 1/m on the half-line map t = exp(u - e^-u) (``quadrature``); z < 1 is
-taken through ln Gamma(z) = ln Gamma(z + 1) - ln z, so the quadrature only
-sees z >= 1, and its sum is taken in integer fixed point (``fixed``): the
-nodes with t < 1/4 as one arctan series in 1/z over moments kept with the
-node table, each other node's arctan from a ladder of anchors
-arctan(n/128).  A bound on the discretisation error proven on the strip
-|Im u| < d = 4/5, uniform in z >= 1, picks m once per precision, and
-closed-form bounds, also uniform in z, pick the two ends of the sum and
-cover the terms past them.  The limit definition
+(Whittaker & Watson, Modern Analysis, 12.32), is evaluated by one
+trapezoidal sum at the step h = 1/m on the half-line map t = exp(u - e^-u)
+(``quadrature``); z < 1 is taken through ln Gamma(z) = ln Gamma(z + 1) -
+ln z, so the quadrature only sees z >= 1, and its sum is taken in integer
+fixed point (``fixed``): the nodes with t < 1/4 as one series in 1/z over
+moments kept with the node table, each other node by one integer
+division.  z enters only through the rational factor, so every
+transcendental of a node lives in its cached table.  A bound on the
+discretisation error proven on the strip |Im u| < d = 4/5, uniform in
+z >= 1, picks m once per precision, and closed-form bounds, also uniform
+in z, pick the two ends of the sum and cover the terms past them.  The
+limit definition
 
     Gamma(z) = lim n! n^z / (z (z+1) ... (z+n))
 
@@ -49,7 +52,7 @@ from mpmath import libmp
 from .errors import ConvergenceError, DomainError
 from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
                      _require_positive, _sum_up, _ulp_raw, raw_expm1, raw_log1p, to_raw)
-from .fixed import _atan_fixed, _moment_series
+from .fixed import _moment_series
 from .quadrature import half_line_nodes
 
 __all__ = [
@@ -141,88 +144,115 @@ _STRIP_D = Fraction(4, 5)  # the half-width d of the strip |Im u| < d; the proof
 
 @functools.lru_cache(maxsize=None)
 def _binet_strip_mass():
-    """M = (1/c) (G_0/2 + B_1 + B_0), c = cos d, an upper bound for every
-    z >= 1 and |b| < d = 4/5 on integral |F(s + ib)| ds (about 14.2), where
-    F(u) = g(phi(u)) phi'(u), g(t) = arctan(t/z) / (e^(2 pi t) - 1) and
-    phi(u) = exp(u - e^-u), with
+    """M, an upper bound for every z >= 1 and |b| < d = 4/5 on integral
+    |F(s + ib)| ds (about 6.13), where F(u) = f(phi(u)) phi'(u), f(t) =
+    l(t) z / (pi (z^2 + t^2)), l(t) = -ln(1 - e^(-2 pi t)) and phi(u) =
+    exp(u - e^-u):
 
-        G_0 = (4/3) (2 + pi/2) / (2 pi),
-        B_1 = (pi/2 + ln(2/c_1)/2) / (2 (e^(pi c_1) - 1)),
-        B_0 = (A/k + 1/(4 k^2)) / (e^k - 1),  k = 2 pi c_0,
-              A = pi/2 + ln(2/c_0)/2,
-        c_1 = cos(d + sin d),  c_0 = cos(d + (2/3) sin d).
+        M = (1/(pi c)) ((4/3) (A_0/2 + (1 + tan d)(1 + ln 2)/2) + B_1 + B_0),
+        A_0 = ln(2 pi) + d + sin d + pi/2 + 1/2,
+        B_1 = (1/(16 s_1)) sum_(i<8) -ln(1 - e^(-2 pi c_1 (1/2 + i/16))),
+        B_0 = 1 / (s_0 k (e^k - 1)),  k = 2 pi c_0,
+
+    with c = cos d, c_i = cos theta_i and s_i = sin(2 theta_i) for theta_1
+    = d + sin d and theta_0 = d + (2/3) sin d.
 
     The image of the strip.  Let u = s + ib with |b| < d and w = e^-s.
     Then r = |phi(u)| = exp(s - w cos b) and arg phi(u) = b + w sin b.
     r >= 1/2 means w e^(w cos b) <= 2, so w e^(w c) <= 2, and w <= 1 as
     e^c = 2.0072 > 2; likewise r >= 1 gives w <= 2/3, as (2/3) e^(2c/3) =
-    1.0608 > 1.  So t = phi(u) has |arg t| <= theta_1 = d + sin d = 1.5174
-    < pi/2 when |t| >= 1/2, and |arg t| <= theta_0 = d + (2/3) sin d when
-    |t| >= 1; c_k = cos theta_k.  g is analytic off the rays +-i[1, inf),
-    which hold its poles +-ik (k >= 1; t = 0 is removable) and the branch
-    cuts +-i[z, inf) of arctan(t/z), as z >= 1.  The disc |t| < 1 and the
-    half-plane Re t > 0 avoid them, so F is analytic in the strip.
+    1.0608 > 1.  So t = phi(u) has |arg t| <= theta_1 = 1.5174 < pi/2 when
+    |t| >= 1/2, and |arg t| <= theta_0 when |t| >= 1.  And r < 1 gives w <=
+    max(1, ln(1/r)/c): for w > 1, ln(1/r) = w cos b + ln w > w c.
 
-    Bounds on g at |t| = r.  For r <= 1/2, with v = t/z, |v| <= 1/2:
-    |arctan(v) / v| <= sum |v|^2k <= 4/3, and, from the Bernoulli series of
-    y / (e^y - 1) at y = 2 pi t, |y| <= pi < 2 pi,
-    |y / (e^y - 1)| <= 1 + |y|/2 + sum_k |B_2k| |y|^2k / (2k)!
-    = 2 + |y|/2 - (|y|/2) cot(|y|/2) <= 2 + pi/2.  So |g| <= G_0 (< 0.76).
-    For r >= 1/2, in the cone |arg t| <= theta < pi/2, cos theta = c':
-    |Re arctan v| < pi/2, and Im arctan v = (1/2) ln(|v + i| / |v - i|),
-    where c' <= |v -+ i| <= 1 + r (c' is the distance from +-i to the cone),
-    while |e^(2 pi t) - 1| >= e^(2 pi Re t) - 1 >= e^(2 pi r c') - 1.  So
+    Analyticity.  l has its branch points at t = ik, k in Z, where
+    e^(-2 pi t) = 1 (t = 0 among them, which phi never takes), and z / (z^2
+    + t^2) its poles at +-iz, |iz| >= 1.
+    Where |t| >= 1/2, Re t > 0, so |e^(-2 pi t)| < 1 and the principal l =
+    -Log(1 - e^(-2 pi t)) is analytic.  Where |t| < 1 take instead
 
-        |g| <= (pi/2 + (1/2) ln((1 + r)/c')) / (e^(2 pi r c') - 1).
+        L(u) = -ln(2 pi) - (u - e^-u) - lambda(2 pi phi(u)),
+        lambda(x) = ln((1 - e^-x) / x),
 
-    On 1/2 <= r <= 1 (c' = c_1) this is at most 2 B_1, so its integral
-    there is at most B_1.  On r >= 1 (c' = c_0), ln(1 + r) <= ln 2 +
-    (r - 1)/2 and 1/(e^(kr) - 1) <= e^(-kr) / (1 - e^-k) bound it by
-    (A + (r - 1)/4) e^(-kr) / (1 - e^-k), whose integral over r >= 1 is
-    B_0.  On r <= 1/2 the integral of G_0 is G_0/2.
+    with lambda analytic on |x| < 2 pi, where (1 - e^-x) / x has no zero:
+    the principal log of phi is not analytic where the image winds round
+    0, but u - e^-u, a log of phi, is.  Both are logs of 1 - e^(-2 pi t),
+    so on the overlap 1/2 < |t| < 1, connected as r increases with s, they
+    differ by a constant in 2 pi i Z, which is 0 as both are real on the
+    real line.  So F, with L where |t| < 1, is analytic in the strip: there
+    z / (z^2 + t^2) has no pole either, as |t| < 1 <= z or Re t > 0.
+
+    Bounds at |t| = r.
+      - r <= 1/2.  |z^2 + t^2| >= z^2 - 1/4 >= (3/4) z^2, so |z / (z^2 +
+        t^2)| <= 4/3.  With x = 2 pi t, |x| <= pi, the Bernoulli series
+        lambda(x) = -x/2 + sum_(k>=1) B_2k x^2k / (2k (2k)!) and sum_(k>=1)
+        |B_2k| v^2k / (2k)! = 1 - (v/2) cot(v/2), which is 1 at v = pi, give
+        |lambda| <= pi/2 + 1/2 (as 2k >= 2).  |Re(u - e^-u)| = ln(1/r) and
+        |Im(u - e^-u)| <= d + w sin d <= d + sin d + tan d ln(1/r), so |L|
+        <= A_0 + (1 + tan d) ln(1/r), whose integral over (0, 1/2] is A_0/2
+        + (1 + tan d)(1 + ln 2)/2.
+      - r >= 1/2, in a cone |arg t| <= theta with pi/4 < theta < pi/2: t^2
+        lies in |arg| <= 2 theta, so |z^2 + t^2| >= sin(2 theta) max(z^2,
+        r^2), the distance from -z^2 to that cone and from t^2 to the ray
+        (-inf, 0], and |z / (z^2 + t^2)| <= 1 / (sin(2 theta) max(1, r))
+        for z >= 1.  |e^(-2 pi t)| <= q = e^(-2 pi r cos theta), so |l| <=
+        sum q^n / n = -ln(1 - q).  On 1/2 <= r <= 1 (theta_1) this falls
+        with r, so its upper sum over 8 steps, B_1 s_1, bounds its
+        integral.  On r >= 1 (theta_0), -ln(1 - q) <= q / (1 - q) <=
+        e^(-kr) / (1 - e^-k), whose integral over r >= 1 is B_0 s_0.
 
     The weight.  R(s) = |phi(s + ib)| = exp(s - w cos b) increases from 0
-    to inf, and R' = (1 + w cos b) R >= cos b (1 + w) R >= c |phi'(s + ib)|,
-    as |phi'(u)| = |1 + e^-u| R.  So integral |F(s + ib)| ds <= (1/c)
-    integral_0^inf G(r) dr <= M, for G(r) the bound on |g| at |t| = r.  The
-    same bounds send F to 0 uniformly in the strip as |s| grows: R' -> 0
-    as s -> -inf, and G(R) R' -> 0 as s -> inf.
+    to inf, and R' = (1 + w cos b) R >= c (1 + w) R >= c |phi'(s + ib)|,
+    as |phi'(u)| = |1 + e^-u| R.  So integral |F(s + ib)| ds <= (1/(pi c))
+    integral_0^inf G(r) dr <= M, for G(r) the bound above on |l z / (z^2 +
+    t^2)| at |t| = r, in which the bound on w by r has removed s.  The
+    same bounds send F to 0 uniformly in the strip as |s| grows: as s ->
+    -inf, G(R) |phi'| <= G(R) (1 + w) R with w <= 1 + ln(1/R)/c, and
+    R ln(1/R)^2 -> 0; as s -> inf, G(R) R' -> 0.
 
     M is evaluated at 64 bits; ``_binet_discretisation_bound`` doubles what
     it derives from M, which covers the roundings.
     """
     p = 64
     pi = libmp.mpf_pi(p, _RND)
-    half_pi = libmp.mpf_shift(pi, -1)
+    two_pi = libmp.mpf_shift(pi, 1)
     d = libmp.from_rational(_STRIP_D.numerator, _STRIP_D.denominator, p, _RND)
     cos_d, sin_d = libmp.mpf_cos_sin(d, p, _RND)
 
     def cone(w):
-        """(c', pi/2 + ln(2/c')/2) for c' = cos(d + w sin d)"""
-        c = libmp.mpf_cos(libmp.mpf_add(d, libmp.mpf_mul(w, sin_d, p, _RND), p, _RND), p, _RND)
-        log = libmp.mpf_log(libmp.mpf_div(libmp.from_int(2), c, p, _RND), p, _RND)
-        return c, libmp.mpf_add(half_pi, libmp.mpf_shift(log, -1), p, _RND)
+        """(cos theta, sin 2 theta) for theta = d + w sin d"""
+        cos_t, sin_t = libmp.mpf_cos_sin(libmp.mpf_add(d, libmp.mpf_mul(w, sin_d, p, _RND), p,
+                                                       _RND), p, _RND)
+        return cos_t, libmp.mpf_shift(libmp.mpf_mul(cos_t, sin_t, p, _RND), 1)
 
-    g0_half = libmp.mpf_div(libmp.mpf_add(libmp.from_int(2), half_pi, p, _RND),
-                            libmp.mpf_mul_int(pi, 3, p, _RND), p, _RND)
-    c1, a1 = cone(libmp.fone)
-    b1 = libmp.mpf_div(libmp.mpf_shift(a1, -1),
-                       raw_expm1(libmp.mpf_mul(pi, c1, p, _RND), p), p, _RND)
-    c0, a0 = cone(libmp.from_rational(2, 3, p, _RND))
-    k = libmp.mpf_mul(libmp.mpf_shift(pi, 1), c0, p, _RND)
-    b0 = libmp.mpf_add(libmp.mpf_div(a0, k, p, _RND),
-                       libmp.mpf_div(libmp.fone, libmp.mpf_shift(libmp.mpf_mul(k, k, p, _RND), 2),
-                                     p, _RND), p, _RND)
-    b0 = libmp.mpf_div(b0, raw_expm1(k, p), p, _RND)
-    total = libmp.mpf_add(libmp.mpf_add(g0_half, b1, p, _RND), b0, p, _RND)
-    return libmp.mpf_div(total, cos_d, p, _RND)
+    a0 = _sum_up([libmp.mpf_log(two_pi, p, _RND), d, sin_d, libmp.mpf_shift(pi, -1), libmp.fhalf])
+    slope = _sum_up([libmp.fone, libmp.mpf_div(sin_d, cos_d, p, _RND)])
+    ln2e = _sum_up([libmp.fone, libmp.mpf_log(libmp.from_int(2), p, _RND)])  # 1 + ln 2
+    half_slope = libmp.mpf_shift(libmp.mpf_mul(slope, ln2e, p, _RND), -1)
+    near = _sum_up([libmp.mpf_shift(a0, -1), half_slope])
+    near = libmp.mpf_div(libmp.mpf_shift(near, 2), libmp.from_int(3), p, _RND)
+    c1, s1 = cone(libmp.fone)
+    decay = libmp.mpf_mul(two_pi, c1, p, _RND)
+
+    def ell(r):
+        """-ln(1 - e^(-2 pi c_1 r))"""
+        v = libmp.mpf_neg(raw_expm1(libmp.mpf_neg(libmp.mpf_mul(decay, r, p, _RND)), p))
+        return libmp.mpf_neg(libmp.mpf_log(v, p, _RND))
+
+    b1 = _sum_up(ell(libmp.from_rational(8 + i, 16, p, _RND)) for i in range(8))
+    b1 = libmp.mpf_div(b1, libmp.mpf_shift(s1, 4), p, _RND)
+    c0, s0 = cone(libmp.from_rational(2, 3, p, _RND))
+    k = libmp.mpf_mul(two_pi, c0, p, _RND)
+    b0 = libmp.mpf_div(libmp.fone, libmp.mpf_mul(libmp.mpf_mul(s0, k, p, _RND), raw_expm1(k, p),
+                                                 p, _RND), p, _RND)
+    return libmp.mpf_div(_sum_up([near, b1, b0]), libmp.mpf_mul(pi, cos_d, p, _RND), p, _RND)
 
 
 @functools.lru_cache(maxsize=None)
 def _binet_discretisation_bound(m: int):
-    """Upper bound, for every z >= 1, on |2 Q_h - 2 I| at the step h = 1/m,
-    where I = integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt and
-    Q_h = h sum_{j in Z} F(jh) is the trapezoidal sum of the F of
+    """Upper bound, for every z >= 1, on |Q_h - I| at the step h = 1/m,
+    where I = (1/pi) integral_0^inf l(t) z / (z^2 + t^2) dt and Q_h = h
+    sum_{j in Z} F(jh) is the trapezoidal sum of the F of
     ``_binet_strip_mass``, whose integral over the real line is I:
 
         D = 4 M / (e^(2 pi d m) - 1),  d = 4/5.
@@ -238,7 +268,7 @@ def _binet_discretisation_bound(m: int):
     d = libmp.from_rational(_STRIP_D.numerator, _STRIP_D.denominator, p, _RND)
     decay = libmp.mpf_mul(libmp.mpf_shift(libmp.mpf_pi(p, _RND), 1), d, p, _RND)
     decay = raw_expm1(libmp.mpf_mul_int(decay, m, p, _RND), p)
-    return libmp.mpf_shift(libmp.mpf_div(_binet_strip_mass(), decay, p, _RND), 3)
+    return libmp.mpf_shift(libmp.mpf_div(_binet_strip_mass(), decay, p, _RND), 2)
 
 
 def _phi(u, p: int):
@@ -261,25 +291,34 @@ def _first(ok, j: int, low: int) -> int:
 def _binet_plan(bits: int):
     """(m, J_L, J_R, discretisation, truncation, t_max) at ``bits``: the
     step h = 1/m and the ends of the one node table, with two parts of the
-    error bound of 2 * estimate and an integer above every node t.
+    error bound of the estimate and an integer above every node t.
 
     m is the least with ``_binet_discretisation_bound(m)`` <= 2^-(bits+24).
     The sum over j in Z is cut to -J_L <= j <= J_R, each end the least
     whose bound below is at most 2^-(bits+32); the sum of the two bounds is
-    the truncation part.  On the real line 0 < g(t) <= 1/(2 pi z) <=
-    1/(2 pi) (arctan x <= x, e^x - 1 >= x) and g(t) < (pi/2) / (e^(2 pi t)
-    - 1).
+    the truncation part.  On the real line 0 < z / (z^2 + t^2) <= 1/z <= 1,
+    so 0 < F <= f / pi for f(u) = l(phi(u)) phi'(u).  With x = 2 pi t, l =
+    -ln x - lambda(x) and 0 <= -lambda(x) <= x/2 (as x <= 2 sinh(x/2)), and
+    kappa = -t l'(t) / l(t) = x / ((e^x - 1) l) gives d ln f / du = (1 +
+    e^-u)(1 - kappa) - e^-u / (1 + e^-u).
 
-      Left.  phi' = (1 + e^-u) phi increases on the whole line, as
-      d ln phi' / du = 1 + e^-u - e^-u / (1 + e^-u) > 0.  So
-      2 h sum_{j < -J_L} F(jh) <= (1/pi) h sum phi'(jh)
-      <= (1/pi) integral_{-inf}^{-J_L h} phi' du = phi(-J_L h) / pi.
+      Left.  Where x <= e^-2, l >= -ln x >= 2 and x / (e^x - 1) <= 1 give
+      kappa <= 1/2, so d ln f / du >= (1 + e^-u)/2 - e^-u / (1 + e^-u) > 0:
+      f increases where t <= e^-2 / (2 pi).  For T = phi(-J_L h) there,
 
-      Right.  psi = phi' / (e^(2 pi phi) - 1) decreases on u >= 0, where
-      phi >= 1/e > 1/(2 pi): d ln psi / du < (1 + e^-u)(1 - 2 pi phi).  So
-      2 h sum_{j > J_R} F(jh) <= pi integral_{J_R h}^inf psi du
-      = -(1/2) ln(1 - e^(-2 pi T)) <= 1 / (2 (e^(2 pi T) - 1)),
-      T = phi(J_R h).
+        h sum_{j < -J_L} F(jh) <= (1/pi) integral_{-inf}^{-J_L h} f du
+        = (1/pi) integral_0^T l dt <= (T/pi) (1 - ln(2 pi T) + pi T/2),
+
+      which increases with T (its derivative in T, -ln(2 pi T) + pi T, is
+      least at T = 1/pi, where it is 1 - ln 2), and is at most 2^-(bits+32)
+      only if T < 2^-(bits+31), well inside that range.
+
+      Right.  On u >= 0, t >= 1/e and x > 2, while l <= e^-x / (1 - e^-x)
+      gives kappa >= x > 1, so f decreases, and
+
+        h sum_{j > J_R} F(jh) <= (1/pi) integral_T^inf l dt
+        = (1/pi) sum_(n>=1) e^(-2 pi n T) / (2 pi n^2)
+        <= 1 / (2 pi^2 (e^(2 pi T) - 1)),  T = phi(J_R h).
 
     Each bound is evaluated at 64 bits and doubled, which covers its
     roundings.  t_max = floor(phi(J_R h)) + 2, from the same evaluation.
@@ -293,14 +332,19 @@ def _binet_plan(bits: int):
     pi = libmp.mpf_pi(p, _RND)
 
     def left(j):  # doubled
-        return libmp.mpf_div(_phi(libmp.from_rational(-j, m, p, _RND), p), half_pi, p, _RND)
+        t = _phi(libmp.from_rational(-j, m, p, _RND), p)
+        head = libmp.mpf_sub(libmp.mpf_add(libmp.fone, libmp.mpf_mul(half_pi, t, p, _RND), p,
+                                           _RND),
+                             libmp.mpf_log(libmp.mpf_mul(two_pi, t, p, _RND), p, _RND), p, _RND)
+        return libmp.mpf_div(libmp.mpf_mul(t, head, p, _RND), half_pi, p, _RND)
 
     def right(j):  # T and the doubled bound
         t = _phi(libmp.from_rational(j, m, p, _RND), p)
-        return t, libmp.mpf_div(libmp.fone, raw_expm1(libmp.mpf_mul(two_pi, t, p, _RND), p),
-                                p, _RND)
+        return t, libmp.mpf_div(libmp.fone, libmp.mpf_mul(
+            pi_sq, raw_expm1(libmp.mpf_mul(two_pi, t, p, _RND), p), p, _RND), p, _RND)
 
     half_pi, two_pi = libmp.mpf_shift(pi, -1), libmp.mpf_shift(pi, 1)
+    pi_sq = libmp.mpf_mul(pi, pi, p, _RND)
     scale = (bits + 33) * ln2
     j_left = _first(lambda j: libmp.mpf_le(left(j), target), int(m * math.log(scale)), 0)
     j_right = _first(lambda j: libmp.mpf_le(right(j)[1], target),
@@ -312,64 +356,58 @@ def _binet_plan(bits: int):
 
 
 def _binet_integral(z_raw, bits: int):
-    """(2 * integral_0^inf arctan(t/z) / (e^(2 pi t) - 1) dt, counts, parts
-    of its error bound), the value and parts raw; counts holds the table's
-    nodes and the arctans taken.  z >= 1 is a precondition: its one caller,
-    ``lngamma_binet2``, shifts z < 1 to z + 1 first.
+    """((1/pi) integral_0^inf l(t) z / (z^2 + t^2) dt, counts, parts of
+    its error bound), the value and parts raw; counts holds the table's
+    nodes and the integer divisions taken.  z >= 1 is a precondition: its
+    one caller, ``lngamma_binet2``, shifts z < 1 to z + 1 first.
 
     The plan (``_binet_plan``) is fixed before any node is built, so a
-    table longer than BINET_MAX_NODES fails at once.  The estimate is
-    2 h sum_j G A 2^-2F over the table of ``quadrature.half_line_nodes``,
-    h = 1/m, and the parts that ``lngamma_binet2`` lists bound its distance
-    from 2 * integral.  The node error, of the exact terms at the computed
-    nodes t~ against those at t = phi(jh), and the rounding, of the
-    fixed-point sum, are proven here.
+    table longer than BINET_MAX_NODES fails at once.  The estimate is h acc
+    2^-F / pi over the table (T2, W) of ``quadrature.half_line_nodes``, h =
+    1/m, and the parts that ``lngamma_binet2`` lists bound its distance
+    from the integral.  The node error, of the exact terms at the computed nodes t~
+    against those at t = phi(jh), and the rounding, of the fixed-point sum,
+    are proven here.
 
-    Node error.  Let k(t) = t arctan(t/z) / (e^(2 pi t) - 1), so that the
-    exact term is F(jh) = (1 + e^-u) k(t) at u = jh.  d ln k / d ln t lies
-    in [-2 pi t, 1] (t gives 1, the arctan (0, 1], the other factor
-    [-(1 + 2 pi t), -1]).  t~ is within a relative 3 2^-wp of t, so
-    (1 + e^-u) k(t~) is within a relative 1.01 (1 + 2 pi t_max) 3.01 2^-wp
-    of F(jh).  The exact terms add to h sum F(jh) <= I + D/2 < 0.0406,
-    since F >= 0 and I is largest at z = 1, where 2I = ln Gamma(1) - P(1)
-    = 1 - ln(2 pi)/2.  So the node error of 2 * estimate is under
-    0.247 (1 + 2 pi t_max) 2^-wp.
+    Node error.  Let k(t) = t l(t) z / (z^2 + t^2), so that the exact term
+    is F(jh) = (1 + e^-u) k(t) / pi at u = jh.  d ln k / d ln t = 1 - kappa
+    - 2 t^2 / (z^2 + t^2) lies in [-2 - 2 pi t, 1], as kappa = x / ((e^x -
+    1) l) <= x / (1 - e^-x) <= 1 + x for x = 2 pi t (l >= e^-x).  t~ is
+    within a relative 3 2^-wp of t, so (1 + e^-u) k(t~) / pi is within a
+    relative 1.01 (2 + 2 pi t_max) 3.01 2^-wp of F(jh).  The exact terms
+    add to h sum F(jh) <= I + D/2 < 0.0812, since F >= 0 and I = ln Gamma(z)
+    - P(z) is largest at z = 1, where it is 1 - ln(2 pi)/2.  So the node
+    error of the estimate is under 0.248 (2 + 2 pi t_max) 2^-wp < (2 + 7
+    t_max) 2^-(wp+2).
 
-    Rounding.  Each node with its own arctan adds G A to one integer, A =
-    ``fixed._atan_fixed`` at x = t~ X 2^-F, X = floor(2^F / z) taken once
-    per evaluation, at the precision p = max(64, wp + bitlen(G) - F + 8) =
-    max(64, wp + mag g~ + 8) it takes from G >= 1 (a node with G = 0 adds
-    0); the series over the moments adds the rest.  The estimate is the
-    exact dyadic rational 2 acc 2^-2F / m, rounded to wp once.  Let a =
-    arctan(t~/z) and g~ the weight before G = floor(g~ 2^F).  Then 0 <=
-    t~/z - x < t~ 2^-F, so |arctan x - a| < t~ 2^-F < 2^-8 2^-p, and the
-    kernel puts A 2^-F within 1.2 2^-p of arctan x (q = p + 12 <= F - 14,
-    q < 2^17 + 82), so |A 2^-F - a| < 3.7 2^-p + 1.6 2^-F.  This needs t~ <
-    2^18 and p <= F - 26.  Every t~ is at most T = phi(J_R h) (1 + 3
-    2^-wp): if J_R > 0, the bound of ``_binet_plan`` at J_R - 1 exceeds
-    2^-(bits+32), so T' = phi((J_R - 1) h) < (bits + 34) ln 2 / (2 pi), and
-    T / T' <= e^(2h) <= e^2, so T < bits + 34; if J_R = 0, T = 1/e.  A node
-    with t~ >= 1/4 has u > -1/4 (phi(-1/4) < 0.216), so g~ < (1 + e^(1/4))
-    (1/4) / (e^(pi/2) - 1) < 0.15 and mag g~ <= -2: p <= wp + 6 = F - 26,
-    as the table's F is wp + 32.
-    With 0 <= g~ - G 2^-F < 2^-F, |g~ - g^| < 2^-(F+4) for the weight g^ at
-    t~ (``quadrature``) and 0 <= a < pi/2,
-
-        |G A 2^-2F - g^ a| <= g~ |A 2^-F - a| + a |G 2^-F - g^|
-                            < 3.7 2^(mag g~ - p) + 1.6 (2^(mag g~) + 2) 2^-F
-                            < 4 2^-(wp+8) = 2^-(wp+6) = eps,
-
-    as p >= wp + mag g~ + 8 and mag g~ <= 18: on the real line g <= (1 +
-    e^-u) / (2 pi), e^(J_L h) < 2 (bits + 33) by the choice of J_L, and
-    BINET_MAX_NODES keeps bits below 2^17.  Over the N nodes, 2 * estimate
-    is off by at most 2 h N eps, and rounding it to wp adds less than one
-    ulp of 2 * integral at wp.
-
-    The series.  ``fixed._moment_series`` puts the sum over the N_s nodes
-    with t~ < 1/4 within N_s 2^22 2^-F of sum gamma arctan(t~/z), gamma =
-    G 2^-F < 2^18, as z >= 1 and N_s < 2^16.  Per node that and a |G 2^-F
-    - g^| < 1.7 2^-F stay below 2^-(F-26) = eps: the series nodes keep
-    within the rounding part above.
+    Rounding, in units of u = 2^-F, against the terms v = w a 2^F / (1 +
+    t~^2 a^2), a = 1/z <= 1, of the weights w at t~ (``quadrature``), which
+    h/pi turns into the exact terms at t~: the estimate is h acc 2^-F / pi.
+    acc adds floor(W X / (2^F + floor(T2 X2 2^-F))) for each node with t~
+    >= 1/4, with X = floor(2^F a) and X2 = floor(X^2 2^-F) taken once per
+    evaluation, and the series over the moments for the rest.
+      - The weights.  For t~ >= 1/4, u > -1/4 (phi(-1/4) < 0.216) and t l(t)
+        <= t / (e^x - 1) <= 1/(2 pi), so w < (1 + e^(1/4)) / (2 pi) < 0.37.
+        For t~ < 1/4, u < 0, so 1 + e^-u <= 1 + ln(1/phi(u)) < 1 + L +
+        2^-60, L = ln(1/t~), and l <= L + pi t~: w <= tL + tL^2 + pi t^2 (1
+        + L) + 2^-60 <= 1/e + 4/e^2 + pi (1/16 + 1/(4e)) + 2^-60 < 1.4, t =
+        t~.  The weight before its floor is within u/16 of w, so
+        |W - w 2^F| < 1 + 1/16, and W < 2^(F+1).
+      - A node with t~ >= 1/4.  Let tau0 = t~^2 a^2 and tau = floor(T2 X2
+        2^-F) u.  As T2 u >= t~^2 - u, X u > a - u and X2 u >= (X u)^2 - u
+        >= a^2 - 3u, 0 <= tau0 - tau < (3 t~^2 + 2) u and |a / (1 + tau0) -
+        X u / (1 + tau)| < (3 t~^2 + 3) u.  So the quotient is within 1.07 +
+        (w + u)(3 t~^2 + 3) + 1 < 3.4 of v, the last 1 for its floor, as
+        w (3 t^2 + 3) <= 3 (1 + e^(1/4)) (t + t^3) / (e^x - 1) < 1.3 (e^x -
+        1 >= x and >= x^3/6).
+      - The other N_s < 2^16 nodes.  ``fixed._moment_series`` puts their
+        sum within N_s (1.05 F + 30) of sum W a / (1 + t~^2 a^2), as W <
+        2^(F+1) and a <= 1, and each |W - w 2^F| adds 1.07: below 1.4 F per
+        node, as F >= 96.
+    So acc is within 1.4 F N of sum v over the N nodes, the estimate within
+    h N (F + 1) 2^-F of h sum (1 + e^-u) k(t~) / pi, and taking it as acc
+    2^-F over m pi~, pi~ within a relative 2^-(wp+16) of pi, rounded to wp,
+    adds less than one ulp of the integral at wp.
     """
     m, j_left, j_right, discretisation, truncation, t_max = _binet_plan(bits)
     if j_left + j_right + 1 > BINET_MAX_NODES:
@@ -381,20 +419,22 @@ def _binet_integral(z_raw, bits: int):
     nodes, split, moments, F = half_line_nodes(wp, m, j_left, j_right)
     _, man, exp, _ = z_raw
     X = (1 << (F - exp)) // man if exp <= F else 0  # floor(2^F / z)
+    X2, one = (X * X) >> F, 1 << F
     acc = _moment_series(moments, X, F)
-    for t, G in nodes[:split]:
-        acc += G * _atan_fixed(t, X, G, F, wp)
-    integral = libmp.from_rational(acc, m << (2 * F - 1), wp, _RND)
-    # 2 h N 2^-(wp+6), plus the rounding of the integral to wp
-    rounding = libmp.mpf_add(libmp.from_rational(len(nodes), m << (wp + 5), 64, _UP),
+    for T2, W in nodes[:split]:
+        acc += W * X // (one + (T2 * X2 >> F))
+    pi_m = libmp.mpf_mul(libmp.mpf_pi(wp + 16, _RND), libmp.from_int(m))  # exact
+    integral = libmp.mpf_div(libmp.from_man_exp(acc, -F), pi_m, wp, _RND)
+    # h N (F + 1) 2^-F, plus the rounding of the integral to wp
+    rounding = libmp.mpf_add(libmp.from_rational(len(nodes) * (F + 1), m << F, 64, _UP),
                              _ulp_raw(integral, wp, 1), wp, _UP)
     parts = {
         "discretisation": discretisation,
         "truncation": truncation,
-        "node_error": libmp.from_man_exp(1 + 7 * t_max, -(wp + 2)),
+        "node_error": libmp.from_man_exp(2 + 7 * t_max, -(wp + 2)),
         "rounding": rounding,
     }
-    return integral, {"nodes": len(nodes), "arctans": split}, parts
+    return integral, {"nodes": len(nodes), "divisions": split}, parts
 
 
 # the store of ``_shared_values``; None outside that block
@@ -416,29 +456,30 @@ def _shared_values():
 
 
 def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
-    """ln Gamma(z) from the arctan integral.
+    """ln Gamma(z) from Binet's second formula integrated by parts.
 
     For z < 1 the integral is taken at z + 1, formed exactly, and
     ln Gamma(z) = ln Gamma(z + 1) - ln z.  So the quadrature sees only
     z >= 1, where every singularity of its integrand lies on the rays
-    +-i[1, inf), and one node table per precision serves every z; the
-    branch points of arctan(t/z) at t = +-iz would otherwise cost ever
+    +-i[1, inf) or at t = 0, and one node table per precision serves every
+    z; the poles of z / (z^2 + t^2) at t = +-iz would otherwise cost ever
     smaller steps as z shrinks.  The integral is one trapezoidal sum at the
     step h = 1/m on the map t = exp(u - e^-u) (``quadrature``).  The error
     bound is the sum, rounded up, of
       - the discretisation error at that step, proven on the strip
         |Im u| < d = 4/5 (see ``_binet_discretisation_bound``),
       - the terms past either end of the table (see ``_binet_plan``),
-      - the error of the computed nodes, (1 + 7 t_max) 2^-(wp+2), and the
-        rounding of the sum: 2 h N 2^-(wp+6) for N nodes, plus one ulp of
-        the integral at the working precision wp (see ``_binet_integral``),
+      - the error of the computed nodes, (2 + 7 t_max) 2^-(wp+2), and the
+        rounding of the sum: h N (F + 1) 2^-F for N nodes and the table's
+        fixed point F, plus one ulp of the integral at the working
+        precision wp (see ``_binet_integral``),
       - one ulp at wp for ln z, when z was shifted, and 8 ulp of the result
         for the remaining roundings (proven below).
     ``diagnostics`` records the step m, the strip half-width d, the nodes
-    summed, the arctans taken (the nodes with t >= 1/4; the rest are summed
-    as one series over moments kept with the table), and each part as a
-    BigFloat at wp: discretisation, truncation, node_error, rounding and
-    final_rounding (the last item).
+    summed, the integer divisions taken (one per node with t >= 1/4; the
+    rest are summed as one series over moments kept with the table), and
+    each part as a BigFloat at wp: discretisation, truncation, node_error,
+    rounding and final_rounding (the last item).
 
     The remaining roundings.  Let U(c) = 2^(mag c - wp) <= 2^(1-wp) |c|,
     one ulp of a wp-bit c; every libmp operation at wp returns a c within

@@ -250,20 +250,41 @@ def optimal_truncation(z, ctx: PrecisionCtx) -> Approximation:
     local minimum at index m; the returned order is m-1, so the omitted term
     is that minimal one and (by the sandwich property) bounds the actual
     error.
+
+    Past the Bernoulli table's cap it raises ``ResourceError``, and for z >=
+    cap / (2 pi) it does so at once, as the scan could only end there.  From
+    |B_2k| = 2 (2k)! zeta(2k) / (2 pi)^(2k), the k-th term has |T_k| = 2
+    (2k - 2)! zeta(2k) / ((2 pi)^(2k) z^(2k-1)), so, as zeta(2N + 2) <
+    zeta(2N),
+
+        |T_(N+1) / T_N| < 2N (2N - 1) / (4 pi^2 z^2) <= (cap - 2)(cap - 3) / cap^2
+
+    for every N < cap/2 the scan compares, below 1 - 4/cap.  The computed
+    terms are each within a relative gamma_4k < 2^-80 of T_k at z~ (see
+    ``_approximation``), so their ratios stay below 1 and the scan finds no
+    minimum.  The test z~ >= cap / (2 pi) is exact: z~ 333 >= 53 cap, as
+    333/106 < pi.
     """
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
+    cap = table().cap
+    if libmp.mpf_ge(libmp.mpf_mul(z_raw, libmp.from_int(333)), libmp.from_int(53 * cap)):
+        raise _past_cap()
     terms = _terms_raw(z_raw, wp)
     acc, prev = libmp.fzero, next(terms)  # R_(N-1) and term N
     top = prev[2] + prev[3]  # the summed terms fall in magnitude from the first
-    for N in range(1, table().cap // 2):
+    for N in range(1, cap // 2):
         cur = next(terms)
         if libmp.mpf_gt(libmp.mpf_abs(cur), libmp.mpf_abs(prev)):
             return _approximation(z_raw, N - 1, acc, top, ctx)
         acc = libmp.mpf_add(acc, prev, wp, _RND)
         prev = cur
-    raise ResourceError(
+    raise _past_cap()
+
+
+def _past_cap() -> ResourceError:
+    return ResourceError(
         "term magnitudes still decreasing at the table cap; "
         "argument too large for optimal truncation at this cap"
     )

@@ -213,6 +213,6 @@ def test_12_report_determinism(capsys):
         # the report's bytes at 256 bits, pinned: a change to any check's
         # detail or verdict must re-pin this digest and say why
         assert hashlib.sha256(first.encode()).hexdigest() == (
-            "70152c453392a296682276e160d0a1364736b23b159007c92e71f412f0fadf68")
+            "a7983497343e4e797580aa64486a01d28f42ae8021fe8b6ff4db128e60155086")
         doc = json.loads(first)
         assert doc["summary"]["fail"] == 0

@@ -138,8 +138,8 @@ def test_printed_omitted_term_is_not_below_the_exact_term(capsys):
 # bits -> sha256 of `report --n-max 100` stdout, beside the 256-bit pin of the
 # acceptance suite: the precisions where a residual's last bits show
 REPORT_SHA256 = {
-    64: "84a3870c378f01be8a75a92f6a8dd97b8b1c1945bafa0e125c78a7750322a77d",
-    128: "3a4efe3f036f3b46299e9717892666088ba7c93a86b70742384909e97b36c2f9",
+    64: "b718f6bc1795e428c1de39c02b18e1ff8d01a485093acae861a6359374a0ef4a",
+    128: "29498e4e191074caaef96433d532fc2835bf62609dd5eadad4fa377887bd40af",
 }
 
 
@@ -159,6 +159,33 @@ def test_oracle_json_fields(capsys):
     assert doc["method"] == "binet2"
     assert "error_bound_dec" in doc
     assert doc["value_dec"].startswith("0.572364942924700")
+
+
+@pytest.mark.parametrize("method, extra", [("binet2", []), ("euler", ["--n", "50"]),
+                                           ("weierstrass", ["--k", "20"])])
+def test_oracle_diagnostics_on_stderr_leave_stdout_unchanged(capsys, method, extra):
+    # --diagnostics adds one JSON line on stderr, the oracle's diagnostics
+    # with each BigFloat as its exact hex; stdout keeps its bytes
+    argv = ["oracle", "--z", "22/7", "--method", method, *extra, "--precision-bits", "128"]
+    code, plain, quiet = run_capture(argv, capsys)
+    code_d, out, err = run_capture([*argv, "--diagnostics"], capsys)
+    assert code == code_d == 0 and quiet == ""
+    assert out == plain
+    assert err.endswith("\n") and err.count("\n") == 1
+    shown = json.loads(err)
+    ctx = PrecisionCtx(128)
+    ov = {"binet2": lambda: stirling.oracle.lngamma_binet2(Fraction(22, 7), ctx),
+          "euler": lambda: stirling.oracle.lngamma_euler_limit(Fraction(22, 7), 50, ctx),
+          "weierstrass": lambda: stirling.oracle.weierstrass_inv_gamma(Fraction(22, 7), 20,
+                                                                       ctx)}[method]()
+    assert shown.keys() == ov.diagnostics.keys()
+    for name, value in ov.diagnostics.items():
+        expected = value.to_hex() if isinstance(value, BigFloat) else value
+        assert shown[name] == (str(expected) if isinstance(expected, Fraction) else expected)
+    if method == "binet2":
+        m, j_left, j_right, *_ = stirling.oracle._binet_plan(128)
+        assert shown["step_m"] == m and shown["nodes"] == j_left + j_right + 1
+        assert 0 < shown["divisions"] < shown["nodes"]
 
 
 def _spy(monkeypatch, module, name):

@@ -5,10 +5,12 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import stirling
+from stirling.fixed import _log1m_ratio
 
 
 def _factors(node):
@@ -68,7 +70,7 @@ def test_only_fixed_floors_a_running_integer():
     found = chain_sites()
     assert {name for name, _ in found} == {"fixed.py"}
     assert {("fixed.py", kernel) for kernel in (
-        "_atan_series", "_moments", "_moment_series", "_floor_terms", "_exp_bracket",
+        "_log1m_ratio", "_moments", "_moment_series", "_floor_terms", "_exp_bracket",
         "_even_power_sums")} <= found
 
 
@@ -124,3 +126,16 @@ def test_floor_chain_lemma(ratio, P0, frac, divisors):
     bound = sum((e[j] + d[j] - 1) / d[j] for j in range(J)) + e[J] / (min(d[J:]) * (1 - rho))
     assert 0 <= exact - s
     assert exact - s < bound if J >= 1 else exact - s <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st_.integers(40, 1200), data=st_.data())
+def test_log1m_ratio_within_its_bound(r, data):
+    # S(q) = -ln(1 - q) / q for q = Q 2^-r and for q just below (Q + 1)
+    # 2^-r, both of which floor to Q: 0 <= 2^r S(q) - s < r/24 + 3
+    Q = data.draw(st_.integers(0, (1 << (r - 24)) - 1))
+    s = _log1m_ratio(Q, r)
+    with mpmath.workprec(2 * r + 64):
+        for q in (mpmath.ldexp(Q, -r), mpmath.ldexp(Q + 1, -r) - mpmath.ldexp(1, -2 * r)):
+            exact = mpmath.ldexp(-mpmath.log1p(-q) / q if q else 1, r)
+            assert 0 <= exact - s < r / 24 + 3, q

@@ -275,6 +275,29 @@ def test_domain_and_resource_errors():
         ln_factorial_stirling(0, 1, CTX)
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_optimal_truncation_fails_at_once_from_cap_over_2_pi(monkeypatch, bits):
+    # z~ >= 53 cap / 333 > cap / (2 pi) raises before any term is taken; just
+    # below that the scan runs to the cap and raises the same error, and at
+    # z = 81 it still finds its minimum, at order 254
+    taken = []
+    real = stirling.series._terms_raw
+    monkeypatch.setattr(stirling.series, "_terms_raw",
+                        lambda *a: taken.append(a) or real(*a))
+    ctx = PrecisionCtx(bits)
+    texts = set()
+    for z, scans in ((Fraction(8149, 100), False), (Fraction(82), False),
+                     (Fraction(8148, 100), True)):
+        taken.clear()
+        with pytest.raises(ResourceError) as info:
+            optimal_truncation(z, ctx)
+        texts.add(str(info.value))
+        assert bool(taken) == scans, z
+    assert len(texts) == 1
+    assert Fraction(8148, 100) < Fraction(53 * 512, 333) < Fraction(8149, 100)
+    assert optimal_truncation(81, ctx).order_used == 254
+
+
 def test_optimal_truncation_past_table_cap_raises():
     # the smallest term at z = 1000 sits near order pi z, far past B_512
     with pytest.raises(ResourceError):
