@@ -497,20 +497,27 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
 # -- the truncation sandwich ------------------------------------------------
 
 
+def _sandwich_oracle_ctx(ctx: PrecisionCtx) -> PrecisionCtx:
+    """The precision of the sandwich's oracle values at ctx: ctx.bits + 64,
+    which keeps their error bounds far below the margins the grid asks
+    about.  ``cli``'s optimal-truncation check takes its oracle values at
+    this precision too, so the report's memo shares them."""
+    return PrecisionCtx(ctx.bits + 64)
+
+
 def _sandwich_point(x, ctx: PrecisionCtx) -> tuple[Fraction, tuple]:
     """(x~, mid): the point x~ = to_raw(x, wp) where the oracle is evaluated,
     exactly, for wp = (ctx.bits + 64) + GUARD, and ln Gamma(x~) - P(x~) in
     [lo, hi] / den (mid = (lo, hi, den)).
 
     The interval is [v - e - P_hi, v + e - P_lo], with v and its proven
-    error bound e from ``lngamma_binet2`` at ctx.bits + 64, a precision
-    that keeps e far below the margins the grid asks about.
+    error bound e from ``lngamma_binet2`` at ``_sandwich_oracle_ctx``.
     P(x~) = (x~ - 1/2) ln x~ - x~ + (1/2) ln(2 pi) lies in [P_lo, P_hi]:
     ln x~ is libmp's log at wp, taken to within one ulp (the allowance of
     ``_half_ln_2pi_bracket``), and (1/2) ln(2 pi) is that bracket at
     2^-(wp + 64), far below e.
     """
-    work = PrecisionCtx(ctx.bits + 64)
+    work = _sandwich_oracle_ctx(ctx)
     wp = work.wprec()
     x_raw = to_raw(x, wp)
     _require_positive(x_raw, "x")

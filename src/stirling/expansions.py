@@ -322,10 +322,7 @@ def marsaglia_factorial(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     root = libmp.mpf_sqrt(libmp.from_rational(2, n, wp, _RND), wp, _RND)
     s = libmp.fzero
     for k in range(1, K + 1, 2):
-        b_k = series.coeffs[k]
-        if b_k == 0:
-            continue
-        c = b_k * k
+        c = series.coeffs[k] * k
         c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
         term = libmp.mpf_mul(c_raw, libmp.mpf_pow_int(root, k, wp, _RND), wp, _RND)
         gamma_k2 = gamma_half_integer(k, PrecisionCtx(wp)).raw

@@ -393,17 +393,7 @@ def raw_expm1(x_raw, prec: int):
         if exp == 0:
             return libmp.fzero
         raise DomainError("expm1 of non-finite value")
-    mag = exp + bc
-    bump = max(0, -mag) + 8
-    if mag < 0 and bump > prec // 2:
-        # x very small: x + x^2/2 + x^3/6, relative error O(x^3)
-        wp = prec + 8
-        x2 = libmp.mpf_mul(x_raw, x_raw, wp, _RND)
-        x3 = libmp.mpf_mul(x2, x_raw, wp, _RND)
-        s = libmp.mpf_add(x_raw, libmp.mpf_shift(x2, -1), wp, _RND)
-        s = libmp.mpf_add(s, libmp.mpf_div(x3, libmp.from_int(6), wp, _RND), wp, _RND)
-        return libmp.mpf_pos(s, prec, _RND)
-    wp = prec + bump
+    wp = prec + max(0, -(exp + bc)) + 8
     e = libmp.mpf_exp(x_raw, wp, _RND)
     return libmp.mpf_pos(libmp.mpf_sub(e, libmp.fone, wp, _RND), prec, _RND)
 

@@ -20,7 +20,7 @@ A node costs one exponential for t and what l(t) takes.  e^-u walks the
 grid by one product per node at cp = wp + 96 bits, so y = u - e^-u = ln t
 is held at cp, and t = e^y is taken at wp.  x = 2 pi t, and with it w, is
 taken only at prec = F + mag w + 8 bits: the bits W keeps, and a guard.
-mag w is estimated in floating point first and checked after.  l(t) is
+mag w is taken from the node before it and checked after.  l(t) is
 taken in one of three ways:
   - short, for mag t <= -48 and 4 mag t <= 30 - F: l = -ln(2 pi) - y +
     x/2 - x^2/24, the series l = -ln x - lambda(x), lambda(x) = ln((1 -
@@ -86,7 +86,6 @@ process, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import math
 import threading
 
 from mpmath import libmp
@@ -100,23 +99,6 @@ _CACHE: dict[tuple[int, int, int, int], tuple] = {}
 _CACHE_LOCK = threading.Lock()
 _WEIGHT_GUARD = 8  # bits of each weight beyond those W keeps
 _CHAIN_X = libmp.from_int(17)  # l(t) by the chain from x = 2 pi t = 17 on, as e^-17 < 2^-24
-_LN_2PI = math.log(2 * math.pi)
-
-
-def _mag_estimate(b, y) -> int:
-    """mag w for w = (1 + b) t l(t), t = e^y, x = 2 pi t, in floating
-    point: ln w = ln(1 + b) + y + ln l."""
-    yf = libmp.to_float(y)
-    x = 2 * math.pi * math.exp(min(yf, 700.0))
-    if yf < -30:
-        log_l = math.log(-_LN_2PI - yf)
-    elif x > 700:
-        log_l = -x
-    elif x > 1:
-        log_l = math.log(-math.log1p(-math.exp(-x)))
-    else:
-        log_l = math.log(-math.log(-math.expm1(-x)))
-    return math.floor((math.log1p(libmp.to_float(b)) + yf + log_l) / math.log(2)) + 1
 
 
 def _ell(x, y, t, F: int, prec: int, consts):
@@ -143,13 +125,14 @@ def _ell(x, y, t, F: int, prec: int, consts):
                                        _RND))
 
 
-def _node(j: int, m: int, b, wp: int, F: int, cp: int, consts):
-    """(T2, W) at u = j/m, given b ~ e^-u carried at cp bits."""
+def _node(j: int, m: int, b, wp: int, F: int, cp: int, consts, mag: int):
+    """(T2, W) at u = j/m, given b ~ e^-u carried at cp bits and mag, the
+    mag w of the node before it, as the first guess at this node's."""
     two_pi = consts[0]
     y = libmp.mpf_sub(libmp.from_rational(j, m, cp, _RND), b, cp, _RND)
     t = libmp.mpf_exp(y, wp, _RND)
     T2 = libmp.to_fixed(libmp.mpf_mul(t, t), F)
-    prec = max(64, F + _WEIGHT_GUARD + 1 + _mag_estimate(b, y))
+    prec = max(64, F + _WEIGHT_GUARD + 1 + mag)
     while True:
         # 2 pi t to within 2^-(prec+4), relative and absolute (2 pi t < 2^(mag t + 3))
         x = libmp.mpf_mul(two_pi, t, prec + 5 + max(0, t[2] + t[3] + 3), _RND)
@@ -181,12 +164,16 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
                   {a: libmp.mpf_log(libmp.from_rational(a, 32, cp, _RND), cp, _RND)
                    for a in range(16, 33)})
         out = []
-        # right from u = 0 (e^-u = 1 exactly), then left from u = -1/m
+        # right from u = 0 (e^-u = 1 exactly), then left from u = -1/m; each
+        # node's guess at mag w is its predecessor's in the walk, the u = 0
+        # node's is 1 (every w < 2), and the u = -1/m node's that of u = 0
         for sign, first, last in ((1, 0, j_right), (-1, 1, j_left)):
             step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp, _RND), cp, _RND)
             b = libmp.fone if first == 0 else step
+            W = out[0][1] if out else 1 << F
             for k in range(first, last + 1):
-                out.append(_node(sign * k, m, b, wp, F, cp, consts))
+                T2, W = _node(sign * k, m, b, wp, F, cp, consts, W.bit_length() - F)
+                out.append((T2, W))
                 b = libmp.mpf_mul(b, step, cp, _RND)
         split = len(out)
         quarter = 1 << (F - 4)

@@ -138,8 +138,8 @@ def test_printed_omitted_term_is_not_below_the_exact_term(capsys):
 # bits -> sha256 of `report --n-max 100` stdout, beside the 256-bit pin of the
 # acceptance suite: the precisions where a residual's last bits show
 REPORT_SHA256 = {
-    64: "b718f6bc1795e428c1de39c02b18e1ff8d01a485093acae861a6359374a0ef4a",
-    128: "29498e4e191074caaef96433d532fc2835bf62609dd5eadad4fa377887bd40af",
+    64: "7d7da21a8384529f104f7cb1198732fa4578d83ad0417510dcca043a12669c44",
+    128: "4115f6e6afe36151e9752d86e7ba4657eb4901aa220e2ba475fc8e0a14e53b85",
 }
 
 
@@ -306,6 +306,43 @@ def test_expansions_marsaglia_k_max_zero_is_order_zero(capsys):
     doc = json.loads(out)
     assert doc["k_max"] == 0
     assert doc["coeffs"] == ["1/1"]
+
+
+def test_expansions_namias_document(capsys):
+    # the identity is exact, so only roundoff at 256 bits remains
+    code, out, _ = run_capture(["expansions", "--which", "namias", "--n", "5"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["which"], doc["n"]) == ("namias", 5)
+    assert 0 <= Fraction(doc["residual"]) < Fraction(1, 10**70)
+
+
+def test_expansions_marsaglia_factorial_near_exact(capsys):
+    # K = 8 terms at n = 10 put 10! within a relative 10^-7
+    code, out, _ = run_capture(["expansions", "--which", "marsaglia", "--n", "10"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["k_max"], len(doc["coeffs"])) == (10, 8, 9)
+    assert abs(Fraction(doc["ratio_to_exact"]) - 1) < Fraction(1, 10**7)
+
+
+def test_expansions_feller_identity_residual(capsys):
+    # (1/2) ln(2 pi) - F_K lies strictly between 1/(24 (K+1)) and
+    # 1/(24 (K+1/2)), and the identity at n leaves only roundoff
+    code, out, _ = run_capture(["expansions", "--which", "feller", "--n", "10"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["k_max"], doc["identity_residual_n"]) == (1000, 10)
+    assert Fraction(1, 24 * 1001) < Fraction(doc["gap_to_half_ln_2pi"]) < Fraction(1, 24 * 1000)
+    assert 0 <= Fraction(doc["identity_residual"]) < Fraction(1, 10**70)
+
+
+@pytest.mark.parametrize("which", ["namias", "mermin"])
+def test_expansions_without_n_exits_3(which, capsys):
+    code, out, err = run_capture(["expansions", "--which", which], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"{which} requires --n" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -2,7 +2,9 @@
 and the one sum over it: its work cap, its work per node, and the
 discretisation, truncation and rounding parts of its error bound."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -120,6 +122,46 @@ def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
     assert short > 0 and chain > 0
     assert counts["mpf_exp"][0] <= 2 * n + 2 - short
     assert counts["mpf_log"][0] <= n - short - chain + 19
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_the_weight_check_is_the_one_precision_rule(monkeypatch, bits):
+    # each node's first guess at mag w, its predecessor's, passes the check
+    # after the weight at every node; a guess 8 bits lower fails it, and the
+    # retry at F + 8 + mag w gives the same table
+    m, j_left, j_right, nodes = table(bits)
+    real_node, real_ell = stirling.quadrature._node, stirling.quadrature._ell
+    for lower in (0, 8):
+        monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
+        monkeypatch.setattr(stirling.quadrature, "_node",
+                            lambda *a, d=lower: real_node(*a[:-1], a[-1] - d))
+        ells = []
+        monkeypatch.setattr(stirling.quadrature, "_ell",
+                            lambda *a: ells.append(a) or real_ell(*a))
+        assert half_line_nodes(bits + 64, m, j_left, j_right)[0] == nodes
+        retries = len(ells) - len(nodes)
+        assert retries > len(nodes) // 2 if lower else retries == 0
+
+
+def test_quadrature_holds_no_floating_point():
+    # mag w comes from the integers of the table, and l(t) from libmp alone:
+    # no math transcendental, no conversion to a float, no float literal
+    tree = ast.parse(Path(stirling.quadrature.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(node.value)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name in ("math", "cmath")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+            found.append(node.module)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "to_float"
+                or isinstance(node.value, ast.Name) and node.value.id in ("math", "cmath")):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(node.id)
+    assert found == []
 
 
 def test_nodes_split_at_a_quarter_with_their_moments():
