@@ -14,7 +14,7 @@ fixed point (``fixed``): the nodes with t < 1/4 as one series in 1/z over
 moments kept with the node table, each other node by one integer
 division.  z enters only through the rational factor, so every
 transcendental of a node lives in its cached table.  A bound on the
-discretisation error proven on the strip |Im u| < d = 4/5, uniform in
+discretisation error proven on the strip |Im u| < d = 19/20, uniform in
 z >= 1, picks m once per precision, and closed-form bounds, also uniform
 in z, pick the two ends of the sum and cover the terms past them.  The
 limit definition
@@ -71,7 +71,7 @@ FACTORIAL_CAP = 10**5
 # terms of a truncated sum or product (Feller, Mermin, Weierstrass)
 TERMS_CAP = 10**6
 HALF_INTEGER_CAP = 2 * 10**4
-# nodes in one Binet table; precisions past about 23,000 bits fail fast
+# nodes in one Binet table; precisions past about 28,700 bits fail fast
 BINET_MAX_NODES = 60_000
 
 
@@ -139,36 +139,46 @@ def ln_factorial_range(n_max: int, wp: int):
 
 # -- Binet's second formula ----------------------------------------------
 
-_STRIP_D = Fraction(4, 5)  # the half-width d of the strip |Im u| < d; the proof fixes it
+_STRIP_D = Fraction(19, 20)  # the half-width d of the strip |Im u| < d; the proof fixes it
+# the proof's radius rho, inside which l is continued, and its bounds on
+# e^-Re u where |t| >= rho and where |t| >= 1 (see ``_binet_strip_mass``)
+_STRIP_RHO, _STRIP_W_RHO, _STRIP_W_ONE = Fraction(7, 8), Fraction(3, 4), Fraction(11, 16)
 
 
 @functools.lru_cache(maxsize=None)
 def _binet_strip_mass():
-    """M, an upper bound for every z >= 1 and |b| < d = 4/5 on integral
-    |F(s + ib)| ds (about 6.13), where F(u) = f(phi(u)) phi'(u), f(t) =
+    """M, an upper bound for every z >= 1 and |b| < d = 19/20 on integral
+    |F(s + ib)| ds (about 59.7), where F(u) = f(phi(u)) phi'(u), f(t) =
     l(t) z / (pi (z^2 + t^2)), l(t) = -ln(1 - e^(-2 pi t)) and phi(u) =
     exp(u - e^-u):
 
-        M = (1/(pi c)) ((4/3) (A_0/2 + (1 + tan d)(1 + ln 2)/2) + B_1 + B_0),
-        A_0 = ln(2 pi) + d + sin d + pi/2 + 1/2,
-        B_1 = (1/(16 s_1)) sum_(i<8) -ln(1 - e^(-2 pi c_1 (1/2 + i/16))),
-        B_0 = 1 / (s_0 k (e^k - 1)),  k = 2 pi c_0,
+        M = (1/(pi c)) (N + B_rho + B_1),
+        N = rho (A_0 + (1 + tan d)(1 + ln(1/rho))) / (1 - rho^2),
+        A_0 = ln(2 pi) + d + sin d + Lambda,
+        Lambda = pi rho + (1 - pi rho cot(pi rho)) / 2,
+        B_rho = ((1 - rho) / (8 s_rho)) sum_(i<8) -ln(1 - e^(-2 pi c_rho r_i)),
+        B_1 = 1 / (s_1 k (e^k - 1)),  k = 2 pi c_1,
 
-    with c = cos d, c_i = cos theta_i and s_i = sin(2 theta_i) for theta_1
-    = d + sin d and theta_0 = d + (2/3) sin d.
+    with rho = 7/8, r_i = rho + i (1 - rho)/8, c = cos d, and c_i = cos
+    theta_i and s_i = sin(2 theta_i) for theta_rho = d + (3/4) sin d and
+    theta_1 = d + (11/16) sin d.
 
     The image of the strip.  Let u = s + ib with |b| < d and w = e^-s.
     Then r = |phi(u)| = exp(s - w cos b) and arg phi(u) = b + w sin b.
-    r >= 1/2 means w e^(w cos b) <= 2, so w e^(w c) <= 2, and w <= 1 as
-    e^c = 2.0072 > 2; likewise r >= 1 gives w <= 2/3, as (2/3) e^(2c/3) =
-    1.0608 > 1.  So t = phi(u) has |arg t| <= theta_1 = 1.5174 < pi/2 when
-    |t| >= 1/2, and |arg t| <= theta_0 when |t| >= 1.  And r < 1 gives w <=
-    max(1, ln(1/r)/c): for w > 1, ln(1/r) = w cos b + ln w > w c.
+    r >= rho means w e^(w cos b) <= 1/rho, so w e^(w c) <= 8/7, and w <=
+    3/4 as (3/4) e^(3c/4) = 1.1601 > 8/7; likewise r >= 1 gives w <= 11/16,
+    as (11/16) e^(11c/16) = 1.0255 > 1.  So t = phi(u) has |arg t| <=
+    theta_rho = 1.5601 < pi/2 when |t| >= rho, and |arg t| <= theta_1 =
+    1.5092 when |t| >= 1.  And r < 1 gives w <= max(1, ln(1/r)/c): for w >
+    1, ln(1/r) = w cos b + ln w > w c.  (On the line Im u = b the image
+    meets the imaginary axis where w = (pi/2 - b) / sin b, at |t| >= 1
+    once |b| > 0.995, so on the pole iz of some z >= 1: no d past that
+    serves every z.)
 
     Analyticity.  l has its branch points at t = ik, k in Z, where
     e^(-2 pi t) = 1 (t = 0 among them, which phi never takes), and z / (z^2
     + t^2) its poles at +-iz, |iz| >= 1.
-    Where |t| >= 1/2, Re t > 0, so |e^(-2 pi t)| < 1 and the principal l =
+    Where |t| >= rho, Re t > 0, so |e^(-2 pi t)| < 1 and the principal l =
     -Log(1 - e^(-2 pi t)) is analytic.  Where |t| < 1 take instead
 
         L(u) = -ln(2 pi) - (u - e^-u) - lambda(2 pi phi(u)),
@@ -177,29 +187,29 @@ def _binet_strip_mass():
     with lambda analytic on |x| < 2 pi, where (1 - e^-x) / x has no zero:
     the principal log of phi is not analytic where the image winds round
     0, but u - e^-u, a log of phi, is.  Both are logs of 1 - e^(-2 pi t),
-    so on the overlap 1/2 < |t| < 1, connected as r increases with s, they
+    so on the overlap rho < |t| < 1, connected as r increases with s, they
     differ by a constant in 2 pi i Z, which is 0 as both are real on the
-    real line.  So F, with L where |t| < 1, is analytic in the strip: there
-    z / (z^2 + t^2) has no pole either, as |t| < 1 <= z or Re t > 0.
+    real line.  So F, with L where |t| < rho, is analytic in the strip:
+    there z / (z^2 + t^2) has no pole either, as |t| < 1 <= z or Re t > 0.
 
     Bounds at |t| = r.
-      - r <= 1/2.  |z^2 + t^2| >= z^2 - 1/4 >= (3/4) z^2, so |z / (z^2 +
-        t^2)| <= 4/3.  With x = 2 pi t, |x| <= pi, the Bernoulli series
-        lambda(x) = -x/2 + sum_(k>=1) B_2k x^2k / (2k (2k)!) and sum_(k>=1)
-        |B_2k| v^2k / (2k)! = 1 - (v/2) cot(v/2), which is 1 at v = pi, give
-        |lambda| <= pi/2 + 1/2 (as 2k >= 2).  |Re(u - e^-u)| = ln(1/r) and
-        |Im(u - e^-u)| <= d + w sin d <= d + sin d + tan d ln(1/r), so |L|
-        <= A_0 + (1 + tan d) ln(1/r), whose integral over (0, 1/2] is A_0/2
-        + (1 + tan d)(1 + ln 2)/2.
-      - r >= 1/2, in a cone |arg t| <= theta with pi/4 < theta < pi/2: t^2
+      - r < rho.  |z^2 + t^2| >= z^2 - rho^2 >= (1 - rho^2) z^2, so |z /
+        (z^2 + t^2)| <= 1 / (1 - rho^2).  With x = 2 pi t, |x| < v = 2 pi
+        rho < 2 pi, the Bernoulli series lambda(x) = -x/2 + sum_(k>=1) B_2k
+        x^2k / (2k (2k)!) and sum_(k>=1) |B_2k| v^2k / (2k)! = 1 - (v/2)
+        cot(v/2) give |lambda| <= Lambda (as 2k >= 2).  |Re(u - e^-u)| =
+        ln(1/r) and |Im(u - e^-u)| <= d + w sin d <= d + sin d + tan d
+        ln(1/r), so |L| <= A_0 + (1 + tan d) ln(1/r), whose integral over
+        (0, rho) is rho A_0 + (1 + tan d) rho (1 + ln(1/rho)).
+      - r >= rho, in a cone |arg t| <= theta with pi/4 < theta < pi/2: t^2
         lies in |arg| <= 2 theta, so |z^2 + t^2| >= sin(2 theta) max(z^2,
         r^2), the distance from -z^2 to that cone and from t^2 to the ray
         (-inf, 0], and |z / (z^2 + t^2)| <= 1 / (sin(2 theta) max(1, r))
         for z >= 1.  |e^(-2 pi t)| <= q = e^(-2 pi r cos theta), so |l| <=
-        sum q^n / n = -ln(1 - q).  On 1/2 <= r <= 1 (theta_1) this falls
-        with r, so its upper sum over 8 steps, B_1 s_1, bounds its
-        integral.  On r >= 1 (theta_0), -ln(1 - q) <= q / (1 - q) <=
-        e^(-kr) / (1 - e^-k), whose integral over r >= 1 is B_0 s_0.
+        sum q^n / n = -ln(1 - q).  On rho <= r <= 1 (theta_rho) this falls
+        with r, so its upper sum over 8 steps, B_rho s_rho, bounds its
+        integral.  On r >= 1 (theta_1), -ln(1 - q) <= q / (1 - q) <=
+        e^(-kr) / (1 - e^-k), whose integral over r >= 1 is B_1 s_1.
 
     The weight.  R(s) = |phi(s + ib)| = exp(s - w cos b) increases from 0
     to inf, and R' = (1 + w cos b) R >= c (1 + w) R >= c |phi'(s + ib)|,
@@ -214,38 +224,46 @@ def _binet_strip_mass():
     it derives from M, which covers the roundings.
     """
     p = 64
+
+    def raw(q):
+        return libmp.from_rational(q.numerator, q.denominator, p, _RND)
+
     pi = libmp.mpf_pi(p, _RND)
     two_pi = libmp.mpf_shift(pi, 1)
-    d = libmp.from_rational(_STRIP_D.numerator, _STRIP_D.denominator, p, _RND)
+    d, rho = raw(_STRIP_D), raw(_STRIP_RHO)
     cos_d, sin_d = libmp.mpf_cos_sin(d, p, _RND)
 
     def cone(w):
         """(cos theta, sin 2 theta) for theta = d + w sin d"""
-        cos_t, sin_t = libmp.mpf_cos_sin(libmp.mpf_add(d, libmp.mpf_mul(w, sin_d, p, _RND), p,
+        cos_t, sin_t = libmp.mpf_cos_sin(libmp.mpf_add(d, libmp.mpf_mul(raw(w), sin_d, p, _RND), p,
                                                        _RND), p, _RND)
         return cos_t, libmp.mpf_shift(libmp.mpf_mul(cos_t, sin_t, p, _RND), 1)
 
-    a0 = _sum_up([libmp.mpf_log(two_pi, p, _RND), d, sin_d, libmp.mpf_shift(pi, -1), libmp.fhalf])
+    pi_rho = libmp.mpf_mul(pi, rho, p, _RND)
+    cos_pr, sin_pr = libmp.mpf_cos_sin(pi_rho, p, _RND)
+    pi_rho_cot = libmp.mpf_div(libmp.mpf_mul(pi_rho, cos_pr, p, _RND), sin_pr, p, _RND)
+    lam = _sum_up([pi_rho, libmp.mpf_shift(libmp.mpf_sub(libmp.fone, pi_rho_cot, p, _RND), -1)])
+    a0 = _sum_up([libmp.mpf_log(two_pi, p, _RND), d, sin_d, lam])
     slope = _sum_up([libmp.fone, libmp.mpf_div(sin_d, cos_d, p, _RND)])
-    ln2e = _sum_up([libmp.fone, libmp.mpf_log(libmp.from_int(2), p, _RND)])  # 1 + ln 2
-    half_slope = libmp.mpf_shift(libmp.mpf_mul(slope, ln2e, p, _RND), -1)
-    near = _sum_up([libmp.mpf_shift(a0, -1), half_slope])
-    near = libmp.mpf_div(libmp.mpf_shift(near, 2), libmp.from_int(3), p, _RND)
-    c1, s1 = cone(libmp.fone)
-    decay = libmp.mpf_mul(two_pi, c1, p, _RND)
+    ln_e_rho = libmp.mpf_sub(libmp.fone, libmp.mpf_log(rho, p, _RND), p, _RND)  # 1 + ln(1/rho)
+    near = _sum_up([a0, libmp.mpf_mul(slope, ln_e_rho, p, _RND)])
+    near = libmp.mpf_div(libmp.mpf_mul(near, rho, p, _RND), raw(1 - _STRIP_RHO ** 2), p, _RND)
+    c_rho, s_rho = cone(_STRIP_W_RHO)
+    decay = libmp.mpf_mul(two_pi, c_rho, p, _RND)
 
     def ell(r):
-        """-ln(1 - e^(-2 pi c_1 r))"""
-        v = libmp.mpf_neg(raw_expm1(libmp.mpf_neg(libmp.mpf_mul(decay, r, p, _RND)), p))
+        """-ln(1 - e^(-2 pi c_rho r))"""
+        v = libmp.mpf_neg(raw_expm1(libmp.mpf_neg(libmp.mpf_mul(decay, raw(r), p, _RND)), p))
         return libmp.mpf_neg(libmp.mpf_log(v, p, _RND))
 
-    b1 = _sum_up(ell(libmp.from_rational(8 + i, 16, p, _RND)) for i in range(8))
-    b1 = libmp.mpf_div(b1, libmp.mpf_shift(s1, 4), p, _RND)
-    c0, s0 = cone(libmp.from_rational(2, 3, p, _RND))
-    k = libmp.mpf_mul(two_pi, c0, p, _RND)
-    b0 = libmp.mpf_div(libmp.fone, libmp.mpf_mul(libmp.mpf_mul(s0, k, p, _RND), raw_expm1(k, p),
-                                                 p, _RND), p, _RND)
-    return libmp.mpf_div(_sum_up([near, b1, b0]), libmp.mpf_mul(pi, cos_d, p, _RND), p, _RND)
+    width = (1 - _STRIP_RHO) / 8
+    b_rho = _sum_up(ell(_STRIP_RHO + i * width) for i in range(8))
+    b_rho = libmp.mpf_div(libmp.mpf_mul(b_rho, raw(width), p, _RND), s_rho, p, _RND)
+    c_1, s_1 = cone(_STRIP_W_ONE)
+    k = libmp.mpf_mul(two_pi, c_1, p, _RND)
+    b_1 = libmp.mpf_div(libmp.fone, libmp.mpf_mul(libmp.mpf_mul(s_1, k, p, _RND), raw_expm1(k, p),
+                                                  p, _RND), p, _RND)
+    return libmp.mpf_div(_sum_up([near, b_rho, b_1]), libmp.mpf_mul(pi, cos_d, p, _RND), p, _RND)
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,7 +273,7 @@ def _binet_discretisation_bound(m: int):
     sum_{j in Z} F(jh) is the trapezoidal sum of the F of
     ``_binet_strip_mass``, whose integral over the real line is I:
 
-        D = 4 M / (e^(2 pi d m) - 1),  d = 4/5.
+        D = 4 M / (e^(2 pi d m) - 1),  d = 19/20.
 
     Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1): if F is analytic
     in the strip |Im u| < d, tends to 0 uniformly there as |Re u| grows,
@@ -325,9 +343,11 @@ def _binet_plan(bits: int):
     """
     p = 64
     ln2 = math.log(2)
+    # D(m) is about 4 M e^(-2 pi d m), so the search starts where that is 2^-(bits+24)
+    ln_4m = math.log(4 * libmp.to_float(_binet_strip_mass()))
     m = _first(lambda k: libmp.mpf_le(_binet_discretisation_bound(k),
                                       libmp.from_man_exp(1, -(bits + 24))),
-               int(((bits + 24) * ln2 + 4.7) / (2 * math.pi * _STRIP_D)), 1)
+               math.ceil(((bits + 24) * ln2 + ln_4m) / (2 * math.pi * _STRIP_D)), 1)
     target = libmp.from_man_exp(1, -(bits + 32))
     pi = libmp.mpf_pi(p, _RND)
 
@@ -467,7 +487,7 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     step h = 1/m on the map t = exp(u - e^-u) (``quadrature``).  The error
     bound is the sum, rounded up, of
       - the discretisation error at that step, proven on the strip
-        |Im u| < d = 4/5 (see ``_binet_discretisation_bound``),
+        |Im u| < d = 19/20 (see ``_binet_discretisation_bound``),
       - the terms past either end of the table (see ``_binet_plan``),
       - the error of the computed nodes, (2 + 7 t_max) 2^-(wp+2), and the
         rounding of the sum: h N (F + 1) 2^-F for N nodes and the table's
@@ -512,8 +532,8 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         bound of ``_binet_discretisation_bound`` evaluated at 64 bits, so
         half of it is headroom, and as m is the least step count with
         D(m) <= 2^-(bits+24), while D(m) / D(m - 1) >= e^(-2 pi d) (1 -
-        e^(-2 pi d (m-1))) > 1/154 and D(1) > 2^-(bits+24), D(m) exceeds
-        2^-(bits+32).
+        e^(-2 pi d (m-1))) > 1/393 and D(1) > 2^-(bits+24), D(m) exceeds
+        2^-(bits+33).
     Every identity check of the report trusts this bound as it stands.
 
     Inside ``_shared_values`` a repeated (raw argument at wp, bits) pair

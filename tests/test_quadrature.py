@@ -19,7 +19,7 @@ from stirling.oracle import lngamma_binet2
 from stirling.quadrature import half_line_nodes
 
 # nodes with t >= 1/4, each summed by one integer division
-DIVISIONS = {256: 148, 768: 515}
+DIVISIONS = {256: 126, 768: 436}
 
 
 def table(bits):
@@ -63,7 +63,7 @@ def term(u, t, z):
 
 
 def test_binet_budget_exhaustion(monkeypatch):
-    # at 256 bits the plan needs 353 nodes, so a cap of 100 fails before any
+    # at 256 bits the plan needs 301 nodes, so a cap of 100 fails before any
     # node of a table is built
     monkeypatch.setattr(stirling.oracle, "BINET_MAX_NODES", 100)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
@@ -218,7 +218,7 @@ def test_warm_and_shifted_calls_build_no_table_and_no_moments(monkeypatch):
     assert built == []
     assert stirling.quadrature._CACHE.keys() == before.keys()
     assert all(stirling.quadrature._CACHE[key] is value for key, value in before.items())
-    assert second.diagnostics["divisions"] == shifted.diagnostics["divisions"] == 148
+    assert second.diagnostics["divisions"] == shifted.diagnostics["divisions"] == DIVISIONS[256]
 
 
 def test_small_z_reuses_the_unit_tables():
@@ -377,7 +377,7 @@ def trapezoid_checks(steps, zs):
                 assert abs(acc / s - truth) <= bound + ends + cut, (s, z)
 
 
-STEPS_256 = 40
+STEPS_256 = 34
 
 
 @pytest.mark.parametrize("bits", [64, 256, 768])
@@ -385,7 +385,7 @@ def test_discretisation_bound_holds_at_every_coarser_step(bits):
     # the plan takes the least m whose bound is at most 2^-(bits+24); that
     # bound, which depends on the step alone, must cover the true error of
     # the full trapezoidal sum at z in {1, 2, 10^6} at the chosen step and
-    # every coarser one.  At 768 bits the steps up to 40 are those of the
+    # every coarser one.  At 768 bits the steps up to 34 are those of the
     # 256-bit case, and the rest are sampled (a full sweep takes ~30 s).
     m = stirling.oracle._binet_plan(bits)[0]
     disc = stirling.oracle._binet_discretisation_bound
@@ -398,26 +398,91 @@ def test_discretisation_bound_holds_at_every_coarser_step(bits):
     trapezoid_checks(steps, [1, 2, 10**6])
 
 
+def strip_constants():
+    """d, rho, w_rho and w_1 of _binet_strip_mass as mpmath numbers."""
+    oracle = stirling.oracle
+    return [mpmath.mpf(q.numerator) / q.denominator for q in
+            (oracle._STRIP_D, oracle._STRIP_RHO, oracle._STRIP_W_RHO, oracle._STRIP_W_ONE)]
+
+
 def test_strip_constants():
-    # the image of |Im u| < d = 4/5 under phi: |phi| >= 1/2 forces
-    # e^-Re u <= 1, and |phi| >= 1 forces e^-Re u <= 2/3, which keeps
-    # arg phi below pi/2, above pi/4 in both cones; M as proven, about 6.13
+    # the image of |Im u| < d = 19/20 under phi: |phi| >= rho = 7/8 forces
+    # e^-Re u <= w_rho = 3/4, and |phi| >= 1 forces e^-Re u <= w_1 =
+    # 11/16, which keeps arg phi below pi/2, above pi/4 in both cones; M
+    # as proven, about 59.7, and as the formula of its docstring gives it
+    oracle = stirling.oracle
+    assert (oracle._STRIP_D, oracle._STRIP_RHO, oracle._STRIP_W_RHO, oracle._STRIP_W_ONE) == (
+        Fraction(19, 20), Fraction(7, 8), Fraction(3, 4), Fraction(11, 16))
     with mpmath.workprec(128):
-        d = mpmath.mpf(4) / 5
-        assert mpmath.exp(mpmath.cos(d)) >= 2
-        assert 2 * mpmath.exp(2 * mpmath.cos(d) / 3) / 3 >= 1
-        assert mpmath.pi / 4 < d + 2 * mpmath.sin(d) / 3 < d + mpmath.sin(d) < mpmath.pi / 2
-    mass = mpmath.mpf(stirling.oracle._binet_strip_mass())
-    assert 6 < mass < 6.3
+        d, rho, w_rho, w_one = strip_constants()
+        c = mpmath.cos(d)
+        assert w_rho * mpmath.exp(w_rho * c) >= 1 / rho
+        assert w_one * mpmath.exp(w_one * c) >= 1
+        theta_rho, theta_one = d + w_rho * mpmath.sin(d), d + w_one * mpmath.sin(d)
+        assert mpmath.pi / 4 < theta_one < theta_rho < mpmath.pi / 2
+        assert 1.560 < theta_rho < 1.561 and 1.509 < theta_one < 1.510
+        s_d, pi_rho = mpmath.sin(d), mpmath.pi * rho
+        a_0 = mpmath.log(2 * mpmath.pi) + d + s_d + pi_rho + (1 - pi_rho * mpmath.cot(pi_rho)) / 2
+        near = rho * (a_0 + (1 + mpmath.tan(d)) * (1 + mpmath.log(1 / rho))) / (1 - rho**2)
+        b_rho = (1 - rho) / (8 * mpmath.sin(2 * theta_rho)) * mpmath.fsum(
+            -mpmath.log(-mpmath.expm1(-2 * mpmath.pi * mpmath.cos(theta_rho)
+                                      * (rho + i * (1 - rho) / 8))) for i in range(8))
+        k = 2 * mpmath.pi * mpmath.cos(theta_one)
+        b_1 = 1 / (mpmath.sin(2 * theta_one) * k * mpmath.expm1(k))
+        formula = (near + b_rho + b_1) / (mpmath.pi * c)
+        mass = mpmath.mpf(oracle._binet_strip_mass())
+        assert abs(mass - formula) < mpmath.ldexp(formula, -56)
+    assert 59 < mass < 60.5
+
+
+def test_the_strip_image_keeps_to_its_cones():
+    # on a grid over |Im u| <= d, |t| >= rho implies |arg t| <= theta_rho
+    # and |t| >= 1 implies |arg t| <= theta_1, arg t taken continuously as
+    # Im(u - e^-u); and d lies below the first line whose image meets the
+    # imaginary axis at |t| >= 1, the singular set of l(t) z / (z^2 + t^2)
+    # over z >= 1: on the line Im u = b that happens where w = e^-Re u =
+    # (pi/2 - b) / sin b, with |t| = 1 / (w e^(w cos b)) >= 1
+    with mpmath.workprec(64):
+        d, rho, w_rho, w_one = strip_constants()
+        theta_rho, theta_one = d + w_rho * mpmath.sin(d), d + w_one * mpmath.sin(d)
+        widest = 0
+        for i in range(-40, 41):
+            b = d * i / 40
+            for k in range(-32, 129):
+                u = mpmath.mpc(mpmath.mpf(k) / 32, b)
+                y = u - mpmath.exp(-u)
+                r, arg = mpmath.exp(y.real), abs(y.imag)
+                if r >= rho:
+                    assert arg <= theta_rho, (k, i)
+                    widest = max(widest, arg)
+                if r >= 1:
+                    assert arg <= theta_one, (k, i)
+        assert widest > theta_rho - 0.02  # the grid reaches the cone's edge
+
+        def crossing(b):
+            """(w, |t|) where the line Im u = b meets the imaginary axis"""
+            w = (mpmath.pi / 2 - b) / mpmath.sin(b)
+            return w, 1 / (w * mpmath.exp(w * mpmath.cos(b)))
+
+        lo, hi = d, mpmath.pi / 2
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if crossing(mid)[1] >= 1 else (mid, hi)
+        assert d + 0.04 < lo < 0.996
+        b = hi + mpmath.mpf(1) / 100
+        w, r = crossing(b)
+        u = mpmath.mpc(-mpmath.log(w), b)
+        t = mpmath.exp(u - mpmath.exp(-u))
+        assert abs(t.real) < 1e-15 and abs(abs(t) - r) < 1e-15 and r > 1
 
 
 def strip_integrand(u, z):
     """F(u) of _binet_strip_mass on the strip, with l continued as
-    -ln(2 pi) - (u - e^-u) - lambda(2 pi t) where |t| < 1/2, and the
+    -ln(2 pi) - (u - e^-u) - lambda(2 pi t) where |t| < rho, and the
     principal -ln(1 - e^(-2 pi t)) elsewhere."""
     e = mpmath.exp(-u)
     t = mpmath.exp(u - e)
-    if abs(t) < 0.5:
+    if abs(t) < float(stirling.oracle._STRIP_RHO):
         x = 2 * mpmath.pi * t
         l_t = -mpmath.log(2 * mpmath.pi) - (u - e) - mpmath.log(-mpmath.expm1(-x) / x)
     else:
@@ -428,11 +493,11 @@ def strip_integrand(u, z):
 @pytest.mark.parametrize("z", [1, 2, 10, 1000])
 def test_strip_mass_bounds_the_integral_on_every_line(z):
     # integral |F(s + ib)| ds by mpmath quadrature, for lines inside the
-    # strip |Im u| < 4/5, against M; on the real line it is ln Gamma(z) -
-    # P(z) itself
+    # strip |Im u| < 19/20, up to 1/100 from its edge, against M; on the
+    # real line it is ln Gamma(z) - P(z) itself
     mass = mpmath.mpf(stirling.oracle._binet_strip_mass())
     with mpmath.workprec(53):
-        for b in (0, 0.4, -0.4, 0.79, -0.79):
+        for b in (0, 0.4, -0.4, 0.79, -0.79, 0.94, -0.94):
             mass_b = mpmath.quad(lambda s: abs(strip_integrand(mpmath.mpc(s, b), z)),
                                  [-7, -4, -2, 0, 2, 5])
             assert mass_b <= mass, b
@@ -445,13 +510,33 @@ def test_strip_mass_bounds_the_integral_on_every_line(z):
 
 def test_the_two_forms_of_l_agree_where_both_hold():
     # on 1/2 < |t| < 1 in the strip, the continuation through u - e^-u and
-    # the principal log are the same function (see _binet_strip_mass)
+    # the principal log are the same function, so on the overlap rho < |t|
+    # < 1 of _binet_strip_mass, which the second points sample up to 1/100
+    # from the strip's edges
     with mpmath.workprec(80):
-        for s, b in ((0.15, 0.79), (0.15, -0.79), (0.25, 0.5), (0.3, 0.2), (0.15, -0.7)):
+        rho = strip_constants()[1]
+        for s, b, low in ((0.15, 0.79, 0.5), (0.15, -0.79, 0.5), (0.25, 0.5, 0.5),
+                          (0.3, 0.2, 0.5), (0.15, -0.7, 0.5),
+                          (0.35, 0.94, rho), (0.35, -0.94, rho), (0.35, 0.9, rho),
+                          (0.45, 0.5, rho), (0.5, 0.2, rho), (0.4, -0.79, rho)):
             u = mpmath.mpc(s, b)
             e = mpmath.exp(-u)
             t = mpmath.exp(u - e)
-            assert 0.5 < abs(t) < 1, (s, b)
+            assert low < abs(t) < 1, (s, b)
             x = 2 * mpmath.pi * t
             continued = -mpmath.log(2 * mpmath.pi) - (u - e) - mpmath.log(-mpmath.expm1(-x) / x)
             assert abs(continued - ell(t)) < mpmath.mpf(10) ** -20, (s, b)
+
+
+def test_discretisation_part_keeps_its_headroom():
+    # next to the zeros of ln Gamma, lngamma_binet2's 8-ulp final rounding
+    # rests on D(m) > 2^-(bits+33) at the least m with D(m) <= 2^-(bits+24),
+    # as D(m) / D(m - 1) > e^(-2 pi d) (1 - e^(-2 pi d)) > 1/393
+    oracle = stirling.oracle
+    with mpmath.workprec(64):
+        a = 2 * mpmath.pi * strip_constants()[0]
+        assert mpmath.exp(-a) * (1 - mpmath.exp(-a)) > mpmath.mpf(1) / 393
+    for bits in range(64, 1025, 16):
+        m = oracle._binet_plan(bits)[0]
+        assert libmp.mpf_gt(oracle._binet_discretisation_bound(m),
+                            libmp.from_man_exp(1, -(bits + 33))), bits
