@@ -5,11 +5,18 @@ diagnostics on stderr.  Exit codes: 0 success, 2 usage error, 3 domain or
 validity error, 4 inconclusive verdict.  Identical argv and environment
 produce byte-identical output.
 
-Decimal values printed by the scalar subcommands follow the bound rule:
-each value is computed once, with a proven error bound, and only the
-digits on which value - bound and value + bound agree are shown (capped
-at --digits; "" when none is proven, ``mpcore.certified_decimal``).  Sweep
-tables print at --digits directly.
+Three printed decimals follow the bound rule: ``eval``'s and ``oracle``'s
+``value_dec`` and ``expansions --which feller``'s
+``constant_partial_sum``.  Each is computed once, with a proven error
+bound, and only the digits on which value - bound and value + bound agree
+are shown (capped at --digits; "" when none is proven,
+``mpcore.certified_decimal``).  The error bounds and omitted terms beside
+them (``error_bound_dec``, ``omitted_term_dec``) are rounded up
+(``mpcore.decimal_up``).  Every other decimal prints its computed value
+rounded, with no proof of its last digits: each other ``expansions``
+field and every table (``constants``, ``bounds``) at --digits, and the
+report's detail texts at 4 or 6 digits.  Exact rationals (B_k, a_k,
+Marsaglia's coefficients, Mermin's tail bound) print exactly.
 
 Every verdict of the report follows one of two rules.  An identity check
 passes when its computed residual is at most the bound proven for it,

@@ -16,24 +16,35 @@ with t = phi(u), w = phi'(u) l(t) the node's weight, F = wp + 32 the
 table's fixed point, and 2^(mag w - 1) <= w < 2^(mag w).  z enters only
 through the oracle's one division per node, W X / (2^F + T2 X2 2^-F).
 
-A node costs one exponential for t and what l(t) takes.  e^-u walks the
-grid by one product per node at cp = wp + 96 bits, so y = u - e^-u = ln t
-is held at cp, and t = e^y is taken at wp.  x = 2 pi t, and with it w, is
-taken only at prec = F + mag w + 8 bits: the bits W keeps, and a guard.
-mag w is taken from the node before it and checked after.  l(t) is
-taken in one of three ways:
-  - short, for mag t <= -48 and 4 mag t <= 30 - F: l = -ln(2 pi) - y +
-    x/2 - x^2/24, the series l = -ln x - lambda(x), lambda(x) = ln((1 -
-    e^-x) / x) = -x/2 + x^2/24 - x^4/2880 + ... (Bernoulli), cut after
-    x^2: no exponential or log beyond t's own;
-  - chain, for x >= 17, where q = e^-x < 2^-24: l = q S(q), S(q) = -ln(1 -
-    q) / q summed in fixed point (``fixed._log1m_ratio``) at r = prec +
-    bitlen(prec) + 16 bits;
-  - else v = 1 - e^-x by ``raw_expm1`` at p = prec + 28 bits, and l = -ln
-    v, as ln v = E ln 2 + ln(a/32) + ln(2^-E 32 v / a) for v = 2^E f, 1/2
-    <= f < 1, and a = ceil(32 f): libmp's log then sees only arguments in
-    (16/17, 1], whose few Taylor anchors it caches once per process, and
-    the 17 logs ln(a/32) are taken once per table at cp.
+A node costs one exponential for t and what l(t) takes.  Beyond those,
+libmp only walks e^-u, forms y, and turns integers into the arguments of
+l's exponential and log; the rest is exact integer arithmetic with the
+floors named below.  e^-u walks the grid by one product per node at cp =
+wp + 96 bits, so y = u - e^-u = ln t is held at cp, and t = e^y is taken
+at wp; T2 floors the exact square of t~, the computed t.  l~, the
+computed l(t~), is a pair (L, e) standing for L 2^e, taken for prec = F
++ mag w + 8 bits of the weight: the bits W keeps, and a guard.  The
+weight w~ = (1 + b) t~ l~, b the walk's e^-u, is the exact product of
+their integer mantissas, and W its floor.  mag w is taken from the node
+before it and checked after.  x = 2 pi t is taken from the exact product
+of t~ and 2 pi~, pi~ to nearest at cp, and l(t) in one of three ways:
+  - series, for mag t <= -48: l = -ln(2 pi) - y + x/2 - S(x), S(x) =
+    lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!) for lambda(x) =
+    ln((1 - e^-x) / x), on integers in units of 2^-R, R = prec + 8, S by
+    the chain ``fixed._lambda_series`` with exact coefficients from
+    ``bernoulli``, built once per table: no exponential or log beyond t's
+    own.  A node whose chain needs more coefficients than the Bernoulli
+    table's cap holds (only for F past about 23,000) takes the last form.
+  - chain, for x~ >= 17, x~ = 2 pi~ t~ floored to xb = prec + 6 + max(0,
+    mag t + 3) bits: q = e^-x~ < 2^-24 at prec + 4 bits, and l = q S(q),
+    S(q) = -ln(1 - q) / q summed in fixed point (``fixed._log1m_ratio``)
+    at r = prec + bitlen(prec) + 16 bits, the product exact;
+  - else q = e^-x~ at pe = p + max(0, -mag x~) + 8 bits, p = prec + 28, v~
+    = 1 - q exactly, and l = -ln v~ in units of 2^-p, as ln v = E ln 2 +
+    ln(a/32) + ln(2^-E 32 v / a) for v = 2^E f, 1/2 <= f < 1, and a =
+    ceil(32 f): libmp's log then sees only arguments in (16/17, 1], whose
+    few Taylor anchors it caches once per process, and ln 2 and the 17
+    logs ln(a/32) are taken once per table at cp, as floor(v 2^cp).
 
 Each table also keeps the moments S_k ~ sum W t^(2k), in units of 2^-F,
 of its tail of nodes with t < 1/4 (T2 < 2^(F-4)), about 60% of it, which
@@ -41,44 +52,53 @@ the oracle sums for z >= 1 as one series in 1/z (``fixed._moments``).
 
 Accuracy, which the node-error and rounding parts of
 ``oracle._binet_integral`` rest on and the tests check against mpmath at
-wp + 128: t~, the computed t, is within a relative 3 2^-wp of phi(j/m),
-and w~, the weight before its floor, within 2^-(F+4) of w at t~.
+wp + 128: t~ is within a relative 3 2^-wp of phi(j/m), and w~, the
+weight before its floor, within 2^-(F+4) of w at t~.
 
-Proof of the second.  Every libmp product, quotient and sum here is
-correctly rounded, within a relative 2^-p at p bits, and exp, ln and
-``raw_expm1`` are within one ulp, a relative 2^(1-p).  x is taken at
-prec + 5 + max(0, mag t + 3) bits, so within a relative and an absolute
-2^-(prec+4) of 2 pi t~ (pi at cp).  As dl/dx = -1/(e^x - 1) and l >= e^-x,
-that moves l by a relative 2^-(prec+4) x / ((e^x - 1) l) < 2.2 2^-(prec+4)
-for x < 1 (l > 0.45 there) and |dx| / (1 - e^-x) < 1.6 2^-(prec+4) for x
->= 1: 0.14 2^-prec.  Then, at the computed x,
-  - short: three sums at prec, each rounding a value within 1 + 2^-80 of
-    l, as l >= -ln x > 31 dwarfs x/2 and x^2/24: l within 3.1 2^-prec.
-    The series of lambda alternates with falling terms for x < 1, so the
-    cut loses at most x^4/2880, and e^y is within one ulp of t~ at wp, so
-    -y is within 2.03 2^-wp of -ln t~.  With 1 + e^-u <= 1 + ln(1/t) (u <
-    0) and t <= 2^-48, (1 + e^-u) t < 2^-42.9, so w moves by less than
-    2^-42.9 (2.03 2^-wp + (2 pi)^4 t^4 / 2880) < 2^-(F+9), as 4 mag t <=
-    30 - F.
-  - chain: q within a relative 2^(-3-prec) of e^-x at prec + 4 bits,
-    S(q) from ``fixed._log1m_ratio`` within (r/24 + 3) 2^-r < 2^-(prec+16)
-    (r <= 2 prec, as prec >= 64), and the product q S rounded at prec: l
-    within 1.2 2^-prec.
-  - else, at p = prec + 28: 2^-E 32 v / a is within a relative 2^(2-p) of
-    its exact value, so its log within 1.01 2^(2-p) absolute, and that
-    log, below 1/16 in magnitude, is taken within a relative 2^(-3-prec).
-    Where a < 32 or E < 0, v <= 31/32 and l > 1/32, so that is a relative
-    2^(-2-prec) of l; else the anchor and E ln 2 are 0 and the log is -l
-    itself, within 2^(-3-prec).  With l > e^-17 > 2^-24.6 for x < 17, the
-    anchor and E ln 2 taken at p, and the two sums, l is within (1.01
-    2^(2 - 28 + 24.6) + 2^-2 + 2^-26 + 1) 2^-prec < 1.7 2^-prec.
-The weight then takes 1 + e^-u (e^-u within 2^-(wp+78)) and the products
-by t~ and by l, each within 2^-prec, so with x's share w~ is within a
-relative 6.3 2^-prec of w at t~, so within 6.4 2^-prec 2^(mag w~) <
-2^-(F+5) absolute as prec >= F + 8 + mag w~, and with the short form's
-2^-(F+9), within 2^-(F+4) in all.  The walk keeps e^-u within a relative
-2^-(wp+78) over up to 2^16 steps from u = 0; ``oracle.BINET_MAX_NODES``
-keeps tables shorter.
+Proof of the second.  Every libmp product and sum here is correctly
+rounded, within a relative 2^-p at p bits, and exp and ln are within one
+ulp, a relative 2^(1-p); every floor is below its value by less than one
+unit of its last place.  Let x = 2 pi t~ and eps the relative error of l~
+against l(t~).
+  - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
+    x 2^R, as x < 2^-45.3; X >> 1 within 1.51 of x 2^(R-1); the floors of
+    -y 2^R and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and 1.01;
+    and ``fixed._lambda_series`` within 1.1 J + 1.2 of 2^R S(X 2^-R), J <=
+    256 its terms (half the Bernoulli table's cap), and that within 0.01 of
+    2^R S(x), as |S'| < x/12.  So L is within 1.1 J + 4.8 of 2^R (l(t~) +
+    ln t~ - y), and as l >= -ln x > 31, eps < 287 / 31 2^-(prec+8) < 0.04
+    2^-prec, but for y in place of ln t~: e^y is within one ulp of t~ at
+    wp, so -y is within 2.03 2^-wp of -ln t~.  With 1 + e^-u <= 1 + ln(1/t) (u < 0) and t <=
+    2^-48, (1 + e^-u) t < 2^-42.9, so that moves w by less than 2^-42.9
+    2.03 2^-wp < 2^-(F+9).
+  - the other two take x~: below 2 pi~ t~ by a relative less than
+    2^(1-xb), and 2 pi~ within a relative 2^-cp of 2 pi, so x~ is within a
+    relative and an absolute 2^-(prec+4) of x (x < 2^(mag t + 3)).  As
+    dl/dx = -1/(e^x - 1) and l >= e^-x, that moves l by a relative
+    2^-(prec+4) x / ((e^x - 1) l) < 2.2 2^-(prec+4) for x < 1 (l > 0.45
+    there) and |dx| / (1 - e^-x) < 1.6 2^-(prec+4) for x >= 1: 0.14
+    2^-prec.  Then, at x~:
+  - chain: q within a relative 2^-(prec+3) of e^-x~; floor(q 2^r) is
+    within 2^-r below q < 2^-24, so ``fixed._log1m_ratio`` puts S~ within
+    (r/24 + 3) 2^-r < 2^-(prec+16) of S(q) >= 1, itself within 2^-(prec+27)
+    of S(e^-x~), as 0 <= S' < 1 there: eps < 0.13 2^-prec + 0.14 2^-prec.
+  - else, in units of 2^-p: q within 2^(1-pe) of e^-x~, so v~ within a
+    relative 2^-(p+5) of v = 1 - e^-x~, as v >= x~/2 >= 2^(mag x~ - 2)
+    for x~ < 1 and v > 0.63 for x~ >= 1, and ln v~ within 0.04 of ln v.
+    2^-E 32 v~ / a <= 1, floored to p bits, moves by a relative 1.07
+    2^-p, and its log by 1.07; libmp's log of it, below 1/16 in magnitude,
+    is within a relative 2^-(prec+3), and floored, 1 more; each anchor is
+    within 2.4 2^-cp of its ln, and their sum, floored, 1 more.  Where a <
+    32 or E < 0, v~ <= 31/32 and l > 1/32, so that log's share of eps is
+    2^-(prec+2); else the anchor and E ln 2 are 0 and that log is -l~
+    itself, within 2^-(prec+3).  With l > e^-17 > 2^-24.6 for x < 17 and l
+    > |E| ln 2, the rest adds 3.12 2^(24.6 - p) + 3.5 2^(26-cp) < 0.31
+    2^-prec: eps < 0.56 2^-prec + 0.14 2^-prec.
+The walk keeps b within a relative 2^-(wp+78) of e^-u over up to 2^16
+steps from u = 0 (``oracle.BINET_MAX_NODES`` keeps tables shorter), so w~
+is within a relative 0.71 2^-prec of w at t~, so within 0.72 2^-prec
+2^(mag w~) < 2^-(F+8) absolute as prec >= F + 8 + mag w~, and with the
+series form's 2^-(F+9), within 2^-(F+7) in all.
 
 Tables depend only on their arguments and are cached for the life of the
 process, so repeated runs are bit-identical.
@@ -90,58 +110,100 @@ import threading
 
 from mpmath import libmp
 
-from .fixed import _log1m_ratio, _moments
-from .mpcore import _RND, raw_expm1
+from .bernoulli import bernoulli, table
+from .fixed import _lambda_series, _log1m_ratio, _moments
+from .mpcore import _RND
 
 __all__ = ["half_line_nodes"]
 
 _CACHE: dict[tuple[int, int, int, int], tuple] = {}
 _CACHE_LOCK = threading.Lock()
 _WEIGHT_GUARD = 8  # bits of each weight beyond those W keeps
-_CHAIN_X = libmp.from_int(17)  # l(t) by the chain from x = 2 pi t = 17 on, as e^-17 < 2^-24
 
 
-def _ell(x, y, t, F: int, prec: int, consts):
-    """l(t) = -ln(1 - e^-x) at prec bits (see the module docstring)."""
-    _, ln_2pi, ln2, log_anchor = consts
-    mag_t = t[2] + t[3]
-    if mag_t <= -48 and 4 * mag_t <= 30 - F:
-        l_short = libmp.mpf_neg(libmp.mpf_add(ln_2pi, y, prec, _RND))
-        l_short = libmp.mpf_add(l_short, libmp.mpf_shift(x, -1), prec, _RND)
-        x2 = libmp.mpf_mul(x, x, prec, _RND)
-        return libmp.mpf_sub(l_short, libmp.mpf_div(x2, libmp.from_int(24), prec, _RND),
-                             prec, _RND)
-    if libmp.mpf_ge(x, _CHAIN_X):
-        q = libmp.mpf_exp(libmp.mpf_neg(x), prec + 4, _RND)
+def _scaled(man: int, shift: int) -> int:
+    """floor(man 2^shift)."""
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _ell(t, y, prec: int, consts):
+    """(L, e): l(t) = -ln(1 - e^-x), x = 2 pi t, as L 2^e, for prec bits of
+    the weight (see the module docstring)."""
+    cp, two_pi, ln_2pi, ln2, log_anchor, coeffs = consts
+    _, man, exp, bc = t
+    mag_t = exp + bc
+    x, e = two_pi[1] * man, two_pi[2] + exp  # 2 pi~ t = x 2^e, exactly
+    if mag_t <= -48:
+        R = prec + 8
+        X = x >> (-e - R)  # floor(2 pi~ t 2^R)
+        if (R - 1) // (2 * (R - X.bit_length())) <= len(coeffs):
+            _, y_man, y_exp, _ = y  # y < 0
+            return (_scaled(y_man, y_exp + R) - (ln_2pi >> (cp - R)) + (X >> 1)
+                    - _lambda_series(X, R, coeffs)), -R
+    shift = x.bit_length() - (prec + 6 + max(0, mag_t + 3))
+    X, e = x >> shift, e + shift  # x~ = X 2^e
+    neg_x = libmp.from_man_exp(-X, e)
+    if X >= 17 << -e:  # q = e^-x < 2^-24
+        _, q, q_exp, _ = libmp.mpf_exp(neg_x, prec + 4, _RND)
         r = prec + prec.bit_length() + 16
-        s = _log1m_ratio(libmp.to_fixed(q, r), r)
-        return libmp.mpf_mul(q, libmp.from_man_exp(s, -r), prec, _RND)
+        return q * _log1m_ratio(_scaled(q, q_exp + r), r), q_exp - r
     p = prec + 28
-    _, man, exp, bc = libmp.mpf_neg(raw_expm1(libmp.mpf_neg(x), p))
-    a = -(-man >> (bc - 5)) if bc > 5 else man << (5 - bc)  # ceil(32 f), f = man 2^-bc
-    near_one = libmp.mpf_div(libmp.from_man_exp(man, 5 - bc), libmp.from_int(a), p, _RND)
-    anchors = libmp.mpf_add(log_anchor[a], libmp.mpf_mul_int(ln2, exp + bc, p, _RND), p, _RND)
-    return libmp.mpf_neg(libmp.mpf_add(libmp.mpf_log(near_one, prec + 4, _RND), anchors, prec,
-                                       _RND))
+    _, q, q_exp, _ = libmp.mpf_exp(neg_x, p + max(0, -(X.bit_length() + e)) + 8, _RND)
+    v = (1 << -q_exp) - q  # v~ = 1 - e^-x~ = v 2^q_exp, exactly
+    bc = v.bit_length()
+    a = -(-v >> (bc - 5))  # ceil(32 f), v~ = 2^E f, E = q_exp + bc
+    near_one = libmp.from_man_exp(_scaled(v, p + 5 - bc) // a, -p)
+    _, lg, lg_exp, _ = libmp.mpf_log(near_one, prec + 4, _RND)  # lg 2^lg_exp = -ln near_one
+    anchors = (log_anchor[a] + (q_exp + bc) * ln2) >> (cp - p)
+    return _scaled(lg, lg_exp + p) - anchors, -p
 
 
 def _node(j: int, m: int, b, wp: int, F: int, cp: int, consts, mag: int):
     """(T2, W) at u = j/m, given b ~ e^-u carried at cp bits and mag, the
     mag w of the node before it, as the first guess at this node's."""
-    two_pi = consts[0]
     y = libmp.mpf_sub(libmp.from_rational(j, m, cp, _RND), b, cp, _RND)
     t = libmp.mpf_exp(y, wp, _RND)
-    T2 = libmp.to_fixed(libmp.mpf_mul(t, t), F)
+    _, man, exp, _ = t
+    T2 = _scaled(man * man, 2 * exp + F)
+    _, b_man, b_exp, _ = b
+    low = min(b_exp, 0)
+    phi, phi_exp = man * ((b_man << (b_exp - low)) + (1 << -low)), exp + low  # (1 + b) t~
     prec = max(64, F + _WEIGHT_GUARD + 1 + mag)
     while True:
-        # 2 pi t to within 2^-(prec+4), relative and absolute (2 pi t < 2^(mag t + 3))
-        x = libmp.mpf_mul(two_pi, t, prec + 5 + max(0, t[2] + t[3] + 3), _RND)
-        phi_prime = libmp.mpf_mul(libmp.mpf_add(libmp.fone, b, prec, _RND), t, prec, _RND)
-        w = libmp.mpf_mul(phi_prime, _ell(x, y, t, F, prec, consts), prec, _RND)
-        mag = w[2] + w[3]
+        ell, e = _ell(t, y, prec, consts)
+        w, e = phi * ell, phi_exp + e  # w~ = w 2^e
+        mag = w.bit_length() + e
         if prec >= F + _WEIGHT_GUARD + mag:
-            return T2, libmp.to_fixed(w, F)
+            return T2, _scaled(w, e + F)
         prec = F + _WEIGHT_GUARD + mag
+
+
+def _lambda_coeffs(F: int) -> list[tuple[int, int]]:
+    """[(n_k, d_k)], n_k / d_k = |B_2k| / (2k (2k)!), for every k the
+    series form of ``_ell`` may take in a table at F: k <= (F + 17) // 90,
+    and 2k no more than the Bernoulli table's cap."""
+    out, factorial = [], 1
+    for k in range(1, min((F + 17) // 90, table().cap // 2) + 1):
+        factorial *= (2 * k - 1) * 2 * k
+        c = abs(bernoulli(2 * k)) / (2 * k * factorial)
+        out.append((c.numerator, c.denominator))
+    return out
+
+
+def _constants(wp: int) -> tuple:
+    """What every node of the table at wp shares: cp = wp + 96; 2 pi~ at cp
+    bits, with pi to nearest; ln(2 pi~), ln 2 and ln(a/32) for a = 16..32,
+    each floor(v~ 2^cp) of a libmp log v~ at cp bits; and the pairs of
+    ``_lambda_coeffs``."""
+    cp = wp + 96
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), 1)
+
+    def fixed_log(v):
+        return libmp.to_fixed(libmp.mpf_log(v, cp, _RND), cp)
+
+    return (cp, two_pi, fixed_log(two_pi), fixed_log(libmp.from_int(2)),
+            {a: fixed_log(libmp.from_rational(a, 32, cp, _RND)) for a in range(16, 33)},
+            _lambda_coeffs(wp + 32))
 
 
 def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
@@ -158,11 +220,7 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
         if got is not None:
             return got
         F, cp = wp + 32, wp + 96
-        two_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), 1)
-        consts = (two_pi, libmp.mpf_log(two_pi, cp, _RND),
-                  libmp.mpf_log(libmp.from_int(2), cp, _RND),
-                  {a: libmp.mpf_log(libmp.from_rational(a, 32, cp, _RND), cp, _RND)
-                   for a in range(16, 33)})
+        consts = _constants(wp)
         out = []
         # right from u = 0 (e^-u = 1 exactly), then left from u = -1/m; each
         # node's guess at mag w is its predecessor's in the walk, the u = 0

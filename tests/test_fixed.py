@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import stirling
-from stirling.fixed import _log1m_ratio
+from stirling.fixed import _lambda_series, _log1m_ratio
+from stirling.quadrature import _lambda_coeffs
 
 
 def _factors(node):
@@ -70,8 +71,8 @@ def test_only_fixed_floors_a_running_integer():
     found = chain_sites()
     assert {name for name, _ in found} == {"fixed.py"}
     assert {("fixed.py", kernel) for kernel in (
-        "_log1m_ratio", "_moments", "_moment_series", "_floor_terms", "_exp_bracket",
-        "_even_power_sums")} <= found
+        "_log1m_ratio", "_lambda_series", "_moments", "_moment_series", "_floor_terms",
+        "_exp_bracket", "_even_power_sums")} <= found
 
 
 def _chain(P, mu):
@@ -139,3 +140,21 @@ def test_log1m_ratio_within_its_bound(r, data):
         for q in (mpmath.ldexp(Q, -r), mpmath.ldexp(Q + 1, -r) - mpmath.ldexp(1, -2 * r)):
             exact = mpmath.ldexp(-mpmath.log1p(-q) / q if q else 1, r)
             assert 0 <= exact - s < r / 24 + 3, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st_.integers(64, 1120), D=st_.integers(45, 400), M=st_.integers(2**63, 2**64 - 1))
+def test_lambda_series_within_its_bound(R, D, M):
+    # S(x) = lambda(x) + x/2 = ln((1 - e^-x) / x) + x/2 at x = X 2^-R, X =
+    # floor(M 2^(R-D-64)), so that 2^-(D+1) <= M 2^-(D+64) < 2^-D: within 1.1
+    # n + 1.2 units of 2^-R, n = (R - 1) // (2 (R - bitlen X)) the most terms
+    # the chain may add, with the coefficients a table at F = R builds
+    X = M >> (D + 64 - R) if D + 64 >= R else M << (R - D - 64)
+    n = (R - 1) // (2 * (R - X.bit_length()))
+    coeffs = _lambda_coeffs(R)
+    assert n <= len(coeffs)
+    s = _lambda_series(X, R, coeffs)
+    with mpmath.workprec(R + 64):
+        x = mpmath.ldexp(X, -R)
+        exact = mpmath.ldexp(mpmath.log(-mpmath.expm1(-x) / x) + x / 2, R) if X else 0
+        assert abs(exact - s) < 1.1 * n + 1.2

@@ -3,6 +3,8 @@ and the one sum over it: its work cap, its work per node, and the
 discretisation, truncation and rounding parts of its error bound."""
 
 import ast
+import hashlib
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from mpmath import libmp
 import stirling.fixed
 import stirling.oracle
 import stirling.quadrature
+from stirling.bernoulli import table as bernoulli_table
 from stirling.errors import ConvergenceError
 from stirling.mpcore import PrecisionCtx, to_raw
 from stirling.oracle import lngamma_binet2
@@ -20,6 +23,14 @@ from stirling.quadrature import half_line_nodes
 
 # nodes with t >= 1/4, each summed by one integer division
 DIVISIONS = {256: 126, 768: 436}
+
+# sha256 of each table's rows, split and moments (``table_digest``)
+TABLE_SHA256 = {
+    64: "a2189b6023a948cceb76ef1d7610f228d52cf9f6436401a6cdbc4b390af04316",
+    256: "b9ba5bc60c10078ba77d13ab1c6f8c05c35bba8713425580ba883f2a3f799abc",
+    320: "2ac0bdcbe4b2b1ee4c0e5a7ddf795f20ee509f9f6b0a711d57e499b80a4003e5",
+    768: "401304c1b13ae70867adf986e1b18105d8b6d3fb582f52d269028e27b06f33f8",
+}
 
 
 def table(bits):
@@ -84,17 +95,36 @@ def test_nodes_cached_and_inside_interval():
         assert T2 >= 0 and W > 0
 
 
-@pytest.mark.parametrize("wp", [128, 320])
+def table_digest(bits):
+    """sha256 of a table's rows, split and moments, each integer in hex."""
+    m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
+    nodes, split, moments, _ = half_line_nodes(bits + 64, m, j_left, j_right)
+    text = (";".join(f"{T2:x},{W:x}" for T2, W in nodes) + f"|{split}|"
+            + ",".join(f"{s:x}" for s in moments))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("bits", sorted(TABLE_SHA256))
+def test_tables_are_pinned(bits):
+    assert table_digest(bits) == TABLE_SHA256[bits]
+
+
+@pytest.mark.parametrize("wp", [128, 320, 832])
 def test_nodes_match_mpmath(wp):
     # against mpmath at wp + 128: t~ within a relative 3 2^-wp of
     # exp(u - e^-u), T2 = floor(t~^2 2^F) exactly, and W 2^-F within
     # [w - 2^-F - 2^-(F+4), w + 2^-(F+4)] of the weight w = (1 + e^-u) t~
-    # l(t~) at the table's own t~ (see the quadrature docstring)
+    # l(t~) at the table's own t~ (see the quadrature docstring); at 832
+    # bits only the rows with t < 2^-48, whose l(t) comes from its series
     m, j_left, j_right, nodes = table(wp - 64)
     F = half_line_nodes(wp, m, j_left, j_right)[3]
     assert F == wp + 32
+    rows = list(zip(walk(wp, m, j_left, j_right), nodes, strict=True))
+    if wp == 832:
+        rows = [row for row in rows if row[0][1][2] + row[0][1][3] <= -48]
+        assert len(rows) > 250
     with mpmath.workprec(wp + 128):
-        for (j, t_raw), (T2, W) in zip(walk(wp, m, j_left, j_right), nodes, strict=True):
+        for (j, t_raw), (T2, W) in rows:
             u = mpmath.mpf(j) / m
             t = mpmath.mpf(t_raw)
             assert abs(t / mpmath.exp(u - mpmath.exp(-u)) - 1) <= 3 * mpmath.ldexp(1, -wp), j
@@ -107,21 +137,31 @@ def test_nodes_match_mpmath(wp):
 @pytest.mark.parametrize("bits", [64, 768])
 def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
     # one exponential per node for t, and at most one more for l(t), none
-    # in the short form; a log only for the nodes between the short form and
-    # the chain, besides the 19 the table's constants take
+    # in the series form (every t < 2^-48); a log only for the nodes between
+    # the series and the chain, besides the 19 the table's constants take.
+    # Every other libmp call walks e^-u, forms y, or turns an integer into
+    # the argument of l's exponential or log: 4 calls a series node, 6 a
+    # chain node and 8 a node between, and 62 for the table's constants
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
-    F = bits + 96
     short = chain = 0
     for _, t_raw in walk(bits + 64, m, j_left, j_right):
-        mag_t = t_raw[2] + t_raw[3]
-        short += mag_t <= -48 and 4 * mag_t <= 30 - F
+        short += t_raw[2] + t_raw[3] <= -48
         chain += mpmath.mpf(t_raw) * 2 * mpmath.pi >= 17
-    counts = count_calls("mpf_exp", "mpf_log")
+    counts = count_calls(*(name for name, f in vars(libmp).items() if inspect.isfunction(f)))
     n = len(table(bits)[3])
+    calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
     assert short > 0 and chain > 0
-    assert counts["mpf_exp"][0] <= 2 * n + 2 - short
-    assert counts["mpf_log"][0] <= n - short - chain + 19
+    assert calls.pop("mpf_exp") <= 2 * n + 2 - short
+    assert calls.pop("mpf_log") <= n - short - chain + 19
+    # the walk's product, y's j/m and difference, and the steps and anchors
+    assert calls.pop("mpf_mul") == calls.pop("mpf_sub") == n
+    assert calls.pop("from_rational") == n + 2 + 17
+    assert calls.pop("from_man_exp") <= 2 * (n - short) - chain
+    assert sum(calls.values()) <= 22
+    total = sum(tally[0] for tally in counts.values())
+    assert total <= 8 * n - 4 * short - 2 * chain + 62
+    assert bits == 64 or total < 7 * n
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -141,6 +181,43 @@ def test_the_weight_check_is_the_one_precision_rule(monkeypatch, bits):
         assert half_line_nodes(bits + 64, m, j_left, j_right)[0] == nodes
         retries = len(ells) - len(nodes)
         assert retries > len(nodes) // 2 if lower else retries == 0
+
+
+def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, count_calls):
+    # a node with t < 2^-48 whose chain would need more coefficients than
+    # the Bernoulli table's cap allows (only past about 23,000 bits) takes
+    # the middle form instead, shown here with the cap cut to 4: a table
+    # holds up to (F + 17) // 90 coefficients, and 2 under that cap
+    wp = 320
+    F, cp = wp + 32, wp + 96
+    m, j_left, j_right, *_ = stirling.oracle._binet_plan(wp - 64)
+    assert len(stirling.quadrature._lambda_coeffs(F)) == (F + 17) // 90 == 4
+    assert len(stirling.quadrature._lambda_coeffs(10**5)) == 256
+    logs = count_calls("mpf_log")
+    monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
+    nodes = half_line_nodes(wp, m, j_left, j_right)[0]
+    full = logs["mpf_log"][0]
+    monkeypatch.setattr(bernoulli_table(), "cap", 4)
+    monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
+    consts = stirling.quadrature._constants(wp)
+    assert len(consts[-1]) == 2
+    # at prec = 330, R = 338: t near 2^-48 needs 337 // 90 = 3 coefficients,
+    # so it takes a log; t near 2^-200 needs none
+    with mpmath.workprec(wp + 128):
+        for mag, needs_log in ((-48, 1), (-200, 0)):
+            t = libmp.from_man_exp(0xb504f333f9de6484597d89b3754abe9f, mag - 128)
+            y = libmp.mpf_log(t, cp, "n")
+            logs["mpf_log"][0] = 0
+            L, e = stirling.quadrature._ell(t, y, 330, consts)
+            assert logs["mpf_log"][0] == needs_log
+            assert abs(mpmath.ldexp(L, e) / ell(mpmath.mpf(t)) - 1) < mpmath.ldexp(1, -330)
+    # the table built so takes more logs, keeps every T2, and moves no W by
+    # more than a unit
+    logs["mpf_log"][0] = 0
+    cut = half_line_nodes(wp, m, j_left, j_right)[0]
+    assert logs["mpf_log"][0] > full
+    assert [T2 for T2, _ in cut] == [T2 for T2, _ in nodes]
+    assert all(abs(a - b) <= 1 for (_, a), (_, b) in zip(cut, nodes, strict=True))
 
 
 def test_quadrature_holds_no_floating_point():
