@@ -65,7 +65,7 @@ from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_posi
 from .expansions import mermin_partial_product
 from .fixed import _exp_bracket, _floor_terms
 from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
-from .series import _half_ln_2pi_raw, term_coefficient
+from .series import _half_ln_2pi, term_coefficient
 
 __all__ = [
     "FAMILY_MIN_N",
@@ -151,7 +151,7 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     c = libmp.mpf_mul(libmp.mpf_add(n_raw, libmp.fhalf, wp, _RND), lnn, wp, _RND)
     c = libmp.mpf_sub(c, n_raw, wp, _RND)
     c = libmp.mpf_add(c, libmp.mpf_sub(libmp.fone, lnfact, wp, _RND), wp, _RND)
-    r = libmp.mpf_sub(libmp.mpf_sub(libmp.fone, c, wp, _RND), _half_ln_2pi_raw(wp), wp, _RND)
+    r = libmp.mpf_sub(libmp.mpf_sub(libmp.fone, c, wp, _RND), _half_ln_2pi(wp).v, wp, _RND)
     v_log = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
     v_log = libmp.mpf_sub(v_log, lnfact, wp, _RND)
     v = libmp.mpf_exp(v_log, wp, _RND)

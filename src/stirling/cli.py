@@ -161,9 +161,8 @@ def _cmd_expansions(args, ctx: PrecisionCtx) -> tuple[str, int]:
     if which == "feller":
         k_max = 1000 if args.k_max is None else args.k_max
         doc["k_max"] = k_max
-        value = expn.feller_constant(k_max, ctx)
-        ulp = mpc.BigFloat(mpc._ulp_raw(value.raw, ctx.bits), ctx.bits)
-        doc["constant_partial_sum"] = mpc.certified_decimal(value, ulp, digits)
+        value, bound = expn._feller_constant(k_max, ctx).published(ctx)
+        doc["constant_partial_sum"] = mpc.certified_decimal(value, bound, digits)
         gap = abs(value - ser.half_ln_2pi(ctx))
         doc["gap_to_half_ln_2pi"] = gap.to_decimal(digits)
         if args.n is not None:

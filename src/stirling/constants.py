@@ -27,7 +27,7 @@ from mpmath import libmp
 from .errors import DomainError, ValidityError
 from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, default_ctx,
                      rational_to_float, to_raw)
-from .series import _half_ln_2pi_raw, term_coefficient
+from .series import _half_ln_2pi, term_coefficient
 
 __all__ = [
     "ConstantSequence",
@@ -55,7 +55,7 @@ def c_sequence(n_max: int, ctx: PrecisionCtx | None = None) -> ConstantSequence:
     for N in range(1, n_max + 1):
         acc -= term_coefficient(N)
         entries.append((N, acc, rational_to_float(acc, ctx)))
-    reference = BigFloat.from_raw(_half_ln_2pi_raw(ctx.wprec()), ctx)
+    reference = BigFloat.from_raw(_half_ln_2pi(ctx.wprec()).v, ctx)
     return ConstantSequence(entries=tuple(entries), reference=reference)
 
 
@@ -68,7 +68,7 @@ def duplication_constant(z, ctx: PrecisionCtx) -> BigFloat:
     half_over_z = libmp.mpf_div(libmp.fhalf, z_raw, wp, _RND)
     one_plus = libmp.mpf_add(libmp.fone, half_over_z, wp, _RND)
     term = libmp.mpf_mul(z_raw, libmp.mpf_log(one_plus, wp, _RND), wp, _RND)
-    acc = libmp.mpf_add(_half_ln_2pi_raw(wp), libmp.fhalf, wp, _RND)
+    acc = libmp.mpf_add(_half_ln_2pi(wp).v, libmp.fhalf, wp, _RND)
     return BigFloat.from_raw(libmp.mpf_sub(acc, term, wp, _RND), ctx)
 
 

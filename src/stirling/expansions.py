@@ -44,11 +44,11 @@ from mpmath import libmp
 
 from .errors import DomainError
 from .fixed import _floor_series
-from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
-                     _sum_up, _ulp_raw, raw_log1p, to_raw)
+from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
+                     to_raw)
 from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
                      ln_factorial_range, lngamma_binet2)
-from .series import _main_term_raw
+from .series import _main_term
 
 __all__ = [
     "FellerTerm",
@@ -76,69 +76,31 @@ class FellerTerm:
     b_k: BigFloat
 
 
-# a running bound is an integer in units of 2^-(wp + _G)
-_G = 64
-
-
-def _units(c, wp: int, weight: int = 1) -> int:
-    """weight U(c), for U(c) = 2^(mag c - wp) one ulp of a wp-bit c (mag
-    as ``mpcore._ulp_raw`` takes it), in units of 2^-(wp + _G), rounded up;
-    and U(0) = 0.
-
-    A computed 0 is exact, so it carries no error.  libmp's exponents are
-    unbounded, and its rounding of a nonzero mantissa to wp bits keeps the
-    leading bit, so an addition, subtraction or product that comes out 0
-    was 0 before rounding.  libmp's logarithm is within one ulp, relative,
-    of the exact one, so it is 0 only where the exact log is, at ln 1.  And
-    a residual that is 0 rounds to 0 at ctx.bits.
-    """
-    if not c[1]:
-        return 0
-    e = c[2] + c[3] + _G
-    return weight << e if e >= 0 else -(-weight >> -e)
-
-
-def _feller_ab_raw(k: int, wp: int):
+def _feller_ab(k: int, wp: int) -> tuple[_Ball, _Ball]:
     """Closed forms via t ln t - t:
     a_k = (1/2) ln k - k ln k + (k - 1/2) ln(k - 1/2) + 1/2
     b_k = (k + 1/2) ln(k + 1/2) - k ln k - (1/2) ln k - 1/2
-    at wp bits, and a bound on the sum of their errors in units of
-    2^-(wp + _G) (``_units``), for k < 2^(wp-1), where k -+ 1/2 are exact.
-    Each operation adds U of its result; an operand's error passes on times
-    its factor, below k + 1 for the logs of k -+ 1/2, and ln k's reaches
-    the two sums 2k + 1 times: twice through k ln k, twice halved."""
+    at wp bits with their errors, for k < 2^(wp-1), where k -+ 1/2 are exact."""
     k_raw = libmp.from_int(k)
-    lnk = libmp.mpf_log(k_raw, wp, _RND)
-    k_minus = libmp.mpf_sub(k_raw, libmp.fhalf, wp, _RND)
-    k_plus = libmp.mpf_add(k_raw, libmp.fhalf, wp, _RND)
-    k_lnk = libmp.mpf_mul(k_raw, lnk, wp, _RND)
-    ln_minus = libmp.mpf_log(k_minus, wp, _RND)
-    ln_plus = libmp.mpf_log(k_plus, wp, _RND)
-    p_minus = libmp.mpf_mul(k_minus, ln_minus, wp, _RND)
-    p_plus = libmp.mpf_mul(k_plus, ln_plus, wp, _RND)
-    a1 = libmp.mpf_sub(libmp.mpf_shift(lnk, -1), k_lnk, wp, _RND)
-    a2 = libmp.mpf_add(a1, p_minus, wp, _RND)
-    a = libmp.mpf_add(a2, libmp.fhalf, wp, _RND)
-    b1 = libmp.mpf_sub(p_plus, k_lnk, wp, _RND)
-    b2 = libmp.mpf_sub(b1, libmp.mpf_shift(lnk, -1), wp, _RND)
-    b = libmp.mpf_sub(b2, libmp.fhalf, wp, _RND)
-    err = (_units(lnk, wp, 2 * k + 1) + _units(k_lnk, wp, 2)
-           + _units(ln_minus, wp, k + 1) + _units(ln_plus, wp, k + 1)
-           + sum(_units(c, wp) for c in (p_minus, p_plus, a1, a2, a, b1, b2, b)))
-    return a, b, err
+    k_minus = _Ball(libmp.mpf_sub(k_raw, libmp.fhalf), wp)
+    k_plus = _Ball(libmp.mpf_add(k_raw, libmp.fhalf), wp)
+    lnk = _Ball(k_raw, wp).log()
+    k_lnk, half_lnk = lnk * k_raw, lnk.shift(-1)
+    a = half_lnk - k_lnk + k_minus * k_minus.log() + libmp.fhalf
+    b = k_plus * k_plus.log() - k_lnk - half_lnk - libmp.fhalf
+    return a, b
 
 
 def feller_term(k: int, ctx: PrecisionCtx) -> FellerTerm:
     _require_index(k, "k", 1)
     wp = ctx.wprec()
-    a, b, _ = _feller_ab_raw(k, wp)
-    return FellerTerm(k=k, a_k=BigFloat.from_raw(a, ctx), b_k=BigFloat.from_raw(b, ctx))
+    a, b = _feller_ab(k, wp)
+    return FellerTerm(k=k, a_k=BigFloat.from_raw(a.v, ctx), b_k=BigFloat.from_raw(b.v, ctx))
 
 
-def _i_half_raw(wp: int):
-    # I(1/2) = -(1/2) ln 2 - 1/2
-    ln2 = libmp.mpf_log(libmp.from_int(2), wp, _RND)
-    return libmp.mpf_neg(libmp.mpf_add(libmp.mpf_shift(ln2, -1), libmp.fhalf, wp, _RND))
+def _i_half(wp: int) -> _Ball:
+    """I(1/2) = -(1/2) ln 2 - 1/2"""
+    return -(_Ball(libmp.from_int(2), wp).log().shift(-1) + libmp.fhalf)
 
 
 def feller_identity_residual(n: int, ctx: PrecisionCtx) -> BigFloat:
@@ -160,51 +122,22 @@ def _feller_residuals(n_max: int, ctx: PrecisionCtx):
     ``feller_identity_residual(n)``, rounded to ctx.bits, and a proven bound
     B >= |r|.
 
-    The identity is exact, so r is made of roundings.  Let U(c) =
-    2^(mag c - wp), one ulp of a wp-bit c, wp = ctx.wprec(), and U(0) = 0
-    (``_units``); every libmp operation at wp returns a c within U(c) of
-    the exact result on its computed operands (see
-    ``series._approximation``).  The running bound is kept exactly, as an
-    integer of ``_units``:
-      - a_n and b_n are within E_ab(n) of theirs (``_feller_ab_raw``), and
-        the running sum s of a_k - b_k over k < n gains E_ab(k) + U(d) +
-        U(s) at each k, for d = a_k - b_k;
-      - ln n! is the log of n! rounded to wp, a relative 2^-wp off, so it
-        is within U(ln n!) + 2^(1-wp);
-      - -I(1/2) = (ln 2)/2 + 1/2 and ln 2 lie in [1/2, 1), so -I(1/2) is
-        within U(ln 2)/2 + U(I(1/2)) <= 2 U(I(1/2));
-      - ln n enters I(n) = n ln n - n n times and the left side halved, so
-        it adds (n + 1) U(ln n); n ln n, I(n), the three sums of the right
-        side and the left side add U of each;
-      - the residual adds U of itself, and its rounding to ctx.bits half an
-        ulp there.
-    Each B is rounded up to ctx.bits.
+    The identity is exact, so r is made of the roundings that
+    ``mpcore._Ball`` tracks, given ln n!, the log of n! rounded to wp =
+    ctx.wprec(), a relative 2^-wp off, so within U(ln n!) + 2^(1-wp) of
+    ln n!.
     """
     _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec()
-    i_half = _i_half_raw(wp)
-    fixed = (1 << (_G + 1)) + _units(i_half, wp, 2)  # ln n! and I(1/2)
-    s, e_s = libmp.fzero, 0  # sum_{k<n} (a_k - b_k) and its bound
+    i_half, s = _i_half(wp), _Ball(libmp.fzero, wp)  # s = sum_{k<n} (a_k - b_k)
     for n, lnfact in ln_factorial_range(n_max, wp):
-        a_n, b_n, e_ab = _feller_ab_raw(n, wp)
-        n_raw = libmp.from_int(n)
-        lnn = libmp.mpf_log(n_raw, wp, _RND)
-        n_lnn = libmp.mpf_mul(n_raw, lnn, wp, _RND)
-        i_n = libmp.mpf_sub(n_lnn, n_raw, wp, _RND)
-        rhs1 = libmp.mpf_sub(i_n, i_half, wp, _RND)
-        rhs2 = libmp.mpf_add(rhs1, s, wp, _RND)
-        rhs = libmp.mpf_add(rhs2, a_n, wp, _RND)
-        lhs = libmp.mpf_sub(lnfact, libmp.mpf_shift(lnn, -1), wp, _RND)
-        resid = libmp.mpf_sub(lhs, rhs, wp, _RND)
-        bound = (fixed + e_s + e_ab + _units(lnn, wp, n + 1)
-                 + _units(resid, wp, 1 << (wp - ctx.bits - 1))
-                 + sum(_units(c, wp) for c in (lnfact, n_lnn, i_n, rhs1, rhs2, rhs, lhs,
-                                                resid)))
-        yield (BigFloat.from_raw(resid, ctx),
-               BigFloat(libmp.from_man_exp(bound, -(wp + _G), ctx.bits, _UP), ctx.bits))
-        d = libmp.mpf_sub(a_n, b_n, wp, _RND)
-        s = libmp.mpf_add(s, d, wp, _RND)
-        e_s += e_ab + _units(d, wp) + _units(s, wp)
+        a_n, b_n = _feller_ab(n, wp)
+        n_ball = _Ball(libmp.from_int(n), wp)
+        lnn = n_ball.log()
+        rhs = n_ball * lnn - n_ball - i_half + s + a_n
+        lhs = _Ball.op(lnfact, wp).widen(libmp.from_man_exp(1, 1 - wp)) - lnn.shift(-1)
+        yield (lhs - rhs).published(ctx)
+        s = s + (a_n - b_n)
 
 
 def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
@@ -220,26 +153,28 @@ def feller_constant(K: int, ctx: PrecisionCtx) -> BigFloat:
     so D <= K (W + 1) <= K (wp + 64) whenever K (wp + 64) < 2^58, which
     K <= TERMS_CAP keeps for any wp < 2^37.  The sum is at least a_1 - b_1
     > 1/24 > 2^-5, so W = wp + 5 + bitlen(K (wp + 64)) keeps its error
-    below 2^-wp relative, for the working precision wp = ctx.wprec() =
-    bits + 32.  I(1/2) is then subtracted at wp, and the result rounded
-    once to ctx.
+    below 2^-(wp+5), for the working precision wp = ctx.wprec() = bits +
+    32.  I(1/2) is then subtracted at wp, and the result rounded once to
+    ctx.
 
-    The result is within one ulp at ctx.bits of the partial sum, 2^-bits:
-    the partial sum lies in [0.89, 0.92], so each step of the last one at
-    wp is within 2^-wp of its exact result (the addition correctly
-    rounded, ln 2 to within one ulp, as everywhere in the package).  The
-    series is off by less than 2^-(wp+5), (ln 2)/2 by 2^-(wp+1), and the
-    two roundings of -I(1/2) = (ln 2)/2 + 1/2 and of the difference add
-    2^-wp each: under 2.6 2^-wp = 2.6 2^-(bits+32) at wp.  Rounding to
-    ctx.bits adds at most 2^-(bits+1).
+    The result is within one ulp at ctx.bits of the partial sum, 2^-bits.
+    The partial sum lies in [0.89, 0.92], and so does -I(1/2) = (ln 2)/2 +
+    1/2, so ``mpcore._Ball`` charges ln 2 and the two roundings after it
+    2^-wp each, the halving one half of that: with the series, under 2.6
+    2^-wp at wp, and the rounding to ctx.bits adds at most 2^-(bits+1).
     """
+    return BigFloat.from_raw(_feller_constant(K, ctx).v, ctx)
+
+
+def _feller_constant(K: int, ctx: PrecisionCtx) -> _Ball:
+    """The partial sum of ``feller_constant`` at wp, with its error."""
     _require_index(K, "K", 1, TERMS_CAP, "term cap")
     wp = ctx.wprec()
     W = wp + 5 + (K * (wp + 64)).bit_length()
     divisors = tuple(2 * j * (2 * j + 1) for j in range(1, W // 2 + 2))
     s = _floor_series(range(2, 2 * K + 1, 2), divisors, W)
-    total = libmp.from_man_exp(s, -W)
-    return BigFloat.from_raw(libmp.mpf_sub(total, _i_half_raw(wp), wp, _RND), ctx)
+    total = _Ball(libmp.from_man_exp(s, -W), wp).widen(libmp.from_man_exp(1, -(wp + 5)))
+    return total - _i_half(wp)
 
 
 # -- Marsaglia-Marsaglia ----------------------------------------------------
@@ -348,71 +283,38 @@ def _namias_residual(n, ctx: PrecisionCtx) -> tuple[BigFloat, BigFloat]:
 
     With J(x) = ln Gamma(x) - P(x) the equation reads a = b, for a = J(2n)
     - J(n) - J(n - 1/2) and b = 1/2 + n ln(1 - 1/(2n)), and it holds
-    exactly at n~, n rounded to wp = ctx.wprec().  Let U(c) = 2^(mag c -
-    wp), one ulp of a wp-bit c; every libmp operation at wp returns a c
-    within U(c) of the exact result on its computed operands, a correctly
-    rounded one within U(c)/2 (see ``series._approximation``).
+    exactly at n~, n rounded to wp = ctx.wprec().  ``mpcore._Ball`` tracks
+    the errors of a~ and b~, given these:
       - Each J(x) is the oracle's value, within its error_bound, less P(x)
-        as ``main_term_P`` gives it: within E_P of ``series._main_term_raw``
-        and half an ulp at ctx.bits for its rounding; the difference adds U.
-      - x = n~ - 1/2 is rounded, by at most U(x)/2.  ln Gamma and P, whose
+        as ``main_term_P`` gives it: ``series._main_term`` rounded to
+        ctx.bits.
+      - x = n~ - 1/2 is rounded to nearest, so ln Gamma and P, whose
         derivative ln x - 1/(2x) is bounded as psi is in the proof of
         ``mpcore._argument_error``, move by at most E_arg(x) each.
-      - The two differences of a~ add U of each.
-      - b~: y~ = -1/(2n~) is within U(y~)/2 of y, so ln(1 + y~) is within
-        (U(y~)/2) / (1 + y~ - U(y~)/2) of ln(1 + y).  ``raw_log1p`` rounds
-        1 + y~ at w' >= wp + 8 bits, which moves the log by less than
-        2^(1-w'), takes the log within one ulp at w', below U(l)/256, and
-        rounds it to l within U(l)/2.  The product by n~ then adds U and
-        carries n~ times the error of l, and the sum adds U.
       - r: lhs and rhs are exp(a~) and exp(b~) within U of each.  As a = b,
         |exp(a~) - exp(b~)| <= e^xi (|a~ - a| + |b~ - b|) for some xi
         between a~ and b~, and e^xi <= max(lhs, rhs) + U(max(lhs, rhs)).
-        The difference adds U(r), and its rounding to ctx.bits half an ulp
-        there.
-    The parts are summed upwards at 64 bits and rounded up to ctx.bits.
     """
     wp = ctx.wprec()
     n_raw = to_raw(n, wp)
     if libmp.mpf_le(n_raw, libmp.fhalf):
         raise DomainError("needs n > 1/2")
-    errs = []  # the parts of |a~ - a| + |b~ - b|
 
     def j_log(x_raw):
         ov = lngamma_binet2(BigFloat(x_raw, ctx.bits), ctx)
-        p, e_p = _main_term_raw(x_raw, wp)
-        j = libmp.mpf_sub(ov.value.raw, libmp.mpf_pos(p, ctx.bits, _RND), wp, _RND)
-        errs.extend([ov.error_bound.raw, e_p, _ulp_raw(p, ctx.bits + 1), _ulp_raw(j, wp)])
-        return j
+        p = _main_term(_Ball(x_raw, wp)).rounded(ctx.bits)
+        return _Ball(ov.value.raw, wp).widen(ov.error_bound.raw) - p
 
-    two_n = libmp.mpf_shift(n_raw, 1)
     n_half = libmp.mpf_sub(n_raw, libmp.fhalf, wp, _RND)
-    lhs_log1 = libmp.mpf_sub(j_log(two_n), j_log(n_raw), wp, _RND)
-    lhs_log = libmp.mpf_sub(lhs_log1, j_log(n_half), wp, _RND)
-    # rhs: 1/2 + n ln(1 - 1/(2n))
-    y = libmp.mpf_neg(libmp.mpf_div(libmp.fhalf, n_raw, wp, _RND))
-    ell = raw_log1p(y, wp)
-    n_ell = libmp.mpf_mul(n_raw, ell, wp, _RND)
-    rhs_log = libmp.mpf_add(libmp.fhalf, n_ell, wp, _RND)
-    lhs = libmp.mpf_exp(lhs_log, wp, _RND)
-    rhs = libmp.mpf_exp(rhs_log, wp, _RND)
-    resid = libmp.mpf_sub(lhs, rhs, wp, _RND)
-
-    half_u = _ulp_raw(y, wp + 1)
-    gap = libmp.mpf_sub(libmp.mpf_add(libmp.fone, y, 64, libmp.round_floor), half_u, 64,
-                        libmp.round_floor)
-    e_ell = _sum_up([libmp.mpf_div(half_u, gap, 64, _UP), libmp.from_man_exp(1, -(wp + 7)),
-                     _ulp_raw(ell, wp)])
-    errs += [libmp.mpf_shift(_argument_error(n_half, wp), 1), _ulp_raw(lhs_log1, wp),
-             _ulp_raw(lhs_log, wp), libmp.mpf_mul(n_raw, e_ell, 64, _UP),
-             _ulp_raw(n_ell, wp), _ulp_raw(rhs_log, wp)]
-    top = lhs if libmp.mpf_ge(lhs, rhs) else rhs
-    slope = _sum_up([top, _ulp_raw(top, wp)])
-    bound = _sum_up([libmp.mpf_mul(slope, _sum_up(errs), 64, _UP),
-                     *(_ulp_raw(c, wp) for c in (lhs, rhs, resid)),
-                     _ulp_raw(resid, ctx.bits + 1)])
-    return (BigFloat.from_raw(resid, ctx),
-            BigFloat(libmp.mpf_pos(bound, ctx.bits, _UP), ctx.bits))
+    a = j_log(libmp.mpf_shift(n_raw, 1)) - j_log(n_raw) - j_log(n_half)
+    a = a.widen(libmp.mpf_shift(_argument_error(n_half, wp), 1))
+    # b = 1/2 + n ln(1 - 1/(2n))
+    y = _Ball.op(libmp.mpf_neg(libmp.mpf_div(libmp.fhalf, n_raw, wp, _RND)), wp)
+    b = _Ball(n_raw, wp) * y.log1p() + libmp.fhalf
+    lhs, rhs = _Ball(a.v, wp).exp(), _Ball(b.v, wp).exp()
+    top = lhs if libmp.mpf_ge(lhs.v, rhs.v) else rhs
+    mvt = libmp.mpf_mul(libmp.mpf_add(top.v, top.error()), libmp.mpf_add(a.error(), b.error()))
+    return (lhs - rhs).widen(mvt).published(ctx)
 
 
 # -- Mermin -------------------------------------------------------------------

@@ -398,12 +398,16 @@ def raw_expm1(x_raw, prec: int):
     return libmp.mpf_pos(libmp.mpf_sub(e, libmp.fone, wp, _RND), prec, _RND)
 
 
-def _ulp_raw(value_raw, bits: int, count: int = 1):
-    """count 2^(mag - bits), for mag the exponent with 2^(mag-1) <= |x| <
-    2^mag (1 for x = 0): count units in the last place of x at bits."""
-    sign, man, exp, bc = value_raw
-    mag = (exp + bc) if man else 1
-    return libmp.from_man_exp(count, mag - bits)
+# -- the rounding model -------------------------------------------------
+
+def _ceil_shift(n: int, k: int) -> int:
+    """ceil(n 2^k) for an integer n >= 0"""
+    return n << k if k >= 0 else -(-n >> -k)
+
+
+def _ulp_raw(c, bits: int, count: int = 1):
+    """count U(c) of ``_Ball`` with ``bits`` in place of wp, a raw value."""
+    return libmp.from_man_exp(count, c[2] + c[3] - bits) if c[1] else libmp.fzero
 
 
 def _sum_up(parts, prec: int = 64):
@@ -412,6 +416,150 @@ def _sum_up(parts, prec: int = 64):
     for part in parts:
         total = libmp.mpf_add(total, part, prec, _UP)
     return total
+
+
+class _Ball:
+    """A libmp value v at wp bits with a proven bound on its error: the
+    exact x that v stands for is within e 2^q of v, for integers e and q.
+    This is the one rounding model of the package, a running error bound
+    as in midpoint-radius arithmetic (Johansson, "Arb", IEEE Trans.
+    Comput. 66, 2017; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3).
+
+    For a libmp value c with 2^(mag c - 1) <= |c| < 2^(mag c), let
+
+        U(c) = 2^(mag c - wp),  U(0) = 0,
+
+    one ulp of a wp-bit c, so U(c) <= 2^(1-wp) |c|.  The allowance: every
+    libmp operation at wp returns a c within U(c) of the exact result on
+    its computed operands.  + - x / and the conversions are correctly
+    rounded, within U(c)/2; mpf_log, mpf_exp, mpf_pi and mpf_euler are
+    taken to within one ulp, which mpmath 1.3 does not document and every
+    bound of the package assumes.  So c = x (1 + delta) with |delta| <= u
+    = 2^(2-wp), the form Higham's Lemma 3.1 counts in a loop.  A computed
+    0 is exact: libmp's exponents are unbounded and its rounding keeps a
+    nonzero leading bit, so a sum or product that comes out 0 was 0; a log
+    within one ulp, relative, of the exact one is 0 only at ln 1; and e^a
+    is never 0.
+
+    Each operation takes the one libmp call at wp that the value takes
+    without a bound, and adds U of its result to the errors its operands
+    e_a, e_b pass on (an exact raw operand has none):
+      - a +- b: e_a + e_b;  a b: |a~| e_b + |b~| e_a + e_a e_b;
+      - 2^k a (``shift``): 2^k e_a, and no U, as it is exact;
+      - ln a: e_a / (a~ - e_a), by the mean value theorem;
+      - ln(1 + a) (``raw_log1p``): e_a / (1 + a~ - e_a), and 2^(1-w') for
+        1 + a~ rounded at w' = wp + 8 + max(0, -mag a~) bits, as its log at
+        w' and the rounding to wp stay within U;
+      - e^a: (|c| + U(c)) (e^d - 1) for d = e_a, with e^d - 1 <= d / (1 - d)
+        for d <= 1/2, and < 2^ceil(3d/2) past it;
+      - rounding to p bits (``rounded``): half an ulp there, 2^(mag - p - 1).
+    The unit 2^q is 2^-(wp+64) to begin with, and the finer of two
+    operands' units after; ``exp`` takes 2^-64 U(c) where that is finer,
+    and 2^ceil(3d/2) times that past d = 1/2, so that a tiny or a huge
+    result keeps its error in few bits.
+    """
+
+    __slots__ = ("v", "wp", "e", "q")
+
+    def __init__(self, v, wp: int, e: int = 0, q: int | None = None):
+        self.v, self.wp, self.e = v, wp, e
+        self.q = -(wp + 64) if q is None else q
+
+    @classmethod
+    def op(cls, c, wp: int) -> "_Ball":
+        """c from one libmp operation at wp on exact operands."""
+        return cls(c, wp)._out(c, 0)
+
+    def _out(self, c, e: int, q: int | None = None) -> "_Ball":
+        """c, with the error e 2^q that its operands pass on, and U(c)"""
+        q = self.q if q is None else q
+        if c[1]:
+            k = c[2] + c[3] - self.wp - q
+            e += 1 << k if k >= 0 else 1
+        return _Ball(c, self.wp, e, q)
+
+    def _join(self, b):
+        """(b's value, this error, b's error, q), both errors in units 2^q"""
+        if not isinstance(b, _Ball):
+            return b, self.e, 0, self.q
+        q = min(self.q, b.q)
+        return b.v, self.e << (self.q - q), b.e << (b.q - q), q
+
+    def _slope(self, a) -> int:
+        """e / (a - e) in units, for this ball's error e and a raw a > e"""
+        if not self.e:
+            return 0
+        t = max(0, self.q, self.q - a[2])
+        den = (a[1] << (a[2] - self.q + t)) - (self.e << t)
+        if a[0] or den <= 0:
+            raise DomainError("the log of a value whose error reaches 0")
+        return -(-(self.e << (t - self.q)) // den)
+
+    def __add__(self, b):
+        v, e_a, e_b, q = self._join(b)
+        return self._out(libmp.mpf_add(self.v, v, self.wp, _RND), e_a + e_b, q)
+
+    def __sub__(self, b):
+        v, e_a, e_b, q = self._join(b)
+        return self._out(libmp.mpf_sub(self.v, v, self.wp, _RND), e_a + e_b, q)
+
+    def __mul__(self, b):
+        v, e_a, e_b, q = self._join(b)
+        a = self.v
+        err = _ceil_shift(a[1] * e_b, a[2]) + _ceil_shift(v[1] * e_a, v[2])
+        return self._out(libmp.mpf_mul(a, v, self.wp, _RND), err + _ceil_shift(e_a * e_b, q), q)
+
+    def __neg__(self):
+        return _Ball(libmp.mpf_neg(self.v), self.wp, self.e, self.q)
+
+    def shift(self, k: int) -> "_Ball":
+        return _Ball(libmp.mpf_shift(self.v, k), self.wp, self.e, self.q + k)
+
+    def log(self) -> "_Ball":
+        return self._out(libmp.mpf_log(self.v, self.wp, _RND), self._slope(self.v))
+
+    def log1p(self) -> "_Ball":
+        x = self.v
+        e = self._slope(libmp.mpf_add(libmp.fone, x))
+        if x[1]:  # 2^(1-w') for the rounding of 1 + x~
+            e += _ceil_shift(1, -7 - self.wp - max(0, -(x[2] + x[3])) - self.q)
+        return self._out(raw_log1p(x, self.wp), e)
+
+    def exp(self) -> "_Ball":
+        c, e = libmp.mpf_exp(self.v, self.wp, _RND), self.e
+        q = min(self.q, c[2] + c[3] - self.wp - 64)
+        reach = _ceil_shift(c[1], c[2] - q) + _ceil_shift(1, c[2] + c[3] - self.wp - q)
+        if self.q < 0 and 2 * e <= 1 << -self.q:  # e^d - 1 <= d / (1 - d)
+            return self._out(c, -(-reach * e // ((1 << -self.q) - e)), q)
+        return self._out(c, reach, q + _ceil_shift(3 * e, self.q - 1))  # < 2^ceil(3d/2)
+
+    def rounded(self, bits: int) -> "_Ball":
+        """v rounded to ``bits`` < wp, as BigFloat.from_raw rounds it"""
+        v = self.v
+        half = _ceil_shift(1, v[2] + v[3] - bits - 1 - self.q) if v[1] else 0
+        return _Ball(libmp.mpf_pos(v, bits, _RND), self.wp, self.e + half, self.q)
+
+    def widen(self, *bounds) -> "_Ball":
+        """The same value, its error grown by each raw bound >= 0."""
+        e = self.e + sum(_ceil_shift(b[1], b[2] - self.q) for b in bounds)
+        return _Ball(self.v, self.wp, e, self.q)
+
+    def error(self):
+        """The error bound e 2^q, a raw value."""
+        return libmp.from_man_exp(self.e, self.q)
+
+    def ends(self):
+        """(lo, hi) at wp bits, rounded outward, around the exact value."""
+        return (libmp.mpf_sub(self.v, self.error(), self.wp, libmp.round_floor),
+                libmp.mpf_add(self.v, self.error(), self.wp, _UP))
+
+    def published(self, ctx: PrecisionCtx) -> tuple[BigFloat, BigFloat]:
+        """(value, bound) at ctx.bits: v rounded, and its error, with that
+        rounding, rounded up."""
+        out = self.rounded(ctx.bits)
+        return (BigFloat(out.v, ctx.bits),
+                BigFloat(libmp.mpf_pos(out.error(), ctx.bits, _UP), ctx.bits))
 
 
 def _argument_error(z_raw, wp: int):

@@ -50,7 +50,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import ConvergenceError, DomainError
-from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
+from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
                      _require_positive, _sum_up, _ulp_raw, raw_expm1, raw_log1p, to_raw)
 from .fixed import _moment_series
 from .quadrature import half_line_nodes
@@ -597,30 +597,20 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
     so |E| <= max(|lo|, |hi|) for the ends of the bracket.  This needs L(n)
     alone: one running product to z + n.
 
-    Evaluation.  Let U(c) = 2^(mag c - wp), one ulp of a wp-bit c, wp =
-    ctx.wprec().  Every libmp operation at wp returns a c within U(c) of the
-    exact result on its computed operands (see ``series._approximation``),
-    so c = x (1 + delta), |delta| <= u = 2^(2-wp).  All is evaluated at z~,
-    z rounded to wp, and b = z~ + a is exact.
-      - The bracket, rounded outward.  q = b/a and r = a/n are rounded once
-        and l = ln q and m = ln r taken; as q, r and the exact ratios are
-        at least 1, l and m are within e_l = U(l) + U(q) and e_m = U(m) +
-        U(r) of ln(b/a) and ln(a/n).  G~ = (b l - z~) + z~ m is within
-        e_G = U(b l) + b e_l + U(z~ m) + z~ e_m + U(b l - z~) + U(G~) of G,
-        so each of G~ - l and G~ - l/2 is within e_G + e_l plus its own U
-        of its end, and is moved out by that much, rounding outward.
-      - The rounding of L(n).  The n + 1 rounded factors z~ + k, the n + 1
-        products of the running product and the rounding of n! put 2n + 3
-        factors (1 + delta)^(+-1) into n! / prod, whose log is then off by
-        |ln(1 + theta)| <= 2 (2n + 3) u, as (2n + 3) u <= 1/4 (Higham,
-        Accuracy and Stability of Numerical Algorithms, Lemma 3.1).  The
-        logs of n!, of prod and of n, the product z~ ln n and the two sums
-        add U(ln n!) + U(ln prod) + z~ U(ln n) + U(z~ ln n) + U(acc) +
-        U(L~), half an ulp at ctx.bits covers the final rounding, and
-        ``mpcore._argument_error`` the rounding of z to z~.
-    The bound is max(|lo|, |hi|) plus the rounding part, rounded up.
+    Evaluation, at z~, z rounded to wp = ctx.wprec(), where b = z~ + a is
+    exact.  ``mpcore._Ball`` tracks the roundings of the bracket's ends, of
+    l = ln q and m = ln r for q = b/a and r = a/n rounded, and of the logs
+    of n!, of prod and of n and the steps after them; each end is then
+    moved out by its error, rounding outward.  It takes the running product
+    and n! as exact: their n + 1 rounded factors z~ + k, the n + 1 products
+    and the rounding of n! put 2n + 3 factors (1 + delta)^(+-1), |delta| <=
+    u = 2^(2-wp), into n! / prod, whose log is then off by |ln(1 + theta)|
+    <= 2 (2n + 3) u, as (2n + 3) u <= 1/4 (Higham, Accuracy and Stability
+    of Numerical Algorithms, Lemma 3.1).  Half an ulp at ctx.bits covers
+    the final rounding, and ``mpcore._argument_error`` the rounding of z to
+    z~.  The bound is max(|lo|, |hi|) plus the rounding part, rounded up.
     ``diagnostics`` records n, the outward ends bracket_lo and bracket_hi,
-    and the rounding part, each end and part a BigFloat at wp.
+    and the rounding part, each end a BigFloat at wp.
     """
     _require_index(n, "n", 2, FACTORIAL_CAP)
     wp = ctx.wprec()
@@ -629,40 +619,25 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
     prod = libmp.fone
     for k in range(0, n + 1):
         prod = libmp.mpf_mul(prod, libmp.mpf_add(z_raw, libmp.from_int(k), wp, _RND), wp, _RND)
-    ln_n = libmp.mpf_log(libmp.from_int(n), wp, _RND)
-    ln_fact = _ln_factorial_raw(n, wp)
-    z_ln_n = libmp.mpf_mul(z_raw, ln_n, wp, _RND)
-    acc = libmp.mpf_add(ln_fact, z_ln_n, wp, _RND)
-    ln_prod = libmp.mpf_log(prod, wp, _RND)
-    val = libmp.mpf_sub(acc, ln_prod, wp, _RND)
-    value = BigFloat.from_raw(val, ctx)
+    z_ball = _Ball(z_raw, wp)
+    val = _Ball.op(_ln_factorial_raw(n, wp), wp) + z_ball * _Ball(libmp.from_int(n), wp).log()
+    val = val - _Ball.op(libmp.mpf_log(prod, wp, _RND), wp)
+    out = val.widen(libmp.from_man_exp(2 * n + 3, 3 - wp), _argument_error(z_raw, wp))
+    out = out.rounded(ctx.bits)
 
     a = libmp.from_int(n + 1)
     b = libmp.mpf_add(z_raw, a, 0)
-    q, r = libmp.mpf_div(b, a, wp, _RND), libmp.from_rational(n + 1, n, wp, _RND)
-    ell, m = libmp.mpf_log(q, wp, _RND), libmp.mpf_log(r, wp, _RND)
-    e_ell = _sum_up([_ulp_raw(ell, wp), _ulp_raw(q, wp)])
-    e_m = _sum_up([_ulp_raw(m, wp), _ulp_raw(r, wp)])
-    b_ell, z_m = libmp.mpf_mul(b, ell, wp, _RND), libmp.mpf_mul(z_raw, m, wp, _RND)
-    g0 = libmp.mpf_sub(b_ell, z_raw, wp, _RND)
-    g = libmp.mpf_add(g0, z_m, wp, _RND)
-    e_end = _sum_up([e_ell, libmp.mpf_mul(b, e_ell, 64, _UP), libmp.mpf_mul(z_raw, e_m, 64, _UP),
-                     *(_ulp_raw(c, wp) for c in (b_ell, z_m, g0, g))])
-    lo = libmp.mpf_sub(g, ell, wp, _RND)
-    hi = libmp.mpf_sub(g, libmp.mpf_shift(ell, -1), wp, _RND)
-    lo = libmp.mpf_sub(lo, _sum_up([e_end, _ulp_raw(lo, wp)]), wp, libmp.round_floor)
-    hi = libmp.mpf_add(hi, _sum_up([e_end, _ulp_raw(hi, wp)]), wp, _UP)
-
-    rounding = _sum_up([libmp.mpf_mul(z_raw, _ulp_raw(ln_n, wp), 64, _UP),
-                        libmp.from_man_exp(2 * n + 3, 3 - wp),
-                        *(_ulp_raw(c, wp) for c in (ln_fact, ln_prod, z_ln_n, acc, val)),
-                        _ulp_raw(value.raw, ctx.bits + 1), _argument_error(z_raw, wp)])
+    ell = _Ball.op(libmp.mpf_div(b, a, wp, _RND), wp).log()
+    m = _Ball.op(libmp.from_rational(n + 1, n, wp, _RND), wp).log()
+    g = _Ball(b, wp) * ell - z_raw + z_ball * m
+    lo, hi = (g - ell).ends()[0], (g - ell.shift(-1)).ends()[1]
     reach_lo, reach_hi = libmp.mpf_abs(lo), libmp.mpf_abs(hi)
     reach = reach_lo if libmp.mpf_ge(reach_lo, reach_hi) else reach_hi
+    rounding = out.error()
     diagnostics = {"n": n, "bracket_lo": BigFloat(lo, wp), "bracket_hi": BigFloat(hi, wp),
                    "rounding": BigFloat(rounding, wp)}
     return OracleValue(
-        value=value,
+        value=BigFloat(out.v, ctx.bits),
         method="euler_limit",
         error_bound=BigFloat(libmp.mpf_add(reach, rounding, ctx.bits, _UP), ctx.bits),
         diagnostics=diagnostics,
@@ -672,52 +647,34 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
 # -- Weierstrass product ---------------------------------------------------
 
 
-def _expm1_up(y):
-    """An upper bound on e^y - 1 for a raw y >= 0: 2y while y <= 1/2, as
-    e^y - 1 <= y e^y, and else e^y within one ulp, rounded up."""
-    if libmp.mpf_le(y, libmp.fhalf):
-        return libmp.mpf_shift(y, 1)
-    e = libmp.mpf_exp(y, 64, _RND)
-    return libmp.mpf_add(e, _ulp_raw(e, 64), 64, _UP)
-
-
 def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     """1/Gamma(z) ~ z e^(gamma z) prod_{n=1..K} (1 + z/n) e^(-z/n), with a
     proven bound on the distance from 1/Gamma(z).
 
     The value is W~ = z~ exp(X~), the sum X~ = gamma~ z~ + s~ standing for
     X = gamma z~ + S, S = sum_{n<=K} (ln(1 + z~/n) - z~/n), at z~, z rounded
-    to wp = ctx.wprec().  Let U(c) = 2^(mag c - wp), one ulp of a wp-bit c;
-    every libmp operation at wp returns a c within U(c) of the exact result
-    on its computed operands (see ``series._approximation``).
+    to wp = ctx.wprec().
 
     The sum.  Term n takes x~ = z~/n, within U(x~) of x = z~/n, l =
-    ``raw_log1p``(x~), d = l - x~ and s~ += d.  ``raw_log1p`` forms 1 + x~
-    and its log at w' = wp + 8 + max(0, -mag x~) bits; 1 + x~ is at least 1
-    and below 2^(max(mag x~, 0) + 1), so the rounding of 1 + x~ moves the
-    log by at most 2^(mag x~ - wp - 6) = U(x~)/64, the log at w' adds at
-    most U(l)/256 and the rounding to wp U(l)/2.  As |t / (1 + t)| < 1 for
-    t > 0, ln(1 + x~) - x~ is within U(x~) of ln(1 + x) - x.  So d is
-    within U(d) + U(l) + (65/64) U(x~) of its exact term, and the sum adds
-    U(s~); all four are at most 2^(t - wp) for the largest mag t among x~,
-    l, d and s~, skipping an exact 0, which has no error.  So |s~ - S| <=
-    e_s = sum over the terms of 5 2^(t - wp), and |X~ - X| <= e_X = e_s +
-    z~ U(gamma~) + U(gamma~ z~) + U(X~).
+    ``raw_log1p``(x~), d = l - x~ and s~ += d (U as in ``mpcore._Ball``).
+    ``raw_log1p`` adds 2^(1-w') <= U(x~)/64 and U(l), and as |t / (1 + t)|
+    < 1 for t > 0, ln(1 + x~) - x~ is within U(x~) of ln(1 + x) - x.  So d
+    is within U(d) + U(l) + (65/64) U(x~) of its exact term, and the sum
+    adds U(s~); all four are at most 2^(t - wp) for the largest mag t among
+    x~, l, d and s~, skipping an exact 0, which has no error.  So |s~ - S|
+    <= e_s = sum over the terms of 5 2^(t - wp), and ``mpcore._Ball``
+    tracks X~ and W~ from there.
 
-    The bound.  exp(X~) and its product with z~ are within U of their exact
-    results, so W~ = W e^eta (1 + theta), W = z~ e^X, |eta| <= e_X and
-    |ln(1 + theta)| <= 2^(4-wp).  The omitted factors give 1/Gamma(z~) =
-    W e^-tau with 0 < tau <= z~^2/(2K): each ln(1 + x) - x lies in
-    [-x^2/2, 0], and sum_{n>K} z^2/(2n^2) <= z^2/(2K).  And
-    |ln Gamma(z) - ln Gamma(z~)| <= E_arg (``mpcore._argument_error``).
-    So 1/Gamma(z) = W~ e^(omega - tau) with |omega| <= y = e_X + E_arg +
-    2^(4-wp), and |e^(omega - tau) - 1| <= (e^y - 1) + tau gives
-
-        |W~ - 1/Gamma(z)| <= W~ z~^2/(2K) + W~ (e^y - 1):
-
-    the tail part and, with half an ulp at ctx.bits for the final rounding,
-    the rounding part.  The bound is their sum, rounded up; ``diagnostics``
-    records K and the two parts, tail and rounding, as BigFloats at wp.
+    The bound.  The omitted factors give 1/Gamma(z~) = z~ e^X e^-tau with 0
+    < tau <= z~^2/(2K): each ln(1 + x) - x lies in [-x^2/2, 0], and
+    sum_{n>K} z^2/(2n^2) <= z^2/(2K).  And |ln Gamma(z) - ln Gamma(z~)| <=
+    E_arg (``mpcore._argument_error``), so 1/Gamma(z) = W e^-tau for W =
+    z~ e^(X + omega), |omega| <= E_arg, which X~ stands for once its error
+    is widened by E_arg.  With W~ within e_W of W, |W e^-tau - W~| <= e_W
+    + W~ (1 - e^-tau) <= e_W + W~ z~^2/(2K): the rounding part, with half
+    an ulp at ctx.bits for the final rounding, and the tail part.  The
+    bound is their sum, rounded up; ``diagnostics`` records K and the two
+    parts, tail and rounding, as BigFloats at wp.
     """
     _require_index(K, "K", 1, TERMS_CAP, "term cap")
     wp = ctx.wprec()
@@ -730,21 +687,15 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
         d = libmp.mpf_sub(ell, x, wp, _RND)
         s = libmp.mpf_add(s, d, wp, _RND)
         mags[max(c[2] + c[3] for c in (x, ell, d, s) if c[1])] += 1
-    euler = libmp.mpf_euler(wp, _RND)
-    gamma_z = libmp.mpf_mul(euler, z_raw, wp, _RND)
-    exponent = libmp.mpf_add(gamma_z, s, wp, _RND)
-    val = libmp.mpf_mul(z_raw, libmp.mpf_exp(exponent, wp, _RND), wp, _RND)
-    value = BigFloat.from_raw(val, ctx)
-    e_x = _sum_up([*(libmp.from_man_exp(5 * count, t - wp) for t, count in mags.items()),
-                   libmp.mpf_mul(z_raw, _ulp_raw(euler, wp), 64, _UP),
-                   _ulp_raw(gamma_z, wp), _ulp_raw(exponent, wp)])
-    y = _sum_up([e_x, _argument_error(z_raw, wp), libmp.from_man_exp(1, 4 - wp)])
+    s = _Ball(s, wp).widen(*(libmp.from_man_exp(5 * count, t - wp) for t, count in mags.items()))
+    exponent = _Ball.op(libmp.mpf_euler(wp, _RND), wp) * z_raw + s
+    w = _Ball(z_raw, wp) * exponent.widen(_argument_error(z_raw, wp)).exp()
+    out = w.rounded(ctx.bits)
     z2 = libmp.mpf_mul(z_raw, z_raw, 64, _UP)
-    tail = libmp.mpf_mul(val, libmp.mpf_div(z2, libmp.from_int(2 * K), 64, _UP), 64, _UP)
-    rounding = _sum_up([libmp.mpf_mul(val, _expm1_up(y), 64, _UP),
-                        _ulp_raw(value.raw, ctx.bits + 1)])
+    tail = libmp.mpf_mul(w.v, libmp.mpf_div(z2, libmp.from_int(2 * K), 64, _UP), 64, _UP)
+    rounding = out.error()
     return OracleValue(
-        value=value,
+        value=BigFloat(out.v, ctx.bits),
         method="weierstrass",
         error_bound=BigFloat(libmp.mpf_add(tail, rounding, ctx.bits, _UP), ctx.bits),
         diagnostics={"K": K, "tail": BigFloat(tail, wp), "rounding": BigFloat(rounding, wp)},
@@ -772,54 +723,31 @@ def _multiplication_residual(m: int, z, ctx: PrecisionCtx) -> tuple[BigFloat, Bi
     ctx.bits, and a proven bound B >= |r|.
 
     The formula holds exactly at z~, z rounded to wp = ctx.wprec(), so r
-    is made of the errors of its computed parts.  Let U(c) = 2^(mag c -
-    wp), one ulp of a wp-bit c; every libmp operation at wp returns a c
-    within U(c) of the exact result on its computed operands, a correctly
-    rounded one within U(c)/2 (see ``series._approximation``).
+    is made of the errors of its computed parts, which ``mpcore._Ball``
+    tracks, given these:
       - ln Gamma(m z~): the oracle at mz, m z~ rounded, is within its
         error_bound of ln Gamma(mz), which is within E_arg(mz)
         (``mpcore._argument_error``) of ln Gamma(m z~).
       - ln Gamma(z~ + k/m): zk, z~ plus k/m rounded, rounded, lies within
         U(zk)/2 + U(k/m)/2 <= U(zk) of z~ + k/m, as zk >= k/m; so the
         oracle at zk is within its error_bound plus E_arg(zk) at wp - 1.
-      - (1 - m) ln sqrt(2 pi): H, half the log of 2 pi~, is within
-        2^(1-wp) of ln sqrt(2 pi) (``series._approximation``), and the
-        product by 1 - m adds U(h), so (m - 1) 2^(1-wp) + U(h).
-      - (m z~ - 1/2) ln m: t = mz - 1/2 is within U(t) + U(mz) of
-        m z~ - 1/2 and l = ln m within U(l) of it, so t l, rounded to p,
-        is within |t| U(l) + 2 (U(t) + U(mz)) + U(p), as ln m < 2.
-      - Each of the m + 1 sums adds U of its result, and the residual's
-        rounding to ctx.bits half an ulp there.
-    The parts are summed upwards at 64 bits and rounded up to ctx.bits.
     """
     if _require_index(m, "m", 2) > 5:
         raise DomainError("m must be one of 2, 3, 4, 5")
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    mz = libmp.mpf_mul_int(z_raw, m, wp, _RND)
-    g_mz = lngamma_binet2(BigFloat(mz, ctx.bits), ctx)
-    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
-    ln_sqrt_2pi = libmp.mpf_shift(libmp.mpf_log(two_pi, wp, _RND), -1)
-    ln_m = libmp.mpf_log(libmp.from_int(m), wp, _RND)
-    h = libmp.mpf_mul_int(ln_sqrt_2pi, 1 - m, wp, _RND)
-    t = libmp.mpf_sub(mz, libmp.fhalf, wp, _RND)
-    p = libmp.mpf_mul(t, ln_m, wp, _RND)
-    rhs = libmp.mpf_add(h, p, wp, _RND)
-    parts = [g_mz.error_bound.raw, _argument_error(mz, wp),
-             libmp.from_man_exp(m - 1, 1 - wp), _ulp_raw(h, wp),
-             libmp.mpf_mul(libmp.mpf_abs(t), _ulp_raw(ln_m, wp), 64, _UP),
-             _ulp_raw(t, wp, 2), _ulp_raw(mz, wp, 2), _ulp_raw(p, wp), _ulp_raw(rhs, wp)]
+    mz = _Ball(z_raw, wp) * libmp.from_int(m)
+    g_mz = lngamma_binet2(BigFloat(mz.v, ctx.bits), ctx)
+    ln_sqrt_2pi = _Ball.op(libmp.mpf_pi(wp, _RND), wp).shift(1).log().shift(-1)
+    rhs = ln_sqrt_2pi * libmp.from_int(1 - m) + (mz - libmp.fhalf) * _Ball(libmp.from_int(m),
+                                                                           wp).log()
     for k in range(m):
-        shift = libmp.from_rational(k, m, wp, _RND)
-        zk = libmp.mpf_add(z_raw, shift, wp, _RND)
+        zk = libmp.mpf_add(z_raw, libmp.from_rational(k, m, wp, _RND), wp, _RND)
         ov = lngamma_binet2(BigFloat(zk, ctx.bits), ctx)
-        rhs = libmp.mpf_add(rhs, ov.value.raw, wp, _RND)
-        parts += [ov.error_bound.raw, _argument_error(zk, wp - 1), _ulp_raw(rhs, wp)]
-    resid = libmp.mpf_sub(g_mz.value.raw, rhs, wp, _RND)
-    parts += [_ulp_raw(resid, wp), _ulp_raw(resid, ctx.bits + 1)]
-    bound = libmp.mpf_pos(_sum_up(parts), ctx.bits, _UP)
-    return BigFloat.from_raw(resid, ctx), BigFloat(bound, ctx.bits)
+        rhs = rhs + _Ball(ov.value.raw, wp).widen(ov.error_bound.raw, _argument_error(zk, wp - 1))
+    lhs = _Ball(g_mz.value.raw, wp).widen(g_mz.error_bound.raw, _argument_error(mz.v, wp))
+    return (lhs - rhs).published(ctx)
 
 
 def gamma_half_integer(k: int, ctx: PrecisionCtx) -> BigFloat:

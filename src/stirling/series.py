@@ -31,8 +31,8 @@ from mpmath import libmp
 
 from .bernoulli import bernoulli, table
 from .errors import DomainError, ResourceError
-from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _require_index,
-                     _require_positive, _sum_up, _ulp_raw, to_raw)
+from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
+                     _require_positive, to_raw)
 
 __all__ = [
     "Approximation",
@@ -75,24 +75,15 @@ def term_coefficient(N: int) -> Fraction:
 # -- raw kernels -------------------------------------------------------
 
 
-def _half_ln_2pi_raw(wp: int):
-    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
-    return libmp.mpf_shift(libmp.mpf_log(two_pi, wp, _RND), -1)
+def _half_ln_2pi(wp: int) -> _Ball:
+    """(1/2) ln(2 pi): half the log of 2 pi~, pi~ within one ulp of pi."""
+    return _Ball.op(libmp.mpf_pi(wp, _RND), wp).shift(1).log().shift(-1)
 
 
-def _main_term_raw(z_raw, wp: int):
-    """P(z) at wp bits and a bound on its rounding error, E_P of
-    ``_approximation``."""
-    lnz = libmp.mpf_log(z_raw, wp, _RND)
-    zl = libmp.mpf_mul(z_raw, lnz, wp, _RND)
-    a = libmp.mpf_sub(zl, z_raw, wp, _RND)
-    b = libmp.mpf_sub(a, libmp.mpf_shift(lnz, -1), wp, _RND)
-    val = libmp.mpf_add(b, _half_ln_2pi_raw(wp), wp, _RND)
-    z_half = libmp.mpf_add(z_raw, libmp.fhalf, 64, _UP)
-    err = _sum_up([libmp.mpf_mul(z_half, _ulp_raw(lnz, wp), 64, _UP),
-                   *(_ulp_raw(c, wp) for c in (zl, a, b, val)),
-                   libmp.from_man_exp(1, 1 - wp)])
-    return val, err
+def _main_term(z: _Ball) -> _Ball:
+    """P(z) = z ln z - z - (1/2) ln z + (1/2) ln(2 pi), with its error."""
+    lnz = z.log()
+    return z * lnz - z - lnz.shift(-1) + _half_ln_2pi(z.wp)
 
 
 def _terms_raw(z_raw, wp: int):
@@ -138,55 +129,38 @@ def _approximation(z_raw, N: int, remainder, top: int, ctx: PrecisionCtx) -> App
     with each of its N terms below 2^M in magnitude, with the omitted term
     rounded up as its certificate and a proven ``error_bound``.
 
-    Let U(c) = 2^(mag c - wp), with 2^(mag c - 1) <= |c| < 2^(mag c), one
-    ulp of a wp-bit c.  Every libmp operation at wp returns a c within U(c)
-    of the exact result on its computed operands: the arithmetic and the
-    rational conversions are correctly rounded, within U(c)/2, and ln is
-    taken to within one ulp, as for the Binet oracle.  As U(c) <= 2^(1-wp)
-    |c|, that makes c = x (1 + delta) for the exact x, |delta| <= u =
-    2^(2-wp), and Higham's Lemma 3.1 (Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 3) puts a product of n such factors (1 +
-    delta)^(+-1) at 1 + theta, |theta| <= gamma_n = n u / (1 - n u).
-
     The distance of the value from ln Gamma(z) is at most the sum of
       - the omitted term at z~: for real z~ > 0 the sandwich property
         bounds |ln Gamma(z~) - P(z~) - R_N(z~)| by it;
       - E_arg, from z rounded to z~ (``mpcore._argument_error``);
-      - E_R = 6 N^2 2^(M + 2 - wp), for R_N.  The k-th term t_k is the
-        exact T_k times 1 + theta, |theta| <= gamma_4k: 1/z~ enters it
-        2k - 1 times, the rounding of its square and of the running
-        product k - 1 times each, and the rounded coefficient and the last
-        product once each.  The running sum adds N more factors to each
-        term, so |R~ - R_N(z~)| <= gamma_5N sum |T_k|, with |T_k| <=
-        |t_k| / (1 - gamma_4N) < 2^M / (1 - gamma_4N).  N <= 256 (B_2N is
-        tabled to 512) and wp >= 96 give 5 N u < 2^-80, so that is below
-        6 N u N 2^M = E_R;
-      - E_P = (z~ + 1/2) U(ln z~) + U(z~ L) + U(A) + U(B) + U(P~) +
-        2^(1-wp), for P(z~) = z~ ln z~ - z~ - (ln z~)/2 + ln(2 pi)/2, taken
-        as L = ln z~, A = z~ L - z~, B = A - L/2 and P~ = B + H.  Each
-        step adds its own U and passes on the error of L, z~ times and
-        half of it; H, half of ln 2pi~ for pi~ within U(pi~) = 2^(2-wp) of
-        pi, is within (U(ln 2pi~) + 2^(2-wp) / 3) / 2 < 2^(1-wp) of
-        ln(2 pi) / 2;
-      - U(V) for V = P~ + R~ at wp, and half an ulp of the value at
+      - E_R = 6 N^2 2^(M + 2 - wp), for R_N.  Each rounding of a term makes
+        it x (1 + delta), |delta| <= u = 2^(2-wp) (``mpcore._Ball``), and
+        Higham's Lemma 3.1 puts a product of n such factors (1 +
+        delta)^(+-1) at 1 + theta, |theta| <= gamma_n = n u / (1 - n u).
+        The k-th term t_k is the exact T_k times 1 + theta, |theta| <=
+        gamma_4k: 1/z~ enters it 2k - 1 times, the rounding of its square
+        and of the running product k - 1 times each, and the rounded
+        coefficient and the last product once each.  The running sum adds
+        N more factors to each term, so |R~ - R_N(z~)| <= gamma_5N sum
+        |T_k|, with |T_k| <= |t_k| / (1 - gamma_4N) < 2^M / (1 - gamma_4N).
+        N <= 256 (B_2N is tabled to 512) and wp >= 96 give 5 N u < 2^-80,
+        so that is below 6 N u N 2^M = E_R;
+      - the roundings of P(z~) (``_main_term``) and of its sum with R~, as
+        ``mpcore._Ball`` tracks them, and half an ulp of the value at
         ctx.bits for the final rounding.
-    The parts after the omitted term are summed upwards at 64 bits, and the
-    total is rounded up to ctx.bits.
+    The total is rounded up to ctx.bits.
     """
     wp = ctx.wprec()
-    main, main_err = _main_term_raw(z_raw, wp)
-    val = libmp.mpf_add(main, remainder, wp, _RND)
-    value = BigFloat.from_raw(val, ctx)
+    out = (_main_term(_Ball(z_raw, wp))
+           + _Ball(remainder, wp).widen(libmp.from_man_exp(6 * N * N, top + 2 - wp)))
+    out = out.widen(_argument_error(z_raw, wp)).rounded(ctx.bits)
     omitted = _term_raw(z_raw, N + 1, wp, ctx.bits)
-    rounding = _sum_up([_argument_error(z_raw, wp),
-                        libmp.from_man_exp(6 * N * N, top + 2 - wp),
-                        main_err, _ulp_raw(val, wp), _ulp_raw(value.raw, ctx.bits + 1)])
     return Approximation(
-        value=value,
+        value=BigFloat(out.v, ctx.bits),
         order_used=N,
         omitted_term=BigFloat.from_raw(omitted, ctx),
         ctx_bits=ctx.bits,
-        error_bound=BigFloat(libmp.mpf_add(omitted, rounding, ctx.bits, _UP), ctx.bits),
+        error_bound=BigFloat(libmp.mpf_add(omitted, out.error(), ctx.bits, _UP), ctx.bits),
     )
 
 
@@ -195,7 +169,7 @@ def _approximation(z_raw, N: int, remainder, top: int, ctx: PrecisionCtx) -> App
 
 def half_ln_2pi(ctx: PrecisionCtx) -> BigFloat:
     """(1/2) ln(2 pi), the constant of the main term."""
-    return BigFloat.from_raw(_half_ln_2pi_raw(ctx.wprec()), ctx)
+    return BigFloat.from_raw(_half_ln_2pi(ctx.wprec()).v, ctx)
 
 
 def main_term_P(z, ctx: PrecisionCtx) -> BigFloat:
@@ -203,7 +177,7 @@ def main_term_P(z, ctx: PrecisionCtx) -> BigFloat:
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    return BigFloat.from_raw(_main_term_raw(z_raw, wp)[0], ctx)
+    return BigFloat.from_raw(_main_term(_Ball(z_raw, wp)).v, ctx)
 
 
 def remainder_R(z, N: int, ctx: PrecisionCtx) -> BigFloat:

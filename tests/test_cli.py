@@ -219,7 +219,7 @@ def test_eval_evaluates_once(argv, capsys, monkeypatch):
 
 
 def test_expansions_feller_evaluates_once(capsys, monkeypatch):
-    bits = _spy(monkeypatch, stirling.expansions, "feller_constant")
+    bits = _spy(monkeypatch, stirling.expansions, "_feller_constant")
     code, _, _ = run_capture(["expansions", "--which", "feller", "--k-max", "50"], capsys)
     assert code == 0
     assert bits == [256]
