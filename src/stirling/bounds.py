@@ -127,10 +127,10 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     r_n, before its rounding to ctx.bits, a relative error below
     2^-(bits + 28) for n <= FACTORIAL_CAP.
 
-    Proof.  Let U(c) = 2^(mag c - w) <= 2^(1-w) |c|, one ulp of a w-bit c;
-    every libmp operation at w returns a c within U(c) of the exact result
-    on its computed operands (see ``series._approximation``), and
-    (1/2) ln(2 pi) is taken within 2^(1-w).  For n = 1 the logs are 0 and
+    Proof.  With U as in ``mpcore._Ball``, at w in place of wp, every
+    libmp operation at w returns a c within U(c) <= 2^(1-w) |c| of the
+    exact result on its computed operands, and (1/2) ln(2 pi) is taken
+    within 2^(1-w).  For n = 1 the logs are 0 and
     c_1 = 0 exactly, so only (1/2) ln(2 pi) and the two last differences
     err, by less than 2^(3-w) against r_1 > 1/13.  For n >= 2 let X =
     (n + 1/2) ln n >= 1.7.  ln n! is the log of n! rounded to w, a
@@ -184,8 +184,7 @@ def _half_ln_2pi_bracket(W: int) -> tuple[int, int]:
     """(lo, hi) with lo < 2^W (1/2) ln(2 pi) < hi.
 
     libmp's pi and log at p = W + 4 bits are each taken to within one ulp,
-    the allowance ``series._approximation`` and the remaining roundings of
-    ``oracle.lngamma_binet2`` take for every libmp operation.  pi~ in
+    the allowance of ``mpcore._Ball``.  pi~ in
     [2, 4) is then within 2^(2-p) of pi, so ln(2 pi~) is within 2^(2-p)/3
     of ln(2 pi), and L = log(2 pi~) in [1, 2) is within 2^(1-p) more:
     |L/2 - (1/2) ln(2 pi)| < 2^(1-p) = 2^-(W+3).  With t = floor(2^W L/2),
@@ -514,7 +513,7 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> tuple[Fraction, tuple]:
     error bound e from ``lngamma_binet2`` at ``_sandwich_oracle_ctx``.
     P(x~) = (x~ - 1/2) ln x~ - x~ + (1/2) ln(2 pi) lies in [P_lo, P_hi]:
     ln x~ is libmp's log at wp, taken to within one ulp (the allowance of
-    ``_half_ln_2pi_bracket``), and (1/2) ln(2 pi) is that bracket at
+    ``mpcore._Ball``), and (1/2) ln(2 pi) is that bracket at
     2^-(wp + 64), far below e.
     """
     work = _sandwich_oracle_ctx(ctx)

@@ -10,9 +10,11 @@ results for identical inputs.
 
 Internal computations round at one working precision, ``PrecisionCtx.wprec()``
 = bits + ``GUARD`` (32), and the final result is rounded once to the
-context's bits, so every published value is within 2 ulp of the true one.
-Two places add the bits a cancellation costs: ``bounds.sequence_point``,
-whose r_n ~ 1/(12n) is what is left of terms near n ln n, and Mermin's
+context's bits.  The rounding model that every proven bound rests on, U(c)
+and libmp's one-ulp allowance, is stated once, in :class:`_Ball`, which
+also carries the error of the bounds that no loop counts.  Two places add
+the bits a cancellation costs: ``bounds.sequence_point``, whose r_n ~
+1/(12n) is what is left of terms near n ln n, and Mermin's
 ``expansions.mermin_partial_product``, whose sum is small against the
 error of its fixed point.  Only two places work at bits + 64 instead:
 ``lngamma_binet2``, whose bounds are proven at that precision, and
@@ -331,9 +333,17 @@ _UNARY = {
 
 
 def elementary(fn: str, x, ctx: PrecisionCtx, y=None) -> BigFloat:
-    """Evaluate ln/exp/sqrt/arctan/pow at ``ctx`` precision (<= 2 ulp).
+    """Evaluate ln/exp/sqrt/arctan/pow at ``ctx`` precision.
 
-    ``pow`` needs the exponent in ``y``.  ln and sqrt require x > 0.
+    ``pow`` needs the exponent in ``y``.  ln and sqrt require x > 0.  The
+    function is taken at wp = ctx.wprec() and rounded once to ctx.bits.
+    For an exact argument (a BigFloat, int or float), ln, exp and sqrt are
+    then within (1/2 + 2^-GUARD) ulp of the result at ctx.bits, under the
+    allowance of ``_Ball``: the value at wp is within U of it, 2^-GUARD of
+    an ulp at ctx.bits, and the rounding adds half an ulp.  A Fraction or
+    a string is first rounded at wp, which ln near 1 and exp of a large
+    argument magnify past any bound in ulps; arctan and pow have no
+    proven bound.
     """
     wp = ctx.wprec()
     xr = to_raw(x, wp)
@@ -669,15 +679,25 @@ def certified_decimal(value: BigFloat, bound: BigFloat, digits: int) -> str:
     to the same decimal of d digits, x rounds to it too.  Ends of opposite
     signs round apart.  d is searched downwards from ``digits``, as
     agreement at d does not imply agreement at d - 1 (0.85 -+ 0.004 gives
-    0.85 at two digits, but 0.8 and 0.9 at one).  The decimal is printed as
-    ``BigFloat.to_decimal`` prints, so a value whose every digit is proven
-    prints as ``value.to_decimal(digits)``.
+    0.85 at two digits, but 0.8 and 0.9 at one).  It starts at the most
+    digits the width allows: ends that round to one N of d digits lie
+    within half a unit 10^K of its last place each, K that of the larger
+    end, which is at least 10^(K+d-1), so 2 |bound| <= 10^K <= 10^(1-d)
+    (|value| + |bound|).  The decimal is printed as ``BigFloat.to_decimal``
+    prints, so a value whose every digit is proven prints as
+    ``value.to_decimal(digits)``.
     """
     v, e = value._fraction(), abs(bound._fraction())
     if e == 0 == v:
         return _print_decimal(v, digits)
     if v - e <= 0 <= v + e:
         return ""
+    if e:
+        width = (abs(v) + e) // (2 * e)  # 10^(d-1) <= width for agreement at d
+        top = int((width.bit_length() - 1) * 0.30102999) + 1
+        while 10 ** top <= width:
+            top += 1
+        digits = min(digits, top)
     ends = [_decimal_scale(q, digits) for q in (v - e, v + e)]
     for d in range(digits, 0, -1):
         rounded = set()

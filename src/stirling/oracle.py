@@ -501,14 +501,12 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     each part as a BigFloat at wp: discretisation, truncation, node_error,
     rounding and final_rounding (the last item).
 
-    The remaining roundings.  Let U(c) = 2^(mag c - wp) <= 2^(1-wp) |c|,
-    one ulp of a wp-bit c; every libmp operation at wp returns a c within
-    U(c) of the exact result on its computed operands, a correctly rounded
-    one within U(c)/2 (see ``series._approximation``).  For x = z + 1 when
-    shifted and x = z~ (z rounded to wp) else, ``_oracle_main_term`` takes
-    L = ln x, A = x L - x, B = A - L/2 and P~ = B + H, H half the log of
-    2 pi~, in five roundings; as in ``series._approximation``, P~ is within
-    (x + 1/2) U(L) + U(x L) + U(A) + U(B) + U(P~) + 2^(1-wp) of P(x).  The
+    The remaining roundings, with U as in ``mpcore._Ball``.  For x = z + 1
+    when shifted and x = z~ (z rounded to wp) else, ``_oracle_main_term``
+    takes L = ln x, A = x L - x, B = A - L/2 and P~ = B + H, H half the log
+    of 2 pi~, within 2^(1-wp) of ln(2 pi)/2, in five roundings; by the
+    rules of ``mpcore._Ball``, P~ is within (x + 1/2) U(L) + U(x L) + U(A)
+    + U(B) + U(P~) + 2^(1-wp) of P(x).  The
     sum with the integral adds U(val), the subtraction of ln z U(val) once
     more (ln z's own error is its part above), and the final rounding half
     an ulp of val at ctx.bits.  The rounding of z to z~ moves ln Gamma by

@@ -57,9 +57,9 @@ weight before its floor, within 2^-(F+4) of w at t~.
 
 Proof of the second.  Every libmp product and sum here is correctly
 rounded, within a relative 2^-p at p bits, and exp and ln are within one
-ulp, a relative 2^(1-p); every floor is below its value by less than one
-unit of its last place.  Let x = 2 pi t~ and eps the relative error of l~
-against l(t~).
+ulp, a relative 2^(1-p) (the allowance of ``mpcore._Ball``); every floor
+is below its value by less than one unit of its last place.  Let x = 2 pi
+t~ and eps the relative error of l~ against l(t~).
   - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
     x 2^R, as x < 2^-45.3; X >> 1 within 1.51 of x 2^(R-1); the floors of
     -y 2^R and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and 1.01;

@@ -120,6 +120,17 @@ def test_real_argument_not_finite_or_not_rational_is_a_domain_error(call):
         call()
 
 
+def test_only_mpcore_states_the_rounding_model():
+    # U(c) and libmp's one-ulp allowance are stated once, in mpcore._Ball,
+    # and the modules whose bounds it tracks keep no error units of their own
+    src = Path(stirling.__file__).parent
+    spelled = {path.name: path.read_text().count("U(c) =") for path in src.glob("*.py")}
+    assert {name: n for name, n in spelled.items() if n} == {"mpcore.py": 1}
+    helper = re.compile(r"\b(_ulp_raw|_sum_up)\b|^(def _\w*(ulp|unit)\w*|_G\s*=)", re.M)
+    for name in ("series.py", "expansions.py", "bounds.py", "cli.py"):
+        assert helper.search((src / name).read_text()) is None, name
+
+
 def test_only_mpcore_spells_an_integer_test():
     # every count goes through mpcore._require_index; the one other
     # isinstance(..., int) is cli.run reading SystemExit.code

@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import pickle
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
@@ -15,7 +17,7 @@ import stirling
 from stirling.errors import DomainError, PrecisionError
 from stirling.oracle import lngamma_binet2
 from stirling.bounds import check_bound, impens_sandwich
-from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, bigfloat, certified_decimal,
+from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, _Ball, bigfloat, certified_decimal,
                              decimal_up, elementary, rational_from_str, rational_to_float,
                              rational_to_str)
 
@@ -221,6 +223,18 @@ def test_certified_decimal_searches_down_from_digits(value, bound, digits, print
     assert certified_decimal(_near(value), _near(bound), digits) == printed
 
 
+def test_certified_decimal_starts_at_the_digits_its_bound_allows():
+    # one ulp at 256 bits proves 77 digits of ln 3; asking for 10^5 gives
+    # the same decimal as asking for 100, without a search from 10^5 down
+    value = elementary("ln", 3, CTX256)
+    ulp = BigFloat(libmp.from_man_exp(1, -256), 256)
+    start = time.perf_counter()
+    printed = certified_decimal(value, ulp, 10**5)
+    assert time.perf_counter() - start < 1
+    assert printed == certified_decimal(value, ulp, 100)
+    assert len(printed) == len("1.") + 76
+
+
 def test_only_mpcore_prints_a_decimal():
     # every printed decimal goes through BigFloat.to_decimal, decimal_up or
     # certified_decimal, so the digits a value prints are decided in one place
@@ -271,3 +285,95 @@ def test_decimal_up_keeps_an_exact_decimal():
     assert decimal_up(rational_to_float(Fraction(3, 4), CTX64), 5) == "0.75"
     assert decimal_up(rational_to_float(Fraction(-3, 4), CTX64), 1) == "-0.7"
     assert decimal_up(rational_to_float(Fraction(0), CTX64), 3) == "0.0"
+
+
+# -- the rounding model: mpcore._Ball ----------------------------------------
+
+
+def _exact(raw) -> Fraction:
+    return Fraction(*libmp.to_rational(raw))
+
+
+@st_.composite
+def _balls(draw, low=-40, high=40, positive=False):
+    """A _Ball at a drawn wp: a value of up to wp bits (often all wp) in
+    2^[low, high), an error of up to 2^72 units of 2^q (0 a third of the
+    time), and a unit q at or below 2^-(wp+64) so that each unit is
+    exercised."""
+    wp = draw(st_.sampled_from([96, 160, 288]))
+    bits = draw(st_.one_of(st_.just(wp), st_.integers(1, wp)))
+    man = (1 << (bits - 1)) | draw(st_.randoms(use_true_random=False)).getrandbits(bits - 1)
+    mag = draw(st_.integers(low, high - 1))
+    sign = 0 if positive else draw(st_.integers(0, 1))
+    v = libmp.from_man_exp(-man if sign else man, mag - bits)
+    e = draw(st_.one_of(st_.just(0), st_.just(0), st_.integers(1, 1 << 72)))
+    return _Ball(v, wp, e, -(wp + 64) - draw(st_.integers(0, 40)))
+
+
+def _ends(b: _Ball):
+    v, r = _exact(b.v), _exact(b.error())
+    return v - r, v + r
+
+
+def _holds(out: _Ball, refs):
+    """every reference value lies within the ball's bound (a relative
+    2^-100 of the bound for references taken at wp + 128)"""
+    v, r = _exact(out.v), _exact(out.error())
+    assert all(abs(ref - v) <= r * (1 + Fraction(1, 1 << 100)) for ref in refs)
+
+
+def _mp(q: Fraction, fn, wp: int) -> Fraction:
+    with mpmath.workprec(wp + 128):
+        x = mpmath.mpf(q.numerator) / q.denominator
+        return _exact(fn(x)._mpf_)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_balls(), b=_balls(), op=st_.sampled_from(["+", "-", "*"]))
+def test_ball_arithmetic_holds_every_exact_result(a, b, op):
+    b = _Ball(b.v, a.wp, b.e, b.q)  # one working precision
+    out = {"+": a + b, "-": a - b, "*": a * b}[op]
+    fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
+    _holds(out, [fn(x, y) for x in _ends(a) for y in _ends(b)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_balls(), k=st_.integers(-3, 3), bits=st_.sampled_from([64, 80]))
+def test_ball_shift_and_rounding_hold_the_exact_value(a, k, bits):
+    _holds(a.shift(k), [x * Fraction(2) ** k for x in _ends(a)])
+    _holds(a.rounded(bits), _ends(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_balls(low=-30, high=30, positive=True))
+def test_ball_log_holds_every_exact_result(a):
+    lo, hi = _ends(a)
+    if lo > 0:
+        _holds(a.log(), [_mp(x, mpmath.log, a.wp) for x in (lo, hi)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_balls(low=-60, high=4))
+def test_ball_log1p_holds_every_exact_result(a):
+    lo, hi = _ends(a)
+    if lo > -1:
+        _holds(a.log1p(), [_mp(x, mpmath.log1p, a.wp) for x in (lo, hi)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_balls(low=-40, high=6), large=st_.booleans())
+def test_ball_exp_holds_every_exact_result(a, large):
+    if large:  # an error d past 1/2, up to 8
+        a = _Ball(a.v, a.wp, a.e % 256 + 8, -5)
+    _holds(a.exp(), [_mp(x, mpmath.exp, a.wp) for x in _ends(a)])
+
+
+@pytest.mark.parametrize("wp", [96, 288])
+def test_ball_computed_zero_carries_no_error(wp):
+    # an exact operand and an exact zero result: U(0) = 0
+    x = _Ball(libmp.from_rational(22, 7, wp, "n"), wp)
+    for zero in (x - x, x * libmp.fzero, _Ball(libmp.fone, wp).log(),
+                 _Ball(libmp.fzero, wp).log1p(), (x - x).shift(5).rounded(64)):
+        assert zero.v == libmp.fzero and zero.e == 0
+    # a computed nonzero always carries its U
+    assert (x + x.log()).e > 0 and _Ball(libmp.from_int(3), wp).log().e > 0
