@@ -44,8 +44,7 @@ from mpmath import libmp
 
 from .errors import DomainError
 from .fixed import _floor_series
-from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
-                     to_raw)
+from .mpcore import _RND, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index, to_raw
 from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
                      ln_factorial_range, lngamma_binet2)
 from .series import _main_term

@@ -620,8 +620,8 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
     z_ball = _Ball(z_raw, wp)
     val = _Ball.op(_ln_factorial_raw(n, wp), wp) + z_ball * _Ball(libmp.from_int(n), wp).log()
     val = val - _Ball.op(libmp.mpf_log(prod, wp, _RND), wp)
-    out = val.widen(libmp.from_man_exp(2 * n + 3, 3 - wp), _argument_error(z_raw, wp))
-    out = out.rounded(ctx.bits)
+    out = val.widen(libmp.from_man_exp(2 * n + 3, 3 - wp),
+                    _argument_error(z_raw, wp)).rounded(ctx.bits)
 
     a = libmp.from_int(n + 1)
     b = libmp.mpf_add(z_raw, a, 0)
@@ -738,8 +738,8 @@ def _multiplication_residual(m: int, z, ctx: PrecisionCtx) -> tuple[BigFloat, Bi
     mz = _Ball(z_raw, wp) * libmp.from_int(m)
     g_mz = lngamma_binet2(BigFloat(mz.v, ctx.bits), ctx)
     ln_sqrt_2pi = _Ball.op(libmp.mpf_pi(wp, _RND), wp).shift(1).log().shift(-1)
-    rhs = ln_sqrt_2pi * libmp.from_int(1 - m) + (mz - libmp.fhalf) * _Ball(libmp.from_int(m),
-                                                                           wp).log()
+    ln_m = _Ball(libmp.from_int(m), wp).log()
+    rhs = ln_sqrt_2pi * libmp.from_int(1 - m) + (mz - libmp.fhalf) * ln_m
     for k in range(m):
         zk = libmp.mpf_add(z_raw, libmp.from_rational(k, m, wp, _RND), wp, _RND)
         ov = lngamma_binet2(BigFloat(zk, ctx.bits), ctx)
