@@ -8,8 +8,9 @@ produce byte-identical output.
 Three printed decimals follow the bound rule: ``eval``'s and ``oracle``'s
 ``value_dec`` and ``expansions --which feller``'s
 ``constant_partial_sum``.  Each is computed once, with a proven error
-bound, and only the digits on which value - bound and value + bound agree
-are shown (capped at --digits; "" when none is proven,
+bound (Feller's carried by ``mpcore._Ball`` through the steps after its
+series), and only the digits on which value - bound and value + bound
+agree are shown (capped at --digits; "" when none is proven,
 ``mpcore.certified_decimal``).  The error bounds and omitted terms beside
 them (``error_bound_dec``, ``omitted_term_dec``) are rounded up
 (``mpcore.decimal_up``).  Every other decimal prints its computed value
@@ -19,8 +20,9 @@ report's detail texts at 4 or 6 digits.  Exact rationals (B_k, a_k,
 Marsaglia's coefficients, Mermin's tail bound) print exactly.
 
 Every verdict of the report follows one of two rules.  An identity check
-passes when its computed residual is at most the bound proven for it,
-compared exactly, and fails otherwise.  An inequality check is judged on an
+passes when its computed residual is at most the bound proven for it (for
+Feller, the multiplication formula and Namias, the error ``mpcore._Ball``
+carries), compared exactly, and fails otherwise.  An inequality check is judged on an
 exact interval by ``bounds._verdict_row``: it passes when the interval
 proves the inequality, fails when it refutes it, and is inconclusive
 otherwise.

@@ -75,25 +75,29 @@ class FellerTerm:
     b_k: BigFloat
 
 
-def _feller_ab(k: int, wp: int) -> tuple[_Ball, _Ball]:
+def _feller_ab(k: int, wp: int, ln_minus: _Ball | None = None):
     """Closed forms via t ln t - t:
     a_k = (1/2) ln k - k ln k + (k - 1/2) ln(k - 1/2) + 1/2
     b_k = (k + 1/2) ln(k + 1/2) - k ln k - (1/2) ln k - 1/2
-    at wp bits with their errors, for k < 2^(wp-1), where k -+ 1/2 are exact."""
+    at wp bits with their errors, for k < 2^(wp-1), where k -+ 1/2 are
+    exact; then ln k and ln(k + 1/2), so that a sweep takes each log once:
+    ``ln_minus``, ln(k - 1/2), is the ln(k + 1/2) of k - 1."""
+    def ln(x):
+        return _Ball.op(libmp.mpf_log(x, wp, _RND), wp)
+
     k_raw = libmp.from_int(k)
-    k_minus = _Ball(libmp.mpf_sub(k_raw, libmp.fhalf), wp)
-    k_plus = _Ball(libmp.mpf_add(k_raw, libmp.fhalf), wp)
-    lnk = _Ball(k_raw, wp).log()
+    k_minus, k_plus = libmp.mpf_sub(k_raw, libmp.fhalf), libmp.mpf_add(k_raw, libmp.fhalf)
+    lnk, ln_plus, ln_minus = ln(k_raw), ln(k_plus), ln_minus or ln(k_minus)
     k_lnk, half_lnk = lnk * k_raw, lnk.shift(-1)
-    a = half_lnk - k_lnk + k_minus * k_minus.log() + libmp.fhalf
-    b = k_plus * k_plus.log() - k_lnk - half_lnk - libmp.fhalf
-    return a, b
+    a = half_lnk - k_lnk + ln_minus * k_minus + libmp.fhalf
+    b = ln_plus * k_plus - k_lnk - half_lnk - libmp.fhalf
+    return a, b, lnk, ln_plus
 
 
 def feller_term(k: int, ctx: PrecisionCtx) -> FellerTerm:
     _require_index(k, "k", 1)
     wp = ctx.wprec()
-    a, b = _feller_ab(k, wp)
+    a, b, _, _ = _feller_ab(k, wp)
     return FellerTerm(k=k, a_k=BigFloat.from_raw(a.v, ctx), b_k=BigFloat.from_raw(b.v, ctx))
 
 
@@ -128,13 +132,13 @@ def _feller_residuals(n_max: int, ctx: PrecisionCtx):
     """
     _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec()
-    i_half, s = _i_half(wp), _Ball(libmp.fzero, wp)  # s = sum_{k<n} (a_k - b_k)
+    i_half, s, ln_minus = _i_half(wp), _Ball(libmp.fzero, wp), None  # s = sum_{k<n} (a_k - b_k)
+    relative = libmp.from_man_exp(1, 1 - wp)  # of n! rounded
     for n, lnfact in ln_factorial_range(n_max, wp):
-        a_n, b_n = _feller_ab(n, wp)
-        n_ball = _Ball(libmp.from_int(n), wp)
-        lnn = n_ball.log()
-        rhs = n_ball * lnn - n_ball - i_half + s + a_n
-        lhs = _Ball.op(lnfact, wp).widen(libmp.from_man_exp(1, 1 - wp)) - lnn.shift(-1)
+        a_n, b_n, lnn, ln_minus = _feller_ab(n, wp, ln_minus)
+        n_raw = libmp.from_int(n)
+        rhs = lnn * n_raw - n_raw - i_half + s + a_n
+        lhs = _Ball.op(lnfact, wp).widen(relative) - lnn.shift(-1)
         yield (lhs - rhs).published(ctx)
         s = s + (a_n - b_n)
 

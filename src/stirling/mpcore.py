@@ -479,22 +479,15 @@ class _Ball:
     @classmethod
     def op(cls, c, wp: int) -> "_Ball":
         """c from one libmp operation at wp on exact operands."""
-        return cls(c, wp)._out(c, 0)
+        k = c[2] + c[3] + 64
+        return cls(c, wp, (1 << k if k >= 0 else 1) if c[1] else 0)
 
-    def _out(self, c, e: int, q: int | None = None) -> "_Ball":
+    def _out(self, c, e: int, q: int) -> "_Ball":
         """c, with the error e 2^q that its operands pass on, and U(c)"""
-        q = self.q if q is None else q
         if c[1]:
             k = c[2] + c[3] - self.wp - q
             e += 1 << k if k >= 0 else 1
         return _Ball(c, self.wp, e, q)
-
-    def _join(self, b):
-        """(b's value, this error, b's error, q), both errors in units 2^q"""
-        if not isinstance(b, _Ball):
-            return b, self.e, 0, self.q
-        q = min(self.q, b.q)
-        return b.v, self.e << (self.q - q), b.e << (b.q - q), q
 
     def _slope(self, a) -> int:
         """e / (a - e) in units, for this ball's error e and a raw a > e"""
@@ -506,19 +499,38 @@ class _Ball:
             raise DomainError("the log of a value whose error reaches 0")
         return -(-(self.e << (t - self.q)) // den)
 
-    def __add__(self, b):
-        v, e_a, e_b, q = self._join(b)
-        return self._out(libmp.mpf_add(self.v, v, self.wp, _RND), e_a + e_b, q)
+    def _summed(fn):  # a + b and a - b, units and U inline: most operations are sums
+        def op(self, b):
+            if isinstance(b, _Ball):
+                c, q = fn(self.v, b.v, self.wp, _RND), self.q
+                if b.q == q:
+                    e = self.e + b.e
+                else:
+                    q = min(q, b.q)
+                    e = (self.e << (self.q - q)) + (b.e << (b.q - q))
+            else:
+                c, e, q = fn(self.v, b, self.wp, _RND), self.e, self.q
+            if c[1]:
+                k = c[2] + c[3] - self.wp - q
+                e += 1 << k if k >= 0 else 1
+            return _Ball(c, self.wp, e, q)
+        return op
 
-    def __sub__(self, b):
-        v, e_a, e_b, q = self._join(b)
-        return self._out(libmp.mpf_sub(self.v, v, self.wp, _RND), e_a + e_b, q)
+    __add__, __sub__ = _summed(libmp.mpf_add), _summed(libmp.mpf_sub)
 
     def __mul__(self, b):
-        v, e_a, e_b, q = self._join(b)
-        a = self.v
-        err = _ceil_shift(a[1] * e_b, a[2]) + _ceil_shift(v[1] * e_a, v[2])
-        return self._out(libmp.mpf_mul(a, v, self.wp, _RND), err + _ceil_shift(e_a * e_b, q), q)
+        a, e_a, q = self.v, self.e, self.q
+        if isinstance(b, _Ball):
+            v, e_b = b.v, b.e
+            if b.q != q:
+                q = min(q, b.q)
+                e_a, e_b = e_a << (self.q - q), e_b << (b.q - q)
+        else:
+            v, e_b = b, 0
+        e = _ceil_shift(a[1] * e_b, a[2]) if e_b else 0
+        if e_a:
+            e += _ceil_shift(v[1] * e_a, v[2]) + _ceil_shift(e_a * e_b, q)
+        return self._out(libmp.mpf_mul(a, v, self.wp, _RND), e, q)
 
     def __neg__(self):
         return _Ball(libmp.mpf_neg(self.v), self.wp, self.e, self.q)
@@ -527,14 +539,14 @@ class _Ball:
         return _Ball(libmp.mpf_shift(self.v, k), self.wp, self.e, self.q + k)
 
     def log(self) -> "_Ball":
-        return self._out(libmp.mpf_log(self.v, self.wp, _RND), self._slope(self.v))
+        return self._out(libmp.mpf_log(self.v, self.wp, _RND), self._slope(self.v), self.q)
 
     def log1p(self) -> "_Ball":
         x = self.v
         e = self._slope(libmp.mpf_add(libmp.fone, x))
         if x[1]:  # 2^(1-w') for the rounding of 1 + x~
             e += _ceil_shift(1, -7 - self.wp - max(0, -(x[2] + x[3])) - self.q)
-        return self._out(raw_log1p(x, self.wp), e)
+        return self._out(raw_log1p(x, self.wp), e, self.q)
 
     def exp(self) -> "_Ball":
         c, e = libmp.mpf_exp(self.v, self.wp, _RND), self.e
@@ -552,7 +564,9 @@ class _Ball:
 
     def widen(self, *bounds) -> "_Ball":
         """The same value, its error grown by each raw bound >= 0."""
-        e = self.e + sum(_ceil_shift(b[1], b[2] - self.q) for b in bounds)
+        e = self.e
+        for b in bounds:
+            e += _ceil_shift(b[1], b[2] - self.q)
         return _Ball(self.v, self.wp, e, self.q)
 
     def error(self):
