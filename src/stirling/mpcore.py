@@ -456,7 +456,8 @@ class _Ball:
     without a bound, and adds U of its result to the errors its operands
     e_a, e_b pass on (an exact raw operand has none):
       - a +- b: e_a + e_b;  a b: |a~| e_b + |b~| e_a + e_a e_b;
-      - 2^k a (``shift``): 2^k e_a, and no U, as it is exact;
+      - 2^k a (``shift``) and -a: 2^k e_a and e_a, and no U, as they are
+        exact;
       - ln a: e_a / (a~ - e_a), by the mean value theorem;
       - ln(1 + a) (``raw_log1p``): e_a / (1 + a~ - e_a), and 2^(1-w') for
         1 + a~ rounded at w' = wp + 8 + max(0, -mag a~) bits, as its log at
