@@ -480,8 +480,7 @@ class _Ball:
     @classmethod
     def op(cls, c, wp: int) -> "_Ball":
         """c from one libmp operation at wp on exact operands."""
-        k = c[2] + c[3] + 64
-        return cls(c, wp, (1 << k if k >= 0 else 1) if c[1] else 0)
+        return cls(c, wp)._out(c, 0, -(wp + 64))
 
     def _out(self, c, e: int, q: int) -> "_Ball":
         """c, with the error e 2^q that its operands pass on, and U(c)"""
