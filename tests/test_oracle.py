@@ -424,6 +424,17 @@ def test_weierstrass_past_the_term_cap_fails_fast():
         weierstrass_inv_gamma(2, stirling.oracle.TERMS_CAP + 1, CTX)
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_weierstrass_bound_scales_with_a_tiny_value(bits):
+    # the value is about 2^-3305: its rounding part stays within an ulp of
+    # it, and the bound is the tail part z^2/(2K) W, as for any other value
+    ov = weierstrass_inv_gamma(1000, 10, PrecisionCtx(bits))
+    value = _exact(ov.value)
+    assert 0 < value < Fraction(1, 2**3300)
+    assert _exact(ov.diagnostics["rounding"]) < value * Fraction(2, 2**bits)
+    assert _exact(ov.error_bound) < value * Fraction(1000**2, 2 * 10) * (1 + Fraction(1, 2**50))
+
+
 def test_weierstrass_tail_halves_when_K_doubles():
     g1 = weierstrass_inv_gamma(2, 2000, CTX)
     g2 = weierstrass_inv_gamma(2, 4000, CTX)
