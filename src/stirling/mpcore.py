@@ -517,6 +517,7 @@ class _Ball:
         return op
 
     __add__, __sub__ = _summed(libmp.mpf_add), _summed(libmp.mpf_sub)
+    del _summed
 
     def __mul__(self, b):
         a, e_a, q = self.v, self.e, self.q
