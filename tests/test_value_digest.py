@@ -9,8 +9,8 @@ import pytest
 
 from stirling.expansions import _feller_residuals, _namias_residual, feller_term
 from stirling.mpcore import PrecisionCtx
-from stirling.oracle import (_multiplication_residual, lngamma_euler_limit,
-                             weierstrass_inv_gamma)
+from stirling.oracle import (_multiplication_residual, ln_factorial_exact, lngamma_binet2,
+                             lngamma_euler_limit, weierstrass_inv_gamma)
 from stirling.series import lngamma_stirling, main_term_P
 
 ZS = (Fraction(1, 10**6), Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(22, 7),
@@ -53,3 +53,34 @@ def test_tracked_values_are_pinned(bits):
     for name, args, value in _values(bits):
         h.update(f"{name},{args},{value.to_hex()}\n".encode())
     assert h.hexdigest() == VALUE_DIGESTS[bits]
+
+
+# the zeros of ln Gamma at 1 and 2 and next to them, where the bound of
+# the Binet oracle's value is least relative to the value itself
+BINET2_ZS = ZS + (Fraction(2), 1 + Fraction(1, 2**45), 2 - Fraction(1, 2**50),
+                  2 + Fraction(1, 2**50))
+FACTORIAL_NS = (0, 1, 2, 3, 12, 20, 100, 1000, 10**4)
+
+# bits -> sha256 over the lines "name,args,value_hex[,divisions]\n" of
+# ``_oracle_values(bits)``
+ORACLE_VALUE_DIGESTS = {
+    64: "9228286abc0a18cb6a8a8066736f9fead2951090a75b4e7262776d611e15dfe1",
+    256: "6f519b14994228c097c78bb49458949938bfdf13b153fd3081b43d96adbabee2",
+}
+
+
+def _oracle_values(bits: int):
+    ctx = PrecisionCtx(bits)
+    for z in BINET2_ZS:
+        ov = lngamma_binet2(z, ctx)
+        yield "binet2", z, f"{ov.value.to_hex()},{ov.diagnostics['divisions']}"
+    for n in FACTORIAL_NS:
+        yield "ln_factorial_exact", n, ln_factorial_exact(n, ctx).value.to_hex()
+
+
+@pytest.mark.parametrize("bits", sorted(ORACLE_VALUE_DIGESTS))
+def test_oracle_values_are_pinned(bits):
+    h = hashlib.sha256()
+    for name, args, value in _oracle_values(bits):
+        h.update(f"{name},{args},{value}\n".encode())
+    assert h.hexdigest() == ORACLE_VALUE_DIGESTS[bits]
