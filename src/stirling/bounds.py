@@ -60,11 +60,11 @@ from typing import Iterator
 from mpmath import libmp
 
 from .errors import DomainError, InconclusiveError, ValidityError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, _require_positive,
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _Ball, _require_index, _require_positive,
                      raw_expm1, to_raw)
 from .expansions import mermin_partial_product
 from .fixed import _exp_bracket, _floor_terms
-from .oracle import FACTORIAL_CAP, _ln_factorial_raw, lngamma_binet2
+from .oracle import FACTORIAL_CAP, _ln_factorial_raw, _oracle_main_term, lngamma_binet2
 from .series import _half_ln_2pi, term_coefficient
 
 __all__ = [
@@ -510,28 +510,20 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> tuple[Fraction, tuple]:
     [lo, hi] / den (mid = (lo, hi, den)).
 
     The interval is [v - e - P_hi, v + e - P_lo], with v and its proven
-    error bound e from ``lngamma_binet2`` at ``_sandwich_oracle_ctx``.
-    P(x~) = (x~ - 1/2) ln x~ - x~ + (1/2) ln(2 pi) lies in [P_lo, P_hi]:
-    ln x~ is libmp's log at wp, taken to within one ulp (the allowance of
-    ``mpcore._Ball``), and (1/2) ln(2 pi) is that bracket at
-    2^-(wp + 64), far below e.
+    error bound e from ``lngamma_binet2`` at ``_sandwich_oracle_ctx``, and
+    P(x~) in [P_lo, P_hi], the ends of the oracle's own ball of P
+    (``oracle._oracle_main_term``) at the oracle's working precision,
+    work.bits + 64, where its error is far below e.
     """
     work = _sandwich_oracle_ctx(ctx)
     wp = work.wprec()
     x_raw = to_raw(x, wp)
     _require_positive(x_raw, "x")
     ov = lngamma_binet2(BigFloat(x_raw, work.bits), work)
-    ln_x = libmp.mpf_log(x_raw, wp, _RND)
-    _, _, exp, bc = ln_x
-    v, e, X, L = (Fraction(*libmp.to_rational(raw))
-                  for raw in (ov.value.raw, ov.error_bound.raw, x_raw, ln_x))
-    a = X - Fraction(1, 2)
-    spread = abs(a) * Fraction(2) ** (exp + bc - wp)  # |x~ - 1/2| times one ulp of ln x~
-    W = wp + 64
-    h_lo, h_hi = _half_ln_2pi_bracket(W)
-    p = a * L - X
-    return X, _interval(v - e - (p + spread + Fraction(h_hi, 1 << W)),
-                        v + e - (p - spread + Fraction(h_lo, 1 << W)))
+    v, e, X, p_lo, p_hi = (Fraction(*libmp.to_rational(raw)) for raw in (
+        ov.value.raw, ov.error_bound.raw, x_raw,
+        *_oracle_main_term(_Ball(x_raw, work.bits + 64)).ends()))
+    return X, _interval(v - e - p_hi, v + e - p_lo)
 
 
 def _interval(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:

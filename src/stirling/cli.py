@@ -384,16 +384,15 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
     # and (x^2/6) / (1 - x^2) = 1/(24 (k^2 - 1/4)), as 2j (2j+1) >= 6.  Both
     # telescope: 1/(k (k+1)) = 1/k - 1/(k+1) and 1/(k^2 - 1/4) =
     # 1/(k - 1/2) - 1/(k + 1/2), so 1/(24 (K+1)) < (1/2) ln(2 pi) - F_K <
-    # 1/(24 (K + 1/2)) < 1/(24 K).  F_K is within 2^-bits of the partial
-    # sum (``feller_constant``).
+    # 1/(24 (K + 1/2)) < 1/(24 K).  The middle value is the ball of
+    # (1/2) ln(2 pi) - F_K, F_K as ``expansions --which feller`` prints it.
     K = 2000
-    value = expn.feller_constant(K, ctx)
+    partial = expn._feller_constant(K, ctx)
+    value = mpc.BigFloat.from_raw(partial.v, ctx)
     gap = abs(value - ser.half_ln_2pi(ctx))
-    W = ctx.bits + 64
-    h_lo, h_hi = bnd._half_ln_2pi_bracket(W)
-    f, ulp = value._fraction(), Fraction(1, 1 << ctx.bits)
-    outcome = _judge(f"feller constant at K={K}", Fraction(h_lo, 1 << W) - f - ulp,
-                     Fraction(h_hi, 1 << W) - f + ulp,
+    lo, hi = (mpc.BigFloat(end, ctx.wprec())._fraction()
+              for end in (ser._half_ln_2pi(ctx.wprec()) - partial).ends())
+    outcome = _judge(f"feller constant at K={K}", lo, hi,
                      Fraction(1, 24 * (K + 1)), Fraction(1, 24 * K), ctx.bits)
     yield ("expansions.feller_constant",
            _status(outcome == "failed", outcome == "inconclusive"),

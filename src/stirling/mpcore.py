@@ -17,10 +17,11 @@ the bits a cancellation costs: ``bounds.sequence_point``, whose r_n ~
 1/(12n) is what is left of terms near n ln n, and Mermin's
 ``expansions.mermin_partial_product``, whose sum is small against the
 error of its fixed point.  Only two places work at bits + 64 instead:
-``lngamma_binet2``, whose bounds are proven at that precision, and
-``bounds._sandwich_point``, which asks the oracle for bits + 64 only to
-keep the oracle's error bound small against the sandwich's margins, as its
-verdict is exact at any precision.  A published value prints only the
+``lngamma_binet2``, whose quadrature parts are proven at that precision
+and whose assembly ``_Ball`` tracks there, and ``bounds._sandwich_point``,
+which asks the oracle for bits + 64 only to keep the oracle's error bound
+small against the sandwich's margins, as its verdict is exact at any
+precision.  A published value prints only the
 digits its own error bound proves (:func:`certified_decimal`), and a
 published bound is printed rounded up (:func:`decimal_up`).  Every
 conversion to a libmp value goes through :func:`to_raw`.
@@ -413,11 +414,6 @@ def raw_expm1(x_raw, prec: int):
 def _ceil_shift(n: int, k: int) -> int:
     """ceil(n 2^k) for an integer n >= 0"""
     return n << k if k >= 0 else -(-n >> -k)
-
-
-def _ulp_raw(c, bits: int, count: int = 1):
-    """count U(c) of ``_Ball`` with ``bits`` in place of wp, a raw value."""
-    return libmp.from_man_exp(count, c[2] + c[3] - bits) if c[1] else libmp.fzero
 
 
 def _sum_up(parts, prec: int = 64):

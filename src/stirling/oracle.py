@@ -34,7 +34,10 @@ precision is capped.  Exact integer factorials anchor everything at
 integer arguments.
 
 Every result carries an explicit ``error_bound`` so downstream inequality
-checks can refuse to conclude when a margin falls inside the bound.
+checks can refuse to conclude when a margin falls inside the bound.  The
+roundings that no loop counts, among them the Binet assembly of P(z), the
+integral and ln z, and the log of an exact factorial, are tracked by
+``mpcore._Ball``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from mpmath import libmp
 
 from .errors import ConvergenceError, DomainError
 from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
-                     _require_positive, _sum_up, _ulp_raw, raw_expm1, raw_log1p, to_raw)
+                     _require_positive, _sum_up, raw_expm1, raw_log1p, to_raw)
 from .fixed import _moment_series
 from .quadrature import half_line_nodes
 
@@ -96,15 +99,17 @@ def euler_gamma(ctx: PrecisionCtx) -> BigFloat:
 # -- shared raw pieces ---------------------------------------------------
 
 
-def _oracle_main_term(z_raw, wp: int):
+@functools.lru_cache(maxsize=None)
+def _oracle_half_ln_2pi(wp: int) -> _Ball:
+    """(1/2) ln(2 pi): half the log of 2 pi~, pi~ within one ulp of pi."""
+    return _Ball.op(libmp.mpf_pi(wp, _RND), wp).shift(1).log().shift(-1)
+
+
+def _oracle_main_term(z: _Ball) -> _Ball:
+    """P(z) = z ln z - z - (1/2) ln z + (1/2) ln(2 pi), with its error."""
     # deliberately written out here: the oracle keeps its own code path
-    lnz = libmp.mpf_log(z_raw, wp, _RND)
-    two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
-    half_l2p = libmp.mpf_shift(libmp.mpf_log(two_pi, wp, _RND), -1)
-    acc = libmp.mpf_mul(z_raw, lnz, wp, _RND)
-    acc = libmp.mpf_sub(acc, z_raw, wp, _RND)
-    acc = libmp.mpf_sub(acc, libmp.mpf_shift(lnz, -1), wp, _RND)
-    return libmp.mpf_add(acc, half_l2p, wp, _RND)
+    lnz = z.log()
+    return z * lnz - z - lnz.shift(-1) + _oracle_half_ln_2pi(z.wp)
 
 
 # -- exact factorials ----------------------------------------------------
@@ -116,14 +121,14 @@ def _ln_factorial_raw(n: int, wp: int):
 
 
 def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
-    """ln(n!) via the exact big integer and one logarithm (<= 2 ulp)."""
+    """ln(n!) via the exact big integer and one logarithm, its bound
+    tracked by ``mpcore._Ball`` from the rounding of n! to wp."""
     _require_index(n, "n", 0, FACTORIAL_CAP, "exact-factorial cap")
     if n <= 1:
         zero = BigFloat.from_raw(libmp.fzero, ctx)
         return OracleValue(value=zero, method="exact_factorial", error_bound=zero)
-    val = _ln_factorial_raw(n, ctx.wprec())
-    value = BigFloat.from_raw(val, ctx)
-    bound = BigFloat.from_raw(_ulp_raw(val, ctx.bits, 2), ctx)
+    wp = ctx.wprec()
+    value, bound = _Ball.op(libmp.from_int(math.factorial(n), wp, _RND), wp).log().published(ctx)
     return OracleValue(value=value, method="exact_factorial", error_bound=bound)
 
 
@@ -424,10 +429,11 @@ def _binet_integral(z_raw, bits: int):
         sum within N_s (1.05 F + 30) of sum W a / (1 + t~^2 a^2), as W <
         2^(F+1) and a <= 1, and each |W - w 2^F| adds 1.07: below 1.4 F per
         node, as F >= 96.
-    So acc is within 1.4 F N of sum v over the N nodes, the estimate within
-    h N (F + 1) 2^-F of h sum (1 + e^-u) k(t~) / pi, and taking it as acc
-    2^-F over m pi~, pi~ within a relative 2^-(wp+16) of pi, rounded to wp,
-    adds less than one ulp of the integral at wp.
+    So acc is within 1.4 F N of sum v over the N nodes, and the estimate
+    within h N (F + 1) 2^-F, the rounding part, of h sum (1 + e^-u) k(t~)
+    / pi.  The integral is then acc 2^-F over m pi~, pi~ within a relative
+    2^-(wp+16) of pi, rounded to wp: within U of the estimate, with U as in
+    ``mpcore._Ball``, which ``lngamma_binet2`` charges as for one operation.
     """
     m, j_left, j_right, discretisation, truncation, t_max = _binet_plan(bits)
     if j_left + j_right + 1 > BINET_MAX_NODES:
@@ -445,14 +451,11 @@ def _binet_integral(z_raw, bits: int):
         acc += W * X // (one + (T2 * X2 >> F))
     pi_m = libmp.mpf_mul(libmp.mpf_pi(wp + 16, _RND), libmp.from_int(m))  # exact
     integral = libmp.mpf_div(libmp.from_man_exp(acc, -F), pi_m, wp, _RND)
-    # h N (F + 1) 2^-F, plus the rounding of the integral to wp
-    rounding = libmp.mpf_add(libmp.from_rational(len(nodes) * (F + 1), m << F, 64, _UP),
-                             _ulp_raw(integral, wp, 1), wp, _UP)
     parts = {
         "discretisation": discretisation,
         "truncation": truncation,
         "node_error": libmp.from_man_exp(2 + 7 * t_max, -(wp + 2)),
-        "rounding": rounding,
+        "rounding": libmp.from_rational(len(nodes) * (F + 1), m << F, 64, _UP),
     }
     return integral, {"nodes": len(nodes), "divisions": split}, parts
 
@@ -490,49 +493,20 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         |Im u| < d = 19/20 (see ``_binet_discretisation_bound``),
       - the terms past either end of the table (see ``_binet_plan``),
       - the error of the computed nodes, (2 + 7 t_max) 2^-(wp+2), and the
-        rounding of the sum: h N (F + 1) 2^-F for N nodes and the table's
-        fixed point F, plus one ulp of the integral at the working
-        precision wp (see ``_binet_integral``),
-      - one ulp at wp for ln z, when z was shifted, and 8 ulp of the result
-        for the remaining roundings (proven below).
+        rounding of the sum, h N (F + 1) 2^-F for N nodes and the table's
+        fixed point F (see ``_binet_integral``),
+      - the error of the assembly, which ``mpcore._Ball`` tracks: P(x) from
+        ``_oracle_main_term`` at the exact x = z~ + 1 when shifted and x =
+        z~ (z rounded to wp) else, the integral within U of the estimate
+        (see ``_binet_integral``), ln z~ when z was shifted, the sums, the
+        rounding of z to z~, which moves ln Gamma by E_arg
+        (``mpcore._argument_error``), and the rounding to ctx.bits.
     ``diagnostics`` records the step m, the strip half-width d, the nodes
     summed, the integer divisions taken (one per node with t >= 1/4; the
     rest are summed as one series over moments kept with the table), and
     each part as a BigFloat at wp: discretisation, truncation, node_error,
-    rounding and final_rounding (the last item).
-
-    The remaining roundings, with U as in ``mpcore._Ball``.  For x = z + 1
-    when shifted and x = z~ (z rounded to wp) else, ``_oracle_main_term``
-    takes L = ln x, A = x L - x, B = A - L/2 and P~ = B + H, H half the log
-    of 2 pi~, within 2^(1-wp) of ln(2 pi)/2, in five roundings; by the
-    rules of ``mpcore._Ball``, P~ is within (x + 1/2) U(L) + U(x L) + U(A)
-    + U(B) + U(P~) + 2^(1-wp) of P(x).  The
-    sum with the integral adds U(val), the subtraction of ln z U(val) once
-    more (ln z's own error is its part above), and the final rounding half
-    an ulp of val at ctx.bits.  The rounding of z to z~ moves ln Gamma by
-    E_arg (``mpcore._argument_error``), below 2^-wp (x (log2 x + 2) + 3).
-      - The sum.  For x >= 1, L <= x - 1, so |A|, |B|, |P~| and the
-        unshifted |val| are at most x L + x + L/2 + 1.1 (|ln Gamma(x) -
-        P(x)| < 1/(12x)), and the parts above add up to at most 2^(2-wp)
-        (4 x L + 2 x + 2) (1 + 2^-60) < 2^(8-wp) 1.01 max(1, |ln Gamma(x)|):
-        4 x L + 2 x + 2 <= 64 max(1, ln Gamma(x)), as the left side is at
-        most 33 on [1, 4], 85 on [4, 8] against ln Gamma >= ln 6, and on
-        x >= 8 grows slower than 64 ((x - 1/2) L - x) < 64 ln Gamma(x).
-        With E_arg, below 2^(7-wp) max(1, |ln Gamma(x)|) by the same
-        count, the parts are at most 2^-(bits+54) max(1, |ln Gamma(x)|),
-        and a shifted x < 2 has |ln Gamma(x)| < 1.
-      - Where |ln Gamma(z)| >= 2^-40, |val| >= |ln Gamma(z)| / 2 (the whole
-        error is far below 2^-41), and the U(val) of the shift, at most
-        2^(1-wp) |val|, the half ulp and that sum stay below 8 ulp of val at
-        ctx.bits, which is at least 8 2^-bits |val|.
-      - Where |ln Gamma(z)| < 2^-40, the sum is at most 2^-(bits+53), which
-        the discretisation part covers beside its own error: it is twice the
-        bound of ``_binet_discretisation_bound`` evaluated at 64 bits, so
-        half of it is headroom, and as m is the least step count with
-        D(m) <= 2^-(bits+24), while D(m) / D(m - 1) >= e^(-2 pi d) (1 -
-        e^(-2 pi d (m-1))) > 1/393 and D(1) > 2^-(bits+24), D(m) exceeds
-        2^-(bits+33).
-    Every identity check of the report trusts this bound as it stands.
+    rounding and final_rounding (the last item).  Every identity check of
+    the report trusts this bound as it stands.
 
     Inside ``_shared_values`` a repeated (raw argument at wp, bits) pair
     returns the value stored by its first evaluation.
@@ -547,18 +521,16 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
     shifted = libmp.mpf_lt(z_raw, libmp.fone)
     zq = libmp.mpf_add(z_raw, libmp.fone, 0) if shifted else z_raw
     integral, counts, parts = _binet_integral(zq, ctx.bits)
-    val = libmp.mpf_add(_oracle_main_term(zq, wp), integral, wp, _RND)
-    final = libmp.fzero
+    val = _oracle_main_term(_Ball(zq, wp)) + _Ball.op(integral, wp)
     if shifted:
-        lnz = libmp.mpf_log(z_raw, wp, _RND)
-        val = libmp.mpf_sub(val, lnz, wp, _RND)
-        final = _ulp_raw(lnz, wp, 1)
-    parts["final_rounding"] = libmp.mpf_add(final, _ulp_raw(val, ctx.bits, 8), wp, _UP)
+        val = val - _Ball(z_raw, wp).log()
+    out = val.widen(_argument_error(z_raw, wp)).rounded(ctx.bits)
+    parts["final_rounding"] = out.error()
     bound = _sum_up(parts.values(), wp)
     diagnostics = {"step_m": _binet_plan(ctx.bits)[0], "strip_d": _STRIP_D, **counts}
     diagnostics.update((name, BigFloat(part, wp)) for name, part in parts.items())
     result = OracleValue(
-        value=BigFloat.from_raw(val, ctx),
+        value=BigFloat(out.v, ctx.bits),
         method="binet2",
         error_bound=BigFloat.from_raw(libmp.mpf_pos(bound, ctx.bits, _UP), ctx),
         diagnostics=diagnostics,
@@ -737,9 +709,8 @@ def _multiplication_residual(m: int, z, ctx: PrecisionCtx) -> tuple[BigFloat, Bi
     _require_positive(z_raw)
     mz = _Ball(z_raw, wp) * libmp.from_int(m)
     g_mz = lngamma_binet2(BigFloat(mz.v, ctx.bits), ctx)
-    ln_sqrt_2pi = _Ball.op(libmp.mpf_pi(wp, _RND), wp).shift(1).log().shift(-1)
     ln_m = _Ball(libmp.from_int(m), wp).log()
-    rhs = ln_sqrt_2pi * libmp.from_int(1 - m) + (mz - libmp.fhalf) * ln_m
+    rhs = _oracle_half_ln_2pi(wp) * libmp.from_int(1 - m) + (mz - libmp.fhalf) * ln_m
     for k in range(m):
         zk = libmp.mpf_add(z_raw, libmp.from_rational(k, m, wp, _RND), wp, _RND)
         ov = lngamma_binet2(BigFloat(zk, ctx.bits), ctx)

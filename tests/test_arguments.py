@@ -122,13 +122,16 @@ def test_real_argument_not_finite_or_not_rational_is_a_domain_error(call):
 
 def test_only_mpcore_states_the_rounding_model():
     # U(c) and libmp's one-ulp allowance are stated once, in mpcore._Ball,
-    # and the modules whose bounds it tracks keep no error units of their own
+    # and the modules whose bounds it tracks keep no error units of their own;
+    # the Binet oracle's assembly is among them, and no ulp helper is left
     src = Path(stirling.__file__).parent
     spelled = {path.name: path.read_text().count("U(c) =") for path in src.glob("*.py")}
     assert {name: n for name, n in spelled.items() if n} == {"mpcore.py": 1}
     helper = re.compile(r"\b(_ulp_raw|_sum_up)\b|^(def _\w*(ulp|unit)\w*|_G\s*=)", re.M)
     for name in ("series.py", "expansions.py", "bounds.py", "cli.py"):
         assert helper.search((src / name).read_text()) is None, name
+    for name in ("mpcore.py", "oracle.py"):
+        assert "_ulp_raw" not in (src / name).read_text(), name
 
 
 def test_only_mpcore_spells_an_integer_test():
