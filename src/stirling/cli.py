@@ -387,11 +387,10 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
     # 1/(24 (K + 1/2)) < 1/(24 K).  The middle value is the ball of
     # (1/2) ln(2 pi) - F_K, F_K as ``expansions --which feller`` prints it.
     K = 2000
-    partial = expn._feller_constant(K, ctx)
+    partial, half = expn._feller_constant(K, ctx), ser._half_ln_2pi(ctx.wprec())
     value = mpc.BigFloat.from_raw(partial.v, ctx)
-    gap = abs(value - ser.half_ln_2pi(ctx))
-    lo, hi = (mpc.BigFloat(end, ctx.wprec())._fraction()
-              for end in (ser._half_ln_2pi(ctx.wprec()) - partial).ends())
+    gap = abs(value - mpc.BigFloat.from_raw(half.v, ctx))
+    lo, hi = (mpc.BigFloat(end, ctx.wprec())._fraction() for end in (half - partial).ends())
     outcome = _judge(f"feller constant at K={K}", lo, hi,
                      Fraction(1, 24 * (K + 1)), Fraction(1, 24 * K), ctx.bits)
     yield ("expansions.feller_constant",

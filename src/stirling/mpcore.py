@@ -21,10 +21,10 @@ error of its fixed point.  Only two places work at bits + 64 instead:
 and whose assembly ``_Ball`` tracks there, and ``bounds._sandwich_point``,
 which asks the oracle for bits + 64 only to keep the oracle's error bound
 small against the sandwich's margins, as its verdict is exact at any
-precision.  A published value prints only the
-digits its own error bound proves (:func:`certified_decimal`), and a
-published bound is printed rounded up (:func:`decimal_up`).  Every
-conversion to a libmp value goes through :func:`to_raw`.
+precision.  A published value prints only the digits its own error bound
+proves (:func:`certified_decimal`), and a published bound is printed
+rounded up (:func:`decimal_up`).  Every conversion to a libmp value goes
+through :func:`to_raw`.
 
 The argument rules of the package live here too.  A real argument is
 converted by :func:`to_raw`, which refuses a non-finite float and a string

@@ -275,6 +275,16 @@ def test_binet2_final_rounding_within_one_ulp(bits):
         assert 0 < final <= _ulp_of_max_one(ov.value, bits), z
 
 
+# the bound's bits: the roundings of n! to wp and of its log, and the
+# half ulp of the rounding to bits
+@pytest.mark.parametrize("n, bits, bound_hex", [
+    (12, 64, "0x1.0000000211eed8fp-60"),
+    (10**4, 256, "0x1.000000020001cfaf0532f52d6635p-240"),
+])
+def test_ln_factorial_bound_pinned_bits(n, bits, bound_hex):
+    assert ln_factorial_exact(n, PrecisionCtx(bits)).error_bound.to_hex() == bound_hex
+
+
 @pytest.mark.parametrize("bits", [64, 256])
 def test_ln_factorial_bound_within_one_ulp(bits):
     for n in (2, 3, 12, 100, 10**4):
