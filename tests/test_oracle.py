@@ -197,8 +197,8 @@ def test_binet2_small_z_within_bound(z, bits):
 
 # both sides of the shift threshold z = 1 (and of the former 1/8), at
 # 768 bits too, the precision of the oracle benchmark; and next to the
-# zeros of ln Gamma at 1 and 2, where the value is far below the error of
-# P(z) and the integral that it is the sum of
+# zeros of ln Gamma at 1 and 2, where the value is far smaller than P(z)
+# and the integral whose sum it is
 SHIFT_EDGE = [Fraction(1, 8), Fraction(1, 2), 1 - Fraction(1, 2**60),
               Fraction(1), 1 + Fraction(1, 2**60), Fraction(2)]
 NEAR_ZEROS = [2 - Fraction(1, 2**50), 2 + Fraction(1, 2**50), 1 + Fraction(1, 2**45)]
