@@ -161,6 +161,36 @@ def test_binet2_sample_digest():
     assert h.hexdigest() == BINET2_SAMPLE_DIGEST
 
 
+def _binet2_value_sample():
+    """(bits, z) pairs: seeded z with log10 z spread over [-6, 12) at 64,
+    256 and 768 bits, and at each the zeros of ln Gamma, 1 and 2, the
+    arguments 2^-60 and 2^-50 either side of them, and 10^6/7."""
+    rng = random.Random(20063)
+    fixed = (Fraction(1), Fraction(2), 1 - Fraction(1, 2**60), 1 + Fraction(1, 2**60),
+             2 - Fraction(1, 2**50), 2 + Fraction(1, 2**50), Fraction(10**6, 7))
+    sample = []
+    for bits, count in ((64, 24), (256, 24), (768, 8)):
+        for _ in range(count):
+            mantissa = Fraction(rng.randrange(10**9, 10**10), 10**9)
+            sample.append((bits, mantissa * Fraction(10) ** rng.randrange(-6, 12)))
+        sample += [(bits, z) for z in fixed]
+    return sample
+
+
+# sha256 over the lines "bits,z,value_hex,bound_hex\n" of that sample: the
+# published values and bounds alone, which no change to how the sum is
+# split between divisions and moments may move
+BINET2_VALUE_DIGEST = "a35a4e0b7513e5c2f3c01d72149b0215a889318038006c23b4438401e0f5254b"
+
+
+def test_binet2_values_and_bounds_digest():
+    h = hashlib.sha256()
+    for bits, z in _binet2_value_sample():
+        ov = lngamma_binet2(z, PrecisionCtx(bits))
+        h.update(f"{bits},{z},{ov.value.to_hex()},{ov.error_bound.to_hex()}\n".encode())
+    assert h.hexdigest() == BINET2_VALUE_DIGEST
+
+
 def assert_binet2_within_bound(z: Fraction, bits: int):
     """|value - loggamma(z)| <= error_bound, loggamma at bits + 64."""
     ov = lngamma_binet2(z, PrecisionCtx(bits))
