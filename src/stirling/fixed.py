@@ -61,6 +61,26 @@ def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
     return s, -(-(s + 2 * j) * ((1 << W) + 2 * (hi - lo)) >> W)
 
 
+def _exp_walk(S: int, W: int, n: int) -> list[int]:
+    """[B_0, ..., B_n], B_k within 3.04 k max(1, e^(kc)) of 2^W e^(kc), in
+    units of 2^-W and never above it, for any real c with |c| <= 1 and 0 <=
+    2^W e^c - S < 2.04: the chain B_0 = 2^W, B_(k+1) = floor(B_k S 2^-W).
+
+    Proof, in units of 2^-W.  The chain has p_k = 2^W e^(kc), rho = e^c,
+    mu = S 2^-W, 0 <= delta = rho - mu < 2.04 2^-W and e_0 = 0, so by the
+    chain lemma 0 <= p_k - B_k < e_k with e_(k+1) = rho e_k + delta p_k + 1.
+    For c <= 0, rho <= 1 and p_k <= 2^W, so e_(k+1) < e_k + 3.04.  For c >
+    0, p_k >= 2^W, and r_k = e_k / p_k has r_(k+1) = r_k + delta / rho + 1 /
+    p_(k+1) < r_k + 3.04 2^-W.  Either way e_k < 3.04 k max(1, e^(kc)).
+    """
+    B = 1 << W
+    out = [B]
+    for _ in range(n):
+        B = B * S >> W
+        out.append(B)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _block_plan(W: int) -> tuple[int, int, int]:
     """(m0, rho, K) for ``_floor_series`` at W: blocks of more than one m
@@ -248,22 +268,25 @@ def _log1m_ratio(Q: int, r: int) -> int:
 def _lambda_series(X: int, R: int, coeffs) -> int:
     """s, in units of 2^-R, with |2^R S(x) - s| < 1.1 J + 1.2, for S(x) =
     lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!), lambda(x) =
-    ln((1 - e^-x) / x), and x = X 2^-R < 2^-44: the chain P_0 = 2^R,
+    ln((1 - e^-x) / x), and x = X 2^-R < 2^-7: the chain P_0 = 2^R,
     P_(k+1) = floor(P_k X2 2^-R), X2 = floor(X^2 2^-R), adds (-1)^(k-1)
     floor(P_k n_k / d_k), n_k / d_k = |B_2k| / (2k (2k)!) the k-th pair of
     coeffs, until a term is 0 or coeffs ends.  J, the terms it adds, is at
-    most n = (R - 1) // (2 (R - bitlen X)), and coeffs must hold n pairs.
+    most n = (R + 1) // (2 (R - bitlen X) + 5), and coeffs must hold n
+    pairs.
 
     Proof, in units of 2^-R.  The chain has p_k = x^(2k) 2^R, rho = x^2 <
-    2^-88, mu = X2 2^-R with 0 <= delta = rho - mu < 2^-R, and e_0 = 0, so
-    by the chain lemma e_1 < delta p_0 + 1 = 2 and e_(k+1) < 2^-87 + x^(2k)
-    + 1 < 2.  As x < 2^-D, D = R - bitlen X, p_k < 2^(R - 2kD) <= 1 for
-    every k > n, so P_k = 0 there.  c_k = |B_2k| / (2k (2k)!) = 2 zeta(2k)
-    / (2k (2 pi)^(2k)) has c_1 = 1/24 and c_(k+1) / c_k < 1 / (2 pi)^2 <
-    1/39.  Each added term loses at most c_k (p_k - P_k) + 1 < 13/12.  The
-    first term left out, k = J + 1, floors to 0 or has P_k = 0, so c_k p_k <
-    1 + 2 c_k <= 13/12, and it and the terms after it, each at least
-    39-fold smaller, add up to less than 1.12.
+    2^-14, mu = X2 2^-R with 0 <= delta = rho - mu < 2^-R, and e_0 = 0, so
+    by the chain lemma e_1 < delta p_0 + 1 = 2 and e_(k+1) < 2 x^2 + x^(2k)
+    + 1 <= 3 x^2 + 1 < 2.  c_k = |B_2k| / (2k (2k)!) = 2 zeta(2k) / (2k
+    (2 pi)^(2k)) has c_1 = 1/24, c_(k+1) / c_k < 1 / (2 pi)^2 < 1/39, and
+    c_k <= zeta(2) (2 pi)^(-2k) < 1.65 2^(-5.3k).  As x < 2^-D, D = R -
+    bitlen X, c_k p_k < 1.65 2^(R - k (2D + 5.3)) < 1 for every k > n, and
+    a term floors to at most c_k p_k, so no such term is added.  Each added
+    term loses at most c_k (p_k - P_k) + 1 < 13/12.  The first term left
+    out, k = J + 1, floors to 0 or has k > n, so c_k p_k < 1 + 2 c_k <=
+    13/12, and it and the terms after it, each at least 39-fold smaller,
+    add up to less than 1.12.
     """
     X2 = (X * X) >> R
     s, P = 0, 1 << R
@@ -277,7 +300,7 @@ def _lambda_series(X: int, R: int, coeffs) -> int:
 
 
 def _moments(nodes, F: int) -> list:
-    """[S_0, S_1, ...] for nodes (T2, W) with t < 1/4: S_k sums over the
+    """[S_0, S_1, ...] for nodes (T2, W) with t < 1/8: S_k sums over the
     nodes the chain P_0 = W, P_(k+1) = floor(P_k T2 2^-F), T2 = floor(t^2
     2^F) (see ``_moment_series``)."""
     moments = []
@@ -296,25 +319,25 @@ def _moment_series(moments, X: int, F: int) -> int:
     """sum_k (-1)^k floor(S_k Z_k 2^-F) over the moments S_k of
     ``_moments``, with Z_0 = X = floor(2^F a), Z_(k+1) = floor(Z_k X2
     2^-F) and X2 = floor(X^2 2^-F), until a term is 0.  In units of 2^-F
-    it is within N_s (1.05 F + 30) of E = sum W a / (1 + t^2 a^2) over the
+    it is within N_s (0.7 F + 24) of E = sum W a / (1 + t^2 a^2) over the
     N_s < 2^16 nodes of the moments, for 0 <= a <= 1 and every W < 2^(F+1).
 
     Proof, in units of 2^-F.  E = sum_k (-1)^k s_k a^(2k+1) with s_k = sum
-    W t^(2k), and s_(k+1) <= s_k / 16.  S_k and Z_k come from chains of the
+    W t^(2k), and s_(k+1) <= s_k / 64.  S_k and Z_k come from chains of the
     chain lemma:
-      - per node, p_k = W t^(2k), rho = t^2 < 1/16, e_0 = 0, and delta p_k
-        < W 2^-F < 2, as 0 <= t^2 - T2 2^-F < 2^-F; so every e_k < 3.2, and
-        0 <= s_k - S_k < 3.2 N_s.
+      - per node, p_k = W t^(2k), rho = t^2 < 1/64, e_0 = 0, and delta p_k
+        < W 2^-F < 2, as 0 <= t^2 - T2 2^-F < 2^-F; so every e_k < 3.05, and
+        0 <= s_k - S_k < 3.05 N_s.
       - for Z, p_k = a^(2k+1) 2^F, rho = a^2 <= 1, e_0 = 1 and delta p_k <
         3, as a^2 - X2 2^-F < 3 2^-F; so 0 <= p_k - Z_k < 4k + 1.
-    So term k is off by less than 3.2 N_s + S_k (4k + 1) 2^-F + 1, the last
-    for its floor, where S_k 2^-F < 2 N_s 16^-k, and these S_k shares add
-    up to less than 2.71 N_s.  A term is non-zero only if S_k Z_k >= 2^F,
-    which needs N_s 2^(F+1) 16^-k > 1, so K, the first k whose term is 0,
-    is at most (F + 20)/4.  The terms of E alternate and fall, so E past K
-    is at most s_K a^(2K+1), below 3.2 N_s + 2 N_s + 1 as term K is 0.  In
-    all, the error is below K (3.2 N_s + 1) + 2.71 N_s + 5.2 N_s + 1 <= N_s
-    (1.05 F + 30).
+    So term k is off by less than 3.05 N_s + S_k (4k + 1) 2^-F + 1, the
+    last for its floor, where S_k 2^-F < 2 N_s 64^-k, and these S_k shares
+    add up to less than 2.17 N_s.  A term is non-zero only if S_k Z_k >=
+    2^F, which needs N_s 2^(F+1) 64^-k > 1, so K, the first k whose term is
+    0, is at most (F + 22)/6.  The terms of E alternate and fall, so E past
+    K is at most s_K a^(2K+1), below 3.05 N_s + 2 N_s + 1 as term K is 0.
+    In all, the error is below K (3.05 N_s + 1) + 2.17 N_s + 5.05 N_s + 1
+    <= N_s (0.7 F + 24).
     """
     X2 = (X * X) >> F
     acc, Z = 0, X

@@ -10,7 +10,7 @@ module: Binet's second formula integrated by parts,
 trapezoidal sum at the step h = 1/m on the half-line map t = exp(u - e^-u)
 (``quadrature``); z < 1 is taken through ln Gamma(z) = ln Gamma(z + 1) -
 ln z, so the quadrature only sees z >= 1, and its sum is taken in integer
-fixed point (``fixed``): the nodes with t < 1/4 as one series in 1/z over
+fixed point (``fixed``): the nodes with t < 1/8 as one series in 1/z over
 moments kept with the node table, each other node by one integer
 division.  z enters only through the rational factor, so every
 transcendental of a node lives in its cached table.  A bound on the
@@ -409,24 +409,24 @@ def _binet_integral(z_raw, bits: int):
     t~^2 a^2), a = 1/z <= 1, of the weights w at t~ (``quadrature``), which
     h/pi turns into the exact terms at t~: the estimate is h acc 2^-F / pi.
     acc adds floor(W X / (2^F + floor(T2 X2 2^-F))) for each node with t~
-    >= 1/4, with X = floor(2^F a) and X2 = floor(X^2 2^-F) taken once per
+    >= 1/8, with X = floor(2^F a) and X2 = floor(X^2 2^-F) taken once per
     evaluation, and the series over the moments for the rest.
-      - The weights.  For t~ >= 1/4, u > -1/4 (phi(-1/4) < 0.216) and t l(t)
-        <= t / (e^x - 1) <= 1/(2 pi), so w < (1 + e^(1/4)) / (2 pi) < 0.37.
-        For t~ < 1/4, u < 0, so 1 + e^-u <= 1 + ln(1/phi(u)) < 1 + L +
+      - The weights.  For t~ >= 1/8, u > -0.6 (phi(-0.6) < 0.089) and t l(t)
+        <= t / (e^x - 1) <= 1/(2 pi), so w < (1 + e^0.6) / (2 pi) < 0.45.
+        For t~ < 1/8, u < 0, so 1 + e^-u <= 1 + ln(1/phi(u)) < 1 + L +
         2^-60, L = ln(1/t~), and l <= L + pi t~: w <= tL + tL^2 + pi t^2 (1
-        + L) + 2^-60 <= 1/e + 4/e^2 + pi (1/16 + 1/(4e)) + 2^-60 < 1.4, t =
+        + L) + 2^-60 <= 1/e + 4/e^2 + pi (1/64 + 1/(8e)) + 2^-60 < 1.2, t =
         t~.  The weight before its floor is within u/16 of w, so
         |W - w 2^F| < 1 + 1/16, and W < 2^(F+1).
-      - A node with t~ >= 1/4.  Let tau0 = t~^2 a^2 and tau = floor(T2 X2
+      - A node with t~ >= 1/8.  Let tau0 = t~^2 a^2 and tau = floor(T2 X2
         2^-F) u.  As T2 u >= t~^2 - u, X u > a - u and X2 u >= (X u)^2 - u
         >= a^2 - 3u, 0 <= tau0 - tau < (3 t~^2 + 2) u and |a / (1 + tau0) -
         X u / (1 + tau)| < (3 t~^2 + 3) u.  So the quotient is within 1.07 +
-        (w + u)(3 t~^2 + 3) + 1 < 3.4 of v, the last 1 for its floor, as
-        w (3 t^2 + 3) <= 3 (1 + e^(1/4)) (t + t^3) / (e^x - 1) < 1.3 (e^x -
-        1 >= x and >= x^3/6).
+        (w + u)(3 t~^2 + 3) + 1 < 3.7 of v, the last 1 for its floor, as
+        w (3 t^2 + 3) <= 3 (1 + e^0.6) (t + t^3) / (e^x - 1) < 1.56 (e^x - 1
+        >= x and >= x^3/6).
       - The other N_s < 2^16 nodes.  ``fixed._moment_series`` puts their
-        sum within N_s (1.05 F + 30) of sum W a / (1 + t~^2 a^2), as W <
+        sum within N_s (0.7 F + 24) of sum W a / (1 + t~^2 a^2), as W <
         2^(F+1) and a <= 1, and each |W - w 2^F| adds 1.07: below 1.4 F per
         node, as F >= 96.
     So acc is within 1.4 F N of sum v over the N nodes, and the estimate
@@ -502,7 +502,7 @@ def lngamma_binet2(z, ctx: PrecisionCtx) -> OracleValue:
         rounding of z to z~, which moves ln Gamma by E_arg
         (``mpcore._argument_error``), and the rounding to ctx.bits.
     ``diagnostics`` records the step m, the strip half-width d, the nodes
-    summed, the integer divisions taken (one per node with t >= 1/4; the
+    summed, the integer divisions taken (one per node with t >= 1/8; the
     rest are summed as one series over moments kept with the table), and
     each part as a BigFloat at wp: discretisation, truncation, node_error,
     rounding and final_rounding (the last item).  Every identity check of

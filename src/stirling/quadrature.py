@@ -17,24 +17,35 @@ table's fixed point, and 2^(mag w - 1) <= w < 2^(mag w).  z enters only
 through the oracle's one division per node, W X / (2^F + T2 X2 2^-F).
 
 A node costs one exponential for t and what l(t) takes.  Beyond those,
-libmp only walks e^-u, forms y, and turns integers into the arguments of
-l's exponential and log; the rest is exact integer arithmetic with the
-floors named below.  e^-u walks the grid by one product per node at cp =
-wp + 96 bits, so y = u - e^-u = ln t is held at cp, and t = e^y is taken
-at wp; T2 floors the exact square of t~, the computed t.  l~, the
-computed l(t~), is a pair (L, e) standing for L 2^e, taken for prec = F
-+ mag w + 8 bits of the weight: the bits W keeps, and a guard.  The
-weight w~ = (1 + b) t~ l~, b the walk's e^-u, is the exact product of
-their integer mantissas, and W its floor.  mag w is taken from the node
-before it and checked after.  x = 2 pi t is taken from the exact product
-of t~ and 2 pi~, pi~ to nearest at cp, and l(t) in one of three ways:
-  - series, for mag t <= -48: l = -ln(2 pi) - y + x/2 - S(x), S(x) =
-    lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!) for lambda(x) =
-    ln((1 - e^-x) / x), on integers in units of 2^-R, R = prec + 8, S by
-    the chain ``fixed._lambda_series`` with exact coefficients from
-    ``bernoulli``, built once per table: no exponential or log beyond t's
-    own.  A node whose chain needs more coefficients than the Bernoulli
-    table's cap holds (only for F past about 23,000) takes the last form.
+libmp only turns integers into the arguments of those exponentials and
+logs; the rest is exact integer arithmetic with the floors named below.
+e^-u walks the grid on integers at cp = wp + 96 fractional bits, by the
+chain ``fixed._exp_walk`` of one product per node: b = B 2^-cp, the
+walk's e^-u, with each B the one before it times S 2^-cp, floored, from
+B = 2^cp at u = 0, and S one below floor(2^cp e^(-+1/m)) of libmp's
+e^(-+1/m) at cp + 8 bits, the sign the walk's.  So y = u - e^-u
+= ln t is held exactly as Y 2^-cp, Y = floor(j 2^cp / m) - B, and t = e^y
+is taken at wp; T2 floors the exact square of t~, the computed t.  l~,
+the computed l(t~), is a pair (L, e) standing for L 2^e, taken for prec
+= F + mag w + 8 bits of the weight: the bits W keeps, and a guard.  The
+weight w~ = (1 + b) t~ l~ is the exact product of their integer
+mantissas, and W its floor.  mag w is taken from the node before it and
+checked after.  x = 2 pi t is taken from the exact product of t~ and 2
+pi~, pi~ to nearest at cp, and l(t) in one of three ways:
+  - series, for mag t <= -48 and for 2^-48 < t < 2^-10 (-48 ln 2 < y <
+    -10 ln 2, with ln 2 floored at cp): l = -ln(2 pi) - ln t~ + x/2 -
+    S(x), S(x) = lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!) for
+    lambda(x) = ln((1 - e^-x) / x), on integers in units of 2^-R, R = prec
+    + 8, S by the chain ``fixed._lambda_series`` with exact coefficients
+    from ``bernoulli``, built once per table: no exponential or log beyond
+    t's own.  ln t~ is y for mag t <= -48.  For 2^-48 < t < 2^-10 it is y'
+    = y + floor(d 2^cp / h) 2^-cp (``_exp_and_log``): h 2^e is e^y at wp
+    + 64 bits, and t~ = (h + d) 2^e is h rounded to wp, or libmp's e^y at
+    wp where h lies within 2^-8 of an ulp of wp bits from a midpoint, which
+    keeps t~ the same as e^y taken at wp alone.  A node whose chain needs
+    more coefficients than the Bernoulli table's cap holds (near t = 2^-10
+    for F past about 4,800, and for t <= 2^-48 past about 24,000) takes
+    the last form.
   - chain, for x~ >= 17, x~ = 2 pi~ t~ floored to xb = prec + 6 + max(0,
     mag t + 3) bits: q = e^-x~ < 2^-24 at prec + 4 bits, and l = q S(q),
     S(q) = -ln(1 - q) / q summed in fixed point (``fixed._log1m_ratio``)
@@ -47,7 +58,7 @@ of t~ and 2 pi~, pi~ to nearest at cp, and l(t) in one of three ways:
     logs ln(a/32) are taken once per table at cp, as floor(v 2^cp).
 
 Each table also keeps the moments S_k ~ sum W t^(2k), in units of 2^-F,
-of its tail of nodes with t < 1/4 (T2 < 2^(F-4)), about 60% of it, which
+of its tail of nodes with t < 1/8 (T2 < 2^(F-6)), about 55% of it, which
 the oracle sums for z >= 1 as one series in 1/z (``fixed._moments``).
 
 Accuracy, which the node-error and rounding parts of
@@ -61,16 +72,22 @@ ulp, a relative 2^(1-p) (the allowance of ``mpcore._Ball``); every floor
 is below its value by less than one unit of its last place.  Let x = 2 pi
 t~ and eps the relative error of l~ against l(t~).
   - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
-    x 2^R, as x < 2^-45.3; X >> 1 within 1.51 of x 2^(R-1); the floors of
-    -y 2^R and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and 1.01;
+    x 2^R, as x < 2^-7; X >> 1 within 1.51 of x 2^(R-1); the floors of -Y
+    2^(R-cp) and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and 1.01;
     and ``fixed._lambda_series`` within 1.1 J + 1.2 of 2^R S(X 2^-R), J <=
     256 its terms (half the Bernoulli table's cap), and that within 0.01 of
     2^R S(x), as |S'| < x/12.  So L is within 1.1 J + 4.8 of 2^R (l(t~) +
-    ln t~ - y), and as l >= -ln x > 31, eps < 287 / 31 2^-(prec+8) < 0.04
-    2^-prec, but for y in place of ln t~: e^y is within one ulp of t~ at
-    wp, so -y is within 2.03 2^-wp of -ln t~.  With 1 + e^-u <= 1 + ln(1/t) (u < 0) and t <=
-    2^-48, (1 + e^-u) t < 2^-42.9, so that moves w by less than 2^-42.9
-    2.03 2^-wp < 2^-(F+9).
+    ln t~ - Y 2^-cp), and as l >= -ln x > 5, eps < 287 / 5 2^-(prec+8) <
+    0.23 2^-prec, but for Y 2^-cp in place of ln t~.
+      - For 2^-48 < t < 2^-10, Y 2^-cp = y'.  h 2^e is within a relative
+        2^-(wp+63) of e^y, and |delta| < 2.01 2^-wp for delta = d / h, so
+        ln t~ = y + ln(h 2^e / e^y) + ln(1 + delta) is within 2^-(wp+63)
+        + delta^2 + 2^-cp < 2^-(wp+62) of y', below 2^-12 in units of 2^-R
+        <= 2^-(wp+50), which the 4.8 above covers.
+      - For mag t <= -48, Y 2^-cp = y, and as t~ is within one ulp of e^y
+        at wp, -y is within 2.01 2^-wp of -ln t~.  With 1 + e^-u <= 1 +
+        ln(1/t) (u < 0) and t <= 2^-48, (1 + e^-u) t < 2^-42.9, so that
+        moves w by less than 2^-42.9 2.01 2^-wp < 2^-(F+9).
   - the other two take x~: below 2 pi~ t~ by a relative less than
     2^(1-xb), and 2 pi~ within a relative 2^-cp of 2 pi, so x~ is within a
     relative and an absolute 2^-(prec+4) of x (x < 2^(mag t + 3)).  As
@@ -94,9 +111,14 @@ t~ and eps the relative error of l~ against l(t~).
     itself, within 2^-(prec+3).  With l > e^-17 > 2^-24.6 for x < 17 and l
     > |E| ln 2, the rest adds 3.12 2^(24.6 - p) + 3.5 2^(26-cp) < 0.31
     2^-prec: eps < 0.56 2^-prec + 0.14 2^-prec.
-The walk keeps b within a relative 2^-(wp+78) of e^-u over up to 2^16
-steps from u = 0 (``oracle.BINET_MAX_NODES`` keeps tables shorter), so w~
-is within a relative 0.71 2^-prec of w at t~, so within 0.72 2^-prec
+The walk keeps b within 2^-(wp+78) max(1, b) of e^-u over up to 2^16
+steps from u = 0 (``oracle.BINET_MAX_NODES`` keeps tables shorter):
+``fixed._exp_walk`` puts B within 3.04 k max(1, b) < 2^17.61 max(1, b)
+of e^-u 2^cp after k < 2^16 steps, as 0 <= e^(-+1/m) 2^cp - S < 2.03 for
+its ratio S, floored one below e^(-+1/m) at cp + 8 bits.  So 1 + b is
+within a relative 2^-(wp+78) of 1 + e^-u, and Y 2^-cp within 2^-cp +
+2^-(wp+78) max(1, b) of y, where b < -y < wp at every node of a plan's
+table.  w~ is then within a relative 0.71 2^-prec of w at t~, so within 0.72 2^-prec
 2^(mag w~) < 2^-(F+8) absolute as prec >= F + 8 + mag w~, and with the
 series form's 2^-(F+9), within 2^-(F+7) in all.
 
@@ -111,7 +133,7 @@ import threading
 from mpmath import libmp
 
 from .bernoulli import bernoulli, table
-from .fixed import _lambda_series, _log1m_ratio, _moments
+from .fixed import _exp_walk, _lambda_series, _log1m_ratio, _moments
 from .mpcore import _RND
 
 __all__ = ["half_line_nodes"]
@@ -126,19 +148,19 @@ def _scaled(man: int, shift: int) -> int:
     return man << shift if shift >= 0 else man >> -shift
 
 
-def _ell(t, y, prec: int, consts):
+def _ell(t, Y: int, exact: bool, prec: int, consts):
     """(L, e): l(t) = -ln(1 - e^-x), x = 2 pi t, as L 2^e, for prec bits of
-    the weight (see the module docstring)."""
+    the weight, given Y 2^-cp, y or, if exact, ln t~ (see the module
+    docstring)."""
     cp, two_pi, ln_2pi, ln2, log_anchor, coeffs = consts
     _, man, exp, bc = t
     mag_t = exp + bc
     x, e = two_pi[1] * man, two_pi[2] + exp  # 2 pi~ t = x 2^e, exactly
-    if mag_t <= -48:
+    if mag_t <= (-10 if exact else -48):
         R = prec + 8
         X = x >> (-e - R)  # floor(2 pi~ t 2^R)
-        if (R - 1) // (2 * (R - X.bit_length())) <= len(coeffs):
-            _, y_man, y_exp, _ = y  # y < 0
-            return (_scaled(y_man, y_exp + R) - (ln_2pi >> (cp - R)) + (X >> 1)
+        if (R + 1) // (2 * (R - X.bit_length()) + 5) <= len(coeffs):
+            return ((-Y >> (cp - R)) - (ln_2pi >> (cp - R)) + (X >> 1)
                     - _lambda_series(X, R, coeffs)), -R
     shift = x.bit_length() - (prec + 6 + max(0, mag_t + 3))
     X, e = x >> shift, e + shift  # x~ = X 2^e
@@ -158,19 +180,42 @@ def _ell(t, y, prec: int, consts):
     return _scaled(lg, lg_exp + p) - anchors, -p
 
 
-def _node(j: int, m: int, b, wp: int, F: int, cp: int, consts, mag: int):
-    """(T2, W) at u = j/m, given b ~ e^-u carried at cp bits and mag, the
-    mag w of the node before it, as the first guess at this node's."""
-    y = libmp.mpf_sub(libmp.from_rational(j, m, cp, _RND), b, cp, _RND)
-    t = libmp.mpf_exp(y, wp, _RND)
+def _exp_and_log(y, Y: int, wp: int, cp: int):
+    """(t~, Y'): t~ = e^y at wp bits, as libmp rounds it, and Y' 2^-cp, ln
+    t~ to within 2^-(wp+62), for y = Y 2^-cp: e^y at wp + 64 bits, rounded
+    to wp, and y moved by the log of that rounding."""
+    _, hi, e, _ = libmp.mpf_exp(y, wp + 64, _RND)
+    shift = hi.bit_length() - wp
+    if shift <= 0:
+        return libmp.from_man_exp(hi, e), Y
+    half = 1 << (shift - 1)
+    man = (hi + half) >> shift
+    d = (man << shift) - hi  # t~ = (hi + d) 2^e
+    if half - abs(d) < half >> 8:  # near a midpoint, where libmp's own e^y at wp decides
+        t = libmp.mpf_exp(y, wp, _RND)
+        d = (t[1] << (t[2] - e)) - hi
+    else:
+        t = libmp.from_man_exp(man, e + shift)
+    return t, Y + (d << cp) // hi
+
+
+def _node(Y: int, B: int, wp: int, F: int, consts, mag: int):
+    """(T2, W) at u = j/m, given y = u - e^-u as Y 2^-cp, e^-u as B 2^-cp,
+    and mag, the mag w of the node before it, as the first guess at this
+    node's."""
+    cp, ln2 = consts[0], consts[3]
+    y = libmp.from_man_exp(Y, -cp)
+    exact = -48 * ln2 < Y < -10 * ln2  # 2^-48 < t < 2^-10, for l's series
+    if exact:
+        t, Y = _exp_and_log(y, Y, wp, cp)
+    else:
+        t = libmp.mpf_exp(y, wp, _RND)
     _, man, exp, _ = t
     T2 = _scaled(man * man, 2 * exp + F)
-    _, b_man, b_exp, _ = b
-    low = min(b_exp, 0)
-    phi, phi_exp = man * ((b_man << (b_exp - low)) + (1 << -low)), exp + low  # (1 + b) t~
+    phi, phi_exp = man * (B + (1 << cp)), exp - cp  # (1 + b) t~
     prec = max(64, F + _WEIGHT_GUARD + 1 + mag)
     while True:
-        ell, e = _ell(t, y, prec, consts)
+        ell, e = _ell(t, Y, exact, prec, consts)
         w, e = phi * ell, phi_exp + e  # w~ = w 2^e
         mag = w.bit_length() + e
         if prec >= F + _WEIGHT_GUARD + mag:
@@ -180,10 +225,11 @@ def _node(j: int, m: int, b, wp: int, F: int, cp: int, consts, mag: int):
 
 def _lambda_coeffs(F: int) -> list[tuple[int, int]]:
     """[(n_k, d_k)], n_k / d_k = |B_2k| / (2k (2k)!), for every k the
-    series form of ``_ell`` may take in a table at F: k <= (F + 17) // 90,
-    and 2k no more than the Bernoulli table's cap."""
+    series form of ``_ell`` may take in a table at F: k <= (F + 19) // 19,
+    as R <= F + 18 and x < 2^-7 there, and 2k no more than the Bernoulli
+    table's cap."""
     out, factorial = [], 1
-    for k in range(1, min((F + 17) // 90, table().cap // 2) + 1):
+    for k in range(1, min((F + 19) // 19, table().cap // 2) + 1):
         factorial *= (2 * k - 1) * 2 * k
         c = abs(bernoulli(2 * k)) / (2 * k * factorial)
         out.append((c.numerator, c.denominator))
@@ -210,7 +256,7 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
     """(nodes, split, moments, F) for the working precision wp (see the
     module docstring); cached.  nodes holds the (T2, W) pairs at u = j/m
     for j = 0..j_right, then j = -1..-j_left; nodes[split:] is the longest
-    tail with t < 1/4, and moments[k] is its S_k in units of 2^-F."""
+    tail with t < 1/8, and moments[k] is its S_k in units of 2^-F."""
     key = (wp, m, j_left, j_right)
     got = _CACHE.get(key)
     if got is not None:
@@ -226,16 +272,17 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
         # node's guess at mag w is its predecessor's in the walk, the u = 0
         # node's is 1 (every w < 2), and the u = -1/m node's that of u = 0
         for sign, first, last in ((1, 0, j_right), (-1, 1, j_left)):
-            step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp, _RND), cp, _RND)
-            b = libmp.fone if first == 0 else step
+            step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp + 8, _RND), cp + 8, _RND)
+            walk = _exp_walk(libmp.to_fixed(step, cp) - 1, cp, last)
             W = out[0][1] if out else 1 << F
             for k in range(first, last + 1):
-                T2, W = _node(sign * k, m, b, wp, F, cp, consts, W.bit_length() - F)
+                B = walk[k]
+                T2, W = _node((sign * k << cp) // m - B, B, wp, F, consts,
+                              W.bit_length() - F)
                 out.append((T2, W))
-                b = libmp.mpf_mul(b, step, cp, _RND)
         split = len(out)
-        quarter = 1 << (F - 4)
-        while split and out[split - 1][0] < quarter:
+        eighth = 1 << (F - 6)
+        while split and out[split - 1][0] < eighth:
             split -= 1
         got = _CACHE[key] = (out, split, _moments(out[split:], F), F)
         return got

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import stirling
-from stirling.fixed import _lambda_series, _log1m_ratio
+from stirling.fixed import _exp_walk, _lambda_series, _log1m_ratio
 from stirling.quadrature import _lambda_coeffs
 
 
@@ -72,7 +72,7 @@ def test_only_fixed_floors_a_running_integer():
     assert {name for name, _ in found} == {"fixed.py"}
     assert {("fixed.py", kernel) for kernel in (
         "_log1m_ratio", "_lambda_series", "_moments", "_moment_series", "_floor_terms",
-        "_exp_bracket", "_even_power_sums")} <= found
+        "_exp_bracket", "_even_power_sums", "_exp_walk")} <= found
 
 
 def _chain(P, mu):
@@ -143,14 +143,14 @@ def test_log1m_ratio_within_its_bound(r, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(R=st_.integers(64, 1120), D=st_.integers(45, 400), M=st_.integers(2**63, 2**64 - 1))
+@given(R=st_.integers(64, 1120), D=st_.integers(7, 400), M=st_.integers(2**63, 2**64 - 1))
 def test_lambda_series_within_its_bound(R, D, M):
     # S(x) = lambda(x) + x/2 = ln((1 - e^-x) / x) + x/2 at x = X 2^-R, X =
     # floor(M 2^(R-D-64)), so that 2^-(D+1) <= M 2^-(D+64) < 2^-D: within 1.1
-    # n + 1.2 units of 2^-R, n = (R - 1) // (2 (R - bitlen X)) the most terms
-    # the chain may add, with the coefficients a table at F = R builds
+    # n + 1.2 units of 2^-R, n = (R + 1) // (2 (R - bitlen X) + 5) the most
+    # terms the chain may add, with the coefficients a table at F = R builds
     X = M >> (D + 64 - R) if D + 64 >= R else M << (R - D - 64)
-    n = (R - 1) // (2 * (R - X.bit_length()))
+    n = (R + 1) // (2 * (R - X.bit_length()) + 5)
     coeffs = _lambda_coeffs(R)
     assert n <= len(coeffs)
     s = _lambda_series(X, R, coeffs)
@@ -158,3 +158,21 @@ def test_lambda_series_within_its_bound(R, D, M):
         x = mpmath.ldexp(X, -R)
         exact = mpmath.ldexp(mpmath.log(-mpmath.expm1(-x) / x) + x / 2, R) if X else 0
         assert abs(exact - s) < 1.1 * n + 1.2
+
+
+@settings(max_examples=200, deadline=None)
+@given(W=st_.integers(1, 300), den=st_.integers(1, 2**64), data=st_.data(),
+       n=st_.integers(0, 120), drop=st_.integers(0, 1))
+def test_exp_walk_within_its_bound(W, den, data, n, drop):
+    # against the exact products p_k = 2^W rho^k, as Fractions, for a ratio
+    # rho = e^c in (0, 4] and S = floor(2^W rho) or one below it, as the
+    # node table takes it: each B_k at most p_k and short of it by less
+    # than 3.04 k max(1, rho^k)
+    rho = Fraction(data.draw(st_.integers(1, 4 * den)), den)
+    S = max(0, int(rho * 2**W) - drop)
+    B = _exp_walk(S, W, n)
+    assert len(B) == n + 1 and B[0] == 2**W
+    p = Fraction(2**W)
+    for k in range(1, n + 1):
+        p *= rho
+        assert 0 <= p - B[k] < Fraction(304, 100) * k * max(1, rho**k), k

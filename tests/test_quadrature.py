@@ -21,15 +21,15 @@ from stirling.mpcore import PrecisionCtx, to_raw
 from stirling.oracle import lngamma_binet2
 from stirling.quadrature import half_line_nodes
 
-# nodes with t >= 1/4, each summed by one integer division
-DIVISIONS = {256: 126, 768: 436}
+# nodes with t >= 1/8, each summed by one integer division
+DIVISIONS = {256: 136, 768: 463}
 
 # sha256 of each table's rows, split and moments (``table_digest``)
 TABLE_SHA256 = {
-    64: "a2189b6023a948cceb76ef1d7610f228d52cf9f6436401a6cdbc4b390af04316",
-    256: "b9ba5bc60c10078ba77d13ab1c6f8c05c35bba8713425580ba883f2a3f799abc",
-    320: "2ac0bdcbe4b2b1ee4c0e5a7ddf795f20ee509f9f6b0a711d57e499b80a4003e5",
-    768: "401304c1b13ae70867adf986e1b18105d8b6d3fb582f52d269028e27b06f33f8",
+    64: "51b18303b6b6b5a8fb985b08148cfc821e504cf12257100f0f67a28ba35040b6",
+    256: "6aea49b29097e1d5138b487cd597af45356a0607cecd513f4431cb20d3832b11",
+    320: "53e42c572df561416673270bf9fe9007d14b0e4916962478d765be4d484a82c8",
+    768: "6e459a04ba426b2cab4b58d2d6c6e2bd04834b737fc108be7348e046a923931d",
 }
 
 
@@ -39,23 +39,26 @@ def table(bits):
 
 
 def division_nodes(bits):
-    """The nodes with t >= 1/4, counted from the table itself."""
+    """The nodes with t >= 1/8, counted from the table itself."""
     F = bits + 96
-    return sum(1 for T2, _ in table(bits)[3] if T2 >= 1 << (F - 4))
+    return sum(1 for T2, _ in table(bits)[3] if T2 >= 1 << (F - 6))
 
 
 def walk(wp, m, j_left, j_right):
     """(j, t~) for each table row, in the order half_line_nodes builds
-    them: its walk of e^-u at cp bits redone, so that each weight can be
-    checked at the table's own t~."""
+    them: its walk of e^-u on integers at cp fractional bits redone, and t~
+    = e^y at wp, so that each weight can be checked at the table's own
+    t~."""
     cp = wp + 96
     for sign, first, last in ((1, 0, j_right), (-1, 1, j_left)):
-        step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp, "n"), cp, "n")
-        b = libmp.fone if first == 0 else step
-        for k in range(first, last + 1):
-            y = libmp.mpf_sub(libmp.from_rational(sign * k, m, cp, "n"), b, cp, "n")
-            yield sign * k, libmp.mpf_exp(y, wp, "n")
-            b = libmp.mpf_mul(b, step, cp, "n")
+        step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp + 8, "n"), cp + 8, "n")
+        ratio = libmp.to_fixed(step, cp) - 1
+        b = 1 << cp  # e^-u in units of 2^-cp
+        for k in range(last + 1):
+            if k >= first:
+                y = libmp.from_man_exp((sign * k << cp) // m - b, -cp)
+                yield sign * k, libmp.mpf_exp(y, wp, "n")
+            b = b * ratio >> cp
 
 
 def ell(t):
@@ -134,34 +137,62 @@ def test_nodes_match_mpmath(wp):
             assert -mpmath.ldexp(1, -(F + 4)) <= gap < mpmath.ldexp(17, -(F + 4)), j
 
 
+def test_series_rows_up_to_two_to_the_minus_ten_match_mpmath():
+    # the rows with 2^-48 <= t < 2^-10 of the 832-bit table, whose l(t)
+    # comes from its series with ln t~ taken from e^y at wp + 64 bits:
+    # T2 = floor(t~^2 2^F) exactly, and W 2^-F as close to the weight at
+    # the table's own t~ as test_nodes_match_mpmath asks of every row
+    wp = 832
+    m, j_left, j_right, nodes = table(wp - 64)
+    F = wp + 32
+    rows = [row for row in zip(walk(wp, m, j_left, j_right), nodes, strict=True)
+            if -48 < row[0][1][2] + row[0][1][3] <= -10]
+    assert len(rows) > 150
+    with mpmath.workprec(wp + 128):
+        for (j, t_raw), (T2, W) in rows:
+            u = mpmath.mpf(j) / m
+            t = mpmath.mpf(t_raw)
+            assert t < mpmath.ldexp(1, -10)
+            exact_t2 = Fraction(*libmp.to_rational(t_raw)) ** 2 * 2**F
+            assert T2 == exact_t2.numerator // exact_t2.denominator, j
+            gap = (1 + mpmath.exp(-u)) * t * ell(t) - mpmath.ldexp(W, -F)
+            assert -mpmath.ldexp(1, -(F + 4)) <= gap < mpmath.ldexp(17, -(F + 4)), j
+
+
 @pytest.mark.parametrize("bits", [64, 768])
 def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
     # one exponential per node for t, and at most one more for l(t), none
-    # in the series form (every t < 2^-48); a log only for the nodes between
-    # the series and the chain, besides the 19 the table's constants take.
-    # Every other libmp call walks e^-u, forms y, or turns an integer into
-    # the argument of l's exponential or log: 4 calls a series node, 6 a
-    # chain node and 8 a node between, and 62 for the table's constants
+    # in the series form (every t < 2^-10); a log only for the nodes
+    # between the series and the chain, besides the 19 the table's
+    # constants take.  e^-u walks the grid and y is formed on integers, with
+    # no libmp call: a node turns y into a libmp value, and its t~ too for
+    # 2^-48 < t < 2^-10, and the rest turn integers into the arguments of
+    # l's exponential and log: 2 calls a node with t <= 2^-48, 3 one up to
+    # 2^-10, 4 a chain node and 6 a node between, and 64 for the table's
+    # constants and the walk's two ratios
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
-    short = chain = 0
+    short = fine = chain = 0
     for _, t_raw in walk(bits + 64, m, j_left, j_right):
+        t = mpmath.mpf(t_raw)
         short += t_raw[2] + t_raw[3] <= -48
-        chain += mpmath.mpf(t_raw) * 2 * mpmath.pi >= 17
+        fine += t_raw[2] + t_raw[3] > -48 and t < mpmath.ldexp(1, -10)
+        chain += t * 2 * mpmath.pi >= 17
     counts = count_calls(*(name for name, f in vars(libmp).items() if inspect.isfunction(f)))
     n = len(table(bits)[3])
     calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
-    assert short > 0 and chain > 0
-    assert calls.pop("mpf_exp") <= 2 * n + 2 - short
-    assert calls.pop("mpf_log") <= n - short - chain + 19
-    # the walk's product, y's j/m and difference, and the steps and anchors
-    assert calls.pop("mpf_mul") == calls.pop("mpf_sub") == n
-    assert calls.pop("from_rational") == n + 2 + 17
-    assert calls.pop("from_man_exp") <= 2 * (n - short) - chain
-    assert sum(calls.values()) <= 22
+    assert short > 0 and fine > 0 and chain > 0
+    # and one more exponential, at wp, for each node whose e^y at wp + 64
+    # lies next to a rounding boundary of wp bits: none at 64 bits, one at 768
+    assert 0 <= calls.pop("mpf_exp") - (2 * n + 2 - short - fine) <= 1
+    assert calls.pop("mpf_log") <= n - short - fine - chain + 19
+    assert "mpf_mul" not in calls and "mpf_sub" not in calls
+    assert calls.pop("from_rational") == 2 + 17  # the walk's two ratios, the anchors
+    assert calls.pop("from_man_exp") <= 3 * n - 2 * short - fine - chain
+    assert sum(calls.values()) <= 24
     total = sum(tally[0] for tally in counts.values())
-    assert total <= 8 * n - 4 * short - 2 * chain + 62
-    assert bits == 64 or total < 7 * n
+    assert total <= 6 * n - 4 * short - 3 * fine - 2 * chain + 64
+    assert bits == 64 or total < 4 * n
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -184,14 +215,15 @@ def test_the_weight_check_is_the_one_precision_rule(monkeypatch, bits):
 
 
 def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, count_calls):
-    # a node with t < 2^-48 whose chain would need more coefficients than
-    # the Bernoulli table's cap allows (only past about 23,000 bits) takes
-    # the middle form instead, shown here with the cap cut to 4: a table
-    # holds up to (F + 17) // 90 coefficients, and 2 under that cap
+    # a node with t < 2^-10 whose chain would need more coefficients than
+    # the Bernoulli table's cap allows (past about 4,800 bits near t =
+    # 2^-10, and 24,000 for t <= 2^-48) takes the middle form instead,
+    # shown here with the cap cut to 4: a table holds up to (F + 19) // 19
+    # coefficients, and 2 under that cap
     wp = 320
     F, cp = wp + 32, wp + 96
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(wp - 64)
-    assert len(stirling.quadrature._lambda_coeffs(F)) == (F + 17) // 90 == 4
+    assert len(stirling.quadrature._lambda_coeffs(F)) == (F + 19) // 19 == 19
     assert len(stirling.quadrature._lambda_coeffs(10**5)) == 256
     logs = count_calls("mpf_log")
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
@@ -201,14 +233,15 @@ def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, coun
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     consts = stirling.quadrature._constants(wp)
     assert len(consts[-1]) == 2
-    # at prec = 330, R = 338: t near 2^-48 needs 337 // 90 = 3 coefficients,
-    # so it takes a log; t near 2^-200 needs none
+    # at prec = 330, R = 338: t near 2^-12 needs 339 // 23 = 14 coefficients
+    # and t near 2^-48 needs 339 // 95 = 3, so both take a log; t near
+    # 2^-200 needs none
     with mpmath.workprec(wp + 128):
-        for mag, needs_log in ((-48, 1), (-200, 0)):
+        for mag, exact, needs_log in ((-12, True, 1), (-48, False, 1), (-200, False, 0)):
             t = libmp.from_man_exp(0xb504f333f9de6484597d89b3754abe9f, mag - 128)
-            y = libmp.mpf_log(t, cp, "n")
+            Y = libmp.to_fixed(libmp.mpf_log(t, cp, "n"), cp)
             logs["mpf_log"][0] = 0
-            L, e = stirling.quadrature._ell(t, y, 330, consts)
+            L, e = stirling.quadrature._ell(t, Y, exact, 330, consts)
             assert logs["mpf_log"][0] == needs_log
             assert abs(mpmath.ldexp(L, e) / ell(mpmath.mpf(t)) - 1) < mpmath.ldexp(1, -330)
     # the table built so takes more logs, keeps every T2, and moves no W by
@@ -241,30 +274,33 @@ def test_quadrature_holds_no_floating_point():
     assert found == []
 
 
-def test_nodes_split_at_a_quarter_with_their_moments():
-    # the nodes with t < 1/4 are the table's tail; S_k sums the chain
-    # W (T2 2^-F)^k over them in units of 2^-F, each step at least 16-fold
-    # smaller, and each node's floors lower its share by less than 16/15
-    bits = 256
+@pytest.mark.parametrize("bits", [64, 256, 768])
+def test_nodes_split_at_an_eighth_with_their_moments(bits):
+    # the nodes with t < 1/8 (T2 < 2^(F-6)) are the table's tail, and every
+    # node before it has t >= 1/8; S_k sums the chain W (T2 2^-F)^k over
+    # the tail in units of 2^-F, each step at least 64-fold smaller, and
+    # each node's floors lower its share by less than 64/63
     wp = bits + 64
     m, j_left, j_right, nodes = table(bits)
     got, split, moments, F = half_line_nodes(wp, m, j_left, j_right)
-    assert got is nodes and split == division_nodes(bits) == DIVISIONS[bits]
-    assert all(T2 < 1 << (F - 4) for T2, _ in nodes[split:])
-    assert all(16 * later <= earlier for earlier, later in zip(moments, moments[1:]))
+    assert got is nodes and split == division_nodes(bits)
+    assert split == DIVISIONS.get(bits, split)
+    assert all(T2 < 1 << (F - 6) for T2, _ in nodes[split:])
+    assert all(T2 >= 1 << (F - 6) for T2, _ in nodes[:split])
+    assert all(64 * later <= earlier for earlier, later in zip(moments, moments[1:]))
     assert moments[-1] > 0
     tail = nodes[split:]
     for k in (0, 1, 5, len(moments) - 1):
         exact = sum(Fraction(W * T2**k, 2 ** (F * k)) for T2, W in tail)
-        assert 0 <= exact - moments[k] < Fraction(16, 15) * len(tail), k
+        assert 0 <= exact - moments[k] < Fraction(64, 63) * len(tail), k
 
 
 @pytest.mark.parametrize("bits", [64, 256, 768])
 @pytest.mark.parametrize("z", [Fraction(1), Fraction(22, 7), Fraction(10**6), Fraction(2)**400])
 def test_moment_series_within_its_proven_bound(z, bits):
     # the series over the moments against E = sum W a / (1 + t^2 a^2), a =
-    # 1/z and t^2 = T2 2^-F, at 2F + 64 bits: off by less than N_s (1.05 F
-    # + 30) units of 2^-F (see fixed._moment_series); z = 2^400 is past 2^F
+    # 1/z and t^2 = T2 2^-F, at 2F + 64 bits: off by less than N_s (0.7 F
+    # + 24) units of 2^-F (see fixed._moment_series); z = 2^400 is past 2^F
     # at 64 bits, where every term is 0
     wp = bits + 64
     z_raw = to_raw(z, wp)
@@ -275,7 +311,7 @@ def test_moment_series_within_its_proven_bound(z, bits):
     with mpmath.workprec(2 * F + 64):
         a = mpmath.mpf(den) / num
         exact = sum(W * a / (1 + mpmath.ldexp(T2, -F) * a * a) for T2, W in nodes[split:])
-        assert abs(series - exact) < (len(nodes) - split) * (1.05 * F + 30)
+        assert abs(series - exact) < (len(nodes) - split) * (0.7 * F + 24)
 
 
 def test_warm_and_shifted_calls_build_no_table_and_no_moments(monkeypatch):
@@ -311,7 +347,7 @@ def test_small_z_reuses_the_unit_tables():
 
 def test_binet_loop_divides_once_per_evaluation(count_calls):
     # 1/z is taken once, as the integer floor(2^F / z), each node with
-    # t >= 1/4 divides integers, and the sum is divided by m pi once
+    # t >= 1/8 divides integers, and the sum is divided by m pi once
     ctx = PrecisionCtx(256)
     lngamma_binet2(3, ctx)
     counts = count_calls("mpf_div")
@@ -346,8 +382,8 @@ def test_warm_call_takes_no_exponential_arctan_or_node_log(monkeypatch, bits):
 
 @pytest.mark.parametrize("bits, most", [(256, 450), (768, 1500)])
 def test_one_evaluation_takes_one_division_per_node(bits, most):
-    # one division per node with t >= 1/4, at every z > 0; the nodes with
-    # t < 1/4 go into the series over the table's moments
+    # one division per node with t >= 1/8, at every z > 0; the nodes with
+    # t < 1/8 go into the series over the table's moments
     ctx = PrecisionCtx(bits)
     for z in (Fraction(22, 7), Fraction(1, 1000), Fraction(10**20)):
         ov = lngamma_binet2(z, ctx)
@@ -362,7 +398,7 @@ def test_one_evaluation_takes_one_division_per_node(bits, most):
 def test_fixed_point_sum_within_its_rounding_bound(z, bits):
     # the exact terms at the table's own nodes t~, summed with mpmath at
     # wp + 64: the integer sum of floored weights over one division each,
-    # with the series over the moments for t < 1/4 (the integral sees only
+    # with the series over the moments for t < 1/8 (the integral sees only
     # z >= 1), may differ from that by no more than the rounding part, and
     # the integral, rounded to wp, by one ulp there more, which
     # lngamma_binet2 charges through mpcore._Ball

@@ -64,8 +64,8 @@ FACTORIAL_NS = (0, 1, 2, 3, 12, 20, 100, 1000, 10**4)
 # bits -> sha256 over the lines "name,args,value_hex[,divisions]\n" of
 # ``_oracle_values(bits)``
 ORACLE_VALUE_DIGESTS = {
-    64: "9228286abc0a18cb6a8a8066736f9fead2951090a75b4e7262776d611e15dfe1",
-    256: "6f519b14994228c097c78bb49458949938bfdf13b153fd3081b43d96adbabee2",
+    64: "3f232b99c8af3f3b95e844620f9272c52ad7a5208bd3968bd5ff8efa6f1c31da",
+    256: "ee1c5cad2d9ea138e48dd784c974ac16db93bdeaf3e218f0c0b1569cc817d4e3",
 }
 
 
