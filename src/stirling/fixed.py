@@ -61,8 +61,8 @@ def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
     return s, -(-(s + 2 * j) * ((1 << W) + 2 * (hi - lo)) >> W)
 
 
-def _exp_walk(S: int, W: int, n: int) -> list[int]:
-    """[B_0, ..., B_n], B_k within 3.04 k max(1, e^(kc)) of 2^W e^(kc), in
+def _exp_walk(S: int, W: int, n: int):
+    """Yield B_0, ..., B_n, B_k within 3.04 k max(1, e^(kc)) of 2^W e^(kc), in
     units of 2^-W and never above it, for any real c with |c| <= 1 and 0 <=
     2^W e^c - S < 2.04: the chain B_0 = 2^W, B_(k+1) = floor(B_k S 2^-W).
 
@@ -74,11 +74,10 @@ def _exp_walk(S: int, W: int, n: int) -> list[int]:
     p_(k+1) < r_k + 3.04 2^-W.  Either way e_k < 3.04 k max(1, e^(kc)).
     """
     B = 1 << W
-    out = [B]
+    yield B
     for _ in range(n):
         B = B * S >> W
-        out.append(B)
-    return out
+        yield B
 
 
 @functools.lru_cache(maxsize=None)

@@ -273,10 +273,10 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
         # node's is 1 (every w < 2), and the u = -1/m node's that of u = 0
         for sign, first, last in ((1, 0, j_right), (-1, 1, j_left)):
             step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp + 8, _RND), cp + 8, _RND)
-            walk = _exp_walk(libmp.to_fixed(step, cp) - 1, cp, last)
             W = out[0][1] if out else 1 << F
-            for k in range(first, last + 1):
-                B = walk[k]
+            for k, B in enumerate(_exp_walk(libmp.to_fixed(step, cp) - 1, cp, last)):
+                if k < first:  # u = 0 is the right walk's alone
+                    continue
                 T2, W = _node((sign * k << cp) // m - B, B, wp, F, consts,
                               W.bit_length() - F)
                 out.append((T2, W))

@@ -170,7 +170,7 @@ def test_exp_walk_within_its_bound(W, den, data, n, drop):
     # than 3.04 k max(1, rho^k)
     rho = Fraction(data.draw(st_.integers(1, 4 * den)), den)
     S = max(0, int(rho * 2**W) - drop)
-    B = _exp_walk(S, W, n)
+    B = list(_exp_walk(S, W, n))
     assert len(B) == n + 1 and B[0] == 2**W
     p = Fraction(2**W)
     for k in range(1, n + 1):
