@@ -63,8 +63,8 @@ def _exp_bracket(lo: int, hi: int, W: int) -> tuple[int, int]:
 
 def _exp_walk(S: int, W: int, n: int):
     """Yield B_0, ..., B_n, B_k within 3.04 k max(1, e^(kc)) of 2^W e^(kc), in
-    units of 2^-W and never above it, for any real c with |c| <= 1 and 0 <=
-    2^W e^c - S < 2.04: the chain B_0 = 2^W, B_(k+1) = floor(B_k S 2^-W).
+    units of 2^-W and never above it, for any real c with 0 <= 2^W e^c - S
+    < 2.04: the chain B_0 = 2^W, B_(k+1) = floor(B_k S 2^-W).
 
     Proof, in units of 2^-W.  The chain has p_k = 2^W e^(kc), rho = e^c,
     mu = S 2^-W, 0 <= delta = rho - mu < 2.04 2^-W and e_0 = 0, so by the

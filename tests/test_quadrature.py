@@ -291,8 +291,10 @@ def test_nodes_split_at_an_eighth_with_their_moments(bits):
     assert moments[-1] > 0
     tail = nodes[split:]
     for k in (0, 1, 5, len(moments) - 1):
-        exact = sum(Fraction(W * T2**k, 2 ** (F * k)) for T2, W in tail)
-        assert 0 <= exact - moments[k] < Fraction(64, 63) * len(tail), k
+        # the exact sum is num 2^(-F k) in units of 2^-F
+        num = sum(W * T2**k for T2, W in tail)
+        gap = num - (moments[k] << (F * k))
+        assert 0 <= gap and 63 * gap < (64 * len(tail)) << (F * k), k
 
 
 @pytest.mark.parametrize("bits", [64, 256, 768])
