@@ -22,7 +22,7 @@ from stirling.oracle import lngamma_binet2
 from stirling.quadrature import half_line_nodes
 
 # nodes with t >= 1/8, each summed by one integer division
-DIVISIONS = {256: 136, 768: 463}
+DIVISIONS = {64: 35, 256: 136, 768: 463}
 
 # sha256 of each table's rows, split and moments (``table_digest``)
 TABLE_SHA256 = {
@@ -283,8 +283,7 @@ def test_nodes_split_at_an_eighth_with_their_moments(bits):
     wp = bits + 64
     m, j_left, j_right, nodes = table(bits)
     got, split, moments, F = half_line_nodes(wp, m, j_left, j_right)
-    assert got is nodes and split == division_nodes(bits)
-    assert split == DIVISIONS.get(bits, split)
+    assert got is nodes and split == division_nodes(bits) == DIVISIONS[bits]
     assert all(T2 < 1 << (F - 6) for T2, _ in nodes[split:])
     assert all(T2 >= 1 << (F - 6) for T2, _ in nodes[:split])
     assert all(64 * later <= earlier for earlier, later in zip(moments, moments[1:]))
