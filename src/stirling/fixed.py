@@ -267,25 +267,22 @@ def _log1m_ratio(Q: int, r: int) -> int:
 def _lambda_series(X: int, R: int, coeffs) -> int:
     """s, in units of 2^-R, with |2^R S(x) - s| < 1.1 J + 1.2, for S(x) =
     lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!), lambda(x) =
-    ln((1 - e^-x) / x), and x = X 2^-R < 2^-7: the chain P_0 = 2^R,
+    ln((1 - e^-x) / x), and x = X 2^-R < 2^-44: the chain P_0 = 2^R,
     P_(k+1) = floor(P_k X2 2^-R), X2 = floor(X^2 2^-R), adds (-1)^(k-1)
     floor(P_k n_k / d_k), n_k / d_k = |B_2k| / (2k (2k)!) the k-th pair of
     coeffs, until a term is 0 or coeffs ends.  J, the terms it adds, is at
-    most n = (R + 1) // (2 (R - bitlen X) + 5), and coeffs must hold n
-    pairs.
+    most n = (R - 1) // (2 (R - bitlen X)), and coeffs must hold n pairs.
 
     Proof, in units of 2^-R.  The chain has p_k = x^(2k) 2^R, rho = x^2 <
-    2^-14, mu = X2 2^-R with 0 <= delta = rho - mu < 2^-R, and e_0 = 0, so
-    by the chain lemma e_1 < delta p_0 + 1 = 2 and e_(k+1) < 2 x^2 + x^(2k)
-    + 1 <= 3 x^2 + 1 < 2.  c_k = |B_2k| / (2k (2k)!) = 2 zeta(2k) / (2k
-    (2 pi)^(2k)) has c_1 = 1/24, c_(k+1) / c_k < 1 / (2 pi)^2 < 1/39, and
-    c_k <= zeta(2) (2 pi)^(-2k) < 1.65 2^(-5.3k).  As x < 2^-D, D = R -
-    bitlen X, c_k p_k < 1.65 2^(R - k (2D + 5.3)) < 1 for every k > n, and
-    a term floors to at most c_k p_k, so no such term is added.  Each added
-    term loses at most c_k (p_k - P_k) + 1 < 13/12.  The first term left
-    out, k = J + 1, floors to 0 or has k > n, so c_k p_k < 1 + 2 c_k <=
-    13/12, and it and the terms after it, each at least 39-fold smaller,
-    add up to less than 1.12.
+    2^-88, mu = X2 2^-R with 0 <= delta = rho - mu < 2^-R, and e_0 = 0, so
+    by the chain lemma e_1 < delta p_0 + 1 = 2 and e_(k+1) < 2^-87 + x^(2k)
+    + 1 < 2.  As x < 2^-D, D = R - bitlen X, p_k < 2^(R - 2kD) <= 1 for
+    every k > n, so P_k = 0 there.  c_k = |B_2k| / (2k (2k)!) = 2 zeta(2k)
+    / (2k (2 pi)^(2k)) has c_1 = 1/24 and c_(k+1) / c_k < 1 / (2 pi)^2 <
+    1/39.  Each added term loses at most c_k (p_k - P_k) + 1 < 13/12.  The
+    first term left out, k = J + 1, floors to 0 or has P_k = 0, so c_k p_k <
+    1 + 2 c_k <= 13/12, and it and the terms after it, each at least
+    39-fold smaller, add up to less than 1.12.
     """
     X2 = (X * X) >> R
     s, P = 0, 1 << R

@@ -32,20 +32,13 @@ weight w~ = (1 + b) t~ l~ is the exact product of their integer
 mantissas, and W its floor.  mag w is taken from the node before it and
 checked after.  x = 2 pi t is taken from the exact product of t~ and 2
 pi~, pi~ to nearest at cp, and l(t) in one of three ways:
-  - series, for mag t <= -48 and for 2^-48 < t < 2^-10 (-48 ln 2 < y <
-    -10 ln 2, with ln 2 floored at cp): l = -ln(2 pi) - ln t~ + x/2 -
-    S(x), S(x) = lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!) for
-    lambda(x) = ln((1 - e^-x) / x), on integers in units of 2^-R, R = prec
-    + 8, S by the chain ``fixed._lambda_series`` with exact coefficients
-    from ``bernoulli``, built once per table: no exponential or log beyond
-    t's own.  ln t~ is y for mag t <= -48.  For 2^-48 < t < 2^-10 it is y'
-    = y + floor(d 2^cp / h) 2^-cp (``_exp_and_log``): h 2^e is e^y at wp
-    + 64 bits, and t~ = (h + d) 2^e is h rounded to wp, or libmp's e^y at
-    wp where h lies within 2^-8 of an ulp of wp bits from a midpoint, which
-    keeps t~ the same as e^y taken at wp alone.  A node whose chain needs
-    more coefficients than the Bernoulli table's cap holds (near t = 2^-10
-    for F past about 4,800, and for t <= 2^-48 past about 24,000) takes
-    the last form.
+  - series, for mag t <= -48: l = -ln(2 pi) - y + x/2 - S(x), S(x) =
+    lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!) for lambda(x) =
+    ln((1 - e^-x) / x), on integers in units of 2^-R, R = prec + 8, S by
+    the chain ``fixed._lambda_series`` with exact coefficients from
+    ``bernoulli``, built once per table: no exponential or log beyond t's
+    own.  A node whose chain needs more coefficients than the Bernoulli
+    table's cap holds (only for F past about 23,000) takes the last form.
   - chain, for x~ >= 17, x~ = 2 pi~ t~ floored to xb = prec + 6 + max(0,
     mag t + 3) bits: q = e^-x~ < 2^-24 at prec + 4 bits, and l = q S(q),
     S(q) = -ln(1 - q) / q summed in fixed point (``fixed._log1m_ratio``)
@@ -72,22 +65,16 @@ ulp, a relative 2^(1-p) (the allowance of ``mpcore._Ball``); every floor
 is below its value by less than one unit of its last place.  Let x = 2 pi
 t~ and eps the relative error of l~ against l(t~).
   - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
-    x 2^R, as x < 2^-7; X >> 1 within 1.51 of x 2^(R-1); the floors of -Y
-    2^(R-cp) and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and 1.01;
-    and ``fixed._lambda_series`` within 1.1 J + 1.2 of 2^R S(X 2^-R), J <=
-    256 its terms (half the Bernoulli table's cap), and that within 0.01 of
-    2^R S(x), as |S'| < x/12.  So L is within 1.1 J + 4.8 of 2^R (l(t~) +
-    ln t~ - Y 2^-cp), and as l >= -ln x > 5, eps < 287 / 5 2^-(prec+8) <
-    0.23 2^-prec, but for Y 2^-cp in place of ln t~.
-      - For 2^-48 < t < 2^-10, Y 2^-cp = y'.  h 2^e is within a relative
-        2^-(wp+63) of e^y, and |delta| < 2.01 2^-wp for delta = d / h, so
-        ln t~ = y + ln(h 2^e / e^y) + ln(1 + delta) is within 2^-(wp+63)
-        + delta^2 + 2^-cp < 2^-(wp+62) of y', below 2^-12 in units of 2^-R
-        <= 2^-(wp+50), which the 4.8 above covers.
-      - For mag t <= -48, Y 2^-cp = y, and as t~ is within one ulp of e^y
-        at wp, -y is within 2.01 2^-wp of -ln t~.  With 1 + e^-u <= 1 +
-        ln(1/t) (u < 0) and t <= 2^-48, (1 + e^-u) t < 2^-42.9, so that
-        moves w by less than 2^-42.9 2.01 2^-wp < 2^-(F+9).
+    x 2^R, as x < 2^-45.3; X >> 1 within 1.51 of x 2^(R-1); the floors of
+    -Y 2^(R-cp) and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and
+    1.01; and ``fixed._lambda_series`` within 1.1 J + 1.2 of 2^R S(X 2^-R),
+    J <= 256 its terms (half the Bernoulli table's cap), and that within
+    0.01 of 2^R S(x), as |S'| < x/12.  So L is within 1.1 J + 4.8 of 2^R
+    (l(t~) + ln t~ - y), and as l >= -ln x > 31, eps < 287 / 31 2^-(prec+8)
+    < 0.04 2^-prec, but for y = Y 2^-cp in place of ln t~: t~ is within one
+    ulp of e^y at wp, so -y is within 2.01 2^-wp of -ln t~.  With 1 + e^-u
+    <= 1 + ln(1/t) (u < 0) and t <= 2^-48, (1 + e^-u) t < 2^-42.9, so that
+    moves w by less than 2^-42.9 2.01 2^-wp < 2^-(F+9).
   - the other two take x~: below 2 pi~ t~ by a relative less than
     2^(1-xb), and 2 pi~ within a relative 2^-cp of 2 pi, so x~ is within a
     relative and an absolute 2^-(prec+4) of x (x < 2^(mag t + 3)).  As
@@ -118,9 +105,9 @@ of e^-u 2^cp after k < 2^16 steps, as 0 <= e^(-+1/m) 2^cp - S < 2.03 for
 its ratio S, floored one below e^(-+1/m) at cp + 8 bits.  So 1 + b is
 within a relative 2^-(wp+78) of 1 + e^-u, and Y 2^-cp within 2^-cp +
 2^-(wp+78) max(1, b) of y, where b < -y < wp at every node of a plan's
-table.  w~ is then within a relative 0.71 2^-prec of w at t~, so within 0.72 2^-prec
-2^(mag w~) < 2^-(F+8) absolute as prec >= F + 8 + mag w~, and with the
-series form's 2^-(F+9), within 2^-(F+7) in all.
+table.  w~ is then within a relative 0.71 2^-prec of w at t~, so within
+0.72 2^-prec 2^(mag w~) < 2^-(F+8) absolute as prec >= F + 8 + mag w~,
+and with the series form's 2^-(F+9), within 2^-(F+7) in all.
 
 Tables depend only on their arguments and are cached for the life of the
 process, so repeated runs are bit-identical.
@@ -148,18 +135,17 @@ def _scaled(man: int, shift: int) -> int:
     return man << shift if shift >= 0 else man >> -shift
 
 
-def _ell(t, Y: int, exact: bool, prec: int, consts):
+def _ell(t, Y: int, prec: int, consts):
     """(L, e): l(t) = -ln(1 - e^-x), x = 2 pi t, as L 2^e, for prec bits of
-    the weight, given Y 2^-cp, y or, if exact, ln t~ (see the module
-    docstring)."""
+    the weight, given y = ln t as Y 2^-cp (see the module docstring)."""
     cp, two_pi, ln_2pi, ln2, log_anchor, coeffs = consts
     _, man, exp, bc = t
     mag_t = exp + bc
     x, e = two_pi[1] * man, two_pi[2] + exp  # 2 pi~ t = x 2^e, exactly
-    if mag_t <= (-10 if exact else -48):
+    if mag_t <= -48:
         R = prec + 8
         X = x >> (-e - R)  # floor(2 pi~ t 2^R)
-        if (R + 1) // (2 * (R - X.bit_length()) + 5) <= len(coeffs):
+        if (R - 1) // (2 * (R - X.bit_length())) <= len(coeffs):
             return ((-Y >> (cp - R)) - (ln_2pi >> (cp - R)) + (X >> 1)
                     - _lambda_series(X, R, coeffs)), -R
     shift = x.bit_length() - (prec + 6 + max(0, mag_t + 3))
@@ -180,42 +166,18 @@ def _ell(t, Y: int, exact: bool, prec: int, consts):
     return _scaled(lg, lg_exp + p) - anchors, -p
 
 
-def _exp_and_log(y, Y: int, wp: int, cp: int):
-    """(t~, Y'): t~ = e^y at wp bits, as libmp rounds it, and Y' 2^-cp, ln
-    t~ to within 2^-(wp+62), for y = Y 2^-cp: e^y at wp + 64 bits, rounded
-    to wp, and y moved by the log of that rounding."""
-    _, hi, e, _ = libmp.mpf_exp(y, wp + 64, _RND)
-    shift = hi.bit_length() - wp
-    if shift <= 0:
-        return libmp.from_man_exp(hi, e), Y
-    half = 1 << (shift - 1)
-    man = (hi + half) >> shift
-    d = (man << shift) - hi  # t~ = (hi + d) 2^e
-    if half - abs(d) < half >> 8:  # near a midpoint, where libmp's own e^y at wp decides
-        t = libmp.mpf_exp(y, wp, _RND)
-        d = (t[1] << (t[2] - e)) - hi
-    else:
-        t = libmp.from_man_exp(man, e + shift)
-    return t, Y + (d << cp) // hi
-
-
 def _node(Y: int, B: int, wp: int, F: int, consts, mag: int):
     """(T2, W) at u = j/m, given y = u - e^-u as Y 2^-cp, e^-u as B 2^-cp,
     and mag, the mag w of the node before it, as the first guess at this
     node's."""
-    cp, ln2 = consts[0], consts[3]
-    y = libmp.from_man_exp(Y, -cp)
-    exact = -48 * ln2 < Y < -10 * ln2  # 2^-48 < t < 2^-10, for l's series
-    if exact:
-        t, Y = _exp_and_log(y, Y, wp, cp)
-    else:
-        t = libmp.mpf_exp(y, wp, _RND)
+    cp = consts[0]
+    t = libmp.mpf_exp(libmp.from_man_exp(Y, -cp), wp, _RND)
     _, man, exp, _ = t
     T2 = _scaled(man * man, 2 * exp + F)
     phi, phi_exp = man * (B + (1 << cp)), exp - cp  # (1 + b) t~
     prec = max(64, F + _WEIGHT_GUARD + 1 + mag)
     while True:
-        ell, e = _ell(t, Y, exact, prec, consts)
+        ell, e = _ell(t, Y, prec, consts)
         w, e = phi * ell, phi_exp + e  # w~ = w 2^e
         mag = w.bit_length() + e
         if prec >= F + _WEIGHT_GUARD + mag:
@@ -225,11 +187,10 @@ def _node(Y: int, B: int, wp: int, F: int, consts, mag: int):
 
 def _lambda_coeffs(F: int) -> list[tuple[int, int]]:
     """[(n_k, d_k)], n_k / d_k = |B_2k| / (2k (2k)!), for every k the
-    series form of ``_ell`` may take in a table at F: k <= (F + 19) // 19,
-    as R <= F + 18 and x < 2^-7 there, and 2k no more than the Bernoulli
-    table's cap."""
+    series form of ``_ell`` may take in a table at F: k <= (F + 17) // 90,
+    and 2k no more than the Bernoulli table's cap."""
     out, factorial = [], 1
-    for k in range(1, min((F + 19) // 19, table().cap // 2) + 1):
+    for k in range(1, min((F + 17) // 90, table().cap // 2) + 1):
         factorial *= (2 * k - 1) * 2 * k
         c = abs(bernoulli(2 * k)) / (2 * k * factorial)
         out.append((c.numerator, c.denominator))

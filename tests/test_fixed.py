@@ -143,14 +143,14 @@ def test_log1m_ratio_within_its_bound(r, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(R=st_.integers(64, 1120), D=st_.integers(7, 400), M=st_.integers(2**63, 2**64 - 1))
+@given(R=st_.integers(64, 1120), D=st_.integers(45, 400), M=st_.integers(2**63, 2**64 - 1))
 def test_lambda_series_within_its_bound(R, D, M):
     # S(x) = lambda(x) + x/2 = ln((1 - e^-x) / x) + x/2 at x = X 2^-R, X =
     # floor(M 2^(R-D-64)), so that 2^-(D+1) <= M 2^-(D+64) < 2^-D: within 1.1
-    # n + 1.2 units of 2^-R, n = (R + 1) // (2 (R - bitlen X) + 5) the most
-    # terms the chain may add, with the coefficients a table at F = R builds
+    # n + 1.2 units of 2^-R, n = (R - 1) // (2 (R - bitlen X)) the most terms
+    # the chain may add, with the coefficients a table at F = R builds
     X = M >> (D + 64 - R) if D + 64 >= R else M << (R - D - 64)
-    n = (R + 1) // (2 * (R - X.bit_length()) + 5)
+    n = (R - 1) // (2 * (R - X.bit_length()))
     coeffs = _lambda_coeffs(R)
     assert n <= len(coeffs)
     s = _lambda_series(X, R, coeffs)

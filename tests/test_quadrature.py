@@ -137,62 +137,35 @@ def test_nodes_match_mpmath(wp):
             assert -mpmath.ldexp(1, -(F + 4)) <= gap < mpmath.ldexp(17, -(F + 4)), j
 
 
-def test_series_rows_up_to_two_to_the_minus_ten_match_mpmath():
-    # the rows with 2^-48 <= t < 2^-10 of the 832-bit table, whose l(t)
-    # comes from its series with ln t~ taken from e^y at wp + 64 bits:
-    # T2 = floor(t~^2 2^F) exactly, and W 2^-F as close to the weight at
-    # the table's own t~ as test_nodes_match_mpmath asks of every row
-    wp = 832
-    m, j_left, j_right, nodes = table(wp - 64)
-    F = wp + 32
-    rows = [row for row in zip(walk(wp, m, j_left, j_right), nodes, strict=True)
-            if -48 < row[0][1][2] + row[0][1][3] <= -10]
-    assert len(rows) > 150
-    with mpmath.workprec(wp + 128):
-        for (j, t_raw), (T2, W) in rows:
-            u = mpmath.mpf(j) / m
-            t = mpmath.mpf(t_raw)
-            assert t < mpmath.ldexp(1, -10)
-            exact_t2 = Fraction(*libmp.to_rational(t_raw)) ** 2 * 2**F
-            assert T2 == exact_t2.numerator // exact_t2.denominator, j
-            gap = (1 + mpmath.exp(-u)) * t * ell(t) - mpmath.ldexp(W, -F)
-            assert -mpmath.ldexp(1, -(F + 4)) <= gap < mpmath.ldexp(17, -(F + 4)), j
-
-
 @pytest.mark.parametrize("bits", [64, 768])
 def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
     # one exponential per node for t, and at most one more for l(t), none
-    # in the series form (every t < 2^-10); a log only for the nodes
-    # between the series and the chain, besides the 19 the table's
-    # constants take.  e^-u walks the grid and y is formed on integers, with
-    # no libmp call: a node turns y into a libmp value, and its t~ too for
-    # 2^-48 < t < 2^-10, and the rest turn integers into the arguments of
-    # l's exponential and log: 2 calls a node with t <= 2^-48, 3 one up to
-    # 2^-10, 4 a chain node and 6 a node between, and 64 for the table's
-    # constants and the walk's two ratios
+    # in the series form (every t < 2^-48); a log only for the nodes between
+    # the series and the chain, besides the 19 the table's constants take.
+    # e^-u walks the grid and y is formed on integers, with no libmp call:
+    # a node turns y into a libmp value, and the rest turn integers into
+    # the arguments of l's exponential and log: 2 calls a series node, 4 a
+    # chain node and 6 a node between, and 64 for the table's constants and
+    # the walk's two ratios
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
-    short = fine = chain = 0
+    short = chain = 0
     for _, t_raw in walk(bits + 64, m, j_left, j_right):
-        t = mpmath.mpf(t_raw)
         short += t_raw[2] + t_raw[3] <= -48
-        fine += t_raw[2] + t_raw[3] > -48 and t < mpmath.ldexp(1, -10)
-        chain += t * 2 * mpmath.pi >= 17
+        chain += mpmath.mpf(t_raw) * 2 * mpmath.pi >= 17
     counts = count_calls(*(name for name, f in vars(libmp).items() if inspect.isfunction(f)))
     n = len(table(bits)[3])
     calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
-    assert short > 0 and fine > 0 and chain > 0
-    # and one more exponential, at wp, for each node whose e^y at wp + 64
-    # lies next to a rounding boundary of wp bits: none at 64 bits, one at 768
-    assert 0 <= calls.pop("mpf_exp") - (2 * n + 2 - short - fine) <= 1
-    assert calls.pop("mpf_log") <= n - short - fine - chain + 19
+    assert short > 0 and chain > 0
+    assert calls.pop("mpf_exp") <= 2 * n + 2 - short
+    assert calls.pop("mpf_log") <= n - short - chain + 19
     assert "mpf_mul" not in calls and "mpf_sub" not in calls
     assert calls.pop("from_rational") == 2 + 17  # the walk's two ratios, the anchors
-    assert calls.pop("from_man_exp") <= 3 * n - 2 * short - fine - chain
+    assert calls.pop("from_man_exp") <= 3 * n - 2 * short - chain
     assert sum(calls.values()) <= 24
     total = sum(tally[0] for tally in counts.values())
-    assert total <= 6 * n - 4 * short - 3 * fine - 2 * chain + 64
-    assert bits == 64 or total < 4 * n
+    assert total <= 6 * n - 4 * short - 2 * chain + 64
+    assert bits == 64 or total < 5 * n
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -215,15 +188,14 @@ def test_the_weight_check_is_the_one_precision_rule(monkeypatch, bits):
 
 
 def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, count_calls):
-    # a node with t < 2^-10 whose chain would need more coefficients than
-    # the Bernoulli table's cap allows (past about 4,800 bits near t =
-    # 2^-10, and 24,000 for t <= 2^-48) takes the middle form instead,
-    # shown here with the cap cut to 4: a table holds up to (F + 19) // 19
-    # coefficients, and 2 under that cap
+    # a node with t < 2^-48 whose chain would need more coefficients than
+    # the Bernoulli table's cap allows (only past about 23,000 bits) takes
+    # the middle form instead, shown here with the cap cut to 4: a table
+    # holds up to (F + 17) // 90 coefficients, and 2 under that cap
     wp = 320
     F, cp = wp + 32, wp + 96
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(wp - 64)
-    assert len(stirling.quadrature._lambda_coeffs(F)) == (F + 19) // 19 == 19
+    assert len(stirling.quadrature._lambda_coeffs(F)) == (F + 17) // 90 == 4
     assert len(stirling.quadrature._lambda_coeffs(10**5)) == 256
     logs = count_calls("mpf_log")
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
@@ -233,15 +205,14 @@ def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, coun
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     consts = stirling.quadrature._constants(wp)
     assert len(consts[-1]) == 2
-    # at prec = 330, R = 338: t near 2^-12 needs 339 // 23 = 14 coefficients
-    # and t near 2^-48 needs 339 // 95 = 3, so both take a log; t near
-    # 2^-200 needs none
+    # at prec = 330, R = 338: t near 2^-48 needs 337 // 90 = 3 coefficients,
+    # so it takes a log; t near 2^-200 needs none
     with mpmath.workprec(wp + 128):
-        for mag, exact, needs_log in ((-12, True, 1), (-48, False, 1), (-200, False, 0)):
+        for mag, needs_log in ((-48, 1), (-200, 0)):
             t = libmp.from_man_exp(0xb504f333f9de6484597d89b3754abe9f, mag - 128)
             Y = libmp.to_fixed(libmp.mpf_log(t, cp, "n"), cp)
             logs["mpf_log"][0] = 0
-            L, e = stirling.quadrature._ell(t, Y, exact, 330, consts)
+            L, e = stirling.quadrature._ell(t, Y, 330, consts)
             assert logs["mpf_log"][0] == needs_log
             assert abs(mpmath.ldexp(L, e) / ell(mpmath.mpf(t)) - 1) < mpmath.ldexp(1, -330)
     # the table built so takes more logs, keeps every T2, and moves no W by
