@@ -34,19 +34,23 @@ oracle is evaluated: its middle value is the exact interval that the
 oracle's value and proven error bound give, with P(x~) bracketed, and
 R_{2n}(x~) and R_{2m+1}(x~) are exact rationals.
 
-Every check has one verdict rule (``_verdict_row``).  Every bound is an
-exact rational and every middle value an exact interval, so a verdict
-compares integers: the margin, the smaller of mid - lhs and rhs - mid, is
-an exact interval, and a row holds when the whole interval lies above 0,
-fails when it lies below, and is inconclusive (InconclusiveError) when it
-touches or straddles 0.  No envelope is assumed.  The verdict compares
-the middle value's ends with the bounds directly; a row that holds or
-fails keeps those integers and builds its gap intervals and published
-BigFloats on their first read.  A Michel row, whose bracket of e^(r_n)
-at the sweep's fixed point is the costliest part of a sweep, is judged
-first on a bracket at 2^-128 that contains it, and at the sweep's fixed
-point only where that one is inconclusive (``_sweep_row``): a verdict on
-a containing interval is the verdict on the interval itself.
+Every check has one verdict rule, one sign test (``_sign_test``) that
+``_verdict_row`` and the sweep share.  Every bound is an exact rational
+and every middle value an exact interval, so a verdict compares integers:
+the margin, the smaller of mid - lhs and rhs - mid, is an exact interval,
+and a row holds when the whole interval lies above 0, fails when it lies
+below, and is inconclusive (InconclusiveError) when it touches or
+straddles 0.  No envelope is assumed.  The sign test compares the middle
+value's ends with the bounds directly; a row that holds or fails keeps
+those integers and builds its gap intervals and published BigFloats on
+their first read.  The sweep makes one pass per n (``_rows``): r_n's
+interval is taken once and shared by the families that compare it, and
+the bounds come from one table keyed by family (``_BOUNDS``).  A Michel
+row, whose bracket of e^(r_n) at the sweep's fixed point is the costliest
+part of a sweep, is judged first on an interval at 2^-72 (``_COARSE_W``)
+that contains it, and at the sweep's fixed point only where that one is
+inconclusive: a verdict on a containing interval is the verdict on the
+interval itself.
 """
 
 from __future__ import annotations
@@ -217,70 +221,45 @@ def _difference_sums(n_max: int, W: int):
         yield n, S, D
 
 
-def _row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
-         bits: int):
-    """The row of ``family`` at n, given sum_(k<n) d_k in [S, S + D) 2^-W
-    and half, the bracket of (1/2) ln(2 pi), as ``_verdict_row`` judges it.
+# family -> its exact bounds at n, (lhs, rhs), each p/q as (p, q) or None
+_BOUNDS = {
+    "robbins": lambda n: ((1, 12 * n + 1), (1, 12 * n)),
+    # [12n + 3/(2(2n+1))]^(-1) = (4n+2) / (48 n^2 + 24 n + 3)
+    "maria": lambda n: ((4 * n + 2, 48 * n * n + 24 * n + 3), None),
+    "hummel": lambda n: ((11, 12), (1, 1)),
+    "nanjundiah": lambda n: ((30 * n * n - 1, 360 * n**3), (1, 12 * n)),  # R_2(n), R_1(n)
+    "michel": lambda n: (None, (3 * n + 10, 1080 * n**4)),  # 1/(360 n^3) + 1/(108 n^4)
+}
 
-    The middle value is kept as [lo, hi] / den and every bound as an exact
-    rational p/q.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k, and Hummel's
-    r_n + (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.  Michel's
-    e^(r_n) is bracketed by ``fixed._exp_bracket``, as r_n < r_1 < 1/12.  The
-    row keeps these exact integers and builds its published fields on
-    their first read (``_SweepRow``); ``_sweep_row`` judges Michel's row
-    first at a coarser fixed point.
-    """
-    one = 1 << W
-    lhs = rhs = None
-    if family == "hummel":
-        mid = (one - S - D, one - S, one)
-        lhs, rhs = (11, 12), (1, 1)
-    else:
-        r_lo, r_hi = one - half[1] - S - D, one - half[0] - S
-        if family == "michel":
-            # 288 n^2 2^W (e^(r_n) - 1 - 1/(12n) - 1/(288 n^2)), then its modulus
-            e_lo, e_hi = _exp_bracket(r_lo, r_hi, W)
-            c = 288 * n * n
-            base = (c + 24 * n + 1) << W
-            a, b = e_lo * c - base, e_hi * c - base
-            if a >= 0:
-                mid = (a, b, c << W)
-            elif b <= 0:
-                mid = (-b, -a, c << W)
-            else:
-                mid = (0, max(-a, b), c << W)
-            rhs = (3 * n + 10, 1080 * n**4)  # 1/(360 n^3) + 1/(108 n^4)
-        else:
-            mid = (r_lo, r_hi, one)
-            if family == "robbins":
-                lhs, rhs = (1, 12 * n + 1), (1, 12 * n)
-            elif family == "maria":
-                # [12n + 3/(2(2n+1))]^(-1) = (4n+2) / (48 n^2 + 24 n + 3)
-                lhs = (4 * n + 2, 48 * n * n + 24 * n + 3)
-            else:  # nanjundiah: R_2(n) < r_n < R_1(n)
-                lhs, rhs = (30 * n * n - 1, 360 * n**3), (1, 12 * n)
-    return _verdict_row(family, n, mid, lhs, rhs, bits)
+# The fixed point 2^-C at which ``_rows`` judges Michel's rows first.
+_COARSE_W = 72
 
 
-# The fixed point 2^-C at which ``_sweep_row`` judges Michel's rows first.
-_COARSE_W = 128
+def _rows(families: list[str], n: int, S: int, D: int, W: int, half: tuple[int, int],
+          bits: int) -> list:
+    """The rows of ``families`` at n as ``bound_sweep`` and ``check_bound``
+    publish them, given sum_(k<n) d_k in [S, S + D) 2^-W and half, the
+    bracket of (1/2) ln(2 pi).
 
+    Each middle value is kept as [lo, hi] / den and each bound as the exact
+    rational p/q of ``_BOUNDS``.  r_n = 1 - (1/2) ln(2 pi) - sum_(k<n) d_k
+    is one interval for robbins, maria and nanjundiah, and Hummel's r_n +
+    (1/2) ln(2 pi) = 1 - sum_(k<n) d_k needs no constant.  A row that
+    ``_sign_test`` decides keeps these integers and builds its published
+    fields on their first read (``_SweepRow``); one it leaves undecided is
+    ``_verdict_row``'s InconclusiveError.
 
-def _sweep_row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int],
-               bits: int):
-    """Row n of ``family`` as ``bound_sweep`` and ``check_bound`` publish
-    it: ``_row`` at W, bit for bit.
-
-    Michel's row spends most of its time in ``_exp_bracket`` at W bits, so
-    it is first judged by ``_row`` at C = _COARSE_W on the same facts
-    rounded outward by k = W - C bits: sum_(k<n) d_k in [S', S' + D')
-    2^-C with S' = floor(S 2^-k) and S' + D' = ceil((S + D) 2^-k), and
-    (1/2) ln(2 pi) in (h_lo', h_hi') 2^-C with h_lo' = floor(h_lo 2^-k) - 2
-    and h_hi' = ceil(h_hi 2^-k).  If that row holds or fails, so does the
-    row at W, which ``_row`` builds only when its mid or margin is first
-    read (``_CoarseRow``).  If it is inconclusive, the row is judged at W.
-    The proof below takes C >= 24 and k > bitlen(W).  Every W of
-    ``_sweep_width`` is at least 145, so C = 128 meets both; a row at a W
+    Michel's middle value (``_michel_mid``) spends most of its time in
+    ``_exp_bracket`` at W bits, so it is first judged at C = _COARSE_W on
+    the same facts rounded outward by k = W - C bits (``_coarse_r``):
+    sum_(k<n) d_k in [S', S' + D') 2^-C with S' = floor(S 2^-k) and S' + D'
+    = ceil((S + D) 2^-k), and (1/2) ln(2 pi) in (h_lo', h_hi') 2^-C with
+    h_lo' = floor(h_lo 2^-k) - 2 and h_hi' = ceil(h_hi 2^-k).  If that
+    middle value holds or fails, so does the row at W, which builds its
+    middle value at W only when its mid or margin is first read
+    (``_CoarseRow``).  If it is inconclusive, the row is judged at W.  The
+    proof below takes C >= 24 and k > bitlen(W).  Every W of
+    ``_sweep_width`` is at least 145, so C = 72 meets both; a row at a W
     that did not would be judged at W alone.
 
     Containment.  Let x <= y be the ends of r_n's interval at W and
@@ -305,45 +284,86 @@ def _sweep_row(family: str, n: int, S: int, D: int, W: int, half: tuple[int, int
     the interval, which keeps it too.  A gap interval over a containing
     interval that lies above (below) 0 does so over any interval in it.
     """
-    k = W - _COARSE_W
-    if family != "michel" or k <= W.bit_length():
-        return _row(family, n, S, D, W, half, bits)
-    S_c = S >> k
-    coarse = _row(family, n, S_c, -(-(S + D) >> k) - S_c, _COARSE_W,
-                  ((half[0] >> k) - 2, -(-half[1] >> k)), bits)
-    if isinstance(coarse, InconclusiveError):
-        return _row(family, n, S, D, W, half, bits)
-    return _CoarseRow(family, n, coarse.holds, coarse._rhs, bits, (S, D, W, half))
+    one = 1 << W
+    r = (one - half[1] - S - D, one - half[0] - S, one)
+    rows = []
+    for family in families:
+        lhs, rhs = _BOUNDS[family](n)
+        if family == "michel":
+            C = _COARSE_W
+            if W - C > W.bit_length():
+                holds = _sign_test(_michel_mid(n, *_coarse_r(S, D, W, half, C), C), None, rhs)
+                if holds is not None:
+                    rows.append(_CoarseRow(n, holds, rhs, bits, r, W))
+                    continue
+            mid = _michel_mid(n, r[0], r[1], W)
+        else:
+            mid = (one - S - D, one - S, one) if family == "hummel" else r
+        holds = _sign_test(mid, lhs, rhs)
+        rows.append(_verdict_row(family, n, mid, lhs, rhs, bits) if holds is None
+                    else _SweepRow(family, n, holds, mid, lhs, rhs, bits))
+    return rows
+
+
+def _coarse_r(S: int, D: int, W: int, half: tuple[int, int], C: int) -> tuple[int, int]:
+    """The ends of r_n's interval at 2^-C that ``_rows`` judges Michel's
+    row on, from the facts at 2^-W rounded outward by W - C bits."""
+    k, u = W - C, 1 << C
+    return u + (-half[1] >> k) + (-(S + D) >> k), u + 2 - (half[0] >> k) - (S >> k)
+
+
+def _michel_mid(n: int, lo: int, hi: int, W: int) -> tuple[int, int, int]:
+    """Michel's middle value |e^(r_n) - 1 - 1/(12n) - 1/(288 n^2)| for r_n
+    in [lo, hi] 2^-W, as (lo, hi, den).  e^(r_n) is bracketed by
+    ``fixed._exp_bracket``, as r_n < r_1 < 1/12; then 288 n^2 2^W (e^(r_n)
+    - 1 - 1/(12n) - 1/(288 n^2)), then its modulus."""
+    e_lo, e_hi = _exp_bracket(lo, hi, W)
+    c = 288 * n * n
+    base = (c + 24 * n + 1) << W
+    a, b = e_lo * c - base, e_hi * c - base
+    lo, hi = (a, b) if a >= 0 else (-b, -a) if b <= 0 else (0, max(-a, b))
+    return lo, hi, c << W
+
+
+def _sign_test(mid: tuple, lhs: tuple | None, rhs: tuple | None) -> bool | None:
+    """The module's one sign test: True when the middle value in [lo, hi] /
+    den (mid = (lo, hi, den)) lies above the exact bound lhs and below rhs
+    (p/q; None for no bound), False when it lies wholly beyond one of them,
+    and None otherwise.
+
+    The gaps mid - lhs and rhs - mid are the intervals of integers g over
+    q den of ``_gaps``.  The test needs only their signs, so it takes the
+    numerators g alone: each end of mid against p/q, times q, is compared
+    with p den.  A gap's upper end is read only where its lower end does
+    not lie above 0.
+    """
+    lo, hi, den = mid
+    verdict = True
+    if lhs is not None:
+        p, q = lhs[0] * den, lhs[1]
+        if lo * q - p <= 0:
+            if hi * q - p < 0:
+                return False
+            verdict = None
+    if rhs is not None:
+        p, q = rhs[0] * den, rhs[1]
+        if p - hi * q <= 0:
+            return False if p - lo * q < 0 else None
+    return verdict
 
 
 def _verdict_row(family: str, n: int, mid: tuple, lhs: tuple | None,
                  rhs: tuple | None, bits: int, where: str | None = None):
     """The verdict on a middle value in [lo, hi] / den (mid = (lo, hi, den))
     between exact bounds p/q (lhs, rhs; None for no bound), by the module's
-    one rule: a _SweepRow, or an InconclusiveError named by ``where``
-    (default "family at n=n") whose margin is the margin interval's end
-    nearest 0, rounded toward 0, and whose envelope is the interval's
-    width, rounded up.
-
-    The gaps mid - lhs and rhs - mid are the intervals of integers g over
-    q den of ``_gaps``.  The verdict needs only their signs, so it takes
-    the numerators g alone: each end of mid against p/q, times q, is
-    compared with p den.  A row that holds or fails builds its gaps on
-    first read (``_SweepRow.margin``).
+    one rule, ``_sign_test``: a _SweepRow, or an InconclusiveError named by
+    ``where`` (default "family at n=n") whose margin is the margin
+    interval's end nearest 0, rounded toward 0, and whose envelope is the
+    interval's width, rounded up.  A row that holds or fails builds its
+    gaps on first read (``_SweepRow.margin``).
     """
-    lo, hi, den = mid
-    holds, fails = True, False
-    if lhs is not None:
-        p, q = lhs
-        p *= den
-        g = lo * q - p, hi * q - p
-        holds, fails = g[0] > 0, g[1] < 0
-    if rhs is not None:
-        p, q = rhs
-        p *= den
-        g = p - hi * q, p - lo * q
-        holds, fails = holds and g[0] > 0, fails or g[1] < 0
-    if holds or fails:
+    holds = _sign_test(mid, lhs, rhs)
+    if holds is not None:
         return _SweepRow(family, n, holds, mid, lhs, rhs, bits)
     gaps = _gaps(mid, lhs, rhs)
     lower, upper = (Fraction(*_margin_end(gaps, i)) for i in (0, 1))
@@ -428,20 +448,18 @@ class _SweepRow(BoundReport):
 
 
 class _CoarseRow(_SweepRow):
-    """A Michel row that ``_sweep_row`` decided at the coarse fixed point:
-    the verdict is the row's at W, and the middle value at W is built by
-    ``_row`` from the sweep's (S, D, W, half) on the first read of mid or
-    margin."""
+    """A Michel row that ``_rows`` decided at the coarse fixed point: the
+    verdict is the row's at W, and its middle value at W is built from
+    r_n's interval at W on the first read of mid or margin."""
 
-    def __init__(self, family: str, n: int, holds: bool, rhs: tuple, bits: int,
-                 sweep: tuple):
+    def __init__(self, n: int, holds: bool, rhs: tuple, bits: int, r: tuple, W: int):
         d = self.__dict__
-        d["family"], d["n"], d["holds"], d["_bits"] = family, n, holds, bits
-        d["_lhs"], d["_rhs"], d["_sweep"] = None, rhs, sweep
+        d["family"], d["n"], d["holds"], d["_bits"] = "michel", n, holds, bits
+        d["_lhs"], d["_rhs"], d["_r"], d["_W"] = None, rhs, r, W
 
     @functools.cached_property
     def _mid(self) -> tuple:
-        return _row(self.family, self.n, *self._sweep, self._bits)._mid
+        return _michel_mid(self.n, self._r[0], self._r[1], self._W)
 
 
 def _check_families(families: list[str]) -> None:
@@ -463,7 +481,7 @@ def check_bound(family: str, n: int, ctx: PrecisionCtx) -> BoundReport:
     W = _sweep_width(ctx)
     for _, S, D in _difference_sums(n, W):
         pass
-    row = _sweep_row(family, n, S, D, W, _half_ln_2pi_bracket(W), ctx.bits)
+    row, = _rows([family], n, S, D, W, _half_ln_2pi_bracket(W), ctx.bits)
     if isinstance(row, InconclusiveError):
         raise row
     return row
@@ -487,10 +505,11 @@ def bound_sweep(families: list[str], n_max: int, ctx: PrecisionCtx,
         )
     W = _sweep_width(ctx)
     half = _half_ln_2pi_bracket(W)
+    active = []
     for n, S, D in _difference_sums(n_max, W):
-        for family in families:
-            if n >= FAMILY_MIN_N[family]:
-                yield _sweep_row(family, n, S, D, W, half, ctx.bits)
+        if len(active) < len(families):
+            active = [f for f in families if n >= FAMILY_MIN_N[f]]
+        yield from _rows(active, n, S, D, W, half, ctx.bits)
 
 
 # -- the truncation sandwich ------------------------------------------------

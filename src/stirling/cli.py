@@ -13,11 +13,13 @@ series), and only the digits on which value - bound and value + bound
 agree are shown (capped at --digits; "" when none is proven,
 ``mpcore.certified_decimal``).  The error bounds and omitted terms beside
 them (``error_bound_dec``, ``omitted_term_dec``) are rounded up
-(``mpcore.decimal_up``).  Every other decimal prints its computed value
+(``mpcore.decimal_up``).  Exact rationals print exactly (B_k, a_k,
+Marsaglia's coefficients, Mermin's tail bound), or correctly rounded at
+--digits (``mpcore.decimal_nearest``): ``constants``' C_N_decimal and
+``bounds``' lhs and rhs.  Every other decimal prints its computed value
 rounded, with no proof of its last digits: each other ``expansions``
-field and every table (``constants``, ``bounds``) at --digits, and the
-report's detail texts at 4 or 6 digits.  Exact rationals (B_k, a_k,
-Marsaglia's coefficients, Mermin's tail bound) print exactly.
+field, ``bounds``' mid and margin and ``constants``' gap at --digits,
+and the report's detail texts at 4 or 6 digits.
 
 Every verdict of the report follows one of two rules.  An identity check
 passes when its computed residual is at most the bound proven for it (for
@@ -114,7 +116,7 @@ def _cmd_constants(args, ctx: PrecisionCtx) -> tuple[str, int]:
     for (n, c_exact, c_dec) in seq.entries:
         gap = abs(c_dec - seq.reference)
         rows.append([str(n), rational_to_str(c_exact),
-                     c_dec.to_decimal(args.digits), gap.to_decimal(args.digits)])
+                     mpc.decimal_nearest(c_exact, args.digits), gap.to_decimal(args.digits)])
     header = ["N", "C_N_exact", "C_N_decimal", "abs_gap_to_half_ln_2pi"]
     return _table(header, rows, args.format), 0
 
@@ -126,8 +128,8 @@ def _bounds_rows(families: list[str], n_max: int, ctx: PrecisionCtx,
     rows: list[list[str]] = []
     saw_inconclusive = False
 
-    def fmt(x):
-        return "" if x is None else x.to_decimal(digits)
+    def exact(bound):
+        return "" if bound is None else mpc.decimal_nearest(Fraction(*bound), digits)
 
     sweeps = []
     numeric = [f for f in families if f != "impens"]
@@ -143,8 +145,8 @@ def _bounds_rows(families: list[str], n_max: int, ctx: PrecisionCtx,
             print(f"inconclusive: {item}", file=sys.stderr)
             rows.append([item.family, str(n), "", "", "", "", "inconclusive"])
         else:
-            rows.append([item.family, str(n), fmt(item.lhs), fmt(item.mid),
-                         fmt(item.rhs), fmt(item.margin),
+            rows.append([item.family, str(n), exact(item._lhs), item.mid.to_decimal(digits),
+                         exact(item._rhs), item.margin.to_decimal(digits),
                          "true" if item.holds else "false"])
     return rows, saw_inconclusive
 

@@ -658,26 +658,40 @@ def rational_from_str(text: str) -> Fraction:
 
 def _decimal_scale(q: Fraction, digits: int) -> tuple[Fraction, int]:
     """(m, p) with |q| = m 10^p and 10^(digits-1) <= m < 10^digits, for
-    q != 0: |q| in units of its last of ``digits`` significant digits."""
-    p = int((abs(q.numerator).bit_length() - q.denominator.bit_length()) * 0.30103) - digits + 1
-    m = abs(q) / Fraction(10) ** p
-    while m >= 10 ** digits:
-        m, p = m / 10, p + 1
-    while m < 10 ** (digits - 1):
-        m, p = m * 10, p - 1
-    return m, p
+    q != 0: |q| in units of its last of ``digits`` significant digits,
+    found on the integers n / d = m."""
+    n, d = abs(q.numerator), q.denominator
+    p = int((n.bit_length() - d.bit_length()) * 0.30103) - digits + 1
+    if p >= 0:
+        d *= 10 ** p
+    else:
+        n *= 10 ** -p
+    while n >= d * 10 ** digits:
+        d, p = d * 10, p + 1
+    while n < d * 10 ** (digits - 1):
+        n, p = n * 10, p - 1
+    return Fraction(n, d), p
 
 
-def _print_decimal(d: Fraction, digits: int) -> str:
-    """The decimal d, of at most ``digits`` significant digits, as
-    ``BigFloat.to_decimal`` prints it.
-
-    d is rounded up to a binary w of 4 * digits + 20 bits, so d <= w <
-    d + 10^-(digits+3) |d|, and ``libmp.to_str``, which keeps digits + 3
-    digits and rounds the rest half up, prints w as d.
-    """
-    w = libmp.from_rational(d.numerator, d.denominator, 4 * digits + 20, _UP)
-    return libmp.to_str(w, digits)
+def _print_decimal(k: int, p: int, digits: int) -> str:
+    """The decimal k 10^p, of at most ``digits`` significant digits, laid
+    out as ``BigFloat.to_decimal`` (``libmp.to_str``) lays out a value of
+    those digits: trailing zeros dropped, in fixed point when the exponent
+    e of its leading digit has min(-(digits // 3), -5) < e < digits, and
+    otherwise as d.ddd then e."""
+    if not k:
+        return "0.0"
+    sign, text = "-" if k < 0 else "", str(abs(k))
+    e = p + len(text) - 1
+    text, split = text.rstrip("0"), 1
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            text = "0" * -e + text
+        else:
+            text, split = text.ljust(e + 1, "0"), e + 1
+        e = 0
+    out = sign + text[:split] + "." + (text[split:] or "0")
+    return out if e == 0 else f"{out}e{e:+d}"
 
 
 def certified_decimal(value: BigFloat, bound: BigFloat, digits: int) -> str:
@@ -700,7 +714,7 @@ def certified_decimal(value: BigFloat, bound: BigFloat, digits: int) -> str:
     """
     v, e = value._fraction(), abs(bound._fraction())
     if e == 0 == v:
-        return _print_decimal(v, digits)
+        return _print_decimal(0, 0, digits)
     if v - e <= 0 <= v + e:
         return ""
     if e:
@@ -719,7 +733,7 @@ def certified_decimal(value: BigFloat, bound: BigFloat, digits: int) -> str:
             rounded.add((n, k))
         if len(rounded) == 1:
             n, k = rounded.pop()
-            return _print_decimal((1 if v > 0 else -1) * n * Fraction(10) ** k, d)
+            return _print_decimal(n if v > 0 else -n, k, d)
     return ""
 
 
@@ -727,8 +741,19 @@ def decimal_up(value: BigFloat, digits: int) -> str:
     """``value`` at ``digits`` significant decimal digits, rounded up, so
     that a printed bound is never below the bound itself: the least
     decimal of ``digits`` digits at or above the exact value."""
-    q = value._fraction()
+    q, k, p = value._fraction(), 0, 0
     if q != 0:
         m, p = _decimal_scale(q, digits)
-        q = (math.ceil(m) if q > 0 else -math.floor(m)) * Fraction(10) ** p
-    return _print_decimal(q, digits)
+        k = math.ceil(m) if q > 0 else -math.floor(m)
+    return _print_decimal(k, p, digits)
+
+
+def decimal_nearest(q: Fraction, digits: int) -> str:
+    """The exact rational q at ``digits`` significant decimal digits,
+    correctly rounded (half away from zero, as ``libmp.to_str`` rounds),
+    printed as ``BigFloat.to_decimal`` prints."""
+    k = p = 0
+    if q != 0:
+        m, p = _decimal_scale(q, digits)
+        k = (2 * m.numerator + m.denominator) // (2 * m.denominator)  # m rounded half up
+    return _print_decimal(k if q > 0 else -k, p, digits)

@@ -3,9 +3,9 @@
 import ast
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import pytest
@@ -258,9 +258,10 @@ def test_sandwich_middle_interval_contains_loggamma(log10_x, bits):
 
 
 def test_only_the_verdict_helper_judges_a_margin():
-    # one verdict rule in bounds: only _verdict_row builds an
-    # InconclusiveError or compares a gap with 0; the one other test
-    # against 0 is _row taking the modulus of Michel's middle value
+    # one verdict rule in bounds: only _sign_test compares a gap with 0 and
+    # only _verdict_row, which takes its verdict from _sign_test, builds an
+    # InconclusiveError; the one other test against 0 is _michel_mid taking
+    # the modulus of Michel's middle value
     judging = {"InconclusiveError", *(f"libmp.mpf_{op}" for op in
                                       ("lt", "le", "gt", "ge", "cmp", "eq"))}
     tree = ast.parse(Path(stirling.bounds.__file__).read_text())
@@ -275,8 +276,42 @@ def test_only_the_verdict_helper_judges_a_margin():
                     isinstance(c, ast.Constant) and c.value == 0
                     for c in (node.left, *node.comparators)):
                 found.add((fn.name, ast.unparse(node)))
-    assert found == {("_verdict_row", "InconclusiveError"), ("_verdict_row", "g[0] > 0"),
-                     ("_verdict_row", "g[1] < 0"), ("_row", "a >= 0"), ("_row", "b <= 0")}
+    assert found == {("_verdict_row", "InconclusiveError"),
+                     ("_sign_test", "lo * q - p <= 0"), ("_sign_test", "hi * q - p < 0"),
+                     ("_sign_test", "p - hi * q <= 0"), ("_sign_test", "p - lo * q < 0"),
+                     ("_michel_mid", "a >= 0"), ("_michel_mid", "b <= 0")}
+
+
+_ENDS = st_.integers(min_value=-10**6, max_value=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st_.data())
+def test_sign_test_is_the_verdict_rule(data):
+    # on any integer interval [lo, hi] / den and exact bounds p/q, one- or
+    # two-sided, ends that touch a bound included, the sign test and
+    # _verdict_row give the outcome that exact rationals give
+    den = data.draw(st_.integers(min_value=1, max_value=10**6))
+    lo = data.draw(_ENDS)
+    hi = data.draw(st_.integers(min_value=lo, max_value=lo + 10**6))
+    scale = data.draw(st_.integers(min_value=1, max_value=7))
+
+    def bound():
+        return data.draw(st_.one_of(
+            st_.sampled_from([(lo * scale, den * scale), (hi * scale, den * scale)]),
+            st_.tuples(_ENDS, st_.integers(min_value=1, max_value=10**6))))
+
+    lhs, rhs = data.draw(st_.sampled_from([(bound(), None), (None, bound()),
+                                           (bound(), bound())]))
+    mid = (lo, hi, den)
+    below, above = Fraction(lo, den), Fraction(hi, den)
+    holds = (lhs is None or below > Fraction(*lhs)) and (rhs is None or above < Fraction(*rhs))
+    fails = (lhs is not None and above < Fraction(*lhs)) or (
+        rhs is not None and below > Fraction(*rhs))
+    expected = "held" if holds else "failed" if fails else "inconclusive"
+    assert {True: "held", False: "failed", None: "inconclusive"}[
+        stirling.bounds._sign_test(mid, lhs, rhs)] == expected
+    assert _outcome(stirling.bounds._verdict_row("test", 1, mid, lhs, rhs, 64)) == expected
 
 
 def test_impens_grid_rejects_negative_orders():
@@ -474,29 +509,23 @@ def test_michel_rows_are_decided_at_the_coarse_width(bits):
 @given(bits=st_.sampled_from([64, 128, 256, 768]),
        n=st_.integers(min_value=3, max_value=FACTORIAL_CAP), data=st_.data())
 def test_michel_coarse_interval_contains_the_w_bit_one(bits, n, data):
-    # _sweep_row's containment lemma, for r_n's interval near 1/(12n) at any
-    # alignment to 2^-128 and any width up to the sweep's D: the coarse
-    # interval of r_n reaches at least 2 units of 2^-128 above the W-bit
-    # one and less than 2 below it, and Michel's middle value at 2^-128
-    # contains the one at W
+    # _rows' containment lemma, for r_n's interval near 1/(12n) at any
+    # alignment to 2^-C and any width up to the sweep's D: the coarse
+    # interval of r_n reaches at least 2 units of 2^-C above the W-bit one
+    # and less than 2 below it, and Michel's middle value at 2^-C contains
+    # the one at W
     W = _sweep_width(PrecisionCtx(bits))
     half = _half_ln_2pi_bracket(W)
     S = (1 << W) - half[1] - (1 << W) // (12 * n) + data.draw(st_.integers(0, 1 << (W - 100)))
     D = data.draw(st_.integers(0, FACTORIAL_CAP * (bits + 32)))
-    real, seen = stirling.bounds._row, {}
-
-    def spy(family, n, S, D, W, half, bits):
-        row = real(family, n, S, D, W, half, bits)
-        # r_n's interval and Michel's middle value at 2^-W
-        seen[W] = ((1 << W) - half[1] - S - D, (1 << W) - half[0] - S), row._mid
-        return row
-
-    with mock.patch.object(stirling.bounds, "_row", spy):
-        stirling.bounds._sweep_row("michel", n, S, D, W, half, bits).mid
     C = stirling.bounds._COARSE_W
     k = W - C
-    ((x_c, y_c), (a, b, c)), ((x, y), (lo, hi, den)) = seen[C], seen[W]
+    assert k > W.bit_length()
+    x, y = (1 << W) - half[1] - S - D, (1 << W) - half[0] - S
+    x_c, y_c = stirling.bounds._coarse_r(S, D, W, half, C)
     assert x - (2 << k) < x_c << k <= x and y_c << k >= y + (2 << k)
+    a, b, c = stirling.bounds._michel_mid(n, x_c, y_c, C)
+    lo, hi, den = stirling.bounds._michel_mid(n, x, y, W)
     assert a * den <= lo * c and hi * c <= b * den
 
 
@@ -511,6 +540,46 @@ def test_michel_rows_fall_back_to_w_bit_for_bit(monkeypatch):
         coarse += isinstance(item, stirling.bounds._CoarseRow)
     assert coarse == 15
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_michel_rows_at_the_cap_are_decided_at_the_coarse_width(bits, monkeypatch):
+    # check_bound's Michel rows at the factorial cap are decided at 2^-C,
+    # and their fields are those of the row judged at W alone
+    ctx, calls = PrecisionCtx(bits), []
+    real = stirling.bounds._rows
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stirling.bounds, "_rows", spy)
+    for n in (FACTORIAL_CAP - 1, FACTORIAL_CAP):
+        rep = check_bound("michel", n, ctx)
+        assert isinstance(rep, stirling.bounds._CoarseRow) and rep.holds
+        with monkeypatch.context() as m:
+            m.setattr(stirling.bounds, "_COARSE_W", 1 << 20)  # no coarse width below W
+            w_bit, = real(*calls[-1])
+        assert not isinstance(w_bit, stirling.bounds._CoarseRow)
+        assert _row_fields(rep) == _row_fields(w_bit)
+
+
+def test_sweep_holds_no_state_that_grows_with_n():
+    # bound_sweep's traced peak, its rows discarded, is the same at
+    # n = 500 and n = 5000
+    ctx = PrecisionCtx(256)
+    for _ in bound_sweep(list(FAMILY_MIN_N), 3, ctx):
+        pass
+    peaks = []
+    for n_max in (500, 5000):
+        tracemalloc.start()
+        try:
+            for _ in bound_sweep(list(FAMILY_MIN_N), n_max, ctx):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 4 << 10 and max(peaks) < 64 << 10, peaks
 
 
 @pytest.mark.parametrize("n_max", [40, 300])

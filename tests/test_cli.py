@@ -450,6 +450,22 @@ def test_bounds_small_sweep_all_hold(capsys):
     assert all(Fraction(r["margin"]) > 0 for r in rows)
 
 
+def test_tables_print_exact_rationals_correctly_rounded(capsys):
+    # lhs, rhs and C_N_decimal are the decimals of the exact rationals, not
+    # of their 64-bit roundings (0.039999999999999999999 for 1/25,
+    # 0.083333333333333333336 for 1/12, 0.91666666666666666668 for 11/12)
+    code, out, _ = run_capture(["bounds", "--family", "robbins", "--n-max", "2",
+                                "--precision-bits", "64"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["rhs"] == "0.083333333333333333333"
+    assert rows[1]["lhs"] == "0.04"
+    code, out, _ = run_capture(["constants", "--max-n", "2", "--precision-bits", "64"],
+                               capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["C_N_decimal"] == "0.91666666666666666667"
+
+
 def test_bounds_impens_inconclusive_cells_exit_4(capsys):
     code, out, err = run_capture(["bounds", "--family", "impens",
                                   "--n-max", "10", "--precision-bits", "64"],

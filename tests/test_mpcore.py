@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import decimal
 import pickle
 import time
 from fractions import Fraction
@@ -18,8 +19,8 @@ from stirling.errors import DomainError, PrecisionError
 from stirling.oracle import lngamma_binet2
 from stirling.bounds import check_bound, impens_sandwich
 from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, _Ball, bigfloat, certified_decimal,
-                             decimal_up, elementary, rational_from_str, rational_to_float,
-                             rational_to_str)
+                             decimal_nearest, decimal_up, elementary, rational_from_str,
+                             rational_to_float, rational_to_str)
 
 CTX64 = PrecisionCtx(64)
 CTX128 = PrecisionCtx(128)
@@ -235,9 +236,40 @@ def test_certified_decimal_starts_at_the_digits_its_bound_allows():
     assert len(printed) == len("1.") + 76
 
 
+@pytest.mark.parametrize("q, digits, printed", [
+    # ties round away from zero, as libmp.to_str rounds
+    ("1/8", 2, "0.13"),
+    ("-1/8", 2, "-0.13"),
+    ("9999/10000", 3, "1.0"),
+    ("-2/3", 3, "-0.667"),
+    ("123456789", 3, "1.23e+8"),
+    ("0", 5, "0.0"),
+])
+def test_decimal_nearest_rounds_the_exact_rational(q, digits, printed):
+    assert decimal_nearest(Fraction(q), digits) == printed
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st_.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6),
+       scale=st_.integers(min_value=-40, max_value=40),
+       digits=st_.integers(min_value=1, max_value=40))
+def test_decimal_nearest_is_the_correctly_rounded_decimal(q, scale, digits):
+    # the value is q rounded by the decimal module's half-up rule, and it is
+    # laid out as to_decimal lays out a close rounding of it, in both of
+    # to_decimal's layouts
+    q *= Fraction(10) ** scale
+    printed = decimal_nearest(q, digits)
+    rounded = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP).divide(
+        decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+    assert Fraction(printed) == Fraction(rounded)
+    wide = rational_to_float(Fraction(printed), PrecisionCtx(4 * digits + 200))
+    assert printed == wide.to_decimal(digits)
+
+
 def test_only_mpcore_prints_a_decimal():
-    # every printed decimal goes through BigFloat.to_decimal, decimal_up or
-    # certified_decimal, so the digits a value prints are decided in one place
+    # every printed decimal goes through BigFloat.to_decimal, decimal_up,
+    # decimal_nearest or certified_decimal, so the digits a value prints are
+    # decided in one place
     found = {path.name for path in Path(stirling.__file__).parent.glob("*.py")
              if path.name != "mpcore.py" and "libmp.to_str" in path.read_text()}
     assert found == set()
