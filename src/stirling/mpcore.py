@@ -58,6 +58,7 @@ __all__ = [
     "rational_from_str",
     "certified_decimal",
     "decimal_up",
+    "decimal_nearest",
 ]
 
 MIN_BITS = 64

@@ -295,14 +295,11 @@ def test_sign_test_is_the_verdict_rule(data):
     lo = data.draw(_ENDS)
     hi = data.draw(st_.integers(min_value=lo, max_value=lo + 10**6))
     scale = data.draw(st_.integers(min_value=1, max_value=7))
-
-    def bound():
-        return data.draw(st_.one_of(
-            st_.sampled_from([(lo * scale, den * scale), (hi * scale, den * scale)]),
-            st_.tuples(_ENDS, st_.integers(min_value=1, max_value=10**6))))
-
-    lhs, rhs = data.draw(st_.sampled_from([(bound(), None), (None, bound()),
-                                           (bound(), bound())]))
+    bound = st_.one_of(
+        st_.none(),
+        st_.sampled_from([(lo * scale, den * scale), (hi * scale, den * scale)]),
+        st_.tuples(_ENDS, st_.integers(min_value=1, max_value=10**6)))
+    lhs, rhs = data.draw(bound), data.draw(bound)
     mid = (lo, hi, den)
     below, above = Fraction(lo, den), Fraction(hi, den)
     holds = (lhs is None or below > Fraction(*lhs)) and (rhs is None or above < Fraction(*rhs))
