@@ -80,6 +80,209 @@ def _exp_walk(S: int, W: int, n: int):
         yield B
 
 
+def _scaled(man: int, shift: int) -> int:
+    """floor(man 2^shift)."""
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _ln2_floor(p: int) -> int:
+    """floor(2^p ln 2), exactly, for p >= 0.
+
+    ln 2 = 2 atanh(1/3) = sum_(j>=0) 2 / ((2j + 1) 3^(2j+1)).  In units of
+    2^-W, the chain 2^(W+1), floor(P / 3), then floor(P / 9) at each step
+    nests by the chain lemma's (a): its j-th value after the first is P_j =
+    floor(p_j), p_j = 2^(W+1) / 3^(2j+1).  s = sum_(j<J) floor(P_j / (2j +
+    1)), to the first P_J = 0, loses less than 1 a term, as floor(P_j / d)
+    = floor(p_j / d), and the terms from J on add up to less than (9/8) /
+    (2J + 1) <= 3/8, as p_J < 1.  So 2^W ln 2 lies in [s, s + J + 1), and
+    as no multiple of 2^(W-p) lies strictly between s + J and s + J + 1,
+    floor(2^p ln 2) lies between floor(s 2^(p-W)) and floor((s + J)
+    2^(p-W)).  Where those differ, W widens by 32 bits; as 2^p ln 2 is not
+    an integer and the bracket narrows to 0, some W makes them agree.
+    """
+    W = p + 16
+    while True:
+        s, P, J = 0, (1 << (W + 1)) // 3, 0
+        while P:
+            s += P // (2 * J + 1)
+            P //= 9
+            J += 1
+        if s >> (W - p) == (s + J) >> (W - p):
+            return s >> (W - p)
+        W += 32
+
+
+_ln2_memo = (0, 0)  # (P, floor(2^P ln 2)) at the widest P taken so far
+
+
+def _ln2(p: int) -> int:
+    """floor(2^p ln 2) for p >= 0, shifted down from the widest one taken so
+    far, as floor(floor(2^P x) 2^(p-P)) = floor(2^p x) for p <= P.  A p
+    past it widens it to P = p + p // 16 + 64, so a caller that takes it
+    first at its widest p, or near it, computes it once."""
+    global _ln2_memo
+    P, L = _ln2_memo
+    if p > P:
+        P = p + p // 16 + 64
+        L = _ln2_floor(P)
+        _ln2_memo = P, L
+    return L >> (P - p)
+
+
+_EXP_COSH_CUTOFF = 600  # libmp's cutoffs for its pure-Python backend
+_EXP_SPLIT_CUTOFF = 1500
+
+
+def _exp(Y: int, cp: int, prec: int) -> tuple[int, int]:
+    """(man, e): e^y for y = Y 2^-cp, rounded to nearest, ties to even, at
+    prec >= 64 bits, as man 2^e with man <= 2^prec (not normalised).  Before
+    that rounding the value v has |v - e^y| < 2^-(prec+6) e^y.
+
+    These are the steps of libmp's ``mpf_exp`` (mpmath 1.3, pure-Python
+    backend) on integers at w = prec + 14 bits, with the exact floor of ln
+    2 from ``_ln2`` and the exact ``math.isqrt`` in place of libmp's
+    approximate ones, so it gives libmp's value wherever those agree with
+    libmp's own; libmp takes an integer y above 600 bits as a power of e
+    instead.  From w = 1500 on, where libmp splits its series into more
+    sums, it keeps two and takes isqrt(w) // 2 more bits, w = prec + 14 +
+    isqrt(prec + 14) // 2, which its error needs there (see (C)).
+
+    Proof, in units of 2^-w, with mag the least integer such that |y| <
+    2^mag.  If y = 0, v = 1 = e^y; if mag < -w, v = 1 and |y| < 2^-(w+1),
+    so e^y is within a relative 2^-w of 1.  Else:
+      (R) For mag > 1, q = w + mag and L = floor(2^q ln 2) = ``_ln2(q)``,
+        n, R = divmod(floor(y 2^q), L) and X = floor(R 2^-mag), so y = n
+        ln 2 + rho with rho = (R + f0 - n f1) 2^-q, f0, f1 in [0, 1), and
+        x = X 2^-w = R 2^-q - f2 2^-w, f2 in [0, 1), lies in [0, ln 2).  As
+        |n| < 2^mag / ln 2 + 2, |x - rho| < (1/4 + 1.95 + 1) 2^-w.  For mag
+        <= 1, n = 0, X = floor(y 2^w) and rho = y, so |x| <= 2 and |x -
+        rho| < 2^-w.  Either way e^y = 2^n e^rho, and e^x is within a
+        relative 3.21 2^-w of e^rho.
+      The kernel returns M, within a relative 62 2^-w of 2^w e^x for w <=
+      600 (T), and 155 2^-w above (C), and v = M 2^(n-w), within a
+      relative 159 2^-w < 2^-(prec+6) of e^y.  X = 0 gives M = 2^w exactly.
+      In both kernels the floors come from chains of the chain lemma with
+      ratios rho_j <= rho, e_0 < 1 and delta p_j < 2^-13, so each e_j <
+      1/(1 - rho) + 2^-12, each term loses less than that, and the terms
+      past the last lose less than e_J / (1 - rho).  And r squarings
+      v_(i+1) = floor(v_i^2 2^-P) of a v_0 within a relative eps_0 of 2^P
+      e^z, |2^r z| <= 2, end within a relative 2^r (eps_0 + e^2 2^-P)(1 +
+      2^-40) of 2^P e^(2^r z), as each step takes a relative error eps to
+      at most (2 + eps) eps, and its floor adds e^2 2^-P at most.
+      (T) r = isqrt(w) in [8, 24], P = w + r and z = x 2^-r = X 2^-P, so
+        |z| <= 2^(1-r).  The terms z^(2i) / k!, k = 2i or 2i + 1, form one
+        chain, rho = 1/3: floor(x2 / 2), then / 3, then times x2 2^-P / 4,
+        / 5, ..., x2 = floor(z^2 2^P), the even k summed to s0 ~ 2^P cosh
+        z, the odd to s1 ~ 2^P sinh(z) / z, both short.  Term i is 0 once
+        2(i//2 + 1)(r - 1) >= P, so J <= P / (r - 1) < r + 4.72 <= 28, as
+        w < (r + 1)^2.  So s = s0 + floor(s1 X 2^-P) is within 1.51 J +
+        2.27 + 1 < 46 of 2^P e^z, a relative 46 e^(2^-7) 2^-P < 46.4 2^-P;
+        the r squarings end within a relative 53.8 2^-w, as 2^r 2^-P =
+        2^-w, and the last floor, of a value at least e^-2, adds 7.39 2^-w.
+      (C) r0 = isqrt(w) // 2 >= 12, xm = bitlen X - w (so 2^(xm-1) <= |x|
+        <= 2^xm, xm <= 2), r = max(0, xm + r0), E = 10 + 2 max(r, -xm), P
+        = w + E and z = |x| 2^-r, so 2^(xm-1-r) <= z <= 2^-r0.  The chain
+        of z^(2k) / (2k)! runs as in (T), rho = 1/12, with x4 2^-P for z^4,
+        x4 = floor(x2^2 2^-P), and its terms alternately to s0 and s1; c =
+        2^P + s0 + floor(s1 x2 2^-P) is at most C = 2^P cosh z, short by
+        gamma < 1.1 J + 2.2.  Term i is 0 once (4(i//2) + 2) zeta >= P,
+        zeta = -log2 z, and P / zeta <= (w + 14) / r0 + 2 in every case
+        (for r = 0 < -xm, zeta >= -xm >= r0), so J <= (w + 14) / (2 r0) + 2
+        < 2 r0 + 6.75 and gamma < 2.2 r0 + 9.63.  s = isqrt(c^2 - 2^2P) is
+        short of S = 2^P sinh z by less than (C^2 - c^2) / S + 1 <= 2 gamma
+        coth z + 1, so v = c +- s, the sign of x, is within (2 gamma +
+        1)(1 + 2^-12) / z of 2^P e^(+-z).  The r squarings then put it
+        within a relative (2 gamma + 1) 2^(2r + 1 - xm - P)(1 + 2^-10) +
+        0.01 2^-w of 2^P e^x, where 2r + 1 - xm - P <= r0 / 2 - 9 - w: as
+        -xm <= r0 / 2 where r >= -xm, xm <= -r0 where r = 0 < -xm, and 3 xm
+        + 2 r0 < r0 / 2 where 0 < r < -xm.  With the last floor, M is within
+        a relative (4.4 r0 + 20.3) 2^(r0/2 - 9) 1.001 + 7.4 of 2^w e^x:
+        below 155 for w < 1500, where r0 <= 19.  From 1500 on, w = w0 + g,
+        w0 = prec + 14 and g = isqrt(w0) // 2 >= 19, so r0 <= g + 1, and in
+        units of 2^-w0 that is below (4.4 g + 24.8) 2^(-g/2 - 8.5) + 7.4
+        2^-g < 1.
+    """
+    if not Y:
+        return 1, 0
+    mag = Y.bit_length() - cp
+    w = prec + 14
+    if mag < -w:
+        return 1, 0
+    if w >= _EXP_SPLIT_CUTOFF:
+        w += math.isqrt(w) // 2
+    if mag > 1:
+        n, R = divmod(_scaled(Y, w + mag - cp), _ln2(w + mag))
+        X = R >> mag
+    else:
+        n, X = 0, _scaled(Y, w - cp)
+    M = _exp_cosh(X, w) if w > _EXP_COSH_CUTOFF else _exp_taylor(X, w)
+    return _round_nearest(M, n - w, prec)
+
+
+def _round_nearest(M: int, e: int, prec: int) -> tuple[int, int]:
+    """(man, e'): M 2^e, M > 0, rounded to nearest at prec bits, ties to
+    even, with man <= 2^prec."""
+    shift = M.bit_length() - prec
+    if shift <= 0:
+        return M, e
+    half = M >> (shift - 1)  # the kept bits and the first dropped one
+    man = half >> 1
+    if half & 1 and (man & 1 or M & ((1 << (shift - 1)) - 1)):
+        man += 1
+    return man, e + shift
+
+
+def _exp_taylor(X: int, w: int) -> int:
+    """floor-chain e^x 2^w for x = X 2^-w, |x| <= 2: the Taylor series at x
+    2^-r, r = isqrt(w), in two halves, squared r times (``_exp``, (T))."""
+    r = math.isqrt(w)
+    P = w + r
+    s0 = s1 = 1 << P
+    a = x2 = X * X >> P
+    k = 2
+    while a:
+        a //= k
+        s0 += a
+        a //= k + 1
+        s1 += a
+        k += 2
+        a = a * x2 >> P
+    s = s0 + (s1 * X >> P)
+    for _ in range(r):
+        s = s * s >> P
+    return s >> r
+
+
+def _exp_cosh(X: int, w: int) -> int:
+    """floor-chain e^x 2^w for x = X 2^-w, |x| <= 2: cosh at |x| 2^-r by its
+    even terms in two halves, sinh from one exact isqrt, their sum or
+    difference squared r times (``_exp``, (C))."""
+    x = abs(X)
+    xm = x.bit_length() - w
+    r = max(0, xm + math.isqrt(w) // 2)
+    E = 10 + 2 * max(r, -xm)
+    P = w + E
+    x <<= E - r
+    one = 1 << P
+    a = x2 = x * x >> P
+    x4 = x2 * x2 >> P
+    s0 = s1 = 0
+    k = 2
+    while a:
+        a //= (k - 1) * k
+        s0 += a
+        a //= (k + 1) * (k + 2)
+        s1 += a
+        k += 4
+        a = a * x4 >> P
+    c = one + s0 + (x2 * s1 >> P)
+    s = math.isqrt(c * c - (one << P))
+    v = c - s if X < 0 else c + s
+    for _ in range(r):
+        v = v * v >> P
+    return v >> E
+
+
 @functools.lru_cache(maxsize=None)
 def _block_plan(W: int) -> tuple[int, int, int]:
     """(m0, rho, K) for ``_floor_series`` at W: blocks of more than one m

@@ -442,7 +442,8 @@ class _Ball:
     its computed operands.  + - x / and the conversions are correctly
     rounded, within U(c)/2; mpf_log, mpf_exp, mpf_pi and mpf_euler are
     taken to within one ulp, which mpmath 1.3 does not document and every
-    bound of the package assumes.  So c = x (1 + delta) with |delta| <= u
+    bound of the package assumes but those of the Binet nodes' exponentials,
+    which come from ``fixed._exp`` with a proven bound.  So c = x (1 + delta) with |delta| <= u
     = 2^(2-wp), the form Higham's Lemma 3.1 counts in a loop.  A computed
     0 is exact: libmp's exponents are unbounded and its rounding keeps a
     nonzero leading bit, so a sum or product that comes out 0 was 0; a log

@@ -16,22 +16,24 @@ with t = phi(u), w = phi'(u) l(t) the node's weight, F = wp + 32 the
 table's fixed point, and 2^(mag w - 1) <= w < 2^(mag w).  z enters only
 through the oracle's one division per node, W X / (2^F + T2 X2 2^-F).
 
-A node costs one exponential for t and what l(t) takes.  Beyond those,
-libmp only turns integers into the arguments of those exponentials and
-logs; the rest is exact integer arithmetic with the floors named below.
+A node calls no libmp exponential: t and l's q are each e^y for an exact
+y = Y 2^-cp, rounded to nearest by the integer kernel ``fixed._exp``
+(libmp's series on integers).  libmp takes only the log form's log, whose
+argument the node turns from an integer; the rest is exact integer
+arithmetic with the floors named below.
 e^-u walks the grid on integers at cp = wp + 96 fractional bits, by the
 chain ``fixed._exp_walk`` of one product per node: b = B 2^-cp, the
 walk's e^-u, with each B the one before it times S 2^-cp, floored, from
 B = 2^cp at u = 0, and S one below floor(2^cp e^(-+1/m)) of libmp's
 e^(-+1/m) at cp + 8 bits, the sign the walk's.  So y = u - e^-u
 = ln t is held exactly as Y 2^-cp, Y = floor(j 2^cp / m) - B, and t = e^y
-is taken at wp; T2 floors the exact square of t~, the computed t.  l~,
-the computed l(t~), is a pair (L, e) standing for L 2^e, taken for prec
-= F + mag w + 8 bits of the weight: the bits W keeps, and a guard.  The
-weight w~ = (1 + b) t~ l~ is the exact product of their integer
-mantissas, and W its floor.  mag w is taken from the node before it and
-checked after.  x = 2 pi t is taken from the exact product of t~ and 2
-pi~, pi~ to nearest at cp, and l(t) in one of three ways:
+is taken at wp by ``fixed._exp``; T2 floors the exact square of t~, the
+computed t.  l~, the computed l(t~), is a pair (L, e) standing for L 2^e,
+taken for prec = F + mag w + 8 bits of the weight: the bits W keeps, and
+a guard.  The weight w~ = (1 + b) t~ l~ is the exact product of their
+integer mantissas, and W its floor.  mag w is taken from the node before
+it and checked after.  x = 2 pi t is taken from the exact product of t~
+and 2 pi~, pi~ to nearest at cp, and l(t) in one of three ways:
   - series, for mag t <= -48: l = -ln(2 pi) - y + x/2 - S(x), S(x) =
     lambda(x) + x/2 = sum_(k>=1) B_2k x^(2k) / (2k (2k)!) for lambda(x) =
     ln((1 - e^-x) / x), on integers in units of 2^-R, R = prec + 8, S by
@@ -60,10 +62,13 @@ wp + 128: t~ is within a relative 3 2^-wp of phi(j/m), and w~, the
 weight before its floor, within 2^-(F+4) of w at t~.
 
 Proof of the second.  Every libmp product and sum here is correctly
-rounded, within a relative 2^-p at p bits, and exp and ln are within one
-ulp, a relative 2^(1-p) (the allowance of ``mpcore._Ball``); every floor
-is below its value by less than one unit of its last place.  Let x = 2 pi
-t~ and eps the relative error of l~ against l(t~).
+rounded, within a relative 2^-p at p bits; exp at p bits, ``fixed._exp``,
+is within half an ulp and a relative 2^-(p+6) before its rounding, as its
+docstring proves, so within one ulp, a relative 2^(1-p); and ln and the
+table's constants (pi, ln(2 pi), ln 2 and the anchors) are within one
+ulp by the allowance of ``mpcore._Ball``.  Every floor is below its value
+by less than one unit of its last place.  Let x = 2 pi t~ and eps the
+relative error of l~ against l(t~).
   - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
     x 2^R, as x < 2^-45.3; X >> 1 within 1.51 of x 2^(R-1); the floors of
     -Y 2^(R-cp) and of ln(2 pi) 2^R (from ln(2 pi~) at cp) within 1 and
@@ -120,7 +125,7 @@ import threading
 from mpmath import libmp
 
 from .bernoulli import bernoulli, table
-from .fixed import _exp_walk, _lambda_series, _log1m_ratio, _moments
+from .fixed import _exp, _exp_walk, _lambda_series, _ln2, _log1m_ratio, _moments, _scaled
 from .mpcore import _RND
 
 __all__ = ["half_line_nodes"]
@@ -130,17 +135,13 @@ _CACHE_LOCK = threading.Lock()
 _WEIGHT_GUARD = 8  # bits of each weight beyond those W keeps
 
 
-def _scaled(man: int, shift: int) -> int:
-    """floor(man 2^shift)."""
-    return man << shift if shift >= 0 else man >> -shift
-
-
 def _ell(t, Y: int, prec: int, consts):
     """(L, e): l(t) = -ln(1 - e^-x), x = 2 pi t, as L 2^e, for prec bits of
-    the weight, given y = ln t as Y 2^-cp (see the module docstring)."""
+    the weight, given t as a pair (man, exp) for man 2^exp and y = ln t as
+    Y 2^-cp (see the module docstring)."""
     cp, two_pi, ln_2pi, ln2, log_anchor, coeffs = consts
-    _, man, exp, bc = t
-    mag_t = exp + bc
+    man, exp = t
+    mag_t = exp + man.bit_length()
     x, e = two_pi[1] * man, two_pi[2] + exp  # 2 pi~ t = x 2^e, exactly
     if mag_t <= -48:
         R = prec + 8
@@ -150,13 +151,12 @@ def _ell(t, Y: int, prec: int, consts):
                     - _lambda_series(X, R, coeffs)), -R
     shift = x.bit_length() - (prec + 6 + max(0, mag_t + 3))
     X, e = x >> shift, e + shift  # x~ = X 2^e
-    neg_x = libmp.from_man_exp(-X, e)
     if X >= 17 << -e:  # q = e^-x < 2^-24
-        _, q, q_exp, _ = libmp.mpf_exp(neg_x, prec + 4, _RND)
+        q, q_exp = _exp(-X, -e, prec + 4)
         r = prec + prec.bit_length() + 16
         return q * _log1m_ratio(_scaled(q, q_exp + r), r), q_exp - r
     p = prec + 28
-    _, q, q_exp, _ = libmp.mpf_exp(neg_x, p + max(0, -(X.bit_length() + e)) + 8, _RND)
+    q, q_exp = _exp(-X, -e, p + max(0, -(X.bit_length() + e)) + 8)
     v = (1 << -q_exp) - q  # v~ = 1 - e^-x~ = v 2^q_exp, exactly
     bc = v.bit_length()
     a = -(-v >> (bc - 5))  # ceil(32 f), v~ = 2^E f, E = q_exp + bc
@@ -171,8 +171,7 @@ def _node(Y: int, B: int, wp: int, F: int, consts, mag: int):
     and mag, the mag w of the node before it, as the first guess at this
     node's."""
     cp = consts[0]
-    t = libmp.mpf_exp(libmp.from_man_exp(Y, -cp), wp, _RND)
-    _, man, exp, _ = t
+    t = man, exp = _exp(Y, cp, wp)
     T2 = _scaled(man * man, 2 * exp + F)
     phi, phi_exp = man * (B + (1 << cp)), exp - cp  # (1 + b) t~
     prec = max(64, F + _WEIGHT_GUARD + 1 + mag)
@@ -201,8 +200,11 @@ def _constants(wp: int) -> tuple:
     """What every node of the table at wp shares: cp = wp + 96; 2 pi~ at cp
     bits, with pi to nearest; ln(2 pi~), ln 2 and ln(a/32) for a = 16..32,
     each floor(v~ 2^cp) of a libmp log v~ at cp bits; and the pairs of
-    ``_lambda_coeffs``."""
+    ``_lambda_coeffs``.  It also takes ``fixed._ln2`` at cp first, so that
+    the argument reductions of the table's exponentials shift that floor
+    down."""
     cp = wp + 96
+    _ln2(cp)
     two_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), 1)
 
     def fixed_log(v):

@@ -2,15 +2,18 @@
 ``stirling.fixed``, and the chain lemma its docstring states holds."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
+from mpmath import libmp
 
 import stirling
-from stirling.fixed import _exp_walk, _lambda_series, _log1m_ratio
+from stirling.fixed import (_exp, _exp_walk, _lambda_series, _ln2, _ln2_floor, _log1m_ratio,
+                            _round_nearest)
 from stirling.quadrature import _lambda_coeffs
 
 
@@ -72,7 +75,8 @@ def test_only_fixed_floors_a_running_integer():
     assert {name for name, _ in found} == {"fixed.py"}
     assert {("fixed.py", kernel) for kernel in (
         "_log1m_ratio", "_lambda_series", "_moments", "_moment_series", "_floor_terms",
-        "_exp_bracket", "_even_power_sums", "_exp_walk")} <= found
+        "_exp_bracket", "_even_power_sums", "_exp_walk", "_ln2_floor", "_exp_taylor",
+        "_exp_cosh")} <= found
 
 
 def _chain(P, mu):
@@ -176,3 +180,89 @@ def test_exp_walk_within_its_bound(W, den, data, n, drop):
     for k in range(1, n + 1):
         p *= rho
         assert 0 <= p - B[k] < Fraction(304, 100) * k * max(1, rho**k), k
+
+
+def test_ln2_is_the_exact_floor():
+    # against ln 2 at 3,000 bits, for every p from 64 to 2,048: the chain
+    # itself, widened where its first bracket straddles an integer, and the
+    # memo, both shifted down and widened as p grows
+    widened = 0
+    with mpmath.workprec(3000):
+        for p in range(64, 2049):
+            floor = int(mpmath.floor(mpmath.ldexp(mpmath.ln2, p)))
+            assert _ln2_floor(p) == _ln2(p) == floor, p
+            s, P, J = 0, (2 << (p + 16)) // 3, 0  # the first bracket, [s, s + J]
+            while P:
+                s, P, J = s + P // (2 * J + 1), P // 9, J + 1
+            widened += s >> 16 != (s + J) >> 16
+    assert widened > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(prec=st_.integers(64, 1100), data=st_.data())
+@example(prec=586, data=None).via("the last precision below the cosh series")
+@example(prec=587, data=None).via("the first precision of the cosh series")
+def test_exp_is_libmp_exp_within_its_bound(prec, data):
+    # y = Y 2^-cp exactly, |y| <= 700 of either sign and any magnitude: the
+    # value of libmp's mpf_exp to nearest at prec (but for an integer y
+    # above 600 bits, which libmp takes as a power of e), and within half
+    # an ulp and 2^-(prec+6) e^y of e^y, at prec + 64 bits
+    if data is None:
+        cp, Y = prec + 96, -(3 << (prec + 90)) // 7
+    else:
+        cp = data.draw(st_.integers(0, prec + 128), label="cp")
+        mag = data.draw(st_.integers(-prec - 32, 10), label="mag")
+        top = min(700 << cp, 1 << max(0, cp + mag))
+        Y = data.draw(st_.integers(-top, top), label="Y")
+    man, e = _exp(Y, cp, prec)
+    assert 0 < man <= 1 << prec
+    y = libmp.from_man_exp(Y, -cp)
+    if not (prec > 600 and Y and y[2] >= 0):
+        assert libmp.from_man_exp(man, e) == libmp.mpf_exp(y, prec, "n")
+    with mpmath.workprec(prec + 64):
+        exact = mpmath.exp(mpmath.mpf(y))
+        half_ulp = mpmath.ldexp(1, e + man.bit_length() - prec - 1)
+        assert abs(mpmath.ldexp(man, e) - exact) < half_ulp + mpmath.ldexp(exact, -(prec + 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prec=st_.integers(1, 1200), kept=st_.integers(1, 2**1200), dropped=st_.integers(0, 200),
+       tie=st_.booleans(), e=st_.integers(-2000, 2000), data=st_.data())
+@example(prec=8, kept=255, dropped=3, tie=True, e=0, data=None).via("a tie that carries")
+def test_round_nearest_is_libmps_rounding(prec, kept, dropped, tie, e, data):
+    # ties, half an ulp above and below one, and the carry to 2^prec
+    # included: the value libmp's normalisation to nearest gives
+    kept = kept >> max(0, kept.bit_length() - prec)
+    low = 1 << (dropped - 1) if tie and dropped else data.draw(st_.integers(0, (1 << dropped) - 1))
+    M = (kept << dropped) | low
+    man, e2 = _round_nearest(M, e, prec)
+    assert 0 < man <= 1 << prec
+    assert libmp.from_man_exp(man, e2) == libmp.from_man_exp(M, e, prec, "n")
+
+
+def test_exp_of_minus_one_is_libmps_power_of_e():
+    # y = -1 is the u = 0 node's: libmp takes it above 600 bits as a power
+    # of e, not by its series, and every node table from 64 to 1,024 bits
+    # (wp = bits + 64) keeps its t~
+    for wp in range(587, 1101):
+        cp = wp + 96
+        man, e = _exp(-1 << cp, cp, wp)
+        assert libmp.from_man_exp(man, e) == libmp.mpf_exp(libmp.fnone, wp, "n"), wp
+
+
+def test_exp_keeps_its_bound_where_its_guard_bits_grow():
+    # from w = prec + 14 = 1500 on the kernel takes isqrt(w) // 2 more bits:
+    # without them, at 8,192 bits and |y| near 2^-22, where its sinh
+    # amplifies the error of cosh by about 2^(r0/2), it was off by up to 7
+    # ulp on 60 such y
+    rng = random.Random(8192)
+    for prec in (1486, 2048, 8192):
+        cp = prec + 96
+        for _ in range(30):
+            Y = rng.choice((-1, 1)) * rng.getrandbits(cp + rng.randint(-30, -10))
+            man, e = _exp(Y, cp, prec)
+            with mpmath.workprec(prec + 64):
+                exact = mpmath.exp(mpmath.ldexp(Y, -cp))
+                bound = (mpmath.ldexp(1, e + man.bit_length() - prec - 1)
+                         + mpmath.ldexp(exact, -(prec + 6)))
+                assert abs(mpmath.ldexp(man, e) - exact) < bound

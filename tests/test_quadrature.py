@@ -139,14 +139,12 @@ def test_nodes_match_mpmath(wp):
 
 @pytest.mark.parametrize("bits", [64, 768])
 def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
-    # one exponential per node for t, and at most one more for l(t), none
-    # in the series form (every t < 2^-48); a log only for the nodes between
-    # the series and the chain, besides the 19 the table's constants take.
-    # e^-u walks the grid and y is formed on integers, with no libmp call:
-    # a node turns y into a libmp value, and the rest turn integers into
-    # the arguments of l's exponential and log: 2 calls a series node, 4 a
-    # chain node and 6 a node between, and 64 for the table's constants and
-    # the walk's two ratios
+    # no node calls libmp's exponential: t and l's q come from fixed._exp,
+    # and libmp's mpf_exp takes only the walk's two ratios.  A log only for
+    # the nodes between the series and the chain, besides the 19 the
+    # table's constants take, and one from_man_exp for its argument: no
+    # call a series or chain node, 2 a node between, and 64 for the table's
+    # constants and the walk's two ratios
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
     short = chain = 0
@@ -157,14 +155,16 @@ def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
     n = len(table(bits)[3])
     calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
     assert short > 0 and chain > 0
-    assert calls.pop("mpf_exp") <= 2 * n + 2 - short
-    assert calls.pop("mpf_log") <= n - short - chain + 19
+    between = n - short - chain
+    assert calls.pop("mpf_exp") == 2
+    assert calls.pop("mpf_log") == between + 19
     assert "mpf_mul" not in calls and "mpf_sub" not in calls
     assert calls.pop("from_rational") == 2 + 17  # the walk's two ratios, the anchors
-    assert calls.pop("from_man_exp") <= 3 * n - 2 * short - chain
-    assert sum(calls.values()) <= 24
+    assert calls.pop("from_man_exp") == between
+    # the 19 logs and the walk's two ratios to fixed point, pi, 2 pi and 2
+    assert calls == {"to_fixed": 19 + 2, "mpf_pi": 1, "mpf_shift": 1, "from_int": 1}
     total = sum(tally[0] for tally in counts.values())
-    assert total <= 6 * n - 4 * short - 2 * chain + 64
+    assert total == 2 * between + 64
     assert bits == 64 or total < 5 * n
 
 
@@ -212,7 +212,7 @@ def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, coun
             t = libmp.from_man_exp(0xb504f333f9de6484597d89b3754abe9f, mag - 128)
             Y = libmp.to_fixed(libmp.mpf_log(t, cp, "n"), cp)
             logs["mpf_log"][0] = 0
-            L, e = stirling.quadrature._ell(t, Y, 330, consts)
+            L, e = stirling.quadrature._ell(t[1:3], Y, 330, consts)
             assert logs["mpf_log"][0] == needs_log
             assert abs(mpmath.ldexp(L, e) / ell(mpmath.mpf(t)) - 1) < mpmath.ldexp(1, -330)
     # the table built so takes more logs, keeps every T2, and moves no W by
@@ -225,23 +225,28 @@ def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, coun
 
 
 def test_quadrature_holds_no_floating_point():
-    # mag w comes from the integers of the table, and l(t) from libmp alone:
-    # no math transcendental, no conversion to a float, no float literal
-    tree = ast.parse(Path(stirling.quadrature.__file__).read_text())
+    # mag w comes from the integers of the table, and l(t) from libmp and
+    # the kernels of stirling.fixed, which take e^y and its squaring counts
+    # on integers: no math transcendental, no conversion to a float, no
+    # float literal in either; fixed takes only math's isqrt, comb and lcm
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            found.append(node.value)
-        elif isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name in ("math", "cmath")]
-        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
-            found.append(node.module)
-        elif isinstance(node, ast.Attribute) and (
-                node.attr == "to_float"
-                or isinstance(node.value, ast.Name) and node.value.id in ("math", "cmath")):
-            found.append(node.attr)
-        elif isinstance(node, ast.Name) and node.id == "float":
-            found.append(node.id)
+    for module, allowed in ((stirling.quadrature, ()), (stirling.fixed, ("isqrt", "comb", "lcm"))):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(node.value)
+            elif isinstance(node, ast.Import):
+                found += [a.name for a in node.names
+                          if a.name == "cmath" or a.name == "math" and not allowed]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+                found.append(node.module)
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr == "to_float"
+                    or isinstance(node.value, ast.Name) and (
+                        node.value.id == "cmath"
+                        or node.value.id == "math" and node.attr not in allowed)):
+                found.append(node.attr)
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(node.id)
     assert found == []
 
 
