@@ -6,8 +6,23 @@ floor(P_j / d_j) up to the first P_j = 0 (Brent & Zimmermann, Modern
 Computer Arithmetic, 2010, ch. 4).  Every floor rounds down, so a chain
 never exceeds its exact values.  Each kernel here cites the chain lemma
 below with its own constants and proves its own error in its own units; its
-callers in ``bounds``, ``expansions``, ``quadrature`` and ``oracle``
-prove only how they use that error.
+callers in ``bounds``, ``expansions``, ``quadrature``, ``oracle`` and
+``mpcore`` prove only how they use that error.  The kernels:
+  - the walk ``_exp_walk`` of e^(kc), with a lemma of its own, and the
+    bracket of e^x of ``_exp_bracket``;
+  - the exact floor of 2^p ln 2 (``_ln2``), and one table per precision
+    of e^(k 2^-s) for s = 7, 14 and 21, built by the walk
+    (``_exp_table``), on which ``_exp`` and ``_log`` reduce their argument
+    (Johansson, "Efficient implementation of elementary functions in the
+    medium-precision range", ARITH 2015; Brent & Zimmermann, sec. 4.3-4.4)
+    and sum the Taylor series of e^r (``_exp_series``) or of atanh
+    (``_log_fixed``), then round e^y and ln v correctly by Ziv's test on
+    their proven bound (``_ziv_round``);
+  - -ln(1 - q)/q (``_log1m_ratio``) and the Bernoulli series of
+    ln((1 - e^-x)/x) (``_lambda_series``) for the Binet nodes, and their
+    moments and the moments' series in 1/z (``_moments``,
+    ``_moment_series``);
+  - the series in 1/m^2 summed in blocks of m (``_floor_series``).
 
 Lemma (floor chain).  Let p_0 >= 0 be real and p_(j+1) = rho_j p_j, with
 exact ratios 0 <= rho_j <= rho.  Let the integers P_j >= 0 follow P_(j+1)
@@ -15,8 +30,8 @@ exact ratios 0 <= rho_j <= rho.  Let the integers P_j >= 0 follow P_(j+1)
 M 2^-W / j, as floor(floor(a) / j) = floor(a / j)), with 0 <= rho_j -
 mu_j <= delta.  If 0 <= p_0 - P_0 <= e_0, then:
 
-  (a) 0 <= p_j - P_j < e_j for j >= 1, e_(j+1) = rho e_j + delta p_j + 1.
-      With delta = 0, rho < 1 and e_0 <= 1/(1 - rho), every e_j <=
+  (a) 0 <= p_j - P_j < e_j for j >= 1, e_(j+1) = rho e_j + delta p_j + 1,
+      or step by step rho_j e_j + (rho_j - mu_j) p_j + 1.  With delta = 0, rho < 1 and e_0 <= 1/(1 - rho), every e_j <=
       1/(1 - rho).  If P_0 = p_0 and every mu_j = rho_j = 1/q_j for an
       integer q_j, the floors nest: P_j = floor(p_j), and p_j - P_j < 1.
   (b) From the first J with P_J = 0 on, every P_j is 0.  For rho < 1 and
@@ -29,8 +44,8 @@ mu_j <= delta.  If 0 <= p_0 - P_0 <= e_0, then:
 
 Proof.  (a) P_j <= p_j and mu_j <= rho_j give P_j mu_j <= p_(j+1), so
 P_(j+1) <= p_(j+1), and p_(j+1) - P_(j+1) < p_(j+1) - P_j mu_j + 1 =
-rho_j (p_j - P_j) + (rho_j - mu_j) P_j + 1 <= rho e_j + delta p_j + 1.
-With delta = 0, e_j <= 1/(1 - rho) gives e_(j+1) <= 1/(1 - rho).  (b)
+rho_j (p_j - P_j) + (rho_j - mu_j) P_j + 1, at most rho_j e_j + (rho_j -
+mu_j) p_j + 1 <= rho e_j + delta p_j + 1.  With delta = 0, e_j <= 1/(1 - rho) gives e_(j+1) <= 1/(1 - rho).  (b)
 Term j < J loses p_j / d_j - floor(P_j / d_j) = (p_j - P_j) / d_j + (P_j
 mod d_j) / d_j <= (e_j + d_j - 1) / d_j, and the terms from J on add up
 to at most p_J / (d (1 - rho)), where p_J = p_J - P_J.
@@ -38,6 +53,7 @@ to at most p_J / (d (1 - rho)), where p_J = p_J - P_J.
 
 import functools
 import math
+from bisect import bisect_left
 from operator import mul
 
 
@@ -129,94 +145,244 @@ def _ln2(p: int) -> int:
     return L >> (P - p)
 
 
-_EXP_COSH_CUTOFF = 600  # libmp's cutoffs for its pure-Python backend
-_EXP_SPLIT_CUTOFF = 1500
+_TABLE_LEVELS = ((7, 89), (14, 128), (21, 128))  # (s, n): e^(k 2^-s) for k < n
+_GUARD = 20  # bits of ``_exp`` and ``_log`` past the precision they round to
+
+_table_memo = (0, (), [])  # ``_exp_table`` at the widest W taken so far
+
+
+def _exp_table(w: int) -> tuple[int, tuple, list]:
+    """(W, levels, cuts) with W >= w + 24: levels[i][k] = B_k, k < n, for
+    the i-th (s, n) of ``_TABLE_LEVELS``, and cuts the increasing list of
+    floor(2^(W+32) / B_k) over the first level.  Built at W = w + w // 16
+    + 64 when the table held is narrower than w + 24, and kept.
+
+    B_k comes from the walk ``_exp_walk`` with c = 2^-s and its ratio S =
+    floor(s' 2^-g), g = bitlen(W) + 1, for s' of ``_exp_bracket(2^(V-s),
+    2^(V-s), V)`` at V = W + g: there 2^V e^c lies in [s', s' + 2J), J <=
+    V/7 + 1, and 2J < 2^g, so 0 <= 2^W e^c - S < 2.  By the walk lemma
+    0 <= 2^W e^(kc) - B_k < 3.04 k e^(kc) < 387 e^(kc), and shifted to a
+    w <= W - 24, floor(B_k 2^(w-W)) is below 2^w e^(kc) by less than 1 +
+    387 2^-24 e^(kc): a relative (1 + 2^-15) 2^-w at most, as e^(kc) >= 1.
+    So the table's entries depend on W, but ``_exp`` and ``_log``, which
+    round correctly, do not.
+    """
+    global _table_memo
+    memo = _table_memo
+    if memo[0] < w + 24:
+        W = w + w // 16 + 64
+        g = W.bit_length() + 1
+        levels = []
+        for s, n in _TABLE_LEVELS:
+            c = 1 << (W + g - s)  # 2^-s at V = W + g bits
+            levels.append(tuple(_exp_walk(_exp_bracket(c, c, W + g)[0] >> g, W, n - 1)))
+        memo = _table_memo = W, tuple(levels), [(1 << (W + 32)) // B for B in reversed(levels[0])]
+    return memo
+
+
+def _ziv_round(M: int, D: int, e: int, prec: int) -> tuple[int, int] | None:
+    """``_round_nearest`` of M 2^e, sign apart, if every real within D 2^e
+    of it rounds alike at prec bits, else None (Ziv's test).
+
+    Let A = |M| and sh = bitlen A - prec - 1, the place of the first bit
+    rounding drops.  If floor((A - D - 1) 2^-sh) = floor((A + D) 2^-sh) =
+    h, every real u with |u - A| < D lies strictly inside (h 2^sh, (h + 1)
+    2^sh), a block of one binade, as h >= 2^prec: all of them keep the
+    same prec bits and the same first dropped bit, and none is a tie, so
+    all round as A does.
+    """
+    A = abs(M)
+    sh = A.bit_length() - prec - 1
+    if sh < 0 or (A - D - 1) >> sh != (A + D) >> sh:
+        return None
+    man, e = _round_nearest(A, e, prec)
+    return (-man if M < 0 else man), e
 
 
 def _exp(Y: int, cp: int, prec: int) -> tuple[int, int]:
-    """(man, e): e^y for y = Y 2^-cp, rounded to nearest, ties to even, at
-    prec >= 64 bits, as man 2^e with man <= 2^prec (not normalised).  Before
-    that rounding the value v has |v - e^y| < 2^-(prec+6) e^y.
+    """(man, e): e^y for y = Y 2^-cp, rounded to nearest at prec >= 64
+    bits, as man 2^e with man <= 2^prec (not normalised): the one correct
+    rounding, which no tie can make ambiguous, as e^y is irrational for y
+    != 0.  So it depends on (Y, cp, prec) alone, not on the tables built
+    before it.
 
-    These are the steps of libmp's ``mpf_exp`` (mpmath 1.3, pure-Python
-    backend) on integers at w = prec + 14 bits, with the exact floor of ln
-    2 from ``_ln2`` and the exact ``math.isqrt`` in place of libmp's
-    approximate ones, so it gives libmp's value wherever those agree with
-    libmp's own; libmp takes an integer y above 600 bits as a power of e
-    instead.  From w = 1500 on, where libmp splits its series into more
-    sums, it keeps two and takes isqrt(w) // 2 more bits, w = prec + 14 +
-    isqrt(prec + 14) // 2, which its error needs there (see (C)).
-
-    Proof, in units of 2^-w, with mag the least integer such that |y| <
-    2^mag.  If y = 0, v = 1 = e^y; if mag < -w, v = 1 and |y| < 2^-(w+1),
-    so e^y is within a relative 2^-w of 1.  Else:
-      (R) For mag > 1, q = w + mag and L = floor(2^q ln 2) = ``_ln2(q)``,
-        n, R = divmod(floor(y 2^q), L) and X = floor(R 2^-mag), so y = n
-        ln 2 + rho with rho = (R + f0 - n f1) 2^-q, f0, f1 in [0, 1), and
-        x = X 2^-w = R 2^-q - f2 2^-w, f2 in [0, 1), lies in [0, ln 2).  As
-        |n| < 2^mag / ln 2 + 2, |x - rho| < (1/4 + 1.95 + 1) 2^-w.  For mag
-        <= 1, n = 0, X = floor(y 2^w) and rho = y, so |x| <= 2 and |x -
-        rho| < 2^-w.  Either way e^y = 2^n e^rho, and e^x is within a
-        relative 3.21 2^-w of e^rho.
-      The kernel returns M, within a relative 62 2^-w of 2^w e^x for w <=
-      600 (T), and 155 2^-w above (C), and v = M 2^(n-w), within a
-      relative 159 2^-w < 2^-(prec+6) of e^y.  X = 0 gives M = 2^w exactly.
-      In both kernels the floors come from chains of the chain lemma with
-      ratios rho_j <= rho, e_0 < 1 and delta p_j < 2^-13, so each e_j <
-      1/(1 - rho) + 2^-12, each term loses less than that, and the terms
-      past the last lose less than e_J / (1 - rho).  And r squarings
-      v_(i+1) = floor(v_i^2 2^-P) of a v_0 within a relative eps_0 of 2^P
-      e^z, |2^r z| <= 2, end within a relative 2^r (eps_0 + e^2 2^-P)(1 +
-      2^-40) of 2^P e^(2^r z), as each step takes a relative error eps to
-      at most (2 + eps) eps, and its floor adds e^2 2^-P at most.
-      (T) r = isqrt(w) in [8, 24], P = w + r and z = x 2^-r = X 2^-P, so
-        |z| <= 2^(1-r).  The terms z^(2i) / k!, k = 2i or 2i + 1, form one
-        chain, rho = 1/3: floor(x2 / 2), then / 3, then times x2 2^-P / 4,
-        / 5, ..., x2 = floor(z^2 2^P), the even k summed to s0 ~ 2^P cosh
-        z, the odd to s1 ~ 2^P sinh(z) / z, both short.  Term i is 0 once
-        2(i//2 + 1)(r - 1) >= P, so J <= P / (r - 1) < r + 4.72 <= 28, as
-        w < (r + 1)^2.  So s = s0 + floor(s1 X 2^-P) is within 1.51 J +
-        2.27 + 1 < 46 of 2^P e^z, a relative 46 e^(2^-7) 2^-P < 46.4 2^-P;
-        the r squarings end within a relative 53.8 2^-w, as 2^r 2^-P =
-        2^-w, and the last floor, of a value at least e^-2, adds 7.39 2^-w.
-      (C) r0 = isqrt(w) // 2 >= 12, xm = bitlen X - w (so 2^(xm-1) <= |x|
-        <= 2^xm, xm <= 2), r = max(0, xm + r0), E = 10 + 2 max(r, -xm), P
-        = w + E and z = |x| 2^-r, so 2^(xm-1-r) <= z <= 2^-r0.  The chain
-        of z^(2k) / (2k)! runs as in (T), rho = 1/12, with x4 2^-P for z^4,
-        x4 = floor(x2^2 2^-P), and its terms alternately to s0 and s1; c =
-        2^P + s0 + floor(s1 x2 2^-P) is at most C = 2^P cosh z, short by
-        gamma < 1.1 J + 2.2.  Term i is 0 once (4(i//2) + 2) zeta >= P,
-        zeta = -log2 z, and P / zeta <= (w + 14) / r0 + 2 in every case
-        (for r = 0 < -xm, zeta >= -xm >= r0), so J <= (w + 14) / (2 r0) + 2
-        < 2 r0 + 6.75 and gamma < 2.2 r0 + 9.63.  s = isqrt(c^2 - 2^2P) is
-        short of S = 2^P sinh z by less than (C^2 - c^2) / S + 1 <= 2 gamma
-        coth z + 1, so v = c +- s, the sign of x, is within (2 gamma +
-        1)(1 + 2^-12) / z of 2^P e^(+-z).  The r squarings then put it
-        within a relative (2 gamma + 1) 2^(2r + 1 - xm - P)(1 + 2^-10) +
-        0.01 2^-w of 2^P e^x, where 2r + 1 - xm - P <= r0 / 2 - 9 - w: as
-        -xm <= r0 / 2 where r >= -xm, xm <= -r0 where r = 0 < -xm, and 3 xm
-        + 2 r0 < r0 / 2 where 0 < r < -xm.  With the last floor, M is within
-        a relative (4.4 r0 + 20.3) 2^(r0/2 - 9) 1.001 + 7.4 of 2^w e^x:
-        below 155 for w < 1500, where r0 <= 19.  From 1500 on, w = w0 + g,
-        w0 = prec + 14 and g = isqrt(w0) // 2 >= 19, so r0 <= g + 1, and in
-        units of 2^-w0 that is below (4.4 g + 24.8) 2^(-g/2 - 8.5) + 7.4
-        2^-g < 1.
+    Proof, in units of 2^-w, w = prec + 20 and then 32 bits more each time
+    Ziv's test (``_ziv_round``) fails, with mag the least integer such that
+    |y| < 2^mag.  If y = 0, e^y = 1.  If mag < -prec - 2, e^y is within
+    2^-(prec+2) (1 + 2^-60) of 1, and the nearest values to 1 at prec bits
+    are 2^-prec below it and 2^(1-prec) above.  Else:
+      (R) q = w + max(0, mag) + 2, L = floor(2^q ln 2) = ``_ln2(q)``, n, R
+        = divmod(floor(y 2^q), L) and X = floor(R 2^(w-q)), so y = n ln 2
+        + x' with x' = (R + f0 - n f1) 2^-q, f0, f1 in [0, 1), and x = X
+        2^-w in [0, ln 2) has |x - x'| < (1 + |n|) 2^-q + 2^-w < 1.75
+        2^-w, as |n| < 1.45 2^mag + 1 for mag >= 1 and |n| <= 2 else.
+        e^y = 2^n e^x', and 2^w |e^x' - e^x| < 2 (e^(1.75 2^-w) - 1) 2^w <
+        3.51.
+      (K) ``_exp_fixed`` returns M <= 2^w e^x, short of it by less than a
+        relative (7.02 + w/2688) 2^-w, so by less than 14.04 + w/1344, as
+        e^x < 2.
+    So |2^w e^x' - M| < 17.6 + w/1344 < 19 + floor(w / 1024) = D, and
+    Ziv's test with that D returns the rounding of e^y = 2^n e^x'.
     """
     if not Y:
         return 1, 0
     mag = Y.bit_length() - cp
-    w = prec + 14
-    if mag < -w:
+    if mag < -prec - 2:
         return 1, 0
-    if w >= _EXP_SPLIT_CUTOFF:
-        w += math.isqrt(w) // 2
-    if mag > 1:
-        n, R = divmod(_scaled(Y, w + mag - cp), _ln2(w + mag))
-        X = R >> mag
-    else:
-        n, X = 0, _scaled(Y, w - cp)
-    M = _exp_cosh(X, w) if w > _EXP_COSH_CUTOFF else _exp_taylor(X, w)
-    return _round_nearest(M, n - w, prec)
+    w = prec + _GUARD
+    while True:
+        q = w + max(0, mag) + 2
+        n, R = divmod(_scaled(Y, q - cp), _ln2(q))
+        got = _ziv_round(_exp_fixed(R >> (q - w), w), 19 + (w >> 10), n - w, prec)
+        if got:
+            return got
+        w += 32
+
+
+def _exp_fixed(X: int, w: int) -> int:
+    """M <= 2^w e^x for x = X 2^-w in [0, ln 2), short of it by less than
+    a relative (7.02 + w/2688) 2^-w: e^x = e^(k1 2^-7) e^(k2 2^-14)
+    e^(k3 2^-21) e^r for the bits k1, k2, k3 of X below 2^-7, 2^-14 and
+    2^-21 and r = x mod 2^-21, with e^r from ``_exp_series`` and each
+    other factor from ``_exp_table``.
+
+    Proof.  Every value here is at most its exact value, and each is at
+    least 2^w (1 - 2^-50), as every factor is e^(>= 0).  ``_exp_series``
+    is short by a relative (1.015 + w/2688) 2^-w, each of the three
+    table entries by (1 + 2^-15) 2^-w, and each of the three products'
+    floors by one unit of a value above 2^w (1 - 2^-50): 1.0001 2^-w.
+    These add up, as (1 - a)(1 - b) >= 1 - a - b.
+    """
+    W, levels, _ = _exp_table(w)
+    M = _exp_series(X & ((1 << (w - 21)) - 1), w)
+    for (s, _), level in zip(_TABLE_LEVELS, levels):
+        k = X >> (w - s) & 127
+        if k:
+            M = M * (level[k] >> (W - w)) >> w
+    return M
+
+
+def _exp_series(R: int, w: int) -> int:
+    """M <= 2^w e^r for r = R 2^-w in [0, 2^-21), short of it by less than
+    a relative (1.015 + w/2688) 2^-w: the Taylor series of e^r in two
+    halves at P = w + 8 bits.
+
+    Proof, in units of 2^-P.  Z = 2^P r exactly and Z2 = floor(Z^2 2^-P).
+    The terms r^k / k!, k >= 2, form one chain of the chain lemma: from
+    P_0 = Z2, so e_0 < 1, steps / k and / (k + 1), the first summed to s0
+    ~ 2^P cosh r and the second to s1 ~ 2^P sinh(r) / r (both from 2^P),
+    then times Z2 2^-P, with rho = r^2 < 2^-42 and delta p_j < 2^-42.  So
+    every e_j < 2: a step / k takes e to e/k + 1, a product to below e
+    2^-42 + 1 + 2^-42.  Step i of the loop starts from P_i <= 2^(P - 42(i
+    + 1)), so it runs J <= P/42 times and adds 2J terms, each short by
+    less than 2, and the terms past them add less than 2.  So s0 + s1 r
+    2^P is short of 2^P e^r by less than 4J + 2, and s0 + floor(s1 Z 2^-P)
+    by less than 4J + 3, a relative (4J + 3) 2^-P as e^r >= 1; the last
+    floor adds 2^-w, and (4 P/42 + 3) 2^-(w+8) + 2^-w < (1.015 + w/2688)
+    2^-w.
+    """
+    P = w + 8
+    Z = R << 8
+    s0 = s1 = 1 << P
+    a = z2 = Z * Z >> P
+    k = 2
+    while a:
+        a //= k
+        s0 += a
+        a //= k + 1
+        s1 += a
+        k += 2
+        a = a * z2 >> P
+    return s0 + (s1 * Z >> P) >> 8
+
+
+def _log(V: int, e0: int, prec: int) -> tuple[int, int]:
+    """(man, e): ln v for v = V 2^e0, V >= 1, rounded to nearest at prec >=
+    64 bits, as man 2^e with |man| <= 2^prec (not normalised), man < 0 for
+    v < 1, and (0, 0) for v = 1: the one correct rounding, as ln v is
+    irrational for rational v != 1, so it depends on (V, e0, prec) alone.
+
+    v = 2^E f with E = e0 + bitlen V and f in [1/2, 1).  ``_log_fixed``
+    returns A and D with |2^w ln v - A| < D, and Ziv's test
+    (``_ziv_round``) rounds it, at w = prec + 20 + c and then 32 bits more
+    each time the test fails, with c such that |ln v| >= 2^-c: c = 1 (ln
+    2 > 1/2) but for v in [1/2, 2), E = 0 or 1, where |ln v| >= |v - 1| /
+    2 >= 2^(1-c) for c = bitlen V - bitlen |V - 2^-e0| + 2.  So A has at
+    least prec + 20 bits.
+    """
+    bc = V.bit_length()
+    E = e0 + bc
+    c = 1
+    if E in (0, 1):
+        d = abs(V - (1 << -e0))
+        if not d:
+            return 0, 0
+        c = bc - d.bit_length() + 2
+    w = prec + _GUARD + c
+    while True:
+        got = _ziv_round(*_log_fixed(V, bc, E, w), -w, prec)
+        if got:
+            return got
+        w += 32
+
+
+def _log_fixed(V: int, bc: int, E: int, w: int) -> tuple[int, int]:
+    """(A, D), |2^w ln v - A| < D, for v = V 2^(E - bc) = 2^E f, f in [1/2,
+    1), and w >= 48: ln v = E ln 2 - K 2^-21 + ln z for z = f e^(K 2^-21),
+    K = 2^14 k1 + 2^7 k2 + k3, ln z = 2 atanh((z - 1) / (z + 1)).
+
+    k1 is the last k with cut_k = floor(2^(W+32) / B_k) >= floor(f 2^32),
+    found by bisection over ``_exp_table``'s cuts, so that z1 = f
+    e^(k1/128), as computed, lies in (0.99, 1 + 2^-30): from cut_k1 >=
+    floor(f 2^32), f B_k1 2^-W < 1 + 2^-30, and from cut_(k1+1) < floor(f
+    2^32), f > e^(-(k1+1)/128) - 2^-32 (for k1 = 88, f >= 1/2 does it).
+    k2 2^7 + k3 is floor(2^21 l), clipped to [0, 2^14), for l ~ -ln z1 =
+    d + d^2/2 + d^3/3 + ..., d = 1 - z1, taken from 48 top bits of d;
+    then z lies in (0.98, 1.008), and |z - 1| is near 2^-21 at most, which
+    speeds the series but is not needed for its bound.
+
+    Proof, in units of 2^-w.  Z = floor(f 2^w) times the table entries
+    for k1, k2, k3 (``_exp_table``), each product floored, is short of
+    2^w z by a relative eta < 2 2^-w + 3 (1 + 2^-15) 2^-w + 3 2.01 2^-w <
+    11.1 2^-w, as every partial product is above 2^w (1/2 - 2^-40): so 0
+    <= 2^w (ln z - ln z') < 11.2 for z' = Z 2^-w.  |s| = |z' - 1| / (z' +
+    1) < 2^-6, and S = floor(|s| 2^w).  The chain of the chain lemma P_0 =
+    S, P_(i+1) = floor(P_i S4 2^-w), S2 = floor(S^2 2^-w) and S4 =
+    floor(S2^2 2^-w), has p_i = 2^w a^(4i+1), a = S 2^-w, rho = a^4 <
+    2^-24, e_0 = 0 and delta p_i < 1.001 2^-w 2^w a < 0.02, so every e_i <
+    1.02.  h0 = sum floor(P_i / (4i + 1)) and h1 = sum floor(P_i / (4i +
+    3)) over its J non-zero steps are each short of their series by less
+    than 1.02 J + 1.03, and h = h0 + floor(h1 S2 2^-w) is short of 2^w
+    atanh(a) = sum 2^w (a^(4i+1)/(4i+1) + a^(4i+3)/(4i+3)) by less than
+    1.03 J + 2.1, and of 2^w atanh|s| by less than 1.03 J + 3.1.  With
+    L = floor(2^w ln 2) = ``_ln2(w)``, A = E L - K 2^(w-21) +- 2h, the sign
+    of z' - 1, is off by less than |E| + 11.2 + 2.06 J + 6.2 <= |E| + 3J
+    + 18 = D.
+    """
+    W, levels, cuts = _exp_table(w)
+    one = 1 << w
+    Z = _scaled(V, w - bc)
+    k1 = 88 - bisect_left(cuts, Z >> (w - 32))
+    if k1:
+        Z = Z * (levels[0][k1] >> (W - w)) >> w
+    d = (one - Z) >> (w - 48)
+    K = k1 << 14 | min(max(0, d + (d * d >> 49) + (d * d * d >> 96) // 3 >> 27), (1 << 14) - 1)
+    for level, k in ((levels[1], K >> 7 & 127), (levels[2], K & 127)):
+        if k:
+            Z = Z * (level[k] >> (W - w)) >> w
+    S = (abs(Z - one) << w) // (Z + one)
+    S2 = S * S >> w
+    S4 = S2 * S2 >> w
+    h0 = h1 = J = 0
+    P = S
+    while P:
+        h0 += P // (4 * J + 1)
+        h1 += P // (4 * J + 3)
+        J += 1
+        P = P * S4 >> w
+    h = 2 * (h0 + (h1 * S2 >> w))
+    A = E * _ln2(w) - (K << (w - 21)) + (h if Z >= one else -h)
+    return A, abs(E) + 3 * J + 18
 
 
 def _round_nearest(M: int, e: int, prec: int) -> tuple[int, int]:
@@ -230,57 +396,6 @@ def _round_nearest(M: int, e: int, prec: int) -> tuple[int, int]:
     if half & 1 and (man & 1 or M & ((1 << (shift - 1)) - 1)):
         man += 1
     return man, e + shift
-
-
-def _exp_taylor(X: int, w: int) -> int:
-    """floor-chain e^x 2^w for x = X 2^-w, |x| <= 2: the Taylor series at x
-    2^-r, r = isqrt(w), in two halves, squared r times (``_exp``, (T))."""
-    r = math.isqrt(w)
-    P = w + r
-    s0 = s1 = 1 << P
-    a = x2 = X * X >> P
-    k = 2
-    while a:
-        a //= k
-        s0 += a
-        a //= k + 1
-        s1 += a
-        k += 2
-        a = a * x2 >> P
-    s = s0 + (s1 * X >> P)
-    for _ in range(r):
-        s = s * s >> P
-    return s >> r
-
-
-def _exp_cosh(X: int, w: int) -> int:
-    """floor-chain e^x 2^w for x = X 2^-w, |x| <= 2: cosh at |x| 2^-r by its
-    even terms in two halves, sinh from one exact isqrt, their sum or
-    difference squared r times (``_exp``, (C))."""
-    x = abs(X)
-    xm = x.bit_length() - w
-    r = max(0, xm + math.isqrt(w) // 2)
-    E = 10 + 2 * max(r, -xm)
-    P = w + E
-    x <<= E - r
-    one = 1 << P
-    a = x2 = x * x >> P
-    x4 = x2 * x2 >> P
-    s0 = s1 = 0
-    k = 2
-    while a:
-        a //= (k - 1) * k
-        s0 += a
-        a //= (k + 1) * (k + 2)
-        s1 += a
-        k += 4
-        a = a * x4 >> P
-    c = one + s0 + (x2 * s1 >> P)
-    s = math.isqrt(c * c - (one << P))
-    v = c - s if X < 0 else c + s
-    for _ in range(r):
-        v = v * v >> P
-    return v >> E
 
 
 @functools.lru_cache(maxsize=None)

@@ -46,6 +46,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import DomainError, PrecisionError, ResourceError
+from .fixed import _exp
 
 __all__ = [
     "PrecisionCtx",
@@ -425,6 +426,17 @@ def _sum_up(parts, prec: int = 64):
     return total
 
 
+def _exp_raw(v, wp: int):
+    """e^v for a finite raw v, to nearest at wp bits, from ``fixed._exp``."""
+    sign, man, exp, _ = v
+    if not man:
+        return libmp.fone
+    man = -man if sign else man
+    if exp >= 0:
+        man, exp = man << exp, 0
+    return libmp.from_man_exp(*_exp(man, -exp, wp))
+
+
 class _Ball:
     """A libmp value v at wp bits with a proven bound on its error: the
     exact x that v stands for is within e 2^q of v, for integers e and q.
@@ -440,19 +452,20 @@ class _Ball:
     one ulp of a wp-bit c, so U(c) <= 2^(1-wp) |c|.  The allowance: every
     libmp operation at wp returns a c within U(c) of the exact result on
     its computed operands.  + - x / and the conversions are correctly
-    rounded, within U(c)/2; mpf_log, mpf_exp, mpf_pi and mpf_euler are
-    taken to within one ulp, which mpmath 1.3 does not document and every
-    bound of the package assumes but those of the Binet nodes' exponentials,
-    which come from ``fixed._exp`` with a proven bound.  So c = x (1 + delta) with |delta| <= u
-    = 2^(2-wp), the form Higham's Lemma 3.1 counts in a loop.  A computed
-    0 is exact: libmp's exponents are unbounded and its rounding keeps a
-    nonzero leading bit, so a sum or product that comes out 0 was 0; a log
-    within one ulp, relative, of the exact one is 0 only at ln 1; and e^a
-    is never 0.
+    rounded, within U(c)/2, and so is e^a (``exp``), which comes from
+    ``fixed._exp`` with its proven bound, not from libmp; mpf_log, mpf_pi
+    and mpf_euler are taken to within one ulp, which mpmath 1.3 does not
+    document and every bound of the package that takes them assumes.  So
+    c = x (1 + delta) with |delta| <= u = 2^(2-wp), the form Higham's
+    Lemma 3.1 counts in a loop.  A computed 0 is exact: libmp's exponents
+    are unbounded and its rounding keeps a nonzero leading bit, so a sum
+    or product that comes out 0 was 0; a log within one ulp, relative, of
+    the exact one is 0 only at ln 1; and e^a is never 0.
 
-    Each operation takes the one libmp call at wp that the value takes
-    without a bound, and adds U of its result to the errors its operands
-    e_a, e_b pass on (an exact raw operand has none):
+    Each operation takes the one call at wp that the value takes without a
+    bound (libmp's, or ``fixed._exp`` for e^a), and adds U of its result
+    to the errors its operands e_a, e_b pass on (an exact raw operand has
+    none):
       - a +- b: e_a + e_b;  a b: |a~| e_b + |b~| e_a + e_a e_b;
       - 2^k a (``shift``) and -a: 2^k e_a and e_a, and no U, as they are
         exact;
@@ -548,7 +561,7 @@ class _Ball:
         return self._out(raw_log1p(x, self.wp), e, self.q)
 
     def exp(self) -> "_Ball":
-        c, e = libmp.mpf_exp(self.v, self.wp, _RND), self.e
+        c, e = _exp_raw(self.v, self.wp), self.e
         q = min(self.q, c[2] + c[3] - self.wp - 64)
         reach = _ceil_shift(c[1], c[2] - q) + _ceil_shift(1, c[2] + c[3] - self.wp - q)
         if self.q < 0 and 2 * e <= 1 << -self.q:  # e^d - 1 <= d / (1 - d)

@@ -16,16 +16,17 @@ with t = phi(u), w = phi'(u) l(t) the node's weight, F = wp + 32 the
 table's fixed point, and 2^(mag w - 1) <= w < 2^(mag w).  z enters only
 through the oracle's one division per node, W X / (2^F + T2 X2 2^-F).
 
-A node calls no libmp exponential: t and l's q are each e^y for an exact
-y = Y 2^-cp, rounded to nearest by the integer kernel ``fixed._exp``
-(libmp's series on integers).  libmp takes only the log form's log, whose
-argument the node turns from an integer; the rest is exact integer
-arithmetic with the floors named below.
+A node calls no libmp function: t and l's q are each e^y for an exact
+y = Y 2^-cp, and the middle form's log is ln v~ for an exact v~, each
+rounded correctly by an integer kernel, ``fixed._exp`` or ``fixed._log``;
+the rest is exact integer arithmetic with the floors named below.  libmp
+takes only the table's pi and ln(2 pi), once per table.
 e^-u walks the grid on integers at cp = wp + 96 fractional bits, by the
 chain ``fixed._exp_walk`` of one product per node: b = B 2^-cp, the
 walk's e^-u, with each B the one before it times S 2^-cp, floored, from
-B = 2^cp at u = 0, and S one below floor(2^cp e^(-+1/m)) of libmp's
-e^(-+1/m) at cp + 8 bits, the sign the walk's.  So y = u - e^-u
+B = 2^cp at u = 0, and S one below floor(2^cp e~), e~ = e^(-+h) to
+nearest at cp + 8 bits by ``fixed._exp``, h = 1/m to nearest at cp + 8
+bits and the sign the walk's.  So y = u - e^-u
 = ln t is held exactly as Y 2^-cp, Y = floor(j 2^cp / m) - B, and t = e^y
 is taken at wp by ``fixed._exp``; T2 floors the exact square of t~, the
 computed t.  l~, the computed l(t~), is a pair (L, e) standing for L 2^e,
@@ -45,12 +46,9 @@ and 2 pi~, pi~ to nearest at cp, and l(t) in one of three ways:
     mag t + 3) bits: q = e^-x~ < 2^-24 at prec + 4 bits, and l = q S(q),
     S(q) = -ln(1 - q) / q summed in fixed point (``fixed._log1m_ratio``)
     at r = prec + bitlen(prec) + 16 bits, the product exact;
-  - else q = e^-x~ at pe = p + max(0, -mag x~) + 8 bits, p = prec + 28, v~
-    = 1 - q exactly, and l = -ln v~ in units of 2^-p, as ln v = E ln 2 +
-    ln(a/32) + ln(2^-E 32 v / a) for v = 2^E f, 1/2 <= f < 1, and a =
-    ceil(32 f): libmp's log then sees only arguments in (16/17, 1], whose
-    few Taylor anchors it caches once per process, and ln 2 and the 17
-    logs ln(a/32) are taken once per table at cp, as floor(v 2^cp).
+  - else q = e^-x~ at pe = prec + 36 + max(0, -mag x~) bits, v~ = 1 - q
+    exactly, and l = -ln v~, ln v~ to nearest at prec + 4 bits by
+    ``fixed._log``.
 
 Each table also keeps the moments S_k ~ sum W t^(2k), in units of 2^-F,
 of its tail of nodes with t < 1/8 (T2 < 2^(F-6)), about 55% of it, which
@@ -61,12 +59,11 @@ Accuracy, which the node-error and rounding parts of
 wp + 128: t~ is within a relative 3 2^-wp of phi(j/m), and w~, the
 weight before its floor, within 2^-(F+4) of w at t~.
 
-Proof of the second.  Every libmp product and sum here is correctly
-rounded, within a relative 2^-p at p bits; exp at p bits, ``fixed._exp``,
-is within half an ulp and a relative 2^-(p+6) before its rounding, as its
-docstring proves, so within one ulp, a relative 2^(1-p); and ln and the
-table's constants (pi, ln(2 pi), ln 2 and the anchors) are within one
-ulp by the allowance of ``mpcore._Ball``.  Every floor is below its value
+Proof of the second.  exp and ln at p bits, ``fixed._exp`` and
+``fixed._log``, are rounded correctly, as their docstrings prove, so
+within half an ulp, a relative 2^-p; the table's constants pi and ln(2
+pi) are within one ulp by the allowance of ``mpcore._Ball``, and 2 pi~,
+twice pi~, is exact.  Every floor is below its value
 by less than one unit of its last place.  Let x = 2 pi t~ and eps the
 relative error of l~ against l(t~).
   - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
@@ -91,28 +88,23 @@ relative error of l~ against l(t~).
     within 2^-r below q < 2^-24, so ``fixed._log1m_ratio`` puts S~ within
     (r/24 + 3) 2^-r < 2^-(prec+16) of S(q) >= 1, itself within 2^-(prec+27)
     of S(e^-x~), as 0 <= S' < 1 there: eps < 0.13 2^-prec + 0.14 2^-prec.
-  - else, in units of 2^-p: q within 2^(1-pe) of e^-x~, so v~ within a
-    relative 2^-(p+5) of v = 1 - e^-x~, as v >= x~/2 >= 2^(mag x~ - 2)
-    for x~ < 1 and v > 0.63 for x~ >= 1, and ln v~ within 0.04 of ln v.
-    2^-E 32 v~ / a <= 1, floored to p bits, moves by a relative 1.07
-    2^-p, and its log by 1.07; libmp's log of it, below 1/16 in magnitude,
-    is within a relative 2^-(prec+3), and floored, 1 more; each anchor is
-    within 2.4 2^-cp of its ln, and their sum, floored, 1 more.  Where a <
-    32 or E < 0, v~ <= 31/32 and l > 1/32, so that log's share of eps is
-    2^-(prec+2); else the anchor and E ln 2 are 0 and that log is -l~
-    itself, within 2^-(prec+3).  With l > e^-17 > 2^-24.6 for x < 17 and l
-    > |E| ln 2, the rest adds 3.12 2^(24.6 - p) + 3.5 2^(26-cp) < 0.31
-    2^-prec: eps < 0.56 2^-prec + 0.14 2^-prec.
+  - else: q within 2^-pe of e^-x~, so v~ within a relative 2^-(prec+34)
+    of v = 1 - e^-x~, as v >= x~/2 >= 2^(mag x~ - 2) for x~ < 1 and v >
+    0.63 for x~ >= 1, and ln v~ within 1.01 2^-(prec+34) of ln v, a
+    relative 1.01 2^(24.6 - prec - 34) of l > e^-17 > 2^-24.6 (x < 17);
+    its rounding adds a relative 2^-(prec+4): eps < 0.07 2^-prec + 0.14
+    2^-prec.
 The walk keeps b within 2^-(wp+78) max(1, b) of e^-u over up to 2^16
 steps from u = 0 (``oracle.BINET_MAX_NODES`` keeps tables shorter):
 ``fixed._exp_walk`` puts B within 3.04 k max(1, b) < 2^17.61 max(1, b)
 of e^-u 2^cp after k < 2^16 steps, as 0 <= e^(-+1/m) 2^cp - S < 2.03 for
-its ratio S, floored one below e^(-+1/m) at cp + 8 bits.  So 1 + b is
-within a relative 2^-(wp+78) of 1 + e^-u, and Y 2^-cp within 2^-cp +
-2^-(wp+78) max(1, b) of y, where b < -y < wp at every node of a plan's
-table.  w~ is then within a relative 0.71 2^-prec of w at t~, so within
-0.72 2^-prec 2^(mag w~) < 2^-(F+8) absolute as prec >= F + 8 + mag w~,
-and with the series form's 2^-(F+9), within 2^-(F+7) in all.
+its ratio S: e~ is within a relative 2^-(cp+8) (1 + h) (1 + 2^-cp) of
+e^(-+1/m) <= e, so S is below 2^cp e^(-+1/m) by 1 to 2, give or take
+0.022.  So 1 + b is within a relative 2^-(wp+78) of 1 + e^-u, and Y 2^-cp
+within 2^-cp + 2^-(wp+78) max(1, b) of y, where b < -y < wp at every node
+of a plan's table.  w~ is then within a relative 0.28 2^-prec of w at
+t~, so within 0.29 2^-prec 2^(mag w~) < 2^-(F+9) absolute as prec >= F +
+8 + mag w~, and with the series form's 2^-(F+9), within 2^-(F+8) in all.
 
 Tables depend only on their arguments and are cached for the life of the
 process, so repeated runs are bit-identical.
@@ -125,7 +117,8 @@ import threading
 from mpmath import libmp
 
 from .bernoulli import bernoulli, table
-from .fixed import _exp, _exp_walk, _lambda_series, _ln2, _log1m_ratio, _moments, _scaled
+from .fixed import (_exp, _exp_table, _exp_walk, _lambda_series, _ln2, _log, _log1m_ratio, _moments,
+                    _scaled)
 from .mpcore import _RND
 
 __all__ = ["half_line_nodes"]
@@ -139,7 +132,7 @@ def _ell(t, Y: int, prec: int, consts):
     """(L, e): l(t) = -ln(1 - e^-x), x = 2 pi t, as L 2^e, for prec bits of
     the weight, given t as a pair (man, exp) for man 2^exp and y = ln t as
     Y 2^-cp (see the module docstring)."""
-    cp, two_pi, ln_2pi, ln2, log_anchor, coeffs = consts
+    cp, two_pi, ln_2pi, coeffs = consts
     man, exp = t
     mag_t = exp + man.bit_length()
     x, e = two_pi[1] * man, two_pi[2] + exp  # 2 pi~ t = x 2^e, exactly
@@ -155,15 +148,10 @@ def _ell(t, Y: int, prec: int, consts):
         q, q_exp = _exp(-X, -e, prec + 4)
         r = prec + prec.bit_length() + 16
         return q * _log1m_ratio(_scaled(q, q_exp + r), r), q_exp - r
-    p = prec + 28
-    q, q_exp = _exp(-X, -e, p + max(0, -(X.bit_length() + e)) + 8)
-    v = (1 << -q_exp) - q  # v~ = 1 - e^-x~ = v 2^q_exp, exactly
-    bc = v.bit_length()
-    a = -(-v >> (bc - 5))  # ceil(32 f), v~ = 2^E f, E = q_exp + bc
-    near_one = libmp.from_man_exp(_scaled(v, p + 5 - bc) // a, -p)
-    _, lg, lg_exp, _ = libmp.mpf_log(near_one, prec + 4, _RND)  # lg 2^lg_exp = -ln near_one
-    anchors = (log_anchor[a] + (q_exp + bc) * ln2) >> (cp - p)
-    return _scaled(lg, lg_exp + p) - anchors, -p
+    pe = prec + 36 + max(0, -(X.bit_length() + e))
+    q, q_exp = _exp(-X, -e, pe)
+    lg, lg_exp = _log((1 << -q_exp) - q, q_exp, prec + 4)  # ln v~, v~ = 1 - e^-x~ exactly
+    return -lg, lg_exp
 
 
 def _node(Y: int, B: int, wp: int, F: int, consts, mag: int):
@@ -198,20 +186,17 @@ def _lambda_coeffs(F: int) -> list[tuple[int, int]]:
 
 def _constants(wp: int) -> tuple:
     """What every node of the table at wp shares: cp = wp + 96; 2 pi~ at cp
-    bits, with pi to nearest; ln(2 pi~), ln 2 and ln(a/32) for a = 16..32,
-    each floor(v~ 2^cp) of a libmp log v~ at cp bits; and the pairs of
-    ``_lambda_coeffs``.  It also takes ``fixed._ln2`` at cp first, so that
-    the argument reductions of the table's exponentials shift that floor
-    down."""
+    bits, with pi to nearest; ln(2 pi~), floor(v~ 2^cp) of a libmp log v~
+    at cp bits; and the pairs of ``_lambda_coeffs``.  It also widens
+    ``fixed._ln2`` and ``fixed._exp_table`` to cp + 64 first, past the
+    widest exponential and log of the table's nodes (wp + 150 but for a
+    Ziv retry), so that these shift their floors down instead of building
+    them twice."""
     cp = wp + 96
-    _ln2(cp)
+    _ln2(cp + 64)
+    _exp_table(cp + 64)
     two_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), 1)
-
-    def fixed_log(v):
-        return libmp.to_fixed(libmp.mpf_log(v, cp, _RND), cp)
-
-    return (cp, two_pi, fixed_log(two_pi), fixed_log(libmp.from_int(2)),
-            {a: fixed_log(libmp.from_rational(a, 32, cp, _RND)) for a in range(16, 33)},
+    return (cp, two_pi, libmp.to_fixed(libmp.mpf_log(two_pi, cp, _RND), cp),
             _lambda_coeffs(wp + 32))
 
 
@@ -231,13 +216,14 @@ def half_line_nodes(wp: int, m: int, j_left: int, j_right: int) -> tuple:
         F, cp = wp + 32, wp + 96
         consts = _constants(wp)
         out = []
+        _, h, h_exp, _ = libmp.from_rational(1, m, cp + 8, _RND)  # 1/m to nearest
         # right from u = 0 (e^-u = 1 exactly), then left from u = -1/m; each
         # node's guess at mag w is its predecessor's in the walk, the u = 0
         # node's is 1 (every w < 2), and the u = -1/m node's that of u = 0
         for sign, first, last in ((1, 0, j_right), (-1, 1, j_left)):
-            step = libmp.mpf_exp(libmp.from_rational(-sign, m, cp + 8, _RND), cp + 8, _RND)
+            step, step_exp = _exp(-sign * h, -h_exp, cp + 8)
             W = out[0][1] if out else 1 << F
-            for k, B in enumerate(_exp_walk(libmp.to_fixed(step, cp) - 1, cp, last)):
+            for k, B in enumerate(_exp_walk(_scaled(step, step_exp + cp) - 1, cp, last)):
                 if k < first:  # u = 0 is the right walk's alone
                     continue
                 T2, W = _node((sign * k << cp) // m - B, B, wp, F, consts,

@@ -12,8 +12,9 @@ from hypothesis import strategies as st_
 from mpmath import libmp
 
 import stirling
-from stirling.fixed import (_exp, _exp_walk, _lambda_series, _ln2, _ln2_floor, _log1m_ratio,
-                            _round_nearest)
+import stirling.fixed
+from stirling.fixed import (_exp, _exp_table, _exp_walk, _lambda_series, _ln2, _ln2_floor, _log,
+                            _log1m_ratio, _round_nearest)
 from stirling.quadrature import _lambda_coeffs
 
 
@@ -75,8 +76,8 @@ def test_only_fixed_floors_a_running_integer():
     assert {name for name, _ in found} == {"fixed.py"}
     assert {("fixed.py", kernel) for kernel in (
         "_log1m_ratio", "_lambda_series", "_moments", "_moment_series", "_floor_terms",
-        "_exp_bracket", "_even_power_sums", "_exp_walk", "_ln2_floor", "_exp_taylor",
-        "_exp_cosh")} <= found
+        "_exp_bracket", "_even_power_sums", "_exp_walk", "_ln2_floor", "_exp_series",
+        "_log_fixed")} <= found
 
 
 def _chain(P, mu):
@@ -198,17 +199,34 @@ def test_ln2_is_the_exact_floor():
     assert widened > 0
 
 
+def nearest(f, prec):
+    """f(), an mpmath function of the working precision, rounded to nearest
+    at prec bits as a raw libmp value: taken at prec + 64 bits, and again
+    at twice as many more while a value within 4 ulp of it at that
+    precision could round otherwise (a near tie)."""
+    extra = 64
+    while True:
+        with mpmath.workprec(prec + extra):
+            x = f()
+            slack = mpmath.ldexp(abs(x), 4 - prec - extra)
+            lo, hi = (libmp.mpf_pos(v._mpf_, prec, "n") for v in (x - slack, x + slack))
+        if lo == hi:
+            return lo
+        extra *= 2
+
+
 @settings(max_examples=400, deadline=None)
 @given(prec=st_.integers(64, 1100), data=st_.data())
-@example(prec=586, data=None).via("the last precision below the cosh series")
-@example(prec=587, data=None).via("the first precision of the cosh series")
-def test_exp_is_libmp_exp_within_its_bound(prec, data):
-    # y = Y 2^-cp exactly, |y| <= 700 of either sign and any magnitude: the
-    # value of libmp's mpf_exp to nearest at prec (but for an integer y
-    # above 600 bits, which libmp takes as a power of e), and within half
-    # an ulp and 2^-(prec+6) e^y of e^y, at prec + 64 bits
-    if data is None:
-        cp, Y = prec + 96, -(3 << (prec + 90)) // 7
+@example(prec=105, data=(1, 52)).via("e^(2^-52), 2^-105 past a tie, where libmp rounds down")
+@example(prec=200, data=(-1 << 303, 300)).via("y = -8, an integer")
+@example(prec=700, data=(1, 703)).via("the last y short of the cut to 1")
+@example(prec=1600, data=(-(3 << 1690) // 7, 1696)).via("past the Binet tables' precisions")
+def test_exp_is_correctly_rounded_within_its_bound(prec, data):
+    # y = Y 2^-cp exactly, |y| <= 700 of either sign and any magnitude:
+    # e^y rounded to nearest at prec, against mpmath at prec + 64 bits, and
+    # within half an ulp and 2^-(prec+6) e^y of e^y
+    if isinstance(data, tuple):
+        Y, cp = data
     else:
         cp = data.draw(st_.integers(0, prec + 128), label="cp")
         mag = data.draw(st_.integers(-prec - 32, 10), label="mag")
@@ -216,13 +234,64 @@ def test_exp_is_libmp_exp_within_its_bound(prec, data):
         Y = data.draw(st_.integers(-top, top), label="Y")
     man, e = _exp(Y, cp, prec)
     assert 0 < man <= 1 << prec
-    y = libmp.from_man_exp(Y, -cp)
-    if not (prec > 600 and Y and y[2] >= 0):
-        assert libmp.from_man_exp(man, e) == libmp.mpf_exp(y, prec, "n")
+    assert libmp.from_man_exp(man, e) == nearest(lambda: mpmath.exp(mpmath.ldexp(Y, -cp)), prec)
     with mpmath.workprec(prec + 64):
-        exact = mpmath.exp(mpmath.mpf(y))
+        exact = mpmath.exp(mpmath.ldexp(Y, -cp))
         half_ulp = mpmath.ldexp(1, e + man.bit_length() - prec - 1)
         assert abs(mpmath.ldexp(man, e) - exact) < half_ulp + mpmath.ldexp(exact, -(prec + 6))
+
+
+@st_.composite
+def log_arguments(draw):
+    """(V, e0) for v = V 2^e0 > 0: any, near 1 on either side, or a power
+    of 2."""
+    kind = draw(st_.sampled_from(("any", "near one", "power of two")))
+    if kind == "any":
+        return draw(st_.integers(1, 2**1300)), draw(st_.integers(-1500, 300))
+    if kind == "power of two":
+        return 1, draw(st_.integers(-3000, 3000))
+    k = draw(st_.integers(1, 1300))
+    b = draw(st_.integers(1, k))  # v = 1 +- d 2^-k, d of b bits
+    d = draw(st_.integers(1 << (b - 1), (1 << b) - 1))
+    return (1 << k) + draw(st_.sampled_from((-1, 1))) * d, -k
+
+
+@settings(max_examples=300, deadline=None)
+@given(prec=st_.integers(64, 1100), v=log_arguments())
+@example(prec=1600, v=((1 << 2000) - 1, -2000)).via("just below 1, past the tables' precisions")
+@example(prec=2048, v=(3, -1)).via("3/2")
+@example(prec=1501, v=(10**600 + 7, -1990)).via("far from 1")
+@example(prec=64, v=(1, 0)).via("ln 1 = 0 exactly")
+def test_log_is_correctly_rounded(prec, v):
+    # ln v rounded to nearest at prec, sign and all, against mpmath at
+    # prec + 64 bits; (0, 0) at v = 1
+    V, e0 = v
+    man, e = _log(V, e0, prec)
+    assert abs(man) <= 1 << prec
+    if V << max(0, e0) == 1 << max(0, -e0):
+        assert (man, e) == (0, 0)
+    else:
+        assert libmp.from_man_exp(man, e) == nearest(lambda: mpmath.log(mpmath.ldexp(V, e0)), prec)
+
+
+def test_kernels_do_not_depend_on_the_table_width(monkeypatch):
+    # the same exponentials and logs from a table built just wide enough
+    # and from a wider one, whose entries shifted down are other floors
+    monkeypatch.setattr(stirling.fixed, "_table_memo", (0, (), []))
+    rng = random.Random(36)
+    calls = []
+    for prec in (64, 300, 832, 900):
+        cp = prec + 96
+        calls += [(_exp, rng.choice((-1, 1)) * rng.getrandbits(cp + rng.randint(-60, 9)), cp, prec)
+                  for _ in range(20)]
+        calls += [(_log, rng.getrandbits(prec + 40) | 1, -(prec + 40) + rng.randint(-60, 60), prec)
+                  for _ in range(20)]
+    first = [f(*args) for f, *args in calls]
+    W = stirling.fixed._table_memo[0]
+    assert W < 1200
+    _exp_table(4000)
+    assert stirling.fixed._table_memo[0] > 4000
+    assert [f(*args) for f, *args in calls] == first
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,19 +319,13 @@ def test_exp_of_minus_one_is_libmps_power_of_e():
         assert libmp.from_man_exp(man, e) == libmp.mpf_exp(libmp.fnone, wp, "n"), wp
 
 
-def test_exp_keeps_its_bound_where_its_guard_bits_grow():
-    # from w = prec + 14 = 1500 on the kernel takes isqrt(w) // 2 more bits:
-    # without them, at 8,192 bits and |y| near 2^-22, where its sinh
-    # amplifies the error of cosh by about 2^(r0/2), it was off by up to 7
-    # ulp on 60 such y
+def test_exp_is_correctly_rounded_at_high_precision():
+    # at 8,192 bits libmp's own exp is off by up to 3 ulp on such y, with
+    # |y| between 2^-30 and 2^-10; the kernel rounds each correctly
     rng = random.Random(8192)
     for prec in (1486, 2048, 8192):
         cp = prec + 96
         for _ in range(30):
             Y = rng.choice((-1, 1)) * rng.getrandbits(cp + rng.randint(-30, -10))
-            man, e = _exp(Y, cp, prec)
-            with mpmath.workprec(prec + 64):
-                exact = mpmath.exp(mpmath.ldexp(Y, -cp))
-                bound = (mpmath.ldexp(1, e + man.bit_length() - prec - 1)
-                         + mpmath.ldexp(exact, -(prec + 6)))
-                assert abs(mpmath.ldexp(man, e) - exact) < bound
+            exact = nearest(lambda: mpmath.exp(mpmath.ldexp(Y, -cp)), prec)
+            assert libmp.from_man_exp(*_exp(Y, cp, prec)) == exact

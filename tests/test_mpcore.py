@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import decimal
 import pickle
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +399,22 @@ def test_ball_exp_holds_every_exact_result(a, large):
     if large:  # an error d past 1/2, up to 8
         a = _Ball(a.v, a.wp, a.e % 256 + 8, -5)
     _holds(a.exp(), [_mp(x, mpmath.exp, a.wp) for x in _ends(a)])
+
+
+def test_ball_exp_holds_e_to_the_v_at_8192_bits():
+    # e^v comes from fixed._exp, correctly rounded: libmp's mpf_exp missed
+    # e^v with its one-ulp allowance for 5 of these 60 v, |v| in [2^-30,
+    # 2^-10], each exact at cp = wp + 96 bits and so in mpmath at wp + 128
+    wp = 8192
+    cp = wp + 96
+    rng = random.Random(8192)
+    for _ in range(60):
+        Y = rng.choice((-1, 1)) * rng.getrandbits(cp + rng.randint(-30, -10))
+        v = libmp.from_man_exp(Y, -cp)
+        out = _Ball(v, wp).exp()
+        with mpmath.workprec(wp + 128):
+            exact = mpmath.exp(mpmath.mpf(v))
+        _holds(out, [_exact(exact._mpf_)])
 
 
 @pytest.mark.parametrize("wp", [96, 288])

@@ -30,6 +30,7 @@ TABLE_SHA256 = {
     256: "6aea49b29097e1d5138b487cd597af45356a0607cecd513f4431cb20d3832b11",
     320: "53e42c572df561416673270bf9fe9007d14b0e4916962478d765be4d484a82c8",
     768: "6e459a04ba426b2cab4b58d2d6c6e2bd04834b737fc108be7348e046a923931d",
+    1024: "bece8d0a1f23343aa1f02abf19a3639197da03ad755bb86ddea71247fb00de15",
 }
 
 
@@ -139,12 +140,12 @@ def test_nodes_match_mpmath(wp):
 
 @pytest.mark.parametrize("bits", [64, 768])
 def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
-    # no node calls libmp's exponential: t and l's q come from fixed._exp,
-    # and libmp's mpf_exp takes only the walk's two ratios.  A log only for
-    # the nodes between the series and the chain, besides the 19 the
-    # table's constants take, and one from_man_exp for its argument: no
-    # call a series or chain node, 2 a node between, and 64 for the table's
-    # constants and the walk's two ratios
+    # no node calls a libmp exponential or log: t at every node, q at the
+    # chain's nodes and at those between the series and the chain, and the
+    # walk's two ratios e^(-+1/m) come from fixed._exp, and the log of the
+    # nodes between from fixed._log, one each.  The only libmp
+    # transcendentals left are the table's pi and ln(2 pi); besides them
+    # libmp takes only 2 pi from pi, ln(2 pi) to fixed point and 1/m
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
     short = chain = 0
@@ -152,20 +153,14 @@ def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
         short += t_raw[2] + t_raw[3] <= -48
         chain += mpmath.mpf(t_raw) * 2 * mpmath.pi >= 17
     counts = count_calls(*(name for name, f in vars(libmp).items() if inspect.isfunction(f)))
+    kernels = count_calls("_exp", "_log", module=stirling.quadrature)
     n = len(table(bits)[3])
-    calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
     assert short > 0 and chain > 0
     between = n - short - chain
-    assert calls.pop("mpf_exp") == 2
-    assert calls.pop("mpf_log") == between + 19
-    assert "mpf_mul" not in calls and "mpf_sub" not in calls
-    assert calls.pop("from_rational") == 2 + 17  # the walk's two ratios, the anchors
-    assert calls.pop("from_man_exp") == between
-    # the 19 logs and the walk's two ratios to fixed point, pi, 2 pi and 2
-    assert calls == {"to_fixed": 19 + 2, "mpf_pi": 1, "mpf_shift": 1, "from_int": 1}
-    total = sum(tally[0] for tally in counts.values())
-    assert total == 2 * between + 64
-    assert bits == 64 or total < 5 * n
+    assert kernels["_log"][0] == between
+    assert kernels["_exp"][0] == n + chain + between + 2
+    calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
+    assert calls == {"mpf_pi": 1, "mpf_log": 1, "mpf_shift": 1, "to_fixed": 1, "from_rational": 1}
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -190,17 +185,18 @@ def test_the_weight_check_is_the_one_precision_rule(monkeypatch, bits):
 def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, count_calls):
     # a node with t < 2^-48 whose chain would need more coefficients than
     # the Bernoulli table's cap allows (only past about 23,000 bits) takes
-    # the middle form instead, shown here with the cap cut to 4: a table
-    # holds up to (F + 17) // 90 coefficients, and 2 under that cap
+    # the middle form instead, whose log is fixed._log's, shown here with
+    # the cap cut to 4: a table holds up to (F + 17) // 90 coefficients,
+    # and 2 under that cap
     wp = 320
     F, cp = wp + 32, wp + 96
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(wp - 64)
     assert len(stirling.quadrature._lambda_coeffs(F)) == (F + 17) // 90 == 4
     assert len(stirling.quadrature._lambda_coeffs(10**5)) == 256
-    logs = count_calls("mpf_log")
+    logs = count_calls("_log", module=stirling.quadrature)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     nodes = half_line_nodes(wp, m, j_left, j_right)[0]
-    full = logs["mpf_log"][0]
+    full = logs["_log"][0]
     monkeypatch.setattr(bernoulli_table(), "cap", 4)
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     consts = stirling.quadrature._constants(wp)
@@ -211,26 +207,27 @@ def test_a_series_past_the_bernoulli_cap_takes_the_middle_form(monkeypatch, coun
         for mag, needs_log in ((-48, 1), (-200, 0)):
             t = libmp.from_man_exp(0xb504f333f9de6484597d89b3754abe9f, mag - 128)
             Y = libmp.to_fixed(libmp.mpf_log(t, cp, "n"), cp)
-            logs["mpf_log"][0] = 0
+            logs["_log"][0] = 0
             L, e = stirling.quadrature._ell(t[1:3], Y, 330, consts)
-            assert logs["mpf_log"][0] == needs_log
+            assert logs["_log"][0] == needs_log
             assert abs(mpmath.ldexp(L, e) / ell(mpmath.mpf(t)) - 1) < mpmath.ldexp(1, -330)
     # the table built so takes more logs, keeps every T2, and moves no W by
     # more than a unit
-    logs["mpf_log"][0] = 0
+    logs["_log"][0] = 0
     cut = half_line_nodes(wp, m, j_left, j_right)[0]
-    assert logs["mpf_log"][0] > full
+    assert logs["_log"][0] > full
     assert [T2 for T2, _ in cut] == [T2 for T2, _ in nodes]
     assert all(abs(a - b) <= 1 for (_, a), (_, b) in zip(cut, nodes, strict=True))
 
 
 def test_quadrature_holds_no_floating_point():
-    # mag w comes from the integers of the table, and l(t) from libmp and
-    # the kernels of stirling.fixed, which take e^y and its squaring counts
-    # on integers: no math transcendental, no conversion to a float, no
-    # float literal in either; fixed takes only math's isqrt, comb and lcm
+    # mag w comes from the integers of the table, and l(t) from the
+    # kernels of stirling.fixed, which take e^y and ln v, and pick their
+    # table entries, on integers: no math transcendental, no conversion to
+    # a float, no float literal in either; fixed takes only math's comb and
+    # lcm
     found = []
-    for module, allowed in ((stirling.quadrature, ()), (stirling.fixed, ("isqrt", "comb", "lcm"))):
+    for module, allowed in ((stirling.quadrature, ()), (stirling.fixed, ("comb", "lcm"))):
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
                 found.append(node.value)
