@@ -64,8 +64,8 @@ from typing import Iterator
 from mpmath import libmp
 
 from .errors import DomainError, InconclusiveError, ValidityError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _Ball, _require_index, _require_positive,
-                     raw_expm1, to_raw)
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _Ball, _exp_raw, _log_raw, _require_index,
+                     _require_positive, raw_expm1, to_raw)
 from .expansions import mermin_partial_product
 from .fixed import _exp_bracket, _floor_terms
 from .oracle import FACTORIAL_CAP, _ln_factorial_raw, _oracle_main_term, lngamma_binet2
@@ -132,12 +132,12 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     2^-(bits + 28) for n <= FACTORIAL_CAP.
 
     Proof.  With U as in ``mpcore._Ball``, at w in place of wp, every
-    libmp operation at w returns a c within U(c) <= 2^(1-w) |c| of the
-    exact result on its computed operands, and (1/2) ln(2 pi) is taken
-    within 2^(1-w).  For n = 1 the logs are 0 and
-    c_1 = 0 exactly, so only (1/2) ln(2 pi) and the two last differences
-    err, by less than 2^(3-w) against r_1 > 1/13.  For n >= 2 let X =
-    (n + 1/2) ln n >= 1.7.  ln n! is the log of n! rounded to w, a
+    operation at w, libmp's or a log or exp of ``fixed``, returns a c
+    within U(c) <= 2^(1-w) |c| of the exact result on its computed
+    operands, and (1/2) ln(2 pi) is taken within 2^(1-w).  For n = 1 the
+    logs are 0 and c_1 = 0 exactly, so only (1/2) ln(2 pi) and the two
+    last differences err, by less than 2^(3-w) against r_1 > 1/13.  For n
+    >= 2 let X = (n + 1/2) ln n >= 1.7.  ln n! is the log of n! rounded to w, a
     relative 2^-w off, so it is within 2^(1-w) + U(ln n!); ln n is within
     U(ln n), which X carries n + 1/2 times; and the product X, X - n,
     1 - ln n!, their sum c_n, 1 - c_n and r_n each add U of itself.  As
@@ -151,14 +151,14 @@ def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
     wp = ctx.wprec() + 2 * n.bit_length() + 8
     lnfact = _ln_factorial_raw(n, wp)
     n_raw = libmp.from_int(n)
-    lnn = libmp.mpf_log(n_raw, wp, _RND)
+    lnn = _log_raw(n_raw, wp)
     c = libmp.mpf_mul(libmp.mpf_add(n_raw, libmp.fhalf, wp, _RND), lnn, wp, _RND)
     c = libmp.mpf_sub(c, n_raw, wp, _RND)
     c = libmp.mpf_add(c, libmp.mpf_sub(libmp.fone, lnfact, wp, _RND), wp, _RND)
     r = libmp.mpf_sub(libmp.mpf_sub(libmp.fone, c, wp, _RND), _half_ln_2pi(wp).v, wp, _RND)
     v_log = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
     v_log = libmp.mpf_sub(v_log, lnfact, wp, _RND)
-    v = libmp.mpf_exp(v_log, wp, _RND)
+    v = _exp_raw(v_log, wp)
     return SequencePoint(
         n=n,
         r_n=BigFloat.from_raw(r, ctx),
@@ -187,16 +187,16 @@ def _sweep_width(ctx: PrecisionCtx) -> int:
 def _half_ln_2pi_bracket(W: int) -> tuple[int, int]:
     """(lo, hi) with lo < 2^W (1/2) ln(2 pi) < hi.
 
-    libmp's pi and log at p = W + 4 bits are each taken to within one ulp,
-    the allowance of ``mpcore._Ball``.  pi~ in
-    [2, 4) is then within 2^(2-p) of pi, so ln(2 pi~) is within 2^(2-p)/3
-    of ln(2 pi), and L = log(2 pi~) in [1, 2) is within 2^(1-p) more:
-    |L/2 - (1/2) ln(2 pi)| < 2^(1-p) = 2^-(W+3).  With t = floor(2^W L/2),
-    2^W (1/2) ln(2 pi) lies in (t - 1/8, t + 9/8).
+    libmp's pi at p = W + 4 bits is taken to within one ulp, the allowance
+    of ``mpcore._Ball``, and L = ln(2 pi~) to nearest at p bits
+    (``mpcore._log_raw``).  pi~ in [2, 4) is then within 2^(2-p) of pi, so
+    ln(2 pi~) is within 2^(2-p)/3 of ln(2 pi), and L in [1, 2) is within
+    2^-p more: |L/2 - (1/2) ln(2 pi)| < 2^(1-p) = 2^-(W+3).  With t =
+    floor(2^W L/2), 2^W (1/2) ln(2 pi) lies in (t - 1/8, t + 9/8).
     """
     p = W + 4
     two_pi = libmp.mpf_shift(libmp.mpf_pi(p, _RND), 1)
-    t = libmp.to_fixed(libmp.mpf_log(two_pi, p, _RND), W - 1)
+    t = libmp.to_fixed(_log_raw(two_pi, p), W - 1)
     return t - 1, t + 2
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import DomainError, ValidityError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _require_index, default_ctx,
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _log_raw, _require_index, default_ctx,
                      rational_to_float, to_raw)
 from .series import _half_ln_2pi, term_coefficient
 
@@ -67,7 +67,7 @@ def duplication_constant(z, ctx: PrecisionCtx) -> BigFloat:
         raise DomainError("duplication constant needs z > 1/2")
     half_over_z = libmp.mpf_div(libmp.fhalf, z_raw, wp, _RND)
     one_plus = libmp.mpf_add(libmp.fone, half_over_z, wp, _RND)
-    term = libmp.mpf_mul(z_raw, libmp.mpf_log(one_plus, wp, _RND), wp, _RND)
+    term = libmp.mpf_mul(z_raw, _log_raw(one_plus, wp), wp, _RND)
     acc = libmp.mpf_add(_half_ln_2pi(wp).v, libmp.fhalf, wp, _RND)
     return BigFloat.from_raw(libmp.mpf_sub(acc, term, wp, _RND), ctx)
 

@@ -44,7 +44,8 @@ from mpmath import libmp
 
 from .errors import DomainError
 from .fixed import _floor_series
-from .mpcore import _RND, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index, to_raw
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _argument_error, _Ball, _exp_raw, _log_raw,
+                     _require_index, to_raw)
 from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
                      ln_factorial_range, lngamma_binet2)
 from .series import _main_term
@@ -83,7 +84,7 @@ def _feller_ab(k: int, wp: int, ln_minus: _Ball | None = None):
     exact; then ln k and ln(k + 1/2), so that a sweep takes each log once:
     ``ln_minus``, ln(k - 1/2), is the ln(k + 1/2) of k - 1."""
     def ln(x):
-        return _Ball.op(libmp.mpf_log(x, wp, _RND), wp)
+        return _Ball(x, wp).log()
 
     k_raw = libmp.from_int(k)
     k_minus, k_plus = libmp.mpf_sub(k_raw, libmp.fhalf), libmp.mpf_add(k_raw, libmp.fhalf)
@@ -265,9 +266,9 @@ def marsaglia_factorial(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
         term = libmp.mpf_mul(c_raw, libmp.mpf_pow_int(root, k, wp, _RND), wp, _RND)
         gamma_k2 = gamma_half_integer(k, PrecisionCtx(wp)).raw
         s = libmp.mpf_add(s, libmp.mpf_mul(term, gamma_k2, wp, _RND), wp, _RND)
-    lnn = libmp.mpf_log(n_raw, wp, _RND)
+    lnn = _log_raw(n_raw, wp)
     lead_log = libmp.mpf_sub(libmp.mpf_mul_int(lnn, n + 1, wp, _RND), n_raw, wp, _RND)
-    lead = libmp.mpf_exp(lead_log, wp, _RND)
+    lead = _exp_raw(lead_log, wp)
     return BigFloat.from_raw(libmp.mpf_mul(lead, s, wp, _RND), ctx)
 
 

@@ -7,7 +7,10 @@ Computer Arithmetic, 2010, ch. 4).  Every floor rounds down, so a chain
 never exceeds its exact values.  Each kernel here cites the chain lemma
 below with its own constants and proves its own error in its own units; its
 callers in ``bounds``, ``expansions``, ``quadrature``, ``oracle`` and
-``mpcore`` prove only how they use that error.  The kernels:
+``mpcore`` prove only how they use that error.  ``_exp`` and ``_log`` are
+the package's one e^x and one ln x: ``quadrature`` takes them for its
+nodes, and every other module through ``mpcore._exp_raw`` and
+``mpcore._log_raw``.  The kernels:
   - the walk ``_exp_walk`` of e^(kc), with a lemma of its own, and the
     bracket of e^x of ``_exp_bracket``;
   - the exact floor of 2^p ln 2 (``_ln2``), and one table per precision

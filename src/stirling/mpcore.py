@@ -3,16 +3,20 @@
 Exact rationals are plain ``fractions.Fraction`` (always stored reduced,
 positive denominator, structural equality).  Approximate values are
 ``BigFloat``: an immutable radix-2 float together with the significand
-precision (in bits) of the context that produced it.  All arithmetic is
-delegated to mpmath's ``libmp`` layer, whose primitives are pure functions
-of ``(operands, precision, rounding)`` and therefore give bit-identical
-results for identical inputs.
+precision (in bits) of the context that produced it.  The field operations,
+square roots, pi and Euler's gamma are delegated to mpmath's ``libmp``
+layer, and every e^x and ln x of the package to the integer kernels
+``fixed._exp`` and ``fixed._log``, through :func:`_exp_raw` and
+:func:`_log_raw`.  All of them are pure functions of ``(operands,
+precision, rounding)`` and therefore give bit-identical results for
+identical inputs.
 
 Internal computations round at one working precision, ``PrecisionCtx.wprec()``
 = bits + ``GUARD`` (32), and the final result is rounded once to the
-context's bits.  The rounding model that every proven bound rests on, U(c)
-and libmp's one-ulp allowance, is stated once, in :class:`_Ball`, which
-also carries the error of the bounds that no loop counts.  Two places add
+context's bits.  The rounding model that every proven bound rests on, U(c),
+the correctly rounded e^x and ln x, and libmp's one-ulp allowance for pi
+and gamma, is stated once, in :class:`_Ball`, which also carries the error
+of the bounds that no loop counts.  Two places add
 the bits a cancellation costs: ``bounds.sequence_point``, whose r_n ~
 1/(12n) is what is left of terms near n ln n, and Mermin's
 ``expansions.mermin_partial_product``, whose sum is small against the
@@ -46,7 +50,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .fixed import _exp
+from .fixed import _exp, _log
 
 __all__ = [
     "PrecisionCtx",
@@ -232,9 +236,6 @@ class BigFloat:
     def __rtruediv__(self, other):
         return self._binop(other, libmp.mpf_div, reverse=True)
 
-    def __pow__(self, other):
-        return self._binop(other, libmp.mpf_pow)
-
     def __neg__(self):
         return BigFloat(libmp.mpf_neg(self._raw), self.ctx_bits)
 
@@ -327,48 +328,78 @@ def _require_index(value, name: str, low: int, cap: int | None = None,
 
 # -- elementary functions ---------------------------------------------
 
-_UNARY = {
-    "ln": libmp.mpf_log,
-    "exp": libmp.mpf_exp,
-    "sqrt": libmp.mpf_sqrt,
-    "arctan": libmp.mpf_atan,
-}
+
+def _exp_raw(v, wp: int):
+    """e^v for a finite raw v, to nearest at wp bits, from ``fixed._exp``."""
+    sign, man, exp, _ = v
+    if not man:
+        return libmp.fone
+    man = -man if sign else man
+    if exp >= 0:
+        man, exp = man << exp, 0
+    return libmp.from_man_exp(*_exp(man, -exp, wp))
 
 
-def elementary(fn: str, x, ctx: PrecisionCtx, y=None) -> BigFloat:
-    """Evaluate ln/exp/sqrt/arctan/pow at ``ctx`` precision.
+def _log_raw(v, wp: int):
+    """ln v for a finite raw v > 0, to nearest at wp bits, from ``fixed._log``."""
+    sign, man, exp, _ = v
+    if sign or not man:
+        raise DomainError("ln requires a positive argument")
+    return libmp.from_man_exp(*_log(man, exp, wp))
 
-    ``pow`` needs the exponent in ``y``.  ln and sqrt require x > 0.  The
-    function is taken at wp = ctx.wprec() and rounded once to ctx.bits.
-    For an exact argument (a BigFloat, int or float), ln, exp and sqrt are
-    then within (1/2 + 2^-GUARD) ulp of the result at ctx.bits, under the
-    allowance of ``_Ball``: the value at wp is within U of it, 2^-GUARD of
-    an ulp at ctx.bits, and the rounding adds half an ulp.  A Fraction or
-    a string is first rounded at wp, which ln near 1 and exp of a large
-    argument magnify past any bound in ulps; arctan and pow have no
-    proven bound.
+
+def raw_expm1(x_raw, prec: int):
+    """e^x - 1 for a finite raw x, to nearest at prec bits.
+
+    c = e^x to nearest at wp bits is within r = 2^(mag c - wp - 1) of it,
+    so e^x - 1 lies within r of the exact c - 1.  If c - 1 - r and c - 1 +
+    r round alike at prec, so does every real between them, as rounding is
+    monotone, e^x - 1 among them (Ziv's test); else wp grows by 32 bits.
+    It starts at wp = prec + 8 + max(0, -mag x), where c - 1 keeps prec + 8
+    bits of e^x - 1.
     """
-    wp = ctx.wprec()
-    xr = to_raw(x, wp)
-    if fn == "pow":
-        if y is None:
-            raise DomainError("pow requires an exponent argument")
-        yr = to_raw(y, wp)
-        try:
-            res = libmp.mpf_pow(xr, yr, wp, _RND)
-        except libmp.ComplexResult as exc:
-            raise DomainError(f"pow: {exc}") from exc
-        except ZeroDivisionError as exc:
-            raise DomainError("pow: zero base with negative exponent") from exc
-        return BigFloat.from_raw(res, ctx)
+    sign, man, exp, bc = x_raw
+    if man == 0:
+        if exp == 0:
+            return libmp.fzero
+        raise DomainError("expm1 of non-finite value")
+    wp = prec + max(0, -(exp + bc)) + 8
+    while True:
+        c = _exp_raw(x_raw, wp)
+        r = libmp.from_man_exp(1, c[2] + c[3] - wp - 1)
+        d = libmp.mpf_sub(c, libmp.fone)
+        lo = libmp.mpf_sub(d, r, prec, _RND)
+        if lo == libmp.mpf_add(d, r, prec, _RND):
+            return lo
+        wp += 32
+
+
+_UNARY = {"ln": _log_raw, "exp": _exp_raw, "sqrt": lambda x, wp: libmp.mpf_sqrt(x, wp, _RND)}
+
+
+def elementary(fn: str, x, ctx: PrecisionCtx) -> BigFloat:
+    """Evaluate ln, exp or sqrt at ``ctx`` precision; any other name
+    raises DomainError.
+
+    ln and sqrt require x > 0.  The function is taken correctly rounded at
+    wp = ctx.wprec(), ln and exp by ``fixed._log`` and ``fixed._exp`` and
+    sqrt by libmp, and rounded once more to ctx.bits.  For an exact
+    argument (a BigFloat, int or float) the result is then within (1/2 +
+    2^-(GUARD+1)) ulp of the function at ctx.bits: the value at wp is
+    within half an ulp there, 2^-(GUARD+1) of an ulp at ctx.bits, and the
+    rounding adds half an ulp.  A Fraction or a string is first rounded at
+    wp, which ln near 1 and exp of a large argument magnify past any bound
+    in ulps.
+    """
     try:
         op = _UNARY[fn]
     except KeyError:
         raise DomainError(f"unknown elementary function {fn!r}") from None
-    if fn in ("ln", "sqrt") and libmp.mpf_le(xr, libmp.fzero):
+    wp = ctx.wprec()
+    xr = to_raw(x, wp)
+    if fn != "exp" and libmp.mpf_le(xr, libmp.fzero):
         raise DomainError(f"{fn} requires a positive argument")
-    res = op(xr, wp, _RND)
-    return BigFloat.from_raw(res, ctx)
+    return BigFloat.from_raw(op(xr, wp), ctx)
 
 
 def pi(ctx: PrecisionCtx) -> BigFloat:
@@ -378,37 +409,6 @@ def pi(ctx: PrecisionCtx) -> BigFloat:
 def rational_to_float(q: Fraction, ctx: PrecisionCtx) -> BigFloat:
     """Correctly rounded conversion of an exact rational."""
     return bigfloat(Fraction(q), ctx)
-
-
-# -- raw helpers shared by the numeric modules ------------------------
-
-
-def raw_log1p(x_raw, prec: int):
-    """log(1+x) for x > -1, compensating the cancellation near x = 0."""
-    sign, man, exp, bc = x_raw
-    if man == 0:
-        if exp == 0:
-            return libmp.fzero
-        raise DomainError("log1p of non-finite value")
-    mag = exp + bc  # x is within a factor 2 of 2**mag
-    bump = max(0, -mag) + 8
-    wp = prec + bump
-    one_plus = libmp.mpf_add(libmp.fone, x_raw, wp, _RND)
-    if libmp.mpf_le(one_plus, libmp.fzero):
-        raise DomainError("log1p requires x > -1")
-    return libmp.mpf_pos(libmp.mpf_log(one_plus, wp, _RND), prec, _RND)
-
-
-def raw_expm1(x_raw, prec: int):
-    """exp(x) - 1, accurate for tiny x."""
-    sign, man, exp, bc = x_raw
-    if man == 0:
-        if exp == 0:
-            return libmp.fzero
-        raise DomainError("expm1 of non-finite value")
-    wp = prec + max(0, -(exp + bc)) + 8
-    e = libmp.mpf_exp(x_raw, wp, _RND)
-    return libmp.mpf_pos(libmp.mpf_sub(e, libmp.fone, wp, _RND), prec, _RND)
 
 
 # -- the rounding model -------------------------------------------------
@@ -426,17 +426,6 @@ def _sum_up(parts, prec: int = 64):
     return total
 
 
-def _exp_raw(v, wp: int):
-    """e^v for a finite raw v, to nearest at wp bits, from ``fixed._exp``."""
-    sign, man, exp, _ = v
-    if not man:
-        return libmp.fone
-    man = -man if sign else man
-    if exp >= 0:
-        man, exp = man << exp, 0
-    return libmp.from_man_exp(*_exp(man, -exp, wp))
-
-
 class _Ball:
     """A libmp value v at wp bits with a proven bound on its error: the
     exact x that v stands for is within e 2^q of v, for integers e and q.
@@ -450,29 +439,28 @@ class _Ball:
         U(c) = 2^(mag c - wp),  U(0) = 0,
 
     one ulp of a wp-bit c, so U(c) <= 2^(1-wp) |c|.  The allowance: every
-    libmp operation at wp returns a c within U(c) of the exact result on
-    its computed operands.  + - x / and the conversions are correctly
-    rounded, within U(c)/2, and so is e^a (``exp``), which comes from
-    ``fixed._exp`` with its proven bound, not from libmp; mpf_log, mpf_pi
-    and mpf_euler are taken to within one ulp, which mpmath 1.3 does not
-    document and every bound of the package that takes them assumes.  So
-    c = x (1 + delta) with |delta| <= u = 2^(2-wp), the form Higham's
-    Lemma 3.1 counts in a loop.  A computed 0 is exact: libmp's exponents
-    are unbounded and its rounding keeps a nonzero leading bit, so a sum
-    or product that comes out 0 was 0; a log within one ulp, relative, of
-    the exact one is 0 only at ln 1; and e^a is never 0.
+    operation at wp returns a c within U(c) of the exact result on its
+    computed operands.  + - x / and the conversions are correctly rounded
+    by libmp, within U(c)/2, and so are e^a and ln a, which come from
+    ``fixed._exp`` and ``fixed._log`` (:func:`_exp_raw`, :func:`_log_raw`)
+    with their proven bounds; only libmp's mpf_pi and mpf_euler are taken
+    to within one ulp, which mpmath 1.3 does not document and every bound
+    of the package that takes them assumes.  So c = x (1 + delta) with
+    |delta| <= u = 2^(2-wp), the form Higham's Lemma 3.1 counts in a loop.
+    A computed 0 is exact: libmp's exponents are unbounded and its rounding
+    keeps a nonzero leading bit, so a sum or product that comes out 0 was
+    0; a correctly rounded log is 0 only where the exact one is, at ln 1;
+    and e^a is never 0.
 
     Each operation takes the one call at wp that the value takes without a
-    bound (libmp's, or ``fixed._exp`` for e^a), and adds U of its result
-    to the errors its operands e_a, e_b pass on (an exact raw operand has
-    none):
+    bound (libmp's, or ``fixed``'s for e^a and ln a), and adds U of its
+    result to the errors its operands e_a, e_b pass on (an exact raw
+    operand has none):
       - a +- b: e_a + e_b;  a b: |a~| e_b + |b~| e_a + e_a e_b;
       - 2^k a (``shift``) and -a: 2^k e_a and e_a, and no U, as they are
         exact;
-      - ln a: e_a / (a~ - e_a), by the mean value theorem;
-      - ln(1 + a) (``raw_log1p``): e_a / (1 + a~ - e_a), and 2^(1-w') for
-        1 + a~ rounded at w' = wp + 8 + max(0, -mag a~) bits, as its log at
-        w' and the rounding to wp stay within U;
+      - ln a: e_a / (a~ - e_a), by the mean value theorem, and ln(1 + a)
+        (``log1p``) the same, as the ln of the exact 1 + a~;
       - e^a: (|c| + U(c)) (e^d - 1) for d = e_a, with e^d - 1 <= d / (1 - d)
         for d <= 1/2, and < 2^ceil(3d/2) past it;
       - rounding to p bits (``rounded``): half an ulp there, 2^(mag - p - 1).
@@ -551,14 +539,10 @@ class _Ball:
         return _Ball(libmp.mpf_shift(self.v, k), self.wp, self.e, self.q + k)
 
     def log(self) -> "_Ball":
-        return self._out(libmp.mpf_log(self.v, self.wp, _RND), self._slope(self.v), self.q)
+        return self._out(_log_raw(self.v, self.wp), self._slope(self.v), self.q)
 
     def log1p(self) -> "_Ball":
-        x = self.v
-        e = self._slope(libmp.mpf_add(libmp.fone, x))
-        if x[1]:  # 2^(1-w') for the rounding of 1 + x~
-            e += _ceil_shift(1, -7 - self.wp - max(0, -(x[2] + x[3])) - self.q)
-        return self._out(raw_log1p(x, self.wp), e, self.q)
+        return _Ball(libmp.mpf_add(libmp.fone, self.v), self.wp, self.e, self.q).log()
 
     def exp(self) -> "_Ball":
         c, e = _exp_raw(self.v, self.wp), self.e

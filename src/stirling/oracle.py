@@ -53,8 +53,8 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import ConvergenceError, DomainError
-from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
-                     _require_positive, _sum_up, raw_expm1, raw_log1p, to_raw)
+from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _exp_raw,
+                     _log_raw, _require_index, _require_positive, _sum_up, raw_expm1, to_raw)
 from .fixed import _moment_series
 from .quadrature import half_line_nodes
 
@@ -117,7 +117,7 @@ def _oracle_main_term(z: _Ball) -> _Ball:
 
 def _ln_factorial_raw(n: int, wp: int):
     """ln(n!) at wp bits from the exact integer: one rounding."""
-    return libmp.mpf_log(libmp.from_int(math.factorial(n), wp, _RND), wp, _RND)
+    return _log_raw(libmp.from_int(math.factorial(n), wp, _RND), wp)
 
 
 def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
@@ -139,7 +139,7 @@ def ln_factorial_range(n_max: int, wp: int):
     product = 1
     for n in range(1, n_max + 1):
         product *= n
-        yield n, libmp.mpf_log(libmp.from_int(product, wp, _RND), wp, _RND)
+        yield n, _log_raw(libmp.from_int(product, wp, _RND), wp)
 
 
 # -- Binet's second formula ----------------------------------------------
@@ -248,9 +248,9 @@ def _binet_strip_mass():
     cos_pr, sin_pr = libmp.mpf_cos_sin(pi_rho, p, _RND)
     pi_rho_cot = libmp.mpf_div(libmp.mpf_mul(pi_rho, cos_pr, p, _RND), sin_pr, p, _RND)
     lam = _sum_up([pi_rho, libmp.mpf_shift(libmp.mpf_sub(libmp.fone, pi_rho_cot, p, _RND), -1)])
-    a0 = _sum_up([libmp.mpf_log(two_pi, p, _RND), d, sin_d, lam])
+    a0 = _sum_up([_log_raw(two_pi, p), d, sin_d, lam])
     slope = _sum_up([libmp.fone, libmp.mpf_div(sin_d, cos_d, p, _RND)])
-    ln_e_rho = libmp.mpf_sub(libmp.fone, libmp.mpf_log(rho, p, _RND), p, _RND)  # 1 + ln(1/rho)
+    ln_e_rho = libmp.mpf_sub(libmp.fone, _log_raw(rho, p), p, _RND)  # 1 + ln(1/rho)
     near = _sum_up([a0, libmp.mpf_mul(slope, ln_e_rho, p, _RND)])
     near = libmp.mpf_div(libmp.mpf_mul(near, rho, p, _RND), raw(1 - _STRIP_RHO ** 2), p, _RND)
     c_rho, s_rho = cone(_STRIP_W_RHO)
@@ -259,7 +259,7 @@ def _binet_strip_mass():
     def ell(r):
         """-ln(1 - e^(-2 pi c_rho r))"""
         v = libmp.mpf_neg(raw_expm1(libmp.mpf_neg(libmp.mpf_mul(decay, raw(r), p, _RND)), p))
-        return libmp.mpf_neg(libmp.mpf_log(v, p, _RND))
+        return libmp.mpf_neg(_log_raw(v, p))
 
     width = (1 - _STRIP_RHO) / 8
     b_rho = _sum_up(ell(_STRIP_RHO + i * width) for i in range(8))
@@ -295,8 +295,7 @@ def _binet_discretisation_bound(m: int):
 
 
 def _phi(u, p: int):
-    return libmp.mpf_exp(libmp.mpf_sub(u, libmp.mpf_exp(libmp.mpf_neg(u), p, _RND), p, _RND),
-                         p, _RND)
+    return _exp_raw(libmp.mpf_sub(u, _exp_raw(libmp.mpf_neg(u), p), p, _RND), p)
 
 
 def _first(ok, j: int, low: int) -> int:
@@ -360,7 +359,7 @@ def _binet_plan(bits: int):
         t = _phi(libmp.from_rational(-j, m, p, _RND), p)
         head = libmp.mpf_sub(libmp.mpf_add(libmp.fone, libmp.mpf_mul(half_pi, t, p, _RND), p,
                                            _RND),
-                             libmp.mpf_log(libmp.mpf_mul(two_pi, t, p, _RND), p, _RND), p, _RND)
+                             _log_raw(libmp.mpf_mul(two_pi, t, p, _RND), p), p, _RND)
         return libmp.mpf_div(libmp.mpf_mul(t, head, p, _RND), half_pi, p, _RND)
 
     def right(j):  # T and the doubled bound
@@ -591,7 +590,7 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
         prod = libmp.mpf_mul(prod, libmp.mpf_add(z_raw, libmp.from_int(k), wp, _RND), wp, _RND)
     z_ball = _Ball(z_raw, wp)
     val = _Ball.op(_ln_factorial_raw(n, wp), wp) + z_ball * _Ball(libmp.from_int(n), wp).log()
-    val = val - _Ball.op(libmp.mpf_log(prod, wp, _RND), wp)
+    val = val - _Ball(prod, wp).log()
     out = val.widen(libmp.from_man_exp(2 * n + 3, 3 - wp),
                     _argument_error(z_raw, wp)).rounded(ctx.bits)
 
@@ -625,15 +624,15 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     X = gamma z~ + S, S = sum_{n<=K} (ln(1 + z~/n) - z~/n), at z~, z rounded
     to wp = ctx.wprec().
 
-    The sum.  Term n takes x~ = z~/n, within U(x~) of x = z~/n, l =
-    ``raw_log1p``(x~), d = l - x~ and s~ += d (U as in ``mpcore._Ball``).
-    ``raw_log1p`` adds 2^(1-w') <= U(x~)/64 and U(l), and as |t / (1 + t)|
-    < 1 for t > 0, ln(1 + x~) - x~ is within U(x~) of ln(1 + x) - x.  So d
-    is within U(d) + U(l) + (65/64) U(x~) of its exact term, and the sum
-    adds U(s~); all four are at most 2^(t - wp) for the largest mag t among
-    x~, l, d and s~, skipping an exact 0, which has no error.  So |s~ - S|
-    <= e_s = sum over the terms of 5 2^(t - wp), and ``mpcore._Ball``
-    tracks X~ and W~ from there.
+    The sum.  Term n takes x~ = z~/n, within U(x~) of x = z~/n, l, the ln
+    of the exact 1 + x~ to nearest (``mpcore._log_raw``), d = l - x~ and
+    s~ += d (U as in ``mpcore._Ball``).  l adds U(l)/2, and as |t / (1 +
+    t)| < 1 for t > 0, ln(1 + x~) - x~ is within U(x~) of ln(1 + x) - x.
+    So d is within U(d) + U(l)/2 + U(x~) of its exact term, and the sum
+    adds U(s~); each is at most 2^(t - wp) for the largest mag t among x~,
+    l, d and s~, skipping an exact 0, which has no error.  So |s~ - S| <=
+    e_s = sum over the terms of 5 2^(t - wp), more than the 3.5 2^(t - wp)
+    a term needs, and ``mpcore._Ball`` tracks X~ and W~ from there.
 
     The bound.  The omitted factors give 1/Gamma(z~) = z~ e^X e^-tau with 0
     < tau <= z~^2/(2K): each ln(1 + x) - x lies in [-x^2/2, 0], and
@@ -653,7 +652,7 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     s, mags = libmp.fzero, Counter()
     for n in range(1, K + 1):
         x = libmp.mpf_div(z_raw, libmp.from_int(n), wp, _RND)
-        ell = raw_log1p(x, wp)
+        ell = _log_raw(libmp.mpf_add(libmp.fone, x), wp)
         d = libmp.mpf_sub(ell, x, wp, _RND)
         s = libmp.mpf_add(s, d, wp, _RND)
         mags[max(c[2] + c[3] for c in (x, ell, d, s) if c[1])] += 1

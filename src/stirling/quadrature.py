@@ -20,7 +20,8 @@ A node calls no libmp function: t and l's q are each e^y for an exact
 y = Y 2^-cp, and the middle form's log is ln v~ for an exact v~, each
 rounded correctly by an integer kernel, ``fixed._exp`` or ``fixed._log``;
 the rest is exact integer arithmetic with the floors named below.  libmp
-takes only the table's pi and ln(2 pi), once per table.
+takes only the table's pi, once per table, and ln(2 pi~) comes from
+``fixed._log`` too, through ``mpcore._log_raw``.
 e^-u walks the grid on integers at cp = wp + 96 fractional bits, by the
 chain ``fixed._exp_walk`` of one product per node: b = B 2^-cp, the
 walk's e^-u, with each B the one before it times S 2^-cp, floored, from
@@ -61,10 +62,10 @@ weight before its floor, within 2^-(F+4) of w at t~.
 
 Proof of the second.  exp and ln at p bits, ``fixed._exp`` and
 ``fixed._log``, are rounded correctly, as their docstrings prove, so
-within half an ulp, a relative 2^-p; the table's constants pi and ln(2
-pi) are within one ulp by the allowance of ``mpcore._Ball``, and 2 pi~,
-twice pi~, is exact.  Every floor is below its value
-by less than one unit of its last place.  Let x = 2 pi t~ and eps the
+within half an ulp, a relative 2^-p, and so is ln(2 pi~); the table's pi
+is within one ulp by the allowance of ``mpcore._Ball``, and 2 pi~, twice
+pi~, is exact.  Every floor is below its value by less than one unit of
+its last place.  Let x = 2 pi t~ and eps the
 relative error of l~ against l(t~).
   - series, in units of 2^-R.  X = floor(2 pi~ t~ 2^R) is within 1.01 of
     x 2^R, as x < 2^-45.3; X >> 1 within 1.51 of x 2^(R-1); the floors of
@@ -119,7 +120,7 @@ from mpmath import libmp
 from .bernoulli import bernoulli, table
 from .fixed import (_exp, _exp_table, _exp_walk, _lambda_series, _ln2, _log, _log1m_ratio, _moments,
                     _scaled)
-from .mpcore import _RND
+from .mpcore import _RND, _log_raw
 
 __all__ = ["half_line_nodes"]
 
@@ -186,17 +187,17 @@ def _lambda_coeffs(F: int) -> list[tuple[int, int]]:
 
 def _constants(wp: int) -> tuple:
     """What every node of the table at wp shares: cp = wp + 96; 2 pi~ at cp
-    bits, with pi to nearest; ln(2 pi~), floor(v~ 2^cp) of a libmp log v~
-    at cp bits; and the pairs of ``_lambda_coeffs``.  It also widens
-    ``fixed._ln2`` and ``fixed._exp_table`` to cp + 64 first, past the
-    widest exponential and log of the table's nodes (wp + 150 but for a
-    Ziv retry), so that these shift their floors down instead of building
-    them twice."""
+    bits, with pi to nearest; ln(2 pi~), floor(v~ 2^cp) of its v~ to
+    nearest at cp bits (``mpcore._log_raw``); and the pairs of
+    ``_lambda_coeffs``.  It also widens ``fixed._ln2`` and
+    ``fixed._exp_table`` to cp + 64 first, past the widest exponential
+    and log of the table's nodes (wp + 150 but for a Ziv retry), so that
+    these shift their floors down instead of building them twice."""
     cp = wp + 96
     _ln2(cp + 64)
     _exp_table(cp + 64)
     two_pi = libmp.mpf_shift(libmp.mpf_pi(cp, _RND), 1)
-    return (cp, two_pi, libmp.to_fixed(libmp.mpf_log(two_pi, cp, _RND), cp),
+    return (cp, two_pi, libmp.to_fixed(_log_raw(two_pi, cp), cp),
             _lambda_coeffs(wp + 32))
 
 

@@ -31,8 +31,8 @@ from mpmath import libmp
 
 from .bernoulli import bernoulli, table
 from .errors import DomainError, ResourceError
-from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _require_index,
-                     _require_positive, to_raw)
+from .mpcore import (_RND, _UP, BigFloat, PrecisionCtx, _argument_error, _Ball, _log_raw,
+                     _require_index, _require_positive, to_raw)
 
 __all__ = [
     "Approximation",
@@ -197,11 +197,11 @@ def f_term(k: int, z, ctx: PrecisionCtx) -> BigFloat:
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
     if k == 0:
-        lnz = libmp.mpf_log(z_raw, wp, _RND)
+        lnz = _log_raw(z_raw, wp)
         raw = libmp.mpf_sub(libmp.mpf_mul(z_raw, lnz, wp, _RND), z_raw, wp, _RND)
         return BigFloat.from_raw(raw, ctx)
     if k == 1:
-        lnz = libmp.mpf_log(z_raw, wp, _RND)
+        lnz = _log_raw(z_raw, wp)
         return BigFloat.from_raw(libmp.mpf_neg(libmp.mpf_shift(lnz, -1)), ctx)
     if k % 2:
         return BigFloat.from_raw(libmp.fzero, ctx)
@@ -281,12 +281,12 @@ def stirling_original_log10(n, terms: int, ctx: PrecisionCtx) -> BigFloat:
     wp = ctx.wprec()
     n_raw = to_raw(n, wp)
     _require_positive(n_raw, "n")
-    ln10 = libmp.mpf_log(libmp.from_int(10), wp, _RND)
+    ln10 = _log_raw(libmp.from_int(10), wp)
     a = libmp.mpf_div(libmp.fone, ln10, wp, _RND)
     m = libmp.mpf_add(n_raw, libmp.fhalf, wp, _RND)  # n + 1/2
-    log10_m = libmp.mpf_div(libmp.mpf_log(m, wp, _RND), ln10, wp, _RND)
+    log10_m = libmp.mpf_div(_log_raw(m, wp), ln10, wp, _RND)
     two_pi = libmp.mpf_shift(libmp.mpf_pi(wp, _RND), 1)
-    log10_2pi = libmp.mpf_div(libmp.mpf_log(two_pi, wp, _RND), ln10, wp, _RND)
+    log10_2pi = libmp.mpf_div(_log_raw(two_pi, wp), ln10, wp, _RND)
     acc = libmp.mpf_mul(m, log10_m, wp, _RND)
     acc = libmp.mpf_sub(acc, libmp.mpf_mul(a, m, wp, _RND), wp, _RND)
     acc = libmp.mpf_add(acc, libmp.mpf_shift(log10_2pi, -1), wp, _RND)

@@ -144,3 +144,14 @@ def test_only_mpcore_spells_an_integer_test():
              if path.name != "mpcore.py"
              for match in pattern.finditer(path.read_text())}
     assert found == allowed
+
+
+def test_every_exp_and_log_takes_one_path():
+    # every e^x and ln x comes from fixed._exp and fixed._log, through
+    # mpcore._exp_raw, mpcore._log_raw or mpcore._Ball: no module names a
+    # libmp exp, log, arctan or real power, so no second path can come back
+    pattern = re.compile(r"\bmpf_(?:exp|log|atan|pow(?!_int))\w*")
+    found = {(path.name, match.group())
+             for path in Path(stirling.__file__).parent.glob("*.py")
+             for match in pattern.finditer(path.read_text())}
+    assert found == set()

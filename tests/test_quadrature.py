@@ -13,6 +13,7 @@ import pytest
 from mpmath import libmp
 
 import stirling.fixed
+import stirling.mpcore
 import stirling.oracle
 import stirling.quadrature
 from stirling.bernoulli import table as bernoulli_table
@@ -143,9 +144,10 @@ def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
     # no node calls a libmp exponential or log: t at every node, q at the
     # chain's nodes and at those between the series and the chain, and the
     # walk's two ratios e^(-+1/m) come from fixed._exp, and the log of the
-    # nodes between from fixed._log, one each.  The only libmp
-    # transcendentals left are the table's pi and ln(2 pi); besides them
-    # libmp takes only 2 pi from pi, ln(2 pi) to fixed point and 1/m
+    # nodes between from fixed._log, one each.  The table's ln(2 pi) is the
+    # one log it takes through mpcore, and the table's pi the only libmp
+    # transcendental; besides it libmp takes only 2 pi from pi, ln(2 pi)
+    # from the kernel's (man, e) and then to fixed point, and 1/m
     monkeypatch.setattr(stirling.quadrature, "_CACHE", {})
     m, j_left, j_right, *_ = stirling.oracle._binet_plan(bits)
     short = chain = 0
@@ -154,13 +156,16 @@ def test_cold_table_work_per_node(monkeypatch, count_calls, bits):
         chain += mpmath.mpf(t_raw) * 2 * mpmath.pi >= 17
     counts = count_calls(*(name for name, f in vars(libmp).items() if inspect.isfunction(f)))
     kernels = count_calls("_exp", "_log", module=stirling.quadrature)
+    through_mpcore = count_calls("_exp", "_log", module=stirling.mpcore)
     n = len(table(bits)[3])
     assert short > 0 and chain > 0
     between = n - short - chain
     assert kernels["_log"][0] == between
     assert kernels["_exp"][0] == n + chain + between + 2
+    assert through_mpcore == {"_exp": [0], "_log": [1]}
     calls = {name: tally[0] for name, tally in counts.items() if tally[0]}
-    assert calls == {"mpf_pi": 1, "mpf_log": 1, "mpf_shift": 1, "to_fixed": 1, "from_rational": 1}
+    assert calls == {"mpf_pi": 1, "mpf_shift": 1, "to_fixed": 1, "from_rational": 1,
+                     "from_man_exp": 1}
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -334,24 +339,28 @@ def test_warm_call_takes_no_exponential_arctan_or_node_log(monkeypatch, bits):
     # every transcendental of a node lives in its cached table: a warm
     # evaluation takes no exponential and no arctan, and its only logs are
     # ln z of P(z), and of z itself when z < 1 is shifted to z + 1; ln(2 pi)
-    # is taken once per precision
+    # is taken once per precision.  Every e^x and ln x of the package
+    # outside the table goes through mpcore to fixed's kernels, which the
+    # spies see as (man, e) for the argument man 2^e; Y 2^-cp for _exp
     ctx = PrecisionCtx(bits)
     wp = bits + 64
     lngamma_binet2(3, ctx)
-    calls = {"mpf_exp": [], "mpf_atan": [], "mpf_log": []}
+    calls = {"_exp": [], "_log": []}
     for name, seen in calls.items():
-        def spy(x, *rest, real=getattr(libmp, name), seen=seen):
-            seen.append(x)
-            return real(x, *rest)
-        monkeypatch.setattr(libmp, name, spy)
+        def spy(man, e, *rest, real=getattr(stirling.mpcore, name), seen=seen):
+            seen.append(libmp.from_man_exp(man, e))
+            return real(man, e, *rest)
+        monkeypatch.setattr(stirling.mpcore, name, spy)
+    atan = []
+    monkeypatch.setattr(libmp, "mpf_atan", lambda *args: atan.append(args))
     small = to_raw(Fraction(1, 1000), wp)
     for z, logs in ((Fraction(22, 7), [to_raw(Fraction(22, 7), wp)]),
                     (Fraction(1, 1000), [libmp.mpf_add(small, libmp.fone), small])):
         for seen in calls.values():
             seen.clear()
         lngamma_binet2(z, ctx)
-        assert calls["mpf_exp"] == calls["mpf_atan"] == []
-        assert calls["mpf_log"] == logs
+        assert calls["_exp"] == atan == []
+        assert calls["_log"] == logs
 
 
 @pytest.mark.parametrize("bits, most", [(256, 450), (768, 1500)])
