@@ -11,13 +11,14 @@ a_k comes from its own factorial-form recurrence
 
     a_0 = 1,   sum_{j=0..k} a_j / (k+1-j)! = 0          (k >= 1)
 
-run up to k = 128, the verification depth, over one common denominator:
-the a_j are kept as integer numerators over the lcm L of their
-denominators, multiplied by the falling factorials (k+1)!/(k+1-j)!, and
-reduced once per k (``_a_recurrence``).  It uses no tangent number, so up
-to k = 128 the identity k! * a_k == B_k is a genuine cross-check between
-two computations rather than a restatement of one of them; past it a_k is
-derived as B_k / k!.  Everything is exact integer or
+run on demand, only as far as the k asked for and at most to k = 128, the
+verification depth, over one common denominator: the a_j are kept as
+integer numerators over the lcm L of their denominators, multiplied by the
+falling factorials (k+1)!/(k+1-j)!, and reduced once per k
+(``_a_recurrence``), and a later, deeper k resumes from them.  It uses no
+tangent number, so up to k = 128 the identity k! * a_k == B_k is a genuine
+cross-check between two computations rather than a restatement of one of
+them; past it a_k is derived as B_k / k!.  Everything is exact integer or
 ``fractions.Fraction`` arithmetic; no floating point enters this module.
 """
 
@@ -51,10 +52,12 @@ def _tangent_numbers(n: int) -> list[int]:
     return t[1:]
 
 
-def _a_recurrence(a: list[Fraction], k: int) -> list[Fraction]:
-    """[a_m for m = len(a)..k] (none when len(a) > k) from a = [a_0, ...]
-    by the factorial recurrence a_m = -sum_(j<m) a_j / (m+1-j)!, over one common
-    denominator.
+def _a_recurrence(L: int, N: list[int], k: int) -> tuple[list[Fraction], int, list[int]]:
+    """([a_m for m = len(N)..k], L', N') (no a_m when len(N) > k) by the
+    factorial recurrence a_m = -sum_(j<m) a_j / (m+1-j)!, over one common
+    denominator, from N, the numerators of a_0, a_1, ... over L, the lcm of
+    their denominators; L' and N' are the same for the a_j with j <= k too,
+    and a later call resumes from them.
 
     With every a_j = N_j / L for L the lcm of their denominators,
     (m+1)! a_m = -sum_(j<m) a_j (m+1)! / (m+1-j)!, and the falling
@@ -63,10 +66,9 @@ def _a_recurrence(a: list[Fraction], k: int) -> list[Fraction]:
     products and one reduction per m.  L then takes in the denominator of
     a_m, and every N_j is scaled to the new L.
     """
-    L = math.lcm(*(x.denominator for x in a))
-    N = [x.numerator * (L // x.denominator) for x in a]
+    N = list(N)
     out = []
-    for m in range(len(a), k + 1):
+    for m in range(len(N), k + 1):
         t, falling = 0, 1  # falling = (m+1)! / (m+1-j)!
         for j in range(m):
             t -= N[j] * falling
@@ -78,22 +80,25 @@ def _a_recurrence(a: list[Fraction], k: int) -> list[Fraction]:
             L *= grow
             N = [v * grow for v in N]
         N.append(x.numerator * (L // x.denominator))
-    return out
+    return out, L, N
 
 
 class BernoulliTable:
-    """Memoized table of exact B_0..B_K and a_0..a_min(K, 128).
+    """Memoized table of exact B_0..B_K and a_0..a_k, k <= 128.
 
-    The table only grows (geometrically) and never mutates existing
-    entries.  Extension is serialized by a lock and builds new lists that
-    replace the old ones only when complete, so concurrent readers always
-    see fully written rows.
+    B grows geometrically, when a B_k past it is asked for.  a grows only
+    when an a_k past it is asked for, and then to k itself (never past
+    128): it does not follow B.  Neither mutates existing entries.
+    Extension is serialized by a lock and builds new lists that replace the
+    old ones only when complete, so concurrent readers always see fully
+    written rows.
     """
 
     def __init__(self, cap: int = DEFAULT_CAP):
         self.cap = cap
         self._b: list[Fraction] = [Fraction(1)]
         self._a: list[Fraction] = [Fraction(1)]
+        self._a_scaled = (1, [1])  # (L, N): _a[j] = N[j] / L, for _a_recurrence
         self._lock = threading.RLock()
 
     @property
@@ -117,9 +122,6 @@ class BernoulliTable:
                     four_i = 4 ** i
                     b.append(Fraction((-1) ** (i - 1) * m * tangent[i - 1],
                                       four_i * (four_i - 1)))
-            a = self._a + _a_recurrence(self._a, min(target, _A_DEPTH))
-            # a first: a reader that sees the longer _b finds _a ready too
-            self._a = a
             self._b = b
 
     def b(self, k: int) -> Fraction:
@@ -132,8 +134,12 @@ class BernoulliTable:
         _require_index(k, "k", 0, self.cap, "Bernoulli table cap")
         if k > _A_DEPTH:
             return self.b(k) / math.factorial(k)
-        if k > self.max_index:
-            self._extend_to(k)
+        if k >= len(self._a):
+            with self._lock:
+                if k >= len(self._a):
+                    new, L, N = _a_recurrence(*self._a_scaled, k)
+                    self._a_scaled = L, N
+                    self._a = self._a + new
         return self._a[k]
 
 

@@ -414,14 +414,16 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
 
     # Mermin: r_n - M_K is the tail sum_(k>K) d_k, in (0, 1/(12 (K+1))).
     # r_n is within a relative 2^-(bits+28) (``bounds.sequence_point``) and
-    # M_K within 2^-(bits+32) (``mermin_partial_product``) before their
-    # rounding to ctx.bits, which adds half an ulp, below 2^(1-bits)
-    # relative: each is within 2^(2-bits) of its own magnitude.
-    K = 10**4
+    # M_K within 2^-(bits+32) before their rounding to ctx.bits, which adds
+    # half an ulp, below 2^(1-bits) relative: each is within 2^(2-bits) of
+    # its own magnitude.  The three M_K share the sum over k = 10..K and
+    # come from one ``_mermin_products`` call, which proves that bound for
+    # each.
+    K, ns = 10**4, (1, 2, 10)
     outcomes = Counter()
-    for n in (1, 2, 10):
+    for n, product in zip(ns, expn._mermin_products(ns, K, ctx)):
         r = bnd.sequence_point(n, ctx).r_n._fraction()
-        log_prod = expn.mermin_partial_product(n, K, ctx)._fraction()
+        log_prod = product._fraction()
         err = (abs(r) + abs(log_prod)) * Fraction(4, 1 << ctx.bits)
         outcomes[_judge(f"mermin tail at n={n}", r - log_prod - err, r - log_prod + err,
                         Fraction(0), Fraction(1, 12 * K), ctx.bits)] += 1

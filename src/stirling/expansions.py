@@ -33,6 +33,8 @@ Four independent routes are implemented:
   a series of positive terms: the partial product is summed by the same
   integer fixed-point kernel as Feller's constant (``fixed._floor_series``,
   which sums blocks of consecutive m as one series each), and rounded once.
+  Products for several n and one K sum their common tail once
+  (``_mermin_products``).
 """
 
 from __future__ import annotations
@@ -330,19 +332,41 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
 
     With m = 2k + 1 each summand is m atanh(1/m) - 1, the positive series
     sum_{j>=1} 1/((2j+1) m^(2j)), summed over the odd m = 2n+1..2K+1 by
-    ``fixed._floor_series`` with d_j = 2j + 1, so the sum lies in [s, s +
-    D) 2^-W, D at most what the m would add one by one.  The sum is at
-    least its first term 1/(3(2n+1)^2) > 2^-(2 bitlen(2n+1) + 2), so
-    W = wp + bitlen(D) with wp = ctx.wprec() + 2 bitlen(2n+1) + 2 puts that
-    error below 2^-ctx.wprec() = 2^-(bits + 32) relative to the result,
-    which is rounded once.
+    ``fixed._floor_series`` with d_j = 2j + 1 and rounded once; see
+    ``_mermin_products``, of which this is the call with ns = (n,).
     """
-    _require_index(n, "n", 1)
-    _require_index(K, "K", n, TERMS_CAP, "term cap", low_name="n")
-    wp = ctx.wprec() + 2 * (2 * n + 1).bit_length() + 2
-    # D <= (K - n + 1) wp: as m^2 >= 9, an m alone adds at most
-    # W / (2 log2 3) terms, and 2 W / (2 log2 3) + 1 <= wp as K <= TERMS_CAP
-    # and wp >= 102; a block adds no more than its m would
-    W = wp + ((K - n + 1) * wp).bit_length()
-    s = _floor_series(range(2 * n + 1, 2 * K + 2, 2), range(3, W + 4, 2), W)
-    return BigFloat.from_raw(libmp.from_man_exp(s, -W), ctx)
+    return _mermin_products((n,), K, ctx)[0]
+
+
+def _mermin_products(ns, K: int, ctx: PrecisionCtx) -> list[BigFloat]:
+    """[mermin_partial_product(n, K, ctx) for n in ns], the tail that the
+    sums share summed once: over m = 2N+1..2K+1, N = max(ns), and each
+    shorter sum adds its head, m = 2n+1..2n'-1 for the next larger n', as
+    its own ``fixed._floor_series`` call.  Every sum is taken at one W and
+    rounded once to ctx; for ns = (n,) that W is the one of
+    ``mermin_partial_product`` alone.
+
+    Each piece lies in [s, s + D') 2^-W, D' at most what its m would add
+    one by one, so the sum for n, whatever its pieces, lies in [s, s + D)
+    2^-W with D at most the sum over m = 2n+1..2K+1 of what one m adds.
+    With wp = ctx.wprec() + 2 bitlen(2N+1) + 2, from the largest n, and W =
+    wp + bitlen((K - n0 + 1) wp), n0 = min(ns):
+      - D <= (K - n + 1) wp <= (K - n0 + 1) wp < 2^(W - wp): as m^2 >= 9,
+        an m alone adds at most L = W / (2 log2 3) terms and loses less
+        than 2 L + 1, which is at most wp as K <= TERMS_CAP and wp >= 102.
+        So the error is below 2^-wp.
+      - The sum for n is at least its first term 1/(3(2n+1)^2) >
+        2^-(2 bitlen(2n+1) + 2), and wp >= ctx.wprec() + 2 bitlen(2n+1) +
+        2, so the error is below 2^-ctx.wprec() = 2^-(bits + 32) relative
+        to the sum before its rounding.
+    """
+    ns = [_require_index(n, "n", 1) for n in ns]
+    _require_index(K, "K", max(ns), TERMS_CAP, "term cap", low_name="n")
+    wp = ctx.wprec() + 2 * (2 * max(ns) + 1).bit_length() + 2
+    W = wp + ((K - min(ns) + 1) * wp).bit_length()
+    divisors = range(3, W + 4, 2)
+    sums, s, top = {}, 0, K + 1  # s sums m = 2 top + 1 .. 2K + 1
+    for n in sorted(set(ns), reverse=True):
+        s += _floor_series(range(2 * n + 1, 2 * top + 1, 2), divisors, W)
+        sums[n], top = s, n
+    return [BigFloat.from_raw(libmp.from_man_exp(sums[n], -W), ctx) for n in ns]

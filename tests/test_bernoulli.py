@@ -1,6 +1,7 @@
 """Bernoulli numbers and series coefficients, exact rationals throughout."""
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -121,9 +122,66 @@ def test_a_equals_the_fraction_recurrence_fresh_and_stepwise():
     fresh = BernoulliTable()
     assert fresh.a(128) == reference[128]  # one extension, to k = 128
     assert [fresh.a(k) for k in range(129)] == reference
-    stepped = BernoulliTable()  # extended at k = 1, 3, 7, ..., 127
+    stepped = BernoulliTable()  # extended at every k
     for k in range(129):
         assert stepped.a(k) == reference[k]
+
+
+def test_a_grows_only_when_asked_and_only_as_far():
+    t = BernoulliTable()
+    t.b(512)
+    assert len(t._a) == 1  # B's growth runs no a_k
+    for k in (1, 2, 5, 64):
+        t.a(k)
+        assert len(t._a) == k + 1
+    t.a(40)
+    assert len(t._a) == 65
+    t.a(129)  # past the verification depth: B_129 / 129!, no recurrence
+    assert len(t._a) == 65
+    t.a(128)
+    assert len(t._a) == 129
+
+
+@pytest.mark.parametrize("order", ["up", "down", "shuffled", "b-first"])
+def test_a_times_factorial_is_b_in_any_order(order):
+    t, ks = BernoulliTable(), list(range(129))
+    if order == "down":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(ks)
+    elif order == "b-first":
+        t.b(128)
+    got = {k: t.a(k) for k in ks}
+    assert all(got[k] * math.factorial(k) == t.b(k) for k in range(129))
+
+
+def test_two_readers_growing_a_see_whole_rows():
+    # one reader climbs k = 0..128 a step at a time, so a grows at each k;
+    # the other jumps down from 128, and every value it reads must be final
+    reference = _a_by_fractions(128)
+    shared = BernoulliTable()
+    start = threading.Barrier(2)
+    results: list[dict] = [{}, {}]
+
+    def reader(i: int) -> None:
+        start.wait()
+        for k in (range(129) if i == 0 else range(128, -1, -3)):
+            results[i][k] = shared.a(k)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r in results:
+        assert all(value == reference[k] for k, value in r.items())
+    assert len(results[0]) == 129 and len(shared._a) == 129
 
 
 def test_cap_enforced():

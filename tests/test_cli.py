@@ -668,18 +668,18 @@ def _feller_constant_past_its_tail(monkeypatch):
 
 
 def _mermin_tail_at_its_bound(monkeypatch):
-    """M_K such that r_1 - M_K is 1/(12K) - 2^-262, inside the errors of r_1
-    and M_K, but below 1/(12K) once rounded."""
-    real = stirling.expansions.mermin_partial_product
+    """M_K for n = 1 such that r_1 - M_K is 1/(12K) - 2^-262, inside the
+    errors of r_1 and M_K, but below 1/(12K) once rounded; the report takes
+    its three M_K from one ``_mermin_products`` call."""
+    real = stirling.expansions._mermin_products
 
-    def shifted(n, K, ctx):
-        if n != 1:
-            return real(n, K, ctx)
+    def shifted(ns, K, ctx):
         q = (stirling.bounds.sequence_point(1, ctx).r_n._fraction()
              - Fraction(1, 12 * K) + Fraction(1, 2**262))
-        return BigFloat(libmp.from_rational(q.numerator, q.denominator, 400, "n"), ctx.bits)
+        m1 = BigFloat(libmp.from_rational(q.numerator, q.denominator, 400, "n"), ctx.bits)
+        return [m1 if n == 1 else value for n, value in zip(ns, real(ns, K, ctx))]
 
-    monkeypatch.setattr(stirling.expansions, "mermin_partial_product", shifted)
+    monkeypatch.setattr(stirling.expansions, "_mermin_products", shifted)
 
 
 PERTURBED_CHECKS = [

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import stirling.fixed
 import stirling.mpcore
 from stirling.bounds import sequence_point
 from stirling.errors import DomainError, ResourceError
-from stirling.expansions import (_feller_residuals, _namias_residual,
+from stirling.expansions import (_feller_residuals, _mermin_products, _namias_residual,
                                  feller_constant, feller_identity_residual,
                                  feller_residual_sweep, feller_term,
                                  MarsagliaSeries, marsaglia_coeffs,
@@ -426,6 +427,33 @@ def test_mermin_domain():
         mermin_partial_product(5, 4, CTX)
     with pytest.raises(DomainError):
         mermin_partial_product(0, 5, CTX)
+
+
+@pytest.mark.parametrize("K", [50, 10**4])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_mermin_products_share_a_tail_and_match_the_public_sums(bits, K):
+    # n = 10's sum is the shared tail alone, summed at the W its own call
+    # takes; n = 1 and 2 add heads at that W, 6 and 4 bits finer than their own
+    ctx, ns = PrecisionCtx(bits), (1, 2, 10)
+    public = [mermin_partial_product(n, K, ctx) for n in ns]
+    shared = _mermin_products(ns, K, ctx)
+    assert shared[-1].to_hex() == public[-1].to_hex()
+    for n, value, got in zip(ns, public, shared):
+        assert _mermin_products((n,), K, ctx)[0].to_hex() == value.to_hex()
+        assert abs(got - value) <= abs(value._fraction()) / 2**(bits + 30)
+    # any order and repeats: each n is answered in its place
+    assert [v.to_hex() for v in _mermin_products((10, 1, 2, 1), K, ctx)] \
+        == [shared[i].to_hex() for i in (2, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("n,K", [
+    (0, 5), (-1, 5), (1.0, 5), (True, 5), (5, 4), (2, 1), (1, 5.0), (1, TERMS_CAP + 1),
+])
+def test_mermin_products_refuse_what_the_public_function_refuses(n, K):
+    with pytest.raises((DomainError, ResourceError)) as public:
+        mermin_partial_product(n, K, CTX)
+    with pytest.raises(public.type, match=f"^{re.escape(str(public.value))}$"):
+        _mermin_products((1, n), K, CTX)
 
 
 # -- pinned Mermin values ------------------------------------------------------
