@@ -28,7 +28,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .mpcore import _require_index
+from .mpcore import _lcm_append, _require_index
 
 __all__ = ["BernoulliTable", "bernoulli", "series_coeff_a", "table", "DEFAULT_CAP"]
 
@@ -64,7 +64,7 @@ def _a_recurrence(L: int, N: list[int], k: int) -> tuple[list[Fraction], int, li
     factorials (m+1)! / (m+1-j)! = (m+1) m ... (m+2-j) are integers, so
     a_m = -sum_(j<m) N_j (m+1)! / (m+1-j)! / (L (m+1)!): one sum of integer
     products and one reduction per m.  L then takes in the denominator of
-    a_m, and every N_j is scaled to the new L.
+    a_m (``mpcore._lcm_append``).
     """
     N = list(N)
     out = []
@@ -75,11 +75,7 @@ def _a_recurrence(L: int, N: list[int], k: int) -> tuple[list[Fraction], int, li
             falling *= m + 1 - j
         x = Fraction(t, L * math.factorial(m + 1))
         out.append(x)
-        grow = x.denominator // math.gcd(L, x.denominator)
-        if grow > 1:
-            L *= grow
-            N = [v * grow for v in N]
-        N.append(x.numerator * (L // x.denominator))
+        L = _lcm_append(L, N, x)
     return out, L, N
 
 

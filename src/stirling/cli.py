@@ -317,6 +317,13 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
     ok = all(c_cur - c_prev == -ser.term_coefficient(n_cur)
              for (_, c_prev, _), (n_cur, c_cur, _) in zip(seq.entries, seq.entries[1:]))
     yield "constants.telescoping_exact", _status(not ok), f"N<={seq.entries[-1][0]}"
+    # The thresholds are proven (``constants.best_constant_estimate``): C_N
+    # - (1/2) ln(2 pi) = -rho_N, the remainder of the series at z = 1, and
+    # |rho_N| < |B_(2N+2)| / ((2N+2) (2N+1)) by the sandwich property.  So
+    # |C_3 - ref| < 1/1680 = 6 10^-4 - 4.8 10^-6, and N_best = 4 gives
+    # |C_4 - ref| < 1/1188 < 2 10^-3.  The decimals and ref are rounded at
+    # 64 bits or more and their gap once more, together less than 2^-60,
+    # which fits in either slack; the comparisons are exact.
     ref = seq.reference
     min_gap = min(abs(dec - ref) for (_, _, dec) in seq.entries[:10])
     n_best, estimate = cst.best_constant_estimate(cst.c_sequence(10, ctx))

@@ -41,13 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from mpmath import libmp
 
 from .errors import DomainError
 from .fixed import _floor_series
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _argument_error, _Ball, _exp_raw, _log_raw,
-                     _require_index, to_raw)
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _argument_error, _Ball, _exp_raw, _lcm_append,
+                     _log_raw, _require_index, to_raw)
 from .oracle import (FACTORIAL_CAP, TERMS_CAP, gamma_half_integer,
                      ln_factorial_range, lngamma_binet2)
 from .series import _main_term
@@ -200,13 +201,22 @@ class MarsagliaSeries:
 def _ps_log1p(W: list[Fraction], K: int) -> list[Fraction]:
     """ln(1 + w) through degree K for a series with W[0] == 0: the integral
     of q = w'/(1 + w), whose coefficients solve (1 + w) q = w' term by
-    term, q_i = (i + 1) W_(i+1) - sum_(j=1..i) W_j q_(i-j)."""
-    W = list(W[:K + 1]) + [Fraction(0)] * (K + 1 - len(W))
-    q: list[Fraction] = []
+    term, q_i = (i + 1) W_(i+1) - sum_(j=1..i) W_j q_(i-j).
+
+    Both run on integer numerators over one denominator each
+    (``mpcore._lcm_append``): W_j = V_j / M and q_i = Q_i / L, so q_i =
+    ((i + 1) V_(i+1) L - sum_j V_j Q_(i-j)) / (M L), one sum of integer
+    products and one reduction per i.
+    """
+    V, M = [], 1
+    for w in W[:K + 1]:
+        M = _lcm_append(M, V, w)
+    V += [0] * (K + 1 - len(V))
+    Q, L = [], 1
     for i in range(K):
-        q.append((i + 1) * W[i + 1] - sum((W[j] * q[i - j] for j in range(1, i + 1) if W[j]),
-                                          Fraction(0)))
-    return [Fraction(0)] + [q[i - 1] / i for i in range(1, K + 1)]
+        t = (i + 1) * V[i + 1] * L - sum(map(mul, V[1:i + 1], Q[::-1]))
+        L = _lcm_append(L, Q, Fraction(t, M * L))
+    return [Fraction(0)] + [Fraction(Q[i - 1], L * i) for i in range(1, K + 1)]
 
 
 def marsaglia_coeffs(K: int) -> MarsagliaSeries:
@@ -223,16 +233,27 @@ def marsaglia_coeffs(K: int) -> MarsagliaSeries:
     Pairing i with n + 1 - i turns the weights into (n + 1)/2 each:
     c_n = c_{n-1}/(n + 1) - S_n/2 with S_n = sum_{i=2..n-1} c_i c_{n+1-i},
     of which only half the products need computing.
+
+    The c_i run on integer numerators over L, the lcm of their
+    denominators (``mpcore._lcm_append``): with c_i = N_i / L and P_n =
+    L^2 S_n, the products N_i N_(n+1-i) with i < n + 1 - i twice and the
+    middle one N_((n+1)/2)^2 once for odd n,
+
+        c_n = (2 L N_(n-1) - (n + 1) P_n) / (2 (n + 1) L^2),
+
+    one sum of integer products and one reduction per n.
     """
     _require_index(K, "K", 0, MARSAGLIA_CAP, "series cap")
     c = [Fraction(1), Fraction(1)]  # b_0 = 1, then c_1 = 1
+    L, N = 1, [1, 1]
     for n in range(2, K + 1):
-        # S_n / 2: the products with i < n + 1 - i, plus half the middle one
-        half_s = sum((c[i] * c[n + 1 - i] for i in range(2, (n + 2) // 2)),
-                     Fraction(0))
+        h = (n + 2) // 2  # the pairs are i = 2..h-1, the middle one (odd n) i = h
+        p = 2 * sum(map(mul, N[2:h], N[n - 1:n + 1 - h:-1]))
         if n % 2:
-            half_s += c[(n + 1) // 2] ** 2 / 2
-        c.append(c[n - 1] / (n + 1) - half_s)
+            p += N[h] ** 2
+        x = Fraction(2 * L * N[n - 1] - (n + 1) * p, 2 * (n + 1) * L * L)
+        c.append(x)
+        L = _lcm_append(L, N, x)
     return MarsagliaSeries(coeffs=tuple(c[:K + 1]))
 
 

@@ -642,6 +642,26 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _lcm_append(L: int, N: list[int], x: Fraction) -> int:
+    """Append x to N, the integer numerators of earlier rationals over L,
+    the lcm of their denominators, and return the new lcm L'.
+
+    L' = L g, g = den(x) / gcd(L, den(x)), so every N_j is multiplied by g
+    in place (only when g > 1) and x enters as num(x) L' / den(x).  The
+    exact recurrences (``bernoulli._a_recurrence``,
+    ``expansions.marsaglia_coeffs`` and ``expansions._ps_log1p``) keep
+    their values so: each step sums integer products over one denominator,
+    reduces the sum once into a Fraction and passes it here.
+    """
+    d = x.denominator
+    grow = d // math.gcd(L, d)
+    if grow > 1:
+        L *= grow
+        N[:] = [v * grow for v in N]
+    N.append(x.numerator * (L // d))
+    return L
+
+
 def rational_from_str(text: str) -> Fraction:
     """The Fraction written 'num/den' or 'num' in integers, den != 0, as
     :func:`rational_to_str` writes it; anything else raises DomainError."""

@@ -24,6 +24,7 @@ bound on the omitted term at z~: each of its roundings is directed outward.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,16 +87,59 @@ def _main_term(z: _Ball) -> _Ball:
     return z * lnz - z - lnz.shift(-1) + _half_ln_2pi(z.wp)
 
 
+_COEFFS: dict[int, list] = {}  # wp -> ``_rounded_coeffs(wp, ...)``
+_COEFFS_LOCK = threading.Lock()
+
+
+def _coeff_raw(k: int, wp: int, rnd: str):
+    """B_(2k) / (2k (2k-1)) rounded at wp bits in the direction rnd, as
+    ``libmp.from_rational(num(B_2k), den(B_2k) 2k (2k-1), wp, rnd)``:
+    ``mpf_div`` rounds the exact quotient of its operands correctly, so the
+    unreduced fraction gives the value of the reduced one, and no Fraction
+    is divided."""
+    b = bernoulli(2 * k)
+    return libmp.from_rational(b.numerator, b.denominator * 2 * k * (2 * k - 1), wp, rnd)
+
+
+def _rounded_coeffs(wp: int, n: int) -> list:
+    """[c_1, c_2, ...], at least n of them, c_k = B_(2k) / (2k (2k-1))
+    rounded to nearest at wp bits (``_coeff_raw``); the exact c_k are not
+    kept.
+
+    A list of one wp too short for n grows to every c_k whose B_2k the
+    Bernoulli table holds once B_2n is in it: it never grows the table past
+    what the terms asked for take, and it grows as often as the table does,
+    geometrically (an n past the table's cap raises its ``ResourceError`` at
+    once).  It grows under a lock, as a new list that replaces the old one
+    only when complete, so concurrent readers always see whole lists.
+
+    The omitted term's coefficient, |c_k| rounded up, is not listed: each
+    approximation takes one, from ``_coeff_raw``, and a list of them as long
+    as this one would cost a rounding per entry, almost all never read.
+    """
+    got = _COEFFS.get(wp, ())
+    if len(got) < n:
+        bernoulli(2 * n)
+        with _COEFFS_LOCK:
+            got = _COEFFS.get(wp, [])
+            if len(got) < n:
+                held = range(len(got) + 1, table().max_index // 2 + 1)
+                got = _COEFFS[wp] = got + [_coeff_raw(k, wp, _RND) for k in held]
+    return got
+
+
 def _terms_raw(z_raw, wp: int):
-    """Yield B_(2k) / (2k (2k-1) z^(2k-1)) for k = 1, 2, ..., each
-    coefficient rounded to wp bits times z^-(2k-1), a running product."""
+    """Yield B_(2k) / (2k (2k-1) z^(2k-1)) for k = 1, 2, ...: the coefficient
+    rounded to wp bits (``_rounded_coeffs``) times z^-(2k-1), a running
+    product."""
     inv = libmp.mpf_div(libmp.fone, z_raw, wp, _RND)
     inv2 = libmp.mpf_mul(inv, inv, wp, _RND)
     zpow = inv  # z^-(2k-1), starting at k=1
+    near = ()
     for k in itertools.count(1):
-        c = term_coefficient(k)
-        c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
-        yield libmp.mpf_mul(c_raw, zpow, wp, _RND)
+        if k > len(near):
+            near = _rounded_coeffs(wp, k)
+        yield libmp.mpf_mul(near[k - 1], zpow, wp, _RND)
         zpow = libmp.mpf_mul(zpow, inv2, wp, _RND)
 
 
@@ -113,15 +157,15 @@ def _term_raw(z_raw, N: int, wp: int, up_bits: int | None = None):
     """B_{2N} / (2N (2N-1) z^(2N-1)) rounded to nearest at wp bits; or, given
     ``up_bits``, its magnitude rounded up to that many bits: the coefficient
     rounded up and z^(2N-1) down at wp (``mpf_pow_int`` keeps a directed
-    rounding through every step), and their quotient rounded up."""
-    c = term_coefficient(N)
+    rounding through every step), and their quotient rounded up.  The
+    coefficient to nearest comes from ``_rounded_coeffs``, the one rounded
+    up from ``_coeff_raw`` (libmp's "u" rounds away from zero)."""
     if up_bits is None:
-        c_raw = libmp.from_rational(c.numerator, c.denominator, wp, _RND)
         zp = libmp.mpf_pow_int(z_raw, 2 * N - 1, wp, _RND)
-        return libmp.mpf_div(c_raw, zp, wp, _RND)
-    c_raw = libmp.from_rational(abs(c.numerator), c.denominator, wp, "u")
+        return libmp.mpf_div(_rounded_coeffs(wp, N)[N - 1], zp, wp, _RND)
+    c_up = libmp.mpf_abs(_coeff_raw(N, wp, "u"))
     zp = libmp.mpf_pow_int(z_raw, 2 * N - 1, wp, "d")
-    return libmp.mpf_div(c_raw, zp, up_bits, "u")
+    return libmp.mpf_div(c_up, zp, up_bits, "u")
 
 
 def _approximation(z_raw, N: int, remainder, top: int, ctx: PrecisionCtx) -> Approximation:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import libmp
 
 from stirling.bernoulli import bernoulli
 from stirling.constants import (ConstantSequence, best_constant_estimate,
@@ -111,3 +112,74 @@ def test_duplication_constant_domain():
         duplication_constant(Fraction(1, 2), CTX)
     with pytest.raises(DomainError):
         duplication_constant(0, CTX)
+
+
+def _best_by_all_pairs(seq: ConstantSequence) -> tuple[int, object]:
+    # every increment first, then the first local minimum among them
+    entries = seq.entries
+    incs = [abs(b - a) for (_, a, _), (_, b, _) in zip(entries, entries[1:])]
+    best = next((i for i in range(len(incs) - 1) if incs[i + 1] > incs[i]), len(incs) - 1)
+    return entries[best + 1][0], entries[best + 1][2]
+
+
+def _hand_built(steps) -> ConstantSequence:
+    # C_1 = 0, then C_N = C_(N-1) + steps[N-2]
+    ctx = PrecisionCtx(64)
+    acc, entries = Fraction(0), [(1, Fraction(0), rational_to_float(Fraction(0), ctx))]
+    for n, step in enumerate(steps, start=2):
+        acc += step
+        entries.append((n, acc, rational_to_float(acc, ctx)))
+    return ConstantSequence(entries=tuple(entries), reference=rational_to_float(Fraction(1), ctx))
+
+
+def test_best_estimate_matches_the_all_pairs_rule_on_c_sequence():
+    for n in range(2, 61):
+        seq = c_sequence(n, CTX)
+        got, want = best_constant_estimate(seq), _best_by_all_pairs(seq)
+        assert got[0] == want[0] and got[1] is want[1], n
+
+
+@pytest.mark.parametrize("steps, n_best", [
+    ([Fraction(1, 2 ** k) for k in range(1, 9)], 9),           # falling throughout
+    ([Fraction(-1, 3 ** k) for k in range(1, 7)], 7),          # falling, signs alike
+    ([Fraction(1, 2), Fraction(1), Fraction(1, 100)], 2),      # rising at once
+    ([Fraction(1, 4), Fraction(-1, 4), Fraction(1, 5)], 4),    # a tie, then falling
+    ([Fraction(1, 4), Fraction(1, 4), Fraction(1, 3)], 3),     # a tie, then rising
+    ([Fraction(1, 7)], 2),                                      # length 2
+    ([Fraction(0), Fraction(0), Fraction(1)], 3),               # zero increments
+], ids=["falling", "falling-negative", "rising", "tie-falling", "tie-rising", "length-2",
+        "zeros"])
+def test_best_estimate_matches_the_all_pairs_rule_on_hand_built_sequences(steps, n_best):
+    seq = _hand_built(steps)
+    got, want = best_constant_estimate(seq), _best_by_all_pairs(seq)
+    assert got[0] == want[0] == n_best and got[1] is want[1]
+
+
+def test_best_estimate_one_entry_raises_the_same_error():
+    seq = _hand_built([])
+    with pytest.raises(ValidityError, match="need at least 2 entries to compare increments"):
+        best_constant_estimate(seq)
+
+
+def test_recovery_thresholds_are_proven_bounds():
+    # C_N - (1/2) ln(2 pi) = -rho_N, the series' remainder at z = 1, and
+    # |rho_N| < |B_(2N+2)| / ((2N+2) (2N+1)), the first omitted term
+    def omitted(N):
+        return abs(bernoulli(2 * N + 2)) / ((2 * N + 2) * (2 * N + 1))
+
+    assert omitted(3) == Fraction(1, 1680)
+    assert Fraction(6, 10**4) - omitted(3) > Fraction(47, 10**7) > Fraction(1, 2**60)
+    n_best, _ = best_constant_estimate(c_sequence(10, CTX))
+    assert n_best == 4
+    assert omitted(4) == Fraction(1, 1188)
+    assert Fraction(2, 10**3) - omitted(4) > Fraction(1, 10**3)
+    exact = {n: c for n, c, _ in c_sequence(10, CTX).entries}
+    for N in (3, 4):  # HALF_LN_2PI is within 10^-70
+        assert abs(exact[N] - HALF_LN_2PI) < omitted(N) - Fraction(1, 10**69)
+    # the report's gaps, from decimals rounded at 64 bits or more, are
+    # within 2^-60 of the exact ones
+    for bits in (64, 128, 256):
+        seq = c_sequence(10, PrecisionCtx(bits))
+        for n, c, dec in seq.entries:
+            gap = Fraction(*libmp.to_rational(abs(dec - seq.reference).raw))
+            assert abs(gap - abs(c - HALF_LN_2PI)) < Fraction(1, 2**60) - Fraction(1, 10**69)

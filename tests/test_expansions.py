@@ -656,3 +656,46 @@ def test_marsaglia_coeffs_to_cap_pinned():
     for c in marsaglia_coeffs(200).coeffs:
         h.update(f"{c}\n".encode())
     assert h.hexdigest() == MARSAGLIA_200_DIGEST
+
+
+def _marsaglia_by_fractions(K: int) -> list[Fraction]:
+    # the recurrence of marsaglia_coeffs, one reduced Fraction per product
+    c = [Fraction(1), Fraction(1)]
+    for n in range(2, K + 1):
+        half_s = sum((c[i] * c[n + 1 - i] for i in range(2, (n + 2) // 2)), Fraction(0))
+        if n % 2:
+            half_s += c[(n + 1) // 2] ** 2 / 2
+        c.append(c[n - 1] / (n + 1) - half_s)
+    return c[:K + 1]
+
+
+def _log1p_by_fractions(W: list[Fraction], K: int) -> list[Fraction]:
+    # ln(1 + w) through degree K from (1 + w) q = w', one Fraction per product
+    W = list(W[:K + 1]) + [Fraction(0)] * (K + 1 - len(W))
+    q: list[Fraction] = []
+    for i in range(K):
+        q.append((i + 1) * W[i + 1] - sum((W[j] * q[i - j] for j in range(1, i + 1)), Fraction(0)))
+    return [Fraction(0)] + [q[i - 1] / i for i in range(1, K + 1)]
+
+
+def test_marsaglia_over_one_denominator_equals_the_fraction_recurrence():
+    reference = _marsaglia_by_fractions(80)
+    for K in range(81):
+        assert marsaglia_coeffs(K).coeffs == tuple(reference[:K + 1]), K
+
+
+def test_reversion_residual_vanishes_through_k_100():
+    for K in range(101):
+        defect = reversion_residual(marsaglia_coeffs(K))
+        assert len(defect) == K + 2 and not any(defect), K
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 40])
+def test_log_series_over_one_denominator_equals_the_fraction_series(K):
+    # on the Marsaglia coefficients, on a perturbed copy and on a series
+    # shorter than K, whose missing coefficients are 0
+    w = [Fraction(0)] + list(marsaglia_coeffs(K).coeffs[1:])
+    bent = list(w)
+    bent[-1] += Fraction(3, 7**K)
+    for series in (w, bent, w[:K // 2 + 1]):
+        assert stirling.expansions._ps_log1p(series, K) == _log1p_by_fractions(series, K)

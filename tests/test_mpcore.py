@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import decimal
+import math
 import pickle
 import random
 import time
@@ -19,9 +20,9 @@ import stirling
 from stirling.errors import DomainError, PrecisionError
 from stirling.oracle import lngamma_binet2
 from stirling.bounds import check_bound, impens_sandwich
-from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, _Ball, bigfloat, certified_decimal,
-                             decimal_nearest, decimal_up, elementary, rational_from_str,
-                             rational_to_float, rational_to_str, raw_expm1)
+from stirling.mpcore import (GUARD, BigFloat, PrecisionCtx, _Ball, _lcm_append, bigfloat,
+                             certified_decimal, decimal_nearest, decimal_up, elementary,
+                             rational_from_str, rational_to_float, rational_to_str, raw_expm1)
 
 CTX64 = PrecisionCtx(64)
 CTX128 = PrecisionCtx(128)
@@ -432,3 +433,60 @@ def test_ball_computed_zero_carries_no_error(wp):
         assert zero.v == libmp.fzero and zero.e == 0
     # a computed nonzero always carries its U
     assert (x + x.log()).e > 0 and _Ball(libmp.from_int(3), wp).log().e > 0
+
+
+def test_lcm_append_keeps_every_value_over_the_lcm():
+    values = [Fraction(1, 6), Fraction(-5, 4), Fraction(0), Fraction(7), Fraction(2, 9),
+              Fraction(11, 12), Fraction(-1, 35)]
+    L, N = 1, []
+    for i, x in enumerate(values):
+        L = _lcm_append(L, N, x)
+        assert L == math.lcm(*(v.denominator for v in values[:i + 1]))
+        assert [Fraction(v, L) for v in N] == values[:i + 1]
+
+
+PI_70 = Fraction(
+    "3.141592653589793238462643383279502884197169399375105820974944592307816")
+
+
+def _pi_enclosure(W: int) -> tuple[int, int]:
+    """(lo, hi) with lo < 2^W pi < hi, from Machin's pi/4 = 4 atan(1/5) -
+    atan(1/239), with no libmp call.
+
+    2^W atan(1/x) = sum_j (-1)^j t_j, t_j = 2^W / ((2j + 1) x^(2j+1)).  The
+    chain P_0 = floor(2^W / x), P_j = floor(P_(j-1) / x^2) gives P_j =
+    floor(2^W / x^(2j+1)), as floor(floor(a) / n) = floor(a / n) for an
+    integer n, so T_j = floor(P_j / (2j + 1)) = floor(t_j).  Summed to the
+    first P_J = 0, so t_J < 1, S = sum_(j<J) (-1)^j T_j is off the same sum
+    of the t_j by less than J, as each t_j - T_j lies in [0, 1), and the
+    alternating tail from J on, its terms falling, is below t_J < 1 in
+    magnitude: |2^W atan(1/x) - S| < J + 1.
+    """
+    def atan_inv(x):
+        s, P, J = 0, (1 << W) // x, 0
+        while P:
+            T = P // (2 * J + 1)
+            s += -T if J % 2 else T
+            P //= x * x
+            J += 1
+        return s, J + 1
+
+    (s5, e5), (s239, e239) = atan_inv(5), atan_inv(239)
+    mid, err = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+    return mid - err, mid + err
+
+
+def test_libmp_pi_is_within_one_ulp_of_an_integer_enclosure():
+    # mpcore._Ball takes libmp's pi to within one ulp; this checks it, at
+    # every p from 64 to 1,200 bits, which holds every cp = wp + 96 of the
+    # node tables the tests build (wp = bits + 64, bits <= 1,024), and at
+    # 4,096 and 8,192 bits
+    W = 8192 + 64
+    lo, hi = _pi_enclosure(W)
+    assert hi - lo < 1 << 20
+    assert abs(Fraction(lo, 1 << W) - PI_70) < Fraction(1, 10**69)
+    for p in [*range(64, 1201), 4096, 8192]:
+        sign, man, exp, bc = libmp.mpf_pi(p, "n")
+        assert sign == 0 and bc <= p and exp + bc == 2, p  # pi~ in [2, 4)
+        v, ulp = man << (W + exp), 1 << (W + 2 - p)  # pi~ 2^W and one ulp, exactly
+        assert v - ulp <= lo and hi <= v + ulp, p

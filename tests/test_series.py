@@ -1,6 +1,9 @@
 """Truncated log-gamma series: main term, remainders, truncation control."""
 
+import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +13,7 @@ from hypothesis import strategies as st_
 from mpmath import libmp
 
 import stirling.series
+from stirling.bernoulli import BernoulliTable
 from stirling.errors import DomainError, ResourceError
 from stirling.mpcore import PrecisionCtx, bigfloat, elementary
 from stirling.series import (f_term, half_ln_2pi, ln_factorial_stirling,
@@ -308,3 +312,96 @@ def test_optimal_truncation_past_table_cap_raises():
             optimal_truncation(82, PrecisionCtx(bits))
         assert str(info.value) == ("term magnitudes still decreasing at the table cap; "
                                    "argument too large for optimal truncation at this cap")
+
+
+@pytest.mark.parametrize("wp", [64, 256, 1024])
+def test_rounded_coefficients_are_the_reduced_fraction_rounded(wp):
+    # the list's entries to nearest, and the omitted term's coefficient up
+    near = stirling.series._rounded_coeffs(wp, 256)
+    assert len(near) == 256
+    for k in range(1, 257):
+        c = term_coefficient(k)
+        assert near[k - 1] == libmp.from_rational(c.numerator, c.denominator, wp, "n"), k
+        assert (libmp.mpf_abs(stirling.series._coeff_raw(k, wp, "u"))
+                == libmp.from_rational(abs(c.numerator), c.denominator, wp, "u")), k
+        # at z = 1 the omitted term is that coefficient itself
+        assert (stirling.series._term_raw(libmp.fone, k, wp, wp)
+                == libmp.from_rational(abs(c.numerator), c.denominator, wp, "u")), k
+
+
+def test_rounded_coefficients_follow_the_table_and_fail_fast_past_its_cap(monkeypatch):
+    monkeypatch.setattr(stirling.series, "_COEFFS", {})
+    with pytest.raises(ResourceError, match="Bernoulli table cap"):
+        stirling.series._rounded_coeffs(300, 257)
+    assert stirling.series._COEFFS == {}
+    small = BernoulliTable()
+    monkeypatch.setattr(stirling.series, "table", lambda: small)
+    monkeypatch.setattr(stirling.series, "bernoulli", small.b)
+    for n, held in ((3, 6), (4, 14), (5, 14), (8, 30), (40, 80)):
+        assert len(stirling.series._rounded_coeffs(300, n)) == held // 2 == small.max_index // 2
+    assert stirling.series._rounded_coeffs(300, 40) == [
+        libmp.from_rational(c.numerator, c.denominator, 300, "n")
+        for c in map(term_coefficient, range(1, 41))]
+
+
+@pytest.mark.parametrize("wp", [96, 288])
+@pytest.mark.parametrize("z", [Fraction(1, 3), Fraction(22, 7), Fraction(61, 2)], ids=str)
+def test_terms_read_from_the_lists_equal_terms_from_the_fractions(z, wp):
+    # each term and the omitted term's bound as the parent computed them:
+    # the reduced coefficient rounded afresh at each call
+    z_raw = libmp.from_rational(z.numerator, z.denominator, wp, "n")
+    inv = libmp.mpf_div(libmp.fone, z_raw, wp, "n")
+    inv2, zpow = libmp.mpf_mul(inv, inv, wp, "n"), inv
+    terms = stirling.series._terms_raw(z_raw, wp)
+    for k in range(1, 41):
+        c = term_coefficient(k)
+        c_near = libmp.from_rational(c.numerator, c.denominator, wp, "n")
+        assert next(terms) == libmp.mpf_mul(c_near, zpow, wp, "n"), k
+        zpow = libmp.mpf_mul(zpow, inv2, wp, "n")
+        zp = libmp.mpf_pow_int(z_raw, 2 * k - 1, wp, "n")
+        assert stirling.series._term_raw(z_raw, k, wp) == libmp.mpf_div(c_near, zp, wp, "n")
+        c_up = libmp.from_rational(abs(c.numerator), c.denominator, wp, "u")
+        zp = libmp.mpf_pow_int(z_raw, 2 * k - 1, wp, "d")
+        assert (stirling.series._term_raw(z_raw, k, wp, wp - 32)
+                == libmp.mpf_div(c_up, zp, wp - 32, "u"))
+
+
+def test_two_threads_filling_one_precision_see_whole_lists(monkeypatch):
+    # in each round, on a fresh Bernoulli table, one thread asks for 1, 2,
+    # ..., 256 coefficients, so the list grows with the table, while the
+    # other keeps asking for one; every list either one reads must be
+    # whole: as long as asked, and every entry equal to the reference
+    wp = 320
+    reference = stirling.series._rounded_coeffs(wp, 256)
+    bad: list = []
+
+    def reader(i: int, start, done) -> None:
+        start.wait()
+        for n in (range(1, 257) if i == 0 else itertools.repeat(1, 10**5)):
+            near = stirling.series._rounded_coeffs(wp, n)
+            if not (n <= len(near) and near == reference[:len(near)]):
+                bad.append((i, n))
+            if i and done.is_set():
+                break
+        if i == 0:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            fresh = BernoulliTable()
+            monkeypatch.setattr(stirling.series, "_COEFFS", {})
+            monkeypatch.setattr(stirling.series, "table", lambda: fresh)
+            monkeypatch.setattr(stirling.series, "bernoulli", fresh.b)
+            start, done = threading.Barrier(2), threading.Event()
+            threads = [threading.Thread(target=reader, args=(i, start, done)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert stirling.series._COEFFS[wp] == reference
+    finally:
+        sys.setswitchinterval(interval)
+    assert not bad
