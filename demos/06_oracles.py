@@ -11,10 +11,10 @@ None of them shares code with the truncated series, which is the point.
 from fractions import Fraction
 
 from stirling import (PrecisionCtx, check_duplication, check_multiplication,
-                      elementary, gamma_half_integer, ln_factorial_exact,
+                      gamma_half_integer, ln_factorial_exact,
                       lngamma_binet2, lngamma_euler_limit,
                       weierstrass_inv_gamma)
-from stirling.mpcore import decimal_up, pi
+from stirling.mpcore import decimal_up
 
 ctx = PrecisionCtx(256)
 
@@ -39,7 +39,8 @@ print("infinite product for 1/Gamma, tail ~ z^2/(2K):")
 for K in (10**3, 10**4):
     ov = weierstrass_inv_gamma(Fraction(1, 2), K, ctx)
     print(f"  K = {K:<6} 1/Gamma(1/2) = {ov.value.to_decimal(12)}")
-print(f"  1/sqrt(pi)      = {(1 / elementary('sqrt', pi(ctx), ctx)).to_decimal(12)}")
+# Gamma(1/2) = sqrt(pi)
+print(f"  1/sqrt(pi)      = {(1 / gamma_half_integer(1, ctx)).to_decimal(12)}")
 
 print()
 print("functional equations as consistency probes:")

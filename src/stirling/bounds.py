@@ -64,11 +64,11 @@ from typing import Iterator
 from mpmath import libmp
 
 from .errors import DomainError, InconclusiveError, ValidityError
-from .mpcore import (_RND, BigFloat, PrecisionCtx, _Ball, _exp_raw, _log_raw, _require_index,
+from .mpcore import (_RND, BigFloat, PrecisionCtx, _Ball, _log_raw, _require_index,
                      _require_positive, raw_expm1, to_raw)
 from .expansions import mermin_partial_product
 from .fixed import _exp_bracket, _floor_terms
-from .oracle import FACTORIAL_CAP, _ln_factorial_raw, _oracle_main_term, lngamma_binet2
+from .oracle import FACTORIAL_CAP, _ln_factorial, _oracle_main_term, lngamma_binet2
 from .series import _half_ln_2pi, term_coefficient
 
 __all__ = [
@@ -123,48 +123,29 @@ class BoundReport:
 
 
 def sequence_point(n: int, ctx: PrecisionCtx) -> SequencePoint:
-    """r_n, c_n, v_n at ctx precision, all from the exact factorial.
+    """r_n, c_n, v_n at ctx precision, all from the exact factorial, each
+    its ball of ``_sequence_balls`` rounded once."""
+    r, c, v = (BigFloat.from_raw(ball.v, ctx) for ball in _sequence_balls(n, ctx))
+    return SequencePoint(n=n, r_n=r, c_n=c, v_n=v)
+
+
+def _sequence_balls(n: int, ctx: PrecisionCtx) -> tuple[_Ball, _Ball, _Ball]:
+    """The balls of r_n, c_n and v_n before their rounding to ctx.bits,
+    every rounding tracked by ``mpcore._Ball``, from the exact n!.
 
     r_n = 1 - c_n - (1/2) ln(2 pi) ~ 1/(12n) is what is left of terms near
-    n ln n, so the working precision grows by 2 bitlen(n) + 8 bits, to w =
-    bits + 40 + 2 bitlen(n): the few roundings of those terms then cost
-    r_n, before its rounding to ctx.bits, a relative error below
-    2^-(bits + 28) for n <= FACTORIAL_CAP.
-
-    Proof.  With U as in ``mpcore._Ball``, at w in place of wp, every
-    operation at w, libmp's or a log or exp of ``fixed``, returns a c
-    within U(c) <= 2^(1-w) |c| of the exact result on its computed
-    operands, and (1/2) ln(2 pi) is taken within 2^(1-w).  For n = 1 the
-    logs are 0 and c_1 = 0 exactly, so only (1/2) ln(2 pi) and the two
-    last differences err, by less than 2^(3-w) against r_1 > 1/13.  For n
-    >= 2 let X = (n + 1/2) ln n >= 1.7.  ln n! is the log of n! rounded to w, a
-    relative 2^-w off, so it is within 2^(1-w) + U(ln n!); ln n is within
-    U(ln n), which X carries n + 1/2 times; and the product X, X - n,
-    1 - ln n!, their sum c_n, 1 - c_n and r_n each add U of itself.  As
-    ln n! < X, |X - n| < X and |1 - ln n!| < X, while c_n, 1 - c_n and
-    r_n lie in (0, 1), the error is below 2^(1-w) (5 X + 5) (1 + 2^-60)
-    < 2^(4-w) X.  With r_n > 1/(12n + 1) (Robbins) and (n + 1/2)(12n + 1)
-    <= 16 n^2 < 16 4^bitlen(n), the relative error is below
-    2^(4-w) 16 4^bitlen(n) ln n = 2^-(bits+32) ln n < 2^-(bits+28), as
-    ln n < 12."""
+    n ln n, so the working precision grows by 2 bitlen(n) + 8 bits, to
+    bits + 40 + 2 bitlen(n), which keeps r_n's error a small part of an
+    ulp at ctx.bits."""
     _require_index(n, "n", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec() + 2 * n.bit_length() + 8
-    lnfact = _ln_factorial_raw(n, wp)
+    lnfact = _ln_factorial(math.factorial(n), wp)
     n_raw = libmp.from_int(n)
-    lnn = _log_raw(n_raw, wp)
-    c = libmp.mpf_mul(libmp.mpf_add(n_raw, libmp.fhalf, wp, _RND), lnn, wp, _RND)
-    c = libmp.mpf_sub(c, n_raw, wp, _RND)
-    c = libmp.mpf_add(c, libmp.mpf_sub(libmp.fone, lnfact, wp, _RND), wp, _RND)
-    r = libmp.mpf_sub(libmp.mpf_sub(libmp.fone, c, wp, _RND), _half_ln_2pi(wp).v, wp, _RND)
-    v_log = libmp.mpf_sub(libmp.mpf_mul(n_raw, lnn, wp, _RND), n_raw, wp, _RND)
-    v_log = libmp.mpf_sub(v_log, lnfact, wp, _RND)
-    v = _exp_raw(v_log, wp)
-    return SequencePoint(
-        n=n,
-        r_n=BigFloat.from_raw(r, ctx),
-        c_n=BigFloat.from_raw(c, ctx),
-        v_n=BigFloat.from_raw(v, ctx),
-    )
+    lnn = _Ball(n_raw, wp).log()
+    # 1 - x is taken as -(x - 1), which rounds alike
+    c = lnn * libmp.mpf_add(n_raw, libmp.fhalf) - n_raw - (lnfact - libmp.fone)
+    r = -(c - libmp.fone) - _half_ln_2pi(wp)
+    return r, c, (lnn * n_raw - n_raw - lnfact).exp()
 
 
 # -- r_n from the difference equation ------------------------------------
@@ -546,7 +527,7 @@ def _sandwich_point(x, ctx: PrecisionCtx) -> tuple[Fraction, tuple]:
 
 
 def _interval(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """The exact interval [lo, hi] as ``_verdict_row`` takes a middle value:
+    """The exact interval [lo, hi] as ``_sign_test`` takes a middle value:
     (lo, hi, den), both ends over one denominator."""
     den = math.lcm(lo.denominator, hi.denominator)
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den

@@ -25,9 +25,9 @@ Every verdict of the report follows one of two rules.  An identity check
 passes when its computed residual is at most the bound proven for it (for
 Feller, the multiplication formula and Namias, the error ``mpcore._Ball``
 carries), compared exactly, and fails otherwise.  An inequality check is judged on an
-exact interval by ``bounds._verdict_row``: it passes when the interval
-proves the inequality, fails when it refutes it, and is inconclusive
-otherwise.
+exact interval by ``bounds._sign_test``, the rule of every bound sweep
+row: it passes when the interval proves the inequality, fails when it
+refutes it, and is inconclusive otherwise.
 """
 
 from __future__ import annotations
@@ -249,21 +249,20 @@ def _status(failed, inconclusive=0) -> str:
     return "fail" if failed else ("inconclusive" if inconclusive else "pass")
 
 
+_VERDICT = {True: "held", False: "failed", None: "inconclusive"}
+
+
 def _outcome(item) -> str:
     """held, failed or inconclusive, for one item of a bound sweep or grid"""
-    if isinstance(item, InconclusiveError):
-        return "inconclusive"
-    return "held" if item.holds else "failed"
+    return _VERDICT[None if isinstance(item, InconclusiveError) else item.holds]
 
 
-def _judge(where: str, lo: Fraction, hi: Fraction, lhs: Fraction, rhs: Fraction,
-           bits: int) -> str:
-    """held, failed or inconclusive: ``bounds._verdict_row`` on a middle
+def _judge(lo: Fraction, hi: Fraction, lhs: Fraction, rhs: Fraction) -> str:
+    """held, failed or inconclusive: ``bounds._sign_test`` on a middle
     value in the exact interval [lo, hi] strictly between the exact bounds
     lhs and rhs."""
-    return _outcome(bnd._verdict_row(where, 0, bnd._interval(lo, hi),
-                                     (lhs.numerator, lhs.denominator),
-                                     (rhs.numerator, rhs.denominator), bits, where))
+    return _VERDICT[bnd._sign_test(bnd._interval(lo, hi), (lhs.numerator, lhs.denominator),
+                                   (rhs.numerator, rhs.denominator))]
 
 
 def _unimodal(mags: list) -> bool:
@@ -377,8 +376,7 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
         ov = orc.lngamma_binet2(z, work)
         v, e = ov.value._fraction(), ov.error_bound._fraction()
         s, big_e = approx.value._fraction(), approx.error_bound._fraction()
-        outcomes[_judge(f"optimal truncation at z={z}", v - e, v + e,
-                        s - big_e, s + big_e, ctx.bits)] += 1
+        outcomes[_judge(v - e, v + e, s - big_e, s + big_e)] += 1
     yield ("series.optimal_truncation_vs_oracle",
            _status(outcomes["failed"], outcomes["inconclusive"]),
            f"z in {{0.5,1,2,5,10}} inconclusive={outcomes['inconclusive']}")
@@ -400,8 +398,7 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
     value = mpc.BigFloat.from_raw(partial.v, ctx)
     gap = abs(value - mpc.BigFloat.from_raw(half.v, ctx))
     lo, hi = (mpc.BigFloat(end, ctx.wprec())._fraction() for end in (half - partial).ends())
-    outcome = _judge(f"feller constant at K={K}", lo, hi,
-                     Fraction(1, 24 * (K + 1)), Fraction(1, 24 * K), ctx.bits)
+    outcome = _judge(lo, hi, Fraction(1, 24 * (K + 1)), Fraction(1, 24 * K))
     yield ("expansions.feller_constant",
            _status(outcome == "failed", outcome == "inconclusive"),
            f"K={K} gap={gap.to_decimal(4)}")
@@ -419,21 +416,17 @@ def _report_checks(n_max: int, ctx: PrecisionCtx):
     yield ("expansions.marsaglia_monotone", _status(not ok),
            f"n=20 K=1..6 final={errs[-1].to_decimal(4)}")
 
-    # Mermin: r_n - M_K is the tail sum_(k>K) d_k, in (0, 1/(12 (K+1))).
-    # r_n is within a relative 2^-(bits+28) (``bounds.sequence_point``) and
-    # M_K within 2^-(bits+32) before their rounding to ctx.bits, which adds
-    # half an ulp, below 2^(1-bits) relative: each is within 2^(2-bits) of
-    # its own magnitude.  The three M_K share the sum over k = 10..K and
-    # come from one ``_mermin_products`` call, which proves that bound for
-    # each.
+    # Mermin: r_n - M_K is the tail sum_(k>K) d_k, in (0, 1/(12 (K+1))),
+    # judged on the ends of the ball of r_n - M_K, r_n and M_K each rounded
+    # to ctx.bits as they are published.  The three M_K share the sum over
+    # k = 10..K and come from one ``_mermin_products`` call.
     K, ns = 10**4, (1, 2, 10)
     outcomes = Counter()
     for n, product in zip(ns, expn._mermin_products(ns, K, ctx)):
-        r = bnd.sequence_point(n, ctx).r_n._fraction()
-        log_prod = product._fraction()
-        err = (abs(r) + abs(log_prod)) * Fraction(4, 1 << ctx.bits)
-        outcomes[_judge(f"mermin tail at n={n}", r - log_prod - err, r - log_prod + err,
-                        Fraction(0), Fraction(1, 12 * K), ctx.bits)] += 1
+        r = bnd._sequence_balls(n, ctx)[0].rounded(ctx.bits)
+        lo, hi = (mpc.BigFloat(end, ctx.wprec())._fraction()
+                  for end in (r - product.rounded(ctx.bits)).ends())
+        outcomes[_judge(lo, hi, Fraction(0), Fraction(1, 12 * K))] += 1
     yield ("expansions.mermin_tail", _status(outcomes["failed"], outcomes["inconclusive"]),
            f"K={K} n in {{1,2,10}}")
 

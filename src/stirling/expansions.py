@@ -130,19 +130,17 @@ def _feller_residuals(n_max: int, ctx: PrecisionCtx):
     B >= |r|.
 
     The identity is exact, so r is made of the roundings that
-    ``mpcore._Ball`` tracks, given ln n!, the log of n! rounded to wp =
-    ctx.wprec(), a relative 2^-wp off, so within U(ln n!) + 2^(1-wp) of
-    ln n!.
+    ``mpcore._Ball`` tracks, those of ln n! (``oracle.ln_factorial_range``)
+    among them, at wp = ctx.wprec().
     """
     _require_index(n_max, "n_max", 1, FACTORIAL_CAP, "factorial cap")
     wp = ctx.wprec()
     i_half, s, ln_minus = _i_half(wp), _Ball(libmp.fzero, wp), None  # s = sum_{k<n} (a_k - b_k)
-    relative = libmp.from_man_exp(1, 1 - wp)  # of n! rounded
     for n, lnfact in ln_factorial_range(n_max, wp):
         a_n, b_n, lnn, ln_minus = _feller_ab(n, wp, ln_minus)
         n_raw = libmp.from_int(n)
         rhs = lnn * n_raw - n_raw - i_half + s + a_n
-        lhs = _Ball.op(lnfact, wp).widen(relative) - lnn.shift(-1)
+        lhs = lnfact - lnn.shift(-1)
         yield (lhs - rhs).published(ctx)
         s = s + (a_n - b_n)
 
@@ -356,30 +354,27 @@ def mermin_partial_product(n: int, K: int, ctx: PrecisionCtx) -> BigFloat:
     ``fixed._floor_series`` with d_j = 2j + 1 and rounded once; see
     ``_mermin_products``, of which this is the call with ns = (n,).
     """
-    return _mermin_products((n,), K, ctx)[0]
+    return BigFloat.from_raw(_mermin_products((n,), K, ctx)[0].v, ctx)
 
 
-def _mermin_products(ns, K: int, ctx: PrecisionCtx) -> list[BigFloat]:
-    """[mermin_partial_product(n, K, ctx) for n in ns], the tail that the
-    sums share summed once: over m = 2N+1..2K+1, N = max(ns), and each
-    shorter sum adds its head, m = 2n+1..2n'-1 for the next larger n', as
-    its own ``fixed._floor_series`` call.  Every sum is taken at one W and
-    rounded once to ctx; for ns = (n,) that W is the one of
+def _mermin_products(ns, K: int, ctx: PrecisionCtx) -> list[_Ball]:
+    """The balls of [mermin_partial_product(n, K, ctx) for n in ns] before
+    their rounding to ctx, the tail that the sums share summed once: over
+    m = 2N+1..2K+1, N = max(ns), and each shorter sum adds its head, m =
+    2n+1..2n'-1 for the next larger n', as its own ``fixed._floor_series``
+    call.  Every sum is taken at one W; for ns = (n,) that W is the one of
     ``mermin_partial_product`` alone.
 
     Each piece lies in [s, s + D') 2^-W, D' at most what its m would add
     one by one, so the sum for n, whatever its pieces, lies in [s, s + D)
     2^-W with D at most the sum over m = 2n+1..2K+1 of what one m adds.
     With wp = ctx.wprec() + 2 bitlen(2N+1) + 2, from the largest n, and W =
-    wp + bitlen((K - n0 + 1) wp), n0 = min(ns):
-      - D <= (K - n + 1) wp <= (K - n0 + 1) wp < 2^(W - wp): as m^2 >= 9,
-        an m alone adds at most L = W / (2 log2 3) terms and loses less
-        than 2 L + 1, which is at most wp as K <= TERMS_CAP and wp >= 102.
-        So the error is below 2^-wp.
-      - The sum for n is at least its first term 1/(3(2n+1)^2) >
-        2^-(2 bitlen(2n+1) + 2), and wp >= ctx.wprec() + 2 bitlen(2n+1) +
-        2, so the error is below 2^-ctx.wprec() = 2^-(bits + 32) relative
-        to the sum before its rounding.
+    wp + bitlen((K - n0 + 1) wp), n0 = min(ns), D <= (K - n + 1) wp <= (K -
+    n0 + 1) wp < 2^(W - wp): as m^2 >= 9, an m alone adds at most L = W /
+    (2 log2 3) terms and loses less than 2 L + 1, which is at most wp as K
+    <= TERMS_CAP and wp >= 102.  So each ball is its exact s 2^-W widened
+    by 2^-wp; the 2 bitlen(2N+1) + 2 bits that wp adds keep that small
+    against the sum, which is at least its first term 1/(3(2n+1)^2).
     """
     ns = [_require_index(n, "n", 1) for n in ns]
     _require_index(K, "K", max(ns), TERMS_CAP, "term cap", low_name="n")
@@ -390,4 +385,5 @@ def _mermin_products(ns, K: int, ctx: PrecisionCtx) -> list[BigFloat]:
     for n in sorted(set(ns), reverse=True):
         s += _floor_series(range(2 * n + 1, 2 * top + 1, 2), divisors, W)
         sums[n], top = s, n
-    return [BigFloat.from_raw(libmp.from_man_exp(sums[n], -W), ctx) for n in ns]
+    return [_Ball(libmp.from_man_exp(sums[n], -W), wp).widen(libmp.from_man_exp(1, -wp))
+            for n in ns]

@@ -402,10 +402,6 @@ def elementary(fn: str, x, ctx: PrecisionCtx) -> BigFloat:
     return BigFloat.from_raw(op(xr, wp), ctx)
 
 
-def pi(ctx: PrecisionCtx) -> BigFloat:
-    return BigFloat(libmp.mpf_pi(ctx.bits, _RND), ctx.bits)
-
-
 def rational_to_float(q: Fraction, ctx: PrecisionCtx) -> BigFloat:
     """Correctly rounded conversion of an exact rational."""
     return bigfloat(Fraction(q), ctx)
@@ -444,8 +440,9 @@ class _Ball:
     by libmp, within U(c)/2, and so are e^a and ln a, which come from
     ``fixed._exp`` and ``fixed._log`` (:func:`_exp_raw`, :func:`_log_raw`)
     with their proven bounds; only libmp's mpf_pi and mpf_euler are taken
-    to within one ulp, which mpmath 1.3 does not document and every bound
-    of the package that takes them assumes.  So c = x (1 + delta) with
+    to within one ulp, which mpmath 1.3 does not document, every bound of
+    the package that takes them assumes, and the tests check against
+    integer enclosures.  So c = x (1 + delta) with
     |delta| <= u = 2^(2-wp), the form Higham's Lemma 3.1 counts in a loop.
     A computed 0 is exact: libmp's exponents are unbounded and its rounding
     keeps a nonzero leading bit, so a sum or product that comes out 0 was

@@ -35,9 +35,9 @@ integer arguments.
 
 Every result carries an explicit ``error_bound`` so downstream inequality
 checks can refuse to conclude when a margin falls inside the bound.  The
-roundings that no loop counts, among them the Binet assembly of P(z), the
-integral and ln z, and the log of an exact factorial, are tracked by
-``mpcore._Ball``.
+roundings of the Binet assembly of P(z), the integral and ln z, of every
+ln n! and of the whole Weierstrass product are tracked by
+``mpcore._Ball``; only Euler's running product counts its own.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import contextlib
 import contextvars
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,9 +114,13 @@ def _oracle_main_term(z: _Ball) -> _Ball:
 # -- exact factorials ----------------------------------------------------
 
 
-def _ln_factorial_raw(n: int, wp: int):
-    """ln(n!) at wp bits from the exact integer: one rounding."""
-    return _log_raw(libmp.from_int(math.factorial(n), wp, _RND), wp)
+def _ln_factorial(fact: int, wp: int) -> _Ball:
+    """ln(n!) at wp bits from the exact integer fact = n!, with its error:
+    n! rounded to wp, which ``mpcore._Ball`` charges where it is inexact,
+    then its log.  Every ln n! of the package comes from here."""
+    c = libmp.from_int(fact, wp, _RND)
+    exact = fact.bit_length() - (fact & -fact).bit_length() < wp  # its odd part fits
+    return (_Ball(c, wp) if exact else _Ball.op(c, wp)).log()
 
 
 def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
@@ -127,19 +130,18 @@ def ln_factorial_exact(n: int, ctx: PrecisionCtx) -> OracleValue:
     if n <= 1:
         zero = BigFloat.from_raw(libmp.fzero, ctx)
         return OracleValue(value=zero, method="exact_factorial", error_bound=zero)
-    wp = ctx.wprec()
-    value, bound = _Ball.op(libmp.from_int(math.factorial(n), wp, _RND), wp).log().published(ctx)
+    value, bound = _ln_factorial(math.factorial(n), ctx.wprec()).published(ctx)
     return OracleValue(value=value, method="exact_factorial", error_bound=bound)
 
 
 def ln_factorial_range(n_max: int, wp: int):
-    """Yield (n, ln n! at wp bits) for n = 1..n_max, from a running exact
-    product: each value's error is one rounding, never accumulated.  The
-    callers hold n_max to FACTORIAL_CAP."""
+    """Yield (n, the ball of ln n! at wp bits) for n = 1..n_max, from a
+    running exact product: each value's error is its own, never
+    accumulated.  The callers hold n_max to FACTORIAL_CAP."""
     product = 1
     for n in range(1, n_max + 1):
         product *= n
-        yield n, _log_raw(libmp.from_int(product, wp, _RND), wp)
+        yield n, _ln_factorial(product, wp)
 
 
 # -- Binet's second formula ----------------------------------------------
@@ -568,14 +570,14 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
 
     Evaluation, at z~, z rounded to wp = ctx.wprec(), where b = z~ + a is
     exact.  ``mpcore._Ball`` tracks the roundings of the bracket's ends, of
-    l = ln q and m = ln r for q = b/a and r = a/n rounded, and of the logs
-    of n!, of prod and of n and the steps after them; each end is then
+    l = ln q and m = ln r for q = b/a and r = a/n rounded, of n! and the
+    logs of n!, of prod and of n and the steps after them; each end is then
     moved out by its error, rounding outward.  It takes the running product
-    and n! as exact: their n + 1 rounded factors z~ + k, the n + 1 products
-    and the rounding of n! put 2n + 3 factors (1 + delta)^(+-1), |delta| <=
-    u = 2^(2-wp), into n! / prod, whose log is then off by |ln(1 + theta)|
-    <= 2 (2n + 3) u, as (2n + 3) u <= 1/4 (Higham, Accuracy and Stability
-    of Numerical Algorithms, Lemma 3.1).  Half an ulp at ctx.bits covers
+    as exact: its n + 1 rounded factors z~ + k and n + 1 products put 2n +
+    2 factors (1 + delta)^(+-1), |delta| <= u = 2^(2-wp), into prod, whose
+    log is then off by |ln(1 + theta)| <= 2 (2n + 2) u, as (2n + 2) u <=
+    1/4 (Higham, Accuracy and Stability of Numerical Algorithms, Lemma
+    3.1).  Half an ulp at ctx.bits covers
     the final rounding, and ``mpcore._argument_error`` the rounding of z to
     z~.  The bound is max(|lo|, |hi|) plus the rounding part, rounded up.
     ``diagnostics`` records n, the outward ends bracket_lo and bracket_hi,
@@ -589,9 +591,9 @@ def lngamma_euler_limit(z, n: int, ctx: PrecisionCtx) -> OracleValue:
     for k in range(0, n + 1):
         prod = libmp.mpf_mul(prod, libmp.mpf_add(z_raw, libmp.from_int(k), wp, _RND), wp, _RND)
     z_ball = _Ball(z_raw, wp)
-    val = _Ball.op(_ln_factorial_raw(n, wp), wp) + z_ball * _Ball(libmp.from_int(n), wp).log()
+    val = _ln_factorial(math.factorial(n), wp) + z_ball * _Ball(libmp.from_int(n), wp).log()
     val = val - _Ball(prod, wp).log()
-    out = val.widen(libmp.from_man_exp(2 * n + 3, 3 - wp),
+    out = val.widen(libmp.from_man_exp(2 * n + 2, 3 - wp),
                     _argument_error(z_raw, wp)).rounded(ctx.bits)
 
     a = libmp.from_int(n + 1)
@@ -622,17 +624,9 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
 
     The value is W~ = z~ exp(X~), the sum X~ = gamma~ z~ + s~ standing for
     X = gamma z~ + S, S = sum_{n<=K} (ln(1 + z~/n) - z~/n), at z~, z rounded
-    to wp = ctx.wprec().
-
-    The sum.  Term n takes x~ = z~/n, within U(x~) of x = z~/n, l, the ln
-    of the exact 1 + x~ to nearest (``mpcore._log_raw``), d = l - x~ and
-    s~ += d (U as in ``mpcore._Ball``).  l adds U(l)/2, and as |t / (1 +
-    t)| < 1 for t > 0, ln(1 + x~) - x~ is within U(x~) of ln(1 + x) - x.
-    So d is within U(d) + U(l)/2 + U(x~) of its exact term, and the sum
-    adds U(s~); each is at most 2^(t - wp) for the largest mag t among x~,
-    l, d and s~, skipping an exact 0, which has no error.  So |s~ - S| <=
-    e_s = sum over the terms of 5 2^(t - wp), more than the 3.5 2^(t - wp)
-    a term needs, and ``mpcore._Ball`` tracks X~ and W~ from there.
+    to wp = ctx.wprec().  ``mpcore._Ball`` tracks every step, from each
+    x~ = z~/n rounded to wp through its term ln(1 + x~) - x~ and the sum
+    to X~ and W~.
 
     The bound.  The omitted factors give 1/Gamma(z~) = z~ e^X e^-tau with 0
     < tau <= z~^2/(2K): each ln(1 + x) - x lies in [-x^2/2, 0], and
@@ -649,14 +643,10 @@ def weierstrass_inv_gamma(z, K: int, ctx: PrecisionCtx) -> OracleValue:
     wp = ctx.wprec()
     z_raw = to_raw(z, wp)
     _require_positive(z_raw)
-    s, mags = libmp.fzero, Counter()
+    s = _Ball(libmp.fzero, wp)
     for n in range(1, K + 1):
-        x = libmp.mpf_div(z_raw, libmp.from_int(n), wp, _RND)
-        ell = _log_raw(libmp.mpf_add(libmp.fone, x), wp)
-        d = libmp.mpf_sub(ell, x, wp, _RND)
-        s = libmp.mpf_add(s, d, wp, _RND)
-        mags[max(c[2] + c[3] for c in (x, ell, d, s) if c[1])] += 1
-    s = _Ball(s, wp).widen(*(libmp.from_man_exp(5 * count, t - wp) for t, count in mags.items()))
+        x = _Ball.op(libmp.mpf_div(z_raw, libmp.from_int(n), wp, _RND), wp)
+        s = s + (x.log1p() - x)
     exponent = _Ball.op(libmp.mpf_euler(wp, _RND), wp) * z_raw + s
     w = _Ball(z_raw, wp) * exponent.widen(_argument_error(z_raw, wp)).exp()
     out = w.rounded(ctx.bits)

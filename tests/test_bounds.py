@@ -16,13 +16,13 @@ from mpmath import libmp
 import stirling.bounds
 import stirling.oracle
 from stirling.bounds import (FAMILY_MIN_N, _difference_sums, _half_ln_2pi_bracket,
-                             _sweep_width, aissen_ratio, bound_sweep, check_bound,
-                             impens_grid, impens_sandwich, sequence_point)
+                             _sequence_balls, _sweep_width, aissen_ratio, bound_sweep,
+                             check_bound, impens_grid, impens_sandwich, sequence_point)
 from stirling.cli import IMPENS_GRID_ORDERS, IMPENS_GRID_X, _outcome
 from stirling.errors import (DomainError, InconclusiveError, ResourceError,
                              ValidityError)
 from stirling.fixed import _exp_bracket
-from stirling.mpcore import PrecisionCtx, elementary, pi
+from stirling.mpcore import BigFloat, PrecisionCtx, elementary
 from stirling.oracle import FACTORIAL_CAP
 from stirling.series import remainder_R
 
@@ -381,7 +381,7 @@ def test_aissen_limit_value():
     # sqrt(n) v_n -> 1/sqrt(2 pi)
     sp = sequence_point(10**4, CTX)
     root_n = elementary("sqrt", 10**4, CTX)
-    target = 1 / elementary("sqrt", 2 * pi(CTX), CTX)
+    target = 1 / elementary("sqrt", 2 * BigFloat(libmp.mpf_pi(CTX.bits, "n"), CTX.bits), CTX)
     assert abs(root_n * sp.v_n - target) <= Fraction(1, 10**4)
 
 
@@ -406,8 +406,8 @@ def test_aissen_ratio_takes_no_factorial(monkeypatch):
     def refuse(*args):
         raise AssertionError("aissen_ratio took a factorial")
 
-    monkeypatch.setattr(stirling.bounds, "_ln_factorial_raw", refuse)
-    monkeypatch.setattr(stirling.oracle, "_ln_factorial_raw", refuse)
+    monkeypatch.setattr(stirling.bounds, "_ln_factorial", refuse)
+    monkeypatch.setattr(stirling.oracle, "_ln_factorial", refuse)
     monkeypatch.setattr(math, "factorial", refuse)
     for n in (1, 10**4, FACTORIAL_CAP - 1):
         assert 0 < aissen_ratio(n, CTX) < Fraction(1, 12 * n)
@@ -427,6 +427,27 @@ def test_sequence_point_within_2_ulp_of_mpmath(bits):
             sp = sequence_point(n, ctx)
             for got, ref in ((sp.r_n, r), (sp.c_n, c), (sp.v_n, v)):
                 assert _ulps(got, ref, bits) <= 2, n
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_sequence_point_balls_hold_against_mpmath(bits):
+    # each ball of _sequence_balls, before and after its rounding to bits,
+    # holds its sequence value from mpmath at 64 bits past the ball's own
+    # precision, and r_n's error is far below an ulp at bits
+    ctx = PrecisionCtx(bits)
+    for n in (1, 2, 3, 10, 10**3, 10**4, FACTORIAL_CAP):
+        balls = _sequence_balls(n, ctx)
+        with mpmath.workprec(balls[0].wp + 64):
+            ln_fact, lnn = mpmath.loggamma(n + 1), mpmath.log(n)
+            c = (n + mpmath.mpf(1) / 2) * lnn - n + 1 - ln_fact
+            refs = [1 - c - mpmath.log(2 * mpmath.pi) / 2, c, mpmath.exp(n * lnn - n - ln_fact)]
+        for ball, ref in zip(balls, refs):
+            ref = Fraction(*libmp.to_rational(ref._mpf_))
+            for held in (ball, ball.rounded(bits)):
+                lo, hi = (Fraction(*libmp.to_rational(end)) for end in held.ends())
+                assert lo <= ref <= hi, n
+        r = Fraction(*libmp.to_rational(balls[0].v))
+        assert Fraction(*libmp.to_rational(balls[0].error())) <= r / 2**(bits + 30), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -592,7 +613,7 @@ def test_sweep_and_check_bound_leave_the_factorial_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the factorial path was taken")
 
-    monkeypatch.setattr(stirling.bounds, "_ln_factorial_raw", refuse)
+    monkeypatch.setattr(stirling.bounds, "_ln_factorial", refuse)
     monkeypatch.setattr(stirling.oracle, "ln_factorial_range", refuse)
     assert len(list(bound_sweep(list(FAMILY_MIN_N), 30, CTX128))) == 30 * 5 - 3
     assert check_bound("michel", 30, CTX128).holds

@@ -651,8 +651,7 @@ def _shift_ln_factorial(monkeypatch):
 
     def shifted(n_max, wp):
         for n, value in real(n_max, wp):
-            yield n, (libmp.mpf_add(value, libmp.from_man_exp(1, -250), wp) if n == 10
-                      else value)
+            yield n, value + libmp.from_man_exp(1, -250) if n == 10 else value
 
     monkeypatch.setattr(stirling.expansions, "ln_factorial_range", shifted)
 
@@ -670,14 +669,16 @@ def _feller_constant_past_its_tail(monkeypatch):
 def _mermin_tail_at_its_bound(monkeypatch):
     """M_K for n = 1 such that r_1 - M_K is 1/(12K) - 2^-262, inside the
     errors of r_1 and M_K, but below 1/(12K) once rounded; the report takes
-    its three M_K from one ``_mermin_products`` call."""
+    its three M_K from one ``_mermin_products`` call, as balls, so the
+    moved one keeps the error of the real one."""
     real = stirling.expansions._mermin_products
 
     def shifted(ns, K, ctx):
         q = (stirling.bounds.sequence_point(1, ctx).r_n._fraction()
              - Fraction(1, 12 * K) + Fraction(1, 2**262))
-        m1 = BigFloat(libmp.from_rational(q.numerator, q.denominator, 400, "n"), ctx.bits)
-        return [m1 if n == 1 else value for n, value in zip(ns, real(ns, K, ctx))]
+        m1 = libmp.from_rational(q.numerator, q.denominator, 400, "n")
+        return [_Ball(m1, value.wp, value.e, value.q) if n == 1 else value
+                for n, value in zip(ns, real(ns, K, ctx))]
 
     monkeypatch.setattr(stirling.expansions, "_mermin_products", shifted)
 

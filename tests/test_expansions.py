@@ -347,10 +347,10 @@ def test_marsaglia_cap_and_base():
 
 def test_marsaglia_factorial_k1_is_leading_order():
     # single-term sum: sqrt(2 pi n) n^n e^-n
-    from stirling.mpcore import pi
     n = 20
     got = marsaglia_factorial(n, 1, CTX)
-    lead = elementary("sqrt", 2 * pi(CTX) * n, CTX) \
+    pi = stirling.mpcore.BigFloat(mpmath.libmp.mpf_pi(CTX.bits, "n"), CTX.bits)
+    lead = elementary("sqrt", 2 * pi * n, CTX) \
         * elementary("exp", n * elementary("ln", n, CTX) - n, CTX)
     assert abs(got / lead - 1) < Fraction(1, 1 << 200)
 
@@ -434,16 +434,25 @@ def test_mermin_domain():
 def test_mermin_products_share_a_tail_and_match_the_public_sums(bits, K):
     # n = 10's sum is the shared tail alone, summed at the W its own call
     # takes; n = 1 and 2 add heads at that W, 6 and 4 bits finer than their own
+    # (the products are balls; each is published rounded to ctx.bits)
     ctx, ns = PrecisionCtx(bits), (1, 2, 10)
-    public = [mermin_partial_product(n, K, ctx) for n in ns]
+    libmp = mpmath.libmp
+
+    def published(ball):
+        return stirling.mpcore.BigFloat.from_raw(ball.v, ctx).to_hex()
+
+    public = [mermin_partial_product(n, K, ctx).to_hex() for n in ns]
     shared = _mermin_products(ns, K, ctx)
-    assert shared[-1].to_hex() == public[-1].to_hex()
+    assert published(shared[-1]) == public[-1]
     for n, value, got in zip(ns, public, shared):
-        assert _mermin_products((n,), K, ctx)[0].to_hex() == value.to_hex()
-        assert abs(got - value) <= abs(value._fraction()) / 2**(bits + 30)
+        alone, = _mermin_products((n,), K, ctx)
+        assert published(alone) == published(got) == value
+        # two proven balls of one sum overlap
+        (lo, hi), (alone_lo, alone_hi) = got.ends(), alone.ends()
+        assert libmp.mpf_le(lo, alone_hi) and libmp.mpf_le(alone_lo, hi)
     # any order and repeats: each n is answered in its place
-    assert [v.to_hex() for v in _mermin_products((10, 1, 2, 1), K, ctx)] \
-        == [shared[i].to_hex() for i in (2, 0, 1, 0)]
+    assert [published(v) for v in _mermin_products((10, 1, 2, 1), K, ctx)] \
+        == [published(shared[i]) for i in (2, 0, 1, 0)]
 
 
 @pytest.mark.parametrize("n,K", [

@@ -1,5 +1,6 @@
 """Independent log-gamma references: integral, limit, product, exact."""
 
+import functools
 import hashlib
 import math
 import random
@@ -12,8 +13,9 @@ from hypothesis import strategies as st_
 from mpmath import libmp
 
 import stirling.oracle
-from stirling.bernoulli import bernoulli
+from stirling.bernoulli import BernoulliTable
 from stirling.errors import DomainError, ResourceError
+from stirling.fixed import _ln2_floor
 from stirling.mpcore import BigFloat, PrecisionCtx
 from stirling.oracle import (OracleValue, _multiplication_residual, check_duplication,
                              check_multiplication,
@@ -305,10 +307,10 @@ def test_binet2_final_rounding_within_one_ulp(bits):
         assert 0 < final <= _ulp_of_max_one(ov.value, bits), z
 
 
-# the bound's bits: the roundings of n! to wp and of its log, and the
-# half ulp of the rounding to bits
+# the bound's bits: the roundings of n! to wp (none for 12!, which wp
+# holds exactly) and of its log, and the half ulp of the rounding to bits
 @pytest.mark.parametrize("n, bits, bound_hex", [
-    (12, 64, "0x1.0000000211eed8fp-60"),
+    (12, 64, "0x1.00000002p-60"),
     (10**4, 256, "0x1.000000020001cfaf0532f52d6635p-240"),
 ])
 def test_ln_factorial_bound_pinned_bits(n, bits, bound_hex):
@@ -595,9 +597,9 @@ def test_multiplication_rejects_bad_order():
 
 
 def test_gamma_half_integer_values():
-    from stirling.mpcore import elementary, pi
+    from stirling.mpcore import elementary
     assert gamma_half_integer(2, CTX) == 1
-    sqrt_pi = elementary("sqrt", pi(CTX), CTX)
+    sqrt_pi = elementary("sqrt", BigFloat(libmp.mpf_pi(CTX.bits, "n"), CTX.bits), CTX)
     assert abs(gamma_half_integer(1, CTX) - sqrt_pi) <= Fraction(1, 1 << 240)
     assert abs(gamma_half_integer(5, CTX) - sqrt_pi * Fraction(3, 4)) \
         <= Fraction(1, 1 << 240)
@@ -615,26 +617,49 @@ def test_gamma_half_integer_guard():
 
 
 # Euler-Maclaurin for the harmonic numbers, independent of the
-# Brent-McMillan kernel: gamma = H_n - ln n - 1/(2n) + sum B_2k/(2k n^2k).
-# The remainder after k = K is smaller than the first omitted term.
-EM_N, EM_K, EM_BITS = 1000, 128, 1088
+# Brent-McMillan kernel: gamma = H_n - ln n - 1/(2n) + sum_(k<=K) B_2k /
+# (2k n^2k) + eps, where eps lies between 0 and the first omitted term (the
+# sandwich property of the series).
+EM_N, EM_K, EM_W = 2**14, 256, 4096 + 64
 
 
-def em_gamma_reference() -> Fraction:
-    n = EM_N
-    s = sum(Fraction(1, k) for k in range(1, n + 1)) - Fraction(1, 2 * n)
-    s += sum(bernoulli(2 * k) / (2 * k * n ** (2 * k)) for k in range(1, EM_K + 1))
-    ln_n = libmp.mpf_log(libmp.from_int(n), EM_BITS, "n")
-    return s - Fraction(*libmp.to_rational(ln_n))
+@functools.lru_cache(maxsize=None)
+def _gamma_enclosure() -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^W gamma <= hi, W = EM_W, from integers alone:
+    2^W H_n in [S, S + n) for S = sum_(k<=n) floor(2^W / k); 2^W ln n in
+    [14 L, 14 L + 14) for n = 2^14 and L = floor(2^W ln 2)
+    (``fixed._ln2_floor``); the B_2k terms summed exactly, then floored;
+    and the first omitted term, B_514 from a table built that far, rounded
+    up."""
+    W, n = EM_W, EM_N
+    harmonic = sum((1 << W) // k for k in range(1, n + 1))
+    table = BernoulliTable(cap=2 * EM_K + 2)
+    terms = sum(table.b(2 * k) / (2 * k * n ** (2 * k)) for k in range(1, EM_K + 1))
+    k = EM_K + 1
+    omitted = math.ceil(abs(table.b(2 * k)) / (2 * k * n ** (2 * k)) * (1 << W))
+    base = harmonic - 14 * _ln2_floor(W) - (1 << (W - 15)) + math.floor(terms * (1 << W))
+    return base - 14 - omitted, base + n + 1 + omitted
+
+
+def test_libmp_euler_is_within_one_ulp_of_an_integer_enclosure():
+    # mpcore._Ball takes libmp's gamma to within one ulp (Euler's constant
+    # of the Weierstrass product); this checks it at every p from 64 to
+    # 1,200 bits, ascending, and at 4,096 bits
+    lo, hi = _gamma_enclosure()
+    assert hi - lo < 1 << 20
+    for p in [*range(64, 1201), 4096]:
+        sign, man, exp, bc = libmp.mpf_euler(p, "n")
+        assert sign == 0 and bc <= p and exp + bc == 0, p  # gamma~ in [1/2, 1)
+        v, ulp = man << (EM_W + exp), 1 << (EM_W - p)  # gamma~ 2^W and one ulp, exactly
+        assert v - ulp <= lo and hi <= v + ulp, p
 
 
 def test_euler_gamma_past_670_bits_matches_euler_maclaurin():
-    k = EM_K + 1
-    assert abs(bernoulli(2 * k)) / (2 * k * EM_N ** (2 * k)) < Fraction(1, 2**1500)
     g = euler_gamma(PrecisionCtx(1024))
     assert g.ctx_bits == 1024
     # gamma lies in [1/2, 1), where one ulp at 1024 bits is 2^-1024
-    assert abs(_exact(g) - em_gamma_reference()) <= Fraction(2, 2**1024)
+    lo, hi = (Fraction(end, 1 << EM_W) for end in _gamma_enclosure())
+    assert _exact(g) - Fraction(1, 2**1024) <= lo and hi <= _exact(g) + Fraction(1, 2**1024)
 
 
 def test_euler_gamma_hex_pinned():

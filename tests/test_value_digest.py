@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from stirling.expansions import _feller_residuals, _namias_residual, feller_term
+from stirling.bounds import sequence_point
+from stirling.expansions import (_feller_residuals, _namias_residual, feller_term,
+                                 mermin_partial_product)
 from stirling.mpcore import PrecisionCtx
-from stirling.oracle import (_multiplication_residual, ln_factorial_exact, lngamma_binet2,
-                             lngamma_euler_limit, weierstrass_inv_gamma)
+from stirling.oracle import (FACTORIAL_CAP, _multiplication_residual, ln_factorial_exact,
+                             lngamma_binet2, lngamma_euler_limit, weierstrass_inv_gamma)
 from stirling.series import lngamma_stirling, main_term_P
 
 ZS = (Fraction(1, 10**6), Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(22, 7),
@@ -84,3 +86,33 @@ def test_oracle_values_are_pinned(bits):
     for name, args, value in _oracle_values(bits):
         h.update(f"{name},{args},{value}\n".encode())
     assert h.hexdigest() == ORACLE_VALUE_DIGESTS[bits]
+
+
+SEQUENCE_NS = (1, 2, 3, 10, 100, 1000, 10**4, FACTORIAL_CAP)
+MERMIN_NKS = ((1, 1), (5, 5), (1, 10), (1, 10**4), (2, 10**4), (10, 10**4), (100, 1000),
+              (1000, 10**5))
+
+# bits -> sha256 over the lines "name,args,hex[,hex...]\n" of
+# ``_sequence_values(bits)``: r_n, c_n and v_n of ``sequence_point`` and
+# Mermin's partial sums, whose balls ``mpcore._Ball`` carries
+SEQUENCE_DIGESTS = {
+    64: "2e399274716ecf71db04b21b9841dee450482bf53881ce0d0d67b862325af5ad",
+    256: "741872b540dcbe573c1ab6357a28805761031cf012ff6820eb4936cd209577f6",
+}
+
+
+def _sequence_values(bits: int):
+    ctx = PrecisionCtx(bits)
+    for n in SEQUENCE_NS:
+        sp = sequence_point(n, ctx)
+        yield "sequence_point", n, (sp.r_n, sp.c_n, sp.v_n)
+    for n, K in MERMIN_NKS:
+        yield "mermin_partial_product", (n, K), (mermin_partial_product(n, K, ctx),)
+
+
+@pytest.mark.parametrize("bits", sorted(SEQUENCE_DIGESTS))
+def test_sequence_and_mermin_values_are_pinned(bits):
+    h = hashlib.sha256()
+    for name, args, values in _sequence_values(bits):
+        h.update(f"{name},{args},{','.join(v.to_hex() for v in values)}\n".encode())
+    assert h.hexdigest() == SEQUENCE_DIGESTS[bits]
